@@ -3,8 +3,10 @@
 // Runs the full-scale campaign three times — with tracing/metrics off (the
 // pure-harness baseline), with both sinks live, and under the resilience
 // supervisor — and writes BENCH_study.json: tests executed, wall seconds,
-// tests/sec, per-phase wall time from the metric histograms, and both
-// overhead ratios. The instrumentation budget is 5% (docs/OBSERVABILITY.md)
+// tests/sec, per-phase and per-step wall time from the metric histograms,
+// and both overhead ratios. run_study is the supervised engine with no
+// journal, so the two legs of the supervisor gate run the same engine and
+// differ only in how the options reach it. The instrumentation budget is 5% (docs/OBSERVABILITY.md)
 // and the supervisor budget is 2% (docs/RESILIENCE.md); the JSON records
 // the measured numbers so CI history can watch them drift, and
 // --max-supervisor-overhead turns the supervisor budget into a hard gate.
@@ -160,11 +162,16 @@ int main(int argc, char** argv) {
       plain_seconds > 0.0 ? traced_seconds / plain_seconds - 1.0 : 0.0;
   const double supervisor_overhead = supervisor_ratio - 1.0;
 
+  // The engine's timers: its two phases, and the per-service and per-test
+  // steps the testing phase runs on the workers (summed across them).
   json::ObjectWriter phases;
-  for (const char* name :
-       {"study.phase.prepare_us", "study.phase.deploy_us", "study.phase.parse_us",
-        "study.phase.wsi_check_us", "study.phase.testing_us"}) {
+  for (const char* name : {"study.phase.prepare_us", "study.phase.testing_us"}) {
     phases.field(name, static_cast<std::size_t>(registry.histogram(name).sum()));
+  }
+  json::ObjectWriter steps;
+  for (const char* name : {"study.step.deploy_us", "study.step.describe_us",
+                           "study.step.generation_us", "study.step.compilation_us"}) {
+    steps.field(name, static_cast<std::size_t>(registry.histogram(name).sum()));
   }
   json::ObjectWriter doc;
   doc.field("benchmark", "study");
@@ -177,6 +184,7 @@ int main(int argc, char** argv) {
   doc.field("supervised_seconds", supervised_seconds);
   doc.field("supervisor_overhead", supervisor_overhead);
   doc.raw_field("phase_sum_us", phases.str());
+  doc.raw_field("step_sum_us", steps.str());
 
   std::ofstream out(out_path);
   if (!out) {

@@ -4,12 +4,11 @@
 #include <sstream>
 
 #include "chaos/clock.hpp"
+#include "chaos/supervised.hpp"
 #include "chaos/wire.hpp"
 #include "common/json.hpp"
-#include "common/pool.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
-#include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 
 namespace wsx::chaos {
@@ -317,173 +316,7 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
 }
 
 ChaosResult run_chaos_study(const ChaosConfig& config) {
-  ChaosResult result;
-  result.plan = config.plan;
-  result.calls_per_pair = config.calls_per_pair;
-
-  obs::Span run_span(config.tracer, "chaos");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog =
-      catalog::make_dotnet_catalog(config.dotnet_spec);
-  const auto servers = frameworks::make_servers();
-  const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  std::vector<ResiliencePolicy> policies;
-  for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
-    policies.push_back(policy_for(client->name()));
-  }
-
-  // The mixed-version axis turns each server's round into one round per
-  // version policy; client hybrid profiles follow their own documented
-  // policies. Outside the axis everything degenerates to the classic
-  // campaign (documented server policy, pure-1.1 calls, label = name).
-  struct Round {
-    const frameworks::ServerFramework* server;
-    std::optional<frameworks::VersionPolicy> policy;
-    std::string label;
-  };
-  std::vector<Round> rounds;
-  for (const auto& server : servers) {
-    if (config.versions.empty()) {
-      rounds.push_back({server.get(), std::nullopt, server->name()});
-      continue;
-    }
-    for (const frameworks::VersionPolicy policy : config.versions) {
-      rounds.push_back({server.get(), policy,
-                        server->name() + " [" + frameworks::to_string(policy) + "]"});
-    }
-  }
-  std::vector<soap::HybridProfile> profiles;
-  for (const auto& client : clients) {
-    profiles.push_back(config.versions.empty()
-                           ? soap::HybridProfile::kPure11
-                           : frameworks::profile_for(client->version_policy()));
-  }
-
-  for (const Round& round : rounds) {
-    const frameworks::ServerFramework* server = round.server;
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-    FaultyWire wire(*server, config.plan);
-    if (round.policy.has_value()) wire.set_server_policy(*round.policy);
-
-    ChaosServerResult server_result;
-    server_result.server = round.label;
-    for (const auto& client : clients) {
-      ChaosCell cell;
-      cell.client = client->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-
-    // One chaos round per server: every client chain against its services.
-    obs::Span round_span(config.tracer, "round:" + server_result.server, run_span);
-    obs::Span deploy_span(config.tracer, "phase:deploy", round_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "chaos.phase.deploy_us");
-    std::vector<frameworks::DeployedService> deployed;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) deployed.push_back(std::move(service.value()));
-    }
-    server_result.services_deployed = deployed.size();
-    obs::add(config.metrics, "chaos.services_deployed", deployed.size());
-    deploy_span.annotate("deployed", deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-
-    // Parse-once: a shared description per service feeds every client
-    // chain's generation gate below (faults are injected on the wire, not
-    // on the WSDL bytes, so the parse is invariant across calls).
-    std::vector<frameworks::SharedDescription> descriptions;
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", round_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "chaos.phase.parse_us");
-      const auto build_slice = [&](std::size_t begin, std::size_t end) {
-        std::vector<frameworks::SharedDescription> built;
-        built.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          built.push_back(
-              frameworks::SharedDescription::from_deployed(deployed[i], /*with_wsi=*/false));
-        }
-        return built;
-      };
-      descriptions.reserve(deployed.size());
-      for (std::vector<frameworks::SharedDescription>& slice :
-           parallel_slices(deployed.size(), config.jobs, build_slice)) {
-        for (frameworks::SharedDescription& description : slice) {
-          descriptions.push_back(std::move(description));
-        }
-      }
-      obs::add(config.metrics, "chaos.parse.wsdl_parses", descriptions.size());
-      parse_span.end();
-      parse_timer.stop();
-    }
-
-    // Invocations parallelize over services; every chain (one client against
-    // one endpoint) runs sequentially inside its slice with its own virtual
-    // clock and breaker, so the result is independent of the slicing.
-    obs::Span calls_span(config.tracer, "phase:calls", round_span);
-    obs::ScopedTimer calls_timer = obs::timer(config.metrics, "chaos.phase.calls_us");
-    const auto run_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<ChainDelta> partial(clients.size());
-      for (std::size_t index = begin; index < end; ++index) {
-        for (std::size_t i = 0; i < clients.size(); ++i) {
-          const ChainDelta delta = run_chaos_chain(
-              wire, *server, deployed[index],
-              config.parse_cache ? &descriptions[index] : nullptr, *clients[i],
-              client_compilers[i].get(), policies[i], config, profiles[i], round.label);
-          ChainDelta& cell = partial[i];
-          for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
-            cell.outcomes[outcome] += delta.outcomes[outcome];
-          }
-          cell.retransmits += delta.retransmits;
-          cell.faulted_attempts += delta.faulted_attempts;
-          cell.challenged += delta.challenged;
-          cell.challenged_ok += delta.challenged_ok;
-          cell.breaker_trips += delta.breaker_trips;
-          cell.virtual_ms += delta.virtual_ms;
-        }
-      }
-      return partial;
-    };
-    PoolStats pool_stats;
-    const std::vector<std::vector<ChainDelta>> partials =
-        parallel_slices(deployed.size(), config.jobs, run_slice, &pool_stats);
-    if (config.metrics != nullptr) {
-      config.metrics->gauge("chaos.pool.workers").set_max(
-          static_cast<std::int64_t>(pool_stats.workers));
-      config.metrics->gauge("chaos.pool.max_queue_depth").set_max(
-          static_cast<std::int64_t>(pool_stats.max_queue_depth));
-    }
-    for (const std::vector<ChainDelta>& partial : partials) {
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        ChaosCell& cell = server_result.cells[i];
-        for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
-          cell.outcomes[outcome] += partial[i].outcomes[outcome];
-        }
-        cell.retransmits += partial[i].retransmits;
-        cell.faulted_attempts += partial[i].faulted_attempts;
-        cell.challenged += partial[i].challenged;
-        cell.challenged_ok += partial[i].challenged_ok;
-        cell.breaker_trips += partial[i].breaker_trips;
-        cell.virtual_ms += partial[i].virtual_ms;
-      }
-    }
-    for (const ChaosCell& cell : server_result.cells) {
-      obs::add(config.metrics, "chaos.breaker_trips", cell.breaker_trips);
-      obs::add(config.metrics, "chaos.challenged", cell.challenged);
-      obs::add(config.metrics, "chaos.challenged_ok", cell.challenged_ok);
-      obs::Span cell_span(config.tracer, "cell:" + cell.client, calls_span);
-      cell_span.annotate("attempted", cell.attempted());
-      cell_span.annotate("challenged", cell.challenged);
-      cell_span.annotate("retransmits", cell.retransmits);
-    }
-    calls_span.end();
-    calls_timer.stop();
-    result.servers.push_back(std::move(server_result));
-  }
-  return result;
+  return resilience::require_complete(run_chaos_supervised(config, {})).chaos;
 }
 
 namespace {

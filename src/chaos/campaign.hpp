@@ -60,7 +60,7 @@ enum class ChaosOutcome {
   kHung,              ///< still waiting when the call budget ran out
   kTimedOut,          ///< the supervisor's per-task deadline aborted the
                       ///< chain before this call ran (resilience layer;
-                      ///< never produced by an unsupervised run)
+                      ///< only with --task-deadline-ms)
   kVersionMismatch,   ///< the endpoint rejected the call's version shape
                       ///< (VersionMismatch/MustUnderstand fault or HTTP
                       ///< 415) on a clean attempt and the client's policy
@@ -141,14 +141,15 @@ struct ChaosConfig {
   obs::Registry* metrics = nullptr;
 };
 
-/// Runs the chaos campaign. Output is a pure function of the config —
-/// identical for every `jobs` value.
+/// Runs the chaos campaign: run_chaos_supervised with no journal. Output
+/// is a pure function of the config — identical for every `jobs` value.
+/// Throws std::runtime_error naming a task that failed on every attempt.
 ChaosResult run_chaos_study(const ChaosConfig& config = {});
 
 /// Everything one client chain contributes to its (server, client) cell:
 /// calls_per_pair logical calls against one endpoint over a persistent
-/// virtual clock and circuit breaker. The unit the campaign parallelizes
-/// over, and the unit the resilience supervisor checkpoints.
+/// virtual clock and circuit breaker. A chaos task runs one chain per
+/// client against its service and journals their deltas.
 struct ChainDelta {
   std::array<std::size_t, kChaosOutcomeCount> outcomes{};
   std::size_t retransmits = 0;
@@ -159,7 +160,7 @@ struct ChainDelta {
   std::uint64_t virtual_ms = 0;
 };
 
-/// Runs one chain. `description` is the campaign's shared parse (null =
+/// Runs one chain. `description` is the service's shared parse (null =
 /// re-parse, the --no-parse-cache path); `compiler` is null for dynamic
 /// clients. Pure in its inputs — the determinism guarantee of the chaos
 /// study rests on it.

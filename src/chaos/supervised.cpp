@@ -1,7 +1,10 @@
 #include "chaos/supervised.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "catalog/spec_json.hpp"
 #include "chaos/wire.hpp"
@@ -65,11 +68,29 @@ bool chain_delta_from_json(const json::Value& value, ChainDelta& out) {
   return true;
 }
 
-std::pair<std::size_t, std::size_t> locate_task(const std::vector<std::size_t>& first_task,
-                                                std::size_t task) {
-  std::size_t server_index = first_task.size() - 1;
-  while (first_task[server_index] > task) --server_index;
-  return {server_index, task - first_task[server_index]};
+/// A chaos task's journal record: one chain delta per client, none when
+/// deploy() refused the service.
+std::string chains_json(const std::vector<ChainDelta>& chains) {
+  json::ArrayWriter rows;
+  for (const ChainDelta& delta : chains) rows.raw_item(chain_delta_json(delta));
+  return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
+}
+
+Result<std::vector<ChainDelta>> chains_from_record(const resilience::JournalEntry& entry,
+                                                   std::size_t clients) {
+  Result<json::Value> record = json::parse(entry.record);
+  if (!record.ok()) return bad_record(entry.id, record.error().message);
+  const json::Value* rows = record->find("clients");
+  if (rows == nullptr || !rows->is_array() || (rows->size() != 0 && rows->size() != clients)) {
+    return bad_record(entry.id, "client row count mismatch");
+  }
+  std::vector<ChainDelta> chains(rows->size());
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    if (!chain_delta_from_json(rows->items()[i], chains[i])) {
+      return bad_record(entry.id, "malformed chain delta");
+    }
+  }
+  return chains;
 }
 
 }  // namespace
@@ -167,109 +188,81 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
   const catalog::TypeCatalog dotnet_catalog =
       catalog::make_dotnet_catalog(config.dotnet_spec);
+  const std::vector<frameworks::ServiceSpec> java_services =
+      frameworks::make_services(java_catalog);
+  const std::vector<frameworks::ServiceSpec> dotnet_services =
+      frameworks::make_services(dotnet_catalog);
   const auto servers = frameworks::make_servers();
   const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   std::vector<ResiliencePolicy> policies;
   for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
+    compilers.push_back(compilers::make_compiler(client->language()));
     policies.push_back(policy_for(client->name()));
   }
+  const std::vector<soap::HybridProfile> profiles =
+      frameworks::client_profiles(clients, config.versions);
 
-  // The mixed-version axis: one supervised round per server × policy, with
-  // round labels scoping task ids and fault schedules (see run_chaos_study).
-  std::vector<soap::HybridProfile> profiles;
-  for (const auto& client : clients) {
-    profiles.push_back(config.versions.empty()
-                           ? soap::HybridProfile::kPure11
-                           : frameworks::profile_for(client->version_policy()));
+  // One round per server, or per server × version policy on the
+  // --versions axis; each round has its own wire, and its label scopes the
+  // task ids and the chains' fault schedules.
+  const std::vector<frameworks::Round> rounds =
+      frameworks::make_rounds(servers, java_services, dotnet_services, config.versions);
+  std::vector<FaultyWire> wires;
+  for (const frameworks::Round& round : rounds) {
+    FaultyWire& wire = wires.emplace_back(*round.server, config.plan);
+    if (round.policy.has_value()) wire.set_server_policy(*round.policy);
   }
-
-  // Deploy + shared parse up front, as in run_chaos_study; the chains run
-  // under supervision.
-  struct PreparedRound {
-    const frameworks::ServerFramework* server = nullptr;
-    std::string label;
-    std::unique_ptr<FaultyWire> wire;
-    std::vector<frameworks::DeployedService> deployed;
-    std::vector<frameworks::SharedDescription> descriptions;
-  };
-  std::vector<PreparedRound> prepared;
-  std::vector<std::size_t> first_task;
+  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
   resilience::CampaignTasks tasks;
   tasks.campaign = "chaos";
   tasks.config_json = chaos_config_json(config);
-  for (const auto& server : servers) {
-    std::vector<PreparedRound> server_rounds;
-    if (config.versions.empty()) {
-      PreparedRound round;
-      round.server = server.get();
-      round.label = server->name();
-      round.wire = std::make_unique<FaultyWire>(*server, config.plan);
-      server_rounds.push_back(std::move(round));
-    } else {
-      for (const frameworks::VersionPolicy policy : config.versions) {
-        PreparedRound round;
-        round.server = server.get();
-        round.label = server->name() + " [" + frameworks::to_string(policy) + "]";
-        round.wire = std::make_unique<FaultyWire>(*server, config.plan);
-        round.wire->set_server_policy(policy);
-        server_rounds.push_back(std::move(round));
-      }
-    }
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-    for (PreparedRound& round : server_rounds) {
-      obs::Span round_span(config.tracer, "round:" + round.label, run_span);
-      obs::Span deploy_span(config.tracer, "phase:deploy", round_span);
-      obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "chaos.phase.deploy_us");
-      for (const catalog::TypeInfo& type : catalog.types()) {
-        Result<frameworks::DeployedService> service =
-            server->deploy(frameworks::ServiceSpec{&type});
-        if (service.ok()) round.deployed.push_back(std::move(service.value()));
-      }
-      obs::add(config.metrics, "chaos.services_deployed", round.deployed.size());
-      deploy_span.annotate("deployed", round.deployed.size());
-      deploy_span.end();
-      deploy_timer.stop();
-      if (config.parse_cache) {
-        obs::Span parse_span(config.tracer, "phase:parse", round_span);
-        obs::ScopedTimer parse_timer = obs::timer(config.metrics, "chaos.phase.parse_us");
-        round.descriptions.reserve(round.deployed.size());
-        for (const frameworks::DeployedService& service : round.deployed) {
-          round.descriptions.push_back(
-              frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false));
-        }
-        obs::add(config.metrics, "chaos.parse.wsdl_parses", round.descriptions.size());
-        parse_span.end();
-        parse_timer.stop();
-      }
-      first_task.push_back(tasks.ids.size());
-      for (const frameworks::DeployedService& service : round.deployed) {
-        tasks.ids.push_back(round.label + "|" + service.spec.service_name());
-      }
-      prepared.push_back(std::move(round));
-    }
-  }
+  tasks.ids = std::move(plan.ids);
 
-  // One task = every client chain against one endpoint. Each chain's
-  // virtual milliseconds are charged against the supervisor deadline.
-  tasks.run = [&](std::size_t index, resilience::TaskContext& context) {
-    const auto [round_index, service_index] = locate_task(first_task, index);
-    const PreparedRound& round = prepared[round_index];
-    const frameworks::DeployedService& service = round.deployed[service_index];
-    const frameworks::SharedDescription* description =
-        config.parse_cache ? &round.descriptions[service_index] : nullptr;
-    json::ArrayWriter rows;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const ChainDelta delta =
-          run_chaos_chain(*round.wire, *round.server, service, description,
-                          *clients[i], client_compilers[i].get(), policies[i], config,
-                          profiles[i], round.label);
-      context.charge(delta.virtual_ms);
-      rows.raw_item(chain_delta_json(delta));
+  // Fold input: one row of `width` chain deltas per task, allocated here
+  // up front. A task writes its row in place (indices are distinct across
+  // workers, so no locking) and leaves nothing allocated on its worker, so
+  // peak memory does not depend on how tasks interleave on the workers'
+  // heaps. `bound[t]` is set when task t's service deployed; a resumed task
+  // is filled from its journal record before anything runs.
+  const std::size_t width = clients.size();
+  std::vector<ChainDelta> side(plan.tasks.size() * width);
+  std::vector<char> bound(plan.tasks.size(), 0);
+  for (const resilience::JournalEntry* entry :
+       resilience::resumed_records(tasks, options.resume)) {
+    Result<std::vector<ChainDelta>> chains = chains_from_record(*entry, clients.size());
+    if (!chains.ok()) return chains.error();
+    bound[entry->task] = !chains->empty();
+    std::copy(chains->begin(), chains->end(), side.begin() + entry->task * width);
+  }
+  const bool journaling = !options.checkpoint_path.empty();
+
+  // One task: deploy one service, build its shared parse (faults are
+  // injected on the wire, not on the WSDL bytes, so one parse serves every
+  // call), and run every client's chain against it, charging each chain's
+  // virtual milliseconds against the supervisor deadline.
+  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
+    const frameworks::RoundService& task = plan.tasks[index];
+    const frameworks::Round& round = rounds[task.round];
+    bound[index] = 0;
+    Result<frameworks::DeployedService> service = round.server->deploy(*task.spec);
+    if (!service.ok()) return journaling ? chains_json({}) : std::string{};
+    std::optional<frameworks::SharedDescription> description;
+    if (config.parse_cache) {
+      description.emplace(
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
+      obs::add(config.metrics, "chaos.parse.wsdl_parses");
     }
-    return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
+    ChainDelta* chains = side.data() + index * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      chains[i] = run_chaos_chain(wires[task.round], *round.server, *service,
+                                  description.has_value() ? &*description : nullptr,
+                                  *clients[i], compilers[i].get(), policies[i], config,
+                                  profiles[i], round.label);
+      context.charge(chains[i].virtual_ms);
+    }
+    bound[index] = 1;
+    return journaling ? chains_json({chains, chains + width}) : std::string{};
   };
 
   obs::Span calls_span(config.tracer, "phase:calls", run_span);
@@ -282,50 +275,35 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   sup.trip_after_tasks = options.trip_after_tasks;
   sup.metrics = config.metrics;
   Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
-  calls_span.end();
-  calls_timer.stop();
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
-  // Fold in task order. Completed chains add their deltas; deadline
-  // quarantines synthesize kTimedOut for the whole pair population.
-  for (std::size_t round_index = 0; round_index < prepared.size(); ++round_index) {
-    ChaosServerResult server_result;
-    server_result.server = prepared[round_index].label;
-    server_result.services_deployed = prepared[round_index].deployed.size();
-    for (const auto& client : clients) {
-      ChaosCell cell;
-      cell.client = client->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-    result.servers.push_back(std::move(server_result));
+  // Fold in task order, one result row per round. A service counts as
+  // deployed unless its task ran and found it refused; a deadline
+  // quarantine folds kTimedOut for the service's whole call population.
+  for (const frameworks::Round& round : rounds) {
+    ChaosServerResult& server = result.servers.emplace_back();
+    server.server = round.label;
+    for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    const auto [round_index, service_index] = locate_task(first_task, task.task);
-    ChaosServerResult& server_result = result.servers[round_index];
-    if (task.state == resilience::TaskState::kQuarantined && task.timed_out) {
-      for (ChaosCell& cell : server_result.cells) {
+  for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
+    ChaosServerResult& server = result.servers[plan.tasks[outcome.task].round];
+    const ChainDelta* chains = side.data() + outcome.task * width;
+    const bool completed = outcome.state == resilience::TaskState::kCompleted;
+    if (completed && !bound[outcome.task]) continue;
+    ++server.services_deployed;
+    if (outcome.state == resilience::TaskState::kQuarantined && outcome.timed_out) {
+      for (ChaosCell& cell : server.cells) {
         cell.outcomes[static_cast<std::size_t>(ChaosOutcome::kTimedOut)] +=
             config.calls_per_pair;
       }
       continue;
     }
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    Result<json::Value> record = json::parse(task.record);
-    if (!record.ok()) return record.error();
-    const json::Value* rows = record->find("clients");
-    if (rows == nullptr || !rows->is_array() || rows->size() != clients.size()) {
-      return bad_record(task.id, "client row count mismatch");
-    }
+    if (!completed) continue;
     for (std::size_t i = 0; i < clients.size(); ++i) {
-      ChainDelta delta;
-      if (!chain_delta_from_json(rows->items()[i], delta)) {
-        return bad_record(task.id, "malformed chain delta");
-      }
-      ChaosCell& cell = server_result.cells[i];
-      for (std::size_t outcome = 0; outcome < kChaosOutcomeCount; ++outcome) {
-        cell.outcomes[outcome] += delta.outcomes[outcome];
-      }
+      const ChainDelta& delta = chains[i];
+      ChaosCell& cell = server.cells[i];
+      for (std::size_t o = 0; o < kChaosOutcomeCount; ++o) cell.outcomes[o] += delta.outcomes[o];
       cell.retransmits += delta.retransmits;
       cell.faulted_attempts += delta.faulted_attempts;
       cell.challenged += delta.challenged;
@@ -334,13 +312,24 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
       cell.virtual_ms += delta.virtual_ms;
     }
   }
-  for (const ChaosServerResult& server_result : result.servers) {
-    for (const ChaosCell& cell : server_result.cells) {
+
+  // One span per round, one per round×client cell.
+  std::size_t deployed = 0;
+  for (const ChaosServerResult& server : result.servers) {
+    deployed += server.services_deployed;
+    obs::Span round_span(config.tracer, "round:" + server.server, calls_span);
+    round_span.annotate("deployed", server.services_deployed);
+    for (const ChaosCell& cell : server.cells) {
       obs::add(config.metrics, "chaos.breaker_trips", cell.breaker_trips);
       obs::add(config.metrics, "chaos.challenged", cell.challenged);
       obs::add(config.metrics, "chaos.challenged_ok", cell.challenged_ok);
+      obs::Span cell_span(config.tracer, "cell:" + cell.client, round_span);
+      cell_span.annotate("attempted", cell.attempted());
+      cell_span.annotate("challenged", cell.challenged);
+      cell_span.annotate("retransmits", cell.retransmits);
     }
   }
+  obs::add(config.metrics, "chaos.services_deployed", deployed);
   return out;
 }
 

@@ -1,13 +1,14 @@
-// supervised.hpp — the chaos campaign re-driven under the resilience
-// supervisor (src/resilience/supervisor.hpp).
+// supervised.hpp — the chaos engine, run under the resilience supervisor
+// (src/resilience/supervisor.hpp).
 //
-// Task granularity is one deployed service per server; one task runs every
-// client's chain against that endpoint and charges each chain's virtual
-// milliseconds against the supervisor's per-task deadline. A deadline- or
-// crash-quarantined service is not silently dropped: when the quarantine
-// was caused by the deadline, every client cell of that service is folded
-// as the kTimedOut chaos outcome (calls_per_pair calls each), so the
-// resilience matrix still accounts for the full call population.
+// One task per bindable service of each round deploys the service, builds
+// its shared description and runs every client's chain against it,
+// charging each chain's virtual milliseconds against the supervisor's
+// per-task deadline. All rounds' tasks share one supervise() call and fold
+// in task order. A deadline-quarantined service is not silently dropped:
+// every client cell of that service folds as the kTimedOut chaos outcome
+// (calls_per_pair calls each), so the resilience matrix still accounts for
+// the full call population. run_chaos_study is this engine with no journal.
 #pragma once
 
 #include <string>
@@ -39,7 +40,8 @@ struct SupervisedChaosResult {
   resilience::SupervisorReport supervisor;
 };
 
-/// Runs the chaos campaign under supervision.
+/// Runs the chaos campaign. A service counts as deployed unless its task
+/// ran and deploy() refused it.
 Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
                                                    const SupervisedChaosOptions& options);
 

@@ -53,4 +53,50 @@ std::unique_ptr<ClientFramework> make_client(std::string_view name) {
   return nullptr;
 }
 
+std::vector<Round> make_rounds(const std::vector<std::unique_ptr<ServerFramework>>& servers,
+                               const std::vector<ServiceSpec>& java,
+                               const std::vector<ServiceSpec>& dotnet,
+                               const std::vector<VersionPolicy>& versions) {
+  std::vector<Round> rounds;
+  for (const auto& server : servers) {
+    const std::vector<ServiceSpec>* services = server->language() == "C#" ? &dotnet : &java;
+    if (versions.empty()) {
+      rounds.push_back({server.get(), services, std::nullopt, server->name()});
+      continue;
+    }
+    for (const VersionPolicy policy : versions) {
+      rounds.push_back({server.get(), services, policy,
+                        server->name() + " [" + to_string(policy) + "]"});
+    }
+  }
+  return rounds;
+}
+
+RoundTasks bindable_services(const std::vector<Round>& rounds) {
+  RoundTasks out;
+  out.refused.assign(rounds.size(), 0);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    for (const ServiceSpec& spec : *rounds[r].services) {
+      if (spec.type == nullptr || !rounds[r].server->can_deploy(*spec.type)) {
+        ++out.refused[r];
+        continue;
+      }
+      out.tasks.push_back({r, &spec});
+      out.ids.push_back(rounds[r].label + "|" + spec.service_name());
+    }
+  }
+  return out;
+}
+
+std::vector<soap::HybridProfile> client_profiles(
+    const std::vector<std::unique_ptr<ClientFramework>>& clients,
+    const std::vector<VersionPolicy>& versions) {
+  std::vector<soap::HybridProfile> profiles;
+  for (const auto& client : clients) {
+    profiles.push_back(versions.empty() ? soap::HybridProfile::kPure11
+                                        : profile_for(client->version_policy()));
+  }
+  return profiles;
+}
+
 }  // namespace wsx::frameworks

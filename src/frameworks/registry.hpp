@@ -1,11 +1,16 @@
-// registry.hpp — the framework roster of the study (Tables I and II).
+// registry.hpp — the framework roster of the study (Tables I and II), and
+// the rounds and task list a per-service campaign runs over it.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "frameworks/client.hpp"
 #include "frameworks/server.hpp"
+#include "frameworks/version_policy.hpp"
 
 namespace wsx::frameworks {
 
@@ -20,5 +25,46 @@ std::vector<std::unique_ptr<ClientFramework>> make_clients();
 /// Individual factories (used by examples and focused tests).
 std::unique_ptr<ServerFramework> make_server(std::string_view name);
 std::unique_ptr<ClientFramework> make_client(std::string_view name);
+
+/// One round of a per-service campaign: a server and the services it is
+/// asked to deploy, under an overridden version policy on the --versions
+/// axis (none = its documented policy). `label` names the round in task
+/// ids and reports: the server name, or "Server [policy]".
+struct Round {
+  const ServerFramework* server = nullptr;
+  const std::vector<ServiceSpec>* services = nullptr;
+  std::optional<VersionPolicy> policy;
+  std::string label;
+};
+
+/// One round per server, or one per server × policy when `versions` is
+/// non-empty. Java servers deploy `java`, C# servers `dotnet`.
+std::vector<Round> make_rounds(const std::vector<std::unique_ptr<ServerFramework>>& servers,
+                               const std::vector<ServiceSpec>& java,
+                               const std::vector<ServiceSpec>& dotnet,
+                               const std::vector<VersionPolicy>& versions = {});
+
+/// One task of a per-service campaign: a service its round's server binds.
+struct RoundService {
+  std::size_t round = 0;
+  const ServiceSpec* spec = nullptr;
+};
+
+/// The task list of a per-service campaign, round by round in service
+/// order. A service the round's binder rejects up front (can_deploy) gets
+/// no task; `refused[r]` counts round r's. `ids[i]` is task i's stable
+/// journal id, "label|service".
+struct RoundTasks {
+  std::vector<RoundService> tasks;
+  std::vector<std::string> ids;
+  std::vector<std::size_t> refused;
+};
+RoundTasks bindable_services(const std::vector<Round>& rounds);
+
+/// The hybrid profile each client dresses its calls in: the one its
+/// documented policy implies on the --versions axis, pure 1.1 off it.
+std::vector<soap::HybridProfile> client_profiles(
+    const std::vector<std::unique_ptr<ClientFramework>>& clients,
+    const std::vector<VersionPolicy>& versions);
 
 }  // namespace wsx::frameworks

@@ -5,10 +5,9 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/pool.hpp"
 #include "frameworks/invocation.hpp"
-#include "frameworks/registry.hpp"
 #include "gen/shrink.hpp"
+#include "gen/supervised.hpp"
 
 namespace wsx::gen {
 
@@ -180,148 +179,7 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
 }
 
 PropcheckResult run_propcheck(const GenConfig& config) {
-  PropcheckResult result;
-  result.corpus = config.corpus;
-  result.shrink = config.shrink;
-
-  obs::Span run_span(config.tracer, "propcheck");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog =
-      catalog::make_dotnet_catalog(config.dotnet_spec);
-  const auto servers = frameworks::make_servers();
-  const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  client_compilers.reserve(clients.size());
-  for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
-  }
-
-  for (const auto& server : servers) {
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-
-    PropServerResult server_result;
-    server_result.server = server->name();
-    for (const auto& client : clients) {
-      PropCell cell;
-      cell.client = client->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-
-    obs::Span round_span(config.tracer, "round:" + server_result.server, run_span);
-    obs::Span deploy_span(config.tracer, "phase:deploy", round_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "gen.phase.deploy_us");
-    std::vector<frameworks::DeployedService> deployed;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) deployed.push_back(std::move(service.value()));
-    }
-    server_result.services_deployed = deployed.size();
-    obs::add(config.metrics, "gen.services_deployed", deployed.size());
-    deploy_span.annotate("deployed", deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-
-    std::vector<frameworks::SharedDescription> descriptions;
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", round_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "gen.phase.parse_us");
-      const auto build_slice = [&](std::size_t begin, std::size_t end) {
-        std::vector<frameworks::SharedDescription> built;
-        built.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          built.push_back(
-              frameworks::SharedDescription::from_deployed(deployed[i], /*with_wsi=*/false));
-        }
-        return built;
-      };
-      descriptions.reserve(deployed.size());
-      for (std::vector<frameworks::SharedDescription>& slice :
-           parallel_slices(deployed.size(), config.jobs, build_slice)) {
-        for (frameworks::SharedDescription& description : slice) {
-          descriptions.push_back(std::move(description));
-        }
-      }
-      parse_span.end();
-      parse_timer.stop();
-    }
-
-    // Corpus compilation parallelises over services; each case's PRNG
-    // stream is keyed by case identity, so slicing cannot change a byte.
-    obs::Span corpus_span(config.tracer, "phase:generate", round_span);
-    obs::ScopedTimer corpus_timer = obs::timer(config.metrics, "gen.phase.generate_us");
-    const auto generate_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<std::vector<GeneratedCase>> built;
-      built.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        built.push_back(generate_corpus(deployed[i], config.corpus));
-      }
-      return built;
-    };
-    std::vector<std::vector<GeneratedCase>> corpora;
-    corpora.reserve(deployed.size());
-    for (std::vector<std::vector<GeneratedCase>>& slice :
-         parallel_slices(deployed.size(), config.jobs, generate_slice)) {
-      for (std::vector<GeneratedCase>& corpus : slice) {
-        server_result.cases_generated += corpus.size();
-        corpora.push_back(std::move(corpus));
-      }
-    }
-    obs::add(config.metrics, "gen.cases_generated", server_result.cases_generated);
-    corpus_span.annotate("cases", server_result.cases_generated);
-    corpus_span.end();
-    corpus_timer.stop();
-
-    obs::Span calls_span(config.tracer, "phase:check", round_span);
-    obs::ScopedTimer calls_timer = obs::timer(config.metrics, "gen.phase.check_us");
-    const auto run_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<PairDelta> partial(clients.size());
-      for (std::size_t index = begin; index < end; ++index) {
-        for (std::size_t i = 0; i < clients.size(); ++i) {
-          PairDelta delta = run_propcheck_pair(
-              *server, deployed[index], config.parse_cache ? &descriptions[index] : nullptr,
-              corpora[index], *clients[i], client_compilers[i].get(), config);
-          PairDelta& cell = partial[i];
-          for (std::size_t outcome = 0; outcome < kPropOutcomeCount; ++outcome) {
-            cell.outcomes[outcome] += delta.outcomes[outcome];
-          }
-          for (PropFailure& failure : delta.failures) {
-            cell.failures.push_back(std::move(failure));
-          }
-          cell.virtual_ms += delta.virtual_ms;
-        }
-      }
-      return partial;
-    };
-    PoolStats pool_stats;
-    const std::vector<std::vector<PairDelta>> partials =
-        parallel_slices(deployed.size(), config.jobs, run_slice, &pool_stats);
-    if (config.metrics != nullptr) {
-      config.metrics->gauge("gen.pool.workers").set_max(
-          static_cast<std::int64_t>(pool_stats.workers));
-      config.metrics->gauge("gen.pool.max_queue_depth").set_max(
-          static_cast<std::int64_t>(pool_stats.max_queue_depth));
-    }
-    // Slices fold in slice order (parallel_slices merges ordered), so the
-    // failure lists stay in service order — byte-identical at any -j.
-    for (const std::vector<PairDelta>& partial : partials) {
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        PropCell& cell = server_result.cells[i];
-        for (std::size_t outcome = 0; outcome < kPropOutcomeCount; ++outcome) {
-          cell.outcomes[outcome] += partial[i].outcomes[outcome];
-        }
-        for (const PropFailure& failure : partial[i].failures) {
-          cell.failures.push_back(failure);
-        }
-        cell.virtual_ms += partial[i].virtual_ms;
-      }
-    }
-    calls_span.end();
-    calls_timer.stop();
-    result.servers.push_back(std::move(server_result));
-  }
-  return result;
+  return resilience::require_complete(run_propcheck_supervised(config, {})).propcheck;
 }
 
 std::string replay_command(const CorpusOptions& corpus) {

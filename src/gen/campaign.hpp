@@ -112,7 +112,9 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
                              const frameworks::ClientFramework& client,
                              const compilers::Compiler* compiler, const GenConfig& config);
 
-/// The full campaign: every server's catalog population.
+/// The full campaign: every server's catalog population, through
+/// run_propcheck_supervised with no journal. Throws std::runtime_error
+/// naming a task that failed on every attempt.
 PropcheckResult run_propcheck(const GenConfig& config);
 
 /// Plain-text matrix; `with_shrink` appends the counterexample report with

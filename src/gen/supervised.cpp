@@ -1,7 +1,10 @@
 #include "gen/supervised.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "catalog/spec_json.hpp"
 #include "common/json.hpp"
@@ -89,11 +92,37 @@ bool pair_delta_from_json(const json::Value& value, PairDelta& out) {
   return true;
 }
 
-std::pair<std::size_t, std::size_t> locate_task(const std::vector<std::size_t>& first_task,
-                                                std::size_t task) {
-  std::size_t server_index = first_task.size() - 1;
-  while (first_task[server_index] > task) --server_index;
-  return {server_index, task - first_task[server_index]};
+/// A propcheck task's journal record: one pair delta per client, none
+/// when deploy() refused the service.
+std::string pairs_json(const std::vector<PairDelta>& pairs) {
+  json::ArrayWriter rows;
+  for (const PairDelta& delta : pairs) rows.raw_item(pair_delta_json(delta));
+  return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
+}
+
+Result<std::vector<PairDelta>> pairs_from_record(const resilience::JournalEntry& entry,
+                                                 std::size_t clients) {
+  Result<json::Value> record = json::parse(entry.record);
+  if (!record.ok()) return bad_record(entry.id, record.error().message);
+  const json::Value* rows = record->find("clients");
+  if (rows == nullptr || !rows->is_array() || (rows->size() != 0 && rows->size() != clients)) {
+    return bad_record(entry.id, "client row count mismatch");
+  }
+  std::vector<PairDelta> pairs(rows->size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (!pair_delta_from_json(rows->items()[i], pairs[i])) {
+      return bad_record(entry.id, "malformed pair delta");
+    }
+  }
+  return pairs;
+}
+
+/// The size of a service's corpus. Every case resolves to exactly one
+/// outcome in each pair, so any pair's outcome counts sum to it.
+std::size_t corpus_size(const PairDelta& pair) {
+  std::size_t cases = 0;
+  for (const std::size_t count : pair.outcomes) cases += count;
+  return cases;
 }
 
 }  // namespace
@@ -161,88 +190,69 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
   const catalog::TypeCatalog dotnet_catalog =
       catalog::make_dotnet_catalog(config.dotnet_spec);
+  const std::vector<frameworks::ServiceSpec> java_services =
+      frameworks::make_services(java_catalog);
+  const std::vector<frameworks::ServiceSpec> dotnet_services =
+      frameworks::make_services(dotnet_catalog);
   const auto servers = frameworks::make_servers();
   const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  client_compilers.reserve(clients.size());
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
+    compilers.push_back(compilers::make_compiler(client->language()));
   }
-
-  // Deploy + shared parse + corpus compilation up front, as in
-  // run_propcheck; the pair replays run under supervision.
-  struct PreparedRound {
-    std::vector<frameworks::DeployedService> deployed;
-    std::vector<frameworks::SharedDescription> descriptions;
-    std::vector<std::vector<GeneratedCase>> corpora;
-  };
-  std::vector<PreparedRound> prepared;
-  std::vector<std::size_t> first_task;
+  const std::vector<frameworks::Round> rounds =
+      frameworks::make_rounds(servers, java_services, dotnet_services);
+  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
   resilience::CampaignTasks tasks;
   tasks.campaign = "propcheck";
   tasks.config_json = gen_config_json(config);
-  for (const auto& server : servers) {
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-    obs::Span round_span(config.tracer, "round:" + server->name(), run_span);
-    obs::Span deploy_span(config.tracer, "phase:deploy", round_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "gen.phase.deploy_us");
-    PreparedRound round;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) round.deployed.push_back(std::move(service.value()));
-    }
-    obs::add(config.metrics, "gen.services_deployed", round.deployed.size());
-    deploy_span.annotate("deployed", round.deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", round_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "gen.phase.parse_us");
-      round.descriptions.reserve(round.deployed.size());
-      for (const frameworks::DeployedService& service : round.deployed) {
-        round.descriptions.push_back(
-            frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false));
-      }
-      parse_span.end();
-      parse_timer.stop();
-    }
-    obs::Span corpus_span(config.tracer, "phase:generate", round_span);
-    obs::ScopedTimer corpus_timer = obs::timer(config.metrics, "gen.phase.generate_us");
-    round.corpora.reserve(round.deployed.size());
-    for (const frameworks::DeployedService& service : round.deployed) {
-      round.corpora.push_back(generate_corpus(service, config.corpus));
-    }
-    corpus_span.end();
-    corpus_timer.stop();
-    first_task.push_back(tasks.ids.size());
-    for (const frameworks::DeployedService& service : round.deployed) {
-      tasks.ids.push_back(server->name() + "|" + service.spec.service_name());
-    }
-    prepared.push_back(std::move(round));
-  }
+  tasks.ids = std::move(plan.ids);
 
-  // One task = one service's corpus against every client pair.
-  tasks.run = [&](std::size_t index, resilience::TaskContext& context) {
-    const auto [server_index, service_index] = locate_task(first_task, index);
-    const PreparedRound& round = prepared[server_index];
-    const frameworks::DeployedService& service = round.deployed[service_index];
-    const frameworks::SharedDescription* description =
-        config.parse_cache ? &round.descriptions[service_index] : nullptr;
-    json::ArrayWriter rows;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const PairDelta delta = run_propcheck_pair(
-          *servers[server_index], service, description, round.corpora[service_index],
-          *clients[i], client_compilers[i].get(), config);
-      context.charge(delta.virtual_ms);
-      rows.raw_item(pair_delta_json(delta));
+  // Fold input, allocated here up front: one row of `width` pair deltas
+  // per task, written in place by the task that owns it (indices are
+  // distinct across workers, so no locking) or from a resumed journal
+  // record. `bound[t]` is set when task t's service deployed.
+  const std::size_t width = clients.size();
+  std::vector<PairDelta> side(plan.tasks.size() * width);
+  std::vector<char> bound(plan.tasks.size(), 0);
+  for (const resilience::JournalEntry* entry :
+       resilience::resumed_records(tasks, options.resume)) {
+    Result<std::vector<PairDelta>> pairs = pairs_from_record(*entry, clients.size());
+    if (!pairs.ok()) return pairs.error();
+    bound[entry->task] = !pairs->empty();
+    std::move(pairs->begin(), pairs->end(), side.begin() + entry->task * width);
+  }
+  const bool journaling = !options.checkpoint_path.empty();
+
+  // One task: deploy one service, build its shared parse and its corpus
+  // (each case's PRNG stream is keyed by case identity, so where the
+  // corpus is built cannot change a byte), then replay the corpus through
+  // every client pair, charging the virtual wire cost against the deadline.
+  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
+    const frameworks::RoundService& task = plan.tasks[index];
+    const frameworks::ServerFramework& server = *rounds[task.round].server;
+    bound[index] = 0;
+    Result<frameworks::DeployedService> service = server.deploy(*task.spec);
+    if (!service.ok()) return journaling ? pairs_json({}) : std::string{};
+    std::optional<frameworks::SharedDescription> description;
+    if (config.parse_cache) {
+      description.emplace(
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
     }
-    return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
+    const std::vector<GeneratedCase> corpus = generate_corpus(*service, config.corpus);
+    PairDelta* pairs = side.data() + index * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      pairs[i] = run_propcheck_pair(server, *service,
+                                    description.has_value() ? &*description : nullptr, corpus,
+                                    *clients[i], compilers[i].get(), config);
+      context.charge(pairs[i].virtual_ms);
+    }
+    bound[index] = 1;
+    return journaling ? pairs_json({pairs, pairs + width}) : std::string{};
   };
 
-  obs::Span calls_span(config.tracer, "phase:check", run_span);
-  obs::ScopedTimer calls_timer = obs::timer(config.metrics, "gen.phase.check_us");
+  obs::Span check_span(config.tracer, "phase:check", run_span);
+  obs::ScopedTimer check_timer = obs::timer(config.metrics, "gen.phase.check_us");
   resilience::SupervisorOptions sup;
   sup.journal = options.journal;
   sup.jobs = config.jobs;
@@ -251,59 +261,57 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   sup.trip_after_tasks = options.trip_after_tasks;
   sup.metrics = config.metrics;
   Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
-  calls_span.end();
-  calls_timer.stop();
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
-  // Fold in task order. Completed pairs add their deltas; deadline
-  // quarantines synthesize kTimedOut for the service's whole corpus.
-  for (std::size_t server_index = 0; server_index < servers.size(); ++server_index) {
-    PropServerResult server_result;
-    server_result.server = servers[server_index]->name();
-    server_result.services_deployed = prepared[server_index].deployed.size();
-    for (const std::vector<GeneratedCase>& corpus : prepared[server_index].corpora) {
-      server_result.cases_generated += corpus.size();
-    }
-    for (const auto& client : clients) {
-      PropCell cell;
-      cell.client = client->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-    result.servers.push_back(std::move(server_result));
+  // Fold in task order. Completed pairs add their deltas. A task without
+  // pairs — quarantined, left out by a budget, or refused — re-derives its
+  // corpus on this thread, so every deployed service counts its cases, and
+  // a deadline quarantine folds kTimedOut for the whole corpus.
+  for (const frameworks::Round& round : rounds) {
+    PropServerResult& server = result.servers.emplace_back();
+    server.server = round.label;
+    for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    const auto [server_index, service_index] = locate_task(first_task, task.task);
-    PropServerResult& server_result = result.servers[server_index];
-    const std::size_t corpus_size = prepared[server_index].corpora[service_index].size();
-    if (task.state == resilience::TaskState::kQuarantined && task.timed_out) {
-      for (PropCell& cell : server_result.cells) {
-        cell.outcomes[static_cast<std::size_t>(PropOutcome::kTimedOut)] += corpus_size;
+  for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
+    const frameworks::RoundService& task = plan.tasks[outcome.task];
+    PropServerResult& server = result.servers[task.round];
+    PairDelta* pairs = side.data() + outcome.task * width;
+    if (outcome.state != resilience::TaskState::kCompleted) {
+      Result<frameworks::DeployedService> service =
+          rounds[task.round].server->deploy(*task.spec);
+      if (!service.ok()) continue;
+      ++server.services_deployed;
+      const std::size_t cases = generate_corpus(*service, config.corpus).size();
+      server.cases_generated += cases;
+      if (outcome.state == resilience::TaskState::kQuarantined && outcome.timed_out) {
+        for (PropCell& cell : server.cells) {
+          cell.outcomes[static_cast<std::size_t>(PropOutcome::kTimedOut)] += cases;
+        }
       }
       continue;
     }
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    Result<json::Value> record = json::parse(task.record);
-    if (!record.ok()) return record.error();
-    const json::Value* rows = record->find("clients");
-    if (rows == nullptr || !rows->is_array() || rows->size() != clients.size()) {
-      return bad_record(task.id, "client row count mismatch");
-    }
+    if (!bound[outcome.task]) continue;
+    ++server.services_deployed;
+    server.cases_generated += corpus_size(pairs[0]);
     for (std::size_t i = 0; i < clients.size(); ++i) {
-      PairDelta delta;
-      if (!pair_delta_from_json(rows->items()[i], delta)) {
-        return bad_record(task.id, "malformed pair delta");
-      }
-      PropCell& cell = server_result.cells[i];
-      for (std::size_t outcome = 0; outcome < kPropOutcomeCount; ++outcome) {
-        cell.outcomes[outcome] += delta.outcomes[outcome];
-      }
-      for (PropFailure& failure : delta.failures) {
-        cell.failures.push_back(std::move(failure));
-      }
-      cell.virtual_ms += delta.virtual_ms;
+      PropCell& cell = server.cells[i];
+      for (std::size_t o = 0; o < kPropOutcomeCount; ++o) cell.outcomes[o] += pairs[i].outcomes[o];
+      for (PropFailure& failure : pairs[i].failures) cell.failures.push_back(std::move(failure));
+      cell.virtual_ms += pairs[i].virtual_ms;
     }
   }
+  std::size_t deployed = 0;
+  std::size_t cases = 0;
+  for (const PropServerResult& server : result.servers) {
+    deployed += server.services_deployed;
+    cases += server.cases_generated;
+    obs::Span round_span(config.tracer, "round:" + server.server, check_span);
+    round_span.annotate("deployed", server.services_deployed);
+    round_span.annotate("cases", server.cases_generated);
+  }
+  obs::add(config.metrics, "gen.services_deployed", deployed);
+  obs::add(config.metrics, "gen.cases_generated", cases);
   return out;
 }
 

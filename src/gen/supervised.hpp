@@ -1,11 +1,13 @@
-// supervised.hpp — the propcheck campaign re-driven under the resilience
-// supervisor: the sixth supervised campaign. Task granularity is one
-// deployed service; one task replays that service's generated corpus
-// through every client pair and charges the virtual wire cost against the
-// per-task deadline. A deadline-quarantined service folds every client
-// cell as kTimedOut for the whole corpus, so the matrix still accounts for
-// the full generated population. Checkpoint/resume is byte-identical at
-// any worker count because the corpus is a pure function of (config, ids).
+// supervised.hpp — the propcheck engine, run under the resilience
+// supervisor. One task per bindable service deploys the service, builds its
+// shared description and corpus, and replays that corpus through every
+// client pair, charging the virtual wire cost against the per-task
+// deadline. All servers' tasks share one supervise() call and fold in task
+// order. A deadline-quarantined service folds every client cell as
+// kTimedOut for its whole corpus, so the matrix still accounts for the full
+// generated population. Checkpoint/resume is byte-identical at any worker
+// count because the corpus is a pure function of (config, ids).
+// run_propcheck is this engine with no journal.
 #pragma once
 
 #include <string>
@@ -36,7 +38,9 @@ struct SupervisedGenResult {
   resilience::SupervisorReport supervisor;
 };
 
-/// Runs the propcheck campaign under supervision.
+/// Runs the propcheck campaign. A task that did not complete re-derives
+/// its corpus on the calling thread, so `services` and `cases` count every
+/// service deploy() accepts, whatever the coverage.
 Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
                                                      const SupervisedGenOptions& options);
 

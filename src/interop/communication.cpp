@@ -1,14 +1,12 @@
 #include "interop/communication.hpp"
 
 #include <iomanip>
-#include <optional>
 #include <sstream>
 
-#include "common/pool.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
-#include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
+#include "interop/supervised.hpp"
 #include "soap/http.hpp"
 #include "soap/message.hpp"
 #include "soap/validate.hpp"
@@ -126,172 +124,10 @@ InvocationOutcome invoke_echo_once(const frameworks::ServerFramework& server,
 }
 
 CommunicationResult run_communication_study(const StudyConfig& config) {
-  CommunicationResult result;
-
-  obs::Span run_span(config.tracer, "communication");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(config.dotnet_spec);
-  const auto servers = frameworks::make_servers();
-  const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
-  }
-
-  // The mixed-version axis: one round per server × policy with labeled
-  // results; clients dress calls in their documented hybrid profiles.
-  // Empty config.versions = the classic single-round pure-1.1 study.
-  struct Round {
-    const frameworks::ServerFramework* server;
-    std::optional<frameworks::VersionPolicy> policy;
-    std::string label;
-  };
-  std::vector<Round> rounds;
-  for (const auto& server : servers) {
-    if (config.versions.empty()) {
-      rounds.push_back({server.get(), std::nullopt, server->name()});
-      continue;
-    }
-    for (const frameworks::VersionPolicy policy : config.versions) {
-      rounds.push_back({server.get(), policy,
-                        server->name() + " [" + frameworks::to_string(policy) + "]"});
-    }
-  }
-  std::vector<soap::HybridProfile> profiles;
-  for (const auto& client : clients) {
-    profiles.push_back(config.versions.empty()
-                           ? soap::HybridProfile::kPure11
-                           : frameworks::profile_for(client->version_policy()));
-  }
-
-  for (const Round& round : rounds) {
-    const frameworks::ServerFramework* server = round.server;
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-    CommServerResult server_result;
-    server_result.server = round.label;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      CommCell cell;
-      cell.client = clients[i]->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-
-    obs::Span server_span(config.tracer, "server:" + server_result.server, run_span);
-
-    // Deployment is cheap and sequential; invocations parallelize over
-    // services (the same plan as the main campaign runner).
-    obs::Span deploy_span(config.tracer, "phase:deploy", server_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "comm.phase.deploy_us");
-    std::vector<frameworks::DeployedService> deployed;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) deployed.push_back(std::move(service.value()));
-    }
-    server_result.services_deployed = deployed.size();
-    obs::add(config.metrics, "comm.services_deployed", deployed.size());
-    deploy_span.annotate("deployed", deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-
-    // Parse-once: one shared description per service (no WS-I — the
-    // communication study never consults the verdict), shared by all 11
-    // clients' generation gates and the marshaller.
-    std::vector<frameworks::SharedDescription> descriptions;
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", server_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "comm.phase.parse_us");
-      const auto build_slice = [&](std::size_t begin, std::size_t end) {
-        std::vector<frameworks::SharedDescription> built;
-        built.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          built.push_back(
-              frameworks::SharedDescription::from_deployed(deployed[i], /*with_wsi=*/false));
-        }
-        return built;
-      };
-      descriptions.reserve(deployed.size());
-      for (std::vector<frameworks::SharedDescription>& slice :
-           parallel_slices(deployed.size(), config.threads, build_slice)) {
-        for (frameworks::SharedDescription& description : slice) {
-          descriptions.push_back(std::move(description));
-        }
-      }
-      obs::add(config.metrics, "comm.parse.wsdl_parses", descriptions.size());
-      parse_span.end();
-      parse_timer.stop();
-    }
-
-    struct PartialCell {
-      std::array<std::size_t, kCommOutcomeCount> outcomes{};
-      std::size_t transport_4xx = 0;
-      std::size_t transport_5xx = 0;
-    };
-    struct Partial {
-      std::vector<PartialCell> cells;
-      std::size_t sniffed = 0;
-    };
-    obs::Span invoke_span(config.tracer, "phase:invoke", server_span);
-    obs::ScopedTimer invoke_timer = obs::timer(config.metrics, "comm.phase.invoke_us");
-    const auto run_slice = [&](std::size_t begin, std::size_t end) {
-      Partial partial;
-      partial.cells.resize(clients.size());
-      for (std::size_t index = begin; index < end; ++index) {
-        for (std::size_t i = 0; i < clients.size(); ++i) {
-          const InvocationOutcome result = invoke_echo_once(
-              *server, deployed[index],
-              config.parse_cache ? &descriptions[index] : nullptr, *clients[i],
-              client_compilers[i].get(), &partial.sniffed, profiles[i],
-              round.policy.has_value() ? &*round.policy : nullptr);
-          ++partial.cells[i].outcomes[static_cast<std::size_t>(result.outcome)];
-          obs::add(config.metrics, "comm.invocations_total");
-          obs::add(config.metrics,
-                   config.parse_cache ? "comm.parse.cache_hits" : "comm.parse.wsdl_parses");
-          if (result.outcome != CommOutcome::kBlockedEarlier &&
-              result.outcome != CommOutcome::kOk) {
-            obs::add(config.metrics, "comm.failures");
-          }
-          if (result.outcome == CommOutcome::kTransportError) {
-            if (result.http_status >= 400 && result.http_status < 500) {
-              ++partial.cells[i].transport_4xx;
-            } else if (result.http_status >= 500 && result.http_status < 600) {
-              ++partial.cells[i].transport_5xx;
-            }
-          }
-        }
-      }
-      return partial;
-    };
-    PoolStats pool_stats;
-    const std::vector<Partial> partials =
-        parallel_slices(deployed.size(), config.threads, run_slice, &pool_stats);
-    if (config.metrics != nullptr) {
-      config.metrics->gauge("comm.pool.workers").set_max(
-          static_cast<std::int64_t>(pool_stats.workers));
-      config.metrics->gauge("comm.pool.max_queue_depth").set_max(
-          static_cast<std::int64_t>(pool_stats.max_queue_depth));
-    }
-    for (const Partial& partial : partials) {
-      result.sniffed_violations += partial.sniffed;
-      for (std::size_t i = 0; i < clients.size(); ++i) {
-        for (std::size_t outcome = 0; outcome < kCommOutcomeCount; ++outcome) {
-          server_result.cells[i].outcomes[outcome] += partial.cells[i].outcomes[outcome];
-        }
-        server_result.cells[i].transport_4xx += partial.cells[i].transport_4xx;
-        server_result.cells[i].transport_5xx += partial.cells[i].transport_5xx;
-      }
-    }
-    for (const CommCell& cell : server_result.cells) {
-      obs::Span cell_span(config.tracer, "cell:" + cell.client, invoke_span);
-      cell_span.annotate("attempted", cell.attempted());
-      cell_span.annotate("ok", cell.count(CommOutcome::kOk));
-    }
-    invoke_span.end();
-    invoke_timer.stop();
-    result.servers.push_back(std::move(server_result));
-  }
-  obs::add(config.metrics, "comm.sniffed_violations", result.sniffed_violations);
-  return result;
+  SupervisedOptions options;
+  options.jobs = config.threads;
+  return resilience::require_complete(run_communication_supervised(config, options))
+      .communication;
 }
 
 std::string format_communication(const CommunicationResult& result) {

@@ -73,18 +73,20 @@ struct CommunicationResult {
   std::size_t total(CommOutcome outcome) const;
 };
 
-/// Runs the communication study on top of the usual campaign configuration.
+/// Runs the communication study on top of the usual campaign configuration:
+/// run_communication_supervised with no journal. Throws std::runtime_error
+/// naming a task that failed on every attempt.
 CommunicationResult run_communication_study(const StudyConfig& config = {});
 
-/// Wire-level outcome of one end-to-end echo invocation. Exposed for the
-/// resilience supervisor, which drives invocations one service at a time.
+/// Wire-level outcome of one end-to-end echo invocation, the unit the
+/// communication engine's tasks run once per client.
 struct InvocationOutcome {
   CommOutcome outcome = CommOutcome::kBlockedEarlier;
   int http_status = 0;  ///< only meaningful for wire-level outcomes
 };
 
 /// One end-to-end invocation: marshal → HTTP → execute → unmarshal → check.
-/// `description` is the campaign's shared parse (null = re-parse, the
+/// `description` is the service's shared parse (null = re-parse, the
 /// --no-parse-cache path); `compiler` is null for dynamic clients.
 /// `sniffed_violations`, when non-null, is incremented for requests the
 /// conformance sniffer (soap/validate.hpp) flags as contract violations.

@@ -1,15 +1,13 @@
 #include "interop/study.hpp"
 
-#include <algorithm>
-#include <mutex>
+#include <optional>
+#include <utility>
 
 #include "common/json.hpp"
-#include "common/pool.hpp"
 #include "common/strings.hpp"
 #include "compilers/compiler.hpp"
-#include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
-#include "wsi/profile.hpp"
+#include "interop/supervised.hpp"
 
 namespace wsx::interop {
 namespace {
@@ -32,16 +30,6 @@ void take_errors(DiagnosticSink& sink, std::vector<Diagnostic>& errors) {
     }
   }
 }
-
-/// Partial aggregation produced by one worker over a slice of services.
-struct Partial {
-  std::vector<CellResult> cells;
-  std::size_t same_framework_failures = 0;
-  std::size_t same_platform_failures = 0;
-  std::size_t flagged_with_downstream_error = 0;
-  std::size_t generation_errors_on_flagged = 0;
-  std::size_t generation_errors_on_compliant = 0;
-};
 
 }  // namespace
 
@@ -175,111 +163,29 @@ std::size_t StudyResult::total_interop_errors() const {
   return total_generation().errors + total_compilation().errors;
 }
 
+namespace {
+
+/// One server's campaign through the study engine, which must cover every
+/// task.
+StudyResult run_one_server(const frameworks::ServerFramework& server,
+                           const std::vector<frameworks::ServiceSpec>& services,
+                           const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+                           const StudyConfig& config, obs::SpanId parent_span) {
+  SupervisedOptions options;
+  options.jobs = config.threads;
+  const std::vector<frameworks::Round> rounds = {{&server, &services, std::nullopt, server.name()}};
+  return resilience::require_complete(
+             run_study_tasks(rounds, clients, config, options, parent_span))
+      .study;
+}
+
+}  // namespace
+
 PreparedServer prepare_server_campaign(const frameworks::ServerFramework& server,
                                        const std::vector<frameworks::ServiceSpec>& services,
                                        const StudyConfig& config, obs::SpanId parent_span) {
-  PreparedServer prepared;
-  ServerResult& result = prepared.result;
-  result.server = server.name();
-  result.application_server = server.application_server();
-  result.services_created = services.size();
-
-  // --- Testing-phase step (a): description generation at deployment. ---
-  obs::Span deploy_span(config.tracer, "phase:deploy", parent_span);
-  obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "study.phase.deploy_us");
-  std::vector<frameworks::DeployedService>& deployed = prepared.deployed;
-  std::vector<bool>& flagged = prepared.flagged;  // failed WS-I or unusable
-  deployed.reserve(services.size());
-  for (const frameworks::ServiceSpec& spec : services) {
-    Result<frameworks::DeployedService> deployment = server.deploy(spec);
-    if (!deployment.ok()) {
-      ++result.deployment_refusals;
-      continue;
-    }
-    deployed.push_back(std::move(deployment.value()));
-  }
-  result.services_deployed = deployed.size();
-  obs::add(config.metrics, "study.services_created", services.size());
-  obs::add(config.metrics, "study.services_deployed", deployed.size());
-  obs::add(config.metrics, "study.deployment_refusals", result.deployment_refusals);
-  deploy_span.annotate("deployed", result.services_deployed);
-  deploy_span.annotate("refused", result.deployment_refusals);
-  deploy_span.end();
-  deploy_timer.stop();
-
-  // Parse-once phase: one SharedDescription per deployed service, built in
-  // parallel. The descriptions carry the client-view parse, the marshalling
-  // feature vector, and the WS-I verdict consumed by the phase below and by
-  // every client in the testing phase.
-  std::vector<frameworks::SharedDescription>& descriptions = prepared.descriptions;
-  if (config.parse_cache) {
-    obs::Span parse_span(config.tracer, "phase:parse", parent_span);
-    obs::ScopedTimer parse_timer = obs::timer(config.metrics, "study.phase.parse_us");
-    const auto build_slice = [&](std::size_t begin, std::size_t end) {
-      std::vector<frameworks::SharedDescription> built;
-      built.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        built.push_back(frameworks::SharedDescription::from_deployed(deployed[i]));
-      }
-      return built;
-    };
-    descriptions.reserve(deployed.size());
-    for (std::vector<frameworks::SharedDescription>& slice :
-         parallel_slices(deployed.size(), config.threads, build_slice)) {
-      for (frameworks::SharedDescription& description : slice) {
-        descriptions.push_back(std::move(description));
-      }
-    }
-    obs::add(config.metrics, "study.parse.wsdl_parses", descriptions.size());
-    parse_span.annotate("descriptions", descriptions.size());
-    parse_span.end();
-    parse_timer.stop();
-  }
-
-  // WS-I Basic Profile check of every published description (§III.B.d).
-  // With the parse cache on, the verdicts were computed alongside the
-  // shared parse above and are only tallied here.
-  obs::Span wsi_span(config.tracer, "phase:wsi-check", parent_span);
-  obs::ScopedTimer wsi_timer = obs::timer(config.metrics, "study.phase.wsi_check_us");
-  flagged.resize(deployed.size(), false);
-  for (std::size_t i = 0; i < deployed.size(); ++i) {
-    const auto tally = [&](const wsi::ComplianceReport& report) {
-      const bool zero_ops = deployed[i].wsdl.operation_count() == 0;
-      if (!report.compliant()) ++result.wsi_failures;
-      if (zero_ops) ++result.zero_operation_services;
-      flagged[i] = !report.compliant() || zero_ops;
-      if (flagged[i]) ++result.description_warnings;
-    };
-    if (config.parse_cache) {
-      tally(*descriptions[i].wsi_report());
-    } else {
-      tally(wsi::check(deployed[i].wsdl));
-    }
-  }
-  obs::add(config.metrics, "study.description_flags", result.description_warnings);
-  wsi_span.annotate("flagged", result.description_warnings);
-  wsi_span.end();
-  wsi_timer.stop();
-
-  // Ablation: the deploy-time WS-I gate withdraws flagged descriptions
-  // before any client consumes them.
-  if (config.wsi_deploy_gate) {
-    std::vector<frameworks::DeployedService> kept;
-    std::vector<frameworks::SharedDescription> kept_descriptions;
-    for (std::size_t i = 0; i < deployed.size(); ++i) {
-      if (flagged[i]) {
-        ++result.gate_rejections;
-      } else {
-        kept.push_back(std::move(deployed[i]));
-        if (config.parse_cache) kept_descriptions.push_back(std::move(descriptions[i]));
-      }
-    }
-    deployed = std::move(kept);
-    descriptions = std::move(kept_descriptions);
-    flagged.assign(deployed.size(), false);
-    result.services_deployed = deployed.size();
-  }
-  return prepared;
+  StudyResult described = run_one_server(server, services, /*clients=*/{}, config, parent_span);
+  return PreparedServer{std::move(described.servers.front())};
 }
 
 ServerResult run_server_campaign(
@@ -287,192 +193,23 @@ ServerResult run_server_campaign(
     const std::vector<frameworks::ServiceSpec>& services,
     const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
     const StudyConfig& config, StudyResult* cross_totals, obs::SpanId parent_span) {
-  obs::Span server_span(config.tracer, "server:" + server.name(), parent_span);
-  PreparedServer prepared =
-      prepare_server_campaign(server, services, config, server_span.id());
-  ServerResult result = std::move(prepared.result);
-  const std::vector<frameworks::DeployedService>& deployed = prepared.deployed;
-  const std::vector<frameworks::SharedDescription>& descriptions = prepared.descriptions;
-  const std::vector<bool>& flagged = prepared.flagged;
-
-  // --- Steps (b)+(c)+(d) for every client, parallel over services. ---
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
+  StudyResult result = run_one_server(server, services, clients, config, parent_span);
+  if (cross_totals != nullptr) {
+    cross_totals->same_framework_failures += result.same_framework_failures;
+    cross_totals->same_platform_failures += result.same_platform_failures;
+    cross_totals->flagged_services += result.flagged_services;
+    cross_totals->flagged_services_with_downstream_error +=
+        result.flagged_services_with_downstream_error;
+    cross_totals->generation_errors_on_flagged += result.generation_errors_on_flagged;
+    cross_totals->generation_errors_on_compliant += result.generation_errors_on_compliant;
   }
-
-  obs::Span testing_span(config.tracer, "phase:testing", server_span);
-  obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
-
-  std::mutex observer_mutex;
-  const auto run_slice = [&](std::size_t begin, std::size_t end) {
-    Partial partial;
-    partial.cells.resize(clients.size());
-    for (std::size_t service_index = begin; service_index < end; ++service_index) {
-      const frameworks::DeployedService& service = deployed[service_index];
-      bool service_errored = false;
-      for (std::size_t client_index = 0; client_index < clients.size(); ++client_index) {
-        const frameworks::ClientFramework& client = *clients[client_index];
-        CellResult& cell = partial.cells[client_index];
-        const ClientTestOutcome outcome = run_client_test(
-            service, config.parse_cache ? &descriptions[service_index] : nullptr, client,
-            client_compilers[client_index].get(), config.metrics);
-        ++cell.tests;
-        obs::add(config.metrics, "study.tests_total");
-        if (outcome.artifacts_generated) {
-          obs::add(config.metrics, "study.artifacts_generated");
-        }
-        if (outcome.generation_warning) ++cell.generation.warnings;
-        if (outcome.generation_error) ++cell.generation.errors;
-        if (outcome.compilation_warning) ++cell.compilation.warnings;
-        if (outcome.compilation_error) ++cell.compilation.errors;
-        if (outcome.generation_error) obs::add(config.metrics, "study.generation_errors");
-        if (outcome.compilation_error) {
-          obs::add(config.metrics, "study.compilation_errors");
-        }
-        if (cell.samples.size() < config.samples_per_cell && !outcome.errors.empty()) {
-          cell.samples.push_back(outcome.errors.front());
-        }
-        {
-          // Count each distinct error code once per test.
-          std::vector<std::string_view> seen;
-          for (const Diagnostic& diagnostic : outcome.errors) {
-            if (std::find(seen.begin(), seen.end(), diagnostic.code) != seen.end()) continue;
-            seen.push_back(diagnostic.code);
-            ++cell.error_codes[diagnostic.code];
-          }
-        }
-        if (config.observer) {
-          TestRecord record;
-          record.server = result.server;
-          record.client = client.name();
-          record.service = service.spec.service_name();
-          record.type_name =
-              service.spec.type != nullptr ? service.spec.type->qualified_name() : "";
-          record.description_flagged = flagged[service_index];
-          record.generation_warning = outcome.generation_warning;
-          record.generation_error = outcome.generation_error;
-          record.compilation_warning = outcome.compilation_warning;
-          record.compilation_error = outcome.compilation_error;
-          const std::lock_guard<std::mutex> lock(observer_mutex);
-          config.observer(record);
-        }
-        if (outcome.any_error()) {
-          service_errored = true;
-          if (same_framework_pair(result.server, client.name())) {
-            ++partial.same_framework_failures;
-          }
-          if (same_platform_pair(result.server, client.name())) {
-            ++partial.same_platform_failures;
-          }
-        }
-        if (outcome.generation_error) {
-          if (flagged[service_index]) {
-            ++partial.generation_errors_on_flagged;
-          } else {
-            ++partial.generation_errors_on_compliant;
-          }
-        }
-      }
-      if (flagged[service_index] && service_errored) ++partial.flagged_with_downstream_error;
-    }
-    return partial;
-  };
-
-  PoolStats pool_stats;
-  const std::vector<Partial> partials =
-      parallel_slices(deployed.size(), config.threads, run_slice, &pool_stats);
-  if (config.metrics != nullptr) {
-    config.metrics->gauge("study.pool.workers").set_max(
-        static_cast<std::int64_t>(pool_stats.workers));
-    config.metrics->gauge("study.pool.max_queue_depth").set_max(
-        static_cast<std::int64_t>(pool_stats.max_queue_depth));
-  }
-
-  // Deterministic merge, in slice order.
-  result.cells.resize(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    result.cells[i].client = clients[i]->name();
-    result.cells[i].client_language = clients[i]->language();
-    result.cells[i].compiled = clients[i]->requires_compilation();
-  }
-  for (const Partial& partial : partials) {
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      CellResult& cell = result.cells[i];
-      const CellResult& part = partial.cells[i];
-      cell.tests += part.tests;
-      cell.generation += part.generation;
-      cell.compilation += part.compilation;
-      for (const Diagnostic& sample : part.samples) {
-        if (cell.samples.size() < config.samples_per_cell) cell.samples.push_back(sample);
-      }
-      for (const auto& [error_code, count] : part.error_codes) {
-        cell.error_codes[error_code] += count;
-      }
-    }
-    if (cross_totals != nullptr) {
-      cross_totals->same_framework_failures += partial.same_framework_failures;
-      cross_totals->same_platform_failures += partial.same_platform_failures;
-      cross_totals->flagged_services_with_downstream_error +=
-          partial.flagged_with_downstream_error;
-      cross_totals->generation_errors_on_flagged += partial.generation_errors_on_flagged;
-      cross_totals->generation_errors_on_compliant += partial.generation_errors_on_compliant;
-    }
-  }
-  if (cross_totals != nullptr) cross_totals->flagged_services += result.description_warnings;
-
-  // One span per server×client cell, annotated with its Table III numbers.
-  for (const CellResult& cell : result.cells) {
-    obs::Span cell_span(config.tracer, "cell:" + cell.client, testing_span);
-    cell_span.annotate("tests", cell.tests);
-    cell_span.annotate("generation_errors", cell.generation.errors);
-    cell_span.annotate("compilation_errors", cell.compilation.errors);
-  }
-  testing_span.end();
-  testing_timer.stop();
-  return result;
+  return std::move(result.servers.front());
 }
 
 StudyResult run_study(const StudyConfig& config) {
-  StudyResult result;
-
-  obs::Span run_span(config.tracer, "study");
-  const std::uint64_t started_us =
-      config.metrics != nullptr ? config.metrics->clock().now_us() : 0;
-
-  // Preparation phase: catalogs and services (§III.A).
-  obs::Span prepare_span(config.tracer, "phase:prepare", run_span);
-  obs::ScopedTimer prepare_timer = obs::timer(config.metrics, "study.phase.prepare_us");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(config.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog, config.shape);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog, config.shape);
-
-  const auto servers = frameworks::make_servers();
-  const auto clients = frameworks::make_clients();
-  prepare_span.end();
-  prepare_timer.stop();
-
-  for (const auto& server : servers) {
-    const bool is_dotnet = server->language() == "C#";
-    const std::vector<frameworks::ServiceSpec>& services =
-        is_dotnet ? dotnet_services : java_services;
-    result.servers.push_back(
-        run_server_campaign(*server, services, clients, config, &result, run_span.id()));
-  }
-
-  if (config.metrics != nullptr) {
-    // Throughput gauge (runtime-dependent, excluded from deterministic
-    // exports; zero under a frozen clock).
-    const std::uint64_t elapsed_us = config.metrics->clock().now_us() - started_us;
-    const std::size_t tests = result.total_tests();
-    config.metrics->gauge("study.tests_per_sec")
-        .set(elapsed_us == 0 ? 0
-                             : static_cast<std::int64_t>(tests * 1000000 / elapsed_us));
-  }
-  return result;
+  SupervisedOptions options;
+  options.jobs = config.threads;
+  return resilience::require_complete(run_study_supervised(config, options)).study;
 }
 
 }  // namespace wsx::interop

@@ -162,8 +162,10 @@ struct StudyConfig {
   /// and chaos campaigns.
   std::vector<frameworks::VersionPolicy> versions;
 
-  /// Optional per-test observer (e.g. a JSON-lines logger). Called from
-  /// worker threads under an internal mutex; keep it cheap.
+  /// Optional per-test observer (e.g. a JSON-lines logger). Called on the
+  /// calling thread as the run folds its results, once per test in corpus
+  /// order (server, then service, then client), so its stream is the same
+  /// at any worker count.
   std::function<void(const TestRecord&)> observer;
 
   /// Observability sinks, both optional (null = off, zero overhead). The
@@ -174,8 +176,10 @@ struct StudyConfig {
   obs::Registry* metrics = nullptr;
 };
 
-/// Runs one server's campaign: deploy every service, run every client.
-/// `parent_span` nests the campaign's spans under the run's root span.
+/// Runs one server's campaign against the given clients: the study engine
+/// (run_study_tasks in supervised.hpp) with one task per bindable service.
+/// `parent_span` nests the campaign's spans under the caller's span.
+/// Throws std::runtime_error naming a task that failed on every attempt.
 ServerResult run_server_campaign(const frameworks::ServerFramework& server,
                                  const std::vector<frameworks::ServiceSpec>& services,
                                  const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
@@ -183,14 +187,11 @@ ServerResult run_server_campaign(const frameworks::ServerFramework& server,
                                  obs::SpanId parent_span = obs::kNoSpan);
 
 /// Runs the full study: both catalogs, all three servers, all 11 clients.
+/// This is run_study_supervised with no journal; it throws
+/// std::runtime_error naming a task that failed on every attempt.
 StudyResult run_study(const StudyConfig& config = {});
 
-// --- Testing-phase primitives, exposed for the supervised runner ---------
-//
-// The resilience supervisor re-drives the testing phase one service at a
-// time (so tasks can be checkpointed, retried and quarantined), then folds
-// the per-test outcomes through the same aggregation run_server_campaign
-// applies. These hooks are that shared vocabulary.
+// --- Testing-phase primitives ----------------------------------------------
 
 /// Outcome of one client tool against one deployed service.
 struct ClientTestOutcome {
@@ -205,7 +206,7 @@ struct ClientTestOutcome {
 };
 
 /// Steps (b)+(c) for one (service, client) pair: artifact generation, then
-/// compilation or the instantiation check. `description` is the campaign's
+/// compilation or the instantiation check. `description` is the service's
 /// shared parse (null = re-parse the served text, the --no-parse-cache
 /// path); `compiler` is null for dynamic clients.
 ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
@@ -219,20 +220,13 @@ ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
 bool same_framework_pair(const std::string& server, const std::string& client);
 bool same_platform_pair(const std::string& server, const std::string& client);
 
-/// Everything run_server_campaign computes before the testing phase:
-/// deployment, the shared parse, WS-I verdicts, and (optionally) the
-/// deploy-time gate. `result` carries the deploy/WS-I counters with empty
-/// cells; `flagged[i]` pairs with `deployed[i]`; `descriptions` is empty
-/// when the parse cache is off.
+/// The description-step counters of one server, without the client tests.
 struct PreparedServer {
-  ServerResult result;
-  std::vector<frameworks::DeployedService> deployed;
-  std::vector<frameworks::SharedDescription> descriptions;
-  std::vector<bool> flagged;
+  ServerResult result;  ///< deploy/WS-I/gate counters; cells empty
 };
 
-/// Runs the deploy / parse / wsi-check / gate phases for one server.
-/// `parent_span` nests the phase spans (typically the server span).
+/// Deploys and describes every service of one server (the study engine
+/// with no clients) and counts the facts. `parent_span` nests its spans.
 PreparedServer prepare_server_campaign(const frameworks::ServerFramework& server,
                                        const std::vector<frameworks::ServiceSpec>& services,
                                        const StudyConfig& config,

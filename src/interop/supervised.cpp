@@ -1,8 +1,10 @@
 #include "interop/supervised.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "catalog/spec_json.hpp"
@@ -11,7 +13,7 @@
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "frameworks/version_policy.hpp"
-#include "soap/version.hpp"
+#include "wsi/profile.hpp"
 
 namespace wsx::interop {
 namespace {
@@ -79,7 +81,7 @@ bool diagnostic_from_json(const json::Value& value, Diagnostic& out) {
   return true;
 }
 
-/// Reads a required bool member; false return = malformed record.
+/// Reads a required bool member; false return = missing or malformed.
 bool read_bool(const json::Value& value, std::string_view key, bool& out) {
   const json::Value* member = value.find(key);
   if (member == nullptr || !member->is_bool()) return false;
@@ -103,27 +105,38 @@ Result<catalog::DotNetCatalogSpec> dotnet_spec_member(const json::Value& config)
   return catalog::dotnet_spec_from_json(json::to_text(*spec));
 }
 
-bool read_flag(const json::Value& config, std::string_view key, bool& out) {
-  const json::Value* member = config.find(key);
-  if (member == nullptr || !member->is_bool()) return false;
-  out = member->as_bool();
-  return true;
+resilience::SupervisorOptions to_supervisor_options(const SupervisedOptions& options,
+                                                    obs::Registry* metrics) {
+  resilience::SupervisorOptions sup;
+  sup.journal = options.journal;
+  sup.jobs = options.jobs;
+  sup.checkpoint_path = options.checkpoint_path;
+  sup.resume = options.resume;
+  sup.trip_after_tasks = options.trip_after_tasks;
+  sup.metrics = metrics;
+  return sup;
 }
 
-/// Maps a task index back to its (server, service) pair given the first
-/// task index of each server's range.
-std::pair<std::size_t, std::size_t> locate_task(const std::vector<std::size_t>& first_task,
-                                                std::size_t task) {
-  std::size_t server_index = first_task.size() - 1;
-  while (first_task[server_index] > task) --server_index;
-  return {server_index, task - first_task[server_index]};
-}
+// --- The study task ----------------------------------------------------------
 
-/// One client cell's worth of fold input, normalised from either an
-/// in-memory ClientTestOutcome or a journal-record row, so the aggregation
-/// below has exactly one code path. The two sources are interchangeable:
-/// the record is a pure serialisation of the outcome and the round-trip is
-/// exact (the interrupt/resume equivalence tests pin the byte-identity).
+/// What the description step established about one service.
+struct ServiceFacts {
+  bool refused = false;          ///< deploy() refused the service
+  bool wsi_failed = false;       ///< the published WSDL fails WS-I
+  bool zero_operations = false;  ///< the published WSDL exposes no operations
+
+  /// A description-step warning (§III.B.d): failed WS-I or unusable.
+  bool flagged() const { return wsi_failed || zero_operations; }
+  /// True when no client sees the service: refused, or withdrawn by the
+  /// deploy-time WS-I gate.
+  bool withdrawn(bool wsi_deploy_gate) const {
+    return refused || (wsi_deploy_gate && flagged());
+  }
+};
+
+/// One client test, reduced to what the fold reads. The journal record is
+/// a pure serialisation of the rows and the round-trip is exact (the
+/// interrupt/resume equivalence tests pin the byte-identity).
 struct FoldRow {
   bool gw = false;
   bool ge = false;
@@ -131,10 +144,12 @@ struct FoldRow {
   bool ce = false;
   bool art = false;
   std::vector<std::string> codes;  ///< unique error codes, first-seen order
-  std::optional<Diagnostic> first;
+  /// First error, the cell-sample candidate; out of line because the fold
+  /// keeps a row per test until the run ends and most tests have none.
+  std::unique_ptr<Diagnostic> first;
 };
 
-FoldRow row_from_outcome(const ClientTestOutcome& outcome) {
+FoldRow row_from_outcome(ClientTestOutcome outcome) {
   FoldRow row;
   row.gw = outcome.generation_warning;
   row.ge = outcome.generation_error;
@@ -147,7 +162,9 @@ FoldRow row_from_outcome(const ClientTestOutcome& outcome) {
     }
     row.codes.push_back(diagnostic.code);
   }
-  if (!outcome.errors.empty()) row.first = outcome.errors.front();
+  if (!outcome.errors.empty()) {
+    row.first = std::make_unique<Diagnostic>(std::move(outcome.errors.front()));
+  }
   return row;
 }
 
@@ -164,23 +181,193 @@ bool row_from_json(const json::Value& value, FoldRow& row) {
   }
   const json::Value* first = value.find("first");
   if (first != nullptr) {
-    Diagnostic sample;
-    if (!diagnostic_from_json(*first, sample)) return false;
-    row.first = std::move(sample);
+    row.first = std::make_unique<Diagnostic>();
+    if (!diagnostic_from_json(*first, *row.first)) return false;
   }
   return true;
 }
 
-resilience::SupervisorOptions to_supervisor_options(const SupervisedOptions& options,
-                                                    obs::Registry* metrics) {
-  resilience::SupervisorOptions sup;
-  sup.journal = options.journal;
-  sup.jobs = options.jobs;
-  sup.checkpoint_path = options.checkpoint_path;
-  sup.resume = options.resume;
-  sup.trip_after_tasks = options.trip_after_tasks;
-  sup.metrics = metrics;
-  return sup;
+/// A study task's journal record: the facts, then its `count` client rows
+/// (none when the service is withdrawn).
+std::string study_record_json(const ServiceFacts& facts, const FoldRow* rows,
+                              std::size_t count) {
+  json::ArrayWriter items;
+  for (const FoldRow& row : std::span(rows, count)) {
+    json::ObjectWriter item;
+    item.field("gw", row.gw)
+        .field("ge", row.ge)
+        .field("cw", row.cw)
+        .field("ce", row.ce)
+        .field("art", row.art);
+    json::ArrayWriter codes;
+    for (const std::string& code : row.codes) codes.item(code);
+    item.raw_field("codes", codes.str());
+    if (row.first != nullptr) item.raw_field("first", diagnostic_json(*row.first));
+    items.raw_item(item.str());
+  }
+  return json::ObjectWriter{}
+      .field("refused", facts.refused)
+      .field("wsi_failed", facts.wsi_failed)
+      .field("zero_ops", facts.zero_operations)
+      .raw_field("clients", items.str())
+      .str();
+}
+
+/// Decodes a completed study task's record into its facts and its task's
+/// `clients` row slots. A record without the facts was written by the
+/// phase-by-phase engine, whose fold took them from its own deploy pass;
+/// folding it now would count the service as compliant, so it is refused
+/// and the facts it lacks are named.
+Result<ServiceFacts> study_rows_from_record(const resilience::JournalEntry& entry,
+                                            std::size_t clients, bool wsi_deploy_gate,
+                                            FoldRow* rows) {
+  Result<json::Value> record = json::parse(entry.record);
+  if (!record.ok()) return bad_record(entry.id, record.error().message);
+  ServiceFacts facts;
+  std::string missing;
+  for (const auto& [key, fact] : {std::pair{"refused", &facts.refused},
+                                  std::pair{"wsi_failed", &facts.wsi_failed},
+                                  std::pair{"zero_ops", &facts.zero_operations}}) {
+    if (read_bool(*record, key, *fact)) continue;
+    if (!missing.empty()) missing += ", ";
+    missing += key;
+  }
+  if (!missing.empty()) {
+    return bad_record(entry.id, "missing per-service facts (" + missing +
+                                    "); the journal predates the per-service study engine, "
+                                    "start the run afresh");
+  }
+  const json::Value* items = record->find("clients");
+  if (items == nullptr || !items->is_array()) return bad_record(entry.id, "missing client rows");
+  if (items->size() != (facts.withdrawn(wsi_deploy_gate) ? 0 : clients)) {
+    return bad_record(entry.id, "client row count mismatch");
+  }
+  for (std::size_t i = 0; i < items->size(); ++i) {
+    if (!row_from_json(items->items()[i], rows[i])) {
+      return bad_record(entry.id, "malformed client row");
+    }
+  }
+  return facts;
+}
+
+/// The Testing Phase of one service: step (a), description generation at
+/// deployment, and the description check, then steps (b)+(c) for every
+/// client, whose rows go to `rows` (one slot per client; untouched when
+/// the service is withdrawn). Returns the service's facts. Deploy and
+/// describe charge nothing; each client test charges one virtual ms.
+ServiceFacts test_service(const frameworks::ServerFramework& server,
+                          const frameworks::ServiceSpec& spec,
+                          const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+                          const std::vector<std::unique_ptr<compilers::Compiler>>& compilers,
+                          const StudyConfig& config, FoldRow* rows,
+                          resilience::TaskContext& context) {
+  ServiceFacts facts;
+  obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "study.step.deploy_us");
+  Result<frameworks::DeployedService> deployed = server.deploy(spec);
+  deploy_timer.stop();
+  if (!deployed.ok()) {
+    facts.refused = true;
+    return facts;
+  }
+
+  // The description check (§III.B.d): with the parse cache on, the shared
+  // parse every client consumes carries the WS-I verdict.
+  obs::ScopedTimer describe_timer = obs::timer(config.metrics, "study.step.describe_us");
+  std::optional<frameworks::SharedDescription> description;
+  if (config.parse_cache) {
+    description.emplace(frameworks::SharedDescription::from_deployed(*deployed));
+    facts.wsi_failed = !description->wsi_report()->compliant();
+    obs::add(config.metrics, "study.parse.wsdl_parses");
+  } else {
+    facts.wsi_failed = !wsi::check(deployed->wsdl).compliant();
+  }
+  describe_timer.stop();
+  facts.zero_operations = deployed->wsdl.operation_count() == 0;
+  if (facts.withdrawn(config.wsi_deploy_gate)) return facts;
+
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    rows[i] = row_from_outcome(
+        run_client_test(*deployed, description.has_value() ? &*description : nullptr,
+                        *clients[i], compilers[i].get(), config.metrics));
+    context.charge(1);
+  }
+  return facts;
+}
+
+/// Adds one service's facts to its server's Fig. 4 counters, applying the
+/// deploy-time gate. Returns false when no client sees the service.
+bool count_service(const ServiceFacts& facts, bool wsi_deploy_gate, ServerResult& result) {
+  if (facts.refused) {
+    ++result.deployment_refusals;
+    return false;
+  }
+  if (facts.wsi_failed) ++result.wsi_failures;
+  if (facts.zero_operations) ++result.zero_operation_services;
+  if (facts.flagged()) ++result.description_warnings;
+  // Ablation: the deploy-time WS-I gate withdraws flagged descriptions
+  // before any client consumes them.
+  if (wsi_deploy_gate && facts.flagged()) {
+    ++result.gate_rejections;
+    return false;
+  }
+  ++result.services_deployed;
+  return true;
+}
+
+// --- The communication task --------------------------------------------------
+
+/// What one communication task hands the fold besides its invocation
+/// slots (one per client, written only when deploy() accepted the service).
+struct CommFacts {
+  std::size_t sniffed = 0;
+  bool deployed = false;
+};
+
+/// A communication task's journal record: the sniffer's count and its
+/// `count` invocations (none when deploy() refused the service).
+std::string comm_record_json(const CommFacts& facts, const InvocationOutcome* invocations,
+                             std::size_t count) {
+  json::ArrayWriter items;
+  for (const InvocationOutcome& invocation : std::span(invocations, count)) {
+    items.raw_item(json::ObjectWriter{}
+                       .field("o", static_cast<std::size_t>(invocation.outcome))
+                       .field("st", static_cast<long long>(invocation.http_status))
+                       .str());
+  }
+  return json::ObjectWriter{}
+      .field("sniffed", facts.sniffed)
+      .raw_field("clients", items.str())
+      .str();
+}
+
+/// Decodes a completed communication task's record into its facts and its
+/// task's `clients` invocation slots.
+Result<CommFacts> comm_rows_from_record(const resilience::JournalEntry& entry,
+                                        std::size_t clients, InvocationOutcome* invocations) {
+  Result<json::Value> record = json::parse(entry.record);
+  if (!record.ok()) return bad_record(entry.id, record.error().message);
+  const json::Value* sniffed = record->find("sniffed");
+  const json::Value* items = record->find("clients");
+  if (sniffed == nullptr || !sniffed->is_number() || items == nullptr || !items->is_array() ||
+      (items->size() != 0 && items->size() != clients)) {
+    return bad_record(entry.id, "malformed communication record");
+  }
+  CommFacts facts;
+  facts.sniffed = static_cast<std::size_t>(sniffed->as_number());
+  facts.deployed = items->size() != 0;
+  for (std::size_t i = 0; i < items->size(); ++i) {
+    const json::Value& row = items->items()[i];
+    const json::Value* outcome = row.find("o");
+    const json::Value* status = row.find("st");
+    if (outcome == nullptr || !outcome->is_number() || status == nullptr ||
+        !status->is_number()) {
+      return bad_record(entry.id, "malformed invocation row");
+    }
+    const auto index = static_cast<std::size_t>(outcome->as_number());
+    if (index >= kCommOutcomeCount) return bad_record(entry.id, "unknown outcome index");
+    invocations[i] = {static_cast<CommOutcome>(index), static_cast<int>(status->as_number())};
+  }
+  return facts;
 }
 
 }  // namespace
@@ -216,10 +403,10 @@ Result<StudyConfig> study_config_from_json(std::string_view text) {
       !shape_from_string(shape->as_string(), config.shape)) {
     return bad_config("missing or unknown shape");
   }
-  if (!read_flag(*parsed, "wsi_deploy_gate", config.wsi_deploy_gate)) {
+  if (!read_bool(*parsed, "wsi_deploy_gate", config.wsi_deploy_gate)) {
     return bad_config("missing wsi_deploy_gate");
   }
-  if (!read_flag(*parsed, "parse_cache", config.parse_cache)) {
+  if (!read_bool(*parsed, "parse_cache", config.parse_cache)) {
     return bad_config("missing parse_cache");
   }
   return config;
@@ -248,7 +435,7 @@ Result<StudyConfig> communication_config_from_json(std::string_view text) {
   Result<catalog::DotNetCatalogSpec> dotnet = dotnet_spec_member(*parsed);
   if (!dotnet.ok()) return dotnet.error();
   config.dotnet_spec = dotnet.value();
-  if (!read_flag(*parsed, "parse_cache", config.parse_cache)) {
+  if (!read_bool(*parsed, "parse_cache", config.parse_cache)) {
     return bad_config("missing parse_cache");
   }
   const json::Value* versions = parsed->find("versions");
@@ -265,14 +452,162 @@ Result<StudyConfig> communication_config_from_json(std::string_view text) {
   return config;
 }
 
-Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
-                                                   const SupervisedOptions& options) {
+Result<SupervisedStudyResult> run_study_tasks(
+    const std::vector<frameworks::Round>& rounds,
+    const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+    const StudyConfig& config, const SupervisedOptions& options, obs::SpanId parent_span) {
   SupervisedStudyResult out;
   StudyResult& result = out.study;
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
+  for (const auto& client : clients) {
+    compilers.push_back(compilers::make_compiler(client->language()));
+  }
 
+  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    ServerResult& server = result.servers.emplace_back();
+    server.server = rounds[r].label;
+    server.application_server = rounds[r].server->application_server();
+    server.services_created = rounds[r].services->size();
+    server.deployment_refusals = plan.refused[r];
+    for (const auto& client : clients) {
+      CellResult& cell = server.cells.emplace_back();
+      cell.client = client->name();
+      cell.client_language = client->language();
+      cell.compiled = client->requires_compilation();
+    }
+  }
+  resilience::CampaignTasks tasks;
+  tasks.campaign = "study";
+  tasks.config_json = study_config_json(config);
+  tasks.ids = std::move(plan.ids);
+
+  // Fold input, allocated here up front: one facts slot per task and one
+  // row slot per task × client. An executed task fills its own slots in
+  // place (indices are distinct across workers, so no locking) and leaves
+  // nothing allocated on its worker but the rare error rows, so peak memory
+  // does not depend on how tasks interleave on the workers' heaps. A
+  // resumed task is filled from its journal record before anything runs.
+  const std::size_t width = clients.size();
+  std::vector<ServiceFacts> facts(plan.tasks.size());
+  std::vector<FoldRow> rows(plan.tasks.size() * width);
+  for (const resilience::JournalEntry* entry :
+       resilience::resumed_records(tasks, options.resume)) {
+    Result<ServiceFacts> resumed = study_rows_from_record(
+        *entry, width, config.wsi_deploy_gate, rows.data() + entry->task * width);
+    if (!resumed.ok()) return resumed.error();
+    facts[entry->task] = resumed.value();
+  }
+  const bool journaling = !options.checkpoint_path.empty();
+  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
+    const frameworks::RoundService& task = plan.tasks[index];
+    FoldRow* task_rows = rows.data() + index * width;
+    facts[index] = test_service(*rounds[task.round].server, *task.spec, clients, compilers,
+                                config, task_rows, context);
+    if (!journaling) return std::string{};
+    return study_record_json(facts[index], task_rows,
+                             facts[index].withdrawn(config.wsi_deploy_gate) ? 0 : width);
+  };
+
+  obs::Span testing_span(config.tracer, "phase:testing", parent_span);
+  obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
+  Result<resilience::SupervisorReport> supervised =
+      resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
+  if (!supervised.ok()) return supervised.error();
+  out.supervisor = std::move(supervised.value());
+
+  // Step (d), classification: the fold, in task order on this thread, so
+  // the result and the observer's stream are the same at any worker count
+  // and across interrupt/resume splits.
+  std::size_t deployed = 0;
+  std::size_t artifacts = 0;
+  for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
+    if (outcome.state != resilience::TaskState::kCompleted) continue;
+    const frameworks::RoundService& task = plan.tasks[outcome.task];
+    const ServiceFacts& service = facts[outcome.task];
+    const FoldRow* task_rows = rows.data() + outcome.task * width;
+    ServerResult& server = result.servers[task.round];
+    if (!service.refused) ++deployed;
+    if (!count_service(service, config.wsi_deploy_gate, server)) continue;
+    const bool flagged = service.flagged();
+    TestRecord record;  // the observer's view of this service's tests
+    if (config.observer) {
+      record.server = server.server;
+      record.service = task.spec->service_name();
+      record.type_name = task.spec->type->qualified_name();
+      record.description_flagged = flagged;
+    }
+    bool service_errored = false;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      const FoldRow& row = task_rows[i];
+      CellResult& cell = server.cells[i];
+      ++cell.tests;
+      if (row.art) ++artifacts;
+      if (row.gw) ++cell.generation.warnings;
+      if (row.ge) ++cell.generation.errors;
+      if (row.cw) ++cell.compilation.warnings;
+      if (row.ce) ++cell.compilation.errors;
+      if (row.first != nullptr && cell.samples.size() < config.samples_per_cell) {
+        cell.samples.push_back(*row.first);
+      }
+      for (const std::string& code : row.codes) ++cell.error_codes[code];
+      if (config.observer) {
+        record.client = cell.client;
+        record.generation_warning = row.gw;
+        record.generation_error = row.ge;
+        record.compilation_warning = row.cw;
+        record.compilation_error = row.ce;
+        config.observer(record);
+      }
+      if (row.ge || row.ce) {
+        service_errored = true;
+        if (same_framework_pair(server.server, cell.client)) ++result.same_framework_failures;
+        if (same_platform_pair(server.server, cell.client)) ++result.same_platform_failures;
+      }
+      if (row.ge) {
+        if (flagged) {
+          ++result.generation_errors_on_flagged;
+        } else {
+          ++result.generation_errors_on_compliant;
+        }
+      }
+    }
+    if (flagged && service_errored) ++result.flagged_services_with_downstream_error;
+  }
+
+  // One span per server, one per server×client cell annotated with its
+  // Table III numbers.
+  for (const ServerResult& server : result.servers) {
+    result.flagged_services += server.description_warnings;
+    obs::Span server_span(config.tracer, "server:" + server.server, testing_span);
+    server_span.annotate("deployed", server.services_deployed);
+    server_span.annotate("refused", server.deployment_refusals);
+    server_span.annotate("flagged", server.description_warnings);
+    for (const CellResult& cell : server.cells) {
+      obs::Span cell_span(config.tracer, "cell:" + cell.client, server_span);
+      cell_span.annotate("tests", cell.tests);
+      cell_span.annotate("generation_errors", cell.generation.errors);
+      cell_span.annotate("compilation_errors", cell.compilation.errors);
+    }
+  }
+  obs::add(config.metrics, "study.services_created", result.total_services_created());
+  obs::add(config.metrics, "study.services_deployed", deployed);
+  obs::add(config.metrics, "study.deployment_refusals", result.total_deployment_refusals());
+  obs::add(config.metrics, "study.description_flags", result.flagged_services);
+  obs::add(config.metrics, "study.tests_total", result.total_tests());
+  obs::add(config.metrics, "study.artifacts_generated", artifacts);
+  obs::add(config.metrics, "study.generation_errors", result.total_generation().errors);
+  obs::add(config.metrics, "study.compilation_errors", result.total_compilation().errors);
+  return out;
+}
+
+Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
+                                                   const SupervisedOptions& options) {
   obs::Span run_span(config.tracer, "study");
+  const std::uint64_t started_us =
+      config.metrics != nullptr ? config.metrics->clock().now_us() : 0;
 
-  // Preparation phase, identical to run_study (§III.A).
+  // Preparation phase: catalogs and services (§III.A).
   obs::Span prepare_span(config.tracer, "phase:prepare", run_span);
   obs::ScopedTimer prepare_timer = obs::timer(config.metrics, "study.phase.prepare_us");
   const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
@@ -283,195 +618,21 @@ Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
       frameworks::make_services(dotnet_catalog, config.shape);
   const auto servers = frameworks::make_servers();
   const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
-  for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
-  }
+  const std::vector<frameworks::Round> rounds =
+      frameworks::make_rounds(servers, java_services, dotnet_services);
   prepare_span.end();
   prepare_timer.stop();
 
-  // Deploy/parse/wsi/gate every server up front; only the testing phase —
-  // the expensive, per-service part — runs under supervision.
-  std::vector<PreparedServer> prepared;
-  std::vector<std::size_t> first_task;
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "study";
-  tasks.config_json = study_config_json(config);
-  for (const auto& server : servers) {
-    obs::Span server_span(config.tracer, "server:" + server->name(), run_span);
-    const std::vector<frameworks::ServiceSpec>& services =
-        server->language() == "C#" ? dotnet_services : java_services;
-    prepared.push_back(prepare_server_campaign(*server, services, config, server_span.id()));
-    first_task.push_back(tasks.ids.size());
-    for (const frameworks::DeployedService& service : prepared.back().deployed) {
-      tasks.ids.push_back(server->name() + "|" + service.spec.service_name());
-    }
-  }
-
-  // Side channel for the fold: a task executed in this process parks its
-  // outcomes here (indices are distinct across workers, so no locking) and
-  // the record string — needed only for the journal — is built solely when
-  // a checkpoint file is in play. Resumed tasks have no slot and fold from
-  // their journal record instead; FoldRow makes the two paths identical.
-  struct TaskRows {
-    bool executed = false;
-    std::vector<ClientTestOutcome> outcomes;
-  };
-  std::vector<TaskRows> side(tasks.ids.size());
-  const bool journaling = !options.checkpoint_path.empty();
-
-  // The task function: steps (b)+(c) for one service against all clients.
-  // Pure in the task index — the determinism contract supervise() needs.
-  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const auto [server_index, service_index] = locate_task(first_task, index);
-    const PreparedServer& server = prepared[server_index];
-    const frameworks::DeployedService& service = server.deployed[service_index];
-    const frameworks::SharedDescription* description =
-        config.parse_cache ? &server.descriptions[service_index] : nullptr;
-    TaskRows& data = side[index];
-    data.executed = false;
-    data.outcomes.clear();  // a deadline retry re-runs the task from scratch
-    data.outcomes.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      ClientTestOutcome outcome = run_client_test(
-          service, description, *clients[i], client_compilers[i].get(), config.metrics);
-      data.outcomes.push_back(std::move(outcome));
-      context.charge(1);  // cost model: one virtual ms per client test
-    }
-    data.executed = true;
-    if (!journaling) return std::string{};
-    json::ArrayWriter rows;
-    for (const ClientTestOutcome& outcome : data.outcomes) {
-      json::ObjectWriter row;
-      row.field("gw", outcome.generation_warning)
-          .field("ge", outcome.generation_error)
-          .field("cw", outcome.compilation_warning)
-          .field("ce", outcome.compilation_error)
-          .field("art", outcome.artifacts_generated);
-      json::ArrayWriter codes;
-      std::vector<std::string_view> seen;
-      for (const Diagnostic& diagnostic : outcome.errors) {
-        if (std::find(seen.begin(), seen.end(), diagnostic.code) != seen.end()) continue;
-        seen.push_back(diagnostic.code);
-        codes.item(diagnostic.code);
-      }
-      row.raw_field("codes", codes.str());
-      if (!outcome.errors.empty()) {
-        row.raw_field("first", diagnostic_json(outcome.errors.front()));
-      }
-      rows.raw_item(row.str());
-    }
-    return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
-  };
-
-  obs::Span testing_span(config.tracer, "phase:testing", run_span);
-  obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
-  Result<resilience::SupervisorReport> supervised =
-      resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
-  testing_span.end();
-  testing_timer.stop();
-  if (!supervised.ok()) return supervised.error();
-  out.supervisor = std::move(supervised.value());
-
-  // Fold, in task order, through the same aggregation run_server_campaign
-  // applies. Resumed records fold exactly like freshly executed ones, so
-  // the StudyResult — and every report rendered from it — is byte-identical
-  // across interrupt/resume splits and worker counts.
-  for (std::size_t server_index = 0; server_index < servers.size(); ++server_index) {
-    ServerResult server_result = std::move(prepared[server_index].result);
-    server_result.cells.resize(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      server_result.cells[i].client = clients[i]->name();
-      server_result.cells[i].client_language = clients[i]->language();
-      server_result.cells[i].compiled = clients[i]->requires_compilation();
-    }
-    result.flagged_services += server_result.description_warnings;
-    result.servers.push_back(std::move(server_result));
-  }
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    const auto [server_index, service_index] = locate_task(first_task, task.task);
-    std::vector<FoldRow> rows;
-    rows.reserve(clients.size());
-    const TaskRows& data = side[task.task];
-    if (data.executed) {
-      for (const ClientTestOutcome& outcome : data.outcomes) {
-        rows.push_back(row_from_outcome(outcome));
-      }
-    } else {
-      Result<json::Value> record = json::parse(task.record);
-      if (!record.ok()) return record.error();
-      const json::Value* items = record->find("clients");
-      if (items == nullptr || !items->is_array()) {
-        return bad_record(task.id, "client row count mismatch");
-      }
-      for (const json::Value& item : items->items()) {
-        FoldRow row;
-        if (!row_from_json(item, row)) return bad_record(task.id, "malformed client row");
-        rows.push_back(std::move(row));
-      }
-    }
-    if (rows.size() != clients.size()) {
-      return bad_record(task.id, "client row count mismatch");
-    }
-    ServerResult& server_result = result.servers[server_index];
-    const bool is_flagged = prepared[server_index].flagged[service_index];
-    const frameworks::DeployedService& service =
-        prepared[server_index].deployed[service_index];
-    bool service_errored = false;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const FoldRow& row = rows[i];
-      const bool gw = row.gw;
-      const bool ge = row.ge;
-      const bool cw = row.cw;
-      const bool ce = row.ce;
-      const bool art = row.art;
-      CellResult& cell = server_result.cells[i];
-      ++cell.tests;
-      obs::add(config.metrics, "study.tests_total");
-      if (art) obs::add(config.metrics, "study.artifacts_generated");
-      if (gw) ++cell.generation.warnings;
-      if (ge) ++cell.generation.errors;
-      if (cw) ++cell.compilation.warnings;
-      if (ce) ++cell.compilation.errors;
-      if (ge) obs::add(config.metrics, "study.generation_errors");
-      if (ce) obs::add(config.metrics, "study.compilation_errors");
-      if (row.first.has_value() && cell.samples.size() < config.samples_per_cell) {
-        cell.samples.push_back(*row.first);
-      }
-      for (const std::string& code : row.codes) ++cell.error_codes[code];
-      if (config.observer) {
-        TestRecord record_line;
-        record_line.server = server_result.server;
-        record_line.client = clients[i]->name();
-        record_line.service = service.spec.service_name();
-        record_line.type_name =
-            service.spec.type != nullptr ? service.spec.type->qualified_name() : "";
-        record_line.description_flagged = is_flagged;
-        record_line.generation_warning = gw;
-        record_line.generation_error = ge;
-        record_line.compilation_warning = cw;
-        record_line.compilation_error = ce;
-        config.observer(record_line);
-      }
-      if (ge || ce) {
-        service_errored = true;
-        if (same_framework_pair(server_result.server, clients[i]->name())) {
-          ++result.same_framework_failures;
-        }
-        if (same_platform_pair(server_result.server, clients[i]->name())) {
-          ++result.same_platform_failures;
-        }
-      }
-      if (ge) {
-        if (is_flagged) {
-          ++result.generation_errors_on_flagged;
-        } else {
-          ++result.generation_errors_on_compliant;
-        }
-      }
-    }
-    if (is_flagged && service_errored) ++result.flagged_services_with_downstream_error;
+  Result<SupervisedStudyResult> out =
+      run_study_tasks(rounds, clients, config, options, run_span.id());
+  if (out.ok() && config.metrics != nullptr) {
+    // Throughput gauge (runtime-dependent, excluded from deterministic
+    // exports; zero under a frozen clock).
+    const std::uint64_t elapsed_us = config.metrics->clock().now_us() - started_us;
+    const std::size_t tests = out->study.total_tests();
+    config.metrics->gauge("study.tests_per_sec")
+        .set(elapsed_us == 0 ? 0
+                             : static_cast<std::int64_t>(tests * 1000000 / elapsed_us));
   }
   return out;
 }
@@ -484,212 +645,127 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   obs::Span run_span(config.tracer, "communication");
   const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
   const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(config.dotnet_spec);
+  const std::vector<frameworks::ServiceSpec> java_services =
+      frameworks::make_services(java_catalog);
+  const std::vector<frameworks::ServiceSpec> dotnet_services =
+      frameworks::make_services(dotnet_catalog);
   const auto servers = frameworks::make_servers();
   const auto clients = frameworks::make_clients();
-  std::vector<std::unique_ptr<compilers::Compiler>> client_compilers;
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   for (const auto& client : clients) {
-    client_compilers.push_back(compilers::make_compiler(client->language()));
+    compilers.push_back(compilers::make_compiler(client->language()));
   }
+  const std::vector<soap::HybridProfile> profiles =
+      frameworks::client_profiles(clients, config.versions);
 
-  // One round per (server, version policy) pair — mirroring
-  // run_communication_study — or one per server when the axis is off. The
-  // round label scopes task ids so a resumed journal can never splice a
-  // strict round's rows into a shaded one.
-  struct Round {
-    const frameworks::ServerFramework* server;
-    std::optional<frameworks::VersionPolicy> policy;
-    std::string label;
-  };
-  std::vector<Round> rounds;
-  for (const auto& server : servers) {
-    if (config.versions.empty()) {
-      rounds.push_back({server.get(), std::nullopt, server->name()});
-      continue;
-    }
-    for (const frameworks::VersionPolicy policy : config.versions) {
-      rounds.push_back({server.get(), policy,
-                        server->name() + " [" + frameworks::to_string(policy) + "]"});
-    }
-  }
-  std::vector<soap::HybridProfile> profiles;
-  for (const auto& client : clients) {
-    profiles.push_back(config.versions.empty()
-                           ? soap::HybridProfile::kPure11
-                           : frameworks::profile_for(client->version_policy()));
-  }
-
-  // Deployment + the shared parse up front, as in run_communication_study;
-  // the invocations run under supervision.
-  struct PreparedCommServer {
-    std::vector<frameworks::DeployedService> deployed;
-    std::vector<frameworks::SharedDescription> descriptions;
-  };
-  std::vector<PreparedCommServer> prepared;
-  std::vector<std::size_t> first_task;
+  // One round per server, or per server × version policy on the
+  // --versions axis; the round label scopes task ids so a resumed journal
+  // can never splice a strict round's rows into a shaded one.
+  const std::vector<frameworks::Round> rounds =
+      frameworks::make_rounds(servers, java_services, dotnet_services, config.versions);
+  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
   resilience::CampaignTasks tasks;
   tasks.campaign = "communication";
   tasks.config_json = communication_config_json(config);
-  for (const Round& round : rounds) {
-    const frameworks::ServerFramework* server = round.server;
-    const catalog::TypeCatalog& catalog =
-        server->language() == "C#" ? dotnet_catalog : java_catalog;
-    obs::Span server_span(config.tracer, "server:" + round.label, run_span);
-    obs::Span deploy_span(config.tracer, "phase:deploy", server_span);
-    obs::ScopedTimer deploy_timer = obs::timer(config.metrics, "comm.phase.deploy_us");
-    PreparedCommServer prep;
-    for (const catalog::TypeInfo& type : catalog.types()) {
-      Result<frameworks::DeployedService> service =
-          server->deploy(frameworks::ServiceSpec{&type});
-      if (service.ok()) prep.deployed.push_back(std::move(service.value()));
-    }
-    obs::add(config.metrics, "comm.services_deployed", prep.deployed.size());
-    deploy_span.annotate("deployed", prep.deployed.size());
-    deploy_span.end();
-    deploy_timer.stop();
-    if (config.parse_cache) {
-      obs::Span parse_span(config.tracer, "phase:parse", server_span);
-      obs::ScopedTimer parse_timer = obs::timer(config.metrics, "comm.phase.parse_us");
-      prep.descriptions.reserve(prep.deployed.size());
-      for (const frameworks::DeployedService& service : prep.deployed) {
-        prep.descriptions.push_back(
-            frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false));
-      }
-      parse_span.end();
-      parse_timer.stop();
-    }
-    first_task.push_back(tasks.ids.size());
-    for (const frameworks::DeployedService& service : prep.deployed) {
-      tasks.ids.push_back(round.label + "|" + service.spec.service_name());
-    }
-    prepared.push_back(std::move(prep));
-  }
+  tasks.ids = std::move(plan.ids);
 
-  // Side channel for the fold, as in run_study_supervised: executed tasks
-  // park their invocation outcomes in memory and only build the journal
-  // record when a checkpoint file is in play.
-  struct CommTaskRows {
-    bool executed = false;
-    std::size_t sniffed = 0;
-    std::vector<InvocationOutcome> invocations;
-  };
-  std::vector<CommTaskRows> side(tasks.ids.size());
+  // Fold input, allocated here up front like the study's: one facts slot
+  // per task and one invocation slot per task × client, filled in place by
+  // the task that owns them or from a resumed journal record.
+  const std::size_t width = clients.size();
+  std::vector<CommFacts> facts(plan.tasks.size());
+  std::vector<InvocationOutcome> rows(plan.tasks.size() * width);
+  for (const resilience::JournalEntry* entry :
+       resilience::resumed_records(tasks, options.resume)) {
+    Result<CommFacts> resumed =
+        comm_rows_from_record(*entry, width, rows.data() + entry->task * width);
+    if (!resumed.ok()) return resumed.error();
+    facts[entry->task] = resumed.value();
+  }
   const bool journaling = !options.checkpoint_path.empty();
 
+  // One task: deploy one service, build its shared parse (no WS-I — the
+  // communication study never consults the verdict), and invoke it from
+  // every client, one virtual ms per invocation.
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const auto [round_index, service_index] = locate_task(first_task, index);
-    const Round& round = rounds[round_index];
-    const PreparedCommServer& prep = prepared[round_index];
-    const frameworks::DeployedService& service = prep.deployed[service_index];
-    const frameworks::SharedDescription* description =
-        config.parse_cache ? &prep.descriptions[service_index] : nullptr;
-    CommTaskRows& data = side[index];
-    data.executed = false;
-    data.sniffed = 0;
-    data.invocations.clear();  // a deadline retry re-runs the task from scratch
-    data.invocations.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      data.invocations.push_back(invoke_echo_once(
-          *round.server, service, description, *clients[i], client_compilers[i].get(),
-          &data.sniffed, profiles[i], round.policy.has_value() ? &*round.policy : nullptr));
-      context.charge(1);  // cost model: one virtual ms per invocation
+    const frameworks::Round& round = rounds[plan.tasks[index].round];
+    CommFacts& task = facts[index];
+    task = CommFacts{};
+    InvocationOutcome* invocations = rows.data() + index * width;
+    Result<frameworks::DeployedService> service = round.server->deploy(*plan.tasks[index].spec);
+    if (service.ok()) {
+      std::optional<frameworks::SharedDescription> description;
+      if (config.parse_cache) {
+        description.emplace(
+            frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
+        obs::add(config.metrics, "comm.parse.wsdl_parses");
+      }
+      for (std::size_t i = 0; i < width; ++i) {
+        invocations[i] = invoke_echo_once(
+            *round.server, *service, description.has_value() ? &*description : nullptr,
+            *clients[i], compilers[i].get(), &task.sniffed, profiles[i],
+            round.policy.has_value() ? &*round.policy : nullptr);
+        context.charge(1);
+      }
+      task.deployed = true;
     }
-    data.executed = true;
     if (!journaling) return std::string{};
-    json::ArrayWriter rows;
-    for (const InvocationOutcome& invocation : data.invocations) {
-      rows.raw_item(json::ObjectWriter{}
-                        .field("o", static_cast<std::size_t>(invocation.outcome))
-                        .field("st", static_cast<long long>(invocation.http_status))
-                        .str());
-    }
-    return json::ObjectWriter{}
-        .field("sniffed", data.sniffed)
-        .raw_field("clients", rows.str())
-        .str();
+    return comm_record_json(task, invocations, task.deployed ? width : 0);
   };
 
   obs::Span invoke_span(config.tracer, "phase:invoke", run_span);
   obs::ScopedTimer invoke_timer = obs::timer(config.metrics, "comm.phase.invoke_us");
   Result<resilience::SupervisorReport> supervised =
       resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
-  invoke_span.end();
-  invoke_timer.stop();
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
-  // Fold in task order (see run_study_supervised); one result row per round.
-  for (std::size_t round_index = 0; round_index < rounds.size(); ++round_index) {
-    CommServerResult server_result;
-    server_result.server = rounds[round_index].label;
-    server_result.services_deployed = prepared[round_index].deployed.size();
-    for (const auto& client : clients) {
-      CommCell cell;
-      cell.client = client->name();
-      server_result.cells.push_back(std::move(cell));
-    }
-    result.servers.push_back(std::move(server_result));
+  // Fold in task order; one result row per round. A service counts as
+  // deployed unless its task ran and found it refused.
+  for (const frameworks::Round& round : rounds) {
+    CommServerResult& server = result.servers.emplace_back();
+    server.server = round.label;
+    for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    const auto [round_index, service_index] = locate_task(first_task, task.task);
-    // (o, http_status) pairs from memory for executed tasks, from the
-    // journal record for resumed ones — the round-trip is exact.
-    std::vector<std::pair<std::size_t, int>> rows;
-    rows.reserve(clients.size());
-    const CommTaskRows& data = side[task.task];
-    if (data.executed) {
-      result.sniffed_violations += data.sniffed;
-      for (const InvocationOutcome& invocation : data.invocations) {
-        rows.emplace_back(static_cast<std::size_t>(invocation.outcome),
-                          invocation.http_status);
-      }
-    } else {
-      Result<json::Value> record = json::parse(task.record);
-      if (!record.ok()) return record.error();
-      const json::Value* sniffed = record->find("sniffed");
-      const json::Value* items = record->find("clients");
-      if (sniffed == nullptr || !sniffed->is_number() || items == nullptr ||
-          !items->is_array()) {
-        return bad_record(task.id, "malformed communication record");
-      }
-      result.sniffed_violations += static_cast<std::size_t>(sniffed->as_number());
-      for (const json::Value& row : items->items()) {
-        const json::Value* outcome_index = row.find("o");
-        const json::Value* status = row.find("st");
-        if (outcome_index == nullptr || !outcome_index->is_number() || status == nullptr ||
-            !status->is_number()) {
-          return bad_record(task.id, "malformed invocation row");
-        }
-        rows.emplace_back(static_cast<std::size_t>(outcome_index->as_number()),
-                          static_cast<int>(status->as_number()));
-      }
-    }
-    if (rows.size() != clients.size()) {
-      return bad_record(task.id, "malformed communication record");
-    }
-    CommServerResult& server_result = result.servers[round_index];
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const std::size_t o = rows[i].first;
-      if (o >= kCommOutcomeCount) return bad_record(task.id, "unknown outcome index");
-      const CommOutcome outcome = static_cast<CommOutcome>(o);
-      const int http_status = rows[i].second;
-      CommCell& cell = server_result.cells[i];
-      ++cell.outcomes[o];
-      obs::add(config.metrics, "comm.invocations_total");
-      obs::add(config.metrics,
-               config.parse_cache ? "comm.parse.cache_hits" : "comm.parse.wsdl_parses");
-      if (outcome != CommOutcome::kBlockedEarlier && outcome != CommOutcome::kOk) {
-        obs::add(config.metrics, "comm.failures");
-      }
-      if (outcome == CommOutcome::kTransportError) {
-        if (http_status >= 400 && http_status < 500) {
+  std::size_t invocations = 0;
+  for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
+    CommServerResult& server = result.servers[plan.tasks[outcome.task].round];
+    const CommFacts& task = facts[outcome.task];
+    const bool completed = outcome.state == resilience::TaskState::kCompleted;
+    if (completed && !task.deployed) continue;
+    ++server.services_deployed;
+    if (!completed) continue;
+    result.sniffed_violations += task.sniffed;
+    invocations += width;
+    for (std::size_t i = 0; i < width; ++i) {
+      const InvocationOutcome& invocation = rows[outcome.task * width + i];
+      CommCell& cell = server.cells[i];
+      ++cell.outcomes[static_cast<std::size_t>(invocation.outcome)];
+      if (invocation.outcome == CommOutcome::kTransportError) {
+        if (invocation.http_status >= 400 && invocation.http_status < 500) {
           ++cell.transport_4xx;
-        } else if (http_status >= 500 && http_status < 600) {
+        } else if (invocation.http_status >= 500 && invocation.http_status < 600) {
           ++cell.transport_5xx;
         }
       }
     }
   }
+  std::size_t deployed = 0;
+  for (const CommServerResult& server : result.servers) {
+    deployed += server.services_deployed;
+    obs::Span server_span(config.tracer, "server:" + server.server, invoke_span);
+    server_span.annotate("deployed", server.services_deployed);
+    for (const CommCell& cell : server.cells) {
+      obs::Span cell_span(config.tracer, "cell:" + cell.client, server_span);
+      cell_span.annotate("attempted", cell.attempted());
+      cell_span.annotate("ok", cell.count(CommOutcome::kOk));
+    }
+  }
+  obs::add(config.metrics, "comm.services_deployed", deployed);
+  obs::add(config.metrics, "comm.invocations_total", invocations);
+  obs::add(config.metrics, config.parse_cache ? "comm.parse.cache_hits" : "comm.parse.wsdl_parses",
+           invocations);
+  obs::add(config.metrics, "comm.failures", result.total_failures());
   obs::add(config.metrics, "comm.sniffed_violations", result.sniffed_violations);
   return out;
 }

@@ -1,18 +1,23 @@
-// supervised.hpp — the study and communication campaigns re-driven under
-// the resilience supervisor (src/resilience/supervisor.hpp).
+// supervised.hpp — the study and communication engines, run under the
+// resilience supervisor (src/resilience/supervisor.hpp).
 //
-// Task granularity is one deployed service per server: the supervisor
-// checkpoints, retries and quarantines (server, service) units, and the
-// per-client outcomes are folded back — in task order — through the exact
-// aggregation run_server_campaign applies. An uninterrupted supervised run,
-// a resumed one, and any jobs value therefore produce byte-identical
-// reports (pinned by tests/supervised_campaign_test.cpp).
+// Each campaign is one task list plus one fold: one task per bindable
+// service of each round (frameworks::bindable_services) deploys the
+// service, builds its shared description and runs every client against it,
+// then hands the fold compact rows, so nothing of the service outlives its
+// task. All rounds' tasks share one supervise() call; the fold runs in task
+// order on the calling thread. An uninterrupted run, a resumed one, and any
+// jobs value therefore produce byte-identical reports (pinned by
+// tests/supervised_campaign_test.cpp and tests/campaign_golden_test.cpp).
+// run_study and run_communication_study are these engines with no journal.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "frameworks/registry.hpp"
 #include "interop/communication.hpp"
 #include "interop/study.hpp"
 #include "resilience/supervisor.hpp"
@@ -46,9 +51,21 @@ struct SupervisedStudyResult {
   resilience::SupervisorReport supervisor;
 };
 
-/// Runs the full study under supervision. Quarantined and not-admitted
-/// services contribute nothing to `study` (the supervisor report carries
-/// the coverage counters that explain the gap).
+/// The study engine over explicit rounds and clients. Unbindable services
+/// fold as deployment refusals without a task. Each task charges one
+/// virtual ms per client test and none for deploy or describe.
+/// Quarantined and not-admitted tasks contribute nothing to `study`, not
+/// even their Fig. 4 description counts (the supervisor report carries the
+/// coverage counters that explain the gap). Spans nest as `parent_span` →
+/// phase:testing → server → cell.
+Result<SupervisedStudyResult> run_study_tasks(
+    const std::vector<frameworks::Round>& rounds,
+    const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
+    const StudyConfig& config, const SupervisedOptions& options,
+    obs::SpanId parent_span = obs::kNoSpan);
+
+/// Runs the full study (both catalogs, all three servers, all 11 clients)
+/// through run_study_tasks.
 Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
                                                    const SupervisedOptions& options);
 
@@ -57,7 +74,9 @@ struct SupervisedCommunicationResult {
   resilience::SupervisorReport supervisor;
 };
 
-/// Runs the communication study under supervision.
+/// Runs the communication study: one task per bindable service of each
+/// round, one virtual ms per invocation. A service counts as deployed
+/// unless its task ran and deploy() refused it.
 Result<SupervisedCommunicationResult> run_communication_supervised(
     const StudyConfig& config, const SupervisedOptions& options);
 

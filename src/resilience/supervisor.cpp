@@ -303,6 +303,34 @@ Result<SupervisorReport> supervise(const CampaignTasks& tasks, const SupervisorO
   return report;
 }
 
+std::vector<const JournalEntry*> resumed_records(const CampaignTasks& tasks,
+                                                 const Journal* resume) {
+  std::vector<const JournalEntry*> entries;
+  if (resume == nullptr || resume->campaign != tasks.campaign ||
+      resume->config_json != tasks.config_json || resume->tasks != tasks.ids.size()) {
+    return entries;
+  }
+  for (const JournalEntry& entry : resume->entries) {
+    if (entry.state == JournalState::kCompleted && entry.task < tasks.ids.size() &&
+        tasks.ids[entry.task] == entry.id) {
+      entries.push_back(&entry);
+    }
+  }
+  return entries;
+}
+
+std::string coverage_gap(const SupervisorReport& report) {
+  for (const TaskOutcome& outcome : report.tasks) {
+    if (outcome.state == TaskState::kCompleted) continue;
+    std::string gap = "task '" + outcome.id + "' did not complete: " + to_string(outcome.state);
+    if (outcome.state == TaskState::kQuarantined) {
+      gap += " after " + std::to_string(outcome.attempts) + " attempt(s): " + outcome.reason;
+    }
+    return gap;
+  }
+  return {};
+}
+
 std::string supervisor_json(const SupervisorReport& report) {
   json::ArrayWriter quarantine;
   for (const TaskOutcome& outcome : report.tasks) {

@@ -137,6 +137,30 @@ struct SupervisorReport {
 /// prefix (resume mismatches, unwritable checkpoint files).
 Result<SupervisorReport> supervise(const CampaignTasks& tasks, const SupervisorOptions& options);
 
+/// The completed entries of `resume` (null = none) whose records a campaign
+/// decodes before it runs, so an unusable journal fails before it is
+/// appended to. Only a journal whose header matches `tasks` contributes,
+/// and only entries whose index and id match a task; supervise() refuses
+/// the rest.
+std::vector<const JournalEntry*> resumed_records(const CampaignTasks& tasks,
+                                                 const Journal* resume);
+
+/// Why a run that must cover every task falls short: names the first task
+/// that did not complete and why; "" when every task completed.
+std::string coverage_gap(const SupervisorReport& report);
+
+/// Unwraps a supervised run that must cover every task, as the plain
+/// campaign entry points do: throws std::runtime_error when the run failed
+/// or a task did not complete, naming the task. Never returns a partial
+/// result.
+template <typename Supervised>
+Supervised require_complete(Result<Supervised> run) {
+  if (!run.ok()) throw std::runtime_error(run.error().message);
+  const std::string gap = coverage_gap(run->supervisor);
+  if (!gap.empty()) throw std::runtime_error(gap);
+  return std::move(run).value();
+}
+
 /// The supervisor section appended to every supervised campaign report:
 /// degradation mark, coverage counters, and the quarantine list. Stable
 /// field order; deterministic given the same resume state.

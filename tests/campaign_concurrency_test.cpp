@@ -1,0 +1,105 @@
+// campaign_concurrency_test — the per-service task engine with live
+// observability sinks on the workers. Deploy, describe, the client tests
+// and chaos chains run on pool threads and update the shared obs::Registry
+// from there; the fold builds the span tree on the calling thread. Under
+// ThreadSanitizer (the `tsan` preset runs this binary) these are the cases
+// that would see a race; everywhere they pin that jobs 8 with both sinks
+// attached exports exactly what jobs 1 does.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+
+#include "chaos/campaign.hpp"
+#include "interop/report_formats.hpp"
+#include "interop/study.hpp"
+#include "obs/clock.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+
+namespace wsx {
+namespace {
+
+/// A few services per bucket: TSan multiplies the cost of every run.
+void tiny_specs(catalog::JavaCatalogSpec& java, catalog::DotNetCatalogSpec& dotnet) {
+  java.plain_beans = 6;
+  java.throwable_clean = 1;
+  java.throwable_raw = 1;
+  java.raw_generic_beans = 1;
+  java.anytype_array_beans = 1;
+  java.no_default_ctor = 1;
+  java.abstract_classes = 1;
+  java.interfaces = 1;
+  java.generic_types = 1;
+  dotnet.plain_types = 6;
+  dotnet.dataset_plain = 1;
+  dotnet.deep_nesting_clean = 1;
+  dotnet.deep_nesting_pathological = 1;
+  dotnet.non_serializable = 1;
+  dotnet.no_default_ctor = 1;
+  dotnet.generic_types = 1;
+  dotnet.abstract_classes = 1;
+  dotnet.interfaces = 1;
+}
+
+/// Deterministic metric export, span shape and report of one run.
+struct SinkedRun {
+  std::string metrics;
+  std::string shape;
+  std::string report;
+
+  bool operator==(const SinkedRun&) const = default;
+};
+
+SinkedRun study_with_sinks(bool cache, std::size_t jobs) {
+  const obs::FixedClock frozen;
+  obs::Tracer tracer(&frozen);
+  obs::Registry registry(&frozen);
+  interop::StudyConfig config;
+  tiny_specs(config.java_spec, config.dotnet_spec);
+  config.parse_cache = cache;
+  config.threads = jobs;
+  config.tracer = &tracer;
+  config.metrics = &registry;
+  const interop::StudyResult result = interop::run_study(config);
+  return {registry.to_json(obs::Export::kDeterministic), tracer.shape(),
+          interop::fig4_csv(result) + interop::table3_csv(result)};
+}
+
+SinkedRun chaos_with_sinks(bool cache, std::size_t jobs) {
+  const obs::FixedClock frozen;
+  obs::Tracer tracer(&frozen);
+  obs::Registry registry(&frozen);
+  chaos::ChaosConfig config;
+  tiny_specs(config.java_spec, config.dotnet_spec);
+  config.plan.seed = 7;
+  config.calls_per_pair = 2;
+  config.parse_cache = cache;
+  config.jobs = jobs;
+  config.tracer = &tracer;
+  config.metrics = &registry;
+  const chaos::ChaosResult result = chaos::run_chaos_study(config);
+  return {registry.to_json(obs::Export::kDeterministic), tracer.shape(),
+          chaos::chaos_csv(result)};
+}
+
+TEST(CampaignConcurrency, StudyWithLiveSinksMatchesJobs1) {
+  for (const bool cache : {true, false}) {
+    const SinkedRun serial = study_with_sinks(cache, 1);
+    EXPECT_EQ(study_with_sinks(cache, 8), serial) << "cache=" << cache;
+    EXPECT_NE(serial.metrics.find("study.step.deploy_us"), std::string::npos);
+    EXPECT_NE(serial.shape.find("phase:testing"), std::string::npos);
+  }
+}
+
+TEST(CampaignConcurrency, ChaosWithLiveSinksMatchesJobs1) {
+  for (const bool cache : {true, false}) {
+    const SinkedRun serial = chaos_with_sinks(cache, 1);
+    EXPECT_EQ(chaos_with_sinks(cache, 8), serial) << "cache=" << cache;
+    EXPECT_NE(serial.metrics.find("chaos.calls_total"), std::string::npos);
+    EXPECT_NE(serial.shape.find("round:"), std::string::npos);
+  }
+}
+
+}  // namespace
+}  // namespace wsx

@@ -4,6 +4,8 @@
 // §3 derives from the paper — any policy regression fails exactly one cell.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "frameworks/registry.hpp"
 #include "test_helpers.hpp"
 #include "wsdl/writer.hpp"
@@ -21,6 +23,11 @@ struct FeatureCase {
   void (*inject)(wsdl::Definitions&);
   const char* expected;  // 11 chars
 };
+
+/// Prints a case as its name, so the parameter text gtest (and ctest's
+/// discovered test names) shows is stable across builds instead of the
+/// struct's raw pointer bytes.
+void PrintTo(const FeatureCase& feature, std::ostream* out) { *out << feature.name; }
 
 void foreign_type_ref(wsdl::Definitions& defs) {
   xsd::ElementDecl bad;

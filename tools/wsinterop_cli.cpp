@@ -253,9 +253,10 @@ struct ObsSinks {
 };
 
 /// The resilience supervisor flags shared by the supervised campaign verbs
-/// (run, communicate, chaos, lint --corpus). Any one of them switches the
-/// verb onto the supervised execution path; verbs without a supervised path
-/// never consume them, so they fall through to the usage error there.
+/// (run, communicate, chaos, propcheck, lint --corpus, predict --corpus).
+/// Any one of them makes the verb report the supervisor's coverage after
+/// its result; verbs without a supervisor never consume them, so they fall
+/// through to the usage error there.
 struct ResilienceFlags {
   resilience::JournalOptions journal;
   std::string checkpoint_path;
@@ -264,6 +265,17 @@ struct ResilienceFlags {
   bool bad = false;   ///< ...but its value was missing or malformed
 
   bool enabled() const { return any; }
+
+  /// The engine options these flags ask for; callers whose options carry
+  /// the worker count set it themselves.
+  template <typename Options>
+  Options options() const {
+    Options out;
+    out.journal = journal;
+    out.checkpoint_path = checkpoint_path;
+    out.trip_after_tasks = trip_after_tasks;
+    return out;
+  }
 
   /// Consumes one resilience flag at args[i]; returns true and advances i
   /// when the argument was one of ours (check `bad` afterwards).
@@ -314,6 +326,22 @@ struct ResilienceFlags {
     return false;
   }
 };
+
+/// Checks a campaign verb's one engine call. A failed run, or a run without
+/// resilience flags that left a task uncompleted (a plain run promises full
+/// coverage), prints the error and returns false.
+template <typename Supervised>
+bool engine_ok(const Result<Supervised>& run, const ResilienceFlags& res) {
+  std::string error;
+  if (!run.ok()) {
+    error = run.error().message;
+  } else if (!res.enabled()) {
+    error = resilience::coverage_gap(run->supervisor);
+  }
+  if (error.empty()) return true;
+  std::cerr << "wsinterop: " << error << "\n";
+  return false;
+}
 
 /// Appends the supervisor section to a supervised campaign's report and
 /// maps the outcome to the process exit code: 75 (EX_TEMPFAIL) when the
@@ -424,37 +452,21 @@ int cmd_run(const std::vector<std::string>& args) {
   }
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  interop::StudyResult result;
-  resilience::SupervisorReport supervisor;
-  if (res.enabled()) {
-    interop::SupervisedOptions sup;
-    sup.journal = res.journal;
-    sup.jobs = config.threads;
-    sup.checkpoint_path = res.checkpoint_path;
-    sup.trip_after_tasks = res.trip_after_tasks;
-    Result<interop::SupervisedStudyResult> supervised =
-        interop::run_study_supervised(config, sup);
-    if (!supervised.ok()) {
-      std::cerr << "wsinterop: " << supervised.error().message << "\n";
-      return 1;
-    }
-    result = std::move(supervised.value().study);
-    supervisor = std::move(supervised.value().supervisor);
-  } else {
-    result = interop::run_study(config);
-  }
-  if (!sinks.flush()) return 1;
+  auto options = res.options<interop::SupervisedOptions>();
+  options.jobs = config.threads;
+  const Result<interop::SupervisedStudyResult> run =
+      interop::run_study_supervised(config, options);
+  if (!engine_ok(run, res) || !sinks.flush()) return 1;
   if (!snapshot_path.empty()) {
     std::ofstream snapshot(snapshot_path);
     if (!snapshot) {
       std::cerr << "wsinterop: cannot open snapshot file " << snapshot_path << "\n";
       return 1;
     }
-    snapshot << interop::to_snapshot_csv(result);
+    snapshot << interop::to_snapshot_csv(run->study);
   }
-  print_study(result, format);
-  if (res.enabled()) return finish_supervised(supervisor, format, 0);
-  return 0;
+  print_study(run->study, format);
+  return res.enabled() ? finish_supervised(run->supervisor, format, 0) : 0;
 }
 
 /// Options shared by file and corpus lint modes.
@@ -546,12 +558,8 @@ int cmd_lint(const std::vector<std::string>& args) {
     corpus.metrics = sinks.metrics_or_null();
     analysis::CorpusReport report;
     if (res.enabled()) {
-      analysis::SupervisedCorpusOptions sup;
-      sup.journal = res.journal;
-      sup.checkpoint_path = res.checkpoint_path;
-      sup.trip_after_tasks = res.trip_after_tasks;
-      Result<analysis::SupervisedCorpusResult> supervised =
-          analysis::analyze_corpus_supervised(corpus, sup);
+      Result<analysis::SupervisedCorpusResult> supervised = analysis::analyze_corpus_supervised(
+          corpus, res.options<analysis::SupervisedCorpusOptions>());
       if (!supervised.ok()) {
         std::cerr << "wsinterop: " << supervised.error().message << "\n";
         return 1;
@@ -748,26 +756,13 @@ int cmd_communicate(const std::vector<std::string>& args) {
   }
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  if (res.enabled()) {
-    interop::SupervisedOptions sup;
-    sup.journal = res.journal;
-    sup.jobs = config.threads;
-    sup.checkpoint_path = res.checkpoint_path;
-    sup.trip_after_tasks = res.trip_after_tasks;
-    Result<interop::SupervisedCommunicationResult> supervised =
-        interop::run_communication_supervised(config, sup);
-    if (!supervised.ok()) {
-      std::cerr << "wsinterop: " << supervised.error().message << "\n";
-      return 1;
-    }
-    if (!sinks.flush()) return 1;
-    std::cout << interop::format_communication(supervised.value().communication);
-    return finish_supervised(supervised.value().supervisor, "text", 0);
-  }
-  const interop::CommunicationResult result = interop::run_communication_study(config);
-  if (!sinks.flush()) return 1;
-  std::cout << interop::format_communication(result);
-  return 0;
+  auto options = res.options<interop::SupervisedOptions>();
+  options.jobs = config.threads;
+  const Result<interop::SupervisedCommunicationResult> run =
+      interop::run_communication_supervised(config, options);
+  if (!engine_ok(run, res) || !sinks.flush()) return 1;
+  std::cout << interop::format_communication(run->communication);
+  return res.enabled() ? finish_supervised(run->supervisor, "text", 0) : 0;
 }
 
 /// Renders a (possibly supervised) chaos result in the requested format;
@@ -854,24 +849,12 @@ int cmd_chaos(const std::vector<std::string>& args) {
   }
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  if (res.enabled()) {
-    chaos::SupervisedChaosOptions sup;
-    sup.journal = res.journal;
-    sup.checkpoint_path = res.checkpoint_path;
-    sup.trip_after_tasks = res.trip_after_tasks;
-    Result<chaos::SupervisedChaosResult> supervised = chaos::run_chaos_supervised(config, sup);
-    if (!supervised.ok()) {
-      std::cerr << "wsinterop: " << supervised.error().message << "\n";
-      return 1;
-    }
-    if (!sinks.flush()) return 1;
-    const int rc = print_chaos(supervised.value().chaos, format, csv_path);
-    if (rc != 0) return rc;
-    return finish_supervised(supervised.value().supervisor, format, 0);
-  }
-  const chaos::ChaosResult result = chaos::run_chaos_study(config);
-  if (!sinks.flush()) return 1;
-  return print_chaos(result, format, csv_path);
+  const Result<chaos::SupervisedChaosResult> run =
+      chaos::run_chaos_supervised(config, res.options<chaos::SupervisedChaosOptions>());
+  if (!engine_ok(run, res) || !sinks.flush()) return 1;
+  const int rc = print_chaos(run->chaos, format, csv_path);
+  if (rc != 0 || !res.enabled()) return rc;
+  return finish_supervised(run->supervisor, format, 0);
 }
 
 /// Prints the propcheck matrix (or its canonical JSON) and turns property
@@ -945,24 +928,12 @@ int cmd_propcheck(const std::vector<std::string>& args) {
   if (with_shrink) config.shrink = true;
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  if (res.enabled()) {
-    gen::SupervisedGenOptions sup;
-    sup.journal = res.journal;
-    sup.checkpoint_path = res.checkpoint_path;
-    sup.trip_after_tasks = res.trip_after_tasks;
-    Result<gen::SupervisedGenResult> supervised = gen::run_propcheck_supervised(config, sup);
-    if (!supervised.ok()) {
-      std::cerr << "wsinterop: " << supervised.error().message << "\n";
-      return 1;
-    }
-    if (!sinks.flush()) return 1;
-    const int rc = print_propcheck(supervised.value().propcheck, format, with_shrink);
-    if (rc == 2) return rc;
-    return finish_supervised(supervised.value().supervisor, format, rc);
-  }
-  const gen::PropcheckResult result = gen::run_propcheck(config);
-  if (!sinks.flush()) return 1;
-  return print_propcheck(result, format, with_shrink);
+  const Result<gen::SupervisedGenResult> run =
+      gen::run_propcheck_supervised(config, res.options<gen::SupervisedGenOptions>());
+  if (!engine_ok(run, res) || !sinks.flush()) return 1;
+  const int rc = print_propcheck(run->propcheck, format, with_shrink);
+  if (rc == 2 || !res.enabled()) return rc;
+  return finish_supervised(run->supervisor, format, rc);
 }
 
 /// `wsinterop predict SERVER TYPE` — single-service static prediction; or
@@ -1061,12 +1032,9 @@ int cmd_predict(const std::vector<std::string>& args) {
   analysis::predict::PredictReport report;
   resilience::SupervisorReport supervisor;
   if (res.enabled()) {
-    analysis::predict::SupervisedPredictOptions sup;
-    sup.journal = res.journal;
-    sup.checkpoint_path = res.checkpoint_path;
-    sup.trip_after_tasks = res.trip_after_tasks;
     Result<analysis::predict::SupervisedPredictResult> supervised =
-        analysis::predict::predict_corpus_supervised(options, sup);
+        analysis::predict::predict_corpus_supervised(
+            options, res.options<analysis::predict::SupervisedPredictOptions>());
     if (!supervised.ok()) {
       std::cerr << "wsinterop: " << supervised.error().message << "\n";
       return 1;
@@ -1247,6 +1215,19 @@ int cmd_profile(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The engine options a resumed campaign runs under: the journal's own
+/// supervisor knobs, checkpointing on into the same file.
+template <typename Options>
+Options resume_options(const resilience::Journal& journal, const std::string& path,
+                       std::size_t trip_after_tasks) {
+  Options options;
+  options.journal = journal.options;
+  options.checkpoint_path = path;
+  options.resume = &journal;
+  options.trip_after_tasks = trip_after_tasks;
+  return options;
+}
+
 /// `wsinterop resume JOURNAL` — finishes an interrupted supervised campaign.
 /// The campaign config and the deterministic supervisor knobs come from the
 /// journal header (a fingerprint mismatch is impossible by construction);
@@ -1312,12 +1293,8 @@ int cmd_resume(const std::vector<std::string>& args) {
     config->threads = jobs;
     config->tracer = sinks.tracer_or_null();
     config->metrics = sinks.metrics_or_null();
-    interop::SupervisedOptions sup;
-    sup.journal = journal.options;
+    auto sup = resume_options<interop::SupervisedOptions>(journal, journal_path, trip);
     sup.jobs = jobs;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
     Result<interop::SupervisedStudyResult> result = interop::run_study_supervised(*config, sup);
     if (!result.ok()) return fail(result.error());
     if (!sinks.flush()) return 1;
@@ -1331,12 +1308,8 @@ int cmd_resume(const std::vector<std::string>& args) {
     config->threads = jobs;
     config->tracer = sinks.tracer_or_null();
     config->metrics = sinks.metrics_or_null();
-    interop::SupervisedOptions sup;
-    sup.journal = journal.options;
+    auto sup = resume_options<interop::SupervisedOptions>(journal, journal_path, trip);
     sup.jobs = jobs;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
     Result<interop::SupervisedCommunicationResult> result =
         interop::run_communication_supervised(*config, sup);
     if (!result.ok()) return fail(result.error());
@@ -1350,11 +1323,7 @@ int cmd_resume(const std::vector<std::string>& args) {
     config->jobs = jobs;
     config->tracer = sinks.tracer_or_null();
     config->metrics = sinks.metrics_or_null();
-    chaos::SupervisedChaosOptions sup;
-    sup.journal = journal.options;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
+    auto sup = resume_options<chaos::SupervisedChaosOptions>(journal, journal_path, trip);
     Result<chaos::SupervisedChaosResult> result = chaos::run_chaos_supervised(*config, sup);
     if (!result.ok()) return fail(result.error());
     if (!sinks.flush()) return 1;
@@ -1368,11 +1337,7 @@ int cmd_resume(const std::vector<std::string>& args) {
     config->jobs = jobs;
     config->tracer = sinks.tracer_or_null();
     config->metrics = sinks.metrics_or_null();
-    gen::SupervisedGenOptions sup;
-    sup.journal = journal.options;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
+    auto sup = resume_options<gen::SupervisedGenOptions>(journal, journal_path, trip);
     Result<gen::SupervisedGenResult> result = gen::run_propcheck_supervised(*config, sup);
     if (!result.ok()) return fail(result.error());
     if (!sinks.flush()) return 1;
@@ -1387,11 +1352,7 @@ int cmd_resume(const std::vector<std::string>& args) {
     options->jobs = jobs;
     options->tracer = sinks.tracer_or_null();
     options->metrics = sinks.metrics_or_null();
-    analysis::SupervisedCorpusOptions sup;
-    sup.journal = journal.options;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
+    auto sup = resume_options<analysis::SupervisedCorpusOptions>(journal, journal_path, trip);
     Result<analysis::SupervisedCorpusResult> result =
         analysis::analyze_corpus_supervised(*options, sup);
     if (!result.ok()) return fail(result.error());
@@ -1407,11 +1368,8 @@ int cmd_resume(const std::vector<std::string>& args) {
     options->study_threads = jobs;
     options->tracer = sinks.tracer_or_null();
     options->metrics = sinks.metrics_or_null();
-    analysis::predict::SupervisedPredictOptions sup;
-    sup.journal = journal.options;
-    sup.checkpoint_path = journal_path;
-    sup.resume = &journal;
-    sup.trip_after_tasks = trip;
+    auto sup = resume_options<analysis::predict::SupervisedPredictOptions>(journal,
+                                                                          journal_path, trip);
     Result<analysis::predict::SupervisedPredictResult> result =
         analysis::predict::predict_corpus_supervised(*options, sup);
     if (!result.ok()) return fail(result.error());
