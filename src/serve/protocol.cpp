@@ -202,8 +202,8 @@ Result<bool> FrameReader::next(std::string& payload) {
   }
   std::size_t length = 0;
   for (const char c : digits) {
-    if (length > (1u << 26)) return fail("bad-frame", "frame length too large");
     length = length * 10 + static_cast<std::size_t>(c - '0');
+    if (length > kMaxFrameBytes) return fail("bad-frame", "frame length too large");
   }
   // Complete frame = header line + payload + trailing '\n'.
   if (rest.size() < newline + 1 + length + 1) return false;

@@ -76,6 +76,10 @@ Result<Response> decode_response(std::string_view payload);
 /// Wraps a payload into one frame: "#<len>\n<payload>\n".
 std::string frame(std::string_view payload);
 
+/// Largest payload a frame header may announce (64 MiB). A larger length is
+/// a bad frame, rejected before any of its payload is buffered.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
+
 /// Incremental frame extractor over any byte stream. feed() appends bytes;
 /// next() yields complete payloads in arrival order.
 class FrameReader {

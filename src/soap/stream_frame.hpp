@@ -23,12 +23,6 @@
 
 namespace wsx::soap::detail {
 
-/// Local part of a lexical name, mirroring Element::local_name().
-inline std::string_view local_of(std::string_view lexical) {
-  const std::size_t colon = lexical.find(':');
-  return colon == std::string_view::npos ? lexical : lexical.substr(colon + 1);
-}
-
 /// What one streaming pass over an envelope learns about its frame.
 struct EnvelopeFrame {
   /// Root name + attributes only — enough for NamespaceScope resolution of
@@ -58,26 +52,15 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
   EnvelopeFrame frame;
 
   // Prolog + misc, then the root start tag.
-  for (;;) {
-    const xml::pull::Token& token = tok.next();
-    if (token.kind == xml::pull::TokenKind::kStartElement) {
-      frame.root_probe = xml::Element{std::string(token.name)};
-      if (token.attr_count > 0) {
-        frame.root_probe.attributes().reserve(token.attr_count);
-        for (std::size_t i = 0; i < token.attr_count; ++i) {
-          frame.root_probe.attributes().push_back(
-              xml::Attribute{std::string(token.attrs[i].name),
-                             std::string(token.attrs[i].value)});
-        }
-      }
-      break;
+  const xml::pull::Token* root = xml::pull::next_root(tok);
+  if (root == nullptr) return tok.error();
+  frame.root_probe = xml::Element{std::string(root->name)};
+  if (root->attr_count > 0) {
+    frame.root_probe.attributes().reserve(root->attr_count);
+    for (std::size_t i = 0; i < root->attr_count; ++i) {
+      frame.root_probe.attributes().push_back(
+          xml::Attribute{std::string(root->attrs[i].name), std::string(root->attrs[i].value)});
     }
-    if (token.kind == xml::pull::TokenKind::kError ||
-        token.kind == xml::pull::TokenKind::kNeedMore ||
-        token.kind == xml::pull::TokenKind::kEndDocument) {
-      return tok.error();
-    }
-    // kStartDocument / kComment / kPi: not part of the frame.
   }
 
   bool have_header = false;
@@ -86,7 +69,7 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
     const xml::pull::Token& token = tok.next();
     switch (token.kind) {
       case xml::pull::TokenKind::kStartElement: {
-        const std::string_view local = local_of(token.name);
+        const std::string_view local = xml::local_part(token.name);
         if (local == "Header" && !have_header) {
           have_header = true;
           if (Result<bool> walked = [&]() -> Result<bool> {
@@ -114,7 +97,7 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
                 Result<bool> consumed = [&]() -> Result<bool> {
                   if (frame.have_payload) return xml::pull::skip_element(tok, child);
                   frame.have_payload = true;
-                  frame.payload_local = std::string(local_of(child.name));
+                  frame.payload_local = std::string(xml::local_part(child.name));
                   return on_payload(tok, child);
                 }();
                 if (!consumed.ok()) return consumed.error();

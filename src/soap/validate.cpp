@@ -126,7 +126,7 @@ Result<std::vector<ValidationIssue>> validate_request_text(const wsdl::Definitio
           const xml::pull::Token& token = t.next();
           switch (token.kind) {
             case xml::pull::TokenKind::kStartElement:
-              if (depth == 1) child_names.push_back(std::string(detail::local_of(token.name)));
+              if (depth == 1) child_names.push_back(std::string(xml::local_part(token.name)));
               ++depth;
               break;
             case xml::pull::TokenKind::kEndElement:

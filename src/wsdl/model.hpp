@@ -138,6 +138,10 @@ struct Definitions {
 
   /// Total operation count across all portTypes.
   std::size_t operation_count() const;
+
+  /// Every field, source_locations included; extension elements compare
+  /// as DOM trees do, without their source positions.
+  friend bool operator==(const Definitions&, const Definitions&) = default;
 };
 
 }  // namespace wsx::wsdl

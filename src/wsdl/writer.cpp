@@ -7,152 +7,183 @@ namespace {
 
 class WsdlWriter {
  public:
-  WsdlWriter(const Definitions& definitions, const WsdlWriteOptions& options)
-      : defs_(definitions), options_(options) {}
+  WsdlWriter(xml::Emitter& out, const Definitions& definitions, const WsdlWriteOptions& options)
+      : out_(out), defs_(definitions), options_(options) {
+    lexical_.reserve(64);
+  }
 
-  xml::Element build() {
-    xml::Element root{options_.wsdl_prefix + ":definitions"};
+  void write() {
+    out_.start(options_.wsdl_prefix, "definitions");
+    // A parsed model's extra_namespaces repeat the writer's own prefixes;
+    // those replace the declarations in place rather than repeat them.
+    xml::AttributeList root;
     root.declare_namespace(options_.wsdl_prefix, xml::ns::kWsdl);
     root.declare_namespace(options_.soap_prefix, xml::ns::kWsdlSoap);
     root.declare_namespace(options_.schema_prefix, xml::ns::kXsd);
     root.declare_namespace(options_.target_prefix, defs_.target_namespace);
-    for (const auto& [prefix, uri] : defs_.extra_namespaces) {
-      root.declare_namespace(prefix, uri);
-    }
-    if (!defs_.name.empty()) root.set_attribute("name", defs_.name);
-    root.set_attribute("targetNamespace", defs_.target_namespace);
+    for (const auto& [prefix, uri] : defs_.extra_namespaces) root.declare_namespace(prefix, uri);
+    if (!defs_.name.empty()) root.set("name", defs_.name);
+    root.set("targetNamespace", defs_.target_namespace);
+    root.write(out_);
 
     if (!defs_.documentation.empty()) {
-      root.add_element(wsdl("documentation")).add_text(defs_.documentation);
+      wsdl("documentation");
+      out_.text(defs_.documentation);
+      out_.end();
     }
     for (const WsdlImport& import : defs_.imports) {
-      xml::Element& node = root.add_element(wsdl("import"));
-      node.set_attribute("namespace", import.namespace_uri);
-      if (!import.location.empty()) node.set_attribute("location", import.location);
+      wsdl("import");
+      out_.attr("namespace", import.namespace_uri);
+      if (!import.location.empty()) out_.attr("location", import.location);
+      out_.end();
     }
-    for (const xml::Element& extension : defs_.extension_elements) {
-      root.add_child(extension);
-    }
+    for (const xml::Element& extension : defs_.extension_elements) out_.element(extension);
     if (!defs_.schemas.empty()) {
-      xml::Element& types = root.add_element(wsdl("types"));
+      wsdl("types");
       xsd::SchemaWriteOptions schema_options;
       schema_options.schema_prefix = options_.schema_prefix;
       schema_options.target_prefix = options_.target_prefix;
-      for (const xsd::Schema& schema : defs_.schemas) {
-        types.add_child(xsd::to_xml(schema, schema_options));
-      }
+      for (const xsd::Schema& schema : defs_.schemas) xsd::write(out_, schema, schema_options);
+      out_.end();
     }
-    for (const Message& message : defs_.messages) write_message(root, message);
-    for (const PortType& port_type : defs_.port_types) write_port_type(root, port_type);
-    for (const Binding& binding : defs_.bindings) write_binding(root, binding);
-    for (const Service& service : defs_.services) write_service(root, service);
-    return root;
+    for (const Message& message : defs_.messages) write_message(message);
+    for (const PortType& port_type : defs_.port_types) write_port_type(port_type);
+    for (const Binding& binding : defs_.bindings) write_binding(binding);
+    for (const Service& service : defs_.services) write_service(service);
+    out_.end();
   }
 
  private:
-  std::string wsdl(std::string_view local) const {
-    return options_.wsdl_prefix + ":" + std::string(local);
-  }
-  std::string soap(std::string_view local) const {
-    return options_.soap_prefix + ":" + std::string(local);
-  }
+  void wsdl(std::string_view local) { out_.start(options_.wsdl_prefix, local); }
+  void soap(std::string_view local) { out_.start(options_.soap_prefix, local); }
 
-  std::string qname_ref(const xml::QName& name) const {
+  /// Writes `name="value"` for a QName using the writer's prefix
+  /// conventions.
+  void qname_attr(std::string_view attr, const xml::QName& name) {
+    lexical_.clear();
     if (name.namespace_uri() == defs_.target_namespace) {
-      return options_.target_prefix + ":" + name.local_name();
+      lexical_.append(options_.target_prefix).append(":").append(name.local_name());
+    } else if (name.namespace_uri() == xml::ns::kXsd) {
+      lexical_.append(options_.schema_prefix).append(":").append(name.local_name());
+    } else if (name.prefix().empty()) {
+      lexical_.append(name.local_name());
+    } else {
+      lexical_.append(name.prefix()).append(":").append(name.local_name());
     }
-    if (name.namespace_uri() == xml::ns::kXsd) {
-      return options_.schema_prefix + ":" + name.local_name();
-    }
-    return name.prefix().empty() ? name.local_name() : name.lexical();
+    out_.attr(attr, lexical_);
   }
 
-  void write_message(xml::Element& root, const Message& message) const {
-    xml::Element& node = root.add_element(wsdl("message"));
-    node.set_attribute("name", message.name);
+  /// Writes `message="tns:name"`: messages live in the target namespace.
+  void message_attr(std::string_view message) {
+    lexical_.clear();
+    lexical_.append(options_.target_prefix).append(":").append(message);
+    out_.attr("message", lexical_);
+  }
+
+  void write_message(const Message& message) {
+    wsdl("message");
+    out_.attr("name", message.name);
     for (const Part& part : message.parts) {
-      xml::Element& part_node = node.add_element(wsdl("part"));
-      part_node.set_attribute("name", part.name);
-      if (!part.element.empty()) part_node.set_attribute("element", qname_ref(part.element));
-      if (!part.type.empty()) part_node.set_attribute("type", qname_ref(part.type));
+      wsdl("part");
+      out_.attr("name", part.name);
+      if (!part.element.empty()) qname_attr("element", part.element);
+      if (!part.type.empty()) qname_attr("type", part.type);
+      out_.end();
     }
+    out_.end();
   }
 
-  void write_port_type(xml::Element& root, const PortType& port_type) const {
-    xml::Element& node = root.add_element(wsdl("portType"));
-    node.set_attribute("name", port_type.name);
+  void write_port_type(const PortType& port_type) {
+    wsdl("portType");
+    out_.attr("name", port_type.name);
     for (const Operation& operation : port_type.operations) {
-      xml::Element& op_node = node.add_element(wsdl("operation"));
-      op_node.set_attribute("name", operation.name);
+      wsdl("operation");
+      out_.attr("name", operation.name);
       if (!operation.input_message.empty()) {
-        op_node.add_element(wsdl("input"))
-            .set_attribute("message",
-                           options_.target_prefix + ":" + operation.input_message);
+        wsdl("input");
+        message_attr(operation.input_message);
+        out_.end();
       }
       if (!operation.output_message.empty()) {
-        op_node.add_element(wsdl("output"))
-            .set_attribute("message",
-                           options_.target_prefix + ":" + operation.output_message);
+        wsdl("output");
+        message_attr(operation.output_message);
+        out_.end();
       }
       for (const FaultRef& fault : operation.faults) {
-        xml::Element& fault_node = op_node.add_element(wsdl("fault"));
-        fault_node.set_attribute("name", fault.name);
-        fault_node.set_attribute("message", options_.target_prefix + ":" + fault.message);
+        wsdl("fault");
+        out_.attr("name", fault.name);
+        message_attr(fault.message);
+        out_.end();
       }
+      out_.end();
     }
+    out_.end();
   }
 
-  void write_binding(xml::Element& root, const Binding& binding) const {
-    xml::Element& node = root.add_element(wsdl("binding"));
-    node.set_attribute("name", binding.name);
-    node.set_attribute("type", qname_ref(binding.port_type));
-    xml::Element& soap_binding = node.add_element(soap("binding"));
-    soap_binding.set_attribute("transport", binding.transport);
-    soap_binding.set_attribute("style", to_string(binding.style));
+  void write_binding(const Binding& binding) {
+    wsdl("binding");
+    out_.attr("name", binding.name);
+    qname_attr("type", binding.port_type);
+    soap("binding");
+    out_.attr("transport", binding.transport);
+    out_.attr("style", to_string(binding.style));
+    out_.end();
     for (const BindingOperation& operation : binding.operations) {
-      xml::Element& op_node = node.add_element(wsdl("operation"));
-      op_node.set_attribute("name", operation.name);
-      xml::Element& soap_op = op_node.add_element(soap("operation"));
-      if (operation.has_soap_action) {
-        soap_op.set_attribute("soapAction", operation.soap_action);
+      wsdl("operation");
+      out_.attr("name", operation.name);
+      soap("operation");
+      if (operation.has_soap_action) out_.attr("soapAction", operation.soap_action);
+      out_.end();
+      for (const auto& [direction, use] :
+           {std::pair{"input", operation.input_use}, std::pair{"output", operation.output_use}}) {
+        wsdl(direction);
+        soap("body");
+        out_.attr("use", to_string(use));
+        out_.end();
+        out_.end();
       }
-      xml::Element& input = op_node.add_element(wsdl("input"));
-      input.add_element(soap("body")).set_attribute("use", to_string(operation.input_use));
-      xml::Element& output = op_node.add_element(wsdl("output"));
-      output.add_element(soap("body")).set_attribute("use", to_string(operation.output_use));
       for (const std::string& fault_name : operation.fault_names) {
-        xml::Element& fault_node = op_node.add_element(wsdl("fault"));
-        fault_node.set_attribute("name", fault_name);
-        xml::Element& soap_fault = fault_node.add_element(soap("fault"));
-        soap_fault.set_attribute("name", fault_name);
-        soap_fault.set_attribute("use", "literal");
+        wsdl("fault");
+        out_.attr("name", fault_name);
+        soap("fault");
+        out_.attr("name", fault_name);
+        out_.attr("use", "literal");
+        out_.end();
+        out_.end();
       }
+      out_.end();
     }
+    out_.end();
   }
 
-  void write_service(xml::Element& root, const Service& service) const {
-    xml::Element& node = root.add_element(wsdl("service"));
-    node.set_attribute("name", service.name);
+  void write_service(const Service& service) {
+    wsdl("service");
+    out_.attr("name", service.name);
     for (const Port& port : service.ports) {
-      xml::Element& port_node = node.add_element(wsdl("port"));
-      port_node.set_attribute("name", port.name);
-      port_node.set_attribute("binding", qname_ref(port.binding));
-      port_node.add_element(soap("address")).set_attribute("location", port.location);
+      wsdl("port");
+      out_.attr("name", port.name);
+      qname_attr("binding", port.binding);
+      soap("address");
+      out_.attr("location", port.location);
+      out_.end();
+      out_.end();
     }
+    out_.end();
   }
 
+  xml::Emitter& out_;
   const Definitions& defs_;
   const WsdlWriteOptions& options_;
+  std::string lexical_;  ///< reused for QName attribute values
 };
 
 }  // namespace
 
-xml::Element to_xml(const Definitions& definitions, const WsdlWriteOptions& options) {
-  return WsdlWriter{definitions, options}.build();
-}
-
 std::string to_string(const Definitions& definitions, const WsdlWriteOptions& options) {
-  return xml::write(to_xml(definitions, options));
+  xml::Emitter out;
+  out.declaration();
+  WsdlWriter{out, definitions, options}.write();
+  return out.take();
 }
 
 }  // namespace wsx::wsdl

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "wsdl/model.hpp"
-#include "xml/node.hpp"
 #include "xsd/writer.hpp"
 
 namespace wsx::wsdl {
@@ -17,10 +16,8 @@ struct WsdlWriteOptions {
   std::string schema_prefix = "xs";
 };
 
-/// Builds the wsdl:definitions element for `definitions`.
-xml::Element to_xml(const Definitions& definitions, const WsdlWriteOptions& options = {});
-
-/// Convenience: full document text.
+/// The full document text, written straight from the model (extension
+/// elements, which the model keeps as DOM subtrees, are walked in place).
 std::string to_string(const Definitions& definitions, const WsdlWriteOptions& options = {});
 
 }  // namespace wsx::wsdl

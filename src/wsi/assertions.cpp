@@ -40,22 +40,33 @@ Outcome outcome_for(const std::vector<const analysis::Finding*>& findings) {
   return outcome;
 }
 
+analysis::RuleConfig make_config(bool require_operations) {
+  analysis::RuleConfig config;
+  for (const std::string_view assertion_id : kAssertionIds) {
+    config.only.insert(std::string(rule_id_for(assertion_id)));
+  }
+  if (require_operations) {
+    config.severity_overrides[std::string(kOperationsRule)] = Severity::kError;
+  }
+  return config;
+}
+
+/// The rule selection for a profile, built once per require_operations
+/// value: every deployed service is checked, so per-call setup adds up.
+const analysis::RuleConfig& config_for(const Profile& profile) {
+  static const analysis::RuleConfig kConfigs[] = {make_config(false), make_config(true)};
+  return kConfigs[profile.require_operations ? 1 : 0];
+}
+
 }  // namespace
 
 ComplianceReport check(const wsdl::Definitions& definitions, const Profile& profile) {
   const analysis::RuleRegistry& registry = analysis::RuleRegistry::builtin();
 
-  analysis::RuleConfig config;
-  for (const std::string_view assertion_id : kAssertionIds) {
-    config.only.insert(std::string(rule_id_for(assertion_id)));
-  }
-  if (profile.require_operations) {
-    config.severity_overrides[std::string(kOperationsRule)] = Severity::kError;
-  }
-
   analysis::AnalysisInput input;
   input.definitions = &definitions;
-  const analysis::AnalysisResult analyzed = analysis::analyze(input, config, registry);
+  const analysis::AnalysisResult analyzed =
+      analysis::analyze(input, config_for(profile), registry);
 
   std::vector<AssertionResult> results;
   for (const std::string_view assertion_id : kAssertionIds) {

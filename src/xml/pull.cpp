@@ -637,6 +637,22 @@ Result<bool> drain(Tokenizer& tok) {
   }
 }
 
+const Token* next_root(Tokenizer& tok) {
+  for (;;) {
+    const Token& token = tok.next();
+    switch (token.kind) {
+      case TokenKind::kStartElement:
+        return &token;
+      case TokenKind::kStartDocument:
+      case TokenKind::kComment:
+      case TokenKind::kPi:
+        break;
+      default:  // kError, kNeedMore; kEndDocument cannot precede a root
+        return nullptr;
+    }
+  }
+}
+
 Result<bool> skip_element(Tokenizer& tok, const Token& start) {
   std::size_t open = 1;
   (void)start;  // the start token is already consumed; self-closing starts

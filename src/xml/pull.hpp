@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,14 @@ struct Token {
   std::size_t column = 0;
   std::string_view version;    ///< kStartDocument; empty = no prolog value
   std::string_view encoding;
+
+  /// Value of the start tag's attribute with this lexical name, if present.
+  std::optional<std::string_view> attribute(std::string_view attr_name) const {
+    for (std::size_t i = 0; i < attr_count; ++i) {
+      if (attrs[i].name == attr_name) return attrs[i].value;
+    }
+    return std::nullopt;
+  }
 };
 
 struct TokenizerOptions {
@@ -167,9 +176,39 @@ class Tokenizer {
 /// end-of-document to preserve error parity with the DOM path).
 Result<bool> drain(Tokenizer& tok);
 
+/// Reads past the prolog (declaration, comments, PIs) to the root element:
+/// returns its kStartElement token, or nullptr when the document is
+/// malformed before it or has none (see Tokenizer::error()).
+const Token* next_root(Tokenizer& tok);
+
 /// Consumes the element whose kStartElement token was just returned,
 /// through its matching end tag, without building anything.
 /// Returns the tokenizer's error if the subtree is malformed.
 Result<bool> skip_element(Tokenizer& tok, const Token& start);
+
+/// Walks the content of the element whose kStartElement token was just
+/// returned: calls `on_child(token)` with each child's start tag — it must
+/// consume that child through its end tag (skip_element, collect_element or
+/// a nested for_each_child) — and returns true after the element's end tag.
+/// Character data, comments and PIs are passed over. Returns false when
+/// `on_child` does, or when the tokenizer fails (see Tokenizer::error()).
+template <typename OnChild>
+bool for_each_child(Tokenizer& tok, OnChild&& on_child) {
+  for (;;) {
+    const Token& token = tok.next();
+    switch (token.kind) {
+      case TokenKind::kStartElement:
+        if (!on_child(token)) return false;
+        break;
+      case TokenKind::kEndElement:
+        return true;
+      case TokenKind::kError:
+      case TokenKind::kNeedMore:
+        return false;
+      default:
+        break;
+    }
+  }
+}
 
 }  // namespace wsx::xml::pull

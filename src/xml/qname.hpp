@@ -97,6 +97,18 @@ class QName {
 /// Convenience: QName in the XML Schema namespace (e.g. xsd("string")).
 QName xsd(std::string local_name);
 
+/// Local part of a lexical name: "p:local" → "local", "local" → "local".
+inline std::string_view local_part(std::string_view lexical) {
+  const std::size_t colon = lexical.find(':');
+  return colon == std::string_view::npos ? lexical : lexical.substr(colon + 1);
+}
+
+/// Prefix of a lexical name: "p:local" → "p", "local" → "".
+inline std::string_view prefix_part(std::string_view lexical) {
+  const std::size_t colon = lexical.find(':');
+  return colon == std::string_view::npos ? std::string_view{} : lexical.substr(0, colon);
+}
+
 }  // namespace wsx::xml
 
 template <>

@@ -5,23 +5,39 @@
 namespace wsx::xml {
 
 NamespaceScope::NamespaceScope() {
-  frames_.push_back({{"xml", std::string(ns::kXmlNs)}});
+  // Room for a document root's declarations and a schema's nesting, so a
+  // parse grows neither vector.
+  bindings_.reserve(8);
+  frame_starts_.reserve(16);
+  push_frame();
+  bindings_.push_back({"xml", std::string(ns::kXmlNs)});
+}
+
+void NamespaceScope::declare(std::string_view attr_name, std::string_view value) {
+  if (attr_name == "xmlns") {
+    bindings_.push_back({"", std::string(value)});
+  } else if (starts_with(attr_name, "xmlns:")) {
+    bindings_.push_back({std::string(attr_name.substr(6)), std::string(value)});
+  }
 }
 
 void NamespaceScope::push(const Element& element) {
-  std::vector<Binding> frame;
-  for (const Attribute& attr : element.attributes()) {
-    if (attr.name == "xmlns") {
-      frame.push_back({"", attr.value});
-    } else if (starts_with(attr.name, "xmlns:")) {
-      frame.push_back({attr.name.substr(6), attr.value});
-    }
+  push_frame();
+  for (const Attribute& attr : element.attributes()) declare(attr.name, attr.value);
+}
+
+void NamespaceScope::push(const pull::Token& start_tag) {
+  push_frame();
+  for (std::size_t i = 0; i < start_tag.attr_count; ++i) {
+    declare(start_tag.attrs[i].name, start_tag.attrs[i].value);
   }
-  frames_.push_back(std::move(frame));
 }
 
 void NamespaceScope::pop() {
-  if (frames_.size() > 1) frames_.pop_back();
+  if (frame_starts_.size() <= 1) return;
+  bindings_.erase(bindings_.begin() + static_cast<std::ptrdiff_t>(frame_starts_.back()),
+                  bindings_.end());
+  frame_starts_.pop_back();
 }
 
 std::optional<std::string> NamespaceScope::resolve_prefix(std::string_view prefix) const {
@@ -30,10 +46,13 @@ std::optional<std::string> NamespaceScope::resolve_prefix(std::string_view prefi
 }
 
 const std::string* NamespaceScope::find_prefix(std::string_view prefix) const {
-  for (auto frame = frames_.rbegin(); frame != frames_.rend(); ++frame) {
-    for (const Binding& binding : *frame) {
-      if (binding.prefix == prefix) return &binding.uri;
+  // Innermost frame first; within a frame, the first declaration wins.
+  std::size_t end = bindings_.size();
+  for (auto start = frame_starts_.rbegin(); start != frame_starts_.rend(); ++start) {
+    for (std::size_t i = *start; i < end; ++i) {
+      if (bindings_[i].prefix == prefix) return &bindings_[i].uri;
     }
+    end = *start;
   }
   return nullptr;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "xml/node.hpp"
+#include "xml/pull.hpp"
 #include "xml/qname.hpp"
 
 namespace wsx::xml {
@@ -20,6 +21,8 @@ class NamespaceScope {
 
   /// Pushes the declarations found on `element` (xmlns / xmlns:p attributes).
   void push(const Element& element);
+  /// Pushes the declarations on a start tag read off the token stream.
+  void push(const pull::Token& start_tag);
   void pop();
 
   /// URI bound to `prefix`, or nullopt. The empty prefix looks up the
@@ -42,7 +45,14 @@ class NamespaceScope {
     std::string prefix;
     std::string uri;
   };
-  std::vector<std::vector<Binding>> frames_;
+  void push_frame() { frame_starts_.push_back(bindings_.size()); }
+  void declare(std::string_view attr_name, std::string_view value);
+
+  /// Every frame's bindings, outermost first; frame i starts at
+  /// frame_starts_[i]. One flat vector, so a push without declarations
+  /// allocates nothing.
+  std::vector<Binding> bindings_;
+  std::vector<std::size_t> frame_starts_;
 };
 
 /// Walks the tree depth-first, maintaining a NamespaceScope, and invokes

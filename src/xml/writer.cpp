@@ -45,93 +45,12 @@ void append_escaped(std::string& out, std::string_view text, bool in_attribute) 
   out.append(text, clean_start, text.size() - clean_start);
 }
 
-class Writer {
- public:
-  explicit Writer(const WriteOptions& options) : options_(options) {}
-
-  void write_element(const Element& element, std::size_t depth) {
-    indent(depth);
-    out_ += '<';
-    out_ += element.name();
-    for (const Attribute& attr : element.attributes()) {
-      out_ += ' ';
-      out_ += attr.name;
-      out_ += "=\"";
-      append_escaped(out_, attr.value, /*in_attribute=*/true);
-      out_ += '"';
-    }
-    if (element.children().empty()) {
-      out_ += "/>";
-      newline();
-      return;
-    }
-    out_ += '>';
-
-    const bool text_only = is_text_only(element);
-    if (!text_only) newline();
-    for (const Node& node : element.children()) {
-      if (const Element* child = node.as_element()) {
-        write_element(*child, depth + 1);
-      } else if (const Text* text = std::get_if<Text>(&node)) {
-        if (!text_only) indent(depth + 1);
-        append_escaped(out_, text->value, /*in_attribute=*/false);
-        if (!text_only) newline();
-      } else if (const CData* cdata = std::get_if<CData>(&node)) {
-        if (!text_only) indent(depth + 1);
-        out_ += "<![CDATA[";
-        out_ += cdata->value;
-        out_ += "]]>";
-        if (!text_only) newline();
-      } else if (const Comment* comment = std::get_if<Comment>(&node)) {
-        if (!text_only) indent(depth + 1);
-        out_ += "<!--";
-        out_ += comment->value;
-        out_ += "-->";
-        if (!text_only) newline();
-      }
-    }
-    if (!text_only) indent(depth);
-    out_ += "</";
-    out_ += element.name();
-    out_ += '>';
-    newline();
+bool is_text_only(const Element& element) {
+  for (const Node& node : element.children()) {
+    if (node.is_element() || std::holds_alternative<Comment>(node)) return false;
   }
-
-  std::string take() { return std::move(out_); }
-
-  void write_declaration(const Document& doc) {
-    out_ += "<?xml version=\"";
-    out_ += doc.version;
-    out_ += "\" encoding=\"";
-    out_ += doc.encoding;
-    out_ += "\"?>";
-    newline();
-  }
-
-  void write_default_declaration() {
-    out_ += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    newline();
-  }
-
- private:
-  static bool is_text_only(const Element& element) {
-    for (const Node& node : element.children()) {
-      if (node.is_element() || std::holds_alternative<Comment>(node)) return false;
-    }
-    return true;
-  }
-
-  void indent(std::size_t depth) {
-    if (options_.pretty) out_.append(depth * options_.indent_width, ' ');
-  }
-
-  void newline() {
-    if (options_.pretty) out_ += '\n';
-  }
-
-  const WriteOptions& options_;
-  std::string out_;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -147,18 +66,158 @@ std::string escape_attribute(std::string_view text) {
   return out;
 }
 
+void Emitter::declaration(std::string_view version, std::string_view encoding) {
+  out_ += "<?xml version=\"";
+  out_ += version;
+  out_ += "\" encoding=\"";
+  out_ += encoding;
+  out_ += "\"?>";
+  newline();
+}
+
+void Emitter::open_tag(std::size_t name_size) {
+  if (!open_.empty()) lines();
+  indent(open_.size());
+  out_ += '<';
+  open_.push_back(Open{out_.size(), name_size, Content::kNone});
+}
+
+void Emitter::start(std::string_view name) {
+  open_tag(name.size());
+  out_ += name;
+}
+
+void Emitter::start(std::string_view prefix, std::string_view local) {
+  open_tag(prefix.size() + 1 + local.size());
+  out_ += prefix;
+  out_ += ':';
+  out_ += local;
+}
+
+void Emitter::attr(std::string_view name, std::string_view value) {
+  out_ += ' ';
+  out_ += name;
+  out_ += "=\"";
+  append_escaped(out_, value, /*in_attribute=*/true);
+  out_ += '"';
+}
+
+void Emitter::text(std::string_view value) {
+  const bool own_line = begin_character_data();
+  append_escaped(out_, value, /*in_attribute=*/false);
+  if (own_line) newline();
+}
+
+void Emitter::cdata(std::string_view value) {
+  const bool own_line = begin_character_data();
+  out_ += "<![CDATA[";
+  out_ += value;
+  out_ += "]]>";
+  if (own_line) newline();
+}
+
+bool Emitter::begin_character_data() {
+  Open& top = open_.back();
+  if (top.content == Content::kLines) {
+    indent(open_.size());
+    return true;
+  }
+  if (top.content == Content::kNone) out_ += '>';
+  top.content = Content::kInline;
+  return false;
+}
+
+void Emitter::comment(std::string_view value) {
+  lines();
+  indent(open_.size());
+  out_ += "<!--";
+  out_ += value;
+  out_ += "-->";
+  newline();
+}
+
+void Emitter::lines() {
+  Open& top = open_.back();
+  if (top.content == Content::kLines) return;
+  if (top.content == Content::kNone) out_ += '>';
+  top.content = Content::kLines;
+  newline();
+}
+
+void Emitter::end() {
+  const Open top = open_.back();
+  open_.pop_back();
+  if (top.content == Content::kNone) {
+    out_ += "/>";
+  } else {
+    if (top.content == Content::kLines) indent(open_.size());
+    // The end tag repeats the name already written in the start tag. With
+    // the capacity reserved first, the copy reads from a buffer that the
+    // append cannot move.
+    out_.reserve(out_.size() + top.name_size + 3);
+    out_ += "</";
+    out_.append(out_.data() + top.name_at, top.name_size);
+    out_ += '>';
+  }
+  newline();
+}
+
+void Emitter::element(const Element& element) {
+  start(element.name());
+  for (const Attribute& attribute : element.attributes()) attr(attribute.name, attribute.value);
+  if (!element.children().empty() && !is_text_only(element)) lines();
+  for (const Node& node : element.children()) {
+    if (const Element* child = node.as_element()) {
+      this->element(*child);
+    } else if (const Text* text_node = std::get_if<Text>(&node)) {
+      text(text_node->value);
+    } else if (const CData* cdata_node = std::get_if<CData>(&node)) {
+      cdata(cdata_node->value);
+    } else if (const Comment* comment_node = std::get_if<Comment>(&node)) {
+      comment(comment_node->value);
+    }
+  }
+  end();
+}
+
+void Emitter::indent(std::size_t depth) {
+  if (options_.pretty) out_.append(depth * options_.indent_width, ' ');
+}
+
+void Emitter::newline() {
+  if (options_.pretty) out_ += '\n';
+}
+
+void AttributeList::set(std::string name, std::string_view value) {
+  for (auto& [existing, existing_value] : items_) {
+    if (existing == name) {
+      existing_value = value;
+      return;
+    }
+  }
+  items_.emplace_back(std::move(name), value);
+}
+
+void AttributeList::declare_namespace(std::string_view prefix, std::string_view uri) {
+  set(prefix.empty() ? std::string{"xmlns"} : "xmlns:" + std::string(prefix), uri);
+}
+
+void AttributeList::write(Emitter& out) const {
+  for (const auto& [name, value] : items_) out.attr(name, value);
+}
+
 std::string write(const Element& root, const WriteOptions& options) {
-  Writer writer{options};
-  if (options.xml_declaration) writer.write_default_declaration();
-  writer.write_element(root, 0);
-  return writer.take();
+  Emitter out{options};
+  if (options.xml_declaration) out.declaration();
+  out.element(root);
+  return out.take();
 }
 
 std::string write(const Document& document, const WriteOptions& options) {
-  Writer writer{options};
-  if (options.xml_declaration) writer.write_declaration(document);
-  writer.write_element(document.root, 0);
-  return writer.take();
+  Emitter out{options};
+  if (options.xml_declaration) out.declaration(document.version, document.encoding);
+  out.element(document.root);
+  return out.take();
 }
 
 }  // namespace wsx::xml

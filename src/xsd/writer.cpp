@@ -1,165 +1,189 @@
 #include "xsd/writer.hpp"
 
+#include <charconv>
+
+#include "xml/parser.hpp"
+
 namespace wsx::xsd {
 namespace {
 
 class SchemaWriter {
  public:
-  SchemaWriter(const Schema& schema, const SchemaWriteOptions& options)
-      : schema_(schema), options_(options) {}
+  SchemaWriter(xml::Emitter& out, const Schema& schema, const SchemaWriteOptions& options)
+      : out_(out), schema_(schema), options_(options) {
+    lexical_.reserve(64);
+  }
 
-  xml::Element build() {
-    xml::Element root{options_.schema_prefix + ":schema"};
+  void write() {
+    start("schema");
+    xml::AttributeList root;
     root.declare_namespace(options_.schema_prefix, xml::ns::kXsd);
     if (!schema_.target_namespace.empty()) {
       root.declare_namespace(options_.target_prefix, schema_.target_namespace);
-      root.set_attribute("targetNamespace", schema_.target_namespace);
+      root.set("targetNamespace", schema_.target_namespace);
     }
-    root.set_attribute("elementFormDefault",
-                       schema_.element_form_qualified ? "qualified" : "unqualified");
+    root.set("elementFormDefault", schema_.element_form_qualified ? "qualified" : "unqualified");
+    root.write(out_);
     for (const SchemaImport& import : schema_.imports) {
-      xml::Element& node = root.add_element(prefixed("import"));
-      node.set_attribute("namespace", import.namespace_uri);
-      if (!import.schema_location.empty()) {
-        node.set_attribute("schemaLocation", import.schema_location);
-      }
+      start("import");
+      out_.attr("namespace", import.namespace_uri);
+      if (!import.schema_location.empty()) out_.attr("schemaLocation", import.schema_location);
+      out_.end();
     }
-    for (const ElementDecl& element : schema_.elements) {
-      root.add_child(element_to_xml(element));
-    }
-    for (const ComplexType& type : schema_.complex_types) {
-      root.add_child(complex_type_to_xml(type));
-    }
-    for (const SimpleTypeDecl& type : schema_.simple_types) {
-      root.add_child(simple_type_to_xml(type));
-    }
-    return root;
+    for (const ElementDecl& element : schema_.elements) write_element(element);
+    for (const ComplexType& type : schema_.complex_types) write_complex_type(type);
+    for (const SimpleTypeDecl& type : schema_.simple_types) write_simple_type(type);
+    out_.end();
   }
 
  private:
-  std::string prefixed(std::string_view local) const {
-    return options_.schema_prefix + ":" + std::string(local);
-  }
+  void start(std::string_view local) { out_.start(options_.schema_prefix, local); }
 
-  /// Renders a QName lexically using the writer's prefix conventions.
-  std::string qname_ref(const xml::QName& name) const {
+  /// Writes `name="value"` for a QName using the writer's prefix
+  /// conventions.
+  void qname_attr(std::string_view attr, const xml::QName& name) {
+    lexical_.clear();
     if (name.namespace_uri() == xml::ns::kXsd) {
-      return options_.schema_prefix + ":" + name.local_name();
-    }
-    if (name.namespace_uri() == schema_.target_namespace) {
-      return options_.target_prefix + ":" + name.local_name();
-    }
-    if (name.namespace_uri() == xml::ns::kXmlNs) {
-      return "xml:" + name.local_name();
-    }
-    // Foreign namespace: fall back to the stored prefix. When the model has
-    // none, emit the bare prefixless name — mirroring the under-declared
-    // references real generators produce.
-    return name.prefix().empty() ? name.local_name() : name.lexical();
-  }
-
-  xml::Element element_to_xml(const ElementDecl& element) const {
-    xml::Element node{prefixed("element")};
-    if (element.is_ref()) {
-      node.set_attribute("ref", qname_ref(element.ref));
+      lexical_.append(options_.schema_prefix).append(":").append(name.local_name());
+    } else if (name.namespace_uri() == schema_.target_namespace) {
+      lexical_.append(options_.target_prefix).append(":").append(name.local_name());
+    } else if (name.namespace_uri() == xml::ns::kXmlNs) {
+      lexical_.append("xml:").append(name.local_name());
+    } else if (name.prefix().empty()) {
+      // Foreign namespace without a stored prefix: the bare name, mirroring
+      // the under-declared references real generators produce.
+      lexical_.append(name.local_name());
     } else {
-      node.set_attribute("name", element.name);
-      if (!element.type.empty()) node.set_attribute("type", qname_ref(element.type));
+      lexical_.append(name.prefix()).append(":").append(name.local_name());
     }
-    if (element.min_occurs != 1) {
-      node.set_attribute("minOccurs", std::to_string(element.min_occurs));
-    }
-    if (element.max_occurs == kUnbounded) {
-      node.set_attribute("maxOccurs", "unbounded");
-    } else if (element.max_occurs != 1) {
-      node.set_attribute("maxOccurs", std::to_string(element.max_occurs));
-    }
-    if (element.nillable) node.set_attribute("nillable", "true");
-    if (element.inline_type.has_value()) {
-      node.add_child(complex_type_to_xml(*element.inline_type));
-    }
-    return node;
+    out_.attr(attr, lexical_);
   }
 
-  xml::Element complex_type_to_xml(const ComplexType& type) const {
-    xml::Element node{prefixed("complexType")};
-    if (!type.name.empty()) node.set_attribute("name", type.name);
-    // Derived types wrap their content in complexContent/extension.
-    xml::Element* content_parent = &node;
-    if (type.is_derived()) {
-      xml::Element& complex_content = node.add_element(prefixed("complexContent"));
-      xml::Element& extension = complex_content.add_element(prefixed("extension"));
-      extension.set_attribute("base", qname_ref(type.base));
-      content_parent = &extension;
+  void int_attr(std::string_view attr, int value) {
+    char digits[16];
+    const std::to_chars_result end = std::to_chars(digits, digits + sizeof digits, value);
+    out_.attr(attr, std::string_view(digits, static_cast<std::size_t>(end.ptr - digits)));
+  }
+
+  void occurs_attrs(int min_occurs, int max_occurs) {
+    if (min_occurs != 1) int_attr("minOccurs", min_occurs);
+    if (max_occurs == kUnbounded) {
+      out_.attr("maxOccurs", "unbounded");
+    } else if (max_occurs != 1) {
+      int_attr("maxOccurs", max_occurs);
     }
-    xml::Element& body = *content_parent;
+  }
+
+  void write_element(const ElementDecl& element) {
+    start("element");
+    if (element.is_ref()) {
+      qname_attr("ref", element.ref);
+    } else {
+      out_.attr("name", element.name);
+      if (!element.type.empty()) qname_attr("type", element.type);
+    }
+    occurs_attrs(element.min_occurs, element.max_occurs);
+    if (element.nillable) out_.attr("nillable", "true");
+    if (element.inline_type.has_value()) write_complex_type(*element.inline_type);
+    out_.end();
+  }
+
+  void write_complex_type(const ComplexType& type) {
+    start("complexType");
+    if (!type.name.empty()) out_.attr("name", type.name);
+    // Derived types wrap their content in complexContent/extension.
+    if (type.is_derived()) {
+      start("complexContent");
+      start("extension");
+      qname_attr("base", type.base);
+    }
     if (!type.particles.empty()) {
-      xml::Element& sequence = body.add_element(prefixed("sequence"));
+      start("sequence");
       for (const Particle& particle : type.particles) {
         if (const ElementDecl* element = std::get_if<ElementDecl>(&particle)) {
-          sequence.add_child(element_to_xml(*element));
+          write_element(*element);
         } else if (const AnyParticle* any = std::get_if<AnyParticle>(&particle)) {
-          xml::Element& any_node = sequence.add_element(prefixed("any"));
-          any_node.set_attribute("namespace", any->namespace_constraint);
-          any_node.set_attribute("processContents", any->process_contents);
-          if (any->min_occurs != 1) {
-            any_node.set_attribute("minOccurs", std::to_string(any->min_occurs));
-          }
-          if (any->max_occurs == kUnbounded) {
-            any_node.set_attribute("maxOccurs", "unbounded");
-          } else if (any->max_occurs != 1) {
-            any_node.set_attribute("maxOccurs", std::to_string(any->max_occurs));
-          }
+          start("any");
+          out_.attr("namespace", any->namespace_constraint);
+          out_.attr("processContents", any->process_contents);
+          occurs_attrs(any->min_occurs, any->max_occurs);
+          out_.end();
         }
       }
+      out_.end();
     }
     for (const AttributeDecl& attribute : type.attributes) {
-      xml::Element& attr_node = body.add_element(prefixed("attribute"));
+      start("attribute");
       if (attribute.is_ref()) {
-        attr_node.set_attribute("ref", qname_ref(attribute.ref));
+        qname_attr("ref", attribute.ref);
       } else {
-        attr_node.set_attribute("name", attribute.name);
-        if (!attribute.type.empty()) attr_node.set_attribute("type", qname_ref(attribute.type));
+        out_.attr("name", attribute.name);
+        if (!attribute.type.empty()) qname_attr("type", attribute.type);
       }
-      if (attribute.required) attr_node.set_attribute("use", "required");
+      if (attribute.required) out_.attr("use", "required");
+      out_.end();
     }
     for (const AttributeGroupRef& group : type.attribute_groups) {
-      xml::Element& group_node = body.add_element(prefixed("attributeGroup"));
-      group_node.set_attribute("ref", qname_ref(group.ref));
+      start("attributeGroup");
+      qname_attr("ref", group.ref);
+      out_.end();
     }
-    return node;
+    if (type.is_derived()) {
+      out_.end();  // extension
+      out_.end();  // complexContent
+    }
+    out_.end();
   }
 
-  xml::Element simple_type_to_xml(const SimpleTypeDecl& type) const {
-    xml::Element node{prefixed("simpleType")};
-    if (!type.name.empty()) node.set_attribute("name", type.name);
-    xml::Element& restriction = node.add_element(prefixed("restriction"));
-    restriction.set_attribute("base", qname_ref(type.base));
-    const auto int_facet = [&](const char* facet_name, int value) {
+  void write_simple_type(const SimpleTypeDecl& type) {
+    start("simpleType");
+    if (!type.name.empty()) out_.attr("name", type.name);
+    start("restriction");
+    qname_attr("base", type.base);
+    const auto int_facet = [&](std::string_view facet, int value) {
       if (value < 0) return;
-      restriction.add_element(prefixed(facet_name))
-          .set_attribute("value", std::to_string(value));
+      start(facet);
+      int_attr("value", value);
+      out_.end();
     };
     int_facet("minLength", type.min_length);
     int_facet("maxLength", type.max_length);
     int_facet("totalDigits", type.total_digits);
     if (!type.pattern.empty()) {
-      restriction.add_element(prefixed("pattern")).set_attribute("value", type.pattern);
+      start("pattern");
+      out_.attr("value", type.pattern);
+      out_.end();
     }
     for (const std::string& value : type.enumeration) {
-      restriction.add_element(prefixed("enumeration")).set_attribute("value", value);
+      start("enumeration");
+      out_.attr("value", value);
+      out_.end();
     }
-    return node;
+    out_.end();  // restriction
+    out_.end();
   }
 
+  xml::Emitter& out_;
   const Schema& schema_;
   const SchemaWriteOptions& options_;
+  std::string lexical_;  ///< reused for QName attribute values
 };
 
 }  // namespace
 
+void write(xml::Emitter& out, const Schema& schema, const SchemaWriteOptions& options) {
+  SchemaWriter{out, schema, options}.write();
+}
+
+std::string to_string(const Schema& schema, const SchemaWriteOptions& options) {
+  xml::Emitter out;
+  out.declaration();
+  write(out, schema, options);
+  return out.take();
+}
+
 xml::Element to_xml(const Schema& schema, const SchemaWriteOptions& options) {
-  return SchemaWriter{schema, options}.build();
+  return std::move(xml::parse_element(to_string(schema, options)).value());
 }
 
 }  // namespace wsx::xsd

@@ -1,9 +1,10 @@
-// writer.hpp — serializes a Schema model to an xs:schema XML element.
+// writer.hpp — serializes a Schema model as an xs:schema element.
 #pragma once
 
 #include <string>
 
 #include "xml/node.hpp"
+#include "xml/writer.hpp"
 #include "xsd/model.hpp"
 
 namespace wsx::xsd {
@@ -17,7 +18,14 @@ struct SchemaWriteOptions {
   std::string target_prefix = "tns";
 };
 
-/// Builds the <xs:schema> element (with namespace declarations) for `schema`.
+/// Writes the <xs:schema> element (with namespace declarations) for
+/// `schema` at the emitter's current position.
+void write(xml::Emitter& out, const Schema& schema, const SchemaWriteOptions& options = {});
+
+/// The schema as a standalone document.
+std::string to_string(const Schema& schema, const SchemaWriteOptions& options = {});
+
+/// The schema element as a DOM tree: the parse of to_string().
 xml::Element to_xml(const Schema& schema, const SchemaWriteOptions& options = {});
 
 }  // namespace wsx::xsd

@@ -185,6 +185,21 @@ TEST(ServeProtocol, FrameReaderRejectsMalformedHeaders) {
   FrameReader missing_terminator;
   missing_terminator.feed("#7\n{\"a\":1}X");
   EXPECT_FALSE(missing_terminator.next(payload).ok());
+
+  // One byte over the 64 MiB limit is refused before any payload arrives...
+  FrameReader oversized;
+  oversized.feed("#67108865\n");
+  Result<bool> refused = oversized.next(payload);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, "serve.bad-frame");
+
+  // ...while exactly the limit is a valid header that waits for its payload.
+  FrameReader at_limit;
+  at_limit.feed("#67108864\n");
+  Result<bool> waiting = at_limit.next(payload);
+  ASSERT_TRUE(waiting.ok());
+  EXPECT_FALSE(waiting.value());
+  EXPECT_EQ(at_limit.pending(), 10u);
 }
 
 // ---------------------------------------------------------------- admission

@@ -1,6 +1,8 @@
 // test_helpers.hpp — shared fixtures for the wsinterop test suite.
 #pragma once
 
+#include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -53,6 +55,38 @@ inline frameworks::DeployedService deploy_one(std::string_view server_name,
   const auto server = frameworks::make_server(server_name);
   const catalog::TypeInfo* type = catalog.find(std::string(type_name));
   return std::move(server->deploy(frameworks::ServiceSpec{type}).value());
+}
+
+/// Every description the three servers publish for the paper's
+/// populations scaled to `percent` (as `--scale` scales them), in corpus
+/// order: servers in registry order, types in catalog order.
+inline std::vector<std::string> served_corpus(
+    std::size_t percent, frameworks::ServiceShape shape = frameworks::ServiceShape::kSimpleEcho) {
+  catalog::JavaCatalogSpec java_spec;
+  catalog::DotNetCatalogSpec dotnet_spec;
+  if (percent != 100) {
+    for (std::size_t* value :
+         {&java_spec.plain_beans, &java_spec.throwable_clean, &java_spec.throwable_raw,
+          &java_spec.raw_generic_beans, &java_spec.anytype_array_beans,
+          &java_spec.no_default_ctor, &java_spec.abstract_classes, &java_spec.interfaces,
+          &java_spec.generic_types, &dotnet_spec.plain_types, &dotnet_spec.dataset_plain,
+          &dotnet_spec.deep_nesting_clean, &dotnet_spec.deep_nesting_pathological,
+          &dotnet_spec.non_serializable, &dotnet_spec.no_default_ctor,
+          &dotnet_spec.generic_types, &dotnet_spec.abstract_classes, &dotnet_spec.interfaces}) {
+      *value = std::max<std::size_t>(1, *value * percent / 100);
+    }
+  }
+  const catalog::TypeCatalog java = catalog::make_java_catalog(java_spec);
+  const catalog::TypeCatalog dotnet = catalog::make_dotnet_catalog(dotnet_spec);
+  std::vector<std::string> texts;
+  for (const auto& server : frameworks::make_servers()) {
+    const catalog::TypeCatalog& types = server->language() == "C#" ? dotnet : java;
+    for (const frameworks::ServiceSpec& spec : frameworks::make_services(types, shape)) {
+      Result<frameworks::DeployedService> service = server->deploy(spec);
+      if (service.ok()) texts.push_back(std::move(service->wsdl_text));
+    }
+  }
+  return texts;
 }
 
 /// One deployed service with its parse-once description and its seeded

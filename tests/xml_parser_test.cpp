@@ -151,5 +151,62 @@ TEST(XmlWriter, EscapesAttributeQuotes) {
   EXPECT_EQ(reparsed->attribute("t"), "say \"hi\"");
 }
 
+/// The layout rules of the one serializer, as the DOM writer it replaced
+/// laid them out: mixed content one child per line, character-data-only
+/// content inline, empty elements self-closed, comments on their own line.
+TEST(XmlWriter, LayoutOfMixedContentCdataAndComments) {
+  Element root{"r"};
+  root.set_attribute("a", "1<2");
+  root.add_text("lead & text");
+  Element& child = root.add_element("c");
+  child.add_cdata("raw <cdata>");
+  child.add_text(" tail");
+  root.add_comment(" note ");
+  root.add_element("empty");
+  root.add_element("oc").add_comment("x");
+  Element& texts = root.add_element("t");
+  texts.add_text("one");
+  texts.add_text("");
+  texts.add_cdata("two");
+  root.add_text("trailing");
+  const std::string body =
+      "<r a=\"1&lt;2\">\n"
+      "  lead &amp; text\n"
+      "  <c><![CDATA[raw <cdata>]]> tail</c>\n"
+      "  <!-- note -->\n"
+      "  <empty/>\n"
+      "  <oc>\n"
+      "    <!--x-->\n"
+      "  </oc>\n"
+      "  <t>one<![CDATA[two]]></t>\n"
+      "  trailing\n"
+      "</r>\n";
+  EXPECT_EQ(write(root), "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n" + body);
+
+  WriteOptions compact;
+  compact.pretty = false;
+  EXPECT_EQ(write(root, compact),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><r a=\"1&lt;2\">lead &amp; text"
+            "<c><![CDATA[raw <cdata>]]> tail</c><!-- note --><empty/><oc><!--x--></oc>"
+            "<t>one<![CDATA[two]]></t>trailing</r>");
+
+  WriteOptions wide;
+  wide.indent_width = 4;
+  wide.xml_declaration = false;
+  std::string wide_body;
+  for (std::size_t at = 0, next; at < body.size(); at = next) {
+    next = body.find('\n', at) + 1;
+    const std::size_t spaces = body.find_first_not_of(' ', at) - at;
+    wide_body += std::string(spaces * 2, ' ') + body.substr(at + spaces, next - at - spaces);
+  }
+  EXPECT_EQ(write(root, wide), wide_body);
+
+  Document document;
+  document.version = "1.1";
+  document.encoding = "ISO-8859-1";
+  document.root = root;
+  EXPECT_EQ(write(document), "<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?>\n" + body);
+}
+
 }  // namespace
 }  // namespace wsx::xml

@@ -1,8 +1,6 @@
 // Unit tests for the XSD model, writer and reader (src/xsd/).
 #include <gtest/gtest.h>
 
-#include "xml/parser.hpp"
-#include "xml/writer.hpp"
 #include "xsd/builtin.hpp"
 #include "xsd/reader.hpp"
 #include "xsd/writer.hpp"
@@ -114,11 +112,7 @@ Schema make_schema() {
 
 TEST(WriterReader, RoundTripsSchema) {
   const Schema original = make_schema();
-  const xml::Element written = to_xml(original);
-  const std::string text = xml::write(written);
-  Result<xml::Element> reparsed = xml::parse_element(text);
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(original));
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, original);
 }
@@ -136,9 +130,7 @@ TEST(WriterReader, RoundTripsOccurrenceBounds) {
   type.particles.emplace_back(std::move(items));
   schema.complex_types.push_back(std::move(type));
 
-  Result<xml::Element> reparsed = xml::parse_element(xml::write(to_xml(schema)));
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(schema));
   ASSERT_TRUE(read_back.ok());
   const ElementDecl* element = read_back->complex_types.front().elements().front();
   EXPECT_EQ(element->min_occurs, 0);
@@ -158,9 +150,7 @@ TEST(WriterReader, RoundTripsRestrictionFacets) {
   sku.enumeration = {"AB123", "CD456"};
   schema.simple_types.push_back(sku);
 
-  Result<xml::Element> reparsed = xml::parse_element(xml::write(to_xml(schema)));
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(schema));
   ASSERT_TRUE(read_back.ok());
   ASSERT_EQ(read_back->simple_types.size(), 1u);
   EXPECT_EQ(read_back->simple_types.front(), sku);
@@ -169,7 +159,7 @@ TEST(WriterReader, RoundTripsRestrictionFacets) {
   bare.name = "Bare";
   bare.base = qname(Builtin::kInt);
   schema.simple_types = {bare};
-  const std::string text = xml::write(to_xml(schema));
+  const std::string text = to_string(schema);
   EXPECT_EQ(text.find("minLength"), std::string::npos);
   EXPECT_EQ(text.find("totalDigits"), std::string::npos);
   EXPECT_EQ(text.find("pattern"), std::string::npos);
@@ -182,9 +172,7 @@ TEST(WriterReader, RoundTripsImportsAndForm) {
   schema.imports.push_back({"urn:other", "other.xsd"});
   schema.imports.push_back({std::string(xml::ns::kXmlNs), ""});
 
-  Result<xml::Element> reparsed = xml::parse_element(xml::write(to_xml(schema)));
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(schema));
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, schema);
 }
@@ -201,9 +189,7 @@ TEST(WriterReader, RoundTripsWildcards) {
   type.particles.emplace_back(AnyParticle{});
   schema.complex_types.push_back(std::move(type));
 
-  Result<xml::Element> reparsed = xml::parse_element(xml::write(to_xml(schema)));
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(schema));
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back->complex_types.front().any_count(), 2u);
   EXPECT_EQ(*read_back, schema);
@@ -226,9 +212,7 @@ TEST(WriterReader, PreservesDualTypeDeclaration) {
   type.particles.emplace_back(std::move(element));
   schema.complex_types.push_back(std::move(type));
 
-  Result<xml::Element> reparsed = xml::parse_element(xml::write(to_xml(schema)));
-  ASSERT_TRUE(reparsed.ok());
-  Result<Schema> read_back = from_xml(reparsed.value());
+  Result<Schema> read_back = parse(to_string(schema));
   ASSERT_TRUE(read_back.ok());
   const ElementDecl* element_back = read_back->complex_types.front().elements().front();
   EXPECT_FALSE(element_back->type.empty());
@@ -238,12 +222,11 @@ TEST(WriterReader, PreservesDualTypeDeclaration) {
 TEST(WriterReader, SchemaPrefixConventionIsHonoured) {
   SchemaWriteOptions options;
   options.schema_prefix = "s";  // the WCF convention
-  const xml::Element written = to_xml(make_schema(), options);
-  EXPECT_EQ(written.name(), "s:schema");
-  const std::string text = xml::write(written);
+  EXPECT_EQ(to_xml(make_schema(), options).name(), "s:schema");
+  const std::string text = to_string(make_schema(), options);
   EXPECT_NE(text.find("s:complexType"), std::string::npos);
   // Still parses back identically.
-  Result<Schema> read_back = from_xml(xml::parse_element(text).value());
+  Result<Schema> read_back = parse(text);
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(*read_back, make_schema());
 }
@@ -258,7 +241,7 @@ TEST(WriterReader, UnresolvedPrefixSurvivesAsEmptyNamespace) {
         <xs:sequence><xs:element name="a" type="ghost:Type"/></xs:sequence>
       </xs:complexType>
     </xs:schema>)";
-  Result<Schema> schema = from_xml(xml::parse_element(text).value());
+  Result<Schema> schema = parse(text);
   ASSERT_TRUE(schema.ok());
   const ElementDecl* element = schema->complex_types.front().elements().front();
   EXPECT_EQ(element->type.namespace_uri(), "");
@@ -267,7 +250,7 @@ TEST(WriterReader, UnresolvedPrefixSurvivesAsEmptyNamespace) {
 }
 
 TEST(Reader, RejectsNonSchemaElement) {
-  Result<Schema> schema = from_xml(xml::parse_element("<xs:other/>").value());
+  Result<Schema> schema = parse("<xs:other/>");
   ASSERT_FALSE(schema.ok());
   EXPECT_EQ(schema.error().code, "xsd.not-a-schema");
 }
@@ -276,7 +259,7 @@ TEST(Reader, RejectsMalformedOccurs) {
   const char* text = R"(<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
       <xs:element name="a" maxOccurs="lots"/>
     </xs:schema>)";
-  Result<Schema> schema = from_xml(xml::parse_element(text).value());
+  Result<Schema> schema = parse(text);
   ASSERT_FALSE(schema.ok());
   EXPECT_EQ(schema.error().code, "xsd.bad-occurs");
 }
@@ -289,7 +272,7 @@ TEST(Reader, ReadsEnumerationFacets) {
         </xs:restriction>
       </xs:simpleType>
     </xs:schema>)";
-  Result<Schema> schema = from_xml(xml::parse_element(text).value());
+  Result<Schema> schema = parse(text);
   ASSERT_TRUE(schema.ok());
   ASSERT_EQ(schema->simple_types.size(), 1u);
   EXPECT_EQ(schema->simple_types.front().enumeration,
