@@ -4,8 +4,8 @@
 #include <map>
 #include <set>
 
+#include "analysis/supervised_corpus.hpp"
 #include "catalog/java_catalog.hpp"
-#include "common/pool.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/server.hpp"
 #include "interop/study.hpp"
@@ -73,33 +73,38 @@ std::string CorpusReport::summary() const {
          " servers: " + std::to_string(services_with_findings()) + " with findings";
 }
 
-std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusReport& report,
-                                       obs::SpanId parent_span) {
+std::vector<LintJob> deploy_corpus(const catalog::JavaCatalogSpec& java_spec,
+                                   const catalog::DotNetCatalogSpec& dotnet_spec,
+                                   frameworks::ServiceShape shape, const std::string& prefix,
+                                   obs::Tracer* tracer, obs::Registry* metrics,
+                                   obs::SpanId parent_span, std::size_t& servers,
+                                   std::size_t& refusals) {
   // Preparation: the same corpus the study deploys (§III.A).
-  obs::Span deploy_span(options.tracer, "pass:deploy", parent_span);
-  obs::ScopedTimer deploy_timer = obs::timer(options.metrics, "lint.phase.deploy_us");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(options.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(options.dotnet_spec);
+  obs::Span deploy_span(tracer, "pass:deploy", parent_span);
+  obs::ScopedTimer deploy_timer = obs::timer(metrics, prefix + ".phase.deploy_us");
+  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(java_spec);
+  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(dotnet_spec);
   const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog, options.shape);
+      frameworks::make_services(java_catalog, shape);
   const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog, options.shape);
-  const auto servers = frameworks::make_servers();
-  report.servers = servers.size();
+      frameworks::make_services(dotnet_catalog, shape);
+  const auto all_servers = frameworks::make_servers();
+  servers = all_servers.size();
+  refusals = 0;
 
   std::vector<LintJob> jobs;
-  for (const auto& server : servers) {
+  for (const auto& server : all_servers) {
     const bool is_dotnet = server->language() == "C#";
     const std::vector<frameworks::ServiceSpec>& services =
         is_dotnet ? dotnet_services : java_services;
     for (const frameworks::ServiceSpec& spec : services) {
       if (!server->can_deploy(*spec.type)) {
-        ++report.deploy_refusals;
+        ++refusals;
         continue;
       }
       Result<frameworks::DeployedService> deployed = server->deploy(spec);
       if (!deployed.ok()) {
-        ++report.deploy_refusals;
+        ++refusals;
         continue;
       }
       LintJob job;
@@ -112,56 +117,24 @@ std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusRepor
       jobs.push_back(std::move(job));
     }
   }
-  obs::add(options.metrics, "lint.services_total", jobs.size());
-  obs::add(options.metrics, "lint.deploy_refusals", report.deploy_refusals);
+  obs::add(metrics, prefix + ".services_total", jobs.size());
+  obs::add(metrics, prefix + ".deploy_refusals", refusals);
   deploy_span.annotate("services", jobs.size());
-  deploy_span.annotate("refused", report.deploy_refusals);
+  deploy_span.annotate("refused", refusals);
   deploy_span.end();
   deploy_timer.stop();
   return jobs;
 }
 
+std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusReport& report,
+                                       obs::SpanId parent_span) {
+  return deploy_corpus(options.java_spec, options.dotnet_spec, options.shape, "lint",
+                       options.tracer, options.metrics, parent_span, report.servers,
+                       report.deploy_refusals);
+}
+
 CorpusReport analyze_corpus(const CorpusOptions& options) {
-  CorpusReport report;
-
-  obs::Span run_span(options.tracer, "lint-corpus");
-  const std::vector<LintJob> jobs = build_lint_corpus(options, report, run_span.id());
-
-  // Parallel lint: fixed slices merged in index order, so the report is
-  // identical for any --jobs value.
-  obs::Span lint_span(options.tracer, "pass:lint", run_span);
-  obs::ScopedTimer lint_timer = obs::timer(options.metrics, "lint.phase.lint_us");
-  const auto run_slice = [&](std::size_t begin, std::size_t end) {
-    std::vector<ServiceAnalysis> slice;
-    slice.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      obs::ScopedTimer one = obs::timer(options.metrics, "lint.step.lint_us");
-      slice.push_back(lint_service(jobs[i], options.rules));
-    }
-    return slice;
-  };
-  PoolStats pool_stats;
-  std::vector<std::vector<ServiceAnalysis>> slices =
-      parallel_slices(jobs.size(), options.jobs, run_slice, &pool_stats);
-  if (options.metrics != nullptr) {
-    options.metrics->gauge("lint.pool.workers").set_max(
-        static_cast<std::int64_t>(pool_stats.workers));
-    options.metrics->gauge("lint.pool.max_queue_depth").set_max(
-        static_cast<std::int64_t>(pool_stats.max_queue_depth));
-  }
-  report.services.reserve(jobs.size());
-  for (std::vector<ServiceAnalysis>& slice : slices) {
-    for (ServiceAnalysis& service : slice) {
-      obs::add(options.metrics, "lint.findings_total", service.findings.size());
-      report.services.push_back(std::move(service));
-    }
-  }
-  lint_span.annotate("linted", report.services.size());
-  lint_span.end();
-  lint_timer.stop();
-
-  finalize_corpus_report(report, options, run_span.id());
-  return report;
+  return resilience::require_complete(analyze_corpus_supervised(options, {})).report;
 }
 
 void finalize_corpus_report(CorpusReport& report, const CorpusOptions& options,

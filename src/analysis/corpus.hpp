@@ -38,6 +38,20 @@ struct CorpusOptions {
   obs::Registry* metrics = nullptr;
 };
 
+/// A finding's fields under the compact keys of a journaled lint record
+/// (common/codec.hpp).
+template <class V>
+void fields(V& v, Finding& finding) {
+  v("rule", finding.rule_id);
+  v("sev", finding.severity);
+  v("msg", finding.message);
+  v("subj", finding.subject);
+  v("uri", finding.location.uri);
+  v("line", finding.location.line);
+  v("col", finding.location.column);
+  v("fix", finding.fixit);
+}
+
 /// Lint outcome of one deployed service.
 struct ServiceAnalysis {
   std::string server;     ///< server framework name
@@ -52,6 +66,18 @@ struct ServiceAnalysis {
 
   bool flagged_by(std::string_view rule_id) const;
 };
+
+/// A lint-corpus task's journal record: the analysis without the join's
+/// downstream_error, which the join recomputes.
+template <class V>
+void fields(V& v, ServiceAnalysis& analysis) {
+  v("server", analysis.server);
+  v("service", analysis.service);
+  v("type", analysis.type_name);
+  v("uri", analysis.uri);
+  v("zero", analysis.zero_operations);
+  v("findings", analysis.findings);
+}
 
 /// Predictive power of one rule against the joined study outcomes.
 struct RuleStats {
@@ -83,16 +109,16 @@ struct CorpusReport {
   std::string summary() const;
 };
 
-/// Deploys, lints (in parallel), and optionally joins against the study.
-/// Output is deterministic for a given options value regardless of `jobs`.
+/// Deploys, lints (in parallel), and optionally joins against the study:
+/// analyze_corpus_supervised (analysis/supervised_corpus.hpp) with no
+/// journal, which must cover every service. Output is deterministic for a
+/// given options value regardless of `jobs`.
 CorpusReport analyze_corpus(const CorpusOptions& options = {});
 
-// --- Corpus passes, exposed for the resilience supervisor ---------------
+// --- Corpus passes --------------------------------------------------------
 //
-// analyze_corpus = build_lint_corpus → lint_service per job → ordered
-// merge → finalize_corpus_report. The supervised driver replaces the
-// middle with checkpointable tasks and folds records through the same
-// sequence, so both paths produce identical reports.
+// The engine = build_lint_corpus → one lint_service task per job → fold in
+// corpus order → finalize_corpus_report.
 
 /// One deployed description awaiting analysis.
 struct LintJob {
@@ -104,9 +130,19 @@ struct LintJob {
   bool zero_operations = false;
 };
 
-/// The deploy pass: generates and deploys the corpus on every server,
-/// seeding `report.servers` / `report.deploy_refusals`. Job order is the
-/// canonical corpus order.
+/// The deploy pass both corpus campaigns share: generates the corpus and
+/// deploys it on every server, one job per published description in
+/// canonical corpus order, counting `servers` and `refusals`. Its span is
+/// `pass:deploy`; its metrics take `prefix` ("lint", "predict").
+std::vector<LintJob> deploy_corpus(const catalog::JavaCatalogSpec& java_spec,
+                                   const catalog::DotNetCatalogSpec& dotnet_spec,
+                                   frameworks::ServiceShape shape, const std::string& prefix,
+                                   obs::Tracer* tracer, obs::Registry* metrics,
+                                   obs::SpanId parent_span, std::size_t& servers,
+                                   std::size_t& refusals);
+
+/// The lint campaign's deploy pass: deploy_corpus seeding
+/// `report.servers` / `report.deploy_refusals`.
 std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusReport& report,
                                        obs::SpanId parent_span = obs::kNoSpan);
 

@@ -5,8 +5,8 @@
 #include <set>
 
 #include "analysis/fingerprint.hpp"
-#include "common/json.hpp"
-#include "common/pool.hpp"
+#include "analysis/supervised_predict.hpp"
+#include "common/codec.hpp"
 #include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/server.hpp"
@@ -75,34 +75,6 @@ void finish_step(StepPrediction& step) {
                         step.mechanisms.end());
 }
 
-std::string step_json(const StepPrediction& step) {
-  json::ArrayWriter mechanisms;
-  for (const std::string& mechanism : step.mechanisms) mechanisms.item(mechanism);
-  return json::ObjectWriter()
-      .field("warning", step.warning)
-      .field("error", step.error)
-      .raw_field("mechanisms", mechanisms.str())
-      .str();
-}
-
-Result<StepPrediction> step_from_json(const json::Value& value) {
-  const json::Value* warning = value.find("warning");
-  const json::Value* error = value.find("error");
-  const json::Value* mechanisms = value.find("mechanisms");
-  if (warning == nullptr || !warning->is_bool() || error == nullptr || !error->is_bool() ||
-      mechanisms == nullptr || !mechanisms->is_array()) {
-    return Error{"predict.bad-record", "step object missing warning/error/mechanisms"};
-  }
-  StepPrediction step;
-  step.warning = warning->as_bool();
-  step.error = error->as_bool();
-  for (const json::Value& item : mechanisms->items()) {
-    if (!item.is_string()) return Error{"predict.bad-record", "mechanism is not a string"};
-    step.mechanisms.push_back(item.as_string());
-  }
-  return step;
-}
-
 int percent(double value) { return static_cast<int>(value * 100.0 + 0.5); }
 
 const char* outcome_word(Outcome outcome) { return to_string(outcome); }
@@ -137,7 +109,7 @@ const char* to_string(Outcome outcome) {
   }
 }
 
-bool outcome_from_string(std::string_view text, Outcome& out) {
+bool from_string(std::string_view text, Outcome& out) {
   if (text == "ok") {
     out = Outcome::kOk;
   } else if (text == "warning") {
@@ -511,50 +483,9 @@ std::string PredictReport::summary() const {
 
 std::vector<LintJob> build_predict_corpus(const PredictOptions& options, PredictReport& report,
                                           obs::SpanId parent_span) {
-  // Preparation: the same corpus the study deploys (§III.A).
-  obs::Span deploy_span(options.tracer, "pass:deploy", parent_span);
-  obs::ScopedTimer deploy_timer = obs::timer(options.metrics, "predict.phase.deploy_us");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(options.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(options.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog, options.shape);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog, options.shape);
-  const auto servers = frameworks::make_servers();
-  report.servers = servers.size();
-
-  std::vector<LintJob> jobs;
-  for (const auto& server : servers) {
-    const bool is_dotnet = server->language() == "C#";
-    const std::vector<frameworks::ServiceSpec>& services =
-        is_dotnet ? dotnet_services : java_services;
-    for (const frameworks::ServiceSpec& spec : services) {
-      if (!server->can_deploy(*spec.type)) {
-        ++report.deploy_refusals;
-        continue;
-      }
-      Result<frameworks::DeployedService> deployed = server->deploy(spec);
-      if (!deployed.ok()) {
-        ++report.deploy_refusals;
-        continue;
-      }
-      LintJob job;
-      job.server = server->name();
-      job.service = spec.service_name();
-      job.type_name = spec.type->name;
-      job.uri = job.server + "/" + job.service + ".wsdl";
-      job.wsdl_text = std::move(deployed.value().wsdl_text);
-      job.zero_operations = deployed.value().wsdl.operation_count() == 0;
-      jobs.push_back(std::move(job));
-    }
-  }
-  obs::add(options.metrics, "predict.services_total", jobs.size());
-  obs::add(options.metrics, "predict.deploy_refusals", report.deploy_refusals);
-  deploy_span.annotate("services", jobs.size());
-  deploy_span.annotate("refused", report.deploy_refusals);
-  deploy_span.end();
-  deploy_timer.stop();
-  return jobs;
+  return deploy_corpus(options.java_spec, options.dotnet_spec, options.shape, "predict",
+                       options.tracer, options.metrics, parent_span, report.servers,
+                       report.deploy_refusals);
 }
 
 ServicePredictionRecord predict_service_job(const LintJob& job) {
@@ -579,45 +510,7 @@ ServicePredictionRecord predict_service_job(const LintJob& job) {
 }
 
 PredictReport predict_corpus(const PredictOptions& options) {
-  PredictReport report;
-
-  obs::Span run_span(options.tracer, "predict-corpus");
-  const std::vector<LintJob> jobs = build_predict_corpus(options, report, run_span.id());
-
-  // Parallel prediction: fixed slices merged in index order, so the report
-  // is identical for any --jobs value.
-  obs::Span predict_span(options.tracer, "pass:predict", run_span);
-  obs::ScopedTimer predict_timer = obs::timer(options.metrics, "predict.phase.predict_us");
-  const auto run_slice = [&](std::size_t begin, std::size_t end) {
-    std::vector<ServicePredictionRecord> slice;
-    slice.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      obs::ScopedTimer one = obs::timer(options.metrics, "predict.step.predict_us");
-      slice.push_back(predict_service_job(jobs[i]));
-    }
-    return slice;
-  };
-  PoolStats pool_stats;
-  std::vector<std::vector<ServicePredictionRecord>> slices =
-      parallel_slices(jobs.size(), options.jobs, run_slice, &pool_stats);
-  if (options.metrics != nullptr) {
-    options.metrics->gauge("predict.pool.workers")
-        .set_max(static_cast<std::int64_t>(pool_stats.workers));
-    options.metrics->gauge("predict.pool.max_queue_depth")
-        .set_max(static_cast<std::int64_t>(pool_stats.max_queue_depth));
-  }
-  report.services.reserve(jobs.size());
-  for (std::vector<ServicePredictionRecord>& slice : slices) {
-    for (ServicePredictionRecord& record : slice) {
-      report.services.push_back(std::move(record));
-    }
-  }
-  predict_span.annotate("predicted", report.services.size());
-  predict_span.end();
-  predict_timer.stop();
-
-  finalize_predict_report(report, options, run_span.id());
-  return report;
+  return resilience::require_complete(predict_corpus_supervised(options, {})).report;
 }
 
 void finalize_predict_report(PredictReport& report, const PredictOptions& options,
@@ -665,85 +558,12 @@ void finalize_predict_report(PredictReport& report, const PredictOptions& option
   join_timer.stop();
 }
 
-std::string record_json(const ServicePredictionRecord& record) {
-  json::ArrayWriter operations;
-  for (const std::string& operation : record.operations) operations.item(operation);
-  json::ArrayWriter clients;
-  for (const ClientPrediction& client : record.prediction.clients) {
-    clients.raw_item(json::ObjectWriter()
-                         .field("client", client.client)
-                         .field("compiled", client.compiled)
-                         .field("artifacts", client.artifacts)
-                         .raw_field("generation", step_json(client.generation))
-                         .raw_field("compilation", step_json(client.compilation))
-                         .str());
-  }
-  return json::ObjectWriter()
-      .field("server", record.server)
-      .field("service", record.service)
-      .field("type", record.type_name)
-      .field("uri", record.uri)
-      .field("fingerprint", record.prediction.fingerprint)
-      .raw_field("operations", operations.str())
-      .raw_field("clients", clients.str())
-      .str();
-}
+std::string record_json(const ServicePredictionRecord& record) { return codec::encode(record); }
 
 Result<ServicePredictionRecord> record_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
-  const json::Value& value = parsed.value();
-  const auto string_field = [&value](const char* key) -> const std::string* {
-    const json::Value* field = value.find(key);
-    return field != nullptr && field->is_string() ? &field->as_string() : nullptr;
-  };
-  const std::string* server = string_field("server");
-  const std::string* service = string_field("service");
-  const std::string* type = string_field("type");
-  const std::string* uri = string_field("uri");
-  const std::string* fp = string_field("fingerprint");
-  const json::Value* operations = value.find("operations");
-  const json::Value* clients = value.find("clients");
-  if (server == nullptr || service == nullptr || type == nullptr || uri == nullptr ||
-      fp == nullptr || operations == nullptr || !operations->is_array() || clients == nullptr ||
-      !clients->is_array()) {
-    return Error{"predict.bad-record", "prediction record is missing required fields"};
-  }
   ServicePredictionRecord record;
-  record.server = *server;
-  record.service = *service;
-  record.type_name = *type;
-  record.uri = *uri;
-  record.prediction.fingerprint = *fp;
-  for (const json::Value& operation : operations->items()) {
-    if (!operation.is_string()) {
-      return Error{"predict.bad-record", "operation name is not a string"};
-    }
-    record.operations.push_back(operation.as_string());
-  }
-  for (const json::Value& client : clients->items()) {
-    const json::Value* name = client.find("client");
-    const json::Value* compiled = client.find("compiled");
-    const json::Value* artifacts = client.find("artifacts");
-    const json::Value* generation = client.find("generation");
-    const json::Value* compilation = client.find("compilation");
-    if (name == nullptr || !name->is_string() || compiled == nullptr || !compiled->is_bool() ||
-        artifacts == nullptr || !artifacts->is_bool() || generation == nullptr ||
-        compilation == nullptr) {
-      return Error{"predict.bad-record", "client prediction is missing required fields"};
-    }
-    ClientPrediction prediction;
-    prediction.client = name->as_string();
-    prediction.compiled = compiled->as_bool();
-    prediction.artifacts = artifacts->as_bool();
-    Result<StepPrediction> gen = step_from_json(*generation);
-    if (!gen.ok()) return gen.error();
-    prediction.generation = std::move(gen.value());
-    Result<StepPrediction> comp = step_from_json(*compilation);
-    if (!comp.ok()) return comp.error();
-    prediction.compilation = std::move(comp.value());
-    record.prediction.clients.push_back(std::move(prediction));
-  }
+  const Status decoded = codec::decode(text, record, "predict.bad-record", "prediction record");
+  if (!decoded.ok()) return decoded.error();
   return record;
 }
 

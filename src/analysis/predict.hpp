@@ -34,7 +34,7 @@ namespace wsx::analysis::predict {
 enum class Outcome { kOk, kWarning, kError };
 
 const char* to_string(Outcome outcome);
-bool outcome_from_string(std::string_view text, Outcome& out);
+bool from_string(std::string_view text, Outcome& out);  ///< inverse of to_string
 
 /// Shape facts the compilation-step rules key on, beyond WsdlFeatures.
 /// All are computed over *named* complex types only — those are the types
@@ -157,6 +157,36 @@ struct ServicePredictionRecord {
                          const ServicePredictionRecord&) = default;
 };
 
+// The record's JSON form (record_json, and the predict-corpus journal's
+// task payload), declared once for common/codec.hpp.
+
+template <class V>
+void fields(V& v, StepPrediction& step) {
+  v("warning", step.warning);
+  v("error", step.error);
+  v("mechanisms", step.mechanisms);
+}
+
+template <class V>
+void fields(V& v, ClientPrediction& client) {
+  v("client", client.client);
+  v("compiled", client.compiled);
+  v("artifacts", client.artifacts);
+  v("generation", client.generation);
+  v("compilation", client.compilation);
+}
+
+template <class V>
+void fields(V& v, ServicePredictionRecord& record) {
+  v("server", record.server);
+  v("service", record.service);
+  v("type", record.type_name);
+  v("uri", record.uri);
+  v("fingerprint", record.prediction.fingerprint);
+  v("operations", record.operations);
+  v("clients", record.prediction.clients);
+}
+
 /// Predictive power of the rules for one client (or "overall"), measured
 /// against the dynamic study's error class.
 struct ClientScore {
@@ -186,19 +216,18 @@ struct PredictReport {
 };
 
 /// Predicts the whole corpus (in parallel) and optionally joins against the
-/// dynamic study. Output is deterministic for a given options value
-/// regardless of `jobs`.
+/// dynamic study: predict_corpus_supervised (analysis/supervised_predict.hpp)
+/// with no journal, which must cover every service. Output is deterministic
+/// for a given options value regardless of `jobs`.
 PredictReport predict_corpus(const PredictOptions& options = {});
 
-// --- Corpus passes, exposed for the resilience supervisor ---------------
+// --- Corpus passes --------------------------------------------------------
 //
-// predict_corpus = build_predict_corpus → predict_service_job per job →
-// ordered merge → finalize_predict_report, mirroring the lint corpus
-// driver so both the straight and the supervised path produce identical
-// reports.
+// The engine = build_predict_corpus → one predict_service_job task per job
+// → fold in corpus order → finalize_predict_report, as the lint corpus runs.
 
-/// The deploy pass: one job per deployed description, canonical corpus
-/// order. Seeds `report.servers` / `report.deploy_refusals`.
+/// The deploy pass: deploy_corpus (analysis/corpus.hpp) seeding
+/// `report.servers` / `report.deploy_refusals`.
 std::vector<LintJob> build_predict_corpus(const PredictOptions& options, PredictReport& report,
                                           obs::SpanId parent_span = obs::kNoSpan);
 
@@ -210,6 +239,7 @@ void finalize_predict_report(PredictReport& report, const PredictOptions& option
                              obs::SpanId parent_span = obs::kNoSpan);
 
 /// JSON round-trip for one record (the resilience journal's task payload).
+/// Decode errors use "predict.bad-record".
 std::string record_json(const ServicePredictionRecord& record);
 Result<ServicePredictionRecord> record_from_json(std::string_view text);
 

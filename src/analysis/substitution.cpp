@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace wsx::analysis::predict {
@@ -66,85 +65,18 @@ SubstitutionIndex build_index(const PredictReport& report) {
   return index;
 }
 
-std::string index_json(const SubstitutionIndex& index) {
-  json::ArrayWriter clients;
-  for (const std::string& client : index.clients) clients.item(client);
-  json::ArrayWriter entries;
-  for (const IndexEntry& entry : index.entries) {
-    json::ArrayWriter operations;
-    for (const std::string& operation : entry.operations) operations.item(operation);
-    json::ArrayWriter verdicts;
-    for (const Outcome verdict : entry.verdicts) verdicts.item(to_string(verdict));
-    entries.raw_item(json::ObjectWriter()
-                         .field("server", entry.server)
-                         .field("service", entry.service)
-                         .field("type", entry.type_name)
-                         .field("fingerprint", entry.fingerprint)
-                         .raw_field("operations", operations.str())
-                         .raw_field("verdicts", verdicts.str())
-                         .str());
-  }
-  return json::ObjectWriter()
-      .field("version", kIndexVersion)
-      .raw_field("clients", clients.str())
-      .raw_field("entries", entries.str())
-      .str();
-}
+std::string index_json(const SubstitutionIndex& index) { return codec::encode(index); }
 
 Result<SubstitutionIndex> index_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
-  const json::Value& value = parsed.value();
-  const json::Value* version = value.find("version");
-  if (version == nullptr || !version->is_number() ||
-      static_cast<std::size_t>(version->as_number()) != kIndexVersion) {
-    return Error{"predict.bad-index", "unsupported substitution index version"};
-  }
-  const json::Value* clients = value.find("clients");
-  const json::Value* entries = value.find("entries");
-  if (clients == nullptr || !clients->is_array() || entries == nullptr || !entries->is_array()) {
-    return Error{"predict.bad-index", "index document is missing clients/entries"};
-  }
   SubstitutionIndex index;
-  for (const json::Value& client : clients->items()) {
-    if (!client.is_string()) return Error{"predict.bad-index", "client name is not a string"};
-    index.clients.push_back(client.as_string());
-  }
-  for (const json::Value& item : entries->items()) {
-    const json::Value* server = item.find("server");
-    const json::Value* service = item.find("service");
-    const json::Value* type = item.find("type");
-    const json::Value* fp = item.find("fingerprint");
-    const json::Value* operations = item.find("operations");
-    const json::Value* verdicts = item.find("verdicts");
-    if (server == nullptr || !server->is_string() || service == nullptr ||
-        !service->is_string() || type == nullptr || !type->is_string() || fp == nullptr ||
-        !fp->is_string() || operations == nullptr || !operations->is_array() ||
-        verdicts == nullptr || !verdicts->is_array()) {
-      return Error{"predict.bad-index", "index entry is missing required fields"};
+  const Status decoded = codec::decode(text, index, "predict.bad-index", "substitution index");
+  if (!decoded.ok()) return decoded.error();
+  for (const IndexEntry& entry : index.entries) {
+    if (entry.verdicts.size() != index.clients.size()) {
+      return Error{"predict.bad-index", "substitution index: entry " + entry.server + "/" +
+                                            entry.service +
+                                            " verdict count does not match client count"};
     }
-    IndexEntry entry;
-    entry.server = server->as_string();
-    entry.service = service->as_string();
-    entry.type_name = type->as_string();
-    entry.fingerprint = fp->as_string();
-    for (const json::Value& operation : operations->items()) {
-      if (!operation.is_string()) {
-        return Error{"predict.bad-index", "operation name is not a string"};
-      }
-      entry.operations.push_back(operation.as_string());
-    }
-    if (verdicts->items().size() != index.clients.size()) {
-      return Error{"predict.bad-index", "entry verdict count does not match client count"};
-    }
-    for (const json::Value& verdict : verdicts->items()) {
-      Outcome outcome = Outcome::kOk;
-      if (!verdict.is_string() || !outcome_from_string(verdict.as_string(), outcome)) {
-        return Error{"predict.bad-index", "unknown verdict value"};
-      }
-      entry.verdicts.push_back(outcome);
-    }
-    index.entries.push_back(std::move(entry));
   }
   return index;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/predict.hpp"
+#include "common/codec.hpp"
 #include "common/result.hpp"
 
 namespace wsx::analysis::predict {
@@ -41,11 +42,30 @@ struct SubstitutionIndex {
 /// Serialization format version (the "version" field of the JSON document).
 inline constexpr std::size_t kIndexVersion = 1;
 
+// The index document's fields, declared once for common/codec.hpp.
+
+template <class V>
+void fields(V& v, IndexEntry& entry) {
+  v("server", entry.server);
+  v("service", entry.service);
+  v("type", entry.type_name);
+  v("fingerprint", entry.fingerprint);
+  v("operations", entry.operations);
+  v("verdicts", entry.verdicts);
+}
+
+template <class V>
+void fields(V& v, SubstitutionIndex& index) {
+  v("version", codec::fixed(kIndexVersion));
+  v("clients", index.clients);
+  v("entries", index.entries);
+}
+
 /// Folds a predicted corpus into the index.
 SubstitutionIndex build_index(const PredictReport& report);
 
 /// One JSON document (no trailing newline); round-trips through
-/// index_from_json byte-identically.
+/// index_from_json byte-identically. Decode errors use "predict.bad-index".
 std::string index_json(const SubstitutionIndex& index);
 Result<SubstitutionIndex> index_from_json(std::string_view text);
 

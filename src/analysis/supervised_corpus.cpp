@@ -2,184 +2,41 @@
 
 #include <utility>
 
-#include "catalog/spec_json.hpp"
-#include "common/json.hpp"
+#include "analysis/corpus_tasks.hpp"
+#include "common/codec.hpp"
 
 namespace wsx::analysis {
+
+/// The rule selection's fields in the lint-corpus fingerprint.
+template <class V>
+void fields(V& v, RuleConfig& rules) {
+  v("disabled", rules.disabled);
+  v("only", rules.only);
+  v("severity", rules.severity_overrides);
+}
+
 namespace {
 
-Error bad_config(const std::string& what) {
-  return Error{"resilience.bad-config", "lint-corpus config: " + what};
-}
-
-Error bad_record(const std::string& id, const std::string& what) {
-  return Error{"resilience.bad-record", "task record for '" + id + "': " + what};
-}
-
-bool shape_from_string(std::string_view text, frameworks::ServiceShape& out) {
-  for (const frameworks::ServiceShape shape :
-       {frameworks::ServiceShape::kSimpleEcho, frameworks::ServiceShape::kCrud}) {
-    if (text == frameworks::to_string(shape)) {
-      out = shape;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string finding_json(const Finding& finding) {
-  return json::ObjectWriter{}
-      .field("rule", finding.rule_id)
-      .field("sev", to_string(finding.severity))
-      .field("msg", finding.message)
-      .field("subj", finding.subject)
-      .field("uri", finding.location.uri)
-      .field("line", finding.location.line)
-      .field("col", finding.location.column)
-      .field("fix", finding.fixit)
-      .str();
-}
-
-bool finding_from_json(const json::Value& value, Finding& out) {
-  const json::Value* rule = value.find("rule");
-  const json::Value* sev = value.find("sev");
-  const json::Value* msg = value.find("msg");
-  const json::Value* subj = value.find("subj");
-  const json::Value* uri = value.find("uri");
-  const json::Value* line = value.find("line");
-  const json::Value* col = value.find("col");
-  const json::Value* fix = value.find("fix");
-  if (rule == nullptr || !rule->is_string() || sev == nullptr || !sev->is_string() ||
-      !severity_from_string(sev->as_string(), out.severity) || msg == nullptr ||
-      !msg->is_string() || subj == nullptr || !subj->is_string() || uri == nullptr ||
-      !uri->is_string() || line == nullptr || !line->is_number() || col == nullptr ||
-      !col->is_number() || fix == nullptr || !fix->is_string()) {
-    return false;
-  }
-  out.rule_id = rule->as_string();
-  out.message = msg->as_string();
-  out.subject = subj->as_string();
-  out.location.uri = uri->as_string();
-  out.location.line = static_cast<std::size_t>(line->as_number());
-  out.location.column = static_cast<std::size_t>(col->as_number());
-  out.fixit = fix->as_string();
-  return true;
-}
-
-std::string analysis_record_json(const ServiceAnalysis& analysis) {
-  json::ArrayWriter findings;
-  for (const Finding& finding : analysis.findings) {
-    findings.raw_item(finding_json(finding));
-  }
-  return json::ObjectWriter{}
-      .field("server", analysis.server)
-      .field("service", analysis.service)
-      .field("type", analysis.type_name)
-      .field("uri", analysis.uri)
-      .field("zero", analysis.zero_operations)
-      .raw_field("findings", findings.str())
-      .str();
-}
-
-bool analysis_from_json(const json::Value& value, ServiceAnalysis& out) {
-  const json::Value* server = value.find("server");
-  const json::Value* service = value.find("service");
-  const json::Value* type = value.find("type");
-  const json::Value* uri = value.find("uri");
-  const json::Value* zero = value.find("zero");
-  const json::Value* findings = value.find("findings");
-  if (server == nullptr || !server->is_string() || service == nullptr ||
-      !service->is_string() || type == nullptr || !type->is_string() || uri == nullptr ||
-      !uri->is_string() || zero == nullptr || !zero->is_bool() || findings == nullptr ||
-      !findings->is_array()) {
-    return false;
-  }
-  out.server = server->as_string();
-  out.service = service->as_string();
-  out.type_name = type->as_string();
-  out.uri = uri->as_string();
-  out.zero_operations = zero->as_bool();
-  out.findings.reserve(findings->size());
-  for (const json::Value& item : findings->items()) {
-    Finding finding;
-    if (!finding_from_json(item, finding)) return false;
-    out.findings.push_back(std::move(finding));
-  }
-  return true;
-}
+/// The lint-corpus fingerprint's fields.
+constexpr auto corpus_fields = [](auto& v, CorpusOptions& options) {
+  v("java", options.java_spec);
+  v("dotnet", options.dotnet_spec);
+  v("shape", options.shape);
+  v("rules", options.rules);
+  v("join_study", options.join_study);
+};
 
 }  // namespace
 
 std::string corpus_config_json(const CorpusOptions& options) {
-  json::ArrayWriter disabled;
-  for (const std::string& id : options.rules.disabled) disabled.item(id);
-  json::ArrayWriter only;
-  for (const std::string& id : options.rules.only) only.item(id);
-  json::ObjectWriter severity;
-  for (const auto& [id, level] : options.rules.severity_overrides) {
-    severity.field(id, to_string(level));
-  }
-  json::ObjectWriter rules;
-  rules.raw_field("disabled", disabled.str())
-      .raw_field("only", only.str())
-      .raw_field("severity", severity.str());
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(options.java_spec))
-      .raw_field("dotnet", catalog::to_json(options.dotnet_spec))
-      .field("shape", frameworks::to_string(options.shape))
-      .raw_field("rules", rules.str())
-      .field("join_study", options.join_study)
-      .str();
+  return codec::encode(options, corpus_fields);
 }
 
 Result<CorpusOptions> corpus_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   CorpusOptions options;
-  const json::Value* java = parsed->find("java");
-  const json::Value* dotnet = parsed->find("dotnet");
-  if (java == nullptr || !java->is_object() || dotnet == nullptr || !dotnet->is_object()) {
-    return bad_config("missing catalog specs");
-  }
-  Result<catalog::JavaCatalogSpec> java_spec = catalog::java_spec_from_json(json::to_text(*java));
-  if (!java_spec.ok()) return java_spec.error();
-  options.java_spec = java_spec.value();
-  Result<catalog::DotNetCatalogSpec> dotnet_spec =
-      catalog::dotnet_spec_from_json(json::to_text(*dotnet));
-  if (!dotnet_spec.ok()) return dotnet_spec.error();
-  options.dotnet_spec = dotnet_spec.value();
-  const json::Value* shape = parsed->find("shape");
-  if (shape == nullptr || !shape->is_string() ||
-      !shape_from_string(shape->as_string(), options.shape)) {
-    return bad_config("missing or unknown shape");
-  }
-  const json::Value* rules = parsed->find("rules");
-  if (rules == nullptr || !rules->is_object()) return bad_config("missing rules");
-  const json::Value* disabled = rules->find("disabled");
-  const json::Value* only = rules->find("only");
-  const json::Value* severity = rules->find("severity");
-  if (disabled == nullptr || !disabled->is_array() || only == nullptr || !only->is_array() ||
-      severity == nullptr || !severity->is_object()) {
-    return bad_config("malformed rules");
-  }
-  for (const json::Value& id : disabled->items()) {
-    if (!id.is_string()) return bad_config("malformed disabled rule id");
-    options.rules.disabled.insert(id.as_string());
-  }
-  for (const json::Value& id : only->items()) {
-    if (!id.is_string()) return bad_config("malformed only rule id");
-    options.rules.only.insert(id.as_string());
-  }
-  for (const auto& [id, level] : severity->members()) {
-    Severity parsed_level = Severity::kNote;
-    if (!level.is_string() || !severity_from_string(level.as_string(), parsed_level)) {
-      return bad_config("malformed severity override for '" + id + "'");
-    }
-    options.rules.severity_overrides.emplace(id, parsed_level);
-  }
-  const json::Value* join = parsed->find("join_study");
-  if (join == nullptr || !join->is_bool()) return bad_config("missing join_study");
-  options.join_study = join->as_bool();
+  const Status decoded =
+      codec::decode(text, options, corpus_fields, "resilience.bad-config", "lint-corpus config");
+  if (!decoded.ok()) return decoded.error();
   return options;
 }
 
@@ -191,49 +48,26 @@ Result<SupervisedCorpusResult> analyze_corpus_supervised(
   obs::Span run_span(options.tracer, "lint-corpus");
   const std::vector<LintJob> jobs = build_lint_corpus(options, report, run_span.id());
 
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "lint-corpus";
-  tasks.config_json = corpus_config_json(options);
-  tasks.ids.reserve(jobs.size());
-  for (const LintJob& job : jobs) {
-    tasks.ids.push_back(job.server + "|" + job.service);
-  }
-  tasks.run = [&](std::size_t index, resilience::TaskContext& context) {
-    obs::ScopedTimer one = obs::timer(options.metrics, "lint.step.lint_us");
-    const ServiceAnalysis analysis = lint_service(jobs[index], options.rules);
-    context.charge(1);  // cost model: one virtual ms per linted description
-    return analysis_record_json(analysis);
-  };
-
   obs::Span lint_span(options.tracer, "pass:lint", run_span);
   obs::ScopedTimer lint_timer = obs::timer(options.metrics, "lint.phase.lint_us");
-  resilience::SupervisorOptions sup;
-  sup.journal = supervision.journal;
-  sup.jobs = options.jobs;
-  sup.checkpoint_path = supervision.checkpoint_path;
-  sup.resume = supervision.resume;
-  sup.trip_after_tasks = supervision.trip_after_tasks;
-  sup.metrics = options.metrics;
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
+  const CorpusCampaign campaign{"lint-corpus", corpus_config_json(options),
+                                "resilience.bad-record", options.jobs, options.metrics};
+  const Status ran = run_corpus_tasks(
+      campaign, jobs, supervision,
+      [&options](const LintJob& job) {
+        obs::ScopedTimer one = obs::timer(options.metrics, "lint.step.lint_us");
+        return lint_service(job, options.rules);
+      },
+      out.supervisor, report.services);
+  if (!ran.ok()) return ran.error();
+  for (const ServiceAnalysis& service : report.services) {
+    obs::add(options.metrics, "lint.findings_total", service.findings.size());
+  }
+  lint_span.annotate("linted", report.services.size());
   lint_span.end();
   lint_timer.stop();
-  if (!supervised.ok()) return supervised.error();
-  out.supervisor = std::move(supervised.value());
 
-  // Fold in corpus order; the join + tally passes then run over exactly
-  // the folded services.
-  report.services.reserve(out.supervisor.completed);
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    Result<json::Value> record = json::parse(task.record);
-    if (!record.ok()) return record.error();
-    ServiceAnalysis analysis;
-    if (!analysis_from_json(*record, analysis)) {
-      return bad_record(task.id, "malformed service analysis");
-    }
-    obs::add(options.metrics, "lint.findings_total", analysis.findings.size());
-    report.services.push_back(std::move(analysis));
-  }
+  // The join + tally passes run over exactly the folded services.
   finalize_corpus_report(report, options, run_span.id());
   return out;
 }

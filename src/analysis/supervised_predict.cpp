@@ -2,62 +2,31 @@
 
 #include <utility>
 
-#include "catalog/spec_json.hpp"
-#include "common/json.hpp"
+#include "analysis/corpus_tasks.hpp"
+#include "common/codec.hpp"
 
 namespace wsx::analysis::predict {
 namespace {
 
-Error bad_config(const std::string& what) {
-  return Error{"resilience.bad-config", "predict-corpus config: " + what};
-}
-
-bool shape_from_string(std::string_view text, frameworks::ServiceShape& out) {
-  for (const frameworks::ServiceShape shape :
-       {frameworks::ServiceShape::kSimpleEcho, frameworks::ServiceShape::kCrud}) {
-    if (text == frameworks::to_string(shape)) {
-      out = shape;
-      return true;
-    }
-  }
-  return false;
-}
+/// The predict-corpus fingerprint's fields.
+constexpr auto predict_fields = [](auto& v, PredictOptions& options) {
+  v("java", options.java_spec);
+  v("dotnet", options.dotnet_spec);
+  v("shape", options.shape);
+  v("join_study", options.join_study);
+};
 
 }  // namespace
 
 std::string predict_config_json(const PredictOptions& options) {
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(options.java_spec))
-      .raw_field("dotnet", catalog::to_json(options.dotnet_spec))
-      .field("shape", frameworks::to_string(options.shape))
-      .field("join_study", options.join_study)
-      .str();
+  return codec::encode(options, predict_fields);
 }
 
 Result<PredictOptions> predict_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   PredictOptions options;
-  const json::Value* java = parsed->find("java");
-  const json::Value* dotnet = parsed->find("dotnet");
-  if (java == nullptr || !java->is_object() || dotnet == nullptr || !dotnet->is_object()) {
-    return bad_config("missing catalog specs");
-  }
-  Result<catalog::JavaCatalogSpec> java_spec = catalog::java_spec_from_json(json::to_text(*java));
-  if (!java_spec.ok()) return java_spec.error();
-  options.java_spec = java_spec.value();
-  Result<catalog::DotNetCatalogSpec> dotnet_spec =
-      catalog::dotnet_spec_from_json(json::to_text(*dotnet));
-  if (!dotnet_spec.ok()) return dotnet_spec.error();
-  options.dotnet_spec = dotnet_spec.value();
-  const json::Value* shape = parsed->find("shape");
-  if (shape == nullptr || !shape->is_string() ||
-      !shape_from_string(shape->as_string(), options.shape)) {
-    return bad_config("missing or unknown shape");
-  }
-  const json::Value* join = parsed->find("join_study");
-  if (join == nullptr || !join->is_bool()) return bad_config("missing join_study");
-  options.join_study = join->as_bool();
+  const Status decoded = codec::decode(text, options, predict_fields, "resilience.bad-config",
+                                       "predict-corpus config");
+  if (!decoded.ok()) return decoded.error();
   return options;
 }
 
@@ -69,44 +38,23 @@ Result<SupervisedPredictResult> predict_corpus_supervised(
   obs::Span run_span(options.tracer, "predict-corpus");
   const std::vector<LintJob> jobs = build_predict_corpus(options, report, run_span.id());
 
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "predict-corpus";
-  tasks.config_json = predict_config_json(options);
-  tasks.ids.reserve(jobs.size());
-  for (const LintJob& job : jobs) {
-    tasks.ids.push_back(job.server + "|" + job.service);
-  }
-  tasks.run = [&](std::size_t index, resilience::TaskContext& context) {
-    obs::ScopedTimer one = obs::timer(options.metrics, "predict.step.predict_us");
-    const ServicePredictionRecord record = predict_service_job(jobs[index]);
-    context.charge(1);  // cost model: one virtual ms per predicted description
-    return record_json(record);
-  };
-
   obs::Span predict_span(options.tracer, "pass:predict", run_span);
   obs::ScopedTimer predict_timer = obs::timer(options.metrics, "predict.phase.predict_us");
-  resilience::SupervisorOptions sup;
-  sup.journal = supervision.journal;
-  sup.jobs = options.jobs;
-  sup.checkpoint_path = supervision.checkpoint_path;
-  sup.resume = supervision.resume;
-  sup.trip_after_tasks = supervision.trip_after_tasks;
-  sup.metrics = options.metrics;
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
+  const CorpusCampaign campaign{"predict-corpus", predict_config_json(options),
+                                "predict.bad-record", options.jobs, options.metrics};
+  const Status ran = run_corpus_tasks(
+      campaign, jobs, supervision,
+      [&options](const LintJob& job) {
+        obs::ScopedTimer one = obs::timer(options.metrics, "predict.step.predict_us");
+        return predict_service_job(job);
+      },
+      out.supervisor, report.services);
+  if (!ran.ok()) return ran.error();
+  predict_span.annotate("predicted", report.services.size());
   predict_span.end();
   predict_timer.stop();
-  if (!supervised.ok()) return supervised.error();
-  out.supervisor = std::move(supervised.value());
 
-  // Fold in corpus order; the join + scoring pass then runs over exactly
-  // the folded services.
-  report.services.reserve(out.supervisor.completed);
-  for (const resilience::TaskOutcome& task : out.supervisor.tasks) {
-    if (task.state != resilience::TaskState::kCompleted) continue;
-    Result<ServicePredictionRecord> record = record_from_json(task.record);
-    if (!record.ok()) return record.error();
-    report.services.push_back(std::move(record.value()));
-  }
+  // The join + scoring pass runs over exactly the folded services.
   finalize_predict_report(report, options, run_span.id());
   return out;
 }

@@ -34,6 +34,28 @@ struct DotNetCatalogSpec {
   std::size_t interfaces = 800;
 };
 
+/// The spec's fields, in the order a campaign config fingerprint renders
+/// them (common/codec.hpp); every population quota is part of it.
+template <class V>
+void fields(V& v, DotNetCatalogSpec& spec) {
+  v("seed", spec.seed);
+  v("plain_types", spec.plain_types);
+  v("dataset_plain", spec.dataset_plain);
+  v("dataset_duplicated", spec.dataset_duplicated);
+  v("dataset_nested", spec.dataset_nested);
+  v("dataset_array", spec.dataset_array);
+  v("encoded_binding", spec.encoded_binding);
+  v("missing_soap_action", spec.missing_soap_action);
+  v("deep_nesting_clean", spec.deep_nesting_clean);
+  v("deep_nesting_pathological", spec.deep_nesting_pathological);
+  v("generator_crash", spec.generator_crash);
+  v("non_serializable", spec.non_serializable);
+  v("no_default_ctor", spec.no_default_ctor);
+  v("generic_types", spec.generic_types);
+  v("abstract_classes", spec.abstract_classes);
+  v("interfaces", spec.interfaces);
+}
+
 /// Builds the .NET catalog; with the default spec it contains exactly
 /// 14082 types.
 TypeCatalog make_dotnet_catalog(const DotNetCatalogSpec& spec = {});

@@ -31,6 +31,23 @@ struct JavaCatalogSpec {
   std::size_t generic_types = 180;
 };
 
+/// The spec's fields, in the order a campaign config fingerprint renders
+/// them (common/codec.hpp); every population quota is part of it.
+template <class V>
+void fields(V& v, JavaCatalogSpec& spec) {
+  v("seed", spec.seed);
+  v("plain_beans", spec.plain_beans);
+  v("throwable_clean", spec.throwable_clean);
+  v("throwable_raw", spec.throwable_raw);
+  v("raw_generic_beans", spec.raw_generic_beans);
+  v("anytype_array_beans", spec.anytype_array_beans);
+  v("async_interfaces", spec.async_interfaces);
+  v("no_default_ctor", spec.no_default_ctor);
+  v("abstract_classes", spec.abstract_classes);
+  v("interfaces", spec.interfaces);
+  v("generic_types", spec.generic_types);
+}
+
 /// Builds the Java catalog; with the default spec it contains exactly 3971
 /// types, matching the paper's crawl of the Java SE 7 API docs.
 TypeCatalog make_java_catalog(const JavaCatalogSpec& spec = {});

@@ -46,6 +46,12 @@ std::vector<FaultKind> all_fault_kinds();
 
 /// Parses the CLI spelling ("reset", "read-timeout", "http-503", ...).
 std::optional<FaultKind> parse_fault_kind(std::string_view name);
+/// parse_fault_kind in the shape the config codec reads enums with.
+inline bool from_string(std::string_view name, FaultKind& out) {
+  const std::optional<FaultKind> kind = parse_fault_kind(name);
+  if (kind.has_value()) out = *kind;
+  return kind.has_value();
+}
 
 /// Deterministic 64-bit hash of (seed, text); the sole randomness source
 /// of the chaos subsystem (schedules, corruption offsets, backoff jitter).

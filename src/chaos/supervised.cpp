@@ -6,9 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "catalog/spec_json.hpp"
 #include "chaos/wire.hpp"
-#include "common/json.hpp"
+#include "common/codec.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
@@ -16,164 +15,34 @@
 namespace wsx::chaos {
 namespace {
 
-Error bad_config(const std::string& what) {
-  return Error{"resilience.bad-config", "chaos config: " + what};
-}
+constexpr const char* kBadRecord = "resilience.bad-record";
 
-Error bad_record(const std::string& id, const std::string& what) {
-  return Error{"resilience.bad-record", "task record for '" + id + "': " + what};
-}
-
-bool read_count(const json::Value& value, std::string_view key, std::size_t& out) {
-  const json::Value* member = value.find(key);
-  if (member == nullptr || !member->is_number()) return false;
-  out = static_cast<std::size_t>(member->as_number());
-  return true;
-}
-
-std::string chain_delta_json(const ChainDelta& delta) {
-  json::ArrayWriter outcomes;
-  for (const std::size_t count : delta.outcomes) {
-    outcomes.raw_item(std::to_string(count));
-  }
-  return json::ObjectWriter{}
-      .raw_field("o", outcomes.str())
-      .field("rt", delta.retransmits)
-      .field("fa", delta.faulted_attempts)
-      .field("ch", delta.challenged)
-      .field("cok", delta.challenged_ok)
-      .field("bt", delta.breaker_trips)
-      .field("vms", static_cast<std::size_t>(delta.virtual_ms))
-      .str();
-}
-
-bool chain_delta_from_json(const json::Value& value, ChainDelta& out) {
-  const json::Value* outcomes = value.find("o");
-  if (outcomes == nullptr || !outcomes->is_array() ||
-      outcomes->size() != kChaosOutcomeCount) {
-    return false;
-  }
-  for (std::size_t i = 0; i < kChaosOutcomeCount; ++i) {
-    const json::Value& count = outcomes->items()[i];
-    if (!count.is_number()) return false;
-    out.outcomes[i] = static_cast<std::size_t>(count.as_number());
-  }
-  std::size_t vms = 0;
-  if (!read_count(value, "rt", out.retransmits) || !read_count(value, "fa", out.faulted_attempts) ||
-      !read_count(value, "ch", out.challenged) || !read_count(value, "cok", out.challenged_ok) ||
-      !read_count(value, "bt", out.breaker_trips) || !read_count(value, "vms", vms)) {
-    return false;
-  }
-  out.virtual_ms = vms;
-  return true;
-}
-
-/// A chaos task's journal record: one chain delta per client, none when
-/// deploy() refused the service.
-std::string chains_json(const std::vector<ChainDelta>& chains) {
-  json::ArrayWriter rows;
-  for (const ChainDelta& delta : chains) rows.raw_item(chain_delta_json(delta));
-  return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
-}
-
-Result<std::vector<ChainDelta>> chains_from_record(const resilience::JournalEntry& entry,
-                                                   std::size_t clients) {
-  Result<json::Value> record = json::parse(entry.record);
-  if (!record.ok()) return bad_record(entry.id, record.error().message);
-  const json::Value* rows = record->find("clients");
-  if (rows == nullptr || !rows->is_array() || (rows->size() != 0 && rows->size() != clients)) {
-    return bad_record(entry.id, "client row count mismatch");
-  }
-  std::vector<ChainDelta> chains(rows->size());
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    if (!chain_delta_from_json(rows->items()[i], chains[i])) {
-      return bad_record(entry.id, "malformed chain delta");
-    }
-  }
-  return chains;
-}
+/// The chaos fingerprint's fields.
+constexpr auto chaos_fields = [](auto& v, ChaosConfig& config) {
+  v("java", config.java_spec);
+  v("dotnet", config.dotnet_spec);
+  v("seed", config.plan.seed);
+  v("rate_percent", config.plan.rate_percent);
+  v("max_burst", config.plan.max_burst);
+  v("kinds", config.plan.kinds);
+  v("breaker_failure_threshold", config.breaker.failure_threshold);
+  v("breaker_open_ms", config.breaker.open_ms);
+  v("calls_per_pair", config.calls_per_pair);
+  v("parse_cache", config.parse_cache);
+  v("versions", config.versions);
+};
 
 }  // namespace
 
 std::string chaos_config_json(const ChaosConfig& config) {
-  json::ArrayWriter kinds;
-  for (const FaultKind kind : config.plan.kinds) kinds.item(to_string(kind));
-  json::ArrayWriter versions;
-  for (const frameworks::VersionPolicy policy : config.versions) {
-    versions.item(frameworks::to_string(policy));
-  }
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(config.java_spec))
-      .raw_field("dotnet", catalog::to_json(config.dotnet_spec))
-      .field("seed", static_cast<std::size_t>(config.plan.seed))
-      .field("rate_percent", static_cast<std::size_t>(config.plan.rate_percent))
-      .field("max_burst", static_cast<std::size_t>(config.plan.max_burst))
-      .raw_field("kinds", kinds.str())
-      .field("breaker_failure_threshold",
-             static_cast<std::size_t>(config.breaker.failure_threshold))
-      .field("breaker_open_ms", static_cast<std::size_t>(config.breaker.open_ms))
-      .field("calls_per_pair", config.calls_per_pair)
-      .field("parse_cache", config.parse_cache)
-      .raw_field("versions", versions.str())
-      .str();
+  return codec::encode(config, chaos_fields);
 }
 
 Result<ChaosConfig> chaos_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   ChaosConfig config;
-  const json::Value* java = parsed->find("java");
-  const json::Value* dotnet = parsed->find("dotnet");
-  if (java == nullptr || !java->is_object() || dotnet == nullptr || !dotnet->is_object()) {
-    return bad_config("missing catalog specs");
-  }
-  Result<catalog::JavaCatalogSpec> java_spec = catalog::java_spec_from_json(json::to_text(*java));
-  if (!java_spec.ok()) return java_spec.error();
-  config.java_spec = java_spec.value();
-  Result<catalog::DotNetCatalogSpec> dotnet_spec =
-      catalog::dotnet_spec_from_json(json::to_text(*dotnet));
-  if (!dotnet_spec.ok()) return dotnet_spec.error();
-  config.dotnet_spec = dotnet_spec.value();
-
-  std::size_t seed = 0;
-  std::size_t rate_percent = 0;
-  std::size_t max_burst = 0;
-  std::size_t failure_threshold = 0;
-  std::size_t open_ms = 0;
-  if (!read_count(*parsed, "seed", seed) || !read_count(*parsed, "rate_percent", rate_percent) ||
-      !read_count(*parsed, "max_burst", max_burst) ||
-      !read_count(*parsed, "breaker_failure_threshold", failure_threshold) ||
-      !read_count(*parsed, "breaker_open_ms", open_ms) ||
-      !read_count(*parsed, "calls_per_pair", config.calls_per_pair)) {
-    return bad_config("missing plan/breaker counters");
-  }
-  config.plan.seed = seed;
-  config.plan.rate_percent = static_cast<unsigned>(rate_percent);
-  config.plan.max_burst = static_cast<unsigned>(max_burst);
-  config.breaker.failure_threshold = static_cast<unsigned>(failure_threshold);
-  config.breaker.open_ms = open_ms;
-  const json::Value* kinds = parsed->find("kinds");
-  if (kinds == nullptr || !kinds->is_array()) return bad_config("missing kinds");
-  for (const json::Value& kind : kinds->items()) {
-    if (!kind.is_string()) return bad_config("malformed fault kind");
-    const std::optional<FaultKind> known = parse_fault_kind(kind.as_string());
-    if (!known.has_value()) return bad_config("unknown fault kind '" + kind.as_string() + "'");
-    config.plan.kinds.push_back(*known);
-  }
-  const json::Value* cache = parsed->find("parse_cache");
-  if (cache == nullptr || !cache->is_bool()) return bad_config("missing parse_cache");
-  config.parse_cache = cache->as_bool();
-  const json::Value* versions = parsed->find("versions");
-  if (versions == nullptr || !versions->is_array()) return bad_config("missing versions");
-  for (const json::Value& policy : versions->items()) {
-    if (!policy.is_string()) return bad_config("malformed version policy");
-    const std::optional<frameworks::VersionPolicy> known =
-        frameworks::parse_version_policy(policy.as_string());
-    if (!known.has_value()) {
-      return bad_config("unknown version policy '" + policy.as_string() + "'");
-    }
-    config.versions.push_back(*known);
-  }
+  const Status decoded =
+      codec::decode(text, config, chaos_fields, "resilience.bad-config", "chaos config");
+  if (!decoded.ok()) return decoded.error();
   return config;
 }
 
@@ -228,12 +97,19 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   const std::size_t width = clients.size();
   std::vector<ChainDelta> side(plan.tasks.size() * width);
   std::vector<char> bound(plan.tasks.size(), 0);
+  const auto task_chains = [&](std::size_t index) {
+    return std::span(side).subspan(index * width, width);
+  };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    Result<std::vector<ChainDelta>> chains = chains_from_record(*entry, clients.size());
-    if (!chains.ok()) return chains.error();
-    bound[entry->task] = !chains->empty();
-    std::copy(chains->begin(), chains->end(), side.begin() + entry->task * width);
+    ChaosRecord record{task_chains(entry->task)};
+    const Status decoded =
+        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    if (!decoded.ok()) return decoded.error();
+    if (!record.clients.empty() && record.clients.size() != width) {
+      return Error{kBadRecord, "task record for '" + entry->id + "': client row count mismatch"};
+    }
+    bound[entry->task] = !record.clients.empty();
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -246,14 +122,14 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
     const frameworks::Round& round = rounds[task.round];
     bound[index] = 0;
     Result<frameworks::DeployedService> service = round.server->deploy(*task.spec);
-    if (!service.ok()) return journaling ? chains_json({}) : std::string{};
+    if (!service.ok()) return journaling ? codec::encode(ChaosRecord{}) : std::string{};
     std::optional<frameworks::SharedDescription> description;
     if (config.parse_cache) {
       description.emplace(
           frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
       obs::add(config.metrics, "chaos.parse.wsdl_parses");
     }
-    ChainDelta* chains = side.data() + index * width;
+    const std::span<ChainDelta> chains = task_chains(index);
     for (std::size_t i = 0; i < width; ++i) {
       chains[i] = run_chaos_chain(wires[task.round], *round.server, *service,
                                   description.has_value() ? &*description : nullptr,
@@ -262,7 +138,7 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
       context.charge(chains[i].virtual_ms);
     }
     bound[index] = 1;
-    return journaling ? chains_json({chains, chains + width}) : std::string{};
+    return journaling ? codec::encode(ChaosRecord{chains}) : std::string{};
   };
 
   obs::Span calls_span(config.tracer, "phase:calls", run_span);

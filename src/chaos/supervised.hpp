@@ -11,10 +11,12 @@
 // the full call population. run_chaos_study is this engine with no journal.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "chaos/campaign.hpp"
+#include "common/codec.hpp"
 #include "common/result.hpp"
 #include "resilience/supervisor.hpp"
 
@@ -34,6 +36,29 @@ struct SupervisedChaosOptions {
 /// json::parse + to_text; jobs/sinks are deliberately excluded.
 std::string chaos_config_json(const ChaosConfig& config);
 Result<ChaosConfig> chaos_config_from_json(std::string_view text);
+
+template <class V>
+void fields(V& v, ChainDelta& delta) {
+  v("o", delta.outcomes);
+  v("rt", delta.retransmits);
+  v("fa", delta.faulted_attempts);
+  v("ch", delta.challenged);
+  v("cok", delta.challenged_ok);
+  v("bt", delta.breaker_trips);
+  v("vms", delta.virtual_ms);
+}
+
+/// A chaos task's journal record: one chain delta per client, read and
+/// written in place in the task's slots; none when deploy() refused the
+/// service.
+struct ChaosRecord {
+  std::span<ChainDelta> clients;
+};
+
+template <class V>
+void fields(V& v, ChaosRecord& record) {
+  v("clients", record.clients);
+}
 
 struct SupervisedChaosResult {
   ChaosResult chaos;

@@ -18,7 +18,7 @@ const char* to_string(Severity severity) {
   return "unknown";
 }
 
-bool severity_from_string(std::string_view text, Severity& out) {
+bool from_string(std::string_view text, Severity& out) {
   if (text == "note") {
     out = Severity::kNote;
   } else if (text == "warning") {

@@ -21,9 +21,8 @@ enum class Severity {
 const char* to_string(Severity severity);
 
 /// Inverse of to_string(Severity); false when `text` names no severity.
-/// Used by consumers that round-trip diagnostics through JSON (the
-/// resilience journal's task records).
-bool severity_from_string(std::string_view text, Severity& out);
+/// The codec (common/codec.hpp) reads journaled severities through it.
+bool from_string(std::string_view text, Severity& out);
 
 /// Position of a diagnostic inside a source document. Lines and columns are
 /// 1-based; 0 means "unknown" (e.g. for models built programmatically
@@ -52,6 +51,20 @@ struct Diagnostic {
 
   friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
 };
+
+/// A diagnostic's fields under the compact keys of a journaled study row
+/// (common/codec.hpp).
+template <class V>
+void fields(V& v, Diagnostic& diagnostic) {
+  v("sev", diagnostic.severity);
+  v("code", diagnostic.code);
+  v("msg", diagnostic.message);
+  v("subj", diagnostic.subject);
+  v("uri", diagnostic.location.uri);
+  v("line", diagnostic.location.line);
+  v("col", diagnostic.location.column);
+  v("fix", diagnostic.fixit);
+}
 
 /// Accumulates diagnostics produced during one tool invocation.
 class DiagnosticSink {

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -127,6 +128,16 @@ double Value::as_number() const {
   return number_;
 }
 
+std::uint64_t Value::magnitude() const {
+  assert(is_integer());
+  return magnitude_;
+}
+
+bool Value::is_negative() const {
+  assert(is_integer());
+  return negative_;
+}
+
 const std::string& Value::as_string() const {
   assert(is_string());
   return string_;
@@ -169,6 +180,14 @@ Value Value::make_number(double value) {
   Value v;
   v.kind_ = Kind::kNumber;
   v.number_ = value;
+  return v;
+}
+
+Value Value::make_integer(std::uint64_t magnitude, bool negative) {
+  Value v = make_number(negative ? -static_cast<double>(magnitude) : static_cast<double>(magnitude));
+  v.integral_ = true;
+  v.negative_ = negative && magnitude != 0;
+  v.magnitude_ = magnitude;
   return v;
 }
 
@@ -275,7 +294,21 @@ class JsonParser {
     if (end != token.c_str() + token.size()) {
       return fail("json.bad-number", "malformed number '" + token + "'");
     }
-    return Value::make_number(number);
+    // An integer token keeps its exact value when its magnitude fits in 64
+    // bits; the double alone would round anything above 2^53.
+    const bool negative = token[0] == '-';
+    const std::string_view digits = std::string_view(token).substr(negative ? 1 : 0);
+    std::uint64_t magnitude = 0;
+    bool exact = !digits.empty();
+    for (const char c : digits) {
+      const unsigned digit = static_cast<unsigned>(c - '0');
+      if (digit > 9 || magnitude > (UINT64_MAX - digit) / 10) {
+        exact = false;
+        break;
+      }
+      magnitude = magnitude * 10 + digit;
+    }
+    return exact ? Value::make_integer(magnitude, negative) : Value::make_number(number);
   }
 
   Result<std::string> parse_string() {
@@ -415,6 +448,11 @@ void append_value(const Value& value, std::string& out) {
       out += value.as_bool() ? "true" : "false";
       break;
     case Value::Kind::kNumber: {
+      if (value.is_integer()) {
+        if (value.is_negative()) out += '-';
+        out += std::to_string(value.magnitude());
+        break;
+      }
       const double number = value.as_number();
       // Integers below 2^53 are exact in double, so re-emitting them through
       // integer formatting reproduces what ObjectWriter wrote originally.

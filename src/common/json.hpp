@@ -5,6 +5,7 @@
 // verified and baseline files can be consumed without new dependencies.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,8 +58,9 @@ class ArrayWriter {
   bool first_ = true;
 };
 
-/// A parsed JSON value. Numbers are stored as double (sufficient for the
-/// line/column/count payloads this library reads back).
+/// A parsed JSON value. Every number is kept as a double; a number written
+/// as an integer (no fraction or exponent) whose magnitude fits in 64 bits
+/// also keeps its exact value, so seeds and counts above 2^53 survive.
 class Value {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -73,9 +75,15 @@ class Value {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
+  /// True for a number token with an exact 64-bit integer value.
+  bool is_integer() const { return kind_ == Kind::kNumber && integral_; }
+
   /// Preconditions: matching kind (asserted).
   bool as_bool() const;
   double as_number() const;
+  /// The exact integer: its magnitude and sign. Precondition: is_integer().
+  std::uint64_t magnitude() const;
+  bool is_negative() const;
   const std::string& as_string() const;
   const std::vector<Value>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, Value>>& members() const;
@@ -88,6 +96,7 @@ class Value {
   static Value make_null();
   static Value make_bool(bool value);
   static Value make_number(double value);
+  static Value make_integer(std::uint64_t magnitude, bool negative = false);
   static Value make_string(std::string value);
   static Value make_array(std::vector<Value> items);
   static Value make_object(std::vector<std::pair<std::string, Value>> members);
@@ -95,7 +104,10 @@ class Value {
  private:
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
+  bool integral_ = false;
+  bool negative_ = false;
   double number_ = 0.0;
+  std::uint64_t magnitude_ = 0;
   std::string string_;
   std::vector<Value> items_;
   std::vector<std::pair<std::string, Value>> members_;
@@ -106,10 +118,10 @@ class Value {
 Result<Value> parse(std::string_view text);
 
 /// Serializes a parsed Value back to compact JSON text. Field order is
-/// preserved, and integral numbers print without a decimal point, so a
-/// document built from ObjectWriter/ArrayWriter integer, bool and string
-/// fields round-trips byte-identically through parse() + to_text() — the
-/// property the resilience journal's config fingerprint relies on.
+/// preserved, and integers print their exact value, so a document built
+/// from ObjectWriter/ArrayWriter integer, bool and string fields
+/// round-trips byte-identically through parse() + to_text() — the property
+/// the resilience journal's config fingerprint relies on.
 std::string to_text(const Value& value);
 
 }  // namespace wsx::json

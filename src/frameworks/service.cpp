@@ -6,6 +6,16 @@ const char* to_string(ServiceShape shape) {
   return shape == ServiceShape::kSimpleEcho ? "simple-echo" : "crud";
 }
 
+bool from_string(std::string_view text, ServiceShape& out) {
+  for (const ServiceShape shape : {ServiceShape::kSimpleEcho, ServiceShape::kCrud}) {
+    if (text == to_string(shape)) {
+      out = shape;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string ServiceSpec::service_name() const {
   const std::string type_name = type != nullptr ? type->name : std::string{"Unknown"};
   return (shape == ServiceShape::kSimpleEcho ? "Echo" : "Crud") + type_name;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "catalog/type_info.hpp"
 
@@ -18,6 +19,9 @@ namespace wsx::frameworks {
 enum class ServiceShape { kSimpleEcho, kCrud };
 
 const char* to_string(ServiceShape shape);
+/// Inverse of to_string(ServiceShape) — the `--shape` flag and the config
+/// codec both read shapes through it; false when `text` names no shape.
+bool from_string(std::string_view text, ServiceShape& out);
 
 /// One generated test service over one native type.
 struct ServiceSpec {

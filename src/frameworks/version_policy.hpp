@@ -44,6 +44,12 @@ inline constexpr std::size_t kVersionPolicyCount = 3;
 /// CLI spelling: "strict" / "relaxed" / "shaded".
 const char* to_string(VersionPolicy policy);
 std::optional<VersionPolicy> parse_version_policy(std::string_view name);
+/// parse_version_policy in the shape the config codec reads enums with.
+inline bool from_string(std::string_view name, VersionPolicy& out) {
+  const std::optional<VersionPolicy> policy = parse_version_policy(name);
+  if (policy.has_value()) out = *policy;
+  return policy.has_value();
+}
 
 /// Every policy, in enum order — the --versions error message and the
 /// exhaustive sweeps in tests iterate this.

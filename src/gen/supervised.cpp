@@ -6,8 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "catalog/spec_json.hpp"
-#include "common/json.hpp"
+#include "common/codec.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
@@ -15,107 +14,19 @@
 namespace wsx::gen {
 namespace {
 
-Error bad_config(const std::string& what) {
-  return Error{"resilience.bad-config", "propcheck config: " + what};
-}
+constexpr const char* kBadRecord = "resilience.bad-record";
 
-Error bad_record(const std::string& id, const std::string& what) {
-  return Error{"resilience.bad-record", "task record for '" + id + "': " + what};
-}
-
-bool read_count(const json::Value& value, std::string_view key, std::size_t& out) {
-  const json::Value* member = value.find(key);
-  if (member == nullptr || !member->is_number()) return false;
-  out = static_cast<std::size_t>(member->as_number());
-  return true;
-}
-
-std::string pair_delta_json(const PairDelta& delta) {
-  json::ArrayWriter outcomes;
-  for (const std::size_t count : delta.outcomes) {
-    outcomes.raw_item(std::to_string(count));
-  }
-  json::ArrayWriter failures;
-  for (const PropFailure& failure : delta.failures) {
-    failures.raw_item(json::ObjectWriter{}
-                          .field("id", failure.case_id)
-                          .field("k", failure.kind)
-                          .field("d", failure.detail)
-                          .field("p", failure.payload)
-                          .field("s", failure.shrunk)
-                          .field("n", failure.shrink_steps)
-                          .str());
-  }
-  return json::ObjectWriter{}
-      .raw_field("o", outcomes.str())
-      .raw_field("f", failures.str())
-      .field("vms", static_cast<std::size_t>(delta.virtual_ms))
-      .str();
-}
-
-bool pair_delta_from_json(const json::Value& value, PairDelta& out) {
-  const json::Value* outcomes = value.find("o");
-  if (outcomes == nullptr || !outcomes->is_array() ||
-      outcomes->size() != kPropOutcomeCount) {
-    return false;
-  }
-  for (std::size_t i = 0; i < kPropOutcomeCount; ++i) {
-    const json::Value& count = outcomes->items()[i];
-    if (!count.is_number()) return false;
-    out.outcomes[i] = static_cast<std::size_t>(count.as_number());
-  }
-  const json::Value* failures = value.find("f");
-  if (failures == nullptr || !failures->is_array()) return false;
-  for (const json::Value& entry : failures->items()) {
-    PropFailure failure;
-    const json::Value* id = entry.find("id");
-    const json::Value* kind = entry.find("k");
-    const json::Value* detail = entry.find("d");
-    const json::Value* payload = entry.find("p");
-    const json::Value* shrunk = entry.find("s");
-    if (id == nullptr || !id->is_string() || kind == nullptr || !kind->is_string() ||
-        detail == nullptr || !detail->is_string() || payload == nullptr ||
-        !payload->is_string() || shrunk == nullptr || !shrunk->is_string() ||
-        !read_count(entry, "n", failure.shrink_steps)) {
-      return false;
-    }
-    failure.case_id = id->as_string();
-    failure.kind = kind->as_string();
-    failure.detail = detail->as_string();
-    failure.payload = payload->as_string();
-    failure.shrunk = shrunk->as_string();
-    out.failures.push_back(std::move(failure));
-  }
-  std::size_t vms = 0;
-  if (!read_count(value, "vms", vms)) return false;
-  out.virtual_ms = vms;
-  return true;
-}
-
-/// A propcheck task's journal record: one pair delta per client, none
-/// when deploy() refused the service.
-std::string pairs_json(const std::vector<PairDelta>& pairs) {
-  json::ArrayWriter rows;
-  for (const PairDelta& delta : pairs) rows.raw_item(pair_delta_json(delta));
-  return json::ObjectWriter{}.raw_field("clients", rows.str()).str();
-}
-
-Result<std::vector<PairDelta>> pairs_from_record(const resilience::JournalEntry& entry,
-                                                 std::size_t clients) {
-  Result<json::Value> record = json::parse(entry.record);
-  if (!record.ok()) return bad_record(entry.id, record.error().message);
-  const json::Value* rows = record->find("clients");
-  if (rows == nullptr || !rows->is_array() || (rows->size() != 0 && rows->size() != clients)) {
-    return bad_record(entry.id, "client row count mismatch");
-  }
-  std::vector<PairDelta> pairs(rows->size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (!pair_delta_from_json(rows->items()[i], pairs[i])) {
-      return bad_record(entry.id, "malformed pair delta");
-    }
-  }
-  return pairs;
-}
+/// The propcheck fingerprint's fields.
+constexpr auto gen_fields = [](auto& v, GenConfig& config) {
+  v("java", config.java_spec);
+  v("dotnet", config.dotnet_spec);
+  v("seed", config.corpus.seed);
+  v("cases_per_operation", config.corpus.cases_per_operation);
+  v("max_depth", config.corpus.max_depth);
+  v("sabotage", config.corpus.sabotage);
+  v("shrink", config.shrink);
+  v("parse_cache", config.parse_cache);
+};
 
 /// The size of a service's corpus. Every case resolves to exactly one
 /// outcome in each pair, so any pair's outcome counts sum to it.
@@ -128,54 +39,14 @@ std::size_t corpus_size(const PairDelta& pair) {
 }  // namespace
 
 std::string gen_config_json(const GenConfig& config) {
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(config.java_spec))
-      .raw_field("dotnet", catalog::to_json(config.dotnet_spec))
-      .field("seed", static_cast<std::size_t>(config.corpus.seed))
-      .field("cases_per_operation", config.corpus.cases_per_operation)
-      .field("max_depth", static_cast<std::size_t>(config.corpus.max_depth))
-      .field("sabotage", config.corpus.sabotage)
-      .field("shrink", config.shrink)
-      .field("parse_cache", config.parse_cache)
-      .str();
+  return codec::encode(config, gen_fields);
 }
 
 Result<GenConfig> gen_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   GenConfig config;
-  const json::Value* java = parsed->find("java");
-  const json::Value* dotnet = parsed->find("dotnet");
-  if (java == nullptr || !java->is_object() || dotnet == nullptr || !dotnet->is_object()) {
-    return bad_config("missing catalog specs");
-  }
-  Result<catalog::JavaCatalogSpec> java_spec = catalog::java_spec_from_json(json::to_text(*java));
-  if (!java_spec.ok()) return java_spec.error();
-  config.java_spec = java_spec.value();
-  Result<catalog::DotNetCatalogSpec> dotnet_spec =
-      catalog::dotnet_spec_from_json(json::to_text(*dotnet));
-  if (!dotnet_spec.ok()) return dotnet_spec.error();
-  config.dotnet_spec = dotnet_spec.value();
-
-  std::size_t seed = 0;
-  std::size_t max_depth = 0;
-  if (!read_count(*parsed, "seed", seed) ||
-      !read_count(*parsed, "cases_per_operation", config.corpus.cases_per_operation) ||
-      !read_count(*parsed, "max_depth", max_depth)) {
-    return bad_config("missing corpus counters");
-  }
-  config.corpus.seed = seed;
-  config.corpus.max_depth = static_cast<int>(max_depth);
-  const auto read_flag = [&](std::string_view key, bool& out) {
-    const json::Value* member = parsed->find(key);
-    if (member == nullptr || !member->is_bool()) return false;
-    out = member->as_bool();
-    return true;
-  };
-  if (!read_flag("sabotage", config.corpus.sabotage) ||
-      !read_flag("shrink", config.shrink) || !read_flag("parse_cache", config.parse_cache)) {
-    return bad_config("missing flags");
-  }
+  const Status decoded =
+      codec::decode(text, config, gen_fields, "resilience.bad-config", "propcheck config");
+  if (!decoded.ok()) return decoded.error();
   return config;
 }
 
@@ -215,12 +86,19 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   const std::size_t width = clients.size();
   std::vector<PairDelta> side(plan.tasks.size() * width);
   std::vector<char> bound(plan.tasks.size(), 0);
+  const auto task_pairs = [&](std::size_t index) {
+    return std::span(side).subspan(index * width, width);
+  };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    Result<std::vector<PairDelta>> pairs = pairs_from_record(*entry, clients.size());
-    if (!pairs.ok()) return pairs.error();
-    bound[entry->task] = !pairs->empty();
-    std::move(pairs->begin(), pairs->end(), side.begin() + entry->task * width);
+    PropcheckRecord record{task_pairs(entry->task)};
+    const Status decoded =
+        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    if (!decoded.ok()) return decoded.error();
+    if (!record.clients.empty() && record.clients.size() != width) {
+      return Error{kBadRecord, "task record for '" + entry->id + "': client row count mismatch"};
+    }
+    bound[entry->task] = !record.clients.empty();
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -233,14 +111,14 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
     const frameworks::ServerFramework& server = *rounds[task.round].server;
     bound[index] = 0;
     Result<frameworks::DeployedService> service = server.deploy(*task.spec);
-    if (!service.ok()) return journaling ? pairs_json({}) : std::string{};
+    if (!service.ok()) return journaling ? codec::encode(PropcheckRecord{}) : std::string{};
     std::optional<frameworks::SharedDescription> description;
     if (config.parse_cache) {
       description.emplace(
           frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
     }
     const std::vector<GeneratedCase> corpus = generate_corpus(*service, config.corpus);
-    PairDelta* pairs = side.data() + index * width;
+    const std::span<PairDelta> pairs = task_pairs(index);
     for (std::size_t i = 0; i < width; ++i) {
       pairs[i] = run_propcheck_pair(server, *service,
                                     description.has_value() ? &*description : nullptr, corpus,
@@ -248,7 +126,7 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
       context.charge(pairs[i].virtual_ms);
     }
     bound[index] = 1;
-    return journaling ? pairs_json({pairs, pairs + width}) : std::string{};
+    return journaling ? codec::encode(PropcheckRecord{pairs}) : std::string{};
   };
 
   obs::Span check_span(config.tracer, "phase:check", run_span);

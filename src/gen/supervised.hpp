@@ -10,9 +10,11 @@
 // run_propcheck is this engine with no journal.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "common/codec.hpp"
 #include "common/result.hpp"
 #include "gen/campaign.hpp"
 #include "resilience/supervisor.hpp"
@@ -32,6 +34,35 @@ struct SupervisedGenOptions {
 /// through json::parse + to_text; jobs/sinks are deliberately excluded.
 std::string gen_config_json(const GenConfig& config);
 Result<GenConfig> gen_config_from_json(std::string_view text);
+
+template <class V>
+void fields(V& v, PropFailure& failure) {
+  v("id", failure.case_id);
+  v("k", failure.kind);
+  v("d", failure.detail);
+  v("p", failure.payload);
+  v("s", failure.shrunk);
+  v("n", failure.shrink_steps);
+}
+
+template <class V>
+void fields(V& v, PairDelta& delta) {
+  v("o", delta.outcomes);
+  v("f", delta.failures);
+  v("vms", delta.virtual_ms);
+}
+
+/// A propcheck task's journal record: one pair delta per client, read and
+/// written in place in the task's slots; none when deploy() refused the
+/// service.
+struct PropcheckRecord {
+  std::span<PairDelta> clients;
+};
+
+template <class V>
+void fields(V& v, PropcheckRecord& record) {
+  v("clients", record.clients);
+}
 
 struct SupervisedGenResult {
   PropcheckResult propcheck;

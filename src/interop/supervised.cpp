@@ -7,8 +7,7 @@
 #include <span>
 #include <utility>
 
-#include "catalog/spec_json.hpp"
-#include "common/json.hpp"
+#include "common/codec.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
@@ -18,92 +17,31 @@
 namespace wsx::interop {
 namespace {
 
-Error bad_config(const std::string& what) {
-  return Error{"resilience.bad-config", "campaign config: " + what};
-}
+constexpr const char* kBadConfig = "resilience.bad-config";
+constexpr const char* kBadRecord = "resilience.bad-record";
 
 Error bad_record(const std::string& id, const std::string& what) {
-  return Error{"resilience.bad-record", "task record for '" + id + "': " + what};
+  return Error{kBadRecord, "task record for '" + id + "': " + what};
 }
 
-bool shape_from_string(std::string_view text, frameworks::ServiceShape& out) {
-  for (const frameworks::ServiceShape shape :
-       {frameworks::ServiceShape::kSimpleEcho, frameworks::ServiceShape::kCrud}) {
-    if (text == frameworks::to_string(shape)) {
-      out = shape;
-      return true;
-    }
-  }
-  return false;
-}
+/// The study fingerprint's fields.
+constexpr auto study_fields = [](auto& v, StudyConfig& config) {
+  v("java", config.java_spec);
+  v("dotnet", config.dotnet_spec);
+  v("samples_per_cell", config.samples_per_cell);
+  v("shape", config.shape);
+  v("wsi_deploy_gate", config.wsi_deploy_gate);
+  v("parse_cache", config.parse_cache);
+};
 
-/// Compact Diagnostic round-trip for task records. Only the first error of
-/// each test is journaled (the samples cap means nothing else is ever
-/// reported), so the encoding favours smallness over self-description.
-std::string diagnostic_json(const Diagnostic& diagnostic) {
-  return json::ObjectWriter{}
-      .field("sev", to_string(diagnostic.severity))
-      .field("code", diagnostic.code)
-      .field("msg", diagnostic.message)
-      .field("subj", diagnostic.subject)
-      .field("uri", diagnostic.location.uri)
-      .field("line", diagnostic.location.line)
-      .field("col", diagnostic.location.column)
-      .field("fix", diagnostic.fixit)
-      .str();
-}
-
-bool diagnostic_from_json(const json::Value& value, Diagnostic& out) {
-  const json::Value* sev = value.find("sev");
-  const json::Value* code = value.find("code");
-  const json::Value* msg = value.find("msg");
-  const json::Value* subj = value.find("subj");
-  const json::Value* uri = value.find("uri");
-  const json::Value* line = value.find("line");
-  const json::Value* col = value.find("col");
-  const json::Value* fix = value.find("fix");
-  if (sev == nullptr || !sev->is_string() || !severity_from_string(sev->as_string(), out.severity)) {
-    return false;
-  }
-  if (code == nullptr || !code->is_string() || msg == nullptr || !msg->is_string() ||
-      subj == nullptr || !subj->is_string() || uri == nullptr || !uri->is_string() ||
-      line == nullptr || !line->is_number() || col == nullptr || !col->is_number() ||
-      fix == nullptr || !fix->is_string()) {
-    return false;
-  }
-  out.code = code->as_string();
-  out.message = msg->as_string();
-  out.subject = subj->as_string();
-  out.location.uri = uri->as_string();
-  out.location.line = static_cast<std::size_t>(line->as_number());
-  out.location.column = static_cast<std::size_t>(col->as_number());
-  out.fixit = fix->as_string();
-  return true;
-}
-
-/// Reads a required bool member; false return = missing or malformed.
-bool read_bool(const json::Value& value, std::string_view key, bool& out) {
-  const json::Value* member = value.find(key);
-  if (member == nullptr || !member->is_bool()) return false;
-  out = member->as_bool();
-  return true;
-}
-
-Result<catalog::JavaCatalogSpec> java_spec_member(const json::Value& config) {
-  const json::Value* spec = config.find("java");
-  if (spec == nullptr || !spec->is_object()) {
-    return bad_config("missing java catalog spec");
-  }
-  return catalog::java_spec_from_json(json::to_text(*spec));
-}
-
-Result<catalog::DotNetCatalogSpec> dotnet_spec_member(const json::Value& config) {
-  const json::Value* spec = config.find("dotnet");
-  if (spec == nullptr || !spec->is_object()) {
-    return bad_config("missing dotnet catalog spec");
-  }
-  return catalog::dotnet_spec_from_json(json::to_text(*spec));
-}
+/// The communication fingerprint's fields: the study knobs it ignores
+/// (samples, shape, gate) are left out, the version rounds are in.
+constexpr auto communication_fields = [](auto& v, StudyConfig& config) {
+  v("java", config.java_spec);
+  v("dotnet", config.dotnet_spec);
+  v("parse_cache", config.parse_cache);
+  v("versions", config.versions);
+};
 
 resilience::SupervisorOptions to_supervisor_options(const SupervisedOptions& options,
                                                     obs::Registry* metrics) {
@@ -118,36 +56,6 @@ resilience::SupervisorOptions to_supervisor_options(const SupervisedOptions& opt
 }
 
 // --- The study task ----------------------------------------------------------
-
-/// What the description step established about one service.
-struct ServiceFacts {
-  bool refused = false;          ///< deploy() refused the service
-  bool wsi_failed = false;       ///< the published WSDL fails WS-I
-  bool zero_operations = false;  ///< the published WSDL exposes no operations
-
-  /// A description-step warning (§III.B.d): failed WS-I or unusable.
-  bool flagged() const { return wsi_failed || zero_operations; }
-  /// True when no client sees the service: refused, or withdrawn by the
-  /// deploy-time WS-I gate.
-  bool withdrawn(bool wsi_deploy_gate) const {
-    return refused || (wsi_deploy_gate && flagged());
-  }
-};
-
-/// One client test, reduced to what the fold reads. The journal record is
-/// a pure serialisation of the rows and the round-trip is exact (the
-/// interrupt/resume equivalence tests pin the byte-identity).
-struct FoldRow {
-  bool gw = false;
-  bool ge = false;
-  bool cw = false;
-  bool ce = false;
-  bool art = false;
-  std::vector<std::string> codes;  ///< unique error codes, first-seen order
-  /// First error, the cell-sample candidate; out of line because the fold
-  /// keeps a row per test until the run ends and most tests have none.
-  std::unique_ptr<Diagnostic> first;
-};
 
 FoldRow row_from_outcome(ClientTestOutcome outcome) {
   FoldRow row;
@@ -168,86 +76,21 @@ FoldRow row_from_outcome(ClientTestOutcome outcome) {
   return row;
 }
 
-bool row_from_json(const json::Value& value, FoldRow& row) {
-  const json::Value* codes = value.find("codes");
-  if (!read_bool(value, "gw", row.gw) || !read_bool(value, "ge", row.ge) ||
-      !read_bool(value, "cw", row.cw) || !read_bool(value, "ce", row.ce) ||
-      !read_bool(value, "art", row.art) || codes == nullptr || !codes->is_array()) {
-    return false;
-  }
-  for (const json::Value& code : codes->items()) {
-    if (!code.is_string()) return false;
-    row.codes.push_back(code.as_string());
-  }
-  const json::Value* first = value.find("first");
-  if (first != nullptr) {
-    row.first = std::make_unique<Diagnostic>();
-    if (!diagnostic_from_json(*first, *row.first)) return false;
-  }
-  return true;
-}
-
-/// A study task's journal record: the facts, then its `count` client rows
-/// (none when the service is withdrawn).
-std::string study_record_json(const ServiceFacts& facts, const FoldRow* rows,
-                              std::size_t count) {
-  json::ArrayWriter items;
-  for (const FoldRow& row : std::span(rows, count)) {
-    json::ObjectWriter item;
-    item.field("gw", row.gw)
-        .field("ge", row.ge)
-        .field("cw", row.cw)
-        .field("ce", row.ce)
-        .field("art", row.art);
-    json::ArrayWriter codes;
-    for (const std::string& code : row.codes) codes.item(code);
-    item.raw_field("codes", codes.str());
-    if (row.first != nullptr) item.raw_field("first", diagnostic_json(*row.first));
-    items.raw_item(item.str());
-  }
-  return json::ObjectWriter{}
-      .field("refused", facts.refused)
-      .field("wsi_failed", facts.wsi_failed)
-      .field("zero_ops", facts.zero_operations)
-      .raw_field("clients", items.str())
-      .str();
-}
-
 /// Decodes a completed study task's record into its facts and its task's
-/// `clients` row slots. A record without the facts was written by the
-/// phase-by-phase engine, whose fold took them from its own deploy pass;
-/// folding it now would count the service as compliant, so it is refused
-/// and the facts it lacks are named.
+/// `rows` (one slot per client). A record without the facts was written by
+/// the phase-by-phase engine, whose fold took them from its own deploy
+/// pass; folding it now would count the service as compliant, so the
+/// decode refuses it and names every fact it lacks.
 Result<ServiceFacts> study_rows_from_record(const resilience::JournalEntry& entry,
-                                            std::size_t clients, bool wsi_deploy_gate,
-                                            FoldRow* rows) {
-  Result<json::Value> record = json::parse(entry.record);
-  if (!record.ok()) return bad_record(entry.id, record.error().message);
-  ServiceFacts facts;
-  std::string missing;
-  for (const auto& [key, fact] : {std::pair{"refused", &facts.refused},
-                                  std::pair{"wsi_failed", &facts.wsi_failed},
-                                  std::pair{"zero_ops", &facts.zero_operations}}) {
-    if (read_bool(*record, key, *fact)) continue;
-    if (!missing.empty()) missing += ", ";
-    missing += key;
-  }
-  if (!missing.empty()) {
-    return bad_record(entry.id, "missing per-service facts (" + missing +
-                                    "); the journal predates the per-service study engine, "
-                                    "start the run afresh");
-  }
-  const json::Value* items = record->find("clients");
-  if (items == nullptr || !items->is_array()) return bad_record(entry.id, "missing client rows");
-  if (items->size() != (facts.withdrawn(wsi_deploy_gate) ? 0 : clients)) {
+                                            std::span<FoldRow> rows, bool wsi_deploy_gate) {
+  StudyRecord record{{}, rows};
+  const Status decoded =
+      codec::decode(entry.record, record, kBadRecord, "task record for '" + entry.id + "'");
+  if (!decoded.ok()) return decoded.error();
+  if (record.clients.size() != (record.facts.withdrawn(wsi_deploy_gate) ? 0 : rows.size())) {
     return bad_record(entry.id, "client row count mismatch");
   }
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    if (!row_from_json(items->items()[i], rows[i])) {
-      return bad_record(entry.id, "malformed client row");
-    }
-  }
-  return facts;
+  return record.facts;
 }
 
 /// The Testing Phase of one service: step (a), description generation at
@@ -314,141 +157,28 @@ bool count_service(const ServiceFacts& facts, bool wsi_deploy_gate, ServerResult
   return true;
 }
 
-// --- The communication task --------------------------------------------------
-
-/// What one communication task hands the fold besides its invocation
-/// slots (one per client, written only when deploy() accepted the service).
-struct CommFacts {
-  std::size_t sniffed = 0;
-  bool deployed = false;
-};
-
-/// A communication task's journal record: the sniffer's count and its
-/// `count` invocations (none when deploy() refused the service).
-std::string comm_record_json(const CommFacts& facts, const InvocationOutcome* invocations,
-                             std::size_t count) {
-  json::ArrayWriter items;
-  for (const InvocationOutcome& invocation : std::span(invocations, count)) {
-    items.raw_item(json::ObjectWriter{}
-                       .field("o", static_cast<std::size_t>(invocation.outcome))
-                       .field("st", static_cast<long long>(invocation.http_status))
-                       .str());
-  }
-  return json::ObjectWriter{}
-      .field("sniffed", facts.sniffed)
-      .raw_field("clients", items.str())
-      .str();
-}
-
-/// Decodes a completed communication task's record into its facts and its
-/// task's `clients` invocation slots.
-Result<CommFacts> comm_rows_from_record(const resilience::JournalEntry& entry,
-                                        std::size_t clients, InvocationOutcome* invocations) {
-  Result<json::Value> record = json::parse(entry.record);
-  if (!record.ok()) return bad_record(entry.id, record.error().message);
-  const json::Value* sniffed = record->find("sniffed");
-  const json::Value* items = record->find("clients");
-  if (sniffed == nullptr || !sniffed->is_number() || items == nullptr || !items->is_array() ||
-      (items->size() != 0 && items->size() != clients)) {
-    return bad_record(entry.id, "malformed communication record");
-  }
-  CommFacts facts;
-  facts.sniffed = static_cast<std::size_t>(sniffed->as_number());
-  facts.deployed = items->size() != 0;
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    const json::Value& row = items->items()[i];
-    const json::Value* outcome = row.find("o");
-    const json::Value* status = row.find("st");
-    if (outcome == nullptr || !outcome->is_number() || status == nullptr ||
-        !status->is_number()) {
-      return bad_record(entry.id, "malformed invocation row");
-    }
-    const auto index = static_cast<std::size_t>(outcome->as_number());
-    if (index >= kCommOutcomeCount) return bad_record(entry.id, "unknown outcome index");
-    invocations[i] = {static_cast<CommOutcome>(index), static_cast<int>(status->as_number())};
-  }
-  return facts;
-}
-
 }  // namespace
 
 std::string study_config_json(const StudyConfig& config) {
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(config.java_spec))
-      .raw_field("dotnet", catalog::to_json(config.dotnet_spec))
-      .field("samples_per_cell", config.samples_per_cell)
-      .field("shape", frameworks::to_string(config.shape))
-      .field("wsi_deploy_gate", config.wsi_deploy_gate)
-      .field("parse_cache", config.parse_cache)
-      .str();
+  return codec::encode(config, study_fields);
 }
 
 Result<StudyConfig> study_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   StudyConfig config;
-  Result<catalog::JavaCatalogSpec> java = java_spec_member(*parsed);
-  if (!java.ok()) return java.error();
-  config.java_spec = java.value();
-  Result<catalog::DotNetCatalogSpec> dotnet = dotnet_spec_member(*parsed);
-  if (!dotnet.ok()) return dotnet.error();
-  config.dotnet_spec = dotnet.value();
-  const json::Value* samples = parsed->find("samples_per_cell");
-  if (samples == nullptr || !samples->is_number()) {
-    return bad_config("missing samples_per_cell");
-  }
-  config.samples_per_cell = static_cast<std::size_t>(samples->as_number());
-  const json::Value* shape = parsed->find("shape");
-  if (shape == nullptr || !shape->is_string() ||
-      !shape_from_string(shape->as_string(), config.shape)) {
-    return bad_config("missing or unknown shape");
-  }
-  if (!read_bool(*parsed, "wsi_deploy_gate", config.wsi_deploy_gate)) {
-    return bad_config("missing wsi_deploy_gate");
-  }
-  if (!read_bool(*parsed, "parse_cache", config.parse_cache)) {
-    return bad_config("missing parse_cache");
-  }
+  const Status decoded = codec::decode(text, config, study_fields, kBadConfig, "study config");
+  if (!decoded.ok()) return decoded.error();
   return config;
 }
 
 std::string communication_config_json(const StudyConfig& config) {
-  json::ArrayWriter versions;
-  for (const frameworks::VersionPolicy policy : config.versions) {
-    versions.item(frameworks::to_string(policy));
-  }
-  return json::ObjectWriter{}
-      .raw_field("java", catalog::to_json(config.java_spec))
-      .raw_field("dotnet", catalog::to_json(config.dotnet_spec))
-      .field("parse_cache", config.parse_cache)
-      .raw_field("versions", versions.str())
-      .str();
+  return codec::encode(config, communication_fields);
 }
 
 Result<StudyConfig> communication_config_from_json(std::string_view text) {
-  Result<json::Value> parsed = json::parse(text);
-  if (!parsed.ok()) return parsed.error();
   StudyConfig config;
-  Result<catalog::JavaCatalogSpec> java = java_spec_member(*parsed);
-  if (!java.ok()) return java.error();
-  config.java_spec = java.value();
-  Result<catalog::DotNetCatalogSpec> dotnet = dotnet_spec_member(*parsed);
-  if (!dotnet.ok()) return dotnet.error();
-  config.dotnet_spec = dotnet.value();
-  if (!read_bool(*parsed, "parse_cache", config.parse_cache)) {
-    return bad_config("missing parse_cache");
-  }
-  const json::Value* versions = parsed->find("versions");
-  if (versions == nullptr || !versions->is_array()) return bad_config("missing versions");
-  for (const json::Value& policy : versions->items()) {
-    if (!policy.is_string()) return bad_config("malformed version policy");
-    const std::optional<frameworks::VersionPolicy> known =
-        frameworks::parse_version_policy(policy.as_string());
-    if (!known.has_value()) {
-      return bad_config("unknown version policy '" + policy.as_string() + "'");
-    }
-    config.versions.push_back(*known);
-  }
+  const Status decoded =
+      codec::decode(text, config, communication_fields, kBadConfig, "communication config");
+  if (!decoded.ok()) return decoded.error();
   return config;
 }
 
@@ -491,22 +221,24 @@ Result<SupervisedStudyResult> run_study_tasks(
   const std::size_t width = clients.size();
   std::vector<ServiceFacts> facts(plan.tasks.size());
   std::vector<FoldRow> rows(plan.tasks.size() * width);
+  const auto task_rows = [&](std::size_t index) {
+    return std::span(rows).subspan(index * width, width);
+  };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    Result<ServiceFacts> resumed = study_rows_from_record(
-        *entry, width, config.wsi_deploy_gate, rows.data() + entry->task * width);
+    Result<ServiceFacts> resumed =
+        study_rows_from_record(*entry, task_rows(entry->task), config.wsi_deploy_gate);
     if (!resumed.ok()) return resumed.error();
     facts[entry->task] = resumed.value();
   }
   const bool journaling = !options.checkpoint_path.empty();
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
     const frameworks::RoundService& task = plan.tasks[index];
-    FoldRow* task_rows = rows.data() + index * width;
     facts[index] = test_service(*rounds[task.round].server, *task.spec, clients, compilers,
-                                config, task_rows, context);
+                                config, task_rows(index).data(), context);
     if (!journaling) return std::string{};
-    return study_record_json(facts[index], task_rows,
-                             facts[index].withdrawn(config.wsi_deploy_gate) ? 0 : width);
+    const bool withdrawn = facts[index].withdrawn(config.wsi_deploy_gate);
+    return codec::encode(StudyRecord{facts[index], task_rows(index).first(withdrawn ? 0 : width)});
   };
 
   obs::Span testing_span(config.tracer, "phase:testing", parent_span);
@@ -672,15 +404,24 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   // Fold input, allocated here up front like the study's: one facts slot
   // per task and one invocation slot per task × client, filled in place by
   // the task that owns them or from a resumed journal record.
+  // A task's record holds its sniffer count and its slots, none when
+  // deploy() refused the service.
   const std::size_t width = clients.size();
-  std::vector<CommFacts> facts(plan.tasks.size());
+  std::vector<CommunicationRecord> records(plan.tasks.size());
   std::vector<InvocationOutcome> rows(plan.tasks.size() * width);
+  const auto task_rows = [&](std::size_t index) {
+    return std::span(rows).subspan(index * width, width);
+  };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    Result<CommFacts> resumed =
-        comm_rows_from_record(*entry, width, rows.data() + entry->task * width);
-    if (!resumed.ok()) return resumed.error();
-    facts[entry->task] = resumed.value();
+    CommunicationRecord& record = records[entry->task];
+    record.clients = task_rows(entry->task);
+    const Status decoded =
+        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    if (!decoded.ok()) return decoded.error();
+    if (!record.clients.empty() && record.clients.size() != width) {
+      return bad_record(entry->id, "client row count mismatch");
+    }
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -689,9 +430,8 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   // every client, one virtual ms per invocation.
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
     const frameworks::Round& round = rounds[plan.tasks[index].round];
-    CommFacts& task = facts[index];
-    task = CommFacts{};
-    InvocationOutcome* invocations = rows.data() + index * width;
+    CommunicationRecord& record = records[index];
+    record = CommunicationRecord{};
     Result<frameworks::DeployedService> service = round.server->deploy(*plan.tasks[index].spec);
     if (service.ok()) {
       std::optional<frameworks::SharedDescription> description;
@@ -700,17 +440,16 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
             frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
         obs::add(config.metrics, "comm.parse.wsdl_parses");
       }
+      record.clients = task_rows(index);
       for (std::size_t i = 0; i < width; ++i) {
-        invocations[i] = invoke_echo_once(
+        record.clients[i] = invoke_echo_once(
             *round.server, *service, description.has_value() ? &*description : nullptr,
-            *clients[i], compilers[i].get(), &task.sniffed, profiles[i],
+            *clients[i], compilers[i].get(), &record.sniffed, profiles[i],
             round.policy.has_value() ? &*round.policy : nullptr);
         context.charge(1);
       }
-      task.deployed = true;
     }
-    if (!journaling) return std::string{};
-    return comm_record_json(task, invocations, task.deployed ? width : 0);
+    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span invoke_span(config.tracer, "phase:invoke", run_span);
@@ -730,15 +469,15 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   std::size_t invocations = 0;
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
     CommServerResult& server = result.servers[plan.tasks[outcome.task].round];
-    const CommFacts& task = facts[outcome.task];
+    const CommunicationRecord& record = records[outcome.task];
     const bool completed = outcome.state == resilience::TaskState::kCompleted;
-    if (completed && !task.deployed) continue;
+    if (completed && record.clients.empty()) continue;
     ++server.services_deployed;
     if (!completed) continue;
-    result.sniffed_violations += task.sniffed;
+    result.sniffed_violations += record.sniffed;
     invocations += width;
     for (std::size_t i = 0; i < width; ++i) {
-      const InvocationOutcome& invocation = rows[outcome.task * width + i];
+      const InvocationOutcome& invocation = record.clients[i];
       CommCell& cell = server.cells[i];
       ++cell.outcomes[static_cast<std::size_t>(invocation.outcome)];
       if (invocation.outcome == CommOutcome::kTransportError) {

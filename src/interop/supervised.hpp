@@ -13,10 +13,14 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/codec.hpp"
+#include "common/diagnostics.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/communication.hpp"
 #include "interop/study.hpp"
@@ -45,6 +49,83 @@ Result<StudyConfig> study_config_from_json(std::string_view text);
 /// samples, shape, gate — are excluded).
 std::string communication_config_json(const StudyConfig& config);
 Result<StudyConfig> communication_config_from_json(std::string_view text);
+
+// --- Task records (the journal's payload; common/codec.hpp) ---------------
+
+/// What the description step established about one service.
+struct ServiceFacts {
+  bool refused = false;          ///< deploy() refused the service
+  bool wsi_failed = false;       ///< the published WSDL fails WS-I
+  bool zero_operations = false;  ///< the published WSDL exposes no operations
+
+  /// A description-step warning (§III.B.d): failed WS-I or unusable.
+  bool flagged() const { return wsi_failed || zero_operations; }
+  /// True when no client sees the service: refused, or withdrawn by the
+  /// deploy-time WS-I gate.
+  bool withdrawn(bool wsi_deploy_gate) const {
+    return refused || (wsi_deploy_gate && flagged());
+  }
+};
+
+/// One client test, reduced to what the fold reads.
+struct FoldRow {
+  bool gw = false;  ///< generation warning
+  bool ge = false;  ///< generation error
+  bool cw = false;  ///< compilation warning
+  bool ce = false;  ///< compilation error
+  bool art = false;  ///< artifacts generated
+  std::vector<std::string> codes;  ///< unique error codes, first-seen order
+  /// First error, the cell-sample candidate; out of line because the fold
+  /// keeps a row per test until the run ends and most tests have none.
+  /// Only it is journaled: the samples cap means nothing else is reported.
+  std::unique_ptr<Diagnostic> first;
+};
+
+template <class V>
+void fields(V& v, FoldRow& row) {
+  v("gw", row.gw);
+  v("ge", row.ge);
+  v("cw", row.cw);
+  v("ce", row.ce);
+  v("art", row.art);
+  v("codes", row.codes);
+  v("first", row.first);
+}
+
+/// A study task's record: the service's facts, then one row per client,
+/// read and written in place in the task's row slots (none when the
+/// service is withdrawn).
+struct StudyRecord {
+  ServiceFacts facts;
+  std::span<FoldRow> clients;
+};
+
+template <class V>
+void fields(V& v, StudyRecord& record) {
+  v("refused", record.facts.refused);
+  v("wsi_failed", record.facts.wsi_failed);
+  v("zero_ops", record.facts.zero_operations);
+  v("clients", record.clients);
+}
+
+template <class V>
+void fields(V& v, InvocationOutcome& invocation) {
+  v("o", codec::ordinal(invocation.outcome, kCommOutcomeCount));
+  v("st", invocation.http_status);
+}
+
+/// A communication task's record: the sniffer's count, then one invocation
+/// per client in the task's slots (none when deploy() refused the service).
+struct CommunicationRecord {
+  std::size_t sniffed = 0;
+  std::span<InvocationOutcome> clients;
+};
+
+template <class V>
+void fields(V& v, CommunicationRecord& record) {
+  v("sniffed", record.sniffed);
+  v("clients", record.clients);
+}
 
 struct SupervisedStudyResult {
   StudyResult study;

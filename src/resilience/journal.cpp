@@ -1,5 +1,6 @@
 #include "resilience/journal.hpp"
 
+#include <limits>
 #include <set>
 
 namespace wsx::resilience {
@@ -18,9 +19,11 @@ Result<std::size_t> read_count(const json::Value& object, std::string_view key) 
   if (member == nullptr || !member->is_number()) {
     return fail("missing-field", "expected numeric field '" + std::string(key) + "'");
   }
-  const double number = member->as_number();
-  if (number < 0) return fail("bad-field", "negative value for '" + std::string(key) + "'");
-  return static_cast<std::size_t>(number);
+  if (!member->is_integer() || member->is_negative() ||
+      member->magnitude() > std::numeric_limits<std::size_t>::max()) {
+    return fail("bad-field", "'" + std::string(key) + "' is not a non-negative integer");
+  }
+  return static_cast<std::size_t>(member->magnitude());
 }
 
 Result<std::string> read_string(const json::Value& object, std::string_view key) {

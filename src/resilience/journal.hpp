@@ -71,7 +71,9 @@ struct JournalParseOptions {
 
 /// A parsed (or under-construction) journal.
 struct Journal {
-  std::string campaign;     ///< "study" | "communication" | "chaos" | "lint-corpus"
+  /// "study" | "communication" | "chaos" | "propcheck" | "lint-corpus" |
+  /// "predict-corpus"
+  std::string campaign;
   std::string config_json;  ///< canonical campaign config (the fingerprint)
   std::size_t tasks = 0;    ///< total tasks in the campaign
   JournalOptions options;

@@ -81,7 +81,9 @@ class TaskContext {
 /// name, a canonical config fingerprint, an ordered task list, and a pure
 /// task function returning the task's result record as JSON text.
 struct CampaignTasks {
-  std::string campaign;          ///< "study" | "communication" | "chaos" | "lint-corpus"
+  /// "study" | "communication" | "chaos" | "propcheck" | "lint-corpus" |
+  /// "predict-corpus"
+  std::string campaign;
   std::string config_json;       ///< canonical config (journal fingerprint)
   std::vector<std::string> ids;  ///< one stable id per task, in task order
   std::function<std::string(std::size_t index, TaskContext& context)> run;

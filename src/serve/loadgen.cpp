@@ -167,13 +167,16 @@ Result<LoadgenReport> run_loadgen(const LoadgenOptions& options) {
 
   // Keep the cold outcomes around: when no cache file is used, the warm
   // restart resumes from an in-memory journal holding exactly the entries
-  // the file would have.
+  // the file would have. Without a journal the precompute encodes no
+  // records, so each completed entry's record is encoded here from the
+  // oracle's records, which hold the completed tasks in task order.
   resilience::Journal journal;
   journal.campaign = "predict-corpus";
   journal.config_json = predict::predict_config_json(predict_options);
   journal.tasks = corpus_tasks;
   journal.options = options.journal;
   if (options.cache_path.empty()) {
+    std::size_t completed = 0;
     for (const resilience::TaskOutcome& task : cold->precompute().tasks) {
       if (task.state == resilience::TaskState::kNotAdmitted) continue;
       resilience::JournalEntry entry;
@@ -185,7 +188,9 @@ Result<LoadgenReport> run_loadgen(const LoadgenOptions& options) {
       entry.attempts = task.attempts;
       entry.timed_out = task.timed_out;
       entry.virtual_ms = task.virtual_ms;
-      entry.record = task.record;
+      if (task.state == resilience::TaskState::kCompleted) {
+        entry.record = predict::record_json(cold->records()[completed++]);
+      }
       entry.reason = task.reason;
       journal.entries.push_back(std::move(entry));
     }

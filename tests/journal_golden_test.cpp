@@ -13,10 +13,11 @@
 //   * lint-corpus and predict-corpus, whose reports were rendered by the
 //     plain corpus drivers the task engine replaced.
 //
-// The pack pins three things: a journal written before the change still
+// The pack pins four things: a journal written before the change still
 // resumes, at jobs 1 and 8, to the report the straight run printed; every
-// config fingerprint decodes and re-encodes to the same bytes; and the
-// lint and predict corpus passes still render their goldens at any jobs.
+// config fingerprint and every task record decodes and re-encodes to the
+// same bytes; and the lint and predict corpus passes still render their
+// goldens at any jobs.
 // On a mismatch the rendering is written to the test temp dir
 // (`<name>.actual`) so it can be inspected with diff.
 #include <gtest/gtest.h>
@@ -36,6 +37,8 @@
 #include "analysis/supervised_predict.hpp"
 #include "chaos/campaign.hpp"
 #include "chaos/supervised.hpp"
+#include "common/codec.hpp"
+#include "frameworks/registry.hpp"
 #include "gen/campaign.hpp"
 #include "gen/supervised.hpp"
 #include "interop/communication.hpp"
@@ -284,6 +287,61 @@ TEST(JournalGolden, EveryConfigFingerprintReencodesByteForByte) {
   const std::string predict_config = header_config("predict_corpus");
   EXPECT_EQ(predict::predict_config_json(*predict::predict_config_from_json(predict_config)),
             predict_config);
+}
+
+// --- Task records ---------------------------------------------------------
+
+/// Decodes `text` into `record` and encodes it again; the decode error
+/// instead when it fails.
+template <typename Record>
+std::string reencode(const std::string& text, Record& record) {
+  const Status decoded = codec::decode(text, record, "test.bad-record", "golden record");
+  return decoded.ok() ? codec::encode(record) : decoded.error().message;
+}
+
+TEST(JournalGolden, EveryTaskRecordReencodesByteForByte) {
+  const std::size_t clients = frameworks::make_clients().size();
+  const auto expect_records = [](const std::string& stem, std::size_t want,
+                                 const std::function<std::string(const std::string&)>& again) {
+    Result<resilience::Journal> journal =
+        resilience::Journal::parse(read_data(stem + "_tiny.journal"));
+    ASSERT_TRUE(journal.ok()) << stem;
+    std::size_t records = 0;
+    for (const resilience::JournalEntry& entry : journal->entries) {
+      if (entry.state != resilience::JournalState::kCompleted) continue;
+      ++records;
+      EXPECT_EQ(again(entry.record), entry.record) << stem << " " << entry.id;
+    }
+    EXPECT_EQ(records, want) << stem;
+  };
+  expect_records("study", 8, [&](const std::string& text) {
+    std::vector<interop::FoldRow> rows(clients);
+    interop::StudyRecord record{{}, rows};
+    return reencode(text, record);
+  });
+  expect_records("communication", 8, [&](const std::string& text) {
+    std::vector<interop::InvocationOutcome> rows(clients);
+    interop::CommunicationRecord record{0, rows};
+    return reencode(text, record);
+  });
+  expect_records("chaos", 7, [&](const std::string& text) {
+    std::vector<chaos::ChainDelta> rows(clients);
+    chaos::ChaosRecord record{rows};
+    return reencode(text, record);
+  });
+  expect_records("propcheck", 8, [&](const std::string& text) {
+    std::vector<gen::PairDelta> rows(clients);
+    gen::PropcheckRecord record{rows};
+    return reencode(text, record);
+  });
+  expect_records("lint_corpus", 8, [](const std::string& text) {
+    analysis::ServiceAnalysis record;
+    return reencode(text, record);
+  });
+  expect_records("predict_corpus", 8, [](const std::string& text) {
+    Result<predict::ServicePredictionRecord> record = predict::record_from_json(text);
+    return record.ok() ? predict::record_json(*record) : record.error().message;
+  });
 }
 
 // --- The corpus passes at any worker count ---------------------------------

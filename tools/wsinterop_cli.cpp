@@ -204,6 +204,16 @@ bool parse_versions(const std::string& text, std::vector<frameworks::VersionPoli
   return true;
 }
 
+/// Parses a --shape value; an unknown spelling is an error that lists the
+/// shapes.
+bool parse_shape(const std::string& text, frameworks::ServiceShape& out) {
+  if (frameworks::from_string(text, out)) return true;
+  std::cerr << "wsinterop: unknown shape '" << text << "' (shapes: "
+            << frameworks::to_string(frameworks::ServiceShape::kSimpleEcho) << ", "
+            << frameworks::to_string(frameworks::ServiceShape::kCrud) << ")\n";
+  return false;
+}
+
 bool write_text_file(const std::string& path, const std::string& text) {
   std::ofstream file(path);
   if (!file) {
@@ -327,34 +337,36 @@ struct ResilienceFlags {
   }
 };
 
-/// Checks a campaign verb's one engine call. A failed run, or a run without
-/// resilience flags that left a task uncompleted (a plain run promises full
-/// coverage), prints the error and returns false.
-template <typename Supervised>
-bool engine_ok(const Result<Supervised>& run, const ResilienceFlags& res) {
+/// The tail every supervised campaign verb shares with `resume`: checks the
+/// engine's one run (a plain run promises full coverage, so a task left
+/// uncompleted is an error), flushes the sinks, and prints the report
+/// through the verb's printer. A supervised run (resilience flags, or a
+/// resume) then appends the supervisor section, in JSON after csv/json
+/// output and in Markdown otherwise. The printer returns the verb's exit
+/// code; 1 (an output file failed) ends the run there. A tripped run exits
+/// 75 (EX_TEMPFAIL): the journal has the partial state.
+template <typename Supervised, typename Print>
+int finish_campaign(const Result<Supervised>& run, bool supervised, ObsSinks& sinks,
+                    const std::string& format, Print print) {
   std::string error;
   if (!run.ok()) {
     error = run.error().message;
-  } else if (!res.enabled()) {
+  } else if (!supervised) {
     error = resilience::coverage_gap(run->supervisor);
   }
-  if (error.empty()) return true;
-  std::cerr << "wsinterop: " << error << "\n";
-  return false;
-}
-
-/// Appends the supervisor section to a supervised campaign's report and
-/// maps the outcome to the process exit code: 75 (EX_TEMPFAIL) when the
-/// crash-simulation trip fired — the journal has the partial state — and
-/// `ok_code` otherwise.
-int finish_supervised(const resilience::SupervisorReport& report, const std::string& format,
-                      int ok_code) {
-  if (format == "csv" || format == "json") {
-    std::cout << "\n" << resilience::supervisor_json(report) << "\n";
-  } else {
-    std::cout << "\n" << resilience::supervisor_markdown(report);
+  if (!error.empty()) {
+    std::cerr << "wsinterop: " << error << "\n";
+    return 1;
   }
-  return report.tripped ? 75 : ok_code;
+  if (!sinks.flush()) return 1;
+  const int rc = print(*run);
+  if (rc == 1 || !supervised) return rc;
+  if (format == "csv" || format == "json") {
+    std::cout << "\n" << resilience::supervisor_json(run->supervisor) << "\n";
+  } else {
+    std::cout << "\n" << resilience::supervisor_markdown(run->supervisor);
+  }
+  return run->supervisor.tripped ? 75 : rc;
 }
 
 /// Scales both population specs to roughly PCT percent of the paper's.
@@ -387,9 +399,18 @@ void apply_scale(interop::StudyConfig& config, std::size_t percent) {
   apply_scale(config.java_spec, config.dotnet_spec, percent);
 }
 
-/// Renders a (possibly supervised) study result in the requested format.
-/// Shared by `run` and `resume` of a study journal.
-void print_study(const interop::StudyResult& result, const std::string& format) {
+/// Prints a study: the --snapshot file when asked for, then the report in
+/// the requested format. Shared by `run` and `resume` of a study journal.
+int print_study(const interop::StudyResult& result, const std::string& format,
+                const std::string& snapshot_path = "") {
+  if (!snapshot_path.empty()) {
+    std::ofstream snapshot(snapshot_path);
+    if (!snapshot) {
+      std::cerr << "wsinterop: cannot open snapshot file " << snapshot_path << "\n";
+      return 1;
+    }
+    snapshot << interop::to_snapshot_csv(result);
+  }
   if (format == "csv") {
     std::cout << interop::fig4_csv(result) << "\n" << interop::table3_csv(result);
   } else if (format == "markdown") {
@@ -400,6 +421,7 @@ void print_study(const interop::StudyResult& result, const std::string& format) 
               << interop::format_findings(result) << "\n"
               << interop::format_failure_catalog(result);
   }
+  return 0;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -454,19 +476,10 @@ int cmd_run(const std::vector<std::string>& args) {
   config.metrics = sinks.metrics_or_null();
   auto options = res.options<interop::SupervisedOptions>();
   options.jobs = config.threads;
-  const Result<interop::SupervisedStudyResult> run =
-      interop::run_study_supervised(config, options);
-  if (!engine_ok(run, res) || !sinks.flush()) return 1;
-  if (!snapshot_path.empty()) {
-    std::ofstream snapshot(snapshot_path);
-    if (!snapshot) {
-      std::cerr << "wsinterop: cannot open snapshot file " << snapshot_path << "\n";
-      return 1;
-    }
-    snapshot << interop::to_snapshot_csv(run->study);
-  }
-  print_study(run->study, format);
-  return res.enabled() ? finish_supervised(run->supervisor, format, 0) : 0;
+  return finish_campaign(interop::run_study_supervised(config, options), res.enabled(), sinks,
+                         format, [&](const interop::SupervisedStudyResult& run) {
+                           return print_study(run.study, format, snapshot_path);
+                         });
 }
 
 /// Options shared by file and corpus lint modes.
@@ -481,6 +494,48 @@ struct LintOptions {
   std::string write_baseline_path;
   analysis::RuleConfig rules;
 };
+
+/// Prints lint findings, for files and the corpus alike: the
+/// --write-baseline file first, then the findings left after --baseline
+/// (also as the --sarif log), then the summary line. Returns 2 when an
+/// error-severity finding remains, 0 otherwise, and 1 when a file could not
+/// be written.
+int print_findings(std::vector<analysis::Finding> findings, const LintOptions& options,
+                   const analysis::Baseline& baseline) {
+  if (!options.write_baseline_path.empty()) {
+    if (!write_text_file(options.write_baseline_path,
+                         analysis::Baseline::from_findings(findings).str())) {
+      return 1;
+    }
+  }
+  const std::size_t before = findings.size();
+  findings = analysis::apply_baseline(std::move(findings), baseline);
+  if (!options.sarif_path.empty() &&
+      !write_text_file(options.sarif_path, analysis::to_sarif(findings))) {
+    return 1;
+  }
+  std::cout << analysis::format_findings(findings);
+  std::cout << analysis::summarize(findings);
+  if (before != findings.size()) {
+    std::cout << " (" << before - findings.size() << " baselined)";
+  }
+  std::cout << "\n";
+  const bool has_errors =
+      std::any_of(findings.begin(), findings.end(), [](const analysis::Finding& f) {
+        return f.severity == Severity::kError || f.severity == Severity::kCrash;
+      });
+  return has_errors ? 2 : 0;
+}
+
+/// Prints a corpus lint: the per-rule report, then every finding. Shared by
+/// `lint --corpus` and `resume` of a lint-corpus journal, which journals no
+/// output flag (--sarif, --baseline, --write-baseline) and so prints the
+/// straight run's report of a run without them.
+int print_lint_corpus(const analysis::SupervisedCorpusResult& run, const LintOptions& options,
+                      const analysis::Baseline& baseline) {
+  std::cout << analysis::format_report(run.report);
+  return print_findings(run.report.all_findings(), options, baseline);
+}
 
 int cmd_lint(const std::vector<std::string>& args) {
   LintOptions options;
@@ -546,8 +601,6 @@ int cmd_lint(const std::vector<std::string>& args) {
     baseline = std::move(parsed.value());
   }
 
-  std::vector<analysis::Finding> findings;
-  resilience::SupervisorReport supervisor;
   if (options.corpus) {
     analysis::CorpusOptions corpus;
     apply_scale(corpus.java_spec, corpus.dotnet_spec, options.scale);
@@ -556,69 +609,34 @@ int cmd_lint(const std::vector<std::string>& args) {
     corpus.join_study = options.join_study;
     corpus.tracer = sinks.tracer_or_null();
     corpus.metrics = sinks.metrics_or_null();
-    analysis::CorpusReport report;
-    if (res.enabled()) {
-      Result<analysis::SupervisedCorpusResult> supervised = analysis::analyze_corpus_supervised(
-          corpus, res.options<analysis::SupervisedCorpusOptions>());
-      if (!supervised.ok()) {
-        std::cerr << "wsinterop: " << supervised.error().message << "\n";
-        return 1;
-      }
-      report = std::move(supervised.value().report);
-      supervisor = std::move(supervised.value().supervisor);
-    } else {
-      report = analysis::analyze_corpus(corpus);
-    }
-    if (!sinks.flush()) return 1;
-    findings = report.all_findings();
-    std::cout << analysis::format_report(report);
-  } else {
-    for (const std::string& path : options.files) {
-      std::ifstream file(path);
-      if (!file) {
-        std::cerr << "wsinterop: cannot open " << path << "\n";
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      Result<wsdl::Definitions> defs = wsdl::parse(buffer.str());
-      if (!defs.ok()) {
-        std::cerr << "wsinterop: parse error in " << path << ": " << defs.error().message
-                  << "\n";
-        return 1;
-      }
-      analysis::AnalysisInput input;
-      input.definitions = &defs.value();
-      input.uri = path;
-      const analysis::AnalysisResult result = analysis::analyze(input, options.rules);
-      findings.insert(findings.end(), result.findings.begin(), result.findings.end());
-    }
+    return finish_campaign(
+        analysis::analyze_corpus_supervised(corpus,
+                                            res.options<analysis::SupervisedCorpusOptions>()),
+        res.enabled(), sinks, "text", [&](const analysis::SupervisedCorpusResult& run) {
+          return print_lint_corpus(run, options, baseline);
+        });
   }
-
-  if (!options.write_baseline_path.empty()) {
-    if (!write_text_file(options.write_baseline_path,
-                         analysis::Baseline::from_findings(findings).str())) {
+  std::vector<analysis::Finding> findings;
+  for (const std::string& path : options.files) {
+    std::ifstream file(path);
+    if (!file) {
+      std::cerr << "wsinterop: cannot open " << path << "\n";
       return 1;
     }
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    Result<wsdl::Definitions> defs = wsdl::parse(buffer.str());
+    if (!defs.ok()) {
+      std::cerr << "wsinterop: parse error in " << path << ": " << defs.error().message << "\n";
+      return 1;
+    }
+    analysis::AnalysisInput input;
+    input.definitions = &defs.value();
+    input.uri = path;
+    const analysis::AnalysisResult result = analysis::analyze(input, options.rules);
+    findings.insert(findings.end(), result.findings.begin(), result.findings.end());
   }
-  const std::size_t before = findings.size();
-  findings = analysis::apply_baseline(std::move(findings), baseline);
-  if (!options.sarif_path.empty() &&
-      !write_text_file(options.sarif_path, analysis::to_sarif(findings))) {
-    return 1;
-  }
-  std::cout << analysis::format_findings(findings);
-  std::cout << analysis::summarize(findings);
-  if (before != findings.size()) {
-    std::cout << " (" << before - findings.size() << " baselined)";
-  }
-  std::cout << "\n";
-  const bool has_errors =
-      std::any_of(findings.begin(), findings.end(), [](const analysis::Finding& f) {
-        return f.severity == Severity::kError || f.severity == Severity::kCrash;
-      });
-  if (res.enabled()) return finish_supervised(supervisor, "text", has_errors ? 2 : 0);
-  return has_errors ? 2 : 0;
+  return print_findings(std::move(findings), options, baseline);
 }
 
 const catalog::TypeInfo* find_type(const frameworks::ServerFramework& server,
@@ -729,6 +747,12 @@ int cmd_fuzz(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// Prints the communication study; shared by `communicate` and `resume`.
+int print_communication(const interop::SupervisedCommunicationResult& run) {
+  std::cout << interop::format_communication(run.communication);
+  return 0;
+}
+
 int cmd_communicate(const std::vector<std::string>& args) {
   interop::StudyConfig config;
   ObsSinks sinks;
@@ -758,18 +782,25 @@ int cmd_communicate(const std::vector<std::string>& args) {
   config.metrics = sinks.metrics_or_null();
   auto options = res.options<interop::SupervisedOptions>();
   options.jobs = config.threads;
-  const Result<interop::SupervisedCommunicationResult> run =
-      interop::run_communication_supervised(config, options);
-  if (!engine_ok(run, res) || !sinks.flush()) return 1;
-  std::cout << interop::format_communication(run->communication);
-  return res.enabled() ? finish_supervised(run->supervisor, "text", 0) : 0;
+  return finish_campaign(interop::run_communication_supervised(config, options), res.enabled(),
+                         sinks, "text", print_communication);
 }
 
-/// Renders a (possibly supervised) chaos result in the requested format;
-/// returns 0 on success, 1 on an unwritable --csv file, and the usage exit
-/// on an unknown format. Shared by `chaos` and `resume` of a chaos journal.
+/// The chaos report formats; any other --format is a usage error, caught
+/// before the campaign runs.
+bool chaos_format(const std::string& format) {
+  if (format == "text" || format == "csv" || format == "markdown" || format == "json") {
+    return true;
+  }
+  std::cerr << "wsinterop: unknown format '" << format << "'\n";
+  return false;
+}
+
+/// Renders a chaos result in the requested format (chaos_format); returns
+/// 0, or 1 on an unwritable --csv file. Shared by `chaos` and `resume` of a
+/// chaos journal.
 int print_chaos(const chaos::ChaosResult& result, const std::string& format,
-                const std::string& csv_path) {
+                const std::string& csv_path = "") {
   if (!csv_path.empty() && !write_text_file(csv_path, chaos::chaos_csv(result))) return 1;
   if (format == "csv") {
     std::cout << chaos::chaos_csv(result);
@@ -777,10 +808,8 @@ int print_chaos(const chaos::ChaosResult& result, const std::string& format,
     std::cout << chaos::chaos_markdown(result);
   } else if (format == "json") {
     std::cout << chaos::chaos_recovery_json(result) << "\n";
-  } else if (format == "text") {
-    std::cout << chaos::format_chaos(result);
   } else {
-    return usage();
+    std::cout << chaos::format_chaos(result);
   }
   return 0;
 }
@@ -847,28 +876,33 @@ int cmd_chaos(const std::vector<std::string>& args) {
       return usage();
     }
   }
+  if (!chaos_format(format)) return 2;
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  const Result<chaos::SupervisedChaosResult> run =
-      chaos::run_chaos_supervised(config, res.options<chaos::SupervisedChaosOptions>());
-  if (!engine_ok(run, res) || !sinks.flush()) return 1;
-  const int rc = print_chaos(run->chaos, format, csv_path);
-  if (rc != 0 || !res.enabled()) return rc;
-  return finish_supervised(run->supervisor, format, 0);
+  return finish_campaign(
+      chaos::run_chaos_supervised(config, res.options<chaos::SupervisedChaosOptions>()),
+      res.enabled(), sinks, format, [&](const chaos::SupervisedChaosResult& run) {
+        return print_chaos(run.chaos, format, csv_path);
+      });
+}
+
+/// The propcheck report formats; any other --format is a usage error,
+/// caught before the campaign runs.
+bool propcheck_format(const std::string& format) {
+  if (format == "text" || format == "json") return true;
+  std::cerr << "wsinterop: unknown format '" << format << "'\n";
+  return false;
 }
 
 /// Prints the propcheck matrix (or its canonical JSON) and turns property
 /// violations into exit 3 so CI can gate on them; supervised trips keep
-/// their own exit 75 via finish_supervised.
+/// their own exit 75 via finish_campaign.
 int print_propcheck(const gen::PropcheckResult& result, const std::string& format,
                     bool with_shrink) {
   if (format == "json") {
     std::cout << gen::propcheck_json(result) << "\n";
-  } else if (format == "text") {
-    std::cout << gen::format_propcheck(result, with_shrink);
   } else {
-    std::cerr << "wsinterop: unknown format '" << format << "'\n";
-    return 2;
+    std::cout << gen::format_propcheck(result, with_shrink);
   }
   return result.total_failures() == 0 ? 0 : 3;
 }
@@ -925,31 +959,62 @@ int cmd_propcheck(const std::vector<std::string>& args) {
       return usage();
     }
   }
+  if (!propcheck_format(format)) return 2;
   if (with_shrink) config.shrink = true;
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  const Result<gen::SupervisedGenResult> run =
-      gen::run_propcheck_supervised(config, res.options<gen::SupervisedGenOptions>());
-  if (!engine_ok(run, res) || !sinks.flush()) return 1;
-  const int rc = print_propcheck(run->propcheck, format, with_shrink);
-  if (rc == 2 || !res.enabled()) return rc;
-  return finish_supervised(run->supervisor, format, rc);
+  return finish_campaign(
+      gen::run_propcheck_supervised(config, res.options<gen::SupervisedGenOptions>()),
+      res.enabled(), sinks, format, [&](const gen::SupervisedGenResult& run) {
+        return print_propcheck(run.propcheck, format, with_shrink);
+      });
+}
+
+/// The output flags of `predict --corpus`, none of which a journal records.
+struct PredictOutput {
+  std::string index_path;         ///< --index: substitution index file
+  std::size_t min_precision = 0;  ///< --min-precision floor, percent
+  std::size_t min_recall = 0;     ///< --min-recall floor, percent
+  bool gated = false;             ///< a floor was given
+};
+
+/// Prints a corpus prediction: the --index file when asked for, the
+/// report, and on a joined run a missed accuracy floor (exit 3; the floors
+/// use integer-percent arithmetic, so CI sees no floating-point boundary
+/// surprises). Shared by `predict --corpus` and `resume` of a
+/// predict-corpus journal.
+int print_predict_corpus(const analysis::predict::PredictReport& report,
+                         const PredictOutput& output) {
+  if (!output.index_path.empty() &&
+      !write_text_file(output.index_path, analysis::predict::index_json(
+                                              analysis::predict::build_index(report)) +
+                                              "\n")) {
+    return 1;
+  }
+  std::cout << analysis::predict::format_predict_report(report);
+  if (!output.gated || !report.joined) return 0;
+  const analysis::predict::ClientScore& overall = report.overall;
+  const bool precision_ok = 100 * overall.true_positives >=
+                            output.min_precision *
+                                (overall.true_positives + overall.false_positives);
+  const bool recall_ok = 100 * overall.true_positives >=
+                         output.min_recall * (overall.true_positives + overall.false_negatives);
+  if (precision_ok && recall_ok) return 0;
+  std::cout << "predict: accuracy below floor (need precision >= " << output.min_precision
+            << "%, recall >= " << output.min_recall << "%)\n";
+  return 3;
 }
 
 /// `wsinterop predict SERVER TYPE` — single-service static prediction; or
 /// `wsinterop predict --corpus` — the whole generated corpus, scored
-/// against the dynamic study unless --no-join. The accuracy floors gate on
-/// the overall error-class score with integer-percent arithmetic (no
-/// floating-point boundary surprises in CI); a miss exits 3.
+/// against the dynamic study unless --no-join; a missed accuracy floor
+/// exits 3.
 int cmd_predict(const std::vector<std::string>& args) {
   analysis::predict::PredictOptions options;
   ObsSinks sinks;
   ResilienceFlags res;
   bool corpus = false;
-  std::string index_path;
-  std::size_t min_precision = 0;
-  std::size_t min_recall = 0;
-  bool gated = false;
+  PredictOutput output;
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (sinks.consume(args, i)) {
@@ -968,25 +1033,17 @@ int cmd_predict(const std::vector<std::string>& args) {
     } else if (args[i] == "--no-join") {
       options.join_study = false;
     } else if (args[i] == "--shape" && i + 1 < args.size()) {
-      const std::string shape = args[++i];
-      if (shape == frameworks::to_string(frameworks::ServiceShape::kSimpleEcho)) {
-        options.shape = frameworks::ServiceShape::kSimpleEcho;
-      } else if (shape == frameworks::to_string(frameworks::ServiceShape::kCrud)) {
-        options.shape = frameworks::ServiceShape::kCrud;
-      } else {
-        std::cerr << "wsinterop: unknown shape '" << shape << "' (shapes: "
-                  << frameworks::to_string(frameworks::ServiceShape::kSimpleEcho) << ", "
-                  << frameworks::to_string(frameworks::ServiceShape::kCrud) << ")\n";
-        return 2;
-      }
+      if (!parse_shape(args[++i], options.shape)) return 2;
     } else if (args[i] == "--index" && i + 1 < args.size()) {
-      index_path = args[++i];
+      output.index_path = args[++i];
     } else if (args[i] == "--min-precision" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], min_precision) || min_precision > 100) return usage();
-      gated = true;
+      if (!parse_count(args[++i], output.min_precision) || output.min_precision > 100) {
+        return usage();
+      }
+      output.gated = true;
     } else if (args[i] == "--min-recall" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], min_recall) || min_recall > 100) return usage();
-      gated = true;
+      if (!parse_count(args[++i], output.min_recall) || output.min_recall > 100) return usage();
+      output.gated = true;
     } else if (!args[i].empty() && args[i][0] == '-') {
       return usage();
     } else {
@@ -996,10 +1053,11 @@ int cmd_predict(const std::vector<std::string>& args) {
   if (corpus ? !positional.empty() : positional.size() != 2) return usage();
   // Everything but SERVER TYPE is corpus-only; the floors additionally need
   // the ground-truth join to have anything to gate on.
-  if (!corpus && (res.enabled() || !index_path.empty() || gated || !options.join_study)) {
+  if (!corpus &&
+      (res.enabled() || !output.index_path.empty() || output.gated || !options.join_study)) {
     return usage();
   }
-  if (gated && !options.join_study) return usage();
+  if (output.gated && !options.join_study) return usage();
 
   if (!corpus) {
     const auto server = frameworks::make_server(positional[0]);
@@ -1029,48 +1087,12 @@ int cmd_predict(const std::vector<std::string>& args) {
 
   options.tracer = sinks.tracer_or_null();
   options.metrics = sinks.metrics_or_null();
-  analysis::predict::PredictReport report;
-  resilience::SupervisorReport supervisor;
-  if (res.enabled()) {
-    Result<analysis::predict::SupervisedPredictResult> supervised =
-        analysis::predict::predict_corpus_supervised(
-            options, res.options<analysis::predict::SupervisedPredictOptions>());
-    if (!supervised.ok()) {
-      std::cerr << "wsinterop: " << supervised.error().message << "\n";
-      return 1;
-    }
-    report = std::move(supervised.value().report);
-    supervisor = std::move(supervised.value().supervisor);
-  } else {
-    report = analysis::predict::predict_corpus(options);
-  }
-  if (!sinks.flush()) return 1;
-  if (!index_path.empty() &&
-      !write_text_file(index_path,
-                       analysis::predict::index_json(
-                           analysis::predict::build_index(report)) +
-                           "\n")) {
-    return 1;
-  }
-  std::cout << analysis::predict::format_predict_report(report);
-
-  int ok_code = 0;
-  if (gated && report.joined) {
-    const analysis::predict::ClientScore& overall = report.overall;
-    const bool precision_ok =
-        100 * overall.true_positives >=
-        min_precision * (overall.true_positives + overall.false_positives);
-    const bool recall_ok =
-        100 * overall.true_positives >=
-        min_recall * (overall.true_positives + overall.false_negatives);
-    if (!precision_ok || !recall_ok) {
-      std::cout << "predict: accuracy below floor (need precision >= " << min_precision
-                << "%, recall >= " << min_recall << "%)\n";
-      ok_code = 3;
-    }
-  }
-  if (res.enabled()) return finish_supervised(supervisor, "text", ok_code);
-  return ok_code;
+  return finish_campaign(
+      analysis::predict::predict_corpus_supervised(
+          options, res.options<analysis::predict::SupervisedPredictOptions>()),
+      res.enabled(), sinks, "text", [&](const analysis::predict::SupervisedPredictResult& run) {
+        return print_predict_corpus(run.report, output);
+      });
 }
 
 /// `wsinterop substitute` — answers "which service can replace Y for client
@@ -1215,18 +1237,133 @@ int cmd_profile(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// The engine options a resumed campaign runs under: the journal's own
-/// supervisor knobs, checkpointing on into the same file.
-template <typename Options>
-Options resume_options(const resilience::Journal& journal, const std::string& path,
-                       std::size_t trip_after_tasks) {
-  Options options;
-  options.journal = journal.options;
-  options.checkpoint_path = path;
-  options.resume = &journal;
-  options.trip_after_tasks = trip_after_tasks;
-  return options;
-}
+/// A resume in progress: the parsed journal and the knobs `resume` may
+/// choose anew — throughput (--jobs), the output format, the crash drill.
+struct Resume {
+  const resilience::Journal& journal;
+  const std::string& path;
+  std::size_t jobs = 0;
+  std::string format;
+  std::size_t trip_after = 0;
+  ObsSinks& sinks;
+
+  /// The engine options a resumed campaign runs under: the journal's own
+  /// supervisor knobs, checkpointing on into the same file.
+  template <typename Options>
+  Options options() const {
+    Options options;
+    options.journal = journal.options;
+    options.checkpoint_path = path;
+    options.resume = &journal;
+    options.trip_after_tasks = trip_after;
+    return options;
+  }
+
+  /// Decodes the journal's config, hands it (with the sinks and the worker
+  /// count applied by `run`) to the engine, and prints through the verb's
+  /// printer with the supervisor section after it.
+  template <typename Decode, typename Run, typename Print>
+  int finish(Decode decode, Run run, const std::string& report_format, Print print) const {
+    auto config = decode(journal.config_json);
+    if (!config.ok()) {
+      std::cerr << "wsinterop: " << config.error().message << "\n";
+      return 1;
+    }
+    config->tracer = sinks.tracer_or_null();
+    config->metrics = sinks.metrics_or_null();
+    return finish_campaign(run(*config), /*supervised=*/true, sinks, report_format, print);
+  }
+};
+
+/// The campaigns `resume` can finish, by the journal's `campaign`: each
+/// decodes its config, runs its engine with the journal as the resume
+/// source, and prints with the verb's own printer and exit code, so a
+/// resumed run prints what the straight run printed. `formats` accepts a
+/// --format (null: every format prints the same report).
+struct ResumableCampaign {
+  std::string_view campaign;
+  bool (*formats)(const std::string& format);
+  int (*resume)(const Resume& resume);
+};
+
+const ResumableCampaign kResumable[] = {
+    {"study", nullptr,
+     [](const Resume& r) {
+       return r.finish(
+           interop::study_config_from_json,
+           [&](interop::StudyConfig& config) {
+             auto options = r.options<interop::SupervisedOptions>();
+             options.jobs = config.threads = r.jobs;
+             return interop::run_study_supervised(config, options);
+           },
+           r.format,
+           [&](const interop::SupervisedStudyResult& run) { return print_study(run.study, r.format); });
+     }},
+    {"communication", nullptr,
+     [](const Resume& r) {
+       return r.finish(
+           interop::communication_config_from_json,
+           [&](interop::StudyConfig& config) {
+             auto options = r.options<interop::SupervisedOptions>();
+             options.jobs = config.threads = r.jobs;
+             return interop::run_communication_supervised(config, options);
+           },
+           "text", print_communication);
+     }},
+    {"chaos", chaos_format,
+     [](const Resume& r) {
+       return r.finish(
+           chaos::chaos_config_from_json,
+           [&](chaos::ChaosConfig& config) {
+             config.jobs = r.jobs;
+             return chaos::run_chaos_supervised(config,
+                                                r.options<chaos::SupervisedChaosOptions>());
+           },
+           r.format,
+           [&](const chaos::SupervisedChaosResult& run) { return print_chaos(run.chaos, r.format); });
+     }},
+    {"propcheck", propcheck_format,
+     [](const Resume& r) {
+       return r.finish(
+           gen::gen_config_from_json,
+           [&](gen::GenConfig& config) {
+             config.jobs = r.jobs;
+             return gen::run_propcheck_supervised(config, r.options<gen::SupervisedGenOptions>());
+           },
+           r.format,
+           [&](const gen::SupervisedGenResult& run) {
+             return print_propcheck(run.propcheck, r.format, /*with_shrink=*/true);
+           });
+     }},
+    {"lint-corpus", nullptr,
+     [](const Resume& r) {
+       return r.finish(
+           analysis::corpus_config_from_json,
+           [&](analysis::CorpusOptions& options) {
+             options.jobs = r.jobs;
+             return analysis::analyze_corpus_supervised(
+                 options, r.options<analysis::SupervisedCorpusOptions>());
+           },
+           "text",
+           [](const analysis::SupervisedCorpusResult& run) {
+             return print_lint_corpus(run, LintOptions{}, analysis::Baseline{});
+           });
+     }},
+    {"predict-corpus", nullptr,
+     [](const Resume& r) {
+       return r.finish(
+           analysis::predict::predict_config_from_json,
+           [&](analysis::predict::PredictOptions& options) {
+             options.jobs = options.study_threads = r.jobs;
+             return analysis::predict::predict_corpus_supervised(
+                 options, r.options<analysis::predict::SupervisedPredictOptions>());
+           },
+           "text",
+           [](const analysis::predict::SupervisedPredictResult& run) {
+             return print_predict_corpus(run.report, PredictOutput{});
+           });
+     }},
+};
 
 /// `wsinterop resume JOURNAL` — finishes an interrupted supervised campaign.
 /// The campaign config and the deterministic supervisor knobs come from the
@@ -1281,104 +1418,13 @@ int cmd_resume(const std::vector<std::string>& args) {
   if (!tail_note.empty()) {
     std::cerr << "wsinterop: " << journal_path << ": " << tail_note << "\n";
   }
-  const resilience::Journal& journal = parsed.value();
-  const auto fail = [](const Error& error) {
-    std::cerr << "wsinterop: " << error.message << "\n";
-    return 1;
-  };
-
-  if (journal.campaign == "study") {
-    Result<interop::StudyConfig> config = interop::study_config_from_json(journal.config_json);
-    if (!config.ok()) return fail(config.error());
-    config->threads = jobs;
-    config->tracer = sinks.tracer_or_null();
-    config->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<interop::SupervisedOptions>(journal, journal_path, trip);
-    sup.jobs = jobs;
-    Result<interop::SupervisedStudyResult> result = interop::run_study_supervised(*config, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    print_study(result->study, format);
-    return finish_supervised(result->supervisor, format, 0);
-  }
-  if (journal.campaign == "communication") {
-    Result<interop::StudyConfig> config =
-        interop::communication_config_from_json(journal.config_json);
-    if (!config.ok()) return fail(config.error());
-    config->threads = jobs;
-    config->tracer = sinks.tracer_or_null();
-    config->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<interop::SupervisedOptions>(journal, journal_path, trip);
-    sup.jobs = jobs;
-    Result<interop::SupervisedCommunicationResult> result =
-        interop::run_communication_supervised(*config, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    std::cout << interop::format_communication(result->communication);
-    return finish_supervised(result->supervisor, "text", 0);
-  }
-  if (journal.campaign == "chaos") {
-    Result<chaos::ChaosConfig> config = chaos::chaos_config_from_json(journal.config_json);
-    if (!config.ok()) return fail(config.error());
-    config->jobs = jobs;
-    config->tracer = sinks.tracer_or_null();
-    config->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<chaos::SupervisedChaosOptions>(journal, journal_path, trip);
-    Result<chaos::SupervisedChaosResult> result = chaos::run_chaos_supervised(*config, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    const int rc = print_chaos(result->chaos, format, "");
-    if (rc != 0) return rc;
-    return finish_supervised(result->supervisor, format, 0);
-  }
-  if (journal.campaign == "propcheck") {
-    Result<gen::GenConfig> config = gen::gen_config_from_json(journal.config_json);
-    if (!config.ok()) return fail(config.error());
-    config->jobs = jobs;
-    config->tracer = sinks.tracer_or_null();
-    config->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<gen::SupervisedGenOptions>(journal, journal_path, trip);
-    Result<gen::SupervisedGenResult> result = gen::run_propcheck_supervised(*config, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    const int rc = print_propcheck(result->propcheck, format, /*with_shrink=*/true);
-    if (rc == 2) return rc;
-    return finish_supervised(result->supervisor, format, rc);
-  }
-  if (journal.campaign == "lint-corpus") {
-    Result<analysis::CorpusOptions> options =
-        analysis::corpus_config_from_json(journal.config_json);
-    if (!options.ok()) return fail(options.error());
-    options->jobs = jobs;
-    options->tracer = sinks.tracer_or_null();
-    options->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<analysis::SupervisedCorpusOptions>(journal, journal_path, trip);
-    Result<analysis::SupervisedCorpusResult> result =
-        analysis::analyze_corpus_supervised(*options, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    std::cout << analysis::format_report(result->report);
-    return finish_supervised(result->supervisor, "text", 0);
-  }
-  if (journal.campaign == "predict-corpus") {
-    Result<analysis::predict::PredictOptions> options =
-        analysis::predict::predict_config_from_json(journal.config_json);
-    if (!options.ok()) return fail(options.error());
-    options->jobs = jobs;
-    options->study_threads = jobs;
-    options->tracer = sinks.tracer_or_null();
-    options->metrics = sinks.metrics_or_null();
-    auto sup = resume_options<analysis::predict::SupervisedPredictOptions>(journal,
-                                                                          journal_path, trip);
-    Result<analysis::predict::SupervisedPredictResult> result =
-        analysis::predict::predict_corpus_supervised(*options, sup);
-    if (!result.ok()) return fail(result.error());
-    if (!sinks.flush()) return 1;
-    std::cout << analysis::predict::format_predict_report(result->report);
-    return finish_supervised(result->supervisor, "text", 0);
+  for (const ResumableCampaign& campaign : kResumable) {
+    if (campaign.campaign != parsed->campaign) continue;
+    if (campaign.formats != nullptr && !campaign.formats(format)) return 2;
+    return campaign.resume(Resume{parsed.value(), journal_path, jobs, format, trip, sinks});
   }
   std::cerr << "wsinterop: journal " << journal_path << " names unknown campaign '"
-            << journal.campaign << "'\n";
+            << parsed->campaign << "'\n";
   return 1;
 }
 
@@ -1410,15 +1456,7 @@ int cmd_serve(const std::vector<std::string>& args) {
       apply_scale(oracle_options.predict.java_spec, oracle_options.predict.dotnet_spec,
                   percent);
     } else if (args[i] == "--shape" && i + 1 < args.size()) {
-      const std::string shape = args[++i];
-      if (shape == frameworks::to_string(frameworks::ServiceShape::kSimpleEcho)) {
-        oracle_options.predict.shape = frameworks::ServiceShape::kSimpleEcho;
-      } else if (shape == frameworks::to_string(frameworks::ServiceShape::kCrud)) {
-        oracle_options.predict.shape = frameworks::ServiceShape::kCrud;
-      } else {
-        std::cerr << "wsinterop: unknown shape '" << shape << "'\n";
-        return 2;
-      }
+      if (!parse_shape(args[++i], oracle_options.predict.shape)) return 2;
     } else if ((args[i] == "--jobs" || args[i] == "--threads") && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], oracle_options.predict.jobs)) return usage();
     } else if (args[i] == "--cache" && i + 1 < args.size()) {
