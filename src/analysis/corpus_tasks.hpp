@@ -1,14 +1,10 @@
-// corpus_tasks.hpp — the task engine both corpus campaigns run on
-// (lint-corpus and predict-corpus).
+// corpus_tasks.hpp — the task engine of lint-corpus and predict-corpus.
 //
-// One task per deployed description writes its result into a slot
-// allocated up front, one slot per task, so workers share nothing and the
-// fold needs no decoding. A task's record is encoded (common/codec.hpp)
-// only when a journal is written; a resumed task's slot is decoded from its
-// journal record before anything runs, so an unusable journal fails before
-// it is appended to. The completed slots come back in corpus order, which
-// makes the result identical at any worker count and across interrupt and
-// resume.
+// One task per deployed description writes its result into its own slot,
+// allocated up front. A record is encoded only when a journal is written;
+// a resumed slot is decoded from its journal record before anything runs,
+// so an unusable journal fails before it is appended to. The completed
+// slots come back in corpus order, at any worker count and across resumes.
 #pragma once
 
 #include <string>
@@ -47,8 +43,8 @@ Status run_corpus_tasks(const CorpusCampaign& campaign, const std::vector<LintJo
   std::vector<Slot> slots(jobs.size());
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, supervision.resume)) {
-    const Status decoded = codec::decode(entry->record, slots[entry->task], campaign.bad_record,
-                                         "task record for '" + entry->id + "'");
+    const Status decoded =
+        resilience::decode_record(*entry, slots[entry->task], campaign.bad_record);
     if (!decoded.ok()) return decoded;
   }
   const bool journaling = !supervision.checkpoint_path.empty();
@@ -58,14 +54,8 @@ Status run_corpus_tasks(const CorpusCampaign& campaign, const std::vector<LintJo
     return journaling ? codec::encode(slots[index]) : std::string{};
   };
 
-  resilience::SupervisorOptions sup;
-  sup.journal = supervision.journal;
-  sup.jobs = campaign.jobs;
-  sup.checkpoint_path = supervision.checkpoint_path;
-  sup.resume = supervision.resume;
-  sup.trip_after_tasks = supervision.trip_after_tasks;
-  sup.metrics = campaign.metrics;
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
+  Result<resilience::SupervisorReport> supervised = resilience::supervise(
+      tasks, resilience::supervisor_options(supervision, campaign.jobs, campaign.metrics));
   if (!supervised.ok()) return supervised.error();
   report = std::move(supervised.value());
 

@@ -8,8 +8,6 @@
 #include "analysis/supervised_predict.hpp"
 #include "common/codec.hpp"
 #include "common/strings.hpp"
-#include "frameworks/registry.hpp"
-#include "frameworks/server.hpp"
 #include "interop/study.hpp"
 
 namespace wsx::analysis::predict {
@@ -561,10 +559,8 @@ void finalize_predict_report(PredictReport& report, const PredictOptions& option
 std::string record_json(const ServicePredictionRecord& record) { return codec::encode(record); }
 
 Result<ServicePredictionRecord> record_from_json(std::string_view text) {
-  ServicePredictionRecord record;
-  const Status decoded = codec::decode(text, record, "predict.bad-record", "prediction record");
-  if (!decoded.ok()) return decoded.error();
-  return record;
+  return codec::decode_value<ServicePredictionRecord>(text, "predict.bad-record",
+                                                      "prediction record");
 }
 
 std::string format_predict_report(const PredictReport& report) {

@@ -68,11 +68,11 @@ SubstitutionIndex build_index(const PredictReport& report) {
 std::string index_json(const SubstitutionIndex& index) { return codec::encode(index); }
 
 Result<SubstitutionIndex> index_from_json(std::string_view text) {
-  SubstitutionIndex index;
-  const Status decoded = codec::decode(text, index, "predict.bad-index", "substitution index");
-  if (!decoded.ok()) return decoded.error();
-  for (const IndexEntry& entry : index.entries) {
-    if (entry.verdicts.size() != index.clients.size()) {
+  Result<SubstitutionIndex> index =
+      codec::decode_value<SubstitutionIndex>(text, "predict.bad-index", "substitution index");
+  if (!index.ok()) return index;
+  for (const IndexEntry& entry : index->entries) {
+    if (entry.verdicts.size() != index->clients.size()) {
       return Error{"predict.bad-index", "substitution index: entry " + entry.server + "/" +
                                             entry.service +
                                             " verdict count does not match client count"};

@@ -56,7 +56,7 @@ void fields(V& v, IndexEntry& entry) {
 
 template <class V>
 void fields(V& v, SubstitutionIndex& index) {
-  v("version", codec::fixed(kIndexVersion));
+  v("version", codec::Fixed{kIndexVersion});
   v("clients", index.clients);
   v("entries", index.entries);
 }

@@ -33,11 +33,8 @@ std::string corpus_config_json(const CorpusOptions& options) {
 }
 
 Result<CorpusOptions> corpus_config_from_json(std::string_view text) {
-  CorpusOptions options;
-  const Status decoded =
-      codec::decode(text, options, corpus_fields, "resilience.bad-config", "lint-corpus config");
-  if (!decoded.ok()) return decoded.error();
-  return options;
+  return codec::decode_value<CorpusOptions>(text, corpus_fields, "resilience.bad-config",
+                                            "lint-corpus config");
 }
 
 Result<SupervisedCorpusResult> analyze_corpus_supervised(

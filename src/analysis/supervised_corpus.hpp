@@ -1,10 +1,12 @@
-// supervised_corpus.hpp — the corpus lint driver re-driven under the
-// resilience supervisor (src/resilience/supervisor.hpp).
+// supervised_corpus.hpp — the lint-corpus engine, run under the resilience
+// supervisor (src/resilience/supervisor.hpp) on the corpus task engine
+// (analysis/corpus_tasks.hpp).
 //
-// Task granularity is one lint job (one deployed description). Completed
-// findings are journaled as JSON and folded back in corpus order, then the
-// usual join + tally passes run over the folded services, so a supervised
-// run with full coverage matches analyze_corpus byte-for-byte.
+// One task per deployed description lints it into its own slot; the
+// completed slots fold in corpus order, then the join + tally passes run
+// over the folded services. A task's ServiceAnalysis is journaled only when
+// a checkpoint file is written. analyze_corpus is this engine with no
+// journal.
 #pragma once
 
 #include <string>

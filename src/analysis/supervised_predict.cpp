@@ -23,11 +23,8 @@ std::string predict_config_json(const PredictOptions& options) {
 }
 
 Result<PredictOptions> predict_config_from_json(std::string_view text) {
-  PredictOptions options;
-  const Status decoded = codec::decode(text, options, predict_fields, "resilience.bad-config",
-                                       "predict-corpus config");
-  if (!decoded.ok()) return decoded.error();
-  return options;
+  return codec::decode_value<PredictOptions>(text, predict_fields, "resilience.bad-config",
+                                             "predict-corpus config");
 }
 
 Result<SupervisedPredictResult> predict_corpus_supervised(

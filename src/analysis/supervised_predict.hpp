@@ -1,10 +1,12 @@
-// supervised_predict.hpp — the predict corpus pass re-driven under the
-// resilience supervisor (src/resilience/supervisor.hpp).
+// supervised_predict.hpp — the predict-corpus engine, run under the
+// resilience supervisor (src/resilience/supervisor.hpp) on the corpus task
+// engine (analysis/corpus_tasks.hpp).
 //
-// Task granularity is one deployed description. Completed predictions are
-// journaled as JSON records and folded back in corpus order, then the join
-// + scoring pass runs over the folded services, so a supervised run with
-// full coverage matches predict_corpus byte-for-byte.
+// One task per deployed description predicts it into its own slot; the
+// completed slots fold in corpus order, then the join + scoring pass runs
+// over the folded services. A task's record (record_json) is journaled only
+// when a checkpoint file is written. predict_corpus is this engine with no
+// journal.
 #pragma once
 
 #include <string>

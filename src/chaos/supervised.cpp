@@ -15,8 +15,6 @@
 namespace wsx::chaos {
 namespace {
 
-constexpr const char* kBadRecord = "resilience.bad-record";
-
 /// The chaos fingerprint's fields.
 constexpr auto chaos_fields = [](auto& v, ChaosConfig& config) {
   v("java", config.java_spec);
@@ -39,11 +37,8 @@ std::string chaos_config_json(const ChaosConfig& config) {
 }
 
 Result<ChaosConfig> chaos_config_from_json(std::string_view text) {
-  ChaosConfig config;
-  const Status decoded =
-      codec::decode(text, config, chaos_fields, "resilience.bad-config", "chaos config");
-  if (!decoded.ok()) return decoded.error();
-  return config;
+  return codec::decode_value<ChaosConfig>(text, chaos_fields, "resilience.bad-config",
+                                          "chaos config");
 }
 
 Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
@@ -92,24 +87,19 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   // up front. A task writes its row in place (indices are distinct across
   // workers, so no locking) and leaves nothing allocated on its worker, so
   // peak memory does not depend on how tasks interleave on the workers'
-  // heaps. `bound[t]` is set when task t's service deployed; a resumed task
-  // is filled from its journal record before anything runs.
+  // heaps. Task t's record spans its row once its service deployed; a
+  // resumed task is filled from its journal record before anything runs.
   const std::size_t width = clients.size();
   std::vector<ChainDelta> side(plan.tasks.size() * width);
-  std::vector<char> bound(plan.tasks.size(), 0);
+  std::vector<ChaosRecord> records(plan.tasks.size());
   const auto task_chains = [&](std::size_t index) {
     return std::span(side).subspan(index * width, width);
   };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    ChaosRecord record{task_chains(entry->task)};
-    const Status decoded =
-        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    records[entry->task] = {task_chains(entry->task)};
+    const Status decoded = resilience::decode_record(*entry, records[entry->task]);
     if (!decoded.ok()) return decoded.error();
-    if (!record.clients.empty() && record.clients.size() != width) {
-      return Error{kBadRecord, "task record for '" + entry->id + "': client row count mismatch"};
-    }
-    bound[entry->task] = !record.clients.empty();
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -120,9 +110,10 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
     const frameworks::RoundService& task = plan.tasks[index];
     const frameworks::Round& round = rounds[task.round];
-    bound[index] = 0;
+    ChaosRecord& record = records[index];
+    record = {};
     Result<frameworks::DeployedService> service = round.server->deploy(*task.spec);
-    if (!service.ok()) return journaling ? codec::encode(ChaosRecord{}) : std::string{};
+    if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
     std::optional<frameworks::SharedDescription> description;
     if (config.parse_cache) {
       description.emplace(
@@ -137,20 +128,14 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
                                   profiles[i], round.label);
       context.charge(chains[i].virtual_ms);
     }
-    bound[index] = 1;
-    return journaling ? codec::encode(ChaosRecord{chains}) : std::string{};
+    record.clients = chains;
+    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span calls_span(config.tracer, "phase:calls", run_span);
   obs::ScopedTimer calls_timer = obs::timer(config.metrics, "chaos.phase.calls_us");
-  resilience::SupervisorOptions sup;
-  sup.journal = options.journal;
-  sup.jobs = config.jobs;
-  sup.checkpoint_path = options.checkpoint_path;
-  sup.resume = options.resume;
-  sup.trip_after_tasks = options.trip_after_tasks;
-  sup.metrics = config.metrics;
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
+  Result<resilience::SupervisorReport> supervised = resilience::supervise(
+      tasks, resilience::supervisor_options(options, config.jobs, config.metrics));
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
@@ -164,9 +149,9 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   }
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
     ChaosServerResult& server = result.servers[plan.tasks[outcome.task].round];
-    const ChainDelta* chains = side.data() + outcome.task * width;
+    const std::span<const ChainDelta> chains = records[outcome.task].clients;
     const bool completed = outcome.state == resilience::TaskState::kCompleted;
-    if (completed && !bound[outcome.task]) continue;
+    if (completed && chains.empty()) continue;
     ++server.services_deployed;
     if (outcome.state == resilience::TaskState::kQuarantined && outcome.timed_out) {
       for (ChaosCell& cell : server.cells) {

@@ -20,19 +20,17 @@ std::string member_path(const std::string& parent, std::string_view key) {
 }
 
 bool read_integer(const json::Value& value, bool is_signed, std::uint64_t max,
-                  std::uint64_t& magnitude, bool& negative) {
-  if (!value.is_integer()) return false;
-  magnitude = value.magnitude();
-  negative = value.is_negative();
-  if (!negative) return magnitude <= max;
-  return is_signed && magnitude - 1 <= max;
-}
-
-void integer_problem(Problems& problems, const std::string& where, bool is_signed,
-                     std::uint64_t max) {
+                  const std::string& where, Problems& problems, std::uint64_t& magnitude,
+                  bool& negative) {
+  if (value.is_integer()) {
+    magnitude = value.magnitude();
+    negative = value.is_negative();
+    if (negative ? is_signed && magnitude - 1 <= max : magnitude <= max) return true;
+  }
   const std::string low = is_signed ? "-" + std::to_string(max + 1) : "0";
   problems.push_back("'" + where + "' is not an integer in [" + low + ", " +
                      std::to_string(max) + "]");
+  return false;
 }
 
 Error failure(std::string_view code, std::string_view what, const Problems& problems) {

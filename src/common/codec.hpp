@@ -8,22 +8,23 @@
 //     v("open_ms", s.open_ms);
 //   }
 //
-// encode() drives the list with a Writer, which renders compact JSON in
+// encode() drives the list with a writer that renders compact JSON in
 // declaration order (the canonical bytes a journal fingerprint compares);
-// decode() drives it with a strict Reader, which looks each member up by
-// name and collects every missing or mistyped member, so one error names
-// them all. Where one struct has two serialised forms (two campaigns
-// fingerprint the same config differently) each form is a field-list
-// lambda passed to encode/decode explicitly.
+// decode() drives it with a strict reader that looks each member up by name
+// and collects every missing or mistyped member, so one error names them
+// all. Where one struct has two serialised forms (two campaigns fingerprint
+// the same config differently), each form is a field-list lambda passed to
+// encode/decode explicitly.
 //
-// Member types: bool; integers (read exactly: a negative, fractional or
-// out-of-range value is an error naming the field); std::string; enums,
-// by name through ADL `to_string(E)` and `from_string(std::string_view,
-// E&) -> bool`; std::vector, std::array (exact length), std::span (read in
-// place, at most its length, then narrowed to the items read) and
-// std::set<std::string> as arrays; std::map<std::string, T> as an object;
-// std::unique_ptr<T> as an optional member, omitted when null; any struct
-// with a `fields` list; and the ordinal()/fixed() adapters below.
+// Member types: bool; integers, read exactly (a negative, fractional or
+// out-of-range value is an error naming the field); std::string; enums, by
+// name through ADL `to_string(E)` and `from_string(std::string_view, E&)`;
+// std::vector, std::set, std::array (exact length) and std::span (a task's
+// row slots: read in place, all of them or none, and narrowed to the items
+// read) as arrays;
+// std::map<std::string, T> as an object; std::unique_ptr<T> as an optional
+// member, omitted when null; any struct with a `fields` list; and the
+// Raw, Ordinal and Fixed adapters below.
 #pragma once
 
 #include <array>
@@ -45,48 +46,42 @@
 
 namespace wsx::codec {
 
+/// A member holding JSON text, embedded as-is (a journal's config and task
+/// records); reading keeps the member's canonical text (json::to_text).
+struct Raw {
+  std::string& text;
+};
+
 /// An enum written as its index (below `count`) instead of its name.
 template <class E>
 struct Ordinal {
   E& value;
   std::size_t count;
 };
-template <class E>
-Ordinal<E> ordinal(E& value, std::size_t count) {
-  return {value, count};
-}
 
-/// A member with one legal value: written as `value`, and any other value
-/// read back is an error (format version markers).
+/// A member with one legal value, such as a format version: written as
+/// `value`, and any other value read back is an error.
 template <class T>
 struct Fixed {
   T value;
 };
-template <class T>
-Fixed<T> fixed(T value) {
-  return {value};
-}
 
 namespace detail {
 
-template <class T> struct is_vector : std::false_type {};
-template <class T, class A> struct is_vector<std::vector<T, A>> : std::true_type {};
+template <class T, template <class...> class Template>
+struct is_a : std::false_type {};
+template <template <class...> class Template, class... Args>
+struct is_a<Template<Args...>, Template> : std::true_type {};
 template <class T> struct is_std_array : std::false_type {};
 template <class T, std::size_t N> struct is_std_array<std::array<T, N>> : std::true_type {};
 template <class T> struct is_span : std::false_type {};
 template <class T, std::size_t N> struct is_span<std::span<T, N>> : std::true_type {};
-template <class T> struct is_string_set : std::false_type {};
-template <class C> struct is_string_set<std::set<std::string, C>> : std::true_type {};
-template <class T> struct is_string_map : std::false_type {};
-template <class T, class C> struct is_string_map<std::map<std::string, T, C>> : std::true_type {};
-template <class T> struct is_unique_ptr : std::false_type {};
-template <class T> struct is_unique_ptr<std::unique_ptr<T>> : std::true_type {};
-template <class T> struct is_ordinal : std::false_type {};
-template <class E> struct is_ordinal<Ordinal<E>> : std::true_type {};
-template <class T> struct is_fixed : std::false_type {};
-template <class T> struct is_fixed<Fixed<T>> : std::true_type {};
 
-/// Appends `"key":` (with the separating comma) to an open object.
+template <class T>
+constexpr bool is_sequence = is_a<T, std::vector>::value || is_a<T, std::set>::value ||
+                             is_std_array<T>::value || is_span<T>::value;
+
+/// Appends `"key":` (after a comma unless `first`) to an open object.
 void open_member(std::string& out, bool& first, std::string_view key);
 void write_string(std::string& out, std::string_view text);
 
@@ -100,11 +95,8 @@ class Writer {
 
   template <class T>
   void operator()(std::string_view key, T&& value) {
-    using U = std::remove_cvref_t<T>;
-    if constexpr (is_unique_ptr<U>::value) {
-      if (value == nullptr) return;
-      open_member(out_, first_, key);
-      write_value(out_, *value);
+    if constexpr (is_a<std::remove_cvref_t<T>, std::unique_ptr>::value) {
+      if (value != nullptr) (*this)(key, *value);
     } else {
       open_member(out_, first_, key);
       write_value(out_, value);
@@ -126,12 +118,13 @@ void write_value(std::string& out, const T& value) {
     write_string(out, to_string(value));
   } else if constexpr (std::is_same_v<T, std::string>) {
     write_string(out, value);
-  } else if constexpr (is_ordinal<T>::value) {
+  } else if constexpr (std::is_same_v<T, Raw>) {
+    out += value.text;
+  } else if constexpr (is_a<T, Ordinal>::value) {
     out += std::to_string(static_cast<std::size_t>(value.value));
-  } else if constexpr (is_fixed<T>::value) {
+  } else if constexpr (is_a<T, Fixed>::value) {
     write_value(out, value.value);
-  } else if constexpr (is_vector<T>::value || is_std_array<T>::value || is_span<T>::value ||
-                       is_string_set<T>::value) {
+  } else if constexpr (is_sequence<T>) {
     out += '[';
     bool first = true;
     for (const auto& item : value) {
@@ -140,7 +133,7 @@ void write_value(std::string& out, const T& value) {
       write_value(out, item);
     }
     out += ']';
-  } else if constexpr (is_string_map<T>::value) {
+  } else if constexpr (is_a<T, std::map>::value) {
     out += '{';
     bool first = true;
     for (const auto& [key, item] : value) {
@@ -160,11 +153,11 @@ void write_value(std::string& out, const T& value) {
 using Problems = std::vector<std::string>;
 
 std::string member_path(const std::string& parent, std::string_view key);
-void integer_problem(Problems& problems, const std::string& where, bool is_signed,
-                     std::uint64_t max);
-/// Reads an exact integer in [-(max+1), max] (signed) or [0, max].
+/// Reads an exact integer in [-(max+1), max] when signed, else [0, max];
+/// false (with a problem naming `where`) when `value` is not one.
 bool read_integer(const json::Value& value, bool is_signed, std::uint64_t max,
-                  std::uint64_t& magnitude, bool& negative);
+                  const std::string& where, Problems& problems, std::uint64_t& magnitude,
+                  bool& negative);
 
 template <class T>
 void read_value(const json::Value& json, T& out, const std::string& where, Problems& problems);
@@ -180,11 +173,9 @@ class Reader {
     using U = std::remove_cvref_t<T>;
     const json::Value* member = object_.find(key);
     const std::string where = member_path(path_, key);
-    if constexpr (is_unique_ptr<U>::value) {
-      value.reset();
-      if (member == nullptr) return;
-      value = std::make_unique<typename U::element_type>();
-      read_value(*member, *value, where, problems_);
+    if constexpr (is_a<U, std::unique_ptr>::value) {
+      value = member == nullptr ? nullptr : std::make_unique<typename U::element_type>();
+      if (value != nullptr) read_value(*member, *value, where, problems_);
     } else if (member == nullptr) {
       problems_.push_back("missing '" + where + "'");
     } else {
@@ -199,88 +190,73 @@ class Reader {
 };
 
 template <class T>
-void read_items(const std::vector<json::Value>& items, T* out, const std::string& where,
-                Problems& problems) {
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    read_value(items[i], out[i], where + "[" + std::to_string(i) + "]", problems);
-  }
-}
-
-template <class T>
 void read_value(const json::Value& json, T& out, const std::string& where, Problems& problems) {
-  const auto expected = [&](const char* what) {
-    problems.push_back("'" + where + "' is not " + what);
+  const auto expected = [&](const std::string& what) {
+    problems.push_back("'" + where + "' " + what);
   };
   if constexpr (std::is_same_v<T, bool>) {
-    if (!json.is_bool()) return expected("a boolean");
+    if (!json.is_bool()) return expected("is not a boolean");
     out = json.as_bool();
   } else if constexpr (std::is_integral_v<T>) {
-    constexpr bool is_signed = std::is_signed_v<T>;
-    constexpr auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
     std::uint64_t magnitude = 0;
     bool negative = false;
-    if (!read_integer(json, is_signed, max, magnitude, negative)) {
-      return integer_problem(problems, where, is_signed, max);
+    if (!read_integer(json, std::is_signed_v<T>, std::numeric_limits<T>::max(), where, problems,
+                      magnitude, negative)) {
+      return;
     }
-    if constexpr (is_signed) {
-      out = negative ? static_cast<T>(-static_cast<std::int64_t>(magnitude - 1) - 1)
-                     : static_cast<T>(magnitude);
-    } else {
-      out = static_cast<T>(magnitude);
-    }
+    // Two's complement: -magnitude, computed without overflowing T.
+    out = negative ? static_cast<T>(-static_cast<std::int64_t>(magnitude - 1) - 1)
+                   : static_cast<T>(magnitude);
   } else if constexpr (std::is_enum_v<T>) {
-    if (!json.is_string()) return expected("a string");
+    if (!json.is_string()) return expected("is not a string");
     if (!from_string(json.as_string(), out)) {
-      problems.push_back("'" + where + "' has unknown value \"" + json.as_string() + "\"");
+      expected("has unknown value \"" + json.as_string() + "\"");
     }
   } else if constexpr (std::is_same_v<T, std::string>) {
-    if (!json.is_string()) return expected("a string");
+    if (!json.is_string()) return expected("is not a string");
     out = json.as_string();
-  } else if constexpr (is_ordinal<T>::value) {
+  } else if constexpr (std::is_same_v<T, Raw>) {
+    out.text = json::to_text(json);
+  } else if constexpr (is_a<T, Ordinal>::value) {
     std::size_t index = 0;
     read_value(json, index, where, problems);
     if (index >= out.count) {
-      return problems.push_back("'" + where + "' is not an index below " +
-                                std::to_string(out.count));
+      return expected("is not an index below " + std::to_string(out.count));
     }
     out.value = static_cast<std::remove_cvref_t<decltype(out.value)>>(index);
-  } else if constexpr (is_fixed<T>::value) {
+  } else if constexpr (is_a<T, Fixed>::value) {
     auto value = out.value;
     const std::size_t before = problems.size();
     read_value(json, value, where, problems);
-    if (problems.size() == before && !(value == out.value)) {
-      std::string want;
-      write_value(want, out.value);
-      problems.push_back("'" + where + "' must be " + want);
-    }
-  } else if constexpr (is_vector<T>::value || is_std_array<T>::value || is_span<T>::value) {
-    if (!json.is_array()) return expected("an array");
+    if (problems.size() != before || value == out.value) return;
+    std::string want;
+    write_value(want, out.value);
+    expected("must be " + want);
+  } else if constexpr (is_a<T, std::set>::value) {
+    std::vector<typename T::value_type> items;
+    read_value(json, items, where, problems);
+    out = T(items.begin(), items.end());
+  } else if constexpr (is_sequence<T>) {
+    if (!json.is_array()) return expected("is not an array");
     const std::vector<json::Value>& items = json.items();
-    if constexpr (is_vector<T>::value) {
-      out.clear();
+    if constexpr (is_a<T, std::vector>::value) {
       out.resize(items.size());
-    } else if (is_std_array<T>::value ? items.size() != out.size()
-                                      : items.size() > out.size()) {
-      return problems.push_back("'" + where + "' has " + std::to_string(items.size()) +
-                                " items, expected " + (is_span<T>::value ? "at most " : "") +
-                                std::to_string(out.size()));
+    } else if (items.size() != out.size() && (is_std_array<T>::value || !items.empty())) {
+      return expected("has " + std::to_string(items.size()) + " items, expected " +
+                      (is_span<T>::value ? "0 or " : "") + std::to_string(out.size()));
     }
-    read_items(items, out.data(), where, problems);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      read_value(items[i], out[i], where + "[" + std::to_string(i) + "]", problems);
+    }
     if constexpr (is_span<T>::value) out = out.first(items.size());
-  } else if constexpr (is_string_set<T>::value) {
-    if (!json.is_array()) return expected("an array");
-    out.clear();
-    std::vector<std::string> items(json.size());
-    read_items(json.items(), items.data(), where, problems);
-    out.insert(items.begin(), items.end());
-  } else if constexpr (is_string_map<T>::value) {
-    if (!json.is_object()) return expected("an object");
+  } else if constexpr (is_a<T, std::map>::value) {
+    if (!json.is_object()) return expected("is not an object");
     out.clear();
     for (const auto& [key, item] : json.members()) {
       read_value(item, out[key], member_path(where, key), problems);
     }
   } else {
-    if (!json.is_object()) return expected("an object");
+    if (!json.is_object()) return expected("is not an object");
     Reader reader(json, where, problems);
     fields(reader, out);
   }
@@ -331,6 +307,15 @@ template <class T>
 Status decode(std::string_view text, T& out, std::string_view code, std::string_view what) {
   return decode(
       text, out, [](auto& v, T& target) { fields(v, target); }, code, what);
+}
+
+/// decode() into a new value: decode_value<T>(text, [list,] code, what).
+template <class T, class... Args>
+Result<T> decode_value(std::string_view text, Args&&... args) {
+  T out;
+  const Status decoded = decode(text, out, std::forward<Args>(args)...);
+  if (!decoded.ok()) return decoded.error();
+  return out;
 }
 
 }  // namespace wsx::codec

@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace wsx::json {
 
@@ -128,16 +130,6 @@ double Value::as_number() const {
   return number_;
 }
 
-std::uint64_t Value::magnitude() const {
-  assert(is_integer());
-  return magnitude_;
-}
-
-bool Value::is_negative() const {
-  assert(is_integer());
-  return negative_;
-}
-
 const std::string& Value::as_string() const {
   assert(is_string());
   return string_;
@@ -184,7 +176,8 @@ Value Value::make_number(double value) {
 }
 
 Value Value::make_integer(std::uint64_t magnitude, bool negative) {
-  Value v = make_number(negative ? -static_cast<double>(magnitude) : static_cast<double>(magnitude));
+  const auto number = static_cast<double>(magnitude);
+  Value v = make_number(negative ? -number : number);
   v.integral_ = true;
   v.negative_ = negative && magnitude != 0;
   v.magnitude_ = magnitude;
@@ -297,18 +290,12 @@ class JsonParser {
     // An integer token keeps its exact value when its magnitude fits in 64
     // bits; the double alone would round anything above 2^53.
     const bool negative = token[0] == '-';
-    const std::string_view digits = std::string_view(token).substr(negative ? 1 : 0);
+    const char* const first = token.data() + (negative ? 1 : 0);
+    const char* const last = token.data() + token.size();
     std::uint64_t magnitude = 0;
-    bool exact = !digits.empty();
-    for (const char c : digits) {
-      const unsigned digit = static_cast<unsigned>(c - '0');
-      if (digit > 9 || magnitude > (UINT64_MAX - digit) / 10) {
-        exact = false;
-        break;
-      }
-      magnitude = magnitude * 10 + digit;
-    }
-    return exact ? Value::make_integer(magnitude, negative) : Value::make_number(number);
+    const auto [digits_end, error] = std::from_chars(first, last, magnitude);
+    return error == std::errc{} && digits_end == last ? Value::make_integer(magnitude, negative)
+                                                      : Value::make_number(number);
   }
 
   Result<std::string> parse_string() {

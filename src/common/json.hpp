@@ -81,9 +81,10 @@ class Value {
   /// Preconditions: matching kind (asserted).
   bool as_bool() const;
   double as_number() const;
-  /// The exact integer: its magnitude and sign. Precondition: is_integer().
-  std::uint64_t magnitude() const;
-  bool is_negative() const;
+  /// The exact integer: its magnitude and sign (meaningful when
+  /// is_integer()).
+  std::uint64_t magnitude() const { return magnitude_; }
+  bool is_negative() const { return negative_; }
   const std::string& as_string() const;
   const std::vector<Value>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, Value>>& members() const;

@@ -14,8 +14,6 @@
 namespace wsx::gen {
 namespace {
 
-constexpr const char* kBadRecord = "resilience.bad-record";
-
 /// The propcheck fingerprint's fields.
 constexpr auto gen_fields = [](auto& v, GenConfig& config) {
   v("java", config.java_spec);
@@ -43,11 +41,8 @@ std::string gen_config_json(const GenConfig& config) {
 }
 
 Result<GenConfig> gen_config_from_json(std::string_view text) {
-  GenConfig config;
-  const Status decoded =
-      codec::decode(text, config, gen_fields, "resilience.bad-config", "propcheck config");
-  if (!decoded.ok()) return decoded.error();
-  return config;
+  return codec::decode_value<GenConfig>(text, gen_fields, "resilience.bad-config",
+                                        "propcheck config");
 }
 
 Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
@@ -82,23 +77,18 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   // Fold input, allocated here up front: one row of `width` pair deltas
   // per task, written in place by the task that owns it (indices are
   // distinct across workers, so no locking) or from a resumed journal
-  // record. `bound[t]` is set when task t's service deployed.
+  // record. Task t's record spans its row once its service deployed.
   const std::size_t width = clients.size();
   std::vector<PairDelta> side(plan.tasks.size() * width);
-  std::vector<char> bound(plan.tasks.size(), 0);
+  std::vector<PropcheckRecord> records(plan.tasks.size());
   const auto task_pairs = [&](std::size_t index) {
     return std::span(side).subspan(index * width, width);
   };
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    PropcheckRecord record{task_pairs(entry->task)};
-    const Status decoded =
-        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    records[entry->task] = {task_pairs(entry->task)};
+    const Status decoded = resilience::decode_record(*entry, records[entry->task]);
     if (!decoded.ok()) return decoded.error();
-    if (!record.clients.empty() && record.clients.size() != width) {
-      return Error{kBadRecord, "task record for '" + entry->id + "': client row count mismatch"};
-    }
-    bound[entry->task] = !record.clients.empty();
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -109,9 +99,10 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
     const frameworks::RoundService& task = plan.tasks[index];
     const frameworks::ServerFramework& server = *rounds[task.round].server;
-    bound[index] = 0;
+    PropcheckRecord& record = records[index];
+    record = {};
     Result<frameworks::DeployedService> service = server.deploy(*task.spec);
-    if (!service.ok()) return journaling ? codec::encode(PropcheckRecord{}) : std::string{};
+    if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
     std::optional<frameworks::SharedDescription> description;
     if (config.parse_cache) {
       description.emplace(
@@ -125,20 +116,14 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
                                     *clients[i], compilers[i].get(), config);
       context.charge(pairs[i].virtual_ms);
     }
-    bound[index] = 1;
-    return journaling ? codec::encode(PropcheckRecord{pairs}) : std::string{};
+    record.clients = pairs;
+    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span check_span(config.tracer, "phase:check", run_span);
   obs::ScopedTimer check_timer = obs::timer(config.metrics, "gen.phase.check_us");
-  resilience::SupervisorOptions sup;
-  sup.journal = options.journal;
-  sup.jobs = config.jobs;
-  sup.checkpoint_path = options.checkpoint_path;
-  sup.resume = options.resume;
-  sup.trip_after_tasks = options.trip_after_tasks;
-  sup.metrics = config.metrics;
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(tasks, sup);
+  Result<resilience::SupervisorReport> supervised = resilience::supervise(
+      tasks, resilience::supervisor_options(options, config.jobs, config.metrics));
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
@@ -154,7 +139,7 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
     const frameworks::RoundService& task = plan.tasks[outcome.task];
     PropServerResult& server = result.servers[task.round];
-    PairDelta* pairs = side.data() + outcome.task * width;
+    const std::span<PairDelta> pairs = records[outcome.task].clients;
     if (outcome.state != resilience::TaskState::kCompleted) {
       Result<frameworks::DeployedService> service =
           rounds[task.round].server->deploy(*task.spec);
@@ -169,7 +154,7 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
       }
       continue;
     }
-    if (!bound[outcome.task]) continue;
+    if (pairs.empty()) continue;
     ++server.services_deployed;
     server.cases_generated += corpus_size(pairs[0]);
     for (std::size_t i = 0; i < clients.size(); ++i) {

@@ -18,11 +18,6 @@ namespace wsx::interop {
 namespace {
 
 constexpr const char* kBadConfig = "resilience.bad-config";
-constexpr const char* kBadRecord = "resilience.bad-record";
-
-Error bad_record(const std::string& id, const std::string& what) {
-  return Error{kBadRecord, "task record for '" + id + "': " + what};
-}
 
 /// The study fingerprint's fields.
 constexpr auto study_fields = [](auto& v, StudyConfig& config) {
@@ -43,18 +38,6 @@ constexpr auto communication_fields = [](auto& v, StudyConfig& config) {
   v("versions", config.versions);
 };
 
-resilience::SupervisorOptions to_supervisor_options(const SupervisedOptions& options,
-                                                    obs::Registry* metrics) {
-  resilience::SupervisorOptions sup;
-  sup.journal = options.journal;
-  sup.jobs = options.jobs;
-  sup.checkpoint_path = options.checkpoint_path;
-  sup.resume = options.resume;
-  sup.trip_after_tasks = options.trip_after_tasks;
-  sup.metrics = metrics;
-  return sup;
-}
-
 // --- The study task ----------------------------------------------------------
 
 FoldRow row_from_outcome(ClientTestOutcome outcome) {
@@ -74,23 +57,6 @@ FoldRow row_from_outcome(ClientTestOutcome outcome) {
     row.first = std::make_unique<Diagnostic>(std::move(outcome.errors.front()));
   }
   return row;
-}
-
-/// Decodes a completed study task's record into its facts and its task's
-/// `rows` (one slot per client). A record without the facts was written by
-/// the phase-by-phase engine, whose fold took them from its own deploy
-/// pass; folding it now would count the service as compliant, so the
-/// decode refuses it and names every fact it lacks.
-Result<ServiceFacts> study_rows_from_record(const resilience::JournalEntry& entry,
-                                            std::span<FoldRow> rows, bool wsi_deploy_gate) {
-  StudyRecord record{{}, rows};
-  const Status decoded =
-      codec::decode(entry.record, record, kBadRecord, "task record for '" + entry.id + "'");
-  if (!decoded.ok()) return decoded.error();
-  if (record.clients.size() != (record.facts.withdrawn(wsi_deploy_gate) ? 0 : rows.size())) {
-    return bad_record(entry.id, "client row count mismatch");
-  }
-  return record.facts;
 }
 
 /// The Testing Phase of one service: step (a), description generation at
@@ -164,10 +130,7 @@ std::string study_config_json(const StudyConfig& config) {
 }
 
 Result<StudyConfig> study_config_from_json(std::string_view text) {
-  StudyConfig config;
-  const Status decoded = codec::decode(text, config, study_fields, kBadConfig, "study config");
-  if (!decoded.ok()) return decoded.error();
-  return config;
+  return codec::decode_value<StudyConfig>(text, study_fields, kBadConfig, "study config");
 }
 
 std::string communication_config_json(const StudyConfig& config) {
@@ -175,11 +138,8 @@ std::string communication_config_json(const StudyConfig& config) {
 }
 
 Result<StudyConfig> communication_config_from_json(std::string_view text) {
-  StudyConfig config;
-  const Status decoded =
-      codec::decode(text, config, communication_fields, kBadConfig, "communication config");
-  if (!decoded.ok()) return decoded.error();
-  return config;
+  return codec::decode_value<StudyConfig>(text, communication_fields, kBadConfig,
+                                          "communication config");
 }
 
 Result<SupervisedStudyResult> run_study_tasks(
@@ -224,12 +184,20 @@ Result<SupervisedStudyResult> run_study_tasks(
   const auto task_rows = [&](std::size_t index) {
     return std::span(rows).subspan(index * width, width);
   };
+  // A resumed record without the facts was written by the phase-by-phase
+  // engine, whose fold took them from its own deploy pass; folding it now
+  // would count the service as compliant, so the decode refuses it and
+  // names every fact it lacks.
   for (const resilience::JournalEntry* entry :
        resilience::resumed_records(tasks, options.resume)) {
-    Result<ServiceFacts> resumed =
-        study_rows_from_record(*entry, task_rows(entry->task), config.wsi_deploy_gate);
-    if (!resumed.ok()) return resumed.error();
-    facts[entry->task] = resumed.value();
+    StudyRecord record{{}, task_rows(entry->task)};
+    const Status decoded = resilience::decode_record(*entry, record);
+    if (!decoded.ok()) return decoded.error();
+    if (record.facts.withdrawn(config.wsi_deploy_gate) != record.clients.empty()) {
+      return Error{"resilience.bad-record",
+                   "task record for '" + entry->id + "': client row count mismatch"};
+    }
+    facts[entry->task] = record.facts;
   }
   const bool journaling = !options.checkpoint_path.empty();
   tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
@@ -243,8 +211,8 @@ Result<SupervisedStudyResult> run_study_tasks(
 
   obs::Span testing_span(config.tracer, "phase:testing", parent_span);
   obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
-  Result<resilience::SupervisorReport> supervised =
-      resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise(
+      tasks, resilience::supervisor_options(options, options.jobs, config.metrics));
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
@@ -416,12 +384,8 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
        resilience::resumed_records(tasks, options.resume)) {
     CommunicationRecord& record = records[entry->task];
     record.clients = task_rows(entry->task);
-    const Status decoded =
-        codec::decode(entry->record, record, kBadRecord, "task record for '" + entry->id + "'");
+    const Status decoded = resilience::decode_record(*entry, record);
     if (!decoded.ok()) return decoded.error();
-    if (!record.clients.empty() && record.clients.size() != width) {
-      return bad_record(entry->id, "client row count mismatch");
-    }
   }
   const bool journaling = !options.checkpoint_path.empty();
 
@@ -454,8 +418,8 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
 
   obs::Span invoke_span(config.tracer, "phase:invoke", run_span);
   obs::ScopedTimer invoke_timer = obs::timer(config.metrics, "comm.phase.invoke_us");
-  Result<resilience::SupervisorReport> supervised =
-      resilience::supervise(tasks, to_supervisor_options(options, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise(
+      tasks, resilience::supervisor_options(options, options.jobs, config.metrics));
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 

@@ -110,7 +110,7 @@ void fields(V& v, StudyRecord& record) {
 
 template <class V>
 void fields(V& v, InvocationOutcome& invocation) {
-  v("o", codec::ordinal(invocation.outcome, kCommOutcomeCount));
+  v("o", codec::Ordinal{invocation.outcome, kCommOutcomeCount});
   v("st", invocation.http_status);
 }
 

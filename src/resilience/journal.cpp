@@ -1,38 +1,45 @@
 #include "resilience/journal.hpp"
 
-#include <limits>
 #include <set>
 
+#include "common/codec.hpp"
+
 namespace wsx::resilience {
+
+/// An entry line's fields: the record for a completed task, the reason for
+/// a quarantined one.
+template <class V>
+void fields(V& v, JournalEntry& entry) {
+  v("task", entry.task);
+  v("id", entry.id);
+  v("state", entry.state);
+  v("attempts", entry.attempts);
+  v("timed_out", entry.timed_out);
+  v("virtual_ms", entry.virtual_ms);
+  if (entry.state == JournalState::kCompleted) {
+    v("record", codec::Raw{entry.record});
+  } else {
+    v("reason", entry.reason);
+  }
+}
 
 namespace {
 
 /// Format marker in the header line; bump on incompatible layout changes.
 constexpr const char* kFormat = "wsx.resilience.v1";
 
-Error fail(std::string code, std::string message) {
-  return Error{"journal." + std::move(code), std::move(message)};
-}
-
-Result<std::size_t> read_count(const json::Value& object, std::string_view key) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr || !member->is_number()) {
-    return fail("missing-field", "expected numeric field '" + std::string(key) + "'");
-  }
-  if (!member->is_integer() || member->is_negative() ||
-      member->magnitude() > std::numeric_limits<std::size_t>::max()) {
-    return fail("bad-field", "'" + std::string(key) + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(member->magnitude());
-}
-
-Result<std::string> read_string(const json::Value& object, std::string_view key) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr || !member->is_string()) {
-    return fail("missing-field", "expected string field '" + std::string(key) + "'");
-  }
-  return member->as_string();
-}
+/// The header line's fields.
+constexpr auto header_fields = [](auto& v, Journal& journal) {
+  v("journal", codec::Fixed{std::string(kFormat)});
+  v("campaign", journal.campaign);
+  v("config", codec::Raw{journal.config_json});
+  v("tasks", journal.tasks);
+  v("checkpoint_every", journal.options.checkpoint_every);
+  v("task_deadline_ms", journal.options.task_deadline_ms);
+  v("quarantine_after", journal.options.quarantine_after);
+  v("budget_ms", journal.options.budget_ms);
+  v("budget_tasks", journal.options.budget_tasks);
+};
 
 }  // namespace
 
@@ -46,35 +53,19 @@ const char* to_string(JournalState state) {
   return "unknown";
 }
 
-std::string Journal::header_line() const {
-  json::ObjectWriter writer;
-  writer.field("journal", kFormat)
-      .field("campaign", campaign)
-      .raw_field("config", config_json)
-      .field("tasks", tasks)
-      .field("checkpoint_every", options.checkpoint_every)
-      .field("task_deadline_ms", static_cast<std::size_t>(options.task_deadline_ms))
-      .field("quarantine_after", options.quarantine_after)
-      .field("budget_ms", static_cast<std::size_t>(options.budget_ms))
-      .field("budget_tasks", options.budget_tasks);
-  return writer.str();
+bool from_string(std::string_view text, JournalState& out) {
+  for (const JournalState state : {JournalState::kCompleted, JournalState::kQuarantined}) {
+    if (text == to_string(state)) {
+      out = state;
+      return true;
+    }
+  }
+  return false;
 }
 
-std::string Journal::entry_line(const JournalEntry& entry) {
-  json::ObjectWriter writer;
-  writer.field("task", entry.task)
-      .field("id", entry.id)
-      .field("state", to_string(entry.state))
-      .field("attempts", entry.attempts)
-      .field("timed_out", entry.timed_out)
-      .field("virtual_ms", static_cast<std::size_t>(entry.virtual_ms));
-  if (entry.state == JournalState::kCompleted) {
-    writer.raw_field("record", entry.record);
-  } else {
-    writer.field("reason", entry.reason);
-  }
-  return writer.str();
-}
+std::string Journal::header_line() const { return codec::encode(*this, header_fields); }
+
+std::string Journal::entry_line(const JournalEntry& entry) { return codec::encode(entry); }
 
 Result<Journal> Journal::parse(std::string_view text, const JournalParseOptions& parse_options) {
   Journal journal;
@@ -90,115 +81,38 @@ Result<Journal> Journal::parse(std::string_view text, const JournalParseOptions&
     pos = end == std::string_view::npos ? text.size() + 1 : end + 1;
     ++line_no;
     if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_no);
 
-    // A malformed *final* entry line is the signature of a crash mid-append;
-    // in tolerant mode it is dropped (the task re-executes on resume) with a
-    // diagnostic instead of failing the resume outright. Anything malformed
-    // with more journal after it is corruption and stays a hard error, as
-    // does a malformed header (without it there is nothing to resume).
-    const auto tail_is_blank = [&] {
-      const std::string_view rest = pos <= text.size() ? text.substr(pos) : std::string_view{};
-      return rest.find_first_not_of(" \t\r\n") == std::string_view::npos;
-    };
-    const auto entry_failure = [&](std::string code, std::string message) -> Result<Journal> {
-      if (saw_header && parse_options.tolerate_truncated_tail && tail_is_blank()) {
-        if (parse_options.diagnostic != nullptr) {
-          *parse_options.diagnostic = "discarded truncated trailing record (line " +
-                                      std::to_string(line_no) + ": " + message + ")";
-        }
-        return journal;
-      }
-      if (code.rfind("journal.", 0) != 0) code = "journal." + code;
-      return Error{std::move(code),
-                   "line " + std::to_string(line_no) + ": " + std::move(message)};
-    };
-
-    Result<json::Value> parsed = json::parse(line);
-    if (!parsed.ok()) {
-      return entry_failure("bad-line", parsed.error().message);
-    }
-    const json::Value& object = parsed.value();
-    if (!object.is_object()) {
-      return entry_failure("bad-line", "expected an object");
-    }
-
+    // Without a header there is nothing to resume: a malformed one is a
+    // hard error.
     if (!saw_header) {
-      Result<std::string> format = read_string(object, "journal");
-      if (!format.ok()) return format.error();
-      if (format.value() != kFormat) {
-        return fail("bad-format", "unsupported journal format '" + format.value() + "'");
-      }
-      Result<std::string> campaign = read_string(object, "campaign");
-      if (!campaign.ok()) return campaign.error();
-      const json::Value* config = object.find("config");
-      if (config == nullptr) return fail("missing-field", "header lacks 'config'");
-      Result<std::size_t> tasks = read_count(object, "tasks");
-      if (!tasks.ok()) return tasks.error();
-      Result<std::size_t> cadence = read_count(object, "checkpoint_every");
-      if (!cadence.ok()) return cadence.error();
-      Result<std::size_t> deadline = read_count(object, "task_deadline_ms");
-      if (!deadline.ok()) return deadline.error();
-      Result<std::size_t> quarantine = read_count(object, "quarantine_after");
-      if (!quarantine.ok()) return quarantine.error();
-      Result<std::size_t> budget_ms = read_count(object, "budget_ms");
-      if (!budget_ms.ok()) return budget_ms.error();
-      Result<std::size_t> budget_tasks = read_count(object, "budget_tasks");
-      if (!budget_tasks.ok()) return budget_tasks.error();
-      journal.campaign = std::move(campaign.value());
-      journal.config_json = json::to_text(*config);
-      journal.tasks = tasks.value();
-      journal.options.checkpoint_every = cadence.value();
-      journal.options.task_deadline_ms = deadline.value();
-      journal.options.quarantine_after = quarantine.value();
-      journal.options.budget_ms = budget_ms.value();
-      journal.options.budget_tasks = budget_tasks.value();
+      const Status header =
+          codec::decode(line, journal, header_fields, "journal.bad-header", where);
+      if (!header.ok()) return header.error();
       saw_header = true;
       continue;
     }
 
     JournalEntry entry;
-    Result<std::size_t> task = read_count(object, "task");
-    if (!task.ok()) return entry_failure(task.error().code, task.error().message);
-    entry.task = task.value();
-    if (entry.task >= journal.tasks) {
-      return entry_failure("bad-entry",
-                           "task index " + std::to_string(entry.task) + " out of range");
+    Status decoded = codec::decode(line, entry, "journal.bad-entry", where);
+    if (decoded.ok() && entry.task >= journal.tasks) {
+      decoded = Error{"journal.bad-entry",
+                      where + ": task index " + std::to_string(entry.task) + " out of range"};
     }
-    Result<std::string> id = read_string(object, "id");
-    if (!id.ok()) return entry_failure(id.error().code, id.error().message);
-    entry.id = std::move(id.value());
-    Result<std::string> state = read_string(object, "state");
-    if (!state.ok()) return entry_failure(state.error().code, state.error().message);
-    if (state.value() == "completed") {
-      entry.state = JournalState::kCompleted;
-    } else if (state.value() == "quarantined") {
-      entry.state = JournalState::kQuarantined;
-    } else {
-      return entry_failure("bad-entry", "unknown state '" + state.value() + "'");
-    }
-    Result<std::size_t> attempts = read_count(object, "attempts");
-    if (!attempts.ok()) return entry_failure(attempts.error().code, attempts.error().message);
-    entry.attempts = attempts.value();
-    const json::Value* timed_out = object.find("timed_out");
-    if (timed_out == nullptr || !timed_out->is_bool()) {
-      return entry_failure("missing-field", "expected 'timed_out'");
-    }
-    entry.timed_out = timed_out->as_bool();
-    Result<std::size_t> virtual_ms = read_count(object, "virtual_ms");
-    if (!virtual_ms.ok()) {
-      return entry_failure(virtual_ms.error().code, virtual_ms.error().message);
-    }
-    entry.virtual_ms = virtual_ms.value();
-    if (entry.state == JournalState::kCompleted) {
-      const json::Value* record = object.find("record");
-      if (record == nullptr) {
-        return entry_failure("missing-field", "expected 'record'");
+    if (!decoded.ok()) {
+      // A malformed *final* entry line is the signature of a crash
+      // mid-append; in tolerant mode it is dropped (the task re-executes on
+      // resume) with a diagnostic instead of failing the resume outright.
+      // Anything malformed with more journal after it is corruption and
+      // stays a hard error.
+      const std::string_view rest = pos <= text.size() ? text.substr(pos) : std::string_view{};
+      const bool tail = rest.find_first_not_of(" \t\r\n") == std::string_view::npos;
+      if (!parse_options.tolerate_truncated_tail || !tail) return decoded.error();
+      if (parse_options.diagnostic != nullptr) {
+        *parse_options.diagnostic =
+            "discarded truncated trailing record (" + decoded.error().message + ")";
       }
-      entry.record = json::to_text(*record);
-    } else {
-      Result<std::string> reason = read_string(object, "reason");
-      if (!reason.ok()) return entry_failure(reason.error().code, reason.error().message);
-      entry.reason = std::move(reason.value());
+      return journal;
     }
     // An interrupted append can at worst repeat a block's lines; the first
     // copy of a task wins, later duplicates are dropped.
@@ -207,7 +121,7 @@ Result<Journal> Journal::parse(std::string_view text, const JournalParseOptions&
     }
   }
 
-  if (!saw_header) return fail("empty", "journal has no header line");
+  if (!saw_header) return Error{"journal.empty", "journal has no header line"};
   return journal;
 }
 

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -43,6 +44,7 @@ enum class JournalState {
 };
 
 const char* to_string(JournalState state);
+bool from_string(std::string_view text, JournalState& out);  ///< inverse of to_string
 
 struct JournalEntry {
   std::size_t task = 0;   ///< index into the campaign's task order
@@ -85,9 +87,11 @@ struct Journal {
   /// Renders one entry line (no trailing newline).
   static std::string entry_line(const JournalEntry& entry);
 
-  /// Parses a whole journal document (header + entries). Error codes use
-  /// the "journal." prefix. Duplicate task indices keep the first entry —
-  /// an interrupted append can at worst repeat a block's lines.
+  /// Parses a whole journal document (header + entries) through the codec
+  /// (common/codec.hpp): "journal.bad-header" / "journal.bad-entry" name
+  /// the line and every member it could not read. Duplicate task indices
+  /// keep the first entry — an interrupted append can at worst repeat a
+  /// block's lines.
   static Result<Journal> parse(std::string_view text, const JournalParseOptions& options = {});
 };
 

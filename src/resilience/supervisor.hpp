@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/result.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/journal.hpp"
@@ -135,6 +136,21 @@ struct SupervisorReport {
   std::size_t checkpoints_written = 0;
 };
 
+/// The supervisor options a campaign's own options — journal knobs,
+/// checkpoint path, resume source, crash drill — ask for.
+template <typename CampaignOptions>
+SupervisorOptions supervisor_options(const CampaignOptions& options, std::size_t jobs,
+                                     obs::Registry* metrics) {
+  SupervisorOptions sup;
+  sup.journal = options.journal;
+  sup.jobs = jobs;
+  sup.checkpoint_path = options.checkpoint_path;
+  sup.resume = options.resume;
+  sup.trip_after_tasks = options.trip_after_tasks;
+  sup.metrics = metrics;
+  return sup;
+}
+
 /// Runs the campaign under supervision. Errors use the "resilience."
 /// prefix (resume mismatches, unwritable checkpoint files).
 Result<SupervisorReport> supervise(const CampaignTasks& tasks, const SupervisorOptions& options);
@@ -146,6 +162,14 @@ Result<SupervisorReport> supervise(const CampaignTasks& tasks, const SupervisorO
 /// the rest.
 std::vector<const JournalEntry*> resumed_records(const CampaignTasks& tasks,
                                                  const Journal* resume);
+
+/// Decodes a resumed entry's record into `record` (common/codec.hpp); every
+/// problem goes into one error under `code` that names the task.
+template <typename Record>
+Status decode_record(const JournalEntry& entry, Record& record,
+                     std::string_view code = "resilience.bad-record") {
+  return codec::decode(entry.record, record, code, "task record for '" + entry.id + "'");
+}
 
 /// Why a run that must cover every task falls short: names the first task
 /// that did not complete and why; "" when every task completed.

@@ -42,10 +42,12 @@
 // --budget-ms, --budget-tasks); see docs/RESILIENCE.md.
 #include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -271,6 +273,7 @@ struct ResilienceFlags {
   resilience::JournalOptions journal;
   std::string checkpoint_path;
   std::size_t trip_after_tasks = 0;
+  const resilience::Journal* resume = nullptr;  ///< `resume`'s journal
   bool any = false;   ///< a resilience flag was given
   bool bad = false;   ///< ...but its value was missing or malformed
 
@@ -284,6 +287,7 @@ struct ResilienceFlags {
     out.journal = journal;
     out.checkpoint_path = checkpoint_path;
     out.trip_after_tasks = trip_after_tasks;
+    out.resume = resume;
     return out;
   }
 
@@ -337,17 +341,20 @@ struct ResilienceFlags {
   }
 };
 
-/// The tail every supervised campaign verb shares with `resume`: checks the
-/// engine's one run (a plain run promises full coverage, so a task left
-/// uncompleted is an error), flushes the sinks, and prints the report
-/// through the verb's printer. A supervised run (resilience flags, or a
-/// resume) then appends the supervisor section, in JSON after csv/json
-/// output and in Markdown otherwise. The printer returns the verb's exit
-/// code; 1 (an output file failed) ends the run there. A tripped run exits
-/// 75 (EX_TEMPFAIL): the journal has the partial state.
-template <typename Supervised, typename Print>
-int finish_campaign(const Result<Supervised>& run, bool supervised, ObsSinks& sinks,
+/// Runs a supervised campaign's engine with the sinks attached and prints
+/// its report: checks the one run (a plain run promises full coverage),
+/// flushes the sinks and prints through the verb's printer, which returns
+/// the exit code (1, a failed output file, ends it there). A supervised run
+/// then appends the supervisor section (JSON after csv/json output) and
+/// exits 75 (EX_TEMPFAIL) when it tripped: the journal has the partial state.
+template <typename Config, typename Options, typename Supervised, typename Print>
+int finish_campaign(Result<Supervised> (*engine)(const Config&, const Options&), Config config,
+                    const Options& options, const ResilienceFlags& res, ObsSinks& sinks,
                     const std::string& format, Print print) {
+  config.tracer = sinks.tracer_or_null();
+  config.metrics = sinks.metrics_or_null();
+  const Result<Supervised> run = engine(config, options);
+  const bool supervised = res.enabled();
   std::string error;
   if (!run.ok()) {
     error = run.error().message;
@@ -399,29 +406,42 @@ void apply_scale(interop::StudyConfig& config, std::size_t percent) {
   apply_scale(config.java_spec, config.dotnet_spec, percent);
 }
 
-/// Prints a study: the --snapshot file when asked for, then the report in
-/// the requested format. Shared by `run` and `resume` of a study journal.
-int print_study(const interop::StudyResult& result, const std::string& format,
-                const std::string& snapshot_path = "") {
-  if (!snapshot_path.empty()) {
-    std::ofstream snapshot(snapshot_path);
-    if (!snapshot) {
-      std::cerr << "wsinterop: cannot open snapshot file " << snapshot_path << "\n";
-      return 1;
-    }
-    snapshot << interop::to_snapshot_csv(result);
-  }
-  if (format == "csv") {
-    std::cout << interop::fig4_csv(result) << "\n" << interop::table3_csv(result);
-  } else if (format == "markdown") {
-    std::cout << interop::fig4_markdown(result) << "\n" << interop::table3_markdown(result);
-  } else {
-    std::cout << interop::format_fig4(result) << "\n"
-              << interop::format_table3(result) << "\n"
-              << interop::format_findings(result) << "\n"
-              << interop::format_failure_catalog(result);
-  }
-  return 0;
+// The supervised campaigns, each shared by its verb and by `resume` of its
+// journal: run the engine under the resilience flags (`resume` passes the
+// journal as their resume source) and print with the verb's printer.
+
+/// The study: the --snapshot file when asked for, then the report in
+/// `format`.
+int study_campaign(const interop::StudyConfig& config, const ResilienceFlags& res,
+                   ObsSinks& sinks, const std::string& format,
+                   const std::string& snapshot_path = "") {
+  auto options = res.options<interop::SupervisedOptions>();
+  options.jobs = config.threads;
+  return finish_campaign(
+      interop::run_study_supervised, config, options, res, sinks, format,
+      [&](const interop::SupervisedStudyResult& run) {
+        const interop::StudyResult& result = run.study;
+        if (!snapshot_path.empty()) {
+          std::ofstream snapshot(snapshot_path);
+          if (!snapshot) {
+            std::cerr << "wsinterop: cannot open snapshot file " << snapshot_path << "\n";
+            return 1;
+          }
+          snapshot << interop::to_snapshot_csv(result);
+        }
+        if (format == "csv") {
+          std::cout << interop::fig4_csv(result) << "\n" << interop::table3_csv(result);
+        } else if (format == "markdown") {
+          std::cout << interop::fig4_markdown(result) << "\n"
+                    << interop::table3_markdown(result);
+        } else {
+          std::cout << interop::format_fig4(result) << "\n"
+                    << interop::format_table3(result) << "\n"
+                    << interop::format_findings(result) << "\n"
+                    << interop::format_failure_catalog(result);
+        }
+        return 0;
+      });
 }
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -472,14 +492,7 @@ int cmd_run(const std::vector<std::string>& args) {
       log_file << interop::to_json_line(record) << "\n";
     };
   }
-  config.tracer = sinks.tracer_or_null();
-  config.metrics = sinks.metrics_or_null();
-  auto options = res.options<interop::SupervisedOptions>();
-  options.jobs = config.threads;
-  return finish_campaign(interop::run_study_supervised(config, options), res.enabled(), sinks,
-                         format, [&](const interop::SupervisedStudyResult& run) {
-                           return print_study(run.study, format, snapshot_path);
-                         });
+  return study_campaign(config, res, sinks, format, snapshot_path);
 }
 
 /// Options shared by file and corpus lint modes.
@@ -527,14 +540,19 @@ int print_findings(std::vector<analysis::Finding> findings, const LintOptions& o
   return has_errors ? 2 : 0;
 }
 
-/// Prints a corpus lint: the per-rule report, then every finding. Shared by
-/// `lint --corpus` and `resume` of a lint-corpus journal, which journals no
-/// output flag (--sarif, --baseline, --write-baseline) and so prints the
-/// straight run's report of a run without them.
-int print_lint_corpus(const analysis::SupervisedCorpusResult& run, const LintOptions& options,
-                      const analysis::Baseline& baseline) {
-  std::cout << analysis::format_report(run.report);
-  return print_findings(run.report.all_findings(), options, baseline);
+/// The corpus lint: the per-rule report, then every finding. A journal
+/// records no output flag (--sarif, --baseline, --write-baseline), so
+/// `resume` prints what a straight run without them prints.
+int lint_corpus_campaign(const analysis::CorpusOptions& corpus, const ResilienceFlags& res,
+                         ObsSinks& sinks, const LintOptions& options = {},
+                         const analysis::Baseline& baseline = {}) {
+  return finish_campaign(
+      analysis::analyze_corpus_supervised, corpus,
+      res.options<analysis::SupervisedCorpusOptions>(), res, sinks, "text",
+      [&](const analysis::SupervisedCorpusResult& run) {
+        std::cout << analysis::format_report(run.report);
+        return print_findings(run.report.all_findings(), options, baseline);
+      });
 }
 
 int cmd_lint(const std::vector<std::string>& args) {
@@ -607,14 +625,7 @@ int cmd_lint(const std::vector<std::string>& args) {
     corpus.jobs = options.jobs;
     corpus.rules = options.rules;
     corpus.join_study = options.join_study;
-    corpus.tracer = sinks.tracer_or_null();
-    corpus.metrics = sinks.metrics_or_null();
-    return finish_campaign(
-        analysis::analyze_corpus_supervised(corpus,
-                                            res.options<analysis::SupervisedCorpusOptions>()),
-        res.enabled(), sinks, "text", [&](const analysis::SupervisedCorpusResult& run) {
-          return print_lint_corpus(run, options, baseline);
-        });
+    return lint_corpus_campaign(corpus, res, sinks, options, baseline);
   }
   std::vector<analysis::Finding> findings;
   for (const std::string& path : options.files) {
@@ -747,10 +758,16 @@ int cmd_fuzz(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Prints the communication study; shared by `communicate` and `resume`.
-int print_communication(const interop::SupervisedCommunicationResult& run) {
-  std::cout << interop::format_communication(run.communication);
-  return 0;
+/// The communication study.
+int communication_campaign(const interop::StudyConfig& config, const ResilienceFlags& res,
+                           ObsSinks& sinks) {
+  auto options = res.options<interop::SupervisedOptions>();
+  options.jobs = config.threads;
+  return finish_campaign(interop::run_communication_supervised, config, options, res, sinks,
+                         "text", [](const interop::SupervisedCommunicationResult& run) {
+                           std::cout << interop::format_communication(run.communication);
+                           return 0;
+                         });
 }
 
 int cmd_communicate(const std::vector<std::string>& args) {
@@ -778,40 +795,39 @@ int cmd_communicate(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  config.tracer = sinks.tracer_or_null();
-  config.metrics = sinks.metrics_or_null();
-  auto options = res.options<interop::SupervisedOptions>();
-  options.jobs = config.threads;
-  return finish_campaign(interop::run_communication_supervised(config, options), res.enabled(),
-                         sinks, "text", print_communication);
+  return communication_campaign(config, res, sinks);
 }
 
-/// The chaos report formats; any other --format is a usage error, caught
-/// before the campaign runs.
-bool chaos_format(const std::string& format) {
-  if (format == "text" || format == "csv" || format == "markdown" || format == "json") {
-    return true;
-  }
+/// Whether `format` is one of `known`; an unknown --format is a usage
+/// error, caught before the campaign runs.
+bool known_format(const std::string& format, std::initializer_list<std::string_view> known) {
+  if (std::find(known.begin(), known.end(), format) != known.end()) return true;
   std::cerr << "wsinterop: unknown format '" << format << "'\n";
   return false;
 }
 
-/// Renders a chaos result in the requested format (chaos_format); returns
-/// 0, or 1 on an unwritable --csv file. Shared by `chaos` and `resume` of a
-/// chaos journal.
-int print_chaos(const chaos::ChaosResult& result, const std::string& format,
-                const std::string& csv_path = "") {
-  if (!csv_path.empty() && !write_text_file(csv_path, chaos::chaos_csv(result))) return 1;
-  if (format == "csv") {
-    std::cout << chaos::chaos_csv(result);
-  } else if (format == "markdown") {
-    std::cout << chaos::chaos_markdown(result);
-  } else if (format == "json") {
-    std::cout << chaos::chaos_recovery_json(result) << "\n";
-  } else {
-    std::cout << chaos::format_chaos(result);
-  }
-  return 0;
+/// The chaos study: the --csv file when asked for, then the report in
+/// `format`.
+int chaos_campaign(const chaos::ChaosConfig& config, const ResilienceFlags& res,
+                   ObsSinks& sinks, const std::string& format,
+                   const std::string& csv_path = "") {
+  if (!known_format(format, {"text", "csv", "markdown", "json"})) return 2;
+  return finish_campaign(
+      chaos::run_chaos_supervised, config, res.options<chaos::SupervisedChaosOptions>(), res,
+      sinks, format, [&](const chaos::SupervisedChaosResult& run) {
+        const chaos::ChaosResult& result = run.chaos;
+        if (!csv_path.empty() && !write_text_file(csv_path, chaos::chaos_csv(result))) return 1;
+        if (format == "csv") {
+          std::cout << chaos::chaos_csv(result);
+        } else if (format == "markdown") {
+          std::cout << chaos::chaos_markdown(result);
+        } else if (format == "json") {
+          std::cout << chaos::chaos_recovery_json(result) << "\n";
+        } else {
+          std::cout << chaos::format_chaos(result);
+        }
+        return 0;
+      });
 }
 
 int cmd_chaos(const std::vector<std::string>& args) {
@@ -876,35 +892,24 @@ int cmd_chaos(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (!chaos_format(format)) return 2;
-  config.tracer = sinks.tracer_or_null();
-  config.metrics = sinks.metrics_or_null();
+  return chaos_campaign(config, res, sinks, format, csv_path);
+}
+
+/// The propcheck matrix (or its canonical JSON, in `format`); property
+/// violations exit 3 so CI can gate on them.
+int propcheck_campaign(const gen::GenConfig& config, const ResilienceFlags& res,
+                       ObsSinks& sinks, const std::string& format, bool with_shrink) {
+  if (!known_format(format, {"text", "json"})) return 2;
   return finish_campaign(
-      chaos::run_chaos_supervised(config, res.options<chaos::SupervisedChaosOptions>()),
-      res.enabled(), sinks, format, [&](const chaos::SupervisedChaosResult& run) {
-        return print_chaos(run.chaos, format, csv_path);
+      gen::run_propcheck_supervised, config, res.options<gen::SupervisedGenOptions>(), res,
+      sinks, format, [&](const gen::SupervisedGenResult& run) {
+        if (format == "json") {
+          std::cout << gen::propcheck_json(run.propcheck) << "\n";
+        } else {
+          std::cout << gen::format_propcheck(run.propcheck, with_shrink);
+        }
+        return run.propcheck.total_failures() == 0 ? 0 : 3;
       });
-}
-
-/// The propcheck report formats; any other --format is a usage error,
-/// caught before the campaign runs.
-bool propcheck_format(const std::string& format) {
-  if (format == "text" || format == "json") return true;
-  std::cerr << "wsinterop: unknown format '" << format << "'\n";
-  return false;
-}
-
-/// Prints the propcheck matrix (or its canonical JSON) and turns property
-/// violations into exit 3 so CI can gate on them; supervised trips keep
-/// their own exit 75 via finish_campaign.
-int print_propcheck(const gen::PropcheckResult& result, const std::string& format,
-                    bool with_shrink) {
-  if (format == "json") {
-    std::cout << gen::propcheck_json(result) << "\n";
-  } else {
-    std::cout << gen::format_propcheck(result, with_shrink);
-  }
-  return result.total_failures() == 0 ? 0 : 3;
 }
 
 /// `wsinterop propcheck` — WSDL-guided property-based testing of the
@@ -959,15 +964,8 @@ int cmd_propcheck(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (!propcheck_format(format)) return 2;
   if (with_shrink) config.shrink = true;
-  config.tracer = sinks.tracer_or_null();
-  config.metrics = sinks.metrics_or_null();
-  return finish_campaign(
-      gen::run_propcheck_supervised(config, res.options<gen::SupervisedGenOptions>()),
-      res.enabled(), sinks, format, [&](const gen::SupervisedGenResult& run) {
-        return print_propcheck(run.propcheck, format, with_shrink);
-      });
+  return propcheck_campaign(config, res, sinks, format, with_shrink);
 }
 
 /// The output flags of `predict --corpus`, none of which a journal records.
@@ -978,31 +976,38 @@ struct PredictOutput {
   bool gated = false;             ///< a floor was given
 };
 
-/// Prints a corpus prediction: the --index file when asked for, the
-/// report, and on a joined run a missed accuracy floor (exit 3; the floors
-/// use integer-percent arithmetic, so CI sees no floating-point boundary
-/// surprises). Shared by `predict --corpus` and `resume` of a
-/// predict-corpus journal.
-int print_predict_corpus(const analysis::predict::PredictReport& report,
-                         const PredictOutput& output) {
-  if (!output.index_path.empty() &&
-      !write_text_file(output.index_path, analysis::predict::index_json(
-                                              analysis::predict::build_index(report)) +
-                                              "\n")) {
-    return 1;
-  }
-  std::cout << analysis::predict::format_predict_report(report);
-  if (!output.gated || !report.joined) return 0;
-  const analysis::predict::ClientScore& overall = report.overall;
-  const bool precision_ok = 100 * overall.true_positives >=
-                            output.min_precision *
-                                (overall.true_positives + overall.false_positives);
-  const bool recall_ok = 100 * overall.true_positives >=
-                         output.min_recall * (overall.true_positives + overall.false_negatives);
-  if (precision_ok && recall_ok) return 0;
-  std::cout << "predict: accuracy below floor (need precision >= " << output.min_precision
-            << "%, recall >= " << output.min_recall << "%)\n";
-  return 3;
+/// The corpus prediction: the --index file when asked for, the report, and
+/// on a joined run a missed accuracy floor (exit 3; the floors use
+/// integer-percent arithmetic, so CI sees no floating-point boundary
+/// surprises).
+int predict_corpus_campaign(const analysis::predict::PredictOptions& options,
+                            const ResilienceFlags& res, ObsSinks& sinks,
+                            const PredictOutput& output = {}) {
+  return finish_campaign(
+      analysis::predict::predict_corpus_supervised, options,
+      res.options<analysis::predict::SupervisedPredictOptions>(), res, sinks, "text",
+      [&](const analysis::predict::SupervisedPredictResult& run) {
+        const analysis::predict::PredictReport& report = run.report;
+        if (!output.index_path.empty() &&
+            !write_text_file(output.index_path, analysis::predict::index_json(
+                                                    analysis::predict::build_index(report)) +
+                                                    "\n")) {
+          return 1;
+        }
+        std::cout << analysis::predict::format_predict_report(report);
+        if (!output.gated || !report.joined) return 0;
+        const analysis::predict::ClientScore& overall = report.overall;
+        const bool precision_ok = 100 * overall.true_positives >=
+                                  output.min_precision *
+                                      (overall.true_positives + overall.false_positives);
+        const bool recall_ok =
+            100 * overall.true_positives >=
+            output.min_recall * (overall.true_positives + overall.false_negatives);
+        if (precision_ok && recall_ok) return 0;
+        std::cout << "predict: accuracy below floor (need precision >= " << output.min_precision
+                  << "%, recall >= " << output.min_recall << "%)\n";
+        return 3;
+      });
 }
 
 /// `wsinterop predict SERVER TYPE` — single-service static prediction; or
@@ -1085,14 +1090,7 @@ int cmd_predict(const std::vector<std::string>& args) {
     return 0;
   }
 
-  options.tracer = sinks.tracer_or_null();
-  options.metrics = sinks.metrics_or_null();
-  return finish_campaign(
-      analysis::predict::predict_corpus_supervised(
-          options, res.options<analysis::predict::SupervisedPredictOptions>()),
-      res.enabled(), sinks, "text", [&](const analysis::predict::SupervisedPredictResult& run) {
-        return print_predict_corpus(run.report, output);
-      });
+  return predict_corpus_campaign(options, res, sinks, output);
 }
 
 /// `wsinterop substitute` — answers "which service can replace Y for client
@@ -1237,131 +1235,101 @@ int cmd_profile(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// A resume in progress: the parsed journal and the knobs `resume` may
-/// choose anew — throughput (--jobs), the output format, the crash drill.
+/// Reads a checkpoint journal (`what` names it in messages). A crash
+/// mid-append leaves a truncated last record, which is exactly what a
+/// resume exists for: it is tolerated (its task re-executes) with a note on
+/// stderr rather than refusing the whole journal. Errors are reported here.
+std::optional<resilience::Journal> read_journal(const std::string& path,
+                                                const std::string& what) {
+  std::ifstream file(path);
+  if (!file) {
+    std::cerr << "wsinterop: cannot open " << what << " " << path << "\n";
+    return std::nullopt;
+  }
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  resilience::JournalParseOptions tolerant;
+  std::string tail_note;
+  tolerant.tolerate_truncated_tail = true;
+  tolerant.diagnostic = &tail_note;
+  Result<resilience::Journal> parsed = resilience::Journal::parse(buffer.str(), tolerant);
+  if (!parsed.ok()) {
+    std::cerr << "wsinterop: " << parsed.error().message << "\n";
+    return std::nullopt;
+  }
+  if (!tail_note.empty()) {
+    std::cerr << "wsinterop: " << what << " " << path << ": " << tail_note << "\n";
+  }
+  return std::move(parsed.value());
+}
+
+/// A resume in progress: the journal's own supervisor knobs as resilience
+/// flags, checkpointing on into the same file with the journal as the
+/// resume source, plus what `resume` may choose anew: throughput (--jobs),
+/// the output format and the crash drill.
 struct Resume {
-  const resilience::Journal& journal;
-  const std::string& path;
+  ResilienceFlags res;
   std::size_t jobs = 0;
   std::string format;
-  std::size_t trip_after = 0;
   ObsSinks& sinks;
 
-  /// The engine options a resumed campaign runs under: the journal's own
-  /// supervisor knobs, checkpointing on into the same file.
-  template <typename Options>
-  Options options() const {
-    Options options;
-    options.journal = journal.options;
-    options.checkpoint_path = path;
-    options.resume = &journal;
-    options.trip_after_tasks = trip_after;
-    return options;
-  }
-
-  /// Decodes the journal's config, hands it (with the sinks and the worker
-  /// count applied by `run`) to the engine, and prints through the verb's
-  /// printer with the supervisor section after it.
-  template <typename Decode, typename Run, typename Print>
-  int finish(Decode decode, Run run, const std::string& report_format, Print print) const {
-    auto config = decode(journal.config_json);
+  /// Decodes the journal's config and hands it to `campaign`.
+  template <typename Decode, typename Campaign>
+  int finish(Decode decode, Campaign campaign) const {
+    auto config = decode(res.resume->config_json);
     if (!config.ok()) {
       std::cerr << "wsinterop: " << config.error().message << "\n";
       return 1;
     }
-    config->tracer = sinks.tracer_or_null();
-    config->metrics = sinks.metrics_or_null();
-    return finish_campaign(run(*config), /*supervised=*/true, sinks, report_format, print);
+    return campaign(*config);
   }
 };
 
 /// The campaigns `resume` can finish, by the journal's `campaign`: each
-/// decodes its config, runs its engine with the journal as the resume
-/// source, and prints with the verb's own printer and exit code, so a
-/// resumed run prints what the straight run printed. `formats` accepts a
-/// --format (null: every format prints the same report).
+/// decodes its config and runs the verb's own campaign function, so a
+/// resumed run prints what the straight run printed, with its exit code.
 struct ResumableCampaign {
   std::string_view campaign;
-  bool (*formats)(const std::string& format);
   int (*resume)(const Resume& resume);
 };
 
 const ResumableCampaign kResumable[] = {
-    {"study", nullptr,
-     [](const Resume& r) {
-       return r.finish(
-           interop::study_config_from_json,
-           [&](interop::StudyConfig& config) {
-             auto options = r.options<interop::SupervisedOptions>();
-             options.jobs = config.threads = r.jobs;
-             return interop::run_study_supervised(config, options);
-           },
-           r.format,
-           [&](const interop::SupervisedStudyResult& run) { return print_study(run.study, r.format); });
+    {"study", [](const Resume& r) {
+       return r.finish(interop::study_config_from_json, [&](interop::StudyConfig& config) {
+         config.threads = r.jobs;
+         return study_campaign(config, r.res, r.sinks, r.format);
+       });
      }},
-    {"communication", nullptr,
-     [](const Resume& r) {
-       return r.finish(
-           interop::communication_config_from_json,
-           [&](interop::StudyConfig& config) {
-             auto options = r.options<interop::SupervisedOptions>();
-             options.jobs = config.threads = r.jobs;
-             return interop::run_communication_supervised(config, options);
-           },
-           "text", print_communication);
+    {"communication", [](const Resume& r) {
+       return r.finish(interop::communication_config_from_json, [&](interop::StudyConfig& config) {
+         config.threads = r.jobs;
+         return communication_campaign(config, r.res, r.sinks);
+       });
      }},
-    {"chaos", chaos_format,
-     [](const Resume& r) {
-       return r.finish(
-           chaos::chaos_config_from_json,
-           [&](chaos::ChaosConfig& config) {
-             config.jobs = r.jobs;
-             return chaos::run_chaos_supervised(config,
-                                                r.options<chaos::SupervisedChaosOptions>());
-           },
-           r.format,
-           [&](const chaos::SupervisedChaosResult& run) { return print_chaos(run.chaos, r.format); });
+    {"chaos", [](const Resume& r) {
+       return r.finish(chaos::chaos_config_from_json, [&](chaos::ChaosConfig& config) {
+         config.jobs = r.jobs;
+         return chaos_campaign(config, r.res, r.sinks, r.format);
+       });
      }},
-    {"propcheck", propcheck_format,
-     [](const Resume& r) {
-       return r.finish(
-           gen::gen_config_from_json,
-           [&](gen::GenConfig& config) {
-             config.jobs = r.jobs;
-             return gen::run_propcheck_supervised(config, r.options<gen::SupervisedGenOptions>());
-           },
-           r.format,
-           [&](const gen::SupervisedGenResult& run) {
-             return print_propcheck(run.propcheck, r.format, /*with_shrink=*/true);
-           });
+    {"propcheck", [](const Resume& r) {
+       return r.finish(gen::gen_config_from_json, [&](gen::GenConfig& config) {
+         config.jobs = r.jobs;
+         return propcheck_campaign(config, r.res, r.sinks, r.format, /*with_shrink=*/true);
+       });
      }},
-    {"lint-corpus", nullptr,
-     [](const Resume& r) {
-       return r.finish(
-           analysis::corpus_config_from_json,
-           [&](analysis::CorpusOptions& options) {
-             options.jobs = r.jobs;
-             return analysis::analyze_corpus_supervised(
-                 options, r.options<analysis::SupervisedCorpusOptions>());
-           },
-           "text",
-           [](const analysis::SupervisedCorpusResult& run) {
-             return print_lint_corpus(run, LintOptions{}, analysis::Baseline{});
-           });
+    {"lint-corpus", [](const Resume& r) {
+       return r.finish(analysis::corpus_config_from_json, [&](analysis::CorpusOptions& options) {
+         options.jobs = r.jobs;
+         return lint_corpus_campaign(options, r.res, r.sinks);
+       });
      }},
-    {"predict-corpus", nullptr,
-     [](const Resume& r) {
-       return r.finish(
-           analysis::predict::predict_config_from_json,
-           [&](analysis::predict::PredictOptions& options) {
-             options.jobs = options.study_threads = r.jobs;
-             return analysis::predict::predict_corpus_supervised(
-                 options, r.options<analysis::predict::SupervisedPredictOptions>());
-           },
-           "text",
-           [](const analysis::predict::SupervisedPredictResult& run) {
-             return print_predict_corpus(run.report, PredictOutput{});
-           });
+    {"predict-corpus", [](const Resume& r) {
+       return r.finish(analysis::predict::predict_config_from_json,
+                       [&](analysis::predict::PredictOptions& options) {
+                         options.jobs = options.study_threads = r.jobs;
+                         return predict_corpus_campaign(options, r.res, r.sinks);
+                       });
      }},
 };
 
@@ -1395,33 +1363,17 @@ int cmd_resume(const std::vector<std::string>& args) {
     }
   }
   if (journal_path.empty()) return usage();
-
-  std::ifstream file(journal_path);
-  if (!file) {
-    std::cerr << "wsinterop: cannot open journal " << journal_path << "\n";
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  // A crash mid-append leaves a truncated last record; that is exactly the
-  // situation resume exists for, so tolerate it (the task re-executes) and
-  // say so, rather than refusing the whole journal.
-  resilience::JournalParseOptions tolerant;
-  std::string tail_note;
-  tolerant.tolerate_truncated_tail = true;
-  tolerant.diagnostic = &tail_note;
-  Result<resilience::Journal> parsed = resilience::Journal::parse(buffer.str(), tolerant);
-  if (!parsed.ok()) {
-    std::cerr << "wsinterop: " << parsed.error().message << "\n";
-    return 1;
-  }
-  if (!tail_note.empty()) {
-    std::cerr << "wsinterop: " << journal_path << ": " << tail_note << "\n";
-  }
+  const std::optional<resilience::Journal> parsed = read_journal(journal_path, "journal");
+  if (!parsed.has_value()) return 1;
   for (const ResumableCampaign& campaign : kResumable) {
     if (campaign.campaign != parsed->campaign) continue;
-    if (campaign.formats != nullptr && !campaign.formats(format)) return 2;
-    return campaign.resume(Resume{parsed.value(), journal_path, jobs, format, trip, sinks});
+    ResilienceFlags res;
+    res.journal = parsed->options;
+    res.checkpoint_path = journal_path;
+    res.trip_after_tasks = trip;
+    res.resume = &parsed.value();
+    res.any = true;
+    return campaign.resume(Resume{res, jobs, format, sinks});
   }
   std::cerr << "wsinterop: journal " << journal_path << " names unknown campaign '"
             << parsed->campaign << "'\n";
@@ -1498,32 +1450,11 @@ int cmd_serve(const std::vector<std::string>& args) {
   oracle_options.predict.join_study = false;
   settings.metrics = sinks.metrics_or_null();
 
-  resilience::Journal cache;  // must outlive Oracle::load when resuming
+  std::optional<resilience::Journal> cache;  // must outlive Oracle::load when resuming
   if (warm) {
-    std::ifstream file(oracle_options.cache_path);
-    if (!file) {
-      std::cerr << "wsinterop: cannot open serve cache " << oracle_options.cache_path
-                << "\n";
-      return 1;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    resilience::JournalParseOptions tolerant;
-    std::string tail_note;
-    tolerant.tolerate_truncated_tail = true;
-    tolerant.diagnostic = &tail_note;
-    Result<resilience::Journal> parsed =
-        resilience::Journal::parse(buffer.str(), tolerant);
-    if (!parsed.ok()) {
-      std::cerr << "wsinterop: " << parsed.error().message << "\n";
-      return 1;
-    }
-    if (!tail_note.empty()) {
-      std::cerr << "wsinterop: serve cache " << oracle_options.cache_path << ": "
-                << tail_note << "\n";
-    }
-    cache = std::move(parsed.value());
-    oracle_options.resume = &cache;
+    cache = read_journal(oracle_options.cache_path, "serve cache");
+    if (!cache.has_value()) return 1;
+    oracle_options.resume = &*cache;
   }
 
   Result<serve::Oracle> oracle = serve::Oracle::load(oracle_options);
