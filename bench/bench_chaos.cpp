@@ -30,48 +30,12 @@
 #include "chaos/campaign.hpp"
 #include "chaos/policy.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "frameworks/version_policy.hpp"
 
 namespace {
 
 using namespace wsx;
-
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-void apply_scale(chaos::ChaosConfig& config, std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  auto& java = config.java_spec;
-  java.plain_beans = scaled(java.plain_beans);
-  java.throwable_clean = scaled(java.throwable_clean);
-  java.throwable_raw = scaled(java.throwable_raw);
-  java.raw_generic_beans = scaled(java.raw_generic_beans);
-  java.anytype_array_beans = scaled(java.anytype_array_beans);
-  java.no_default_ctor = scaled(java.no_default_ctor);
-  java.abstract_classes = scaled(java.abstract_classes);
-  java.interfaces = scaled(java.interfaces);
-  java.generic_types = scaled(java.generic_types);
-  auto& dotnet = config.dotnet_spec;
-  dotnet.plain_types = scaled(dotnet.plain_types);
-  dotnet.dataset_plain = scaled(dotnet.dataset_plain);
-  dotnet.deep_nesting_clean = scaled(dotnet.deep_nesting_clean);
-  dotnet.deep_nesting_pathological = scaled(dotnet.deep_nesting_pathological);
-  dotnet.non_serializable = scaled(dotnet.non_serializable);
-  dotnet.no_default_ctor = scaled(dotnet.no_default_ctor);
-  dotnet.generic_types = scaled(dotnet.generic_types);
-  dotnet.abstract_classes = scaled(dotnet.abstract_classes);
-  dotnet.interfaces = scaled(dotnet.interfaces);
-}
 
 /// One scalar the baseline gate compares. All chaos numbers are virtual-
 /// clock deterministic, so drift in either direction is a regression.
@@ -143,7 +107,8 @@ int main(int argc, char** argv) {
 
   chaos::ChaosConfig config;
   config.jobs = jobs;
-  apply_scale(config, scale);
+  config.java_spec = catalog::scaled(config.java_spec, scale);
+  config.dotnet_spec = catalog::scaled(config.dotnet_spec, scale);
 
   const chaos::ChaosResult classic = chaos::run_chaos_study(config);
   std::cout << chaos::format_chaos(classic) << "\n";

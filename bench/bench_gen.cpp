@@ -33,6 +33,7 @@
 
 #include "catalog/java_catalog.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "gen/request_gen.hpp"
 #include "gen/shrink.hpp"
@@ -41,34 +42,6 @@
 namespace {
 
 using namespace wsx;
-
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-catalog::JavaCatalogSpec scaled_spec(std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  catalog::JavaCatalogSpec spec;
-  spec.plain_beans = scaled(spec.plain_beans);
-  spec.throwable_clean = scaled(spec.throwable_clean);
-  spec.throwable_raw = scaled(spec.throwable_raw);
-  spec.raw_generic_beans = scaled(spec.raw_generic_beans);
-  spec.anytype_array_beans = scaled(spec.anytype_array_beans);
-  spec.no_default_ctor = scaled(spec.no_default_ctor);
-  spec.abstract_classes = scaled(spec.abstract_classes);
-  spec.interfaces = scaled(spec.interfaces);
-  spec.generic_types = scaled(spec.generic_types);
-  return spec;
-}
 
 /// Runs `work` repeatedly until ~0.3 s of wall time has accumulated and
 /// returns the mean nanoseconds per call.
@@ -121,7 +94,8 @@ int main(int argc, char** argv) {
 
   // The deploy pass is the fixture, not the subject: generation starts
   // from already-published descriptions.
-  const catalog::TypeCatalog catalog = catalog::make_java_catalog(scaled_spec(scale));
+  const catalog::TypeCatalog catalog =
+      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, scale));
   const auto server = frameworks::make_server("Metro 2.3");
   std::vector<frameworks::DeployedService> services;
   for (const catalog::TypeInfo& type : catalog.types()) {

@@ -3,24 +3,26 @@
 //
 // Measures the per-stage cost of the description pipeline (P1–P6 in
 // DESIGN.md terms) in ns/byte of WSDL text, plus end-to-end campaign
-// throughput with the parse cache on and off:
+// throughput:
 //
 //   p1_xml_parse            raw XML tree construction
 //   p2_wsdl_parse           XML + WSDL object model
 //   p3_wsi_check            WS-I Basic Profile verdict (per parsed model)
-//   p4_description_build    SharedDescription::from_deployed (the cache's
-//                           one-time per-service cost)
-//   p5_generate_uncached    client generate() from text (parse every call)
+//   p4_description_build    SharedDescription::from_deployed (the one
+//                           per-service parse every campaign task builds)
+//   p5_generate_uncached    client generate() from text (parse every call,
+//                           the fuzz campaign's path)
 //   p6_generate_cached      client generate() from a SharedDescription
 //
 // plus the SOAP envelope hot path (the per-call cost every communication /
 // chaos / propcheck campaign pays on each request and response):
 //
-//   env_dom_parse           envelope parse via the DOM path (--no-stream)
 //   env_stream_parse        envelope parse via the streaming pull tokenizer
 //   env_stream_sniff        zero-DOM request validation (validate_request_text)
 //   envelopes_per_sec_16_workers
 //                           streaming parse throughput across 16 workers
+//   campaign_cached_tests_per_sec
+//                           end-to-end study throughput
 //
 // With --check BASELINE.json the run compares itself against a committed
 // baseline and exits 1 when any ns/byte stage regresses past --tolerance
@@ -40,6 +42,7 @@
 #include "catalog/java_catalog.hpp"
 #include "common/json.hpp"
 #include "common/pool.hpp"
+#include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "interop/study.hpp"
@@ -53,43 +56,6 @@
 namespace {
 
 using namespace wsx;
-
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-void scale_config(interop::StudyConfig& config, std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  auto& java = config.java_spec;
-  java.plain_beans = scaled(java.plain_beans);
-  java.throwable_clean = scaled(java.throwable_clean);
-  java.throwable_raw = scaled(java.throwable_raw);
-  java.raw_generic_beans = scaled(java.raw_generic_beans);
-  java.anytype_array_beans = scaled(java.anytype_array_beans);
-  java.no_default_ctor = scaled(java.no_default_ctor);
-  java.abstract_classes = scaled(java.abstract_classes);
-  java.interfaces = scaled(java.interfaces);
-  java.generic_types = scaled(java.generic_types);
-  auto& dotnet = config.dotnet_spec;
-  dotnet.plain_types = scaled(dotnet.plain_types);
-  dotnet.dataset_plain = scaled(dotnet.dataset_plain);
-  dotnet.deep_nesting_clean = scaled(dotnet.deep_nesting_clean);
-  dotnet.deep_nesting_pathological = scaled(dotnet.deep_nesting_pathological);
-  dotnet.non_serializable = scaled(dotnet.non_serializable);
-  dotnet.no_default_ctor = scaled(dotnet.no_default_ctor);
-  dotnet.generic_types = scaled(dotnet.generic_types);
-  dotnet.abstract_classes = scaled(dotnet.abstract_classes);
-  dotnet.interfaces = scaled(dotnet.interfaces);
-}
 
 /// The fixture every stage runs against: the first catalog type that both
 /// deploys on Metro and generates clean artifacts for the Metro client, so
@@ -132,13 +98,11 @@ double time_ns(Fn&& work) {
   }
 }
 
-double campaign_tests_per_sec(interop::StudyConfig config, bool cache,
-                              std::size_t* tests_out) {
-  config.parse_cache = cache;
+double campaign_tests_per_sec(const interop::StudyConfig& config, std::size_t& tests_out) {
   const auto start = std::chrono::steady_clock::now();
   const interop::StudyResult result = interop::run_study(config);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  if (tests_out != nullptr) *tests_out = result.total_tests();
+  tests_out = result.total_tests();
   return elapsed.count() > 0.0 ? static_cast<double>(result.total_tests()) / elapsed.count()
                                : 0.0;
 }
@@ -222,12 +186,6 @@ int main(int argc, char** argv) {
   const std::string envelope_text = soap::write(*request);
   const double envelope_bytes = static_cast<double>(envelope_text.size());
 
-  soap::set_streaming(false);
-  measurements.push_back({"env_dom_parse_ns_per_byte", time_ns([&] {
-                            Result<soap::Envelope> env = soap::parse(envelope_text);
-                            if (!env.ok()) std::exit(1);
-                          }) / envelope_bytes});
-  soap::set_streaming(true);
   const double stream_parse_ns = time_ns([&] {
     Result<soap::Envelope> env = soap::parse(envelope_text);
     if (!env.ok()) std::exit(1);
@@ -272,23 +230,18 @@ int main(int argc, char** argv) {
   }
 
   interop::StudyConfig config;
-  if (scale != 100) scale_config(config, scale);
+  config.java_spec = catalog::scaled(config.java_spec, scale);
+  config.dotnet_spec = catalog::scaled(config.dotnet_spec, scale);
   config.threads = threads;
   std::size_t tests = 0;
-  (void)campaign_tests_per_sec(config, true, &tests);  // warm-up
-  const double cached_rate = campaign_tests_per_sec(config, true, &tests);
-  const double uncached_rate = campaign_tests_per_sec(config, false, nullptr);
-  measurements.push_back({"campaign_cached_tests_per_sec", cached_rate,
-                          /*lower_is_better=*/false});
-  measurements.push_back({"campaign_uncached_tests_per_sec", uncached_rate,
+  (void)campaign_tests_per_sec(config, tests);  // warm-up
+  measurements.push_back({"campaign_cached_tests_per_sec", campaign_tests_per_sec(config, tests),
                           /*lower_is_better=*/false});
 
   json::ObjectWriter doc;
   doc.field("benchmark", "pipeline");
   doc.field("scale_percent", scale);
   doc.field("tests", tests);
-  doc.field("cache_speedup",
-            uncached_rate > 0.0 ? cached_rate / uncached_rate : 0.0);
   for (const Measurement& m : measurements) doc.field(m.name, m.value);
 
   std::ofstream out(out_path);
@@ -300,9 +253,7 @@ int main(int argc, char** argv) {
   for (const Measurement& m : measurements) {
     std::cout << m.name << " = " << m.value << "\n";
   }
-  std::cout << "pipeline: " << tests << " tests, cache speedup "
-            << (uncached_rate > 0.0 ? cached_rate / uncached_rate : 0.0) << "x -> "
-            << out_path << "\n";
+  std::cout << "pipeline: " << tests << " tests -> " << out_path << "\n";
 
   if (check_path.empty()) return 0;
 

@@ -29,48 +29,12 @@
 #include "analysis/predict.hpp"
 #include "analysis/substitution.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 
 namespace {
 
 using namespace wsx;
 using namespace wsx::analysis::predict;
-
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-void scale_options(PredictOptions& options, std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  auto& java = options.java_spec;
-  java.plain_beans = scaled(java.plain_beans);
-  java.throwable_clean = scaled(java.throwable_clean);
-  java.throwable_raw = scaled(java.throwable_raw);
-  java.raw_generic_beans = scaled(java.raw_generic_beans);
-  java.anytype_array_beans = scaled(java.anytype_array_beans);
-  java.no_default_ctor = scaled(java.no_default_ctor);
-  java.abstract_classes = scaled(java.abstract_classes);
-  java.interfaces = scaled(java.interfaces);
-  java.generic_types = scaled(java.generic_types);
-  auto& dotnet = options.dotnet_spec;
-  dotnet.plain_types = scaled(dotnet.plain_types);
-  dotnet.dataset_plain = scaled(dotnet.dataset_plain);
-  dotnet.deep_nesting_clean = scaled(dotnet.deep_nesting_clean);
-  dotnet.deep_nesting_pathological = scaled(dotnet.deep_nesting_pathological);
-  dotnet.non_serializable = scaled(dotnet.non_serializable);
-  dotnet.no_default_ctor = scaled(dotnet.no_default_ctor);
-  dotnet.generic_types = scaled(dotnet.generic_types);
-  dotnet.abstract_classes = scaled(dotnet.abstract_classes);
-  dotnet.interfaces = scaled(dotnet.interfaces);
-}
 
 /// Runs `work` repeatedly until ~0.3 s of wall time has accumulated and
 /// returns the mean nanoseconds per call.
@@ -123,7 +87,8 @@ int main(int argc, char** argv) {
 
   PredictOptions options;
   options.join_study = false;  // the dynamic study is bench_pipeline's subject
-  if (scale != 100) scale_options(options, scale);
+  options.java_spec = catalog::scaled(options.java_spec, scale);
+  options.dotnet_spec = catalog::scaled(options.dotnet_spec, scale);
 
   // The deploy pass is the fixture, not the subject: the predictor's whole
   // point is to run without it on already-published descriptions.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "interop/study.hpp"
 #include "interop/supervised.hpp"
 #include "obs/metrics.hpp"
@@ -32,43 +33,6 @@
 namespace {
 
 using namespace wsx;
-
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-void scale_config(interop::StudyConfig& config, std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  auto& java = config.java_spec;
-  java.plain_beans = scaled(java.plain_beans);
-  java.throwable_clean = scaled(java.throwable_clean);
-  java.throwable_raw = scaled(java.throwable_raw);
-  java.raw_generic_beans = scaled(java.raw_generic_beans);
-  java.anytype_array_beans = scaled(java.anytype_array_beans);
-  java.no_default_ctor = scaled(java.no_default_ctor);
-  java.abstract_classes = scaled(java.abstract_classes);
-  java.interfaces = scaled(java.interfaces);
-  java.generic_types = scaled(java.generic_types);
-  auto& dotnet = config.dotnet_spec;
-  dotnet.plain_types = scaled(dotnet.plain_types);
-  dotnet.dataset_plain = scaled(dotnet.dataset_plain);
-  dotnet.deep_nesting_clean = scaled(dotnet.deep_nesting_clean);
-  dotnet.deep_nesting_pathological = scaled(dotnet.deep_nesting_pathological);
-  dotnet.non_serializable = scaled(dotnet.non_serializable);
-  dotnet.no_default_ctor = scaled(dotnet.no_default_ctor);
-  dotnet.generic_types = scaled(dotnet.generic_types);
-  dotnet.abstract_classes = scaled(dotnet.abstract_classes);
-  dotnet.interfaces = scaled(dotnet.interfaces);
-}
 
 double seconds_for(const interop::StudyConfig& config, std::size_t& tests_out) {
   const auto start = std::chrono::steady_clock::now();
@@ -106,7 +70,8 @@ int main(int argc, char** argv) {
   }
 
   interop::StudyConfig config;
-  if (scale != 100) scale_config(config, scale);
+  config.java_spec = catalog::scaled(config.java_spec, scale);
+  config.dotnet_spec = catalog::scaled(config.dotnet_spec, scale);
   config.threads = threads;
 
   // Warm-up run: touches every lazily-built catalog/framework singleton so

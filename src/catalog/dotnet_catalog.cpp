@@ -1,6 +1,8 @@
 #include "catalog/dotnet_catalog.hpp"
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 
 #include "catalog/name_pool.hpp"
 
@@ -50,6 +52,16 @@ TypeInfo make_named(std::string package, std::string name) {
 }
 
 }  // namespace
+
+DotNetCatalogSpec scaled(DotNetCatalogSpec spec, std::size_t percent) {
+  for (std::size_t* quota :
+       {&spec.plain_types, &spec.dataset_plain, &spec.deep_nesting_clean,
+        &spec.deep_nesting_pathological, &spec.non_serializable, &spec.no_default_ctor,
+        &spec.generic_types, &spec.abstract_classes, &spec.interfaces}) {
+    *quota = std::max<std::size_t>(1, *quota * percent / 100);
+  }
+  return spec;
+}
 
 TypeCatalog make_dotnet_catalog(const DotNetCatalogSpec& spec) {
   NamePool pool{spec.seed};

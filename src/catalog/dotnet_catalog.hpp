@@ -1,6 +1,7 @@
 // dotnet_catalog.hpp — the synthetic .NET Framework 4 type population.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "catalog/type_info.hpp"
@@ -55,6 +56,12 @@ void fields(V& v, DotNetCatalogSpec& spec) {
   v("abstract_classes", spec.abstract_classes);
   v("interfaces", spec.interfaces);
 }
+
+/// The spec as `--scale PCT` sizes it: each quota but the seed and the
+/// single-defect ones (duplicated, nested and array datasets, encoded
+/// binding, missing soapAction, generator crash) becomes
+/// max(1, quota * percent / 100).
+DotNetCatalogSpec scaled(DotNetCatalogSpec spec, std::size_t percent);
 
 /// Builds the .NET catalog; with the default spec it contains exactly
 /// 14082 types.

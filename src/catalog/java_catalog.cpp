@@ -1,6 +1,8 @@
 #include "catalog/java_catalog.hpp"
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 
 #include "catalog/name_pool.hpp"
 
@@ -54,6 +56,16 @@ void add_raw_collection_field(TypeInfo& type) {
 }
 
 }  // namespace
+
+JavaCatalogSpec scaled(JavaCatalogSpec spec, std::size_t percent) {
+  for (std::size_t* quota :
+       {&spec.plain_beans, &spec.throwable_clean, &spec.throwable_raw, &spec.raw_generic_beans,
+        &spec.anytype_array_beans, &spec.no_default_ctor, &spec.abstract_classes,
+        &spec.interfaces, &spec.generic_types}) {
+    *quota = std::max<std::size_t>(1, *quota * percent / 100);
+  }
+  return spec;
+}
 
 TypeCatalog make_java_catalog(const JavaCatalogSpec& spec) {
   NamePool pool{spec.seed};

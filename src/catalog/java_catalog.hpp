@@ -1,6 +1,7 @@
 // java_catalog.hpp — the synthetic Java SE 7 type population.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "catalog/type_info.hpp"
@@ -47,6 +48,10 @@ void fields(V& v, JavaCatalogSpec& spec) {
   v("interfaces", spec.interfaces);
   v("generic_types", spec.generic_types);
 }
+
+/// The spec as `--scale PCT` sizes it: each quota but the seed and the async
+/// interfaces becomes max(1, quota * percent / 100).
+JavaCatalogSpec scaled(JavaCatalogSpec spec, std::size_t percent);
 
 /// Builds the Java catalog; with the default spec it contains exactly 3971
 /// types, matching the paper's crawl of the Java SE 7 API docs.

@@ -270,13 +270,7 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
                            soap::HybridProfile profile, std::string_view round_label) {
   ChainDelta delta;
   const frameworks::PreparedCall call =
-      description != nullptr
-          ? frameworks::prepare_echo_call(service, *description, client, compiler, profile)
-          : frameworks::prepare_echo_call(
-                service, frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false),
-                client, compiler, profile);
-  obs::add(config.metrics,
-           config.parse_cache ? "chaos.parse.cache_hits" : "chaos.parse.wsdl_parses");
+      frameworks::prepare_echo_call(service, *description, client, compiler, profile);
   if (call.status != frameworks::PreparedCall::Status::kReady) {
     delta.outcomes[static_cast<std::size_t>(ChaosOutcome::kBlockedEarlier)] +=
         config.calls_per_pair;

@@ -130,11 +130,6 @@ struct ChaosConfig {
   /// (every call pure 1.1, every server on its documented policy).
   std::vector<frameworks::VersionPolicy> versions;
 
-  /// Parse-once pipeline: build one SharedDescription per deployed service
-  /// and share it across every client chain's generation gate (identical
-  /// outcomes; see interop::StudyConfig::parse_cache).
-  bool parse_cache = true;
-
   /// Observability sinks, both optional (null = off). Spans: run → round
   /// (per server) → phase → cell; metrics use the "chaos." prefix.
   obs::Tracer* tracer = nullptr;
@@ -160,10 +155,9 @@ struct ChainDelta {
   std::uint64_t virtual_ms = 0;
 };
 
-/// Runs one chain. `description` is the service's shared parse (null =
-/// re-parse, the --no-parse-cache path); `compiler` is null for dynamic
-/// clients. Pure in its inputs — the determinism guarantee of the chaos
-/// study rests on it.
+/// Runs one chain. `description` is the service's shared parse and must
+/// not be null; `compiler` is null for dynamic clients. Pure in its inputs
+/// — the determinism guarantee of the chaos study rests on it.
 /// `profile` is the hybrid dressing the client puts on its calls (kPure11
 /// outside the --versions axis); `round_label` scopes the chain's call ids
 /// (empty = the server name) so each versions round draws an independent

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,7 +25,7 @@ constexpr auto chaos_fields = [](auto& v, ChaosConfig& config) {
   v("breaker_failure_threshold", config.breaker.failure_threshold);
   v("breaker_open_ms", config.breaker.open_ms);
   v("calls_per_pair", config.calls_per_pair);
-  v("parse_cache", config.parse_cache);
+  v("parse_cache", codec::Fixed{true});
   v("versions", config.versions);
 };
 
@@ -114,16 +113,11 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
     record = {};
     Result<frameworks::DeployedService> service = round.server->deploy(*task.spec);
     if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
-    std::optional<frameworks::SharedDescription> description;
-    if (config.parse_cache) {
-      description.emplace(
-          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
-      obs::add(config.metrics, "chaos.parse.wsdl_parses");
-    }
+    const frameworks::SharedDescription description =
+        frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
     const std::span<ChainDelta> chains = task_chains(index);
     for (std::size_t i = 0; i < width; ++i) {
-      chains[i] = run_chaos_chain(wires[task.round], *round.server, *service,
-                                  description.has_value() ? &*description : nullptr,
+      chains[i] = run_chaos_chain(wires[task.round], *round.server, *service, &description,
                                   *clients[i], compilers[i].get(), policies[i], config,
                                   profiles[i], round.label);
       context.charge(chains[i].virtual_ms);

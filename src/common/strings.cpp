@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace wsx {
 
@@ -71,6 +73,16 @@ std::string replace_all(std::string text, std::string_view from, std::string_vie
     pos += to.size();
   }
   return text;
+}
+
+bool parse_count(std::string_view text, std::size_t& out) {
+  // from_chars takes no sign for an unsigned type and reports overflow.
+  std::size_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return false;
+  out = value;
+  return true;
 }
 
 }  // namespace wsx

@@ -1,6 +1,7 @@
 // strings.hpp — small string utilities used across the library.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,5 +35,10 @@ std::string capitalize(std::string_view text);
 
 /// Replaces every occurrence of `from` in `text` with `to`.
 std::string replace_all(std::string text, std::string_view from, std::string_view to);
+
+/// Parses a non-negative decimal count (a command-line number). Rejects an
+/// empty text, anything but digits (no sign, no space, no trailing junk)
+/// and any value above SIZE_MAX; `out` is set only on success.
+bool parse_count(std::string_view text, std::size_t& out);
 
 }  // namespace wsx

@@ -9,20 +9,6 @@
 namespace wsx::frameworks {
 
 PreparedCall prepare_echo_call(const DeployedService& service,
-                               const ClientFramework& client,
-                               const compilers::Compiler* compiler) {
-  return prepare_echo_call(service, SharedDescription::from_deployed(service, /*with_wsi=*/false),
-                           client, compiler);
-}
-
-PreparedCall prepare_echo_call(const DeployedService& service,
-                               const SharedDescription& description,
-                               const ClientFramework& client,
-                               const compilers::Compiler* compiler) {
-  return prepare_call(service, description, client, compiler, /*payload=*/nullptr);
-}
-
-PreparedCall prepare_echo_call(const DeployedService& service,
                                const SharedDescription& description,
                                const ClientFramework& client,
                                const compilers::Compiler* compiler,

@@ -61,30 +61,17 @@ struct PreparedCall {
 
 /// Runs generation + compilation gates and marshals the request envelope
 /// exactly as the communication study does. `compiler` may be null for
-/// tools checked by instantiation. Parses the served text and analyzes the
-/// server model on every call; campaign loops should build one
-/// SharedDescription per service and use the overload below.
-PreparedCall prepare_echo_call(const DeployedService& service,
-                               const ClientFramework& client,
-                               const compilers::Compiler* compiler);
-
-/// Parse-once variant: `description` must have been built from `service`
-/// (SharedDescription::from_deployed), so generation consumes the shared
-/// parse and marshalling reuses the cached server-model features.
-PreparedCall prepare_echo_call(const DeployedService& service,
-                               const SharedDescription& description,
-                               const ClientFramework& client,
-                               const compilers::Compiler* compiler);
-
-/// Mixed-version variant: the request envelope is dressed in `profile`'s
-/// 1.2-era extension headers (soap/version.hpp) before serialization, and
-/// `downgrade_request` keeps the pure-1.1 form for downgrade retries.
-/// kPure11 is byte-identical to the overload above.
+/// tools checked by instantiation. `description` must have been built from
+/// `service` (SharedDescription::from_deployed), so generation consumes the
+/// shared parse and marshalling reuses the cached server-model features.
+/// A hybrid `profile` dresses the request envelope in its 1.2-era extension
+/// headers (soap/version.hpp) before serialization, and `downgrade_request`
+/// keeps the pure-1.1 form for downgrade retries.
 PreparedCall prepare_echo_call(const DeployedService& service,
                                const SharedDescription& description,
                                const ClientFramework& client,
                                const compilers::Compiler* compiler,
-                               soap::HybridProfile profile);
+                               soap::HybridProfile profile = soap::HybridProfile::kPure11);
 
 /// General form behind prepare_echo_call: with `payload == nullptr` the
 /// probe/enumeration default payload is used (byte-identical to

@@ -1,12 +1,11 @@
 // shared_description.hpp — parse-once service description shared by every
 // consumer of a deployed service.
 //
-// A campaign used to re-parse each service's WSDL text once per client tool
-// (11×), once more for the WS-I check, and once per echo invocation — the
-// same bytes, the same tree, every time. A SharedDescription performs that
-// front half exactly once and hands out immutable views behind a
-// shared_ptr: the client-view Definitions + feature vector (parsed from the
-// *served text*, preserving the wire serialize/parse boundary), the
+// Each campaign task builds exactly one SharedDescription per deployed
+// service, and the WS-I check, every client tool and every echo invocation
+// read that one parse of the served bytes. It hands out immutable views
+// behind a shared_ptr: the client-view Definitions + feature vector (parsed
+// from the *served text*, preserving the wire serialize/parse boundary), the
 // server-model feature vector the runtime marshaller keys on, and the WS-I
 // Basic Profile verdict (computed over the server model, as the study's
 // description step always has). Copies are cheap handle copies; all state

@@ -71,22 +71,13 @@ void add_outcome(PairDelta& delta, PropOutcome outcome, std::size_t count = 1) {
 
 PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
                              const frameworks::DeployedService& service,
-                             const frameworks::SharedDescription* description,
+                             const frameworks::SharedDescription& description,
                              const std::vector<GeneratedCase>& corpus,
                              const frameworks::ClientFramework& client,
                              const compilers::Compiler* compiler, const GenConfig& config) {
   PairDelta delta;
-  // With the cache off the pair re-parses once; either way every case below
-  // consumes the same shared parse (the invocation path requires one).
-  const frameworks::SharedDescription local =
-      description != nullptr
-          ? *description
-          : frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false);
-  obs::add(config.metrics,
-           config.parse_cache ? "gen.parse.cache_hits" : "gen.parse.wsdl_parses");
-
   const frameworks::PreparedCall baseline =
-      frameworks::prepare_echo_call(service, local, client, compiler);
+      frameworks::prepare_echo_call(service, description, client, compiler);
   if (baseline.status != frameworks::PreparedCall::Status::kReady) {
     add_outcome(delta, PropOutcome::kBlocked, corpus.size());
     return delta;
@@ -99,7 +90,7 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
   const auto classify_candidate =
       [&](const GeneratedCase& candidate) -> std::optional<frameworks::EchoOutcome> {
     const frameworks::PreparedCall prepared =
-        frameworks::prepare_call(service, local, client, compiler, &candidate.payload);
+        frameworks::prepare_call(service, description, client, compiler, &candidate.payload);
     if (prepared.status != frameworks::PreparedCall::Status::kReady) return std::nullopt;
     return frameworks::classify_echo_response(server.handle_http(service, prepared.request),
                                               prepared.payload)

@@ -95,7 +95,6 @@ struct GenConfig {
   CorpusOptions corpus;
   bool shrink = true;
   std::size_t jobs = 0;  ///< 0 = hardware concurrency
-  bool parse_cache = true;
   obs::Tracer* tracer = nullptr;
   obs::Registry* metrics = nullptr;
 };
@@ -104,10 +103,11 @@ struct GenConfig {
 /// chaos campaign's base latency.
 inline constexpr std::uint64_t kCaseCostMs = 5;
 
-/// Runs one pair: baseline probe, then the whole corpus.
+/// Runs one pair: baseline probe, then the whole corpus, every call
+/// against the service's shared parse `description`.
 PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
                              const frameworks::DeployedService& service,
-                             const frameworks::SharedDescription* description,
+                             const frameworks::SharedDescription& description,
                              const std::vector<GeneratedCase>& corpus,
                              const frameworks::ClientFramework& client,
                              const compilers::Compiler* compiler, const GenConfig& config);

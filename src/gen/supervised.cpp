@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,7 +22,7 @@ constexpr auto gen_fields = [](auto& v, GenConfig& config) {
   v("max_depth", config.corpus.max_depth);
   v("sabotage", config.corpus.sabotage);
   v("shrink", config.shrink);
-  v("parse_cache", config.parse_cache);
+  v("parse_cache", codec::Fixed{true});
 };
 
 /// The size of a service's corpus. Every case resolves to exactly one
@@ -103,17 +102,13 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
     record = {};
     Result<frameworks::DeployedService> service = server.deploy(*task.spec);
     if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
-    std::optional<frameworks::SharedDescription> description;
-    if (config.parse_cache) {
-      description.emplace(
-          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
-    }
+    const frameworks::SharedDescription description =
+        frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
     const std::vector<GeneratedCase> corpus = generate_corpus(*service, config.corpus);
     const std::span<PairDelta> pairs = task_pairs(index);
     for (std::size_t i = 0; i < width; ++i) {
-      pairs[i] = run_propcheck_pair(server, *service,
-                                    description.has_value() ? &*description : nullptr, corpus,
-                                    *clients[i], compilers[i].get(), config);
+      pairs[i] = run_propcheck_pair(server, *service, description, corpus, *clients[i],
+                                    compilers[i].get(), config);
       context.charge(pairs[i].virtual_ms);
     }
     record.clients = pairs;

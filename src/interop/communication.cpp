@@ -69,19 +69,14 @@ std::size_t CommunicationResult::total(CommOutcome outcome) const {
 /// frameworks/invocation.* and are shared with the chaos campaign.
 InvocationOutcome invoke_echo_once(const frameworks::ServerFramework& server,
                                    const frameworks::DeployedService& service,
-                                   const frameworks::SharedDescription* description,
+                                   const frameworks::SharedDescription& description,
                                    const frameworks::ClientFramework& client,
                                    const compilers::Compiler* compiler,
                                    std::size_t* sniffed_violations,
                                    soap::HybridProfile profile,
                                    const frameworks::VersionPolicy* policy) {
   const frameworks::PreparedCall call =
-      description != nullptr
-          ? frameworks::prepare_echo_call(service, *description, client, compiler, profile)
-          : frameworks::prepare_echo_call(
-                service,
-                frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false),
-                client, compiler, profile);
+      frameworks::prepare_echo_call(service, description, client, compiler, profile);
   if (call.status == frameworks::PreparedCall::Status::kBlockedEarlier) {
     return {CommOutcome::kBlockedEarlier, 0};
   }

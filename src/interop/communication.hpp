@@ -86,8 +86,8 @@ struct InvocationOutcome {
 };
 
 /// One end-to-end invocation: marshal → HTTP → execute → unmarshal → check.
-/// `description` is the service's shared parse (null = re-parse, the
-/// --no-parse-cache path); `compiler` is null for dynamic clients.
+/// `description` is the service's shared parse; `compiler` is null for
+/// dynamic clients.
 /// `sniffed_violations`, when non-null, is incremented for requests the
 /// conformance sniffer (soap/validate.hpp) flags as contract violations.
 /// `profile` dresses the call in 1.2-era headers (the --versions axis;
@@ -95,7 +95,7 @@ struct InvocationOutcome {
 /// version-validation policy for this delivery (null = documented policy).
 InvocationOutcome invoke_echo_once(const frameworks::ServerFramework& server,
                                    const frameworks::DeployedService& service,
-                                   const frameworks::SharedDescription* description,
+                                   const frameworks::SharedDescription& description,
                                    const frameworks::ClientFramework& client,
                                    const compilers::Compiler* compiler,
                                    std::size_t* sniffed_violations = nullptr,

@@ -1,6 +1,5 @@
 #include "interop/study.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "common/json.hpp"
@@ -48,25 +47,17 @@ bool same_platform_pair(const std::string& server, const std::string& client) {
   return starts_with(server, "WCF") && starts_with(client, ".NET");
 }
 
-ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
-                                  const frameworks::SharedDescription* description,
+ClientTestOutcome run_client_test(const frameworks::SharedDescription& description,
                                   const frameworks::ClientFramework& client,
                                   const compilers::Compiler* compiler,
                                   obs::Registry* metrics) {
   ClientTestOutcome outcome;
 
-  // Step (b): client artifact generation — against the campaign's shared
-  // parse when the cache is on, or re-parsing the served text when off.
+  // Step (b): client artifact generation, against the service's shared
+  // parse of its served text.
   obs::ScopedTimer generation_timer = obs::timer(metrics, "study.step.generation_us");
-  frameworks::GenerationResult generation = description != nullptr
-                                                ? client.generate(*description)
-                                                : client.generate(service.wsdl_text);
+  frameworks::GenerationResult generation = client.generate(description);
   generation_timer.stop();
-  if (description != nullptr) {
-    obs::add(metrics, "study.parse.cache_hits");
-  } else {
-    obs::add(metrics, "study.parse.wsdl_parses");
-  }
   outcome.generation_warning = generation.diagnostics.has_warnings();
   outcome.generation_error = generation.diagnostics.has_errors();
   take_errors(generation.diagnostics, outcome.errors);

@@ -145,13 +145,6 @@ struct StudyConfig {
   /// them. Off by default — the paper's measured reality.
   bool wsi_deploy_gate = false;
 
-  /// Parse-once pipeline: each deployed service's served WSDL is parsed and
-  /// analyzed exactly once (SharedDescription) and shared by the WS-I check
-  /// and every client tool, instead of once per consumer. Results are
-  /// byte-identical either way (only the "study.parse.*" counters differ);
-  /// the escape hatch exists for A/B measurement (`--no-parse-cache`).
-  bool parse_cache = true;
-
   /// The mixed-version axis (communication study): when non-empty, every
   /// server runs one round per listed policy — overriding its documented
   /// version-validation policy — while each client dresses its calls in
@@ -207,10 +200,8 @@ struct ClientTestOutcome {
 
 /// Steps (b)+(c) for one (service, client) pair: artifact generation, then
 /// compilation or the instantiation check. `description` is the service's
-/// shared parse (null = re-parse the served text, the --no-parse-cache
-/// path); `compiler` is null for dynamic clients.
-ClientTestOutcome run_client_test(const frameworks::DeployedService& service,
-                                  const frameworks::SharedDescription* description,
+/// shared parse of its served text; `compiler` is null for dynamic clients.
+ClientTestOutcome run_client_test(const frameworks::SharedDescription& description,
                                   const frameworks::ClientFramework& client,
                                   const compilers::Compiler* compiler,
                                   obs::Registry* metrics);

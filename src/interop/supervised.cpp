@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "frameworks/version_policy.hpp"
-#include "wsi/profile.hpp"
 
 namespace wsx::interop {
 namespace {
@@ -26,7 +24,7 @@ constexpr auto study_fields = [](auto& v, StudyConfig& config) {
   v("samples_per_cell", config.samples_per_cell);
   v("shape", config.shape);
   v("wsi_deploy_gate", config.wsi_deploy_gate);
-  v("parse_cache", config.parse_cache);
+  v("parse_cache", codec::Fixed{true});
 };
 
 /// The communication fingerprint's fields: the study knobs it ignores
@@ -34,7 +32,7 @@ constexpr auto study_fields = [](auto& v, StudyConfig& config) {
 constexpr auto communication_fields = [](auto& v, StudyConfig& config) {
   v("java", config.java_spec);
   v("dotnet", config.dotnet_spec);
-  v("parse_cache", config.parse_cache);
+  v("parse_cache", codec::Fixed{true});
   v("versions", config.versions);
 };
 
@@ -79,25 +77,19 @@ ServiceFacts test_service(const frameworks::ServerFramework& server,
     return facts;
   }
 
-  // The description check (§III.B.d): with the parse cache on, the shared
-  // parse every client consumes carries the WS-I verdict.
+  // The description check (§III.B.d): the shared parse every client
+  // consumes carries the WS-I verdict.
   obs::ScopedTimer describe_timer = obs::timer(config.metrics, "study.step.describe_us");
-  std::optional<frameworks::SharedDescription> description;
-  if (config.parse_cache) {
-    description.emplace(frameworks::SharedDescription::from_deployed(*deployed));
-    facts.wsi_failed = !description->wsi_report()->compliant();
-    obs::add(config.metrics, "study.parse.wsdl_parses");
-  } else {
-    facts.wsi_failed = !wsi::check(deployed->wsdl).compliant();
-  }
+  const frameworks::SharedDescription description =
+      frameworks::SharedDescription::from_deployed(*deployed);
+  facts.wsi_failed = !description.wsi_report()->compliant();
   describe_timer.stop();
   facts.zero_operations = deployed->wsdl.operation_count() == 0;
   if (facts.withdrawn(config.wsi_deploy_gate)) return facts;
 
   for (std::size_t i = 0; i < clients.size(); ++i) {
     rows[i] = row_from_outcome(
-        run_client_test(*deployed, description.has_value() ? &*description : nullptr,
-                        *clients[i], compilers[i].get(), config.metrics));
+        run_client_test(description, *clients[i], compilers[i].get(), config.metrics));
     context.charge(1);
   }
   return facts;
@@ -398,18 +390,13 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
     record = CommunicationRecord{};
     Result<frameworks::DeployedService> service = round.server->deploy(*plan.tasks[index].spec);
     if (service.ok()) {
-      std::optional<frameworks::SharedDescription> description;
-      if (config.parse_cache) {
-        description.emplace(
-            frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false));
-        obs::add(config.metrics, "comm.parse.wsdl_parses");
-      }
+      const frameworks::SharedDescription description =
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
       record.clients = task_rows(index);
       for (std::size_t i = 0; i < width; ++i) {
         record.clients[i] = invoke_echo_once(
-            *round.server, *service, description.has_value() ? &*description : nullptr,
-            *clients[i], compilers[i].get(), &record.sniffed, profiles[i],
-            round.policy.has_value() ? &*round.policy : nullptr);
+            *round.server, *service, description, *clients[i], compilers[i].get(),
+            &record.sniffed, profiles[i], round.policy.has_value() ? &*round.policy : nullptr);
         context.charge(1);
       }
     }
@@ -466,8 +453,6 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   }
   obs::add(config.metrics, "comm.services_deployed", deployed);
   obs::add(config.metrics, "comm.invocations_total", invocations);
-  obs::add(config.metrics, config.parse_cache ? "comm.parse.cache_hits" : "comm.parse.wsdl_parses",
-           invocations);
   obs::add(config.metrics, "comm.failures", result.total_failures());
   obs::add(config.metrics, "comm.sniffed_violations", result.sniffed_violations);
   return out;

@@ -1,7 +1,5 @@
 #include "soap/envelope.hpp"
 
-#include <atomic>
-
 #include "soap/stream_frame.hpp"
 #include "xml/parser.hpp"
 #include "xml/pull.hpp"
@@ -9,13 +7,6 @@
 #include "xml/writer.hpp"
 
 namespace wsx::soap {
-
-namespace {
-std::atomic<bool> g_streaming{true};
-}  // namespace
-
-void set_streaming(bool enabled) { g_streaming.store(enabled, std::memory_order_relaxed); }
-bool streaming_enabled() { return g_streaming.load(std::memory_order_relaxed); }
 
 const char* to_string(SoapVersion version) {
   return version == SoapVersion::k11 ? "SOAP 1.1" : "SOAP 1.2";
@@ -99,12 +90,8 @@ std::string write(const Envelope& envelope) {
   return xml::write(root);
 }
 
-namespace {
-
-/// Builds the Envelope model from its parts; shared by the DOM and
-/// streaming paths so fault recognition cannot diverge between them.
-Envelope assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,
-                           xml::Element payload) {
+Envelope detail::assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,
+                                   xml::Element payload) {
   if (payload.local_name() == "Fault") {
     Fault fault;
     if (version == SoapVersion::k11) {
@@ -135,37 +122,9 @@ Envelope assemble_envelope(SoapVersion version, std::vector<xml::Element> header
   return envelope;
 }
 
-/// The historical path: materialise the whole document, then inspect it.
-Result<Envelope> parse_dom(std::string_view text) {
-  Result<xml::Element> root = xml::parse_element(text);
-  if (!root.ok()) return root.error();
-
-  detail::EnvelopeFrame frame;
-  frame.root_probe = xml::Element{root.value().name()};
-  frame.root_probe.attributes() = root.value().attributes();
-
-  std::vector<xml::Element> headers;
-  if (const xml::Element* header = root.value().child("Header")) {
-    for (const xml::Element* entry : header->child_elements()) headers.push_back(*entry);
-  }
-  std::optional<xml::Element> payload;
-  if (const xml::Element* body = root.value().child("Body")) {
-    frame.have_body = true;
-    std::vector<const xml::Element*> payloads = body->child_elements();
-    if (!payloads.empty()) {
-      frame.have_payload = true;
-      frame.payload_local = payloads.front()->local_name();
-      payload = *payloads.front();
-    }
-  }
-  Result<SoapVersion> version = detail::check_envelope_frame(frame);
-  if (!version.ok()) return version.error();
-  return assemble_envelope(version.value(), std::move(headers), std::move(*payload));
-}
-
-/// The hot path: one pass over the token stream; only header entries and
-/// the first body payload are ever materialised.
-Result<Envelope> parse_stream(std::string_view text) {
+/// One pass over the token stream; only header entries and the first body
+/// payload are ever materialised.
+Result<Envelope> parse(std::string_view text) {
   xml::pull::Tokenizer tok{text};
   std::vector<xml::Element> headers;
   std::optional<xml::Element> payload;
@@ -187,13 +146,7 @@ Result<Envelope> parse_stream(std::string_view text) {
   if (!frame.ok()) return frame.error();
   Result<SoapVersion> version = detail::check_envelope_frame(frame.value());
   if (!version.ok()) return version.error();
-  return assemble_envelope(version.value(), std::move(headers), std::move(*payload));
-}
-
-}  // namespace
-
-Result<Envelope> parse(std::string_view text) {
-  return streaming_enabled() ? parse_stream(text) : parse_dom(text);
+  return detail::assemble_envelope(version.value(), std::move(headers), std::move(*payload));
 }
 
 }  // namespace wsx::soap

@@ -86,18 +86,8 @@ class Envelope {
 std::string write(const Envelope& envelope);
 
 /// Parses an envelope; recognizes soap:Fault bodies. Error codes use the
-/// "soap." prefix. By default this runs on the streaming pull tokenizer,
-/// materialising only header entries and the body payload; see
-/// set_streaming() for the DOM fallback.
+/// "soap." prefix. Runs on the streaming pull tokenizer, materialising only
+/// header entries and the body payload.
 Result<Envelope> parse(std::string_view text);
-
-/// Process-wide toggle for the streaming envelope path (the `--no-stream`
-/// escape hatch, mirroring `--no-parse-cache`). When disabled, parse()
-/// materialises a full DOM first — the historical path. Both paths produce
-/// identical envelopes and identical errors on every input; the flag
-/// exists for triage, so it is deliberately excluded from supervised
-/// campaign config fingerprints.
-void set_streaming(bool enabled);
-bool streaming_enabled();
 
 }  // namespace wsx::soap

@@ -7,12 +7,15 @@
 // cannot disagree about which elements matter or how xml.* errors rank
 // against soap.* semantic errors. Consumers only differ in what they do
 // with header entries and the payload subtree (materialise a tree vs.
-// record local names), which is what the two callbacks are for.
+// record local names), which is what the two callbacks are for. The
+// frame checks and the model build are shared with the DOM reader the
+// test suite keeps as the streaming reader's oracle.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/result.hpp"
 #include "soap/envelope.hpp"
@@ -42,9 +45,9 @@ struct EnvelopeFrame {
 /// Header/Body elements, extra payloads, other root children, misc,
 /// epilog) is skipped here.
 ///
-/// Error parity with the DOM path: the whole document is drained before
-/// the caller applies semantic checks, so any xml.* error anywhere in the
-/// input surfaces first, exactly as parse-then-inspect behaved.
+/// Error order: the whole document is drained before the caller applies
+/// semantic checks, so any xml.* error anywhere in the input surfaces
+/// first, exactly as parse-then-inspect does.
 template <typename OnHeaderEntry, typename OnPayload>
 Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
                                           OnHeaderEntry&& on_header_entry,
@@ -141,9 +144,9 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
   }
 }
 
-/// The semantic checks the DOM path applied after parsing, in the same
-/// order: root QName resolution → version → Body presence → payload
-/// presence. Returns the envelope version or the first soap.* error.
+/// The semantic checks, in order: root QName resolution → version → Body
+/// presence → payload presence. Returns the envelope version or the first
+/// soap.* error.
 inline Result<SoapVersion> check_envelope_frame(const EnvelopeFrame& frame) {
   xml::NamespaceScope scope;
   scope.push(frame.root_probe);
@@ -166,5 +169,11 @@ inline Result<SoapVersion> check_envelope_frame(const EnvelopeFrame& frame) {
   if (!frame.have_payload) return Error{"soap.empty-body", "soap:Body has no payload element"};
   return version;
 }
+
+/// Builds the Envelope model from its parts, recognising a Fault payload in
+/// the version's own shape. Every envelope reader ends here, so fault
+/// recognition cannot diverge between them.
+Envelope assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,
+                           xml::Element payload);
 
 }  // namespace wsx::soap::detail

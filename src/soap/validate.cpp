@@ -20,8 +20,8 @@ const xsd::ElementDecl* find_wrapper(const wsdl::Definitions& defs, std::string_
 }
 
 /// Validates payload child local names against the wrapper's content
-/// model. Works on names only so the DOM path and the streaming sniffer
-/// share it verbatim.
+/// model. Works on names only so the checks over a parsed envelope and the
+/// streaming sniffer share it verbatim.
 void validate_child_names(const xsd::ElementDecl& wrapper,
                           const std::vector<std::string>& child_names,
                           std::vector<ValidationIssue>& issues) {
@@ -106,12 +106,6 @@ std::vector<ValidationIssue> validate_request(const wsdl::Definitions& defs,
 
 Result<std::vector<ValidationIssue>> validate_request_text(const wsdl::Definitions& defs,
                                                            std::string_view text) {
-  if (!streaming_enabled()) {
-    Result<Envelope> envelope = parse(text);
-    if (!envelope.ok()) return envelope.error();
-    return validate_request(defs, envelope.value());
-  }
-
   xml::pull::Tokenizer tok{text};
   std::vector<std::string> child_names;
   Result<detail::EnvelopeFrame> frame = detail::walk_envelope_frame(

@@ -36,8 +36,7 @@ std::vector<ValidationIssue> validate_request(const wsdl::Definitions& defs,
 /// validate_request(defs, envelope) — a parse failure (xml.* / soap.*)
 /// returns that error, success returns the validation issues — but runs as
 /// one streaming pass that records only local names, materialising no tree
-/// at all. Honors the --no-stream escape hatch by falling back to the
-/// parse-then-validate pair.
+/// at all.
 Result<std::vector<ValidationIssue>> validate_request_text(const wsdl::Definitions& defs,
                                                            std::string_view text);
 

@@ -1,37 +1,42 @@
-// cache_equivalence_test — the parse-once cache must be invisible in every
-// campaign output. Each campaign (study, communication, chaos) runs with
-// the cache on and off, at jobs 1 and jobs 8, and must produce:
-//   * byte-identical CSV / JSONL artefacts, and
-//   * identical deterministic metric exports and span-tree shapes once the
-//     cache's own bookkeeping (every "*.parse.*" metric and the
-//     "phase:parse" span) is stripped.
-// The bookkeeping itself is then checked directly: cache off means zero
-// cache hits and one parse per generation gate; cache on means one parse
-// per deployed service and a cache hit per test.
+// cache_equivalence_test — the parse-once description must be invisible in
+// what every client does. Each campaign task builds one SharedDescription
+// per deployed service (SharedDescription::from_deployed) and hands it to
+// every client in turn; this pack keeps the per-client re-parse those
+// tasks replaced as the oracle, over every deployed service of a small
+// corpus and every client:
+//   * generation from the shared description equals generation from the
+//     served text alone (ClientFramework::generate(text)) in diagnostics and
+//     artifacts, and its WS-I verdict equals wsi::check over the server
+//     model — so a client tool sees only what the server published;
+//   * an echo invocation and a chaos chain against the one shared
+//     description equal the same call against a fresh description built
+//     for that client alone, on the strict and shaded version rounds.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "chaos/campaign.hpp"
+#include "chaos/policy.hpp"
+#include "chaos/supervised.hpp"
+#include "chaos/wire.hpp"
+#include "common/codec.hpp"
+#include "compilers/compiler.hpp"
+#include "frameworks/registry.hpp"
+#include "frameworks/shared_description.hpp"
 #include "interop/communication.hpp"
-#include "interop/persistence.hpp"
-#include "interop/report_formats.hpp"
-#include "interop/study.hpp"
-#include "obs/clock.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "interop/supervised.hpp"
+#include "wsi/profile.hpp"
 
 namespace wsx {
 namespace {
 
-/// Small-but-not-tiny populations so 8 workers all get non-empty slices
-/// (same sizing rationale as the obs determinism pack).
+/// Small-but-not-tiny populations: every server, deployment refusals, WS-I
+/// flags, zero-operation services and client errors.
 catalog::JavaCatalogSpec small_java() {
   catalog::JavaCatalogSpec spec;
   spec.plain_beans = 40;
@@ -60,219 +65,140 @@ catalog::DotNetCatalogSpec small_dotnet() {
   return spec;
 }
 
-/// Drops every line containing `needle` — used to remove the "phase:parse"
-/// span from the tree shape before comparing across cache modes.
-std::string strip_lines_containing(const std::string& text, const std::string& needle) {
-  std::istringstream in(text);
-  std::string out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find(needle) == std::string::npos) out += line + "\n";
-  }
-  return out;
-}
+/// The small corpus, its servers and clients, and one compiler per client.
+struct Corpus {
+  catalog::TypeCatalog java = catalog::make_java_catalog(small_java());
+  catalog::TypeCatalog dotnet = catalog::make_dotnet_catalog(small_dotnet());
+  std::vector<frameworks::ServiceSpec> java_services = frameworks::make_services(java);
+  std::vector<frameworks::ServiceSpec> dotnet_services = frameworks::make_services(dotnet);
+  std::vector<std::unique_ptr<frameworks::ServerFramework>> servers = frameworks::make_servers();
+  std::vector<std::unique_ptr<frameworks::ClientFramework>> clients = frameworks::make_clients();
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
 
-/// Removes the cache's own bookkeeping from a deterministic metric export:
-/// every field whose name contains ".parse" ("study.parse.cache_hits",
-/// "study.phase.parse_us", ...). Values are either integers or the flat
-/// {"count":N,"sum_us":N} histogram entries, so a single-level skip is
-/// enough.
-std::string strip_parse_fields(const std::string& json) {
-  std::string out;
-  std::size_t i = 0;
-  while (i < json.size()) {
-    if (json[i] != '"') {
-      out += json[i++];
-      continue;
+  Corpus() {
+    for (const auto& client : clients) {
+      compilers.push_back(compilers::make_compiler(client->language()));
     }
-    const std::size_t name_end = json.find('"', i + 1);
-    const std::string_view name(json.data() + i + 1, name_end - i - 1);
-    if (name.find(".parse") == std::string_view::npos || json[name_end + 1] != ':') {
-      out.append(json, i, name_end + 1 - i);
-      i = name_end + 1;
-      continue;
-    }
-    std::size_t value_end = name_end + 2;
-    if (json[value_end] == '{') {
-      value_end = json.find('}', value_end) + 1;
-    } else {
-      while (value_end < json.size() && json[value_end] != ',' && json[value_end] != '}') {
-        ++value_end;
-      }
-    }
-    if (value_end < json.size() && json[value_end] == ',') {
-      ++value_end;  // interior field: swallow its trailing comma
-    } else if (!out.empty() && out.back() == ',') {
-      out.pop_back();  // last field: swallow the comma before it
-    }
-    i = value_end;
   }
-  return out;
-}
 
-/// Everything a study run emits that the cache must not change.
-struct StudyArtifacts {
-  std::string fig4_csv;
-  std::string table3_csv;
-  std::string snapshot_csv;
-  std::vector<std::string> jsonl;  ///< one to_json_line() per test
-  std::string metrics;             ///< deterministic export, parse metrics stripped
-  std::string shape;               ///< span tree, phase:parse stripped
-  std::size_t cache_hits = 0;
-  std::size_t wsdl_parses = 0;
-  std::size_t tests = 0;
+  std::vector<frameworks::Round> rounds(const std::vector<frameworks::VersionPolicy>& versions) {
+    return frameworks::make_rounds(servers, java_services, dotnet_services, versions);
+  }
 };
 
-StudyArtifacts run_study(bool cache, std::size_t threads) {
-  const obs::FixedClock frozen;
-  obs::Tracer tracer(&frozen);
-  obs::Registry registry(&frozen);
-  interop::StudyConfig config;
-  config.java_spec = small_java();
-  config.dotnet_spec = small_dotnet();
-  config.threads = threads;
-  config.parse_cache = cache;
-  config.tracer = &tracer;
-  config.metrics = &registry;
-  StudyArtifacts out;
-  config.observer = [&out](const interop::TestRecord& record) {
-    out.jsonl.push_back(interop::to_json_line(record));
-  };
-  const interop::StudyResult result = interop::run_study(config);
-  out.fig4_csv = interop::fig4_csv(result);
-  out.table3_csv = interop::table3_csv(result);
-  out.snapshot_csv = interop::to_snapshot_csv(result);
-  // Observer calls interleave across workers, so the log is order-free:
-  // sort before comparing (at jobs 1 the raw order is already stable).
-  std::sort(out.jsonl.begin(), out.jsonl.end());
-  out.metrics = strip_parse_fields(registry.to_json(obs::Export::kDeterministic));
-  out.shape = strip_lines_containing(tracer.shape(), "phase:parse");
-  out.cache_hits = static_cast<std::size_t>(registry.counter("study.parse.cache_hits").value());
-  out.wsdl_parses =
-      static_cast<std::size_t>(registry.counter("study.parse.wsdl_parses").value());
-  out.tests = result.total_tests();
-  return out;
-}
+const std::vector<frameworks::VersionPolicy> kRounds = {frameworks::VersionPolicy::kStrict,
+                                                        frameworks::VersionPolicy::kShadedCxf};
 
-void expect_same_study_outputs(const StudyArtifacts& a, const StudyArtifacts& b) {
-  EXPECT_EQ(a.fig4_csv, b.fig4_csv);
-  EXPECT_EQ(a.table3_csv, b.table3_csv);
-  EXPECT_EQ(a.snapshot_csv, b.snapshot_csv);
-  EXPECT_EQ(a.jsonl, b.jsonl);
-  EXPECT_EQ(a.metrics, b.metrics);
-  EXPECT_EQ(a.shape, b.shape);
+/// Calls `visit(round, service)` for every service its round's server
+/// deploys; returns how many there were.
+template <typename Visit>
+std::size_t for_each_deployed(const std::vector<frameworks::Round>& rounds, Visit&& visit) {
+  std::size_t deployed = 0;
+  for (const frameworks::Round& round : rounds) {
+    for (const frameworks::ServiceSpec& spec : *round.services) {
+      Result<frameworks::DeployedService> service = round.server->deploy(spec);
+      if (!service.ok()) continue;
+      ++deployed;
+      visit(round, *service);
+    }
+  }
+  return deployed;
 }
 
 TEST(CacheEquivalence, StudyOutputsAreIdenticalWithAndWithoutCache) {
-  const StudyArtifacts on1 = run_study(/*cache=*/true, /*threads=*/1);
-  const StudyArtifacts off1 = run_study(/*cache=*/false, /*threads=*/1);
-  const StudyArtifacts on8 = run_study(/*cache=*/true, /*threads=*/8);
-  const StudyArtifacts off8 = run_study(/*cache=*/false, /*threads=*/8);
-  expect_same_study_outputs(on1, off1);
-  expect_same_study_outputs(on1, on8);
-  expect_same_study_outputs(on1, off8);
-  // The artefacts are non-trivial.
-  EXPECT_GT(on1.tests, 0u);
-  EXPECT_FALSE(on1.jsonl.empty());
-  EXPECT_NE(on1.metrics.find("study.tests_total"), std::string::npos);
-}
-
-TEST(CacheEquivalence, StudyCacheBookkeepingMatchesMode) {
-  const StudyArtifacts on = run_study(/*cache=*/true, /*threads=*/8);
-  const StudyArtifacts off = run_study(/*cache=*/false, /*threads=*/8);
-  // Cache on: one parse per deployed service, one hit per generation gate.
-  EXPECT_GT(on.cache_hits, 0u);
-  EXPECT_GT(on.wsdl_parses, 0u);
-  EXPECT_LT(on.wsdl_parses, on.tests);
-  // Cache off: no hits, and at least one parse per test that reaches the
-  // generation gate.
-  EXPECT_EQ(off.cache_hits, 0u);
-  EXPECT_GT(off.wsdl_parses, on.wsdl_parses);
-}
-
-/// Communication study: the cache feeds prepare_echo_call instead of the
-/// generation gate, but the contract is the same.
-struct CommArtifacts {
-  std::string csv;
-  std::string text;
-  std::string metrics;
-  std::string shape;
-
-  bool operator==(const CommArtifacts&) const = default;
-};
-
-CommArtifacts run_comm(bool cache, std::size_t threads) {
-  const obs::FixedClock frozen;
-  obs::Tracer tracer(&frozen);
-  obs::Registry registry(&frozen);
-  interop::StudyConfig config;
-  config.java_spec = small_java();
-  config.dotnet_spec = small_dotnet();
-  config.threads = threads;
-  config.parse_cache = cache;
-  config.tracer = &tracer;
-  config.metrics = &registry;
-  const interop::CommunicationResult result = interop::run_communication_study(config);
-  CommArtifacts out;
-  out.csv = interop::communication_csv(result);
-  out.text = interop::format_communication(result);
-  out.metrics = strip_parse_fields(registry.to_json(obs::Export::kDeterministic));
-  out.shape = strip_lines_containing(tracer.shape(), "phase:parse");
-  return out;
+  Corpus corpus;
+  std::size_t with_artifacts = 0;
+  std::size_t with_errors = 0;
+  const std::size_t deployed = for_each_deployed(
+      corpus.rounds({}), [&](const frameworks::Round& round,
+                             const frameworks::DeployedService& service) {
+        const std::string where = round.label + "/" + service.spec.service_name();
+        const frameworks::SharedDescription shared =
+            frameworks::SharedDescription::from_deployed(service);
+        ASSERT_NE(shared.wsi_report(), nullptr) << where;
+        EXPECT_EQ(shared.wsi_report()->summary(), wsi::check(service.wsdl).summary()) << where;
+        for (const auto& client : corpus.clients) {
+          const frameworks::GenerationResult cached = client->generate(shared);
+          const frameworks::GenerationResult uncached = client->generate(service.wsdl_text);
+          const std::string pair = where + " <- " + client->name();
+          EXPECT_TRUE(cached.diagnostics.diagnostics() == uncached.diagnostics.diagnostics())
+              << pair;
+          ASSERT_EQ(cached.produced_artifacts(), uncached.produced_artifacts()) << pair;
+          if (cached.diagnostics.has_errors()) ++with_errors;
+          if (!cached.produced_artifacts()) continue;
+          ++with_artifacts;
+          EXPECT_EQ(cached.artifacts->language, uncached.artifacts->language) << pair;
+          EXPECT_EQ(cached.artifacts->units, uncached.artifacts->units) << pair;
+          EXPECT_EQ(cached.artifacts->client_operations, uncached.artifacts->client_operations)
+              << pair;
+        }
+      });
+  // The corpus reaches every outcome the oracle has to agree on.
+  EXPECT_GT(deployed, 100u);
+  EXPECT_GT(with_artifacts, 0u);
+  EXPECT_GT(with_errors, 0u);
 }
 
 TEST(CacheEquivalence, CommunicationOutputsAreIdenticalWithAndWithoutCache) {
-  const CommArtifacts on1 = run_comm(/*cache=*/true, /*threads=*/1);
-  const CommArtifacts off1 = run_comm(/*cache=*/false, /*threads=*/1);
-  const CommArtifacts on8 = run_comm(/*cache=*/true, /*threads=*/8);
-  const CommArtifacts off8 = run_comm(/*cache=*/false, /*threads=*/8);
-  EXPECT_EQ(on1, off1);
-  EXPECT_EQ(on1, on8);
-  EXPECT_EQ(on1, off8);
-  EXPECT_NE(on1.csv.find(','), std::string::npos);
-}
-
-/// Chaos campaign: the cache feeds the per-pair call chain.
-struct ChaosArtifacts {
-  std::string csv;
-  std::string recovery_json;
-  std::string metrics;
-  std::string shape;
-
-  bool operator==(const ChaosArtifacts&) const = default;
-};
-
-ChaosArtifacts run_chaos(bool cache, std::size_t jobs) {
-  const obs::FixedClock frozen;
-  obs::Tracer tracer(&frozen);
-  obs::Registry registry(&frozen);
-  chaos::ChaosConfig config;
-  config.java_spec = small_java();
-  config.dotnet_spec = small_dotnet();
-  config.plan.seed = 7;
-  config.calls_per_pair = 2;
-  config.jobs = jobs;
-  config.parse_cache = cache;
-  config.tracer = &tracer;
-  config.metrics = &registry;
-  const chaos::ChaosResult result = chaos::run_chaos_study(config);
-  ChaosArtifacts out;
-  out.csv = chaos::chaos_csv(result);
-  out.recovery_json = chaos::chaos_recovery_json(result);
-  out.metrics = strip_parse_fields(registry.to_json(obs::Export::kDeterministic));
-  out.shape = strip_lines_containing(tracer.shape(), "phase:parse");
-  return out;
+  Corpus corpus;
+  const std::vector<soap::HybridProfile> profiles =
+      frameworks::client_profiles(corpus.clients, kRounds);
+  std::size_t invocations = 0;
+  for_each_deployed(corpus.rounds(kRounds), [&](const frameworks::Round& round,
+                                                const frameworks::DeployedService& service) {
+    const frameworks::SharedDescription shared =
+        frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false);
+    for (std::size_t i = 0; i < corpus.clients.size(); ++i) {
+      const auto invoke = [&](const frameworks::SharedDescription& description,
+                              std::size_t& sniffed) {
+        return codec::encode(interop::invoke_echo_once(
+            *round.server, service, description, *corpus.clients[i], corpus.compilers[i].get(),
+            &sniffed, profiles[i], &*round.policy));
+      };
+      std::size_t sniffed_cached = 0;
+      std::size_t sniffed_uncached = 0;
+      const std::string cached = invoke(shared, sniffed_cached);
+      const std::string uncached = invoke(
+          frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false),
+          sniffed_uncached);
+      EXPECT_EQ(cached, uncached) << round.label << "/" << service.spec.service_name()
+                                  << " <- " << corpus.clients[i]->name();
+      EXPECT_EQ(sniffed_cached, sniffed_uncached);
+      ++invocations;
+    }
+  });
+  EXPECT_GT(invocations, 1000u);
 }
 
 TEST(CacheEquivalence, ChaosOutputsAreIdenticalWithAndWithoutCache) {
-  const ChaosArtifacts on1 = run_chaos(/*cache=*/true, /*jobs=*/1);
-  const ChaosArtifacts off1 = run_chaos(/*cache=*/false, /*jobs=*/1);
-  const ChaosArtifacts on8 = run_chaos(/*cache=*/true, /*jobs=*/8);
-  const ChaosArtifacts off8 = run_chaos(/*cache=*/false, /*jobs=*/8);
-  EXPECT_EQ(on1, off1);
-  EXPECT_EQ(on1, on8);
-  EXPECT_EQ(on1, off8);
-  EXPECT_NE(on1.csv.find(','), std::string::npos);
+  Corpus corpus;
+  chaos::ChaosConfig config;
+  config.plan.seed = 7;
+  config.calls_per_pair = 2;
+  config.versions = kRounds;
+  const std::vector<soap::HybridProfile> profiles =
+      frameworks::client_profiles(corpus.clients, kRounds);
+  std::size_t chains = 0;
+  for_each_deployed(corpus.rounds(kRounds), [&](const frameworks::Round& round,
+                                                const frameworks::DeployedService& service) {
+    chaos::FaultyWire wire(*round.server, config.plan);
+    wire.set_server_policy(*round.policy);
+    const frameworks::SharedDescription shared =
+        frameworks::SharedDescription::from_deployed(service, /*with_wsi=*/false);
+    for (std::size_t i = 0; i < corpus.clients.size(); ++i) {
+      const frameworks::ClientFramework& client = *corpus.clients[i];
+      const auto chain = [&](const frameworks::SharedDescription& description) {
+        return codec::encode(chaos::run_chaos_chain(
+            wire, *round.server, service, &description, client, corpus.compilers[i].get(),
+            chaos::policy_for(client.name()), config, profiles[i], round.label));
+      };
+      EXPECT_EQ(chain(shared), chain(frameworks::SharedDescription::from_deployed(
+                                   service, /*with_wsi=*/false)))
+          << round.label << "/" << service.spec.service_name() << " <- " << client.name();
+      ++chains;
+    }
+  });
+  EXPECT_GT(chains, 1000u);
 }
 
 }  // namespace

@@ -51,13 +51,12 @@ struct SinkedRun {
   bool operator==(const SinkedRun&) const = default;
 };
 
-SinkedRun study_with_sinks(bool cache, std::size_t jobs) {
+SinkedRun study_with_sinks(std::size_t jobs) {
   const obs::FixedClock frozen;
   obs::Tracer tracer(&frozen);
   obs::Registry registry(&frozen);
   interop::StudyConfig config;
   tiny_specs(config.java_spec, config.dotnet_spec);
-  config.parse_cache = cache;
   config.threads = jobs;
   config.tracer = &tracer;
   config.metrics = &registry;
@@ -66,7 +65,7 @@ SinkedRun study_with_sinks(bool cache, std::size_t jobs) {
           interop::fig4_csv(result) + interop::table3_csv(result)};
 }
 
-SinkedRun chaos_with_sinks(bool cache, std::size_t jobs) {
+SinkedRun chaos_with_sinks(std::size_t jobs) {
   const obs::FixedClock frozen;
   obs::Tracer tracer(&frozen);
   obs::Registry registry(&frozen);
@@ -74,7 +73,6 @@ SinkedRun chaos_with_sinks(bool cache, std::size_t jobs) {
   tiny_specs(config.java_spec, config.dotnet_spec);
   config.plan.seed = 7;
   config.calls_per_pair = 2;
-  config.parse_cache = cache;
   config.jobs = jobs;
   config.tracer = &tracer;
   config.metrics = &registry;
@@ -84,21 +82,17 @@ SinkedRun chaos_with_sinks(bool cache, std::size_t jobs) {
 }
 
 TEST(CampaignConcurrency, StudyWithLiveSinksMatchesJobs1) {
-  for (const bool cache : {true, false}) {
-    const SinkedRun serial = study_with_sinks(cache, 1);
-    EXPECT_EQ(study_with_sinks(cache, 8), serial) << "cache=" << cache;
-    EXPECT_NE(serial.metrics.find("study.step.deploy_us"), std::string::npos);
-    EXPECT_NE(serial.shape.find("phase:testing"), std::string::npos);
-  }
+  const SinkedRun serial = study_with_sinks(1);
+  EXPECT_EQ(study_with_sinks(8), serial);
+  EXPECT_NE(serial.metrics.find("study.step.deploy_us"), std::string::npos);
+  EXPECT_NE(serial.shape.find("phase:testing"), std::string::npos);
 }
 
 TEST(CampaignConcurrency, ChaosWithLiveSinksMatchesJobs1) {
-  for (const bool cache : {true, false}) {
-    const SinkedRun serial = chaos_with_sinks(cache, 1);
-    EXPECT_EQ(chaos_with_sinks(cache, 8), serial) << "cache=" << cache;
-    EXPECT_NE(serial.metrics.find("chaos.calls_total"), std::string::npos);
-    EXPECT_NE(serial.shape.find("round:"), std::string::npos);
-  }
+  const SinkedRun serial = chaos_with_sinks(1);
+  EXPECT_EQ(chaos_with_sinks(8), serial);
+  EXPECT_NE(serial.metrics.find("chaos.calls_total"), std::string::npos);
+  EXPECT_NE(serial.shape.find("round:"), std::string::npos);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 // the WS-I deploy gate), the communication and chaos campaigns on the
 // strict and shaded version rounds, and propcheck with sabotage and
 // shrinking, so the engine cannot drift while still agreeing with itself.
-// Each artefact must match byte for byte at jobs 1 and 8, with the parse
-// cache on and off. On a mismatch the rendered text is written to the test
-// temp dir (`<name>.actual`) so the difference can be inspected with diff.
+// Each artefact must match byte for byte at jobs 1 and 8. On a mismatch
+// the rendered text is written to the test temp dir (`<name>.actual`) so
+// the difference can be inspected with diff.
 //
 // The rest pins what the engine promises beyond the numbers: the observer
 // stream in corpus order at any worker count, a task that throws on every
@@ -97,30 +97,26 @@ std::string read_golden(const std::string& name) {
   return buffer.str();
 }
 
-/// Renders the campaign at jobs 1 and 8 with the parse cache on and off,
-/// and compares each rendering with the golden file `name`.
+/// Renders the campaign at jobs 1 and 8 and compares each rendering with
+/// the golden file `name`.
 void expect_golden(const std::string& name,
-                   const std::function<std::string(bool cache, std::size_t jobs)>& render) {
+                   const std::function<std::string(std::size_t jobs)>& render) {
   const std::string want = read_golden(name);
-  for (const bool cache : {true, false}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-      const std::string actual = render(cache, jobs);
-      if (actual == want) continue;
-      const std::string path = ::testing::TempDir() + name + ".actual";
-      std::ofstream(path) << actual;
-      ADD_FAILURE() << (want.empty() ? "missing golden file tests/data/"
-                                     : "campaign artefacts differ from tests/data/")
-                    << name << " at cache=" << cache << " jobs=" << jobs
-                    << "; rendered: " << path;
-      return;
-    }
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    const std::string actual = render(jobs);
+    if (actual == want) continue;
+    const std::string path = ::testing::TempDir() + name + ".actual";
+    std::ofstream(path) << actual;
+    ADD_FAILURE() << (want.empty() ? "missing golden file tests/data/"
+                                   : "campaign artefacts differ from tests/data/")
+                  << name << " at jobs=" << jobs << "; rendered: " << path;
+    return;
   }
 }
 
-std::string render_study(bool gate, bool cache, std::size_t jobs) {
+std::string render_study(bool gate, std::size_t jobs) {
   interop::StudyConfig config = small_study();
   config.wsi_deploy_gate = gate;
-  config.parse_cache = cache;
   config.threads = jobs;
   const interop::StudyResult result = interop::run_study(config);
   return "== fig4.csv\n" + interop::fig4_csv(result) + "== table3.csv\n" +
@@ -131,24 +127,23 @@ std::string render_study(bool gate, bool cache, std::size_t jobs) {
 }
 
 TEST(CampaignGolden, Study) {
-  expect_golden("study_small.golden", [](bool cache, std::size_t jobs) {
-    return render_study(/*gate=*/false, cache, jobs);
+  expect_golden("study_small.golden", [](std::size_t jobs) {
+    return render_study(/*gate=*/false, jobs);
   });
 }
 
 TEST(CampaignGolden, StudyWithDeployGate) {
-  expect_golden("study_small_gate.golden", [](bool cache, std::size_t jobs) {
-    return render_study(/*gate=*/true, cache, jobs);
+  expect_golden("study_small_gate.golden", [](std::size_t jobs) {
+    return render_study(/*gate=*/true, jobs);
   });
 }
 
 TEST(CampaignGolden, CommunicationOnVersionRounds) {
-  expect_golden("communication_small.golden", [](bool cache, std::size_t jobs) {
+  expect_golden("communication_small.golden", [](std::size_t jobs) {
     interop::StudyConfig config;
     config.java_spec = small_java();
     config.dotnet_spec = small_dotnet();
     config.versions = kRounds;
-    config.parse_cache = cache;
     config.threads = jobs;
     const interop::CommunicationResult result = interop::run_communication_study(config);
     return "== communication.csv\n" + interop::communication_csv(result) +
@@ -157,14 +152,13 @@ TEST(CampaignGolden, CommunicationOnVersionRounds) {
 }
 
 TEST(CampaignGolden, ChaosOnVersionRounds) {
-  expect_golden("chaos_small.golden", [](bool cache, std::size_t jobs) {
+  expect_golden("chaos_small.golden", [](std::size_t jobs) {
     chaos::ChaosConfig config;
     config.java_spec = small_java();
     config.dotnet_spec = small_dotnet();
     config.plan.seed = 7;
     config.calls_per_pair = 2;
     config.versions = kRounds;
-    config.parse_cache = cache;
     config.jobs = jobs;
     const chaos::ChaosResult result = chaos::run_chaos_study(config);
     return "== chaos.csv\n" + chaos::chaos_csv(result) + "== chaos\n" +
@@ -174,14 +168,13 @@ TEST(CampaignGolden, ChaosOnVersionRounds) {
 }
 
 TEST(CampaignGolden, PropcheckWithSabotageAndShrink) {
-  expect_golden("propcheck_small.golden", [](bool cache, std::size_t jobs) {
+  expect_golden("propcheck_small.golden", [](std::size_t jobs) {
     gen::GenConfig config;
     config.java_spec = small_java();
     config.dotnet_spec = small_dotnet();
     config.corpus.cases_per_operation = 1;
     config.corpus.sabotage = true;
     config.shrink = true;
-    config.parse_cache = cache;
     config.jobs = jobs;
     const gen::PropcheckResult result = gen::run_propcheck(config);
     return "== propcheck.json\n" + gen::propcheck_json(result) + "\n== propcheck\n" +

@@ -289,6 +289,75 @@ TEST(JournalGolden, EveryConfigFingerprintReencodesByteForByte) {
             predict_config);
 }
 
+// --- The retired parse_cache setting --------------------------------------
+
+/// Replaces the one `"parse_cache":true` in `text` with `false`, the bytes a
+/// run with the parse cache switched off wrote before the switch was
+/// retired.
+std::string with_cache_off(std::string text) {
+  const std::string on = "\"parse_cache\":true";
+  const std::size_t at = text.find(on);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(text.find(on, at + 1), std::string::npos);
+  if (at != std::string::npos) text.replace(at, on.size(), "\"parse_cache\":false");
+  return text;
+}
+
+/// Decoding the golden journal's config with the cache off fails under
+/// resilience.bad-config naming the setting; as written, it re-encodes
+/// byte for byte.
+template <typename Decode, typename Encode>
+void expect_cache_off_refused(const std::string& stem, Decode decode, Encode encode) {
+  Result<resilience::Journal> journal =
+      resilience::Journal::parse(read_data(stem + "_tiny.journal"));
+  ASSERT_TRUE(journal.ok()) << stem;
+  const auto off = decode(with_cache_off(journal->config_json));
+  ASSERT_FALSE(off.ok()) << stem;
+  EXPECT_EQ(off.error().code, "resilience.bad-config") << stem;
+  EXPECT_NE(off.error().message.find("parse_cache"), std::string::npos)
+      << stem << ": " << off.error().message;
+  const auto on = decode(journal->config_json);
+  ASSERT_TRUE(on.ok()) << stem << ": " << on.error().message;
+  EXPECT_EQ(encode(*on), journal->config_json) << stem;
+}
+
+TEST(RetiredParseCache, ConfigsWrittenWithTheCacheOffAreRefusedByName) {
+  expect_cache_off_refused("study", interop::study_config_from_json, interop::study_config_json);
+  expect_cache_off_refused("communication", interop::communication_config_from_json,
+                           interop::communication_config_json);
+  expect_cache_off_refused("chaos", chaos::chaos_config_from_json, chaos::chaos_config_json);
+  expect_cache_off_refused("propcheck", gen::gen_config_from_json, gen::gen_config_json);
+}
+
+TEST(RetiredParseCache, AJournalWrittenWithTheCacheOffFailsBeforeAppending) {
+  const std::string text = with_cache_off(read_data("propcheck_tiny.journal"));
+  const std::string path = ::testing::TempDir() + "wsx_golden_propcheck_cache_off.journal";
+  std::ofstream(path) << text;
+  Result<resilience::Journal> journal = resilience::Journal::parse(text);
+  ASSERT_TRUE(journal.ok()) << journal.error().message;
+
+  // `resume` refuses the header's config (see above); nor does the engine
+  // fold the journal under the config it would read with the cache on: the
+  // fingerprint differs, so the resume fails up front.
+  Result<resilience::Journal> golden =
+      resilience::Journal::parse(read_data("propcheck_tiny.journal"));
+  ASSERT_TRUE(golden.ok()) << golden.error().message;
+  Result<gen::GenConfig> on = gen::gen_config_from_json(golden->config_json);
+  ASSERT_TRUE(on.ok()) << on.error().message;
+  gen::SupervisedGenOptions options;
+  options.journal = journal->options;
+  options.checkpoint_path = path;
+  options.resume = &journal.value();
+  Result<gen::SupervisedGenResult> run = gen::run_propcheck_supervised(*on, options);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, "resilience.resume-mismatch");
+  std::ifstream after(path);
+  std::ostringstream bytes;
+  bytes << after.rdbuf();
+  EXPECT_EQ(bytes.str(), text);
+  std::remove(path.c_str());
+}
+
 // --- Task records ---------------------------------------------------------
 
 /// Decodes `text` into `record` and encodes it again; the decode error

@@ -29,15 +29,5 @@ TEST(PropcheckConcurrency, WorkerCountDoesNotChangeTheReport) {
   EXPECT_EQ(single, parallel);
 }
 
-TEST(PropcheckConcurrency, SharedDescriptionsSurviveParallelReplay) {
-  // parse_cache shares one SharedDescription per service across all worker
-  // threads; the uncached path re-parses per pair. Same bytes either way.
-  GenConfig cached = tiny_gen(8);
-  GenConfig uncached = tiny_gen(8);
-  uncached.parse_cache = false;
-  EXPECT_EQ(propcheck_json(run_propcheck(cached)),
-            propcheck_json(run_propcheck(uncached)));
-}
-
 }  // namespace
 }  // namespace wsx::gen

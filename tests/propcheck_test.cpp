@@ -126,7 +126,6 @@ TEST(ConfigFingerprint, GenRoundTrips) {
   config.corpus.max_depth = 3;
   config.corpus.sabotage = true;
   config.shrink = false;
-  config.parse_cache = false;
   const std::string json = gen::gen_config_json(config);
   Result<gen::GenConfig> parsed = gen::gen_config_from_json(json);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;

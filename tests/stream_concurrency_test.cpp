@@ -2,8 +2,7 @@
 // tier1-concurrency label): tokenizers and their arenas are
 // per-parse-local, so parallel envelope parsing and validation across a
 // worker pool must be race-free and must produce exactly the sequential
-// results. The --no-stream toggle itself is an atomic and safe to read
-// concurrently.
+// results.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -71,36 +70,6 @@ TEST(StreamConcurrency, ParallelParsingMatchesSequential) {
     }
     ASSERT_EQ(parallel, sequential) << "round " << round;
   }
-}
-
-TEST(StreamConcurrency, StreamingToggleIsSafeToReadConcurrently) {
-  // Readers parse while one slice flips the toggle: every parse must still
-  // produce a valid verdict (one of the two paths' identical answers), and
-  // TSan must see no race on the flag.
-  const std::vector<std::string> texts = corpus_texts();
-  std::vector<int> oks = {0};
-  std::vector<std::vector<int>> counts = parallel_slices(
-      16, 8, [&](std::size_t begin, std::size_t end) {
-        std::vector<int> ok_count{0};
-        for (std::size_t task = begin; task < end; ++task) {
-          if (task == 0) {
-            soap::set_streaming(false);
-            soap::set_streaming(true);
-            continue;
-          }
-          for (const std::string& text : texts) {
-            if (soap::parse(text).ok()) ++ok_count[0];
-          }
-        }
-        return ok_count;
-      });
-  soap::set_streaming(true);
-  int total = 0;
-  for (const std::vector<int>& slice : counts) total += slice.empty() ? 0 : slice[0];
-  // 65 of the 68 corpus texts parse (64 requests + the fault envelope make
-  // 65; the three rejects fail) — ok-counts must reflect only those.
-  EXPECT_EQ(total % 65, 0);
-  EXPECT_GT(total, 0);
 }
 
 }  // namespace

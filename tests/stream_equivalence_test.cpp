@@ -1,16 +1,21 @@
-// Differential tests: the streaming SOAP envelope path (pull tokenizer,
-// soap/stream_frame.hpp) against the DOM path (--no-stream). The two are
-// one scanner with two consumers, and these tests pin the contract that
-// makes the escape hatch safe: identical envelope models, identical
-// errors, identical validation verdicts on every input.
+// Differential tests: soap::parse, which reads envelopes straight off the
+// pull tokenizer (soap/stream_frame.hpp), against the DOM reader it
+// replaced (testing::parse_envelope_dom, kept as the oracle). The two are
+// one scanner with two consumers, and these tests pin the contract:
+// identical envelope models, identical errors, identical validation
+// verdicts on every input.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
+#include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
 #include "frameworks/registry.hpp"
+#include "frameworks/version_policy.hpp"
 #include "soap/envelope.hpp"
 #include "soap/message.hpp"
 #include "soap/validate.hpp"
@@ -19,11 +24,6 @@
 
 namespace wsx {
 namespace {
-
-/// Restores the default (streaming on) no matter how a test exits.
-struct StreamingGuard {
-  ~StreamingGuard() { soap::set_streaming(true); }
-};
 
 /// Owning, comparable digest of a parse outcome. Serialization covers the
 /// whole model (headers, body, fault rebuild), so two equal snapshots mean
@@ -42,10 +42,7 @@ struct Snapshot {
   bool operator==(const Snapshot& other) const = default;
 };
 
-Snapshot parse_with(bool streaming, std::string_view text) {
-  StreamingGuard guard;
-  soap::set_streaming(streaming);
-  Result<soap::Envelope> envelope = soap::parse(text);
+Snapshot snapshot_of(const Result<soap::Envelope>& envelope) {
   Snapshot snap;
   snap.ok = envelope.ok();
   if (!envelope.ok()) {
@@ -65,8 +62,8 @@ Snapshot parse_with(bool streaming, std::string_view text) {
 /// Asserts DOM/stream equivalence and returns the streaming outcome for
 /// further, input-specific assertions.
 Snapshot expect_equivalent(const std::string& text) {
-  const Snapshot stream = parse_with(true, text);
-  const Snapshot dom = parse_with(false, text);
+  const Snapshot stream = snapshot_of(soap::parse(text));
+  const Snapshot dom = snapshot_of(wsx::testing::parse_envelope_dom(text));
   EXPECT_EQ(stream, dom) << "input:\n" << text;
   return stream;
 }
@@ -176,10 +173,8 @@ TEST(StreamEquivalence, HybridEnvelopesRebuildIdentically) {
     EXPECT_EQ(snap.header_count, hybrid.header_entries().size());
     EXPECT_EQ(snap.must_understand, profile == soap::HybridProfile::kSecured);
 
-    StreamingGuard guard;
-    for (const bool streaming : {true, false}) {
-      soap::set_streaming(streaming);
-      Result<soap::Envelope> reparsed = soap::parse(soap::write(hybrid));
+    for (const auto reader : {&soap::parse, &wsx::testing::parse_envelope_dom}) {
+      Result<soap::Envelope> reparsed = reader(soap::write(hybrid));
       ASSERT_TRUE(reparsed.ok());
       const soap::VersionCoherence coherence = soap::inspect_coherence(*reparsed);
       EXPECT_EQ(coherence.has_12_era_headers, profile != soap::HybridProfile::kPure11);
@@ -257,10 +252,7 @@ struct VerdictSnapshot {
   bool operator==(const VerdictSnapshot& other) const = default;
 };
 
-VerdictSnapshot sniff_with(bool streaming, const wsdl::Definitions& defs,
-                           const std::string& text) {
-  StreamingGuard guard;
-  soap::set_streaming(streaming);
+VerdictSnapshot sniff(const wsdl::Definitions& defs, const std::string& text) {
   Result<std::vector<soap::ValidationIssue>> issues =
       soap::validate_request_text(defs, text);
   VerdictSnapshot snap;
@@ -273,12 +265,10 @@ VerdictSnapshot sniff_with(bool streaming, const wsdl::Definitions& defs,
   return snap;
 }
 
-/// The historical reference: parse the DOM, then validate the model.
-VerdictSnapshot parse_then_validate(const wsdl::Definitions& defs,
-                                    const std::string& text) {
-  StreamingGuard guard;
-  soap::set_streaming(false);
-  Result<soap::Envelope> envelope = soap::parse(text);
+/// The reference: parse with `reader`, then validate the model.
+VerdictSnapshot parse_then_validate(Result<soap::Envelope> (*reader)(std::string_view),
+                                    const wsdl::Definitions& defs, const std::string& text) {
+  Result<soap::Envelope> envelope = reader(text);
   VerdictSnapshot snap;
   snap.ok = envelope.ok();
   if (!envelope.ok()) {
@@ -291,11 +281,12 @@ VerdictSnapshot parse_then_validate(const wsdl::Definitions& defs,
 
 VerdictSnapshot expect_sniffer_equivalent(const wsdl::Definitions& defs,
                                           const std::string& text) {
-  const VerdictSnapshot stream = sniff_with(true, defs, text);
-  const VerdictSnapshot fallback = sniff_with(false, defs, text);
-  const VerdictSnapshot reference = parse_then_validate(defs, text);
+  const VerdictSnapshot stream = sniff(defs, text);
+  const VerdictSnapshot reference =
+      parse_then_validate(&wsx::testing::parse_envelope_dom, defs, text);
+  const VerdictSnapshot streamed = parse_then_validate(&soap::parse, defs, text);
   EXPECT_EQ(stream, reference) << "input:\n" << text;
-  EXPECT_EQ(fallback, reference) << "input:\n" << text;
+  EXPECT_EQ(streamed, reference) << "input:\n" << text;
   return stream;
 }
 
@@ -370,7 +361,7 @@ TEST(StreamEquivalence, SnifferIgnoresHeadersAndNestedPayloadContent) {
 
 TEST(StreamEquivalence, SeededCorpusTrafficIsEquivalentOnBothPaths) {
   // Generated request corpora for a whole small catalog: every request and
-  // every server response parses identically with streaming on and off.
+  // every server response parses identically on both readers.
   const auto server = frameworks::make_server("Metro 2.3");
   const catalog::TypeCatalog catalog =
       catalog::make_java_catalog(wsx::testing::small_java_spec());
@@ -398,6 +389,48 @@ TEST(StreamEquivalence, SeededCorpusTrafficIsEquivalentOnBothPaths) {
     }
   }
   EXPECT_GT(checked, 20u);
+}
+
+TEST(StreamEquivalence, VersionRoundTrafficIsEquivalentOnBothReaders) {
+  // The communication campaign's wire traffic on the strict and shaded
+  // version rounds: every request each client sends in its hybrid profile
+  // and every response its round's policy returns parses identically on
+  // both readers, and the sniffer agrees with parse-then-validate. Chaos
+  // fault bodies are covered kind by kind in stream_fuzz_bridge_test.
+  const std::vector<frameworks::VersionPolicy> versions = {frameworks::VersionPolicy::kStrict,
+                                                           frameworks::VersionPolicy::kShadedCxf};
+  const catalog::TypeCatalog java = catalog::make_java_catalog(wsx::testing::small_java_spec());
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(wsx::testing::small_dotnet_spec());
+  const std::vector<frameworks::ServiceSpec> java_services = frameworks::make_services(java);
+  const std::vector<frameworks::ServiceSpec> dotnet_services = frameworks::make_services(dotnet);
+  const auto servers = frameworks::make_servers();
+  const auto clients = frameworks::make_clients();
+  std::vector<std::unique_ptr<compilers::Compiler>> compilers;
+  for (const auto& client : clients) {
+    compilers.push_back(compilers::make_compiler(client->language()));
+  }
+  const std::vector<soap::HybridProfile> profiles = frameworks::client_profiles(clients, versions);
+  std::size_t calls = 0;
+  for (const frameworks::Round& round :
+       frameworks::make_rounds(servers, java_services, dotnet_services, versions)) {
+    for (const frameworks::ServiceSpec& spec : *round.services) {
+      Result<frameworks::DeployedService> service = round.server->deploy(spec);
+      if (!service.ok()) continue;
+      const frameworks::SharedDescription description =
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
+      for (std::size_t i = 0; i < clients.size(); ++i) {
+        const frameworks::PreparedCall call = frameworks::prepare_echo_call(
+            *service, description, *clients[i], compilers[i].get(), profiles[i]);
+        if (call.status != frameworks::PreparedCall::Status::kReady) continue;
+        expect_equivalent(call.request.body);
+        expect_sniffer_equivalent(service->wsdl, call.request.body);
+        expect_equivalent(round.server->handle_http(*service, call.request, *round.policy).body);
+        ++calls;
+      }
+    }
+  }
+  EXPECT_GT(calls, 500u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Hostile-input bridge for the streaming envelope path: every wire fault
 // the chaos layer can inject and every fuzz mutation operator, applied to
-// real framework traffic, must be judged identically by the streaming pull
-// path and the DOM path — same accept/reject verdict, same error code, no
-// crashes. This is the sanitizer workhorse for the tokenizer: the suite
-// runs under ASan in CI, so any out-of-bounds scan or dangling view in
-// pull.cpp trips here.
+// real framework traffic, must be judged identically by soap::parse and by
+// the DOM reader it replaced (testing::parse_envelope_dom, the oracle) —
+// same accept/reject verdict, same error code, no crashes. This is the
+// sanitizer workhorse for the tokenizer: the suite runs under ASan in CI,
+// so any out-of-bounds scan or dangling view in pull.cpp trips here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,23 +27,16 @@
 namespace wsx {
 namespace {
 
-struct StreamingGuard {
-  ~StreamingGuard() { soap::set_streaming(true); }
-};
-
-/// ok + error code of soap::parse under the given path.
-std::string verdict_with(bool streaming, const std::string& text) {
-  StreamingGuard guard;
-  soap::set_streaming(streaming);
-  Result<soap::Envelope> envelope = soap::parse(text);
+/// ok + error code of one envelope reader.
+std::string verdict_of(const Result<soap::Envelope>& envelope) {
   return envelope.ok() ? std::string("ok") : envelope.error().code;
 }
 
 /// Both paths, plus a raw tokenizer drain (which must never crash and must
 /// agree with the DOM about well-formedness).
 void expect_same_verdict(const std::string& text, const std::string& label) {
-  const std::string stream = verdict_with(true, text);
-  const std::string dom = verdict_with(false, text);
+  const std::string stream = verdict_of(soap::parse(text));
+  const std::string dom = verdict_of(wsx::testing::parse_envelope_dom(text));
   EXPECT_EQ(stream, dom) << label << "\ninput:\n" << text;
 
   xml::pull::Tokenizer tok{text};
@@ -139,7 +132,7 @@ TEST(StreamFuzzBridge, MixedVersionEnvelopesAgree) {
   for (const auto& [label, body] : corpus) {
     expect_same_verdict(body, label);
     expect_same_verdict_incremental(body, label);
-    EXPECT_EQ(verdict_with(true, body), "ok") << label;
+    EXPECT_EQ(verdict_of(soap::parse(body)), "ok") << label;
   }
 }
 
@@ -164,7 +157,7 @@ TEST(StreamFuzzBridge, DamagedMixedVersionEnvelopesAgree) {
 TEST(StreamFuzzBridge, CleanTrafficAgrees) {
   ASSERT_FALSE(clean_body().empty());
   expect_same_verdict(clean_body(), "clean");
-  EXPECT_EQ(verdict_with(true, clean_body()), "ok");
+  EXPECT_EQ(verdict_of(soap::parse(clean_body())), "ok");
 }
 
 TEST(StreamFuzzBridge, EveryChaosFaultKindAgrees) {

@@ -1,6 +1,9 @@
 // Unit tests for the shared string utilities (src/common/strings.*).
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+
 #include "common/strings.hpp"
 
 namespace wsx {
@@ -77,6 +80,25 @@ TEST(Strings, ReplaceAll) {
   EXPECT_EQ(replace_all("a.b.c", ".", "::"), "a::b::c");
   EXPECT_EQ(replace_all("aaa", "aa", "b"), "ba");
   EXPECT_EQ(replace_all("abc", "", "x"), "abc");
+}
+
+TEST(Strings, ParseCountAcceptsEveryValueUpToSizeMax) {
+  std::size_t out = 7;
+  ASSERT_TRUE(parse_count("0", out));
+  EXPECT_EQ(out, 0u);
+  ASSERT_TRUE(parse_count("0042", out));
+  EXPECT_EQ(out, 42u);
+  ASSERT_TRUE(parse_count("18446744073709551615", out));
+  EXPECT_EQ(out, std::numeric_limits<std::size_t>::max());
+}
+
+TEST(Strings, ParseCountRejectsOverflowSignsAndJunk) {
+  for (const char* text : {"18446744073709551616", "18446744073709551617", "99999999999999999999",
+                           "", "-1", "+1", "1x", " 1", "1 ", "0x10"}) {
+    std::size_t out = 7;
+    EXPECT_FALSE(parse_count(text, out)) << '"' << text << '"';
+    EXPECT_EQ(out, 7u) << '"' << text << '"';
+  }
 }
 
 }  // namespace

@@ -94,7 +94,6 @@ TEST(ConfigFingerprint, StudyRoundTrips) {
   config.samples_per_cell = 5;
   config.shape = frameworks::ServiceShape::kCrud;
   config.wsi_deploy_gate = true;
-  config.parse_cache = false;
   const std::string json = interop::study_config_json(config);
   Result<interop::StudyConfig> parsed = interop::study_config_from_json(json);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
@@ -102,12 +101,10 @@ TEST(ConfigFingerprint, StudyRoundTrips) {
   EXPECT_EQ(parsed->samples_per_cell, 5u);
   EXPECT_EQ(parsed->shape, frameworks::ServiceShape::kCrud);
   EXPECT_TRUE(parsed->wsi_deploy_gate);
-  EXPECT_FALSE(parsed->parse_cache);
 }
 
 TEST(ConfigFingerprint, CommunicationRoundTrips) {
   interop::StudyConfig config = tiny_study();
-  config.parse_cache = false;
   const std::string json = interop::communication_config_json(config);
   Result<interop::StudyConfig> parsed = interop::communication_config_from_json(json);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;

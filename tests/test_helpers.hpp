@@ -1,9 +1,10 @@
 // test_helpers.hpp — shared fixtures for the wsinterop test suite.
 #pragma once
 
-#include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "catalog/dotnet_catalog.hpp"
@@ -11,7 +12,10 @@
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "gen/request_gen.hpp"
+#include "soap/envelope.hpp"
+#include "soap/stream_frame.hpp"
 #include "wsdl/model.hpp"
+#include "xml/parser.hpp"
 
 namespace wsx::testing {
 
@@ -62,22 +66,10 @@ inline frameworks::DeployedService deploy_one(std::string_view server_name,
 /// order: servers in registry order, types in catalog order.
 inline std::vector<std::string> served_corpus(
     std::size_t percent, frameworks::ServiceShape shape = frameworks::ServiceShape::kSimpleEcho) {
-  catalog::JavaCatalogSpec java_spec;
-  catalog::DotNetCatalogSpec dotnet_spec;
-  if (percent != 100) {
-    for (std::size_t* value :
-         {&java_spec.plain_beans, &java_spec.throwable_clean, &java_spec.throwable_raw,
-          &java_spec.raw_generic_beans, &java_spec.anytype_array_beans,
-          &java_spec.no_default_ctor, &java_spec.abstract_classes, &java_spec.interfaces,
-          &java_spec.generic_types, &dotnet_spec.plain_types, &dotnet_spec.dataset_plain,
-          &dotnet_spec.deep_nesting_clean, &dotnet_spec.deep_nesting_pathological,
-          &dotnet_spec.non_serializable, &dotnet_spec.no_default_ctor,
-          &dotnet_spec.generic_types, &dotnet_spec.abstract_classes, &dotnet_spec.interfaces}) {
-      *value = std::max<std::size_t>(1, *value * percent / 100);
-    }
-  }
-  const catalog::TypeCatalog java = catalog::make_java_catalog(java_spec);
-  const catalog::TypeCatalog dotnet = catalog::make_dotnet_catalog(dotnet_spec);
+  const catalog::TypeCatalog java =
+      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, percent));
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(catalog::scaled(catalog::DotNetCatalogSpec{}, percent));
   std::vector<std::string> texts;
   for (const auto& server : frameworks::make_servers()) {
     const catalog::TypeCatalog& types = server->language() == "C#" ? dotnet : java;
@@ -116,6 +108,38 @@ inline std::vector<SeededService> seeded_corpus(const frameworks::ServerFramewor
         SeededService{std::move(deployed), std::move(description), std::move(corpus)});
   }
   return seeded;
+}
+
+/// The DOM envelope reader that soap::parse replaced, kept as the oracle the
+/// stream packs hold the streaming reader to: materialise the whole
+/// document, then inspect it. It shares the frame checks and the model build
+/// (soap/stream_frame.hpp) with the streaming reader.
+inline Result<soap::Envelope> parse_envelope_dom(std::string_view text) {
+  Result<xml::Element> root = xml::parse_element(text);
+  if (!root.ok()) return root.error();
+
+  soap::detail::EnvelopeFrame frame;
+  frame.root_probe = xml::Element{root.value().name()};
+  frame.root_probe.attributes() = root.value().attributes();
+
+  std::vector<xml::Element> headers;
+  if (const xml::Element* header = root.value().child("Header")) {
+    for (const xml::Element* entry : header->child_elements()) headers.push_back(*entry);
+  }
+  std::optional<xml::Element> payload;
+  if (const xml::Element* body = root.value().child("Body")) {
+    frame.have_body = true;
+    std::vector<const xml::Element*> payloads = body->child_elements();
+    if (!payloads.empty()) {
+      frame.have_payload = true;
+      frame.payload_local = payloads.front()->local_name();
+      payload = *payloads.front();
+    }
+  }
+  Result<soap::SoapVersion> version = soap::detail::check_envelope_frame(frame);
+  if (!version.ok()) return version.error();
+  return soap::detail::assemble_envelope(version.value(), std::move(headers),
+                                         std::move(*payload));
 }
 
 /// A minimal, fully WS-I-compliant echo description (document/literal

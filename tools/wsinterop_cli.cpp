@@ -64,6 +64,7 @@
 #include "analysis/sarif.hpp"
 #include "codemodel/render.hpp"
 #include "common/pool.hpp"
+#include "common/strings.hpp"
 #include "compilers/compiler.hpp"
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
@@ -72,7 +73,6 @@
 #include "gen/campaign.hpp"
 #include "gen/supervised.hpp"
 #include "interop/communication.hpp"
-#include "soap/envelope.hpp"
 #include "interop/persistence.hpp"
 #include "interop/report.hpp"
 #include "interop/report_formats.hpp"
@@ -94,20 +94,6 @@
 using namespace wsx;
 
 namespace {
-
-/// Parses a non-negative decimal count. Unlike std::stoul this neither
-/// throws on garbage nor accepts trailing junk, so "--jobs abc" is a usage
-/// error rather than an abort.
-bool parse_count(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
 
 int usage() {
   std::cerr << "usage: wsinterop "
@@ -155,10 +141,7 @@ int usage() {
                "docs/VERSIONS.md (run accepts the flag but steps 1-3 are wire-free)\n"
                "campaign verbs (run, lint --corpus, communicate, chaos, propcheck,\n"
                "profile, predict --corpus) also accept --trace FILE.jsonl and\n"
-               "--metrics FILE.json; run, communicate, chaos, propcheck and profile\n"
-               "accept --no-parse-cache to re-parse each WSDL per client instead of\n"
-               "sharing one parsed description per service, and --no-stream to parse\n"
-               "envelopes via the DOM instead of the streaming pull tokenizer\n"
+               "--metrics FILE.json\n"
                "supervised verbs (run, lint --corpus, communicate, chaos, propcheck,\n"
                "predict --corpus) also accept the resilience flags: --checkpoint FILE.journal,\n"
                "--checkpoint-every N, --task-deadline-ms N, --quarantine-after N,\n"
@@ -379,31 +362,8 @@ int finish_campaign(Result<Supervised> (*engine)(const Config&, const Options&),
 /// Scales both population specs to roughly PCT percent of the paper's.
 void apply_scale(catalog::JavaCatalogSpec& java, catalog::DotNetCatalogSpec& dotnet,
                  std::size_t percent) {
-  const auto scaled = [percent](std::size_t value) {
-    return std::max<std::size_t>(1, value * percent / 100);
-  };
-  java.plain_beans = scaled(java.plain_beans);
-  java.throwable_clean = scaled(java.throwable_clean);
-  java.throwable_raw = scaled(java.throwable_raw);
-  java.raw_generic_beans = scaled(java.raw_generic_beans);
-  java.anytype_array_beans = scaled(java.anytype_array_beans);
-  java.no_default_ctor = scaled(java.no_default_ctor);
-  java.abstract_classes = scaled(java.abstract_classes);
-  java.interfaces = scaled(java.interfaces);
-  java.generic_types = scaled(java.generic_types);
-  dotnet.plain_types = scaled(dotnet.plain_types);
-  dotnet.dataset_plain = scaled(dotnet.dataset_plain);
-  dotnet.deep_nesting_clean = scaled(dotnet.deep_nesting_clean);
-  dotnet.deep_nesting_pathological = scaled(dotnet.deep_nesting_pathological);
-  dotnet.non_serializable = scaled(dotnet.non_serializable);
-  dotnet.no_default_ctor = scaled(dotnet.no_default_ctor);
-  dotnet.generic_types = scaled(dotnet.generic_types);
-  dotnet.abstract_classes = scaled(dotnet.abstract_classes);
-  dotnet.interfaces = scaled(dotnet.interfaces);
-}
-
-void apply_scale(interop::StudyConfig& config, std::size_t percent) {
-  apply_scale(config.java_spec, config.dotnet_spec, percent);
+  java = catalog::scaled(java, percent);
+  dotnet = catalog::scaled(dotnet, percent);
 }
 
 // The supervised campaigns, each shared by its verb and by `resume` of its
@@ -459,7 +419,7 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
       std::size_t percent = 0;
       if (!parse_count(args[++i], percent)) return usage();
-      apply_scale(config, percent);
+      apply_scale(config.java_spec, config.dotnet_spec, percent);
     } else if ((args[i] == "--threads" || args[i] == "--jobs") && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], config.threads)) return usage();
     } else if (args[i] == "--versions" && i + 1 < args.size()) {
@@ -473,10 +433,6 @@ int cmd_run(const std::vector<std::string>& args) {
       log_path = args[++i];
     } else if (args[i] == "--snapshot" && i + 1 < args.size()) {
       snapshot_path = args[++i];
-    } else if (args[i] == "--no-parse-cache") {
-      config.parse_cache = false;
-    } else if (args[i] == "--no-stream") {
-      soap::set_streaming(false);
     } else {
       return usage();
     }
@@ -782,15 +738,11 @@ int cmd_communicate(const std::vector<std::string>& args) {
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
       std::size_t percent = 0;
       if (!parse_count(args[++i], percent)) return usage();
-      apply_scale(config, percent);
+      apply_scale(config.java_spec, config.dotnet_spec, percent);
     } else if ((args[i] == "--threads" || args[i] == "--jobs") && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], config.threads)) return usage();
     } else if (args[i] == "--versions" && i + 1 < args.size()) {
       if (!parse_versions(args[++i], config.versions)) return 2;
-    } else if (args[i] == "--no-parse-cache") {
-      config.parse_cache = false;
-    } else if (args[i] == "--no-stream") {
-      soap::set_streaming(false);
     } else {
       return usage();
     }
@@ -884,10 +836,6 @@ int cmd_chaos(const std::vector<std::string>& args) {
       csv_path = args[++i];
     } else if (args[i] == "--format" && i + 1 < args.size()) {
       format = args[++i];
-    } else if (args[i] == "--no-parse-cache") {
-      config.parse_cache = false;
-    } else if (args[i] == "--no-stream") {
-      soap::set_streaming(false);
     } else {
       return usage();
     }
@@ -956,10 +904,6 @@ int cmd_propcheck(const std::vector<std::string>& args) {
       if (!parse_jobs(args[++i], config.jobs)) return usage();
     } else if (args[i] == "--format" && i + 1 < args.size()) {
       format = args[++i];
-    } else if (args[i] == "--no-parse-cache") {
-      config.parse_cache = false;
-    } else if (args[i] == "--no-stream") {
-      soap::set_streaming(false);
     } else {
       return usage();
     }
@@ -1201,7 +1145,6 @@ int cmd_scorecard(const std::vector<std::string>& args) {
 int cmd_profile(const std::vector<std::string>& args) {
   std::size_t scale = 10;
   std::size_t jobs = 0;
-  bool parse_cache = true;
   ObsSinks sinks;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (sinks.consume(args, i)) {
@@ -1210,18 +1153,13 @@ int cmd_profile(const std::vector<std::string>& args) {
       if (!parse_count(args[++i], scale)) return usage();
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], jobs)) return usage();
-    } else if (args[i] == "--no-parse-cache") {
-      parse_cache = false;
-    } else if (args[i] == "--no-stream") {
-      soap::set_streaming(false);
     } else {
       return usage();
     }
   }
   interop::StudyConfig config;
-  apply_scale(config, scale);
+  apply_scale(config.java_spec, config.dotnet_spec, scale);
   config.threads = jobs;
-  config.parse_cache = parse_cache;
   // Profiling without sinks would be pointless, so both are always live;
   // --trace/--metrics additionally export them.
   config.tracer = &sinks.tracer;
