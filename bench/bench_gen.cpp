@@ -21,81 +21,35 @@
 //
 //   bench_gen [--scale PCT] [--out FILE.json]
 //             [--check BASELINE.json] [--tolerance PCT]
-#include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalog/java_catalog.hpp"
-#include "common/json.hpp"
-#include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "gen/request_gen.hpp"
 #include "gen/shrink.hpp"
 #include "gen/value_gen.hpp"
-
-namespace {
+#include "harness.hpp"
 
 using namespace wsx;
-
-/// Runs `work` repeatedly until ~0.3 s of wall time has accumulated and
-/// returns the mean nanoseconds per call.
-template <typename Fn>
-double time_ns(Fn&& work) {
-  using clock = std::chrono::steady_clock;
-  work();
-  std::size_t batch = 1;
-  for (;;) {
-    const auto start = clock::now();
-    for (std::size_t i = 0; i < batch; ++i) work();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start)
-            .count());
-    if (ns >= 3e8 || batch >= (1u << 24)) return ns / static_cast<double>(batch);
-    batch *= 2;
-  }
-}
-
-struct Measurement {
-  std::string name;
-  double value = 0.0;
-  /// true: smaller is better (all of bench_gen's units are costs).
-  bool lower_is_better = true;
-};
-
-}  // namespace
+using bench::time_ns;
 
 int main(int argc, char** argv) {
-  std::size_t scale = 100;
-  std::size_t tolerance = 60;
-  std::string out_path = "BENCH_gen.json";
-  std::string check_path;
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], scale)) return 2;
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], tolerance)) return 2;
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (args[i] == "--check" && i + 1 < args.size()) {
-      check_path = args[++i];
-    } else {
-      std::cerr << "usage: bench_gen [--scale PCT] [--out FILE.json] "
-                   "[--check BASELINE.json] [--tolerance PCT]\n";
-      return 2;
-    }
+  bench::Gate gate("gen", /*scale=*/100, /*tolerance=*/60);
+  if (!gate.parse(argc, argv, {},
+                  "usage: bench_gen [--scale PCT] [--out FILE.json] "
+                  "[--check BASELINE.json] [--tolerance PCT]\n")) {
+    return 2;
   }
 
   // The deploy pass is the fixture, not the subject: generation starts
   // from already-published descriptions.
   const catalog::TypeCatalog catalog =
-      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, scale));
+      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, gate.scale));
   const auto server = frameworks::make_server("Metro 2.3");
   std::vector<frameworks::DeployedService> services;
   for (const catalog::TypeInfo& type : catalog.types()) {
@@ -108,7 +62,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<Measurement> measurements;
+  std::vector<bench::Measurement>& measurements = gate.measurements;
 
   // Value draws round-robin over every builtin's lexical space.
   const std::vector<xsd::Builtin> builtins = [] {
@@ -184,60 +138,9 @@ int main(int argc, char** argv) {
                             if (!fails(minimal)) std::exit(1);
                           })});
 
-  json::ObjectWriter doc;
-  doc.field("benchmark", "gen");
-  doc.field("scale_percent", scale);
+  json::ObjectWriter doc = bench::report(gate.name, gate.scale);
   doc.field("services", services.size());
   doc.field("cases", corpus.size());
-  for (const Measurement& m : measurements) doc.field(m.name, m.value);
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_gen: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << doc.str() << "\n";
-  for (const Measurement& m : measurements) {
-    std::cout << m.name << " = " << m.value << "\n";
-  }
-  std::cout << "gen: " << services.size() << " services, " << corpus.size()
-            << " cases -> " << out_path << "\n";
-
-  if (check_path.empty()) return 0;
-
-  // Regression gate: each measurement may drift up to `tolerance` percent
-  // in its bad direction relative to the committed baseline.
-  std::ifstream baseline_file(check_path);
-  if (!baseline_file) {
-    std::cerr << "bench_gen: cannot open baseline " << check_path << "\n";
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << baseline_file.rdbuf();
-  Result<json::Value> baseline = json::parse(buffer.str());
-  if (!baseline.ok()) {
-    std::cerr << "bench_gen: baseline: " << baseline.error().message << "\n";
-    return 1;
-  }
-  const double slack = static_cast<double>(tolerance) / 100.0;
-  bool regressed = false;
-  for (const Measurement& m : measurements) {
-    const json::Value* reference = baseline->find(m.name);
-    if (reference == nullptr || !reference->is_number()) {
-      std::cerr << "bench_gen: baseline lacks " << m.name << "\n";
-      regressed = true;
-      continue;
-    }
-    const double limit = m.lower_is_better ? reference->as_number() * (1.0 + slack)
-                                           : reference->as_number() * (1.0 - slack);
-    const bool bad = m.lower_is_better ? m.value > limit : m.value < limit;
-    if (bad) {
-      std::cerr << "bench_gen: REGRESSION " << m.name << " = " << m.value
-                << " vs baseline " << reference->as_number() << " (limit " << limit
-                << ")\n";
-      regressed = true;
-    }
-  }
-  if (!regressed) std::cout << "gen: within " << tolerance << "% of baseline\n";
-  return regressed ? 1 : 0;
+  return gate.finish(doc, "gen: " + std::to_string(services.size()) + " services, " +
+                              std::to_string(corpus.size()) + " cases -> " + gate.out_path);
 }

@@ -33,18 +33,15 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "catalog/java_catalog.hpp"
-#include "common/json.hpp"
 #include "common/pool.hpp"
-#include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
+#include "harness.hpp"
 #include "interop/study.hpp"
 #include "soap/envelope.hpp"
 #include "soap/message.hpp"
@@ -56,6 +53,8 @@
 namespace {
 
 using namespace wsx;
+using bench::Better;
+using bench::time_ns;
 
 /// The fixture every stage runs against: the first catalog type that both
 /// deploys on Metro and generates clean artifacts for the Metro client, so
@@ -79,25 +78,6 @@ frameworks::DeployedService sample_service() {
   std::exit(1);
 }
 
-/// Runs `work` repeatedly until ~0.3 s of wall time has accumulated and
-/// returns the mean nanoseconds per call.
-template <typename Fn>
-double time_ns(Fn&& work) {
-  using clock = std::chrono::steady_clock;
-  // Warm caches and pick an iteration batch that amortises clock reads.
-  work();
-  std::size_t batch = 1;
-  for (;;) {
-    const auto start = clock::now();
-    for (std::size_t i = 0; i < batch; ++i) work();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start)
-            .count());
-    if (ns >= 3e8 || batch >= (1u << 24)) return ns / static_cast<double>(batch);
-    batch *= 2;
-  }
-}
-
 double campaign_tests_per_sec(const interop::StudyConfig& config, std::size_t& tests_out) {
   const auto start = std::chrono::steady_clock::now();
   const interop::StudyResult result = interop::run_study(config);
@@ -107,38 +87,15 @@ double campaign_tests_per_sec(const interop::StudyConfig& config, std::size_t& t
                                : 0.0;
 }
 
-struct Measurement {
-  std::string name;
-  double value = 0.0;
-  /// true: smaller is better (ns/byte); false: larger is better (rates).
-  bool lower_is_better = true;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t scale = 20;
+  bench::Gate gate("pipeline", /*scale=*/20, /*tolerance=*/40);
   std::size_t threads = 0;
-  std::size_t tolerance = 40;
-  std::string out_path = "BENCH_pipeline.json";
-  std::string check_path;
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], scale)) return 2;
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], threads)) return 2;
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], tolerance)) return 2;
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (args[i] == "--check" && i + 1 < args.size()) {
-      check_path = args[++i];
-    } else {
-      std::cerr << "usage: bench_pipeline [--scale PCT] [--threads N] "
-                   "[--out FILE.json] [--check BASELINE.json] [--tolerance PCT]\n";
-      return 2;
-    }
+  if (!gate.parse(argc, argv, {{"--threads", &threads}},
+                  "usage: bench_pipeline [--scale PCT] [--threads N] "
+                  "[--out FILE.json] [--check BASELINE.json] [--tolerance PCT]\n")) {
+    return 2;
   }
 
   const frameworks::DeployedService service = sample_service();
@@ -148,7 +105,7 @@ int main(int argc, char** argv) {
   const frameworks::SharedDescription description =
       frameworks::SharedDescription::from_deployed(service);
 
-  std::vector<Measurement> measurements;
+  std::vector<bench::Measurement>& measurements = gate.measurements;
   measurements.push_back({"p1_xml_parse_ns_per_byte", time_ns([&] {
                             Result<xml::Element> root = xml::parse_element(text);
                             if (!root.ok()) std::exit(1);
@@ -226,70 +183,19 @@ int main(int argc, char** argv) {
                             elapsed.count() > 0.0
                                 ? static_cast<double>(total) / elapsed.count()
                                 : 0.0,
-                            /*lower_is_better=*/false});
+                            Better::kHigher});
   }
 
   interop::StudyConfig config;
-  config.java_spec = catalog::scaled(config.java_spec, scale);
-  config.dotnet_spec = catalog::scaled(config.dotnet_spec, scale);
+  config.java_spec = catalog::scaled(config.java_spec, gate.scale);
+  config.dotnet_spec = catalog::scaled(config.dotnet_spec, gate.scale);
   config.threads = threads;
   std::size_t tests = 0;
   (void)campaign_tests_per_sec(config, tests);  // warm-up
-  measurements.push_back({"campaign_cached_tests_per_sec", campaign_tests_per_sec(config, tests),
-                          /*lower_is_better=*/false});
+  measurements.push_back(
+      {"campaign_cached_tests_per_sec", campaign_tests_per_sec(config, tests), Better::kHigher});
 
-  json::ObjectWriter doc;
-  doc.field("benchmark", "pipeline");
-  doc.field("scale_percent", scale);
+  json::ObjectWriter doc = bench::report(gate.name, gate.scale);
   doc.field("tests", tests);
-  for (const Measurement& m : measurements) doc.field(m.name, m.value);
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_pipeline: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << doc.str() << "\n";
-  for (const Measurement& m : measurements) {
-    std::cout << m.name << " = " << m.value << "\n";
-  }
-  std::cout << "pipeline: " << tests << " tests -> " << out_path << "\n";
-
-  if (check_path.empty()) return 0;
-
-  // Regression gate: each measurement may drift up to `tolerance` percent
-  // in its bad direction relative to the committed baseline.
-  std::ifstream baseline_file(check_path);
-  if (!baseline_file) {
-    std::cerr << "bench_pipeline: cannot open baseline " << check_path << "\n";
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << baseline_file.rdbuf();
-  Result<json::Value> baseline = json::parse(buffer.str());
-  if (!baseline.ok()) {
-    std::cerr << "bench_pipeline: baseline: " << baseline.error().message << "\n";
-    return 1;
-  }
-  const double slack = static_cast<double>(tolerance) / 100.0;
-  bool regressed = false;
-  for (const Measurement& m : measurements) {
-    const json::Value* reference = baseline->find(m.name);
-    if (reference == nullptr || !reference->is_number()) {
-      std::cerr << "bench_pipeline: baseline lacks " << m.name << "\n";
-      regressed = true;
-      continue;
-    }
-    const double limit = m.lower_is_better ? reference->as_number() * (1.0 + slack)
-                                           : reference->as_number() * (1.0 - slack);
-    const bool bad = m.lower_is_better ? m.value > limit : m.value < limit;
-    if (bad) {
-      std::cerr << "bench_pipeline: REGRESSION " << m.name << " = " << m.value
-                << " vs baseline " << reference->as_number() << " (limit " << limit
-                << ")\n";
-      regressed = true;
-    }
-  }
-  if (!regressed) std::cout << "pipeline: within " << tolerance << "% of baseline\n";
-  return regressed ? 1 : 0;
+  return gate.finish(doc, "pipeline: " + std::to_string(tests) + " tests -> " + gate.out_path);
 }

@@ -18,13 +18,10 @@
 //   bench_study [--scale PCT] [--threads N] [--reps N] [--out FILE.json]
 //               [--max-supervisor-overhead PCT]
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "common/json.hpp"
-#include "common/strings.hpp"
+#include "harness.hpp"
 #include "interop/study.hpp"
 #include "interop/supervised.hpp"
 #include "obs/metrics.hpp"
@@ -50,23 +47,16 @@ int main(int argc, char** argv) {
   std::size_t reps = 3;
   std::size_t max_supervisor_overhead = 0;  // percent; 0 = report only
   std::string out_path = "BENCH_study.json";
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scale" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], scale)) return 2;
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], threads)) return 2;
-    } else if (args[i] == "--reps" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], reps) || reps == 0) return 2;
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (args[i] == "--max-supervisor-overhead" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], max_supervisor_overhead)) return 2;
-    } else {
-      std::cerr << "usage: bench_study [--scale PCT] [--threads N] [--reps N] [--out FILE.json]\n"
-                   "                   [--max-supervisor-overhead PCT]\n";
-      return 2;
-    }
+  if (!bench::parse_flags(
+          argc, argv,
+          {{"--scale", &scale},
+           {"--threads", &threads},
+           {"--reps", &reps, nullptr, /*nonzero=*/true},
+           {"--out", nullptr, &out_path},
+           {"--max-supervisor-overhead", &max_supervisor_overhead}},
+          "usage: bench_study [--scale PCT] [--threads N] [--reps N] [--out FILE.json]\n"
+          "                   [--max-supervisor-overhead PCT]\n")) {
+    return 2;
   }
 
   interop::StudyConfig config;
@@ -138,9 +128,7 @@ int main(int argc, char** argv) {
                            "study.step.generation_us", "study.step.compilation_us"}) {
     steps.field(name, static_cast<std::size_t>(registry.histogram(name).sum()));
   }
-  json::ObjectWriter doc;
-  doc.field("benchmark", "study");
-  doc.field("scale_percent", scale);
+  json::ObjectWriter doc = bench::report("study", scale);
   doc.field("tests", tests);
   doc.field("seconds", plain_seconds);
   doc.field("tests_per_sec", tests_per_sec);
@@ -151,12 +139,7 @@ int main(int argc, char** argv) {
   doc.raw_field("phase_sum_us", phases.str());
   doc.raw_field("step_sum_us", steps.str());
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_study: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << doc.str() << "\n";
+  if (!bench::write_report("bench_study", out_path, doc)) return 1;
   std::cout << "study: " << tests << " tests in " << plain_seconds << " s ("
             << static_cast<std::size_t>(tests_per_sec) << " tests/s), traced "
             << traced_seconds << " s (overhead "

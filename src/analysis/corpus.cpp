@@ -5,36 +5,32 @@
 #include <set>
 
 #include "analysis/supervised_corpus.hpp"
-#include "catalog/java_catalog.hpp"
-#include "frameworks/registry.hpp"
-#include "frameworks/server.hpp"
 #include "interop/study.hpp"
 #include "wsdl/parser.hpp"
 
 namespace wsx::analysis {
 
-ServiceAnalysis lint_service(const LintJob& job, const RuleConfig& rules) {
+ServiceAnalysis lint_service(std::string_view server, const frameworks::DeployedService& service,
+                             const RuleConfig& rules) {
   ServiceAnalysis analysis;
-  analysis.server = job.server;
-  analysis.service = job.service;
-  analysis.type_name = job.type_name;
-  analysis.uri = job.uri;
-  analysis.zero_operations = job.zero_operations;
-  // Lint the published text, not the in-memory model — findings then carry
-  // the line/column positions consumers would see.
-  const Result<wsdl::Definitions> parsed = wsdl::parse(job.wsdl_text);
+  analysis.server = server;
+  analysis.service = service.spec.service_name();
+  analysis.type_name = service.spec.type->name;
+  analysis.uri = analysis.server + "/" + analysis.service + ".wsdl";
+  analysis.zero_operations = service.wsdl.operation_count() == 0;
+  const Result<wsdl::Definitions> parsed = wsdl::parse(service.wsdl_text);
   if (!parsed.ok()) {
     Finding finding;
     finding.rule_id = "WSX0001";
     finding.severity = Severity::kCrash;
     finding.message = "published WSDL does not parse: " + parsed.error().message;
-    finding.location.uri = job.uri;
+    finding.location.uri = analysis.uri;
     analysis.findings.push_back(std::move(finding));
     return analysis;
   }
   AnalysisInput input;
   input.definitions = &parsed.value();
-  input.uri = job.uri;
+  input.uri = analysis.uri;
   analysis.findings = analyze(input, rules).findings;
   return analysis;
 }
@@ -73,66 +69,6 @@ std::string CorpusReport::summary() const {
          " servers: " + std::to_string(services_with_findings()) + " with findings";
 }
 
-std::vector<LintJob> deploy_corpus(const catalog::JavaCatalogSpec& java_spec,
-                                   const catalog::DotNetCatalogSpec& dotnet_spec,
-                                   frameworks::ServiceShape shape, const std::string& prefix,
-                                   obs::Tracer* tracer, obs::Registry* metrics,
-                                   obs::SpanId parent_span, std::size_t& servers,
-                                   std::size_t& refusals) {
-  // Preparation: the same corpus the study deploys (§III.A).
-  obs::Span deploy_span(tracer, "pass:deploy", parent_span);
-  obs::ScopedTimer deploy_timer = obs::timer(metrics, prefix + ".phase.deploy_us");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog, shape);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog, shape);
-  const auto all_servers = frameworks::make_servers();
-  servers = all_servers.size();
-  refusals = 0;
-
-  std::vector<LintJob> jobs;
-  for (const auto& server : all_servers) {
-    const bool is_dotnet = server->language() == "C#";
-    const std::vector<frameworks::ServiceSpec>& services =
-        is_dotnet ? dotnet_services : java_services;
-    for (const frameworks::ServiceSpec& spec : services) {
-      if (!server->can_deploy(*spec.type)) {
-        ++refusals;
-        continue;
-      }
-      Result<frameworks::DeployedService> deployed = server->deploy(spec);
-      if (!deployed.ok()) {
-        ++refusals;
-        continue;
-      }
-      LintJob job;
-      job.server = server->name();
-      job.service = spec.service_name();
-      job.type_name = spec.type->name;
-      job.uri = job.server + "/" + job.service + ".wsdl";
-      job.wsdl_text = std::move(deployed.value().wsdl_text);
-      job.zero_operations = deployed.value().wsdl.operation_count() == 0;
-      jobs.push_back(std::move(job));
-    }
-  }
-  obs::add(metrics, prefix + ".services_total", jobs.size());
-  obs::add(metrics, prefix + ".deploy_refusals", refusals);
-  deploy_span.annotate("services", jobs.size());
-  deploy_span.annotate("refused", refusals);
-  deploy_span.end();
-  deploy_timer.stop();
-  return jobs;
-}
-
-std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusReport& report,
-                                       obs::SpanId parent_span) {
-  return deploy_corpus(options.java_spec, options.dotnet_spec, options.shape, "lint",
-                       options.tracer, options.metrics, parent_span, report.servers,
-                       report.deploy_refusals);
-}
-
 CorpusReport analyze_corpus(const CorpusOptions& options) {
   return resilience::require_complete(analyze_corpus_supervised(options, {})).report;
 }
@@ -150,7 +86,7 @@ void finalize_corpus_report(CorpusReport& report, const CorpusOptions& options,
     study.java_spec = options.java_spec;
     study.dotnet_spec = options.dotnet_spec;
     study.shape = options.shape;
-    study.threads = options.study_threads;
+    study.threads = options.jobs;
     study.observer = [&errored](const interop::TestRecord& record) {
       bool& slot = errored[record.server + "/" + record.service];
       slot = slot || record.generation_error || record.compilation_error;

@@ -1,9 +1,9 @@
 // corpus.hpp — the corpus-parallel lint driver and the failure-prediction
-// join. Deploys the study's catalog-generated services on every server
-// framework, lints each published WSDL across a thread pool, and — when
-// asked — joins the per-rule hits against interop::study outcomes to score
-// each rule's predictive power (the paper's description-step-flags-predict-
-// downstream-errors claim, §IV.A).
+// join. One task per bindable service of the study's corpus deploys the
+// service on its server framework and lints the published WSDL, across a
+// thread pool, and — when asked — the per-rule hits are joined against
+// interop::study outcomes to score each rule's predictive power (the
+// paper's description-step-flags-predict-downstream-errors claim, §IV.A).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,7 @@
 #include "analysis/registry.hpp"
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
-#include "frameworks/service.hpp"
+#include "frameworks/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -23,17 +23,18 @@ struct CorpusOptions {
   catalog::JavaCatalogSpec java_spec;      ///< defaults: the paper's population
   catalog::DotNetCatalogSpec dotnet_spec;  ///< defaults: the paper's population
   frameworks::ServiceShape shape = frameworks::ServiceShape::kSimpleEcho;
-  std::size_t jobs = 0;  ///< lint worker threads; 0 = hardware concurrency
-  RuleConfig rules;      ///< rule selection/severity tuning
+  /// Worker threads of the lint tasks and of the join's study; 0 = hardware
+  /// concurrency.
+  std::size_t jobs = 0;
+  RuleConfig rules;  ///< rule selection/severity tuning
 
   /// Runs the interop study over the same corpus and computes per-rule
   /// precision/recall against downstream generation/compilation errors.
   bool join_study = false;
-  std::size_t study_threads = 0;  ///< 0 = hardware concurrency
 
   /// Observability sinks, both optional (null = off). Spans: run → pass
-  /// (deploy/lint/join/tally); metrics use the "lint." prefix, including
-  /// one "lint.rule.<ID>" hit counter per firing rule.
+  /// (lint/join/tally); metrics use the "lint." prefix, including one
+  /// "lint.rule.<ID>" hit counter per firing rule.
   obs::Tracer* tracer = nullptr;
   obs::Registry* metrics = nullptr;
 };
@@ -52,7 +53,8 @@ void fields(V& v, Finding& finding) {
   v("fix", finding.fixit);
 }
 
-/// Lint outcome of one deployed service.
+/// Lint outcome of one deployed service. A task whose deploy() fails
+/// leaves its analysis empty: one that names no server is a deploy refusal.
 struct ServiceAnalysis {
   std::string server;     ///< server framework name
   std::string service;    ///< e.g. "EchoSimpleDateFormat"
@@ -115,39 +117,11 @@ struct CorpusReport {
 /// given options value regardless of `jobs`.
 CorpusReport analyze_corpus(const CorpusOptions& options = {});
 
-// --- Corpus passes --------------------------------------------------------
-//
-// The engine = build_lint_corpus → one lint_service task per job → fold in
-// corpus order → finalize_corpus_report.
-
-/// One deployed description awaiting analysis.
-struct LintJob {
-  std::string server;
-  std::string service;
-  std::string type_name;
-  std::string uri;
-  std::string wsdl_text;
-  bool zero_operations = false;
-};
-
-/// The deploy pass both corpus campaigns share: generates the corpus and
-/// deploys it on every server, one job per published description in
-/// canonical corpus order, counting `servers` and `refusals`. Its span is
-/// `pass:deploy`; its metrics take `prefix` ("lint", "predict").
-std::vector<LintJob> deploy_corpus(const catalog::JavaCatalogSpec& java_spec,
-                                   const catalog::DotNetCatalogSpec& dotnet_spec,
-                                   frameworks::ServiceShape shape, const std::string& prefix,
-                                   obs::Tracer* tracer, obs::Registry* metrics,
-                                   obs::SpanId parent_span, std::size_t& servers,
-                                   std::size_t& refusals);
-
-/// The lint campaign's deploy pass: deploy_corpus seeding
-/// `report.servers` / `report.deploy_refusals`.
-std::vector<LintJob> build_lint_corpus(const CorpusOptions& options, CorpusReport& report,
-                                       obs::SpanId parent_span = obs::kNoSpan);
-
-/// Lints one job (pure; safe to call from worker threads).
-ServiceAnalysis lint_service(const LintJob& job, const RuleConfig& rules);
+/// Lints one deployed service of `server` (pure; safe to call from worker
+/// threads). The published text is linted, not the in-memory model, so
+/// findings carry the line and column consumers would see.
+ServiceAnalysis lint_service(std::string_view server, const frameworks::DeployedService& service,
+                             const RuleConfig& rules);
 
 /// The join + tally passes over `report.services` (which must already be
 /// in corpus order).

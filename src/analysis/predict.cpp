@@ -479,21 +479,15 @@ std::string PredictReport::summary() const {
          " servers: " + std::to_string(failing) + " predicted to fail somewhere";
 }
 
-std::vector<LintJob> build_predict_corpus(const PredictOptions& options, PredictReport& report,
-                                          obs::SpanId parent_span) {
-  return deploy_corpus(options.java_spec, options.dotnet_spec, options.shape, "predict",
-                       options.tracer, options.metrics, parent_span, report.servers,
-                       report.deploy_refusals);
-}
-
-ServicePredictionRecord predict_service_job(const LintJob& job) {
+ServicePredictionRecord predict_service_job(std::string_view server,
+                                            const frameworks::DeployedService& service) {
   ServicePredictionRecord record;
-  record.server = job.server;
-  record.service = job.service;
-  record.type_name = job.type_name;
-  record.uri = job.uri;
+  record.server = server;
+  record.service = service.spec.service_name();
+  record.type_name = service.spec.type->name;
+  record.uri = record.server + "/" + record.service + ".wsdl";
   const frameworks::SharedDescription description =
-      frameworks::SharedDescription::from_text(job.wsdl_text);
+      frameworks::SharedDescription::from_text(service.wsdl_text);
   if (description.parsed_ok()) {
     std::set<std::string> operations;
     for (const wsdl::PortType& port_type : description.definitions().port_types) {
@@ -534,7 +528,7 @@ void finalize_predict_report(PredictReport& report, const PredictOptions& option
   study.java_spec = options.java_spec;
   study.dotnet_spec = options.dotnet_spec;
   study.shape = options.shape;
-  study.threads = options.study_threads;
+  study.threads = options.jobs;
   study.observer = [&actual](const interop::TestRecord& record) {
     actual[record.server + "|" + record.service + "|" + record.client] = record;
   };

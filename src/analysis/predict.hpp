@@ -18,12 +18,11 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/corpus.hpp"
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "common/result.hpp"
 #include "frameworks/features.hpp"
-#include "frameworks/service.hpp"
+#include "frameworks/server.hpp"
 #include "frameworks/shared_description.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -131,12 +130,13 @@ struct PredictOptions {
   catalog::JavaCatalogSpec java_spec;      ///< defaults: the paper's population
   catalog::DotNetCatalogSpec dotnet_spec;  ///< defaults: the paper's population
   frameworks::ServiceShape shape = frameworks::ServiceShape::kSimpleEcho;
-  std::size_t jobs = 0;  ///< predictor worker threads; 0 = hardware concurrency
+  /// Worker threads of the predictor tasks and of the join's study; 0 =
+  /// hardware concurrency.
+  std::size_t jobs = 0;
 
   /// Runs the dynamic study over the same corpus and scores the predictions
   /// against its per-test outcomes (precision/recall/F1 on the error class).
   bool join_study = true;
-  std::size_t study_threads = 0;  ///< 0 = hardware concurrency
 
   /// Observability sinks, both optional (null = off). Metrics use the
   /// "predict." prefix.
@@ -144,7 +144,9 @@ struct PredictOptions {
   obs::Registry* metrics = nullptr;
 };
 
-/// Prediction for one deployed service of the corpus.
+/// Prediction for one deployed service of the corpus. A task whose deploy()
+/// fails leaves its record empty: one that names no server is a deploy
+/// refusal.
 struct ServicePredictionRecord {
   std::string server;
   std::string service;
@@ -221,18 +223,10 @@ struct PredictReport {
 /// for a given options value regardless of `jobs`.
 PredictReport predict_corpus(const PredictOptions& options = {});
 
-// --- Corpus passes --------------------------------------------------------
-//
-// The engine = build_predict_corpus → one predict_service_job task per job
-// → fold in corpus order → finalize_predict_report, as the lint corpus runs.
-
-/// The deploy pass: deploy_corpus (analysis/corpus.hpp) seeding
-/// `report.servers` / `report.deploy_refusals`.
-std::vector<LintJob> build_predict_corpus(const PredictOptions& options, PredictReport& report,
-                                          obs::SpanId parent_span = obs::kNoSpan);
-
-/// Predicts one job (pure; safe to call from worker threads).
-ServicePredictionRecord predict_service_job(const LintJob& job);
+/// Predicts one deployed service of `server` from its served text (pure;
+/// safe to call from worker threads).
+ServicePredictionRecord predict_service_job(std::string_view server,
+                                            const frameworks::DeployedService& service);
 
 /// The join + scoring passes over `report.services` (already corpus-ordered).
 void finalize_predict_report(PredictReport& report, const PredictOptions& options,

@@ -1,8 +1,8 @@
 // supervised_corpus.hpp — the lint-corpus engine, run under the resilience
-// supervisor (src/resilience/supervisor.hpp) on the corpus task engine
-// (analysis/corpus_tasks.hpp).
+// supervisor (src/resilience/supervisor.hpp).
 //
-// One task per deployed description lints it into its own slot; the
+// One task per bindable service of the corpus plan (frameworks::Corpus)
+// deploys the service and lints the served text into its own slot; the
 // completed slots fold in corpus order, then the join + tally passes run
 // over the folded services. A task's ServiceAnalysis is journaled only when
 // a checkpoint file is written. analyze_corpus is this engine with no
@@ -18,15 +18,6 @@
 
 namespace wsx::analysis {
 
-/// Supervisor knobs for the lint --corpus verb (jobs lives in
-/// CorpusOptions::jobs).
-struct SupervisedCorpusOptions {
-  resilience::JournalOptions journal;
-  std::string checkpoint_path;
-  const resilience::Journal* resume = nullptr;
-  std::size_t trip_after_tasks = 0;
-};
-
 /// Canonical config fingerprint for the lint-corpus campaign, and its
 /// inverse (used by `wsinterop resume`). Round-trips byte-identically
 /// through json::parse + to_text; jobs/sinks are deliberately excluded.
@@ -40,8 +31,9 @@ struct SupervisedCorpusResult {
 
 /// Runs the corpus lint under supervision. Quarantined or not-admitted
 /// services are absent from the report (the supervisor section carries the
-/// coverage counters); rule tallies cover the folded services only.
+/// coverage counters); rule tallies cover the folded services only. A
+/// service is deployed only by a task that runs.
 Result<SupervisedCorpusResult> analyze_corpus_supervised(
-    const CorpusOptions& options, const SupervisedCorpusOptions& supervision);
+    const CorpusOptions& options, const resilience::Supervision& supervision);
 
 }  // namespace wsx::analysis

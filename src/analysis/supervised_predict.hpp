@@ -1,8 +1,8 @@
 // supervised_predict.hpp — the predict-corpus engine, run under the
-// resilience supervisor (src/resilience/supervisor.hpp) on the corpus task
-// engine (analysis/corpus_tasks.hpp).
+// resilience supervisor (src/resilience/supervisor.hpp).
 //
-// One task per deployed description predicts it into its own slot; the
+// One task per bindable service of the corpus plan (frameworks::Corpus)
+// deploys the service and predicts its served text into its own slot; the
 // completed slots fold in corpus order, then the join + scoring pass runs
 // over the folded services. A task's record (record_json) is journaled only
 // when a checkpoint file is written. predict_corpus is this engine with no
@@ -18,15 +18,6 @@
 
 namespace wsx::analysis::predict {
 
-/// Supervisor knobs for the predict --corpus verb (jobs lives in
-/// PredictOptions::jobs).
-struct SupervisedPredictOptions {
-  resilience::JournalOptions journal;
-  std::string checkpoint_path;
-  const resilience::Journal* resume = nullptr;
-  std::size_t trip_after_tasks = 0;
-};
-
 /// Canonical config fingerprint for the predict-corpus campaign, and its
 /// inverse (used by `wsinterop resume`). Round-trips byte-identically
 /// through json::parse + to_text; jobs/sinks are deliberately excluded.
@@ -40,8 +31,9 @@ struct SupervisedPredictResult {
 
 /// Runs the corpus prediction under supervision. Quarantined or
 /// not-admitted services are absent from the report (the supervisor section
-/// carries the coverage counters); scores cover the folded services only.
+/// carries the coverage counters); scores cover the folded services only. A
+/// service is deployed only by a task that runs.
 Result<SupervisedPredictResult> predict_corpus_supervised(
-    const PredictOptions& options, const SupervisedPredictOptions& supervision);
+    const PredictOptions& options, const resilience::Supervision& supervision);
 
 }  // namespace wsx::analysis::predict

@@ -41,21 +41,18 @@ Result<ChaosConfig> chaos_config_from_json(std::string_view text) {
 }
 
 Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
-                                                   const SupervisedChaosOptions& options) {
+                                                   const resilience::Supervision& supervision) {
   SupervisedChaosResult out;
   ChaosResult& result = out.chaos;
   result.plan = config.plan;
   result.calls_per_pair = config.calls_per_pair;
 
   obs::Span run_span(config.tracer, "chaos");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog =
-      catalog::make_dotnet_catalog(config.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog);
-  const auto servers = frameworks::make_servers();
+  // One round per server, or per server × version policy on the
+  // --versions axis; each round has its own wire, and its label scopes the
+  // task ids and the chains' fault schedules.
+  frameworks::Corpus corpus(config.java_spec, config.dotnet_spec,
+                            frameworks::ServiceShape::kSimpleEcho, config.versions);
   const auto clients = frameworks::make_clients();
   std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   std::vector<ResiliencePolicy> policies;
@@ -65,84 +62,70 @@ Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
   }
   const std::vector<soap::HybridProfile> profiles =
       frameworks::client_profiles(clients, config.versions);
-
-  // One round per server, or per server × version policy on the
-  // --versions axis; each round has its own wire, and its label scopes the
-  // task ids and the chains' fault schedules.
-  const std::vector<frameworks::Round> rounds =
-      frameworks::make_rounds(servers, java_services, dotnet_services, config.versions);
   std::vector<FaultyWire> wires;
-  for (const frameworks::Round& round : rounds) {
+  for (const frameworks::Round& round : corpus.rounds) {
     FaultyWire& wire = wires.emplace_back(*round.server, config.plan);
     if (round.policy.has_value()) wire.set_server_policy(*round.policy);
   }
-  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "chaos";
-  tasks.config_json = chaos_config_json(config);
-  tasks.ids = std::move(plan.ids);
 
-  // Fold input: one row of `width` chain deltas per task, allocated here
-  // up front. A task writes its row in place (indices are distinct across
-  // workers, so no locking) and leaves nothing allocated on its worker, so
-  // peak memory does not depend on how tasks interleave on the workers'
-  // heaps. Task t's record spans its row once its service deployed; a
-  // resumed task is filled from its journal record before anything runs.
+  // Fold input: one record slot per task, spanning its row of `width`
+  // chain deltas, allocated here up front. A task writes its row in place
+  // (indices are distinct across workers, so no locking) and leaves nothing
+  // allocated on its worker, so peak memory does not depend on how tasks
+  // interleave on the workers' heaps. Task t's record spans its row once its
+  // service deployed; a resumed task is filled from its journal record
+  // before anything runs.
   const std::size_t width = clients.size();
-  std::vector<ChainDelta> side(plan.tasks.size() * width);
-  std::vector<ChaosRecord> records(plan.tasks.size());
+  const std::size_t count = corpus.plan.tasks.size();
+  std::vector<ChainDelta> side(count * width);
+  std::vector<ChaosRecord> records(count);
   const auto task_chains = [&](std::size_t index) {
     return std::span(side).subspan(index * width, width);
   };
-  for (const resilience::JournalEntry* entry :
-       resilience::resumed_records(tasks, options.resume)) {
-    records[entry->task] = {task_chains(entry->task)};
-    const Status decoded = resilience::decode_record(*entry, records[entry->task]);
-    if (!decoded.ok()) return decoded.error();
-  }
-  const bool journaling = !options.checkpoint_path.empty();
+  for (std::size_t i = 0; i < count; ++i) records[i].clients = task_chains(i);
 
   // One task: deploy one service, build its shared parse (faults are
   // injected on the wire, not on the WSDL bytes, so one parse serves every
   // call), and run every client's chain against it, charging each chain's
   // virtual milliseconds against the supervisor deadline.
-  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const frameworks::RoundService& task = plan.tasks[index];
-    const frameworks::Round& round = rounds[task.round];
-    ChaosRecord& record = records[index];
+  const auto run = [&](std::size_t index, ChaosRecord& record, resilience::TaskContext& context) {
+    const std::size_t r = corpus.plan.tasks[index].round;
+    const frameworks::Round& round = corpus.rounds[r];
     record = {};
-    Result<frameworks::DeployedService> service = round.server->deploy(*task.spec);
-    if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
+    Result<frameworks::DeployedService> service = corpus.deploy(index);
+    if (!service.ok()) return;
     const frameworks::SharedDescription description =
         frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
     const std::span<ChainDelta> chains = task_chains(index);
     for (std::size_t i = 0; i < width; ++i) {
-      chains[i] = run_chaos_chain(wires[task.round], *round.server, *service, &description,
-                                  *clients[i], compilers[i].get(), policies[i], config,
-                                  profiles[i], round.label);
+      chains[i] = run_chaos_chain(wires[r], *round.server, *service, &description, *clients[i],
+                                  compilers[i].get(), policies[i], config, profiles[i],
+                                  round.label);
       context.charge(chains[i].virtual_ms);
     }
     record.clients = chains;
-    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span calls_span(config.tracer, "phase:calls", run_span);
   obs::ScopedTimer calls_timer = obs::timer(config.metrics, "chaos.phase.calls_us");
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(
-      tasks, resilience::supervisor_options(options, config.jobs, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise_slots(
+      resilience::CampaignTasks{"chaos", chaos_config_json(config), std::move(corpus.plan.ids),
+                                {}},
+      std::span(records), resilience::SupervisorOptions{supervision, config.jobs, config.metrics},
+      run);
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
   // Fold in task order, one result row per round. A service counts as
   // deployed unless its task ran and found it refused; a deadline
   // quarantine folds kTimedOut for the service's whole call population.
-  for (const frameworks::Round& round : rounds) {
+  for (const frameworks::Round& round : corpus.rounds) {
     ChaosServerResult& server = result.servers.emplace_back();
     server.server = round.label;
     for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
-    ChaosServerResult& server = result.servers[plan.tasks[outcome.task].round];
+    ChaosServerResult& server = result.servers[corpus.plan.tasks[outcome.task].round];
     const std::span<const ChainDelta> chains = records[outcome.task].clients;
     const bool completed = outcome.state == resilience::TaskState::kCompleted;
     if (completed && chains.empty()) continue;

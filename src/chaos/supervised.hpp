@@ -22,15 +22,6 @@
 
 namespace wsx::chaos {
 
-/// Supervisor knobs for the chaos verb (mirrors interop::SupervisedOptions;
-/// jobs lives in ChaosConfig::jobs).
-struct SupervisedChaosOptions {
-  resilience::JournalOptions journal;
-  std::string checkpoint_path;
-  const resilience::Journal* resume = nullptr;
-  std::size_t trip_after_tasks = 0;
-};
-
 /// Canonical config fingerprint for the chaos campaign, and its inverse
 /// (used by `wsinterop resume`). Round-trips byte-identically through
 /// json::parse + to_text; jobs/sinks are deliberately excluded.
@@ -68,6 +59,6 @@ struct SupervisedChaosResult {
 /// Runs the chaos campaign. A service counts as deployed unless its task
 /// ran and deploy() refused it.
 Result<SupervisedChaosResult> run_chaos_supervised(const ChaosConfig& config,
-                                                   const SupervisedChaosOptions& options);
+                                                   const resilience::Supervision& supervision);
 
 }  // namespace wsx::chaos

@@ -88,6 +88,17 @@ RoundTasks bindable_services(const std::vector<Round>& rounds) {
   return out;
 }
 
+Corpus::Corpus(const catalog::JavaCatalogSpec& java_spec,
+               const catalog::DotNetCatalogSpec& dotnet_spec, ServiceShape shape,
+               const std::vector<VersionPolicy>& versions)
+    : java_catalog(catalog::make_java_catalog(java_spec)),
+      dotnet_catalog(catalog::make_dotnet_catalog(dotnet_spec)),
+      java_services(make_services(java_catalog, shape)),
+      dotnet_services(make_services(dotnet_catalog, shape)),
+      servers(make_servers()),
+      rounds(make_rounds(servers, java_services, dotnet_services, versions)),
+      plan(bindable_services(rounds)) {}
+
 std::vector<soap::HybridProfile> client_profiles(
     const std::vector<std::unique_ptr<ClientFramework>>& clients,
     const std::vector<VersionPolicy>& versions) {

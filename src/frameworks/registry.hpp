@@ -1,5 +1,5 @@
 // registry.hpp — the framework roster of the study (Tables I and II), and
-// the rounds and task list a per-service campaign runs over it.
+// the corpus, rounds and task list a per-service campaign runs over it.
 #pragma once
 
 #include <cstddef>
@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "catalog/dotnet_catalog.hpp"
+#include "catalog/java_catalog.hpp"
 #include "frameworks/client.hpp"
 #include "frameworks/server.hpp"
 #include "frameworks/version_policy.hpp"
@@ -60,6 +62,34 @@ struct RoundTasks {
   std::vector<std::size_t> refused;
 };
 RoundTasks bindable_services(const std::vector<Round>& rounds);
+
+/// The corpus plan of a per-service campaign (§III.A): both catalogs and
+/// their services in one shape, the three servers, the rounds over them and
+/// the bindable services those rounds make the campaign's tasks. The rounds
+/// point into it, so it is neither copied nor moved. The client roster stays
+/// with the campaigns that run clients.
+struct Corpus {
+  Corpus(const catalog::JavaCatalogSpec& java_spec, const catalog::DotNetCatalogSpec& dotnet_spec,
+         ServiceShape shape = ServiceShape::kSimpleEcho,
+         const std::vector<VersionPolicy>& versions = {});
+  Corpus(const Corpus&) = delete;
+  Corpus& operator=(const Corpus&) = delete;
+
+  /// The round of task `index`.
+  const Round& round(std::size_t index) const { return rounds[plan.tasks[index].round]; }
+  /// Deploys task `index`'s service on its round's server.
+  Result<DeployedService> deploy(std::size_t index) const {
+    return round(index).server->deploy(*plan.tasks[index].spec);
+  }
+
+  catalog::TypeCatalog java_catalog;
+  catalog::TypeCatalog dotnet_catalog;
+  std::vector<ServiceSpec> java_services;
+  std::vector<ServiceSpec> dotnet_services;
+  std::vector<std::unique_ptr<ServerFramework>> servers;
+  std::vector<Round> rounds;
+  RoundTasks plan;
+};
 
 /// The hybrid profile each client dresses its calls in: the one its
 /// documented policy implies on the --versions axis, pure 1.1 off it.

@@ -45,80 +45,63 @@ Result<GenConfig> gen_config_from_json(std::string_view text) {
 }
 
 Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
-                                                     const SupervisedGenOptions& options) {
+                                                     const resilience::Supervision& supervision) {
   SupervisedGenResult out;
   PropcheckResult& result = out.propcheck;
   result.corpus = config.corpus;
   result.shrink = config.shrink;
 
   obs::Span run_span(config.tracer, "propcheck");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog =
-      catalog::make_dotnet_catalog(config.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog);
-  const auto servers = frameworks::make_servers();
+  frameworks::Corpus corpus(config.java_spec, config.dotnet_spec);
   const auto clients = frameworks::make_clients();
   std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   for (const auto& client : clients) {
     compilers.push_back(compilers::make_compiler(client->language()));
   }
-  const std::vector<frameworks::Round> rounds =
-      frameworks::make_rounds(servers, java_services, dotnet_services);
-  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "propcheck";
-  tasks.config_json = gen_config_json(config);
-  tasks.ids = std::move(plan.ids);
 
-  // Fold input, allocated here up front: one row of `width` pair deltas
-  // per task, written in place by the task that owns it (indices are
-  // distinct across workers, so no locking) or from a resumed journal
-  // record. Task t's record spans its row once its service deployed.
+  // Fold input, allocated here up front: one record slot per task, spanning
+  // its row of `width` pair deltas, written in place by the task that owns
+  // it (indices are distinct across workers, so no locking) or from a
+  // resumed journal record. Task t's record spans its row once its service
+  // deployed.
   const std::size_t width = clients.size();
-  std::vector<PairDelta> side(plan.tasks.size() * width);
-  std::vector<PropcheckRecord> records(plan.tasks.size());
+  const std::size_t count = corpus.plan.tasks.size();
+  std::vector<PairDelta> side(count * width);
+  std::vector<PropcheckRecord> records(count);
   const auto task_pairs = [&](std::size_t index) {
     return std::span(side).subspan(index * width, width);
   };
-  for (const resilience::JournalEntry* entry :
-       resilience::resumed_records(tasks, options.resume)) {
-    records[entry->task] = {task_pairs(entry->task)};
-    const Status decoded = resilience::decode_record(*entry, records[entry->task]);
-    if (!decoded.ok()) return decoded.error();
-  }
-  const bool journaling = !options.checkpoint_path.empty();
+  for (std::size_t i = 0; i < count; ++i) records[i].clients = task_pairs(i);
 
   // One task: deploy one service, build its shared parse and its corpus
   // (each case's PRNG stream is keyed by case identity, so where the
   // corpus is built cannot change a byte), then replay the corpus through
   // every client pair, charging the virtual wire cost against the deadline.
-  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const frameworks::RoundService& task = plan.tasks[index];
-    const frameworks::ServerFramework& server = *rounds[task.round].server;
-    PropcheckRecord& record = records[index];
+  const auto run = [&](std::size_t index, PropcheckRecord& record,
+                       resilience::TaskContext& context) {
+    const frameworks::ServerFramework& server = *corpus.round(index).server;
     record = {};
-    Result<frameworks::DeployedService> service = server.deploy(*task.spec);
-    if (!service.ok()) return journaling ? codec::encode(record) : std::string{};
+    Result<frameworks::DeployedService> service = corpus.deploy(index);
+    if (!service.ok()) return;
     const frameworks::SharedDescription description =
         frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
-    const std::vector<GeneratedCase> corpus = generate_corpus(*service, config.corpus);
+    const std::vector<GeneratedCase> cases = generate_corpus(*service, config.corpus);
     const std::span<PairDelta> pairs = task_pairs(index);
     for (std::size_t i = 0; i < width; ++i) {
-      pairs[i] = run_propcheck_pair(server, *service, description, corpus, *clients[i],
+      pairs[i] = run_propcheck_pair(server, *service, description, cases, *clients[i],
                                     compilers[i].get(), config);
       context.charge(pairs[i].virtual_ms);
     }
     record.clients = pairs;
-    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span check_span(config.tracer, "phase:check", run_span);
   obs::ScopedTimer check_timer = obs::timer(config.metrics, "gen.phase.check_us");
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(
-      tasks, resilience::supervisor_options(options, config.jobs, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise_slots(
+      resilience::CampaignTasks{"propcheck", gen_config_json(config),
+                                std::move(corpus.plan.ids), {}},
+      std::span(records), resilience::SupervisorOptions{supervision, config.jobs, config.metrics},
+      run);
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
@@ -126,18 +109,16 @@ Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
   // pairs — quarantined, left out by a budget, or refused — re-derives its
   // corpus on this thread, so every deployed service counts its cases, and
   // a deadline quarantine folds kTimedOut for the whole corpus.
-  for (const frameworks::Round& round : rounds) {
+  for (const frameworks::Round& round : corpus.rounds) {
     PropServerResult& server = result.servers.emplace_back();
     server.server = round.label;
     for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
-    const frameworks::RoundService& task = plan.tasks[outcome.task];
-    PropServerResult& server = result.servers[task.round];
+    PropServerResult& server = result.servers[corpus.plan.tasks[outcome.task].round];
     const std::span<PairDelta> pairs = records[outcome.task].clients;
     if (outcome.state != resilience::TaskState::kCompleted) {
-      Result<frameworks::DeployedService> service =
-          rounds[task.round].server->deploy(*task.spec);
+      Result<frameworks::DeployedService> service = corpus.deploy(outcome.task);
       if (!service.ok()) continue;
       ++server.services_deployed;
       const std::size_t cases = generate_corpus(*service, config.corpus).size();

@@ -21,14 +21,6 @@
 
 namespace wsx::gen {
 
-/// Supervisor knobs for the propcheck verb (jobs lives in GenConfig::jobs).
-struct SupervisedGenOptions {
-  resilience::JournalOptions journal;
-  std::string checkpoint_path;
-  const resilience::Journal* resume = nullptr;
-  std::size_t trip_after_tasks = 0;
-};
-
 /// Canonical config fingerprint for the propcheck campaign, and its
 /// inverse (used by `wsinterop resume`). Round-trips byte-identically
 /// through json::parse + to_text; jobs/sinks are deliberately excluded.
@@ -73,6 +65,6 @@ struct SupervisedGenResult {
 /// its corpus on the calling thread, so `services` and `cases` count every
 /// service deploy() accepts, whatever the coverage.
 Result<SupervisedGenResult> run_propcheck_supervised(const GenConfig& config,
-                                                     const SupervisedGenOptions& options);
+                                                     const resilience::Supervision& supervision);
 
 }  // namespace wsx::gen

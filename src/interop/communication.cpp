@@ -119,10 +119,7 @@ InvocationOutcome invoke_echo_once(const frameworks::ServerFramework& server,
 }
 
 CommunicationResult run_communication_study(const StudyConfig& config) {
-  SupervisedOptions options;
-  options.jobs = config.threads;
-  return resilience::require_complete(run_communication_supervised(config, options))
-      .communication;
+  return resilience::require_complete(run_communication_supervised(config, {})).communication;
 }
 
 std::string format_communication(const CommunicationResult& result) {

@@ -162,11 +162,9 @@ StudyResult run_one_server(const frameworks::ServerFramework& server,
                            const std::vector<frameworks::ServiceSpec>& services,
                            const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
                            const StudyConfig& config, obs::SpanId parent_span) {
-  SupervisedOptions options;
-  options.jobs = config.threads;
   const std::vector<frameworks::Round> rounds = {{&server, &services, std::nullopt, server.name()}};
-  return resilience::require_complete(
-             run_study_tasks(rounds, clients, config, options, parent_span))
+  return resilience::require_complete(run_study_tasks(rounds, frameworks::bindable_services(rounds),
+                                                      clients, config, {}, parent_span))
       .study;
 }
 
@@ -198,9 +196,7 @@ ServerResult run_server_campaign(
 }
 
 StudyResult run_study(const StudyConfig& config) {
-  SupervisedOptions options;
-  options.jobs = config.threads;
-  return resilience::require_complete(run_study_supervised(config, options)).study;
+  return resilience::require_complete(run_study_supervised(config, {})).study;
 }
 
 }  // namespace wsx::interop

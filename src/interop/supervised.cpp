@@ -135,9 +135,10 @@ Result<StudyConfig> communication_config_from_json(std::string_view text) {
 }
 
 Result<SupervisedStudyResult> run_study_tasks(
-    const std::vector<frameworks::Round>& rounds,
+    const std::vector<frameworks::Round>& rounds, frameworks::RoundTasks plan,
     const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
-    const StudyConfig& config, const SupervisedOptions& options, obs::SpanId parent_span) {
+    const StudyConfig& config, const resilience::Supervision& supervision,
+    obs::SpanId parent_span) {
   SupervisedStudyResult out;
   StudyResult& result = out.study;
   std::vector<std::unique_ptr<compilers::Compiler>> compilers;
@@ -145,7 +146,6 @@ Result<SupervisedStudyResult> run_study_tasks(
     compilers.push_back(compilers::make_compiler(client->language()));
   }
 
-  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
   for (std::size_t r = 0; r < rounds.size(); ++r) {
     ServerResult& server = result.servers.emplace_back();
     server.server = rounds[r].label;
@@ -159,52 +159,45 @@ Result<SupervisedStudyResult> run_study_tasks(
       cell.compiled = client->requires_compilation();
     }
   }
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "study";
-  tasks.config_json = study_config_json(config);
-  tasks.ids = std::move(plan.ids);
 
-  // Fold input, allocated here up front: one facts slot per task and one
-  // row slot per task × client. An executed task fills its own slots in
-  // place (indices are distinct across workers, so no locking) and leaves
-  // nothing allocated on its worker but the rare error rows, so peak memory
-  // does not depend on how tasks interleave on the workers' heaps. A
+  // Fold input, allocated here up front: one record slot per task, spanning
+  // the task's row slots, one per client. An executed task fills its own
+  // slots in place (indices are distinct across workers, so no locking) and
+  // leaves nothing allocated on its worker but the rare error rows, so peak
+  // memory does not depend on how tasks interleave on the workers' heaps. A
   // resumed task is filled from its journal record before anything runs.
   const std::size_t width = clients.size();
-  std::vector<ServiceFacts> facts(plan.tasks.size());
   std::vector<FoldRow> rows(plan.tasks.size() * width);
+  std::vector<StudyRecord> records(plan.tasks.size());
   const auto task_rows = [&](std::size_t index) {
     return std::span(rows).subspan(index * width, width);
+  };
+  for (std::size_t i = 0; i < records.size(); ++i) records[i].clients = task_rows(i);
+  const auto run = [&](std::size_t index, StudyRecord& record, resilience::TaskContext& context) {
+    const frameworks::RoundService& task = plan.tasks[index];
+    record.facts = test_service(*rounds[task.round].server, *task.spec, clients, compilers,
+                                config, task_rows(index).data(), context);
+    record.clients =
+        task_rows(index).first(record.facts.withdrawn(config.wsi_deploy_gate) ? 0 : width);
   };
   // A resumed record without the facts was written by the phase-by-phase
   // engine, whose fold took them from its own deploy pass; folding it now
   // would count the service as compliant, so the decode refuses it and
-  // names every fact it lacks.
-  for (const resilience::JournalEntry* entry :
-       resilience::resumed_records(tasks, options.resume)) {
-    StudyRecord record{{}, task_rows(entry->task)};
-    const Status decoded = resilience::decode_record(*entry, record);
-    if (!decoded.ok()) return decoded.error();
-    if (record.facts.withdrawn(config.wsi_deploy_gate) != record.clients.empty()) {
-      return Error{"resilience.bad-record",
-                   "task record for '" + entry->id + "': client row count mismatch"};
-    }
-    facts[entry->task] = record.facts;
-  }
-  const bool journaling = !options.checkpoint_path.empty();
-  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const frameworks::RoundService& task = plan.tasks[index];
-    facts[index] = test_service(*rounds[task.round].server, *task.spec, clients, compilers,
-                                config, task_rows(index).data(), context);
-    if (!journaling) return std::string{};
-    const bool withdrawn = facts[index].withdrawn(config.wsi_deploy_gate);
-    return codec::encode(StudyRecord{facts[index], task_rows(index).first(withdrawn ? 0 : width)});
+  // names every fact it lacks. A withdrawn service has no rows, any other
+  // one a row per client.
+  const auto check = [&config](const StudyRecord& record) {
+    const bool rows_match =
+        record.facts.withdrawn(config.wsi_deploy_gate) == record.clients.empty();
+    return std::string(rows_match ? "" : "client row count mismatch");
   };
 
   obs::Span testing_span(config.tracer, "phase:testing", parent_span);
   obs::ScopedTimer testing_timer = obs::timer(config.metrics, "study.phase.testing_us");
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(
-      tasks, resilience::supervisor_options(options, options.jobs, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise_slots(
+      resilience::CampaignTasks{"study", study_config_json(config), std::move(plan.ids), {}},
+      std::span(records),
+      resilience::SupervisorOptions{supervision, config.threads, config.metrics}, run,
+      "resilience.bad-record", check);
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
@@ -216,12 +209,11 @@ Result<SupervisedStudyResult> run_study_tasks(
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
     if (outcome.state != resilience::TaskState::kCompleted) continue;
     const frameworks::RoundService& task = plan.tasks[outcome.task];
-    const ServiceFacts& service = facts[outcome.task];
-    const FoldRow* task_rows = rows.data() + outcome.task * width;
+    const StudyRecord& service = records[outcome.task];
     ServerResult& server = result.servers[task.round];
-    if (!service.refused) ++deployed;
-    if (!count_service(service, config.wsi_deploy_gate, server)) continue;
-    const bool flagged = service.flagged();
+    if (!service.facts.refused) ++deployed;
+    if (!count_service(service.facts, config.wsi_deploy_gate, server)) continue;
+    const bool flagged = service.facts.flagged();
     TestRecord record;  // the observer's view of this service's tests
     if (config.observer) {
       record.server = server.server;
@@ -231,7 +223,7 @@ Result<SupervisedStudyResult> run_study_tasks(
     }
     bool service_errored = false;
     for (std::size_t i = 0; i < clients.size(); ++i) {
-      const FoldRow& row = task_rows[i];
+      const FoldRow& row = service.clients[i];
       CellResult& cell = server.cells[i];
       ++cell.tests;
       if (row.art) ++artifacts;
@@ -294,29 +286,21 @@ Result<SupervisedStudyResult> run_study_tasks(
 }
 
 Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
-                                                   const SupervisedOptions& options) {
+                                                   const resilience::Supervision& supervision) {
   obs::Span run_span(config.tracer, "study");
   const std::uint64_t started_us =
       config.metrics != nullptr ? config.metrics->clock().now_us() : 0;
 
-  // Preparation phase: catalogs and services (§III.A).
+  // Preparation phase: the corpus plan and the clients (§III.A).
   obs::Span prepare_span(config.tracer, "phase:prepare", run_span);
   obs::ScopedTimer prepare_timer = obs::timer(config.metrics, "study.phase.prepare_us");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(config.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog, config.shape);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog, config.shape);
-  const auto servers = frameworks::make_servers();
+  frameworks::Corpus corpus(config.java_spec, config.dotnet_spec, config.shape);
   const auto clients = frameworks::make_clients();
-  const std::vector<frameworks::Round> rounds =
-      frameworks::make_rounds(servers, java_services, dotnet_services);
   prepare_span.end();
   prepare_timer.stop();
 
-  Result<SupervisedStudyResult> out =
-      run_study_tasks(rounds, clients, config, options, run_span.id());
+  Result<SupervisedStudyResult> out = run_study_tasks(
+      corpus.rounds, std::move(corpus.plan), clients, config, supervision, run_span.id());
   if (out.ok() && config.metrics != nullptr) {
     // Throughput gauge (runtime-dependent, excluded from deterministic
     // exports; zero under a frozen clock).
@@ -330,18 +314,16 @@ Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
 }
 
 Result<SupervisedCommunicationResult> run_communication_supervised(
-    const StudyConfig& config, const SupervisedOptions& options) {
+    const StudyConfig& config, const resilience::Supervision& supervision) {
   SupervisedCommunicationResult out;
   CommunicationResult& result = out.communication;
 
   obs::Span run_span(config.tracer, "communication");
-  const catalog::TypeCatalog java_catalog = catalog::make_java_catalog(config.java_spec);
-  const catalog::TypeCatalog dotnet_catalog = catalog::make_dotnet_catalog(config.dotnet_spec);
-  const std::vector<frameworks::ServiceSpec> java_services =
-      frameworks::make_services(java_catalog);
-  const std::vector<frameworks::ServiceSpec> dotnet_services =
-      frameworks::make_services(dotnet_catalog);
-  const auto servers = frameworks::make_servers();
+  // One round per server, or per server × version policy on the
+  // --versions axis; the round label scopes task ids so a resumed journal
+  // can never splice a strict round's rows into a shaded one.
+  frameworks::Corpus corpus(config.java_spec, config.dotnet_spec,
+                            frameworks::ServiceShape::kSimpleEcho, config.versions);
   const auto clients = frameworks::make_clients();
   std::vector<std::unique_ptr<compilers::Compiler>> compilers;
   for (const auto& client : clients) {
@@ -350,76 +332,60 @@ Result<SupervisedCommunicationResult> run_communication_supervised(
   const std::vector<soap::HybridProfile> profiles =
       frameworks::client_profiles(clients, config.versions);
 
-  // One round per server, or per server × version policy on the
-  // --versions axis; the round label scopes task ids so a resumed journal
-  // can never splice a strict round's rows into a shaded one.
-  const std::vector<frameworks::Round> rounds =
-      frameworks::make_rounds(servers, java_services, dotnet_services, config.versions);
-  frameworks::RoundTasks plan = frameworks::bindable_services(rounds);
-  resilience::CampaignTasks tasks;
-  tasks.campaign = "communication";
-  tasks.config_json = communication_config_json(config);
-  tasks.ids = std::move(plan.ids);
-
-  // Fold input, allocated here up front like the study's: one facts slot
-  // per task and one invocation slot per task × client, filled in place by
-  // the task that owns them or from a resumed journal record.
-  // A task's record holds its sniffer count and its slots, none when
-  // deploy() refused the service.
+  // Fold input, allocated here up front like the study's: one record slot
+  // per task, spanning its invocation slots, one per client, filled in place
+  // by the task that owns them or from a resumed journal record. A task's
+  // record holds its sniffer count and its slots, none when deploy()
+  // refused the service.
   const std::size_t width = clients.size();
-  std::vector<CommunicationRecord> records(plan.tasks.size());
-  std::vector<InvocationOutcome> rows(plan.tasks.size() * width);
+  const std::size_t count = corpus.plan.tasks.size();
+  std::vector<InvocationOutcome> rows(count * width);
+  std::vector<CommunicationRecord> records(count);
   const auto task_rows = [&](std::size_t index) {
     return std::span(rows).subspan(index * width, width);
   };
-  for (const resilience::JournalEntry* entry :
-       resilience::resumed_records(tasks, options.resume)) {
-    CommunicationRecord& record = records[entry->task];
-    record.clients = task_rows(entry->task);
-    const Status decoded = resilience::decode_record(*entry, record);
-    if (!decoded.ok()) return decoded.error();
-  }
-  const bool journaling = !options.checkpoint_path.empty();
+  for (std::size_t i = 0; i < count; ++i) records[i].clients = task_rows(i);
 
   // One task: deploy one service, build its shared parse (no WS-I — the
   // communication study never consults the verdict), and invoke it from
   // every client, one virtual ms per invocation.
-  tasks.run = [&, journaling](std::size_t index, resilience::TaskContext& context) {
-    const frameworks::Round& round = rounds[plan.tasks[index].round];
-    CommunicationRecord& record = records[index];
+  const auto run = [&](std::size_t index, CommunicationRecord& record,
+                       resilience::TaskContext& context) {
+    const frameworks::Round& round = corpus.round(index);
     record = CommunicationRecord{};
-    Result<frameworks::DeployedService> service = round.server->deploy(*plan.tasks[index].spec);
-    if (service.ok()) {
-      const frameworks::SharedDescription description =
-          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
-      record.clients = task_rows(index);
-      for (std::size_t i = 0; i < width; ++i) {
-        record.clients[i] = invoke_echo_once(
-            *round.server, *service, description, *clients[i], compilers[i].get(),
-            &record.sniffed, profiles[i], round.policy.has_value() ? &*round.policy : nullptr);
-        context.charge(1);
-      }
+    Result<frameworks::DeployedService> service = corpus.deploy(index);
+    if (!service.ok()) return;
+    const frameworks::SharedDescription description =
+        frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
+    record.clients = task_rows(index);
+    for (std::size_t i = 0; i < width; ++i) {
+      record.clients[i] = invoke_echo_once(
+          *round.server, *service, description, *clients[i], compilers[i].get(),
+          &record.sniffed, profiles[i], round.policy.has_value() ? &*round.policy : nullptr);
+      context.charge(1);
     }
-    return journaling ? codec::encode(record) : std::string{};
   };
 
   obs::Span invoke_span(config.tracer, "phase:invoke", run_span);
   obs::ScopedTimer invoke_timer = obs::timer(config.metrics, "comm.phase.invoke_us");
-  Result<resilience::SupervisorReport> supervised = resilience::supervise(
-      tasks, resilience::supervisor_options(options, options.jobs, config.metrics));
+  Result<resilience::SupervisorReport> supervised = resilience::supervise_slots(
+      resilience::CampaignTasks{"communication", communication_config_json(config),
+                                std::move(corpus.plan.ids), {}},
+      std::span(records),
+      resilience::SupervisorOptions{supervision, config.threads, config.metrics}, run);
   if (!supervised.ok()) return supervised.error();
   out.supervisor = std::move(supervised.value());
 
   // Fold in task order; one result row per round. A service counts as
   // deployed unless its task ran and found it refused.
-  for (const frameworks::Round& round : rounds) {
+  for (const frameworks::Round& round : corpus.rounds) {
     CommServerResult& server = result.servers.emplace_back();
     server.server = round.label;
     for (const auto& client : clients) server.cells.emplace_back().client = client->name();
   }
   std::size_t invocations = 0;
   for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
-    CommServerResult& server = result.servers[plan.tasks[outcome.task].round];
+    CommServerResult& server = result.servers[corpus.plan.tasks[outcome.task].round];
     const CommunicationRecord& record = records[outcome.task];
     const bool completed = outcome.state == resilience::TaskState::kCompleted;
     if (completed && record.clients.empty()) continue;

@@ -28,15 +28,6 @@
 
 namespace wsx::interop {
 
-/// Supervisor knobs shared by every supervised campaign verb.
-struct SupervisedOptions {
-  resilience::JournalOptions journal;  ///< cadence/deadline/quarantine/budget
-  std::size_t jobs = 0;                ///< worker threads; 0 = hardware
-  std::string checkpoint_path;         ///< journal file; "" = no checkpointing
-  const resilience::Journal* resume = nullptr;  ///< parsed journal to resume
-  std::size_t trip_after_tasks = 0;    ///< crash simulation (tests/CI)
-};
-
 /// Canonical config fingerprint for the study campaign, and its inverse
 /// (used by `wsinterop resume` to re-derive the config from the journal
 /// header). Round-trips byte-identically through json::parse + to_text.
@@ -132,23 +123,24 @@ struct SupervisedStudyResult {
   resilience::SupervisorReport supervisor;
 };
 
-/// The study engine over explicit rounds and clients. Unbindable services
-/// fold as deployment refusals without a task. Each task charges one
-/// virtual ms per client test and none for deploy or describe.
+/// The study engine over explicit rounds, their plan
+/// (frameworks::bindable_services) and clients. Unbindable services fold as
+/// deployment refusals without a task. Each task charges one virtual ms per
+/// client test and none for deploy or describe.
 /// Quarantined and not-admitted tasks contribute nothing to `study`, not
 /// even their Fig. 4 description counts (the supervisor report carries the
 /// coverage counters that explain the gap). Spans nest as `parent_span` →
 /// phase:testing → server → cell.
 Result<SupervisedStudyResult> run_study_tasks(
-    const std::vector<frameworks::Round>& rounds,
+    const std::vector<frameworks::Round>& rounds, frameworks::RoundTasks plan,
     const std::vector<std::unique_ptr<frameworks::ClientFramework>>& clients,
-    const StudyConfig& config, const SupervisedOptions& options,
+    const StudyConfig& config, const resilience::Supervision& supervision,
     obs::SpanId parent_span = obs::kNoSpan);
 
-/// Runs the full study (both catalogs, all three servers, all 11 clients)
-/// through run_study_tasks.
+/// Runs the full study (the corpus plan of both catalogs on all three
+/// servers, all 11 clients) through run_study_tasks.
 Result<SupervisedStudyResult> run_study_supervised(const StudyConfig& config,
-                                                   const SupervisedOptions& options);
+                                                   const resilience::Supervision& supervision);
 
 struct SupervisedCommunicationResult {
   CommunicationResult communication;
@@ -159,6 +151,6 @@ struct SupervisedCommunicationResult {
 /// round, one virtual ms per invocation. A service counts as deployed
 /// unless its task ran and deploy() refused it.
 Result<SupervisedCommunicationResult> run_communication_supervised(
-    const StudyConfig& config, const SupervisedOptions& options);
+    const StudyConfig& config, const resilience::Supervision& supervision);
 
 }  // namespace wsx::interop

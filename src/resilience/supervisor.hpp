@@ -28,8 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -90,15 +92,24 @@ struct CampaignTasks {
   std::function<std::string(std::size_t index, TaskContext& context)> run;
 };
 
-struct SupervisorOptions {
+/// What a supervised campaign run asks of the supervisor besides its tasks:
+/// the journal knobs, the checkpoint file, the journal to resume and the
+/// crash drill. Every supervised campaign takes one; its worker count and
+/// sinks come from the campaign's own config.
+struct Supervision {
   JournalOptions journal;        ///< the deterministic knobs (also journaled)
-  std::size_t jobs = 1;          ///< worker threads; 0 = hardware
   std::string checkpoint_path;   ///< journal file; "" = no checkpointing
   const Journal* resume = nullptr;  ///< parsed journal to resume from
   /// Crash simulation for tests/CI: after a block whose checkpoint brought
   /// the number of tasks *executed this process* to >= this value, stop as
   /// if the process died. 0 = never trip.
   std::size_t trip_after_tasks = 0;
+};
+
+/// The supervisor's options: a campaign's Supervision plus its worker count
+/// and metrics sink.
+struct SupervisorOptions : Supervision {
+  std::size_t jobs = 1;          ///< worker threads; 0 = hardware
   obs::Registry* metrics = nullptr;  ///< supervisor counters, when non-null
 };
 
@@ -136,39 +147,53 @@ struct SupervisorReport {
   std::size_t checkpoints_written = 0;
 };
 
-/// The supervisor options a campaign's own options — journal knobs,
-/// checkpoint path, resume source, crash drill — ask for.
-template <typename CampaignOptions>
-SupervisorOptions supervisor_options(const CampaignOptions& options, std::size_t jobs,
-                                     obs::Registry* metrics) {
-  SupervisorOptions sup;
-  sup.journal = options.journal;
-  sup.jobs = jobs;
-  sup.checkpoint_path = options.checkpoint_path;
-  sup.resume = options.resume;
-  sup.trip_after_tasks = options.trip_after_tasks;
-  sup.metrics = metrics;
-  return sup;
-}
-
 /// Runs the campaign under supervision. Errors use the "resilience."
 /// prefix (resume mismatches, unwritable checkpoint files).
 Result<SupervisorReport> supervise(const CampaignTasks& tasks, const SupervisorOptions& options);
 
-/// The completed entries of `resume` (null = none) whose records a campaign
-/// decodes before it runs, so an unusable journal fails before it is
-/// appended to. Only a journal whose header matches `tasks` contributes,
-/// and only entries whose index and id match a task; supervise() refuses
-/// the rest.
+/// The completed entries of `resume` (null = none) whose records
+/// supervise_slots decodes before it runs, so an unusable journal fails
+/// before it is appended to. Only a journal whose header matches `tasks`
+/// contributes, and only entries whose index and id match a task;
+/// supervise() refuses the rest.
 std::vector<const JournalEntry*> resumed_records(const CampaignTasks& tasks,
                                                  const Journal* resume);
 
-/// Decodes a resumed entry's record into `record` (common/codec.hpp); every
-/// problem goes into one error under `code` that names the task.
-template <typename Record>
-Status decode_record(const JournalEntry& entry, Record& record,
-                     std::string_view code = "resilience.bad-record") {
-  return codec::decode(entry.record, record, code, "task record for '" + entry.id + "'");
+/// The record check of a campaign that has none: every decodable record is
+/// usable.
+struct AnyRecord {
+  template <typename Slot>
+  std::string operator()(const Slot&) const {
+    return {};
+  }
+};
+
+/// The slot protocol every per-service campaign runs `tasks` under; `run`
+/// is set here. The caller allocates `slots`, one per task. Resumed records
+/// are decoded into their slots before anything runs, each then passing the
+/// campaign's own `check` ("" or the problem), so an unusable journal fails
+/// under `bad_record` before anything is appended to it. Each executed task
+/// runs as `run(index, slot, context)`; its slot is encoded as the task's
+/// record only when a journal is written.
+template <typename Slot, typename Run, typename Check = AnyRecord>
+Result<SupervisorReport> supervise_slots(CampaignTasks tasks, std::span<Slot> slots,
+                                         const SupervisorOptions& options, Run run,
+                                         std::string_view bad_record = "resilience.bad-record",
+                                         Check check = {}) {
+  for (const JournalEntry* entry : resumed_records(tasks, options.resume)) {
+    const std::string what = "task record for '" + entry->id + "'";
+    Slot& slot = slots[entry->task];
+    const Status decoded = codec::decode(entry->record, slot, bad_record, what);
+    if (!decoded.ok()) return decoded.error();
+    const std::string problem = check(slot);
+    if (!problem.empty()) return Error{std::string(bad_record), what + ": " + problem};
+  }
+  const bool journaling = !options.checkpoint_path.empty();
+  tasks.run = [slots, &run, journaling](std::size_t index, TaskContext& context) {
+    run(index, slots[index], context);
+    return journaling ? codec::encode(slots[index]) : std::string{};
+  };
+  return supervise(tasks, options);
 }
 
 /// Why a run that must cover every task falls short: names the first task

@@ -7,6 +7,7 @@
 
 #include "analysis/supervised_predict.hpp"
 #include "common/json.hpp"
+#include "frameworks/registry.hpp"
 
 namespace wsx::serve {
 
@@ -138,16 +139,18 @@ Result<LoadgenReport> run_loadgen(const LoadgenOptions& options) {
   predict::PredictOptions predict_options = options.predict;
   predict_options.join_study = false;
 
-  // Harvest real served WSDL bytes for the valid lint uploads: the deploy
-  // pass is cheap and these bodies are guaranteed to parse.
-  predict::PredictReport scratch;
-  const std::vector<analysis::LintJob> jobs =
-      predict::build_predict_corpus(predict_options, scratch);
-  if (jobs.empty()) return Error{"serve.loadgen", "empty corpus at this scale"};
+  // Harvest real served WSDL bytes for the valid lint uploads: the plan's
+  // first deployed services, whose bodies are guaranteed to parse.
   std::vector<std::string> valid_bodies;
-  for (std::size_t i = 0; i < jobs.size() && valid_bodies.size() < 3; ++i) {
-    valid_bodies.push_back(jobs[i].wsdl_text);
+  {
+    const frameworks::Corpus corpus(predict_options.java_spec, predict_options.dotnet_spec,
+                                    predict_options.shape);
+    for (std::size_t i = 0; i < corpus.plan.tasks.size() && valid_bodies.size() < 3; ++i) {
+      Result<frameworks::DeployedService> deployed = corpus.deploy(i);
+      if (deployed.ok()) valid_bodies.push_back(std::move(deployed->wsdl_text));
+    }
   }
+  if (valid_bodies.empty()) return Error{"serve.loadgen", "empty corpus at this scale"};
   // Three distinct poison uploads: enough failing requests to both fill a
   // quarantine slot and trip the breaker during overload.
   const std::vector<std::string> poison_bodies = {
@@ -155,8 +158,8 @@ Result<LoadgenReport> run_loadgen(const LoadgenOptions& options) {
 
   OracleOptions cold_options;
   cold_options.predict = predict_options;
-  cold_options.journal = options.journal;
-  cold_options.cache_path = options.cache_path;
+  cold_options.supervision.journal = options.journal;
+  cold_options.supervision.checkpoint_path = options.cache_path;
   Result<Oracle> cold = Oracle::load(cold_options);
   if (!cold.ok()) return cold.error();
   report.services = cold->services();
@@ -229,8 +232,8 @@ Result<LoadgenReport> run_loadgen(const LoadgenOptions& options) {
   }
   OracleOptions warm_options;
   warm_options.predict = predict_options;
-  warm_options.journal = options.journal;
-  warm_options.resume = &journal;
+  warm_options.supervision.journal = options.journal;
+  warm_options.supervision.resume = &journal;
   Result<Oracle> warm = Oracle::load(warm_options);
   if (!warm.ok()) return warm.error();
   report.warm_resumed = warm->precompute().resumed;

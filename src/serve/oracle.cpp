@@ -47,14 +47,8 @@ Result<Oracle> Oracle::load(const OracleOptions& options) {
   predict::PredictOptions predict_options = options.predict;
   predict_options.join_study = false;  // the oracle serves, it does not score
 
-  predict::SupervisedPredictOptions supervision;
-  supervision.journal = options.journal;
-  supervision.checkpoint_path = options.cache_path;
-  supervision.resume = options.resume;
-  supervision.trip_after_tasks = options.trip_after_tasks;
-
   Result<predict::SupervisedPredictResult> result =
-      predict::predict_corpus_supervised(predict_options, supervision);
+      predict::predict_corpus_supervised(predict_options, options.supervision);
   if (!result.ok()) return result.error();
   oracle.report_ = std::move(result->report);
   oracle.precompute_ = std::move(result->supervisor);

@@ -1,9 +1,9 @@
 // oracle.hpp — the compatibility oracle behind `wsinterop serve`.
 //
-// An Oracle is the daemon's read-only knowledge base: the deployed corpus
-// parsed once through the SharedDescription pipeline, every client×service
-// verdict precomputed by the static predictor, and the substitution index
-// folded on top. Precomputation runs under the resilience supervisor with
+// An Oracle is the daemon's read-only knowledge base: every service of the
+// corpus deployed and parsed once through the SharedDescription pipeline,
+// every client×service verdict precomputed by the static predictor, and the
+// substitution index folded on top. Precomputation runs under the resilience supervisor with
 // the serve cache file as its checkpoint journal, which buys the daemon
 // warm restart for free: a restarted daemon resumes from the journal and
 // replays the precomputed records instead of re-predicting the corpus, and
@@ -28,18 +28,19 @@ namespace wsx::serve {
 
 struct OracleOptions {
   analysis::predict::PredictOptions predict;  ///< corpus scale/shape/jobs
-  resilience::JournalOptions journal;         ///< checkpoint cadence etc.
-  std::string cache_path;                     ///< verdict-cache journal; "" = none
-  const resilience::Journal* resume = nullptr;  ///< warm restart source
-  std::size_t trip_after_tasks = 0;           ///< crash drill (see supervisor)
+  /// The precompute's supervision: its checkpoint file is the verdict-cache
+  /// journal ("" = none), its resume source the warm restart's.
+  resilience::Supervision supervision;
 };
 
 class Oracle {
  public:
-  /// Builds the oracle: deploy pass, supervised verdict precompute
-  /// (checkpointed to `cache_path`, resumed from `resume`), substitution
-  /// index. The study join is always off — the oracle serves predictions,
-  /// it does not score them.
+  /// Builds the oracle: the supervised verdict precompute, whose tasks each
+  /// deploy one service of the corpus and predict it on the workers
+  /// (checkpointed to and resumed from the cache journal as
+  /// `options.supervision` says), then the substitution index. The study
+  /// join is always off — the oracle serves predictions, it does not score
+  /// them.
   static Result<Oracle> load(const OracleOptions& options);
 
   /// Supervisor report of the precompute (executed vs resumed counts feed

@@ -137,7 +137,6 @@ TEST(Corpus, StudyJoinComputesConfusionCounts) {
   CorpusOptions options = tiny_options();
   options.jobs = 2;
   options.join_study = true;
-  options.study_threads = 2;
   const CorpusReport report = analyze_corpus(options);
   ASSERT_TRUE(report.joined);
 

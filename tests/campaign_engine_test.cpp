@@ -364,7 +364,7 @@ TEST(StudyEngine, JournalWithoutServiceFactsFailsBeforeAppending) {
   const interop::StudyConfig config = small_study();
   const std::string path = ::testing::TempDir() + "wsx_engine_old_study.journal";
   std::remove(path.c_str());
-  interop::SupervisedOptions options;
+  resilience::Supervision options;
   options.journal.checkpoint_every = 4;
   options.checkpoint_path = path;
   options.trip_after_tasks = 4;
@@ -389,7 +389,7 @@ TEST(StudyEngine, JournalWithoutServiceFactsFailsBeforeAppending) {
   Result<resilience::Journal> old = resilience::Journal::parse(text);
   ASSERT_TRUE(old.ok()) << old.error().message;
 
-  interop::SupervisedOptions resumed;
+  resilience::Supervision resumed;
   resumed.journal = options.journal;
   resumed.checkpoint_path = path;
   resumed.resume = &old.value();

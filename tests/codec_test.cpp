@@ -317,7 +317,7 @@ TEST(BigSeedResume, ChaosResumesUnderTheSameSeed) {
   const std::string want = chaos::chaos_csv(chaos::run_chaos_study(config));
 
   ScratchFile journal_file("wsx_codec_big_seed_chaos.journal");
-  chaos::SupervisedChaosOptions tripped;
+  resilience::Supervision tripped;
   tripped.journal.checkpoint_every = 4;
   tripped.checkpoint_path = journal_file.path;
   tripped.trip_after_tasks = 5;
@@ -329,7 +329,7 @@ TEST(BigSeedResume, ChaosResumesUnderTheSameSeed) {
   ASSERT_TRUE(rederived.ok()) << rederived.error().message;
   EXPECT_EQ(rederived->plan.seed, kBigSeed);
   rederived->jobs = 2;
-  chaos::SupervisedChaosOptions resumed = tripped;
+  resilience::Supervision resumed = tripped;
   resumed.trip_after_tasks = 0;
   resumed.resume = &journal.value();
   Result<chaos::SupervisedChaosResult> finished = chaos::run_chaos_supervised(*rederived, resumed);
@@ -348,7 +348,7 @@ TEST(BigSeedResume, PropcheckResumesUnderTheSameSeed) {
   const std::string want = gen::propcheck_json(gen::run_propcheck(config));
 
   ScratchFile journal_file("wsx_codec_big_seed_propcheck.journal");
-  gen::SupervisedGenOptions tripped;
+  resilience::Supervision tripped;
   tripped.journal.checkpoint_every = 4;
   tripped.checkpoint_path = journal_file.path;
   tripped.trip_after_tasks = 5;
@@ -360,7 +360,7 @@ TEST(BigSeedResume, PropcheckResumesUnderTheSameSeed) {
   ASSERT_TRUE(rederived.ok()) << rederived.error().message;
   EXPECT_EQ(rederived->corpus.seed, kBigSeed);
   rederived->jobs = 2;
-  gen::SupervisedGenOptions resumed = tripped;
+  resilience::Supervision resumed = tripped;
   resumed.trip_after_tasks = 0;
   resumed.resume = &journal.value();
   Result<gen::SupervisedGenResult> finished = gen::run_propcheck_supervised(*rederived, resumed);

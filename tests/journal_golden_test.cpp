@@ -17,7 +17,9 @@
 // resumes, at jobs 1 and 8, to the report the straight run printed; every
 // config fingerprint and every task record decodes and re-encodes to the
 // same bytes; and the lint and predict corpus passes still render their
-// goldens at any jobs.
+// goldens at any jobs, straight and under a budget (the *_budget_*_tiny
+// goldens, rendered by the engine before corpus tasks deployed their own
+// services).
 // On a mismatch the rendering is written to the test temp dir
 // (`<name>.actual`) so it can be inspected with diff.
 #include <gtest/gtest.h>
@@ -45,7 +47,9 @@
 #include "interop/report.hpp"
 #include "interop/report_formats.hpp"
 #include "interop/supervised.hpp"
+#include "obs/metrics.hpp"
 #include "resilience/journal.hpp"
+#include "resilience/supervisor.hpp"
 #include "test_helpers.hpp"
 
 namespace wsx {
@@ -182,8 +186,8 @@ TEST(JournalGolden, StudyResumesToTheStraightReport) {
     Result<interop::StudyConfig> config =
         interop::study_config_from_json(golden.journal.config_json);
     if (!config.ok()) return config.error().message;
-    auto options = golden.resume<interop::SupervisedOptions>();
-    options.jobs = jobs;
+    auto options = golden.resume<resilience::Supervision>();
+    config->threads = jobs;
     return finished(interop::run_study_supervised(*config, options),
                     [](const interop::SupervisedStudyResult& run) { return render(run.study); });
   });
@@ -195,8 +199,8 @@ TEST(JournalGolden, CommunicationResumesToTheStraightReport) {
         interop::communication_config_from_json(golden.journal.config_json);
     if (!config.ok()) return config.error().message;
     EXPECT_EQ(config->versions.size(), 2u);
-    auto options = golden.resume<interop::SupervisedOptions>();
-    options.jobs = jobs;
+    auto options = golden.resume<resilience::Supervision>();
+    config->threads = jobs;
     return finished(interop::run_communication_supervised(*config, options),
                     [](const interop::SupervisedCommunicationResult& run) {
                       return render(run.communication);
@@ -219,7 +223,7 @@ TEST(JournalGolden, ChaosWithDeadlineQuarantineResumesToTheStraightReport) {
     if (!config.ok()) return config.error().message;
     config->jobs = jobs;
     return finished(chaos::run_chaos_supervised(*config,
-                                                golden.resume<chaos::SupervisedChaosOptions>()),
+                                                golden.resume<resilience::Supervision>()),
                     [](const chaos::SupervisedChaosResult& run) { return render(run.chaos); });
   });
 }
@@ -232,7 +236,7 @@ TEST(JournalGolden, PropcheckWithSabotageAndShrinkResumesToTheStraightReport) {
     EXPECT_TRUE(config->shrink);
     config->jobs = jobs;
     return finished(gen::run_propcheck_supervised(*config,
-                                                  golden.resume<gen::SupervisedGenOptions>()),
+                                                  golden.resume<resilience::Supervision>()),
                     [](const gen::SupervisedGenResult& run) { return render(run.propcheck); });
   });
 }
@@ -244,7 +248,7 @@ TEST(JournalGolden, LintCorpusResumesToTheStraightReport) {
     if (!options.ok()) return options.error().message;
     options->jobs = jobs;
     return finished(analysis::analyze_corpus_supervised(
-                        *options, golden.resume<analysis::SupervisedCorpusOptions>()),
+                        *options, golden.resume<resilience::Supervision>()),
                     [](const analysis::SupervisedCorpusResult& run) { return render(run.report); });
   });
 }
@@ -255,10 +259,9 @@ TEST(JournalGolden, PredictCorpusResumesToTheStraightReport) {
         predict::predict_config_from_json(golden.journal.config_json);
     if (!options.ok()) return options.error().message;
     options->jobs = jobs;
-    options->study_threads = jobs;
     return finished(
         predict::predict_corpus_supervised(*options,
-                                           golden.resume<predict::SupervisedPredictOptions>()),
+                                           golden.resume<resilience::Supervision>()),
         [](const predict::SupervisedPredictResult& run) { return render(run.report); });
   });
 }
@@ -344,7 +347,7 @@ TEST(RetiredParseCache, AJournalWrittenWithTheCacheOffFailsBeforeAppending) {
   ASSERT_TRUE(golden.ok()) << golden.error().message;
   Result<gen::GenConfig> on = gen::gen_config_from_json(golden->config_json);
   ASSERT_TRUE(on.ok()) << on.error().message;
-  gen::SupervisedGenOptions options;
+  resilience::Supervision options;
   options.journal = journal->options;
   options.checkpoint_path = path;
   options.resume = &journal.value();
@@ -432,10 +435,84 @@ TEST(JournalGolden, PredictCorpusRendersItsGoldenAtJobs1And8) {
     options.java_spec = testing::small_java_spec();
     options.dotnet_spec = testing::small_dotnet_spec();
     options.jobs = jobs;
-    options.study_threads = jobs;
     expect_data("predict_corpus_tiny.golden", render(predict::predict_corpus(options)),
                 "at jobs=" + std::to_string(jobs));
   }
+}
+
+// --- Budgeted corpus runs ---------------------------------------------------
+//
+// A corpus task charges one virtual ms, so a deadline cannot quarantine it:
+// a budget is the only way lint-corpus and predict-corpus degrade. Each
+// golden was rendered with its supervisor section over the small specs,
+// in blocks of 8 tasks, once under a budget of 20 tasks and once under a
+// budget of 30 virtual ms.
+
+/// Runs a budgeted corpus campaign — `run(jobs, journal, metrics,
+/// supervisor)` returns its report's rendering — under both budgets at jobs
+/// 1 and 8, and compares each rendering plus its supervisor section with
+/// `<stem>_budget_<tasks|ms>_tiny.golden`. A task that is not admitted never
+/// deploys: `<prefix>.step.deploy_us` observes exactly the executed tasks.
+template <typename Run>
+void expect_budget_goldens(const std::string& stem, const std::string& prefix, Run run) {
+  for (const std::string budget : {"tasks", "ms"}) {
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+      const std::string where = "under budget_" + budget + " at jobs=" + std::to_string(jobs);
+      resilience::JournalOptions journal;
+      journal.checkpoint_every = 8;
+      if (budget == "tasks") journal.budget_tasks = 20;
+      if (budget == "ms") journal.budget_ms = 30;
+      obs::Registry metrics;
+      resilience::SupervisorReport supervisor;
+      const std::string report = run(jobs, journal, metrics, supervisor);
+      EXPECT_TRUE(supervisor.degraded) << where;
+      EXPECT_GT(supervisor.not_admitted, 0u) << where;
+      EXPECT_EQ(metrics.histogram(prefix + ".step.deploy_us").count(), supervisor.executed)
+          << where;
+      expect_data(stem + "_budget_" + budget + "_tiny.golden",
+                  report + "== supervisor\n" + resilience::supervisor_markdown(supervisor),
+                  where);
+    }
+  }
+}
+
+TEST(CorpusBudget, LintCorpusRendersItsBudgetGoldensAtJobs1And8) {
+  expect_budget_goldens("lint_corpus", "lint",
+                        [](std::size_t jobs, const resilience::JournalOptions& journal,
+                           obs::Registry& metrics, resilience::SupervisorReport& supervisor) {
+                          analysis::CorpusOptions options;
+                          options.java_spec = testing::small_java_spec();
+                          options.dotnet_spec = testing::small_dotnet_spec();
+                          options.jobs = jobs;
+                          options.metrics = &metrics;
+                          resilience::Supervision supervision;
+                          supervision.journal = journal;
+                          Result<analysis::SupervisedCorpusResult> run =
+                              analysis::analyze_corpus_supervised(options, supervision);
+                          if (!run.ok()) return run.error().message;
+                          supervisor = run->supervisor;
+                          return render(run->report);
+                        });
+}
+
+TEST(CorpusBudget, JoinedPredictCorpusRendersItsBudgetGoldensAtJobs1And8) {
+  expect_budget_goldens("predict_corpus", "predict",
+                        [](std::size_t jobs, const resilience::JournalOptions& journal,
+                           obs::Registry& metrics, resilience::SupervisorReport& supervisor) {
+                          predict::PredictOptions options;
+                          options.java_spec = testing::small_java_spec();
+                          options.dotnet_spec = testing::small_dotnet_spec();
+                          options.jobs = jobs;
+                          options.metrics = &metrics;
+                          resilience::Supervision supervision;
+                          supervision.journal = journal;
+                          Result<predict::SupervisedPredictResult> run =
+                              predict::predict_corpus_supervised(options, supervision);
+                          if (!run.ok()) return run.error().message;
+                          EXPECT_TRUE(run->report.joined);
+                          supervisor = run->supervisor;
+                          return render(run->report);
+                        });
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ PredictOptions tiny_options(bool join) {
   dotnet.non_serializable = 1;
   options.dotnet_spec = dotnet;
   options.join_study = join;
-  options.study_threads = 2;
   return options;
 }
 
@@ -73,10 +72,8 @@ struct ScratchJournal {
 TEST(PredictCorpusConcurrency, ByteIdenticalAcrossWorkerCounts) {
   PredictOptions serial = tiny_options(/*join=*/true);
   serial.jobs = 1;
-  serial.study_threads = 1;
   PredictOptions parallel = tiny_options(/*join=*/true);
   parallel.jobs = 8;
-  parallel.study_threads = 8;
 
   const PredictReport a = predict_corpus(serial);
   const PredictReport b = predict_corpus(parallel);
@@ -115,7 +112,7 @@ TEST(PredictCorpusConcurrency, InterruptedRunResumesByteIdentically) {
 
   for (const std::size_t resume_jobs : {std::size_t{1}, std::size_t{8}}) {
     ScratchJournal scratch("j" + std::to_string(resume_jobs));
-    SupervisedPredictOptions interrupted;
+    resilience::Supervision interrupted;
     interrupted.journal.checkpoint_every = 3;
     interrupted.checkpoint_path = scratch.path;
     interrupted.trip_after_tasks = 5;
@@ -131,7 +128,7 @@ TEST(PredictCorpusConcurrency, InterruptedRunResumesByteIdentically) {
     ASSERT_TRUE(rederived.ok()) << rederived.error().message;
     rederived->jobs = resume_jobs;
 
-    SupervisedPredictOptions resumed;
+    resilience::Supervision resumed;
     resumed.journal.checkpoint_every = 3;
     resumed.checkpoint_path = scratch.path;
     resumed.resume = &journal.value();

@@ -45,7 +45,6 @@ PredictOptions tiny_options() {
   dotnet.interfaces = 1;
   options.dotnet_spec = dotnet;
   options.jobs = 2;
-  options.study_threads = 2;
   return options;
 }
 
@@ -154,18 +153,19 @@ TEST(PredictCorpus, UnjoinedReportCountsPredictionsOnly) {
 }
 
 TEST(PredictRecord, JsonRoundTripsByteIdentically) {
-  PredictOptions options = tiny_options();
-  options.join_study = false;
-  PredictReport report;
-  const std::vector<LintJob> jobs = build_predict_corpus(options, report);
-  ASSERT_FALSE(jobs.empty());
-  for (std::size_t i = 0; i < jobs.size(); i += 7) {  // sample the corpus
-    const ServicePredictionRecord record = predict_service_job(jobs[i]);
+  const PredictOptions options = tiny_options();
+  const frameworks::Corpus corpus(options.java_spec, options.dotnet_spec, options.shape);
+  ASSERT_FALSE(corpus.plan.tasks.empty());
+  for (std::size_t i = 0; i < corpus.plan.tasks.size(); i += 7) {  // sample the corpus
+    Result<frameworks::DeployedService> deployed = corpus.deploy(i);
+    ASSERT_TRUE(deployed.ok()) << deployed.error().message;
+    const ServicePredictionRecord record =
+        predict_service_job(corpus.round(i).server->name(), *deployed);
     const std::string json = record_json(record);
     Result<ServicePredictionRecord> parsed = record_from_json(json);
     ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-    EXPECT_EQ(parsed.value(), record) << jobs[i].uri;
-    EXPECT_EQ(record_json(parsed.value()), json) << jobs[i].uri;
+    EXPECT_EQ(parsed.value(), record) << record.uri;
+    EXPECT_EQ(record_json(parsed.value()), json) << record.uri;
   }
   EXPECT_FALSE(record_from_json("{}").ok());
   EXPECT_FALSE(record_from_json("nope").ok());

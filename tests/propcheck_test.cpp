@@ -146,14 +146,14 @@ TEST(SupervisedPropcheck, FullCoverageMatchesLegacyReport) {
 TEST(SupervisedPropcheck, InterruptedRunResumesByteIdentically) {
   const gen::GenConfig config = tiny_gen();
   ScratchJournal scratch("resume");
-  gen::SupervisedGenOptions base;
+  resilience::Supervision base;
   base.journal.checkpoint_every = 3;
 
   Result<gen::SupervisedGenResult> uninterrupted =
       gen::run_propcheck_supervised(config, base);
   ASSERT_TRUE(uninterrupted.ok());
 
-  gen::SupervisedGenOptions interrupted = base;
+  resilience::Supervision interrupted = base;
   interrupted.checkpoint_path = scratch.path;
   interrupted.trip_after_tasks = 4;
   ASSERT_TRUE(gen::run_propcheck_supervised(config, interrupted).ok());
@@ -164,7 +164,7 @@ TEST(SupervisedPropcheck, InterruptedRunResumesByteIdentically) {
   Result<gen::GenConfig> rederived = gen::gen_config_from_json(journal->config_json);
   ASSERT_TRUE(rederived.ok()) << rederived.error().message;
   rederived->jobs = 8;  // resume at a different worker count
-  gen::SupervisedGenOptions resumed = base;
+  resilience::Supervision resumed = base;
   resumed.checkpoint_path = scratch.path;
   resumed.resume = &journal.value();
   Result<gen::SupervisedGenResult> finished =
@@ -176,7 +176,7 @@ TEST(SupervisedPropcheck, InterruptedRunResumesByteIdentically) {
 
 TEST(SupervisedPropcheck, DeadlineQuarantineFoldsAsTimedOutOutcome) {
   const gen::GenConfig config = tiny_gen();
-  gen::SupervisedGenOptions options;
+  resilience::Supervision options;
   // Live pairs charge kCaseCostMs per wire call; a 1 ms deadline is
   // impossible, so those services quarantine and fold as kTimedOut for
   // their whole corpus.

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -421,6 +422,101 @@ TEST(Supervisor, ChargeAccumulatesAcrossAttemptsButDeadlineIsPerAttempt) {
   EXPECT_EQ(context.attempt_ms(), 8u);
   EXPECT_EQ(context.total_ms(), 16u);
   EXPECT_THROW(context.charge(5), DeadlineExceeded);
+}
+
+// ------------------------------------------------------------ slot protocol
+
+/// The slot of a synthetic slot campaign: the index of the task that filled
+/// it, journaled as {"task":i}.
+struct Slot {
+  std::size_t task = 0;
+};
+
+template <class V>
+void fields(V& v, Slot& slot) {
+  v("task", slot.task);
+}
+
+/// A journal of the synthetic campaign of `n` tasks, tripped after its
+/// first block of two, written to `scratch`.
+Journal tripped_slot_journal(const ScratchJournal& scratch, std::size_t n) {
+  SupervisorOptions options;
+  options.journal.checkpoint_every = 2;
+  options.checkpoint_path = scratch.path;
+  options.trip_after_tasks = 2;
+  std::vector<Slot> slots(n);
+  const auto run = [](std::size_t index, Slot& slot, TaskContext&) { slot.task = index; };
+  Result<SupervisorReport> tripped =
+      supervise_slots(make_campaign(n), std::span(slots), options, run);
+  EXPECT_TRUE(tripped.ok() && tripped->tripped);
+  Result<Journal> journal = Journal::parse(scratch.read());
+  EXPECT_TRUE(journal.ok());
+  return journal.ok() ? std::move(journal.value()) : Journal{};
+}
+
+TEST(SlotProtocol, ResumedRecordsFillTheirSlotsAndOnlyAJournalEncodes) {
+  ScratchJournal scratch("slots");
+  Journal journal = tripped_slot_journal(scratch, 6);
+  ASSERT_EQ(journal.entries.size(), 2u);
+  EXPECT_EQ(journal.entries[1].record, "{\"task\":1}");
+
+  SupervisorOptions resumed;
+  resumed.journal.checkpoint_every = 2;
+  resumed.checkpoint_path = scratch.path;
+  resumed.resume = &journal;
+  std::vector<Slot> slots(6, Slot{99});
+  std::vector<std::size_t> ran;  // one worker: tasks run in order on this thread
+  Result<SupervisorReport> finished = supervise_slots(
+      make_campaign(6), std::span(slots), resumed,
+      [&ran](std::size_t index, Slot& slot, TaskContext&) {
+        ran.push_back(index);
+        slot.task = index;
+      });
+  ASSERT_TRUE(finished.ok()) << finished.error().message;
+  EXPECT_EQ(ran, (std::vector<std::size_t>{2, 3, 4, 5}));
+  for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i].task, i);
+
+  // Without a journal, no record is encoded.
+  Result<SupervisorReport> plain = supervise_slots(
+      make_campaign(3), std::span(slots).first(3), SupervisorOptions{},
+      [](std::size_t index, Slot& slot, TaskContext&) { slot.task = index; });
+  ASSERT_TRUE(plain.ok());
+  for (const TaskOutcome& outcome : plain->tasks) EXPECT_EQ(outcome.record, "");
+}
+
+TEST(SlotProtocol, AnUnusableRecordFailsUnderTheCampaignsCodeBeforeAppending) {
+  ScratchJournal scratch("slots_unusable");
+  Journal journal = tripped_slot_journal(scratch, 4);
+  const std::string written = scratch.read();
+  SupervisorOptions resumed;
+  resumed.journal.checkpoint_every = 2;
+  resumed.checkpoint_path = scratch.path;
+  resumed.resume = &journal;
+  std::vector<Slot> slots(4);
+  bool ran = false;
+  const auto never = [&ran](std::size_t, Slot&, TaskContext&) { ran = true; };
+
+  // The campaign's own check refuses a record its decode accepts...
+  const auto check = [](const Slot& slot) {
+    return std::string(slot.task == 1 ? "task 1 is withdrawn" : "");
+  };
+  Result<SupervisorReport> refused = supervise_slots(make_campaign(4), std::span(slots), resumed,
+                                                     never, "synthetic.bad-record", check);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, "synthetic.bad-record");
+  EXPECT_EQ(refused.error().message, "task record for 'task-1': task 1 is withdrawn");
+
+  // ...and an undecodable record fails under the same code, naming it.
+  journal.entries[0].record = "{\"task\":-1}";
+  Result<SupervisorReport> undecodable = supervise_slots(make_campaign(4), std::span(slots),
+                                                         resumed, never, "synthetic.bad-record");
+  ASSERT_FALSE(undecodable.ok());
+  EXPECT_EQ(undecodable.error().code, "synthetic.bad-record");
+  EXPECT_NE(undecodable.error().message.find("task-0"), std::string::npos)
+      << undecodable.error().message;
+
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(scratch.read(), written);  // nothing was appended
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "analysis/corpus.hpp"
 #include "analysis/predict.hpp"
+#include "frameworks/registry.hpp"
 #include "serve/daemon.hpp"
 #include "serve/oracle.hpp"
 
@@ -52,14 +53,13 @@ const Oracle& shared_oracle() {
 
 const std::string& valid_wsdl_body() {
   static const std::string* body = [] {
-    analysis::predict::PredictReport scratch;
-    const std::vector<analysis::LintJob> jobs =
-        analysis::predict::build_predict_corpus(tiny_predict(), scratch);
-    if (jobs.empty()) {
-      ADD_FAILURE() << "tiny corpus produced no jobs";
+    const analysis::predict::PredictOptions options = tiny_predict();
+    const frameworks::Corpus corpus(options.java_spec, options.dotnet_spec, options.shape);
+    if (corpus.plan.tasks.empty()) {
+      ADD_FAILURE() << "tiny corpus produced no tasks";
       std::abort();
     }
-    return new std::string(jobs.front().wsdl_text);
+    return new std::string(corpus.deploy(0)->wsdl_text);
   }();
   return *body;
 }

@@ -14,6 +14,7 @@
 
 #include "analysis/corpus.hpp"
 #include "analysis/predict.hpp"
+#include "frameworks/registry.hpp"
 #include "serve/admission.hpp"
 #include "serve/daemon.hpp"
 #include "serve/oracle.hpp"
@@ -69,14 +70,13 @@ const Oracle& shared_oracle() {
 /// description of the tiny corpus.
 const std::string& valid_wsdl_body() {
   static const std::string* body = [] {
-    analysis::predict::PredictReport scratch;
-    const std::vector<analysis::LintJob> jobs =
-        analysis::predict::build_predict_corpus(tiny_predict(), scratch);
-    if (jobs.empty()) {
-      ADD_FAILURE() << "tiny corpus produced no jobs";
+    const analysis::predict::PredictOptions options = tiny_predict();
+    const frameworks::Corpus corpus(options.java_spec, options.dotnet_spec, options.shape);
+    if (corpus.plan.tasks.empty()) {
+      ADD_FAILURE() << "tiny corpus produced no tasks";
       std::abort();
     }
-    return new std::string(jobs.front().wsdl_text);
+    return new std::string(corpus.deploy(0)->wsdl_text);
   }();
   return *body;
 }
@@ -377,11 +377,11 @@ TEST(ServeOracle, WarmRestartIsByteIdenticalToColdLoad) {
   // leaving a partial verdict-cache journal behind.
   OracleOptions tripped_options;
   tripped_options.predict = tiny_predict();
-  tripped_options.cache_path = scratch.path;
+  tripped_options.supervision.checkpoint_path = scratch.path;
   // Blocks of 4, trip after 5: the tiny corpus fits inside one default
   // checkpoint block, so the drill needs a shorter cadence to fire at all.
-  tripped_options.journal.checkpoint_every = 4;
-  tripped_options.trip_after_tasks = 5;
+  tripped_options.supervision.journal.checkpoint_every = 4;
+  tripped_options.supervision.trip_after_tasks = 5;
   Result<Oracle> tripped = Oracle::load(tripped_options);
   ASSERT_TRUE(tripped.ok()) << tripped.error().message;
   ASSERT_TRUE(tripped->precompute().tripped);
@@ -393,9 +393,9 @@ TEST(ServeOracle, WarmRestartIsByteIdenticalToColdLoad) {
   ASSERT_TRUE(journal.ok()) << journal.error().message;
   OracleOptions warm_options;
   warm_options.predict = tiny_predict();
-  warm_options.cache_path = scratch.path;
-  warm_options.journal.checkpoint_every = 4;  // must match the journal header
-  warm_options.resume = &journal.value();
+  warm_options.supervision.checkpoint_path = scratch.path;
+  warm_options.supervision.journal.checkpoint_every = 4;  // must match the journal header
+  warm_options.supervision.resume = &journal.value();
   Result<Oracle> warm = Oracle::load(warm_options);
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_FALSE(warm->precompute().tripped);

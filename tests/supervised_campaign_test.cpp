@@ -200,12 +200,12 @@ TEST(SupervisedCorpus, FullCoverageMatchesLegacyReport) {
 // --------------------------------------------- interrupt/resume equivalence
 
 TEST(SupervisedStudy, InterruptedRunResumesByteIdentically) {
-  const interop::StudyConfig config = tiny_study();
-  interop::SupervisedOptions base;
+  interop::StudyConfig config = tiny_study();
+  resilience::Supervision base;
   base.journal.checkpoint_every = 4;
 
-  interop::SupervisedOptions straight = base;
-  straight.jobs = 1;
+  resilience::Supervision straight = base;
+  config.threads = 1;
   Result<interop::SupervisedStudyResult> uninterrupted =
       interop::run_study_supervised(config, straight);
   ASSERT_TRUE(uninterrupted.ok());
@@ -215,8 +215,8 @@ TEST(SupervisedStudy, InterruptedRunResumesByteIdentically) {
   // worker and once at eight. Every path must land on the same bytes.
   for (const std::size_t resume_jobs : {std::size_t{1}, std::size_t{8}}) {
     ScratchJournal scratch("study_j" + std::to_string(resume_jobs));
-    interop::SupervisedOptions interrupted = base;
-    interrupted.jobs = 8;
+    resilience::Supervision interrupted = base;
+    config.threads = 8;
     interrupted.checkpoint_path = scratch.path;
     interrupted.trip_after_tasks = 5;
     Result<interop::SupervisedStudyResult> tripped =
@@ -232,8 +232,8 @@ TEST(SupervisedStudy, InterruptedRunResumesByteIdentically) {
         interop::study_config_from_json(journal->config_json);
     ASSERT_TRUE(rederived.ok()) << rederived.error().message;
 
-    interop::SupervisedOptions resumed = base;
-    resumed.jobs = resume_jobs;
+    resilience::Supervision resumed = base;
+    rederived->threads = resume_jobs;
     resumed.checkpoint_path = scratch.path;
     resumed.resume = &journal.value();
     Result<interop::SupervisedStudyResult> finished =
@@ -248,14 +248,14 @@ TEST(SupervisedStudy, InterruptedRunResumesByteIdentically) {
 TEST(SupervisedChaos, InterruptedRunResumesByteIdentically) {
   const chaos::ChaosConfig config = tiny_chaos();
   ScratchJournal scratch("chaos");
-  chaos::SupervisedChaosOptions base;
+  resilience::Supervision base;
   base.journal.checkpoint_every = 3;
 
   Result<chaos::SupervisedChaosResult> uninterrupted =
       chaos::run_chaos_supervised(config, base);
   ASSERT_TRUE(uninterrupted.ok());
 
-  chaos::SupervisedChaosOptions interrupted = base;
+  resilience::Supervision interrupted = base;
   interrupted.checkpoint_path = scratch.path;
   interrupted.trip_after_tasks = 4;
   ASSERT_TRUE(chaos::run_chaos_supervised(config, interrupted).ok());
@@ -265,7 +265,7 @@ TEST(SupervisedChaos, InterruptedRunResumesByteIdentically) {
   Result<chaos::ChaosConfig> rederived = chaos::chaos_config_from_json(journal->config_json);
   ASSERT_TRUE(rederived.ok()) << rederived.error().message;
   rederived->jobs = 8;
-  chaos::SupervisedChaosOptions resumed = base;
+  resilience::Supervision resumed = base;
   resumed.checkpoint_path = scratch.path;
   resumed.resume = &journal.value();
   Result<chaos::SupervisedChaosResult> finished =
@@ -278,7 +278,7 @@ TEST(SupervisedChaos, InterruptedRunResumesByteIdentically) {
 
 TEST(SupervisedStudy, BudgetDegradesWithPartialCoverage) {
   const interop::StudyConfig config = tiny_study();
-  interop::SupervisedOptions options;
+  resilience::Supervision options;
   options.journal.checkpoint_every = 2;
   options.journal.budget_tasks = 3;
   Result<interop::SupervisedStudyResult> supervised =
@@ -295,7 +295,7 @@ TEST(SupervisedStudy, BudgetDegradesWithPartialCoverage) {
 
 TEST(SupervisedChaos, DeadlineQuarantineFoldsAsTimedOutOutcome) {
   chaos::ChaosConfig config = tiny_chaos();
-  chaos::SupervisedChaosOptions options;
+  resilience::Supervision options;
   // Every live chain charges its real virtual milliseconds; 1 ms is
   // impossible, so those tasks deadline-quarantine and their cells fold as
   // kTimedOut. (Services whose chains are all blocked earlier charge zero

@@ -439,14 +439,14 @@ TEST(VersionAxisSupervised, ChaosMatchesLegacyAndResumesByteIdentically) {
   config.jobs = 2;
   const std::string legacy = chaos::chaos_csv(chaos::run_chaos_study(config));
 
-  chaos::SupervisedChaosOptions base;
+  resilience::Supervision base;
   base.journal.checkpoint_every = 3;
   Result<chaos::SupervisedChaosResult> straight = chaos::run_chaos_supervised(config, base);
   ASSERT_TRUE(straight.ok()) << straight.error().message;
   EXPECT_EQ(chaos::chaos_csv(straight.value().chaos), legacy);
 
   ScratchJournal scratch("chaos");
-  chaos::SupervisedChaosOptions interrupted = base;
+  resilience::Supervision interrupted = base;
   interrupted.checkpoint_path = scratch.path;
   interrupted.trip_after_tasks = 4;
   ASSERT_TRUE(chaos::run_chaos_supervised(config, interrupted).ok());
@@ -457,7 +457,7 @@ TEST(VersionAxisSupervised, ChaosMatchesLegacyAndResumesByteIdentically) {
   ASSERT_TRUE(rederived.ok()) << rederived.error().message;
   ASSERT_EQ(rederived->versions.size(), 3u);
 
-  chaos::SupervisedChaosOptions resumed = base;
+  resilience::Supervision resumed = base;
   resumed.resume = &journal.value();
   Result<chaos::SupervisedChaosResult> finished =
       chaos::run_chaos_supervised(*rederived, resumed);

@@ -253,26 +253,13 @@ struct ObsSinks {
 /// its result; verbs without a supervisor never consume them, so they fall
 /// through to the usage error there.
 struct ResilienceFlags {
-  resilience::JournalOptions journal;
-  std::string checkpoint_path;
-  std::size_t trip_after_tasks = 0;
-  const resilience::Journal* resume = nullptr;  ///< `resume`'s journal
+  /// What the flags ask of the supervisor; `resume` sets the journal to
+  /// resume from.
+  resilience::Supervision supervision;
   bool any = false;   ///< a resilience flag was given
   bool bad = false;   ///< ...but its value was missing or malformed
 
   bool enabled() const { return any; }
-
-  /// The engine options these flags ask for; callers whose options carry
-  /// the worker count set it themselves.
-  template <typename Options>
-  Options options() const {
-    Options out;
-    out.journal = journal;
-    out.checkpoint_path = checkpoint_path;
-    out.trip_after_tasks = trip_after_tasks;
-    out.resume = resume;
-    return out;
-  }
 
   /// Consumes one resilience flag at args[i]; returns true and advances i
   /// when the argument was one of ours (check `bad` afterwards).
@@ -287,12 +274,13 @@ struct ResilienceFlags {
       ++i;
       out = static_cast<std::remove_reference_t<decltype(out)>>(value);
     };
+    resilience::JournalOptions& journal = supervision.journal;
     if (args[i] == "--checkpoint") {
       any = true;
       if (i + 1 >= args.size()) {
         bad = true;
       } else {
-        checkpoint_path = args[++i];
+        supervision.checkpoint_path = args[++i];
       }
       return true;
     }
@@ -317,7 +305,7 @@ struct ResilienceFlags {
       return true;
     }
     if (args[i] == "--trip-after") {
-      count_value(trip_after_tasks);
+      count_value(supervision.trip_after_tasks);
       return true;
     }
     return false;
@@ -330,13 +318,13 @@ struct ResilienceFlags {
 /// the exit code (1, a failed output file, ends it there). A supervised run
 /// then appends the supervisor section (JSON after csv/json output) and
 /// exits 75 (EX_TEMPFAIL) when it tripped: the journal has the partial state.
-template <typename Config, typename Options, typename Supervised, typename Print>
-int finish_campaign(Result<Supervised> (*engine)(const Config&, const Options&), Config config,
-                    const Options& options, const ResilienceFlags& res, ObsSinks& sinks,
+template <typename Config, typename Supervised, typename Print>
+int finish_campaign(Result<Supervised> (*engine)(const Config&, const resilience::Supervision&),
+                    Config config, const ResilienceFlags& res, ObsSinks& sinks,
                     const std::string& format, Print print) {
   config.tracer = sinks.tracer_or_null();
   config.metrics = sinks.metrics_or_null();
-  const Result<Supervised> run = engine(config, options);
+  const Result<Supervised> run = engine(config, res.supervision);
   const bool supervised = res.enabled();
   std::string error;
   if (!run.ok()) {
@@ -375,10 +363,8 @@ void apply_scale(catalog::JavaCatalogSpec& java, catalog::DotNetCatalogSpec& dot
 int study_campaign(const interop::StudyConfig& config, const ResilienceFlags& res,
                    ObsSinks& sinks, const std::string& format,
                    const std::string& snapshot_path = "") {
-  auto options = res.options<interop::SupervisedOptions>();
-  options.jobs = config.threads;
   return finish_campaign(
-      interop::run_study_supervised, config, options, res, sinks, format,
+      interop::run_study_supervised, config, res, sinks, format,
       [&](const interop::SupervisedStudyResult& run) {
         const interop::StudyResult& result = run.study;
         if (!snapshot_path.empty()) {
@@ -503,8 +489,7 @@ int lint_corpus_campaign(const analysis::CorpusOptions& corpus, const Resilience
                          ObsSinks& sinks, const LintOptions& options = {},
                          const analysis::Baseline& baseline = {}) {
   return finish_campaign(
-      analysis::analyze_corpus_supervised, corpus,
-      res.options<analysis::SupervisedCorpusOptions>(), res, sinks, "text",
+      analysis::analyze_corpus_supervised, corpus, res, sinks, "text",
       [&](const analysis::SupervisedCorpusResult& run) {
         std::cout << analysis::format_report(run.report);
         return print_findings(run.report.all_findings(), options, baseline);
@@ -717,10 +702,8 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 /// The communication study.
 int communication_campaign(const interop::StudyConfig& config, const ResilienceFlags& res,
                            ObsSinks& sinks) {
-  auto options = res.options<interop::SupervisedOptions>();
-  options.jobs = config.threads;
-  return finish_campaign(interop::run_communication_supervised, config, options, res, sinks,
-                         "text", [](const interop::SupervisedCommunicationResult& run) {
+  return finish_campaign(interop::run_communication_supervised, config, res, sinks, "text",
+                         [](const interop::SupervisedCommunicationResult& run) {
                            std::cout << interop::format_communication(run.communication);
                            return 0;
                          });
@@ -765,8 +748,8 @@ int chaos_campaign(const chaos::ChaosConfig& config, const ResilienceFlags& res,
                    const std::string& csv_path = "") {
   if (!known_format(format, {"text", "csv", "markdown", "json"})) return 2;
   return finish_campaign(
-      chaos::run_chaos_supervised, config, res.options<chaos::SupervisedChaosOptions>(), res,
-      sinks, format, [&](const chaos::SupervisedChaosResult& run) {
+      chaos::run_chaos_supervised, config, res, sinks, format,
+      [&](const chaos::SupervisedChaosResult& run) {
         const chaos::ChaosResult& result = run.chaos;
         if (!csv_path.empty() && !write_text_file(csv_path, chaos::chaos_csv(result))) return 1;
         if (format == "csv") {
@@ -849,8 +832,8 @@ int propcheck_campaign(const gen::GenConfig& config, const ResilienceFlags& res,
                        ObsSinks& sinks, const std::string& format, bool with_shrink) {
   if (!known_format(format, {"text", "json"})) return 2;
   return finish_campaign(
-      gen::run_propcheck_supervised, config, res.options<gen::SupervisedGenOptions>(), res,
-      sinks, format, [&](const gen::SupervisedGenResult& run) {
+      gen::run_propcheck_supervised, config, res, sinks, format,
+      [&](const gen::SupervisedGenResult& run) {
         if (format == "json") {
           std::cout << gen::propcheck_json(run.propcheck) << "\n";
         } else {
@@ -928,8 +911,7 @@ int predict_corpus_campaign(const analysis::predict::PredictOptions& options,
                             const ResilienceFlags& res, ObsSinks& sinks,
                             const PredictOutput& output = {}) {
   return finish_campaign(
-      analysis::predict::predict_corpus_supervised, options,
-      res.options<analysis::predict::SupervisedPredictOptions>(), res, sinks, "text",
+      analysis::predict::predict_corpus_supervised, options, res, sinks, "text",
       [&](const analysis::predict::SupervisedPredictResult& run) {
         const analysis::predict::PredictReport& report = run.report;
         if (!output.index_path.empty() &&
@@ -978,7 +960,6 @@ int cmd_predict(const std::vector<std::string>& args) {
       apply_scale(options.java_spec, options.dotnet_spec, percent);
     } else if ((args[i] == "--jobs" || args[i] == "--threads") && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], options.jobs)) return usage();
-      options.study_threads = options.jobs;
     } else if (args[i] == "--no-join") {
       options.join_study = false;
     } else if (args[i] == "--shape" && i + 1 < args.size()) {
@@ -1214,7 +1195,7 @@ struct Resume {
   /// Decodes the journal's config and hands it to `campaign`.
   template <typename Decode, typename Campaign>
   int finish(Decode decode, Campaign campaign) const {
-    auto config = decode(res.resume->config_json);
+    auto config = decode(res.supervision.resume->config_json);
     if (!config.ok()) {
       std::cerr << "wsinterop: " << config.error().message << "\n";
       return 1;
@@ -1265,7 +1246,7 @@ const ResumableCampaign kResumable[] = {
     {"predict-corpus", [](const Resume& r) {
        return r.finish(analysis::predict::predict_config_from_json,
                        [&](analysis::predict::PredictOptions& options) {
-                         options.jobs = options.study_threads = r.jobs;
+                         options.jobs = r.jobs;
                          return predict_corpus_campaign(options, r.res, r.sinks);
                        });
      }},
@@ -1306,10 +1287,10 @@ int cmd_resume(const std::vector<std::string>& args) {
   for (const ResumableCampaign& campaign : kResumable) {
     if (campaign.campaign != parsed->campaign) continue;
     ResilienceFlags res;
-    res.journal = parsed->options;
-    res.checkpoint_path = journal_path;
-    res.trip_after_tasks = trip;
-    res.resume = &parsed.value();
+    res.supervision.journal = parsed->options;
+    res.supervision.checkpoint_path = journal_path;
+    res.supervision.trip_after_tasks = trip;
+    res.supervision.resume = &parsed.value();
     res.any = true;
     return campaign.resume(Resume{res, jobs, format, sinks});
   }
@@ -1350,11 +1331,11 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if ((args[i] == "--jobs" || args[i] == "--threads") && i + 1 < args.size()) {
       if (!parse_jobs(args[++i], oracle_options.predict.jobs)) return usage();
     } else if (args[i] == "--cache" && i + 1 < args.size()) {
-      oracle_options.cache_path = args[++i];
+      oracle_options.supervision.checkpoint_path = args[++i];
     } else if (args[i] == "--resume") {
       warm = true;
     } else if (args[i] == "--trip-after" && i + 1 < args.size()) {
-      if (!parse_count(args[++i], oracle_options.trip_after_tasks)) return usage();
+      if (!parse_count(args[++i], oracle_options.supervision.trip_after_tasks)) return usage();
     } else if (args[i] == "--probe" && i + 1 < args.size()) {
       if (!parse_count(args[++i], probe)) return usage();
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
@@ -1382,7 +1363,7 @@ int cmd_serve(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (warm && oracle_options.cache_path.empty()) return usage();
+  if (warm && oracle_options.supervision.checkpoint_path.empty()) return usage();
 
   // The study join is pointless for a daemon (and slow): serve predictions.
   oracle_options.predict.join_study = false;
@@ -1390,9 +1371,9 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   std::optional<resilience::Journal> cache;  // must outlive Oracle::load when resuming
   if (warm) {
-    cache = read_journal(oracle_options.cache_path, "serve cache");
+    cache = read_journal(oracle_options.supervision.checkpoint_path, "serve cache");
     if (!cache.has_value()) return 1;
-    oracle_options.resume = &*cache;
+    oracle_options.supervision.resume = &*cache;
   }
 
   Result<serve::Oracle> oracle = serve::Oracle::load(oracle_options);
