@@ -17,10 +17,13 @@
 // plus the SOAP envelope hot path (the per-call cost every communication /
 // chaos / propcheck campaign pays on each request and response):
 //
+//   env_write               soap::write of the fixture's request and response
 //   env_stream_parse        envelope parse via the streaming pull tokenizer
 //   env_stream_sniff        zero-DOM request validation (validate_request_text)
-//   envelopes_per_sec_16_workers
-//                           streaming parse throughput across 16 workers
+//   env_exchange_ns         one handle_http plus one classify_echo_response
+//   envelopes_per_sec_{1_worker,2_workers,4_workers}
+//                           streaming parse throughput at 1, 2 and 4 workers,
+//                           up to the CPUs the process may use
 //   campaign_cached_tests_per_sec
 //                           end-to-end study throughput
 //
@@ -39,11 +42,13 @@
 
 #include "catalog/java_catalog.hpp"
 #include "common/pool.hpp"
+#include "frameworks/invocation.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "harness.hpp"
 #include "interop/study.hpp"
 #include "soap/envelope.hpp"
+#include "soap/http.hpp"
 #include "soap/message.hpp"
 #include "soap/validate.hpp"
 #include "wsdl/parser.hpp"
@@ -133,16 +138,25 @@ int main(int argc, char** argv) {
                             if (!result.produced_artifacts()) std::exit(1);
                           }) / bytes});
 
-  // The envelope hot path: a real request off the same fixture service.
+  // The envelope hot path: a real request off the same fixture service and
+  // the response the server answers it with.
+  const std::string payload = "benchmark payload";
   Result<soap::Envelope> request =
-      soap::build_request(service.wsdl, "echo", {{"arg0", "benchmark payload"}});
-  if (!request.ok()) {
+      soap::build_request(service.wsdl, "echo", {{"arg0", payload}});
+  Result<soap::Envelope> response = soap::build_response(service.wsdl, "echo", payload);
+  if (!request.ok() || !response.ok()) {
     std::cerr << "bench_pipeline: cannot build the envelope fixture\n";
     return 1;
   }
   const std::string envelope_text = soap::write(*request);
   const double envelope_bytes = static_cast<double>(envelope_text.size());
+  const double written_bytes = envelope_bytes + static_cast<double>(soap::write(*response).size());
 
+  measurements.push_back({"env_write_ns_per_byte", time_ns([&] {
+                            if (soap::write(*request).empty() || soap::write(*response).empty()) {
+                              std::exit(1);
+                            }
+                          }) / written_bytes});
   const double stream_parse_ns = time_ns([&] {
     Result<soap::Envelope> env = soap::parse(envelope_text);
     if (!env.ok()) std::exit(1);
@@ -153,19 +167,36 @@ int main(int argc, char** argv) {
                                 soap::validate_request_text(service.wsdl, envelope_text);
                             if (!issues.ok()) std::exit(1);
                           }) / envelope_bytes});
+  // One exchange as a campaign call makes it: the server reads the request
+  // and writes its response, the client reads and classifies the response.
+  const auto server = frameworks::make_server("Metro 2.3");
+  const soap::HttpRequest http_request =
+      soap::make_soap_request("http://localhost/echo", "", envelope_text);
+  measurements.push_back({"env_exchange_ns", time_ns([&] {
+                            const soap::HttpResponse reply =
+                                server->handle_http(service, http_request);
+                            if (frameworks::classify_echo_response(reply, payload).outcome !=
+                                frameworks::EchoOutcome::kOk) {
+                              std::exit(1);
+                            }
+                          })});
 
-  // Streaming parse throughput at 16 workers: each worker parses its slice
-  // of a fixed envelope batch; the rate is envelopes over wall time.
-  {
-    const std::size_t per_slice =
-        std::max<std::size_t>(1, static_cast<std::size_t>(3e8 / (stream_parse_ns * 16.0)));
-    const std::size_t total = per_slice * 16;
+  // Streaming parse throughput at 1, 2 and 4 workers: each worker parses
+  // its slice of a fixed envelope batch; the rate is envelopes over wall
+  // time. The curve stops at the CPUs this process may use, since more
+  // workers than cores measure the scheduler, not the parser.
+  const std::size_t cpus = bench::effective_cpus();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    if (workers > cpus) break;
+    const std::size_t per_worker =
+        std::max<std::size_t>(1, static_cast<std::size_t>(3e8 / stream_parse_ns));
+    const std::size_t total = per_worker * workers;
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::size_t> parsed = parallel_slices(
-        16, 16, [&](std::size_t begin, std::size_t end) {
+        workers, workers, [&](std::size_t begin, std::size_t end) {
           std::size_t ok = 0;
           for (std::size_t i = begin; i < end; ++i) {
-            for (std::size_t n = 0; n < per_slice; ++n) {
+            for (std::size_t n = 0; n < per_worker; ++n) {
               if (soap::parse(envelope_text).ok()) ++ok;
             }
           }
@@ -179,7 +210,8 @@ int main(int argc, char** argv) {
       std::cerr << "bench_pipeline: envelope worker sweep dropped parses\n";
       return 1;
     }
-    measurements.push_back({"envelopes_per_sec_16_workers",
+    measurements.push_back({"envelopes_per_sec_" + std::to_string(workers) +
+                                (workers == 1 ? "_worker" : "_workers"),
                             elapsed.count() > 0.0
                                 ? static_cast<double>(total) / elapsed.count()
                                 : 0.0,

@@ -280,11 +280,18 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
   // pair's calls, so bursts on an early call can fail-fast later ones.
   VirtualClock clock;
   CircuitBreaker breaker(config.breaker);
-  const std::string scope =
-      round_label.empty() ? server.name() : std::string(round_label);
+  // "scope|service|client|" is the same for every call of the chain; each
+  // call appends only its number.
+  std::string call_id = round_label.empty() ? server.name() : std::string(round_label);
+  call_id += '|';
+  call_id += service.spec.service_name();
+  call_id += '|';
+  call_id += client.name();
+  call_id += '|';
+  const std::size_t prefix_size = call_id.size();
   for (std::size_t call_no = 0; call_no < config.calls_per_pair; ++call_no) {
-    const std::string call_id = scope + '|' + service.spec.service_name() + '|' +
-                                client.name() + '|' + std::to_string(call_no);
+    call_id.resize(prefix_size);
+    call_id += std::to_string(call_no);
     const CallSchedule schedule = wire.schedule(call_id);
     const CallRecord record =
         execute_call(wire, service, call, policy, schedule, clock, breaker);

@@ -78,16 +78,24 @@ bool Envelope::has_must_understand_headers() const {
   return false;
 }
 
+/// Emitted straight from the model: the frame's tags around each header
+/// entry and the payload, which are written in place. The bytes equal
+/// xml::write over the whole envelope assembled as one tree.
 std::string write(const Envelope& envelope) {
-  xml::Element root{"soapenv:Envelope"};
-  root.declare_namespace("soapenv", envelope_namespace(envelope.version()));
+  xml::Emitter out;
+  out.declaration();
+  out.start("soapenv:Envelope");
+  out.attr("xmlns:soapenv", envelope_namespace(envelope.version()));
   if (!envelope.header_entries().empty()) {
-    xml::Element& header = root.add_element("soapenv:Header");
-    for (const xml::Element& entry : envelope.header_entries()) header.add_child(entry);
+    out.start("soapenv:Header");
+    for (const xml::Element& entry : envelope.header_entries()) out.element(entry);
+    out.end();
   }
-  xml::Element& body = root.add_element("soapenv:Body");
-  body.add_child(envelope.body());
-  return xml::write(root);
+  out.start("soapenv:Body");
+  out.element(envelope.body());
+  out.end();
+  out.end();
+  return out.take();
 }
 
 Envelope detail::assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,

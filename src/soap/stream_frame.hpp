@@ -12,6 +12,7 @@
 // test suite keeps as the streaming reader's oracle.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,19 +23,61 @@
 #include "xml/node.hpp"
 #include "xml/pull.hpp"
 #include "xml/qname.hpp"
-#include "xml/query.hpp"
 
 namespace wsx::soap::detail {
 
 /// What one streaming pass over an envelope learns about its frame.
+///
+/// The root's name is resolved off its start tag with NamespaceScope's rule
+/// for a scope that holds only the root's own declarations (see
+/// resolve_root), and kept as four facts: whether it resolved, its local
+/// name, its interned namespace and the namespace URI, which only the
+/// soap.version-mismatch message reads. The two views alias the
+/// tokenizer's input or arena (or a well-known URI constant), so the frame
+/// is valid while the tokenizer that filled it lives.
 struct EnvelopeFrame {
-  /// Root name + attributes only — enough for NamespaceScope resolution of
-  /// the root QName; no children are ever attached.
-  xml::Element root_probe;
+  bool root_resolved = false;  ///< false: the root's prefix is undeclared
+  std::string_view root_local;
+  xml::ns::Id root_namespace = xml::ns::Id::kNone;
+  std::string_view root_uri;
   bool have_body = false;
   bool have_payload = false;
   std::string payload_local;  ///< local name of the first Body payload
 };
+
+/// The URI `prefix` is bound to on `tag` alone: the first xmlns / xmlns:p
+/// declaration of that prefix on the tag, else the always-bound `xml`
+/// prefix; nullopt when neither binds it.
+inline std::optional<std::string_view> declared_namespace(const xml::pull::Token& tag,
+                                                          std::string_view prefix) {
+  for (std::size_t i = 0; i < tag.attr_count; ++i) {
+    const std::string_view name = tag.attrs[i].name;
+    // NamespaceScope::declare: "xmlns" and "xmlns:" both bind the empty prefix.
+    const bool binds = name == "xmlns" ? prefix.empty()
+                                       : name.size() == 6 + prefix.size() &&
+                                             name.substr(0, 6) == "xmlns:" &&
+                                             name.substr(6) == prefix;
+    if (binds) return tag.attrs[i].value;
+  }
+  if (prefix == "xml") return xml::ns::kXmlNs;
+  return std::nullopt;
+}
+
+/// Resolves the root start tag's name into `frame` as NamespaceScope::resolve
+/// does for an element name: an unprefixed name takes the default namespace
+/// or none; a prefixed one (also ":local", whose prefix is empty) resolves
+/// only when its prefix is bound.
+inline void resolve_root(const xml::pull::Token& root, EnvelopeFrame& frame) {
+  const std::size_t colon = root.name.find(':');
+  const std::optional<std::string_view> uri =
+      declared_namespace(root, colon == std::string_view::npos ? std::string_view{}
+                                                               : root.name.substr(0, colon));
+  frame.root_resolved = colon == std::string_view::npos || uri.has_value();
+  if (!frame.root_resolved) return;
+  frame.root_local = colon == std::string_view::npos ? root.name : root.name.substr(colon + 1);
+  frame.root_uri = uri.value_or(std::string_view{});
+  frame.root_namespace = xml::ns::intern(frame.root_uri);
+}
 
 /// Walks a complete envelope document on `tok`. `on_header_entry(tok,
 /// start)` and `on_payload(tok, start)` are invoked with the kStartElement
@@ -57,14 +100,7 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
   // Prolog + misc, then the root start tag.
   const xml::pull::Token* root = xml::pull::next_root(tok);
   if (root == nullptr) return tok.error();
-  frame.root_probe = xml::Element{std::string(root->name)};
-  if (root->attr_count > 0) {
-    frame.root_probe.attributes().reserve(root->attr_count);
-    for (std::size_t i = 0; i < root->attr_count; ++i) {
-      frame.root_probe.attributes().push_back(
-          xml::Attribute{std::string(root->attrs[i].name), std::string(root->attrs[i].value)});
-    }
-  }
+  resolve_root(*root, frame);
 
   bool have_header = false;
   // Direct children of the root.
@@ -148,22 +184,19 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
 /// presence → payload presence. Returns the envelope version or the first
 /// soap.* error.
 inline Result<SoapVersion> check_envelope_frame(const EnvelopeFrame& frame) {
-  xml::NamespaceScope scope;
-  scope.push(frame.root_probe);
-  const std::optional<xml::QName> root_name = scope.resolve(frame.root_probe.name());
-  if (!root_name || root_name->local_name() != "Envelope") {
+  if (!frame.root_resolved || frame.root_local != "Envelope") {
     return Error{"soap.not-an-envelope", "root element is not a SOAP Envelope"};
   }
   SoapVersion version;
-  // Interned-id comparisons: the QName constructor already classified the
-  // URI, so the per-envelope version check is two integer compares.
-  if (root_name->namespace_id() == xml::ns::Id::kSoapEnvelope) {
+  // The URI was interned once when the root resolved, so the version check
+  // is two integer compares.
+  if (frame.root_namespace == xml::ns::Id::kSoapEnvelope) {
     version = SoapVersion::k11;
-  } else if (root_name->namespace_id() == xml::ns::Id::kSoap12Envelope) {
+  } else if (frame.root_namespace == xml::ns::Id::kSoap12Envelope) {
     version = SoapVersion::k12;
   } else {
     return Error{"soap.version-mismatch",
-                 "unknown envelope namespace '" + root_name->namespace_uri() + "'"};
+                 "unknown envelope namespace '" + std::string(frame.root_uri) + "'"};
   }
   if (!frame.have_body) return Error{"soap.missing-body", "envelope has no soap:Body"};
   if (!frame.have_payload) return Error{"soap.empty-body", "soap:Body has no payload element"};

@@ -71,7 +71,7 @@ std::vector<Element*> Element::child_elements() {
 const Element* Element::child(std::string_view local_name) const {
   for (const Node& node : children_) {
     if (const Element* e = node.as_element()) {
-      if (e->local_name() == local_name) return e;
+      if (local_part(e->name()) == local_name) return e;
     }
   }
   return nullptr;
@@ -80,7 +80,7 @@ const Element* Element::child(std::string_view local_name) const {
 Element* Element::child(std::string_view local_name) {
   for (Node& node : children_) {
     if (Element* e = node.as_element()) {
-      if (e->local_name() == local_name) return e;
+      if (local_part(e->name()) == local_name) return e;
     }
   }
   return nullptr;
@@ -90,7 +90,7 @@ std::vector<const Element*> Element::children_named(std::string_view local_name)
   std::vector<const Element*> out;
   for (const Node& node : children_) {
     if (const Element* e = node.as_element()) {
-      if (e->local_name() == local_name) out.push_back(e);
+      if (local_part(e->name()) == local_name) out.push_back(e);
     }
   }
   return out;
@@ -99,7 +99,7 @@ std::vector<const Element*> Element::children_named(std::string_view local_name)
 bool Element::remove_child(std::string_view local_name) {
   for (auto it = children_.begin(); it != children_.end(); ++it) {
     if (const Element* element = it->as_element()) {
-      if (element->local_name() == local_name) {
+      if (local_part(element->name()) == local_name) {
         children_.erase(it);
         return true;
       }

@@ -27,45 +27,67 @@ Element element_from(const pull::Token& token) {
   return element;
 }
 
-}  // namespace
-
-Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
-                                const ParseOptions& options) {
-  Element root = element_from(start);
-  // Ancestor chain into the tree under construction. Pointers stay valid:
-  // only the top element's children vector ever grows, and no pointer to a
-  // sibling below the top is retained.
-  std::vector<Element*> open{&root};
-  while (!open.empty()) {
+/// Reads the content of `element`, whose start tag was just consumed,
+/// through its end tag; false when the tokenizer fails (see
+/// Tokenizer::error()). Recursion replaces an ancestor stack: the
+/// tokenizer's max_depth bounds it, and `element` stays put because only
+/// the innermost element's children grow.
+///
+/// Whitespace-only character data is indentation between child nodes and
+/// is dropped there; when it is the element's only content it is the value
+/// itself (an xs:string of blanks) and is kept.
+bool collect_content(pull::Tokenizer& tok, Element& element, const ParseOptions& options) {
+  bool only_blank = false;  // every child so far is whitespace-only text
+  const auto drop_blank = [&] {
+    if (only_blank) element.children().clear();
+    only_blank = false;
+  };
+  for (;;) {
     const pull::Token& token = tok.next();
     switch (token.kind) {
       case pull::TokenKind::kStartElement: {
-        Element& parent = *open.back();
-        if (parent.children().empty()) parent.children().reserve(4);
-        open.push_back(&parent.add_child(element_from(token)));
+        drop_blank();
+        if (element.children().empty()) element.children().reserve(4);
+        Element& child = element.add_child(element_from(token));
+        if (!collect_content(tok, child, options)) return false;
         break;
       }
       case pull::TokenKind::kEndElement:
-        open.pop_back();
-        break;
+        return true;
       case pull::TokenKind::kText:
-        // Whitespace-only runs (pretty-printed indentation) are dropped,
-        // matching the historical DOM behaviour.
-        if (!trim(token.value).empty()) open.back()->add_text(std::string(token.value));
+        if (trim(token.value).empty()) {
+          if (!element.children().empty() && !only_blank) break;
+          only_blank = true;
+        } else {
+          drop_blank();
+        }
+        element.add_text(std::string(token.value));
         break;
       case pull::TokenKind::kCData:
-        open.back()->add_cdata(std::string(token.value));
+        drop_blank();
+        element.add_cdata(std::string(token.value));
         break;
       case pull::TokenKind::kComment:
-        if (options.keep_comments) open.back()->add_comment(std::string(token.value));
+        if (options.keep_comments) {
+          drop_blank();
+          element.add_comment(std::string(token.value));
+        }
         break;
       case pull::TokenKind::kPi:
         break;  // skipped, as before
       default:
         // kError / kNeedMore (and, defensively, anything else mid-subtree).
-        return tok.error();
+        return false;
     }
   }
+}
+
+}  // namespace
+
+Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
+                                const ParseOptions& options) {
+  Element root = element_from(start);
+  if (!collect_content(tok, root, options)) return tok.error();
   return root;
 }
 

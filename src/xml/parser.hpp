@@ -33,9 +33,9 @@ Result<Element> parse_element(std::string_view input, const ParseOptions& option
 /// Materialises the element whose kStartElement token was just returned by
 /// `tok` into a DOM subtree, consuming the stream through its matching end
 /// tag. Construction rules are identical to parse() — whitespace-only text
-/// dropped, comments per `options` — so streaming consumers that need a
-/// tree for one subtree (a SOAP body payload, a header entry) get exactly
-/// what the DOM path would have built.
+/// dropped unless it is an element's only content, comments per `options` —
+/// so streaming consumers that need a tree for one subtree (a SOAP body
+/// payload, a header entry) get exactly what the DOM path would have built.
 Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
                                 const ParseOptions& options = {});
 

@@ -59,15 +59,23 @@ void append_utf8(char*& out, unsigned long cp) {
   }
 }
 
-/// Extracts version="..."/encoding="..." views from the prolog text.
+/// Extracts version="..."/encoding="..." views from the prolog text: the
+/// first quoted run after the key's first occurrence. The scans are plain
+/// byte loops; string_view's find/find_first_of call memchr per candidate
+/// byte, which costs more than the short prolog itself.
 std::string_view pseudo_attribute(std::string_view prolog, std::string_view key) {
-  const std::size_t key_pos = prolog.find(key);
-  if (key_pos == std::string_view::npos) return {};
-  const std::size_t quote = prolog.find_first_of("\"'", key_pos);
-  if (quote == std::string_view::npos) return {};
-  const char q = prolog[quote];
-  const std::size_t close = prolog.find(q, quote + 1);
-  if (close == std::string_view::npos) return {};
+  std::size_t key_pos = 0;
+  while (key_pos + key.size() <= prolog.size() &&
+         (prolog[key_pos] != key[0] || prolog.compare(key_pos, key.size(), key) != 0)) {
+    ++key_pos;
+  }
+  if (key_pos + key.size() > prolog.size()) return {};
+  std::size_t quote = key_pos;
+  while (quote < prolog.size() && prolog[quote] != '"' && prolog[quote] != '\'') ++quote;
+  if (quote == prolog.size()) return {};
+  std::size_t close = quote + 1;
+  while (close < prolog.size() && prolog[close] != prolog[quote]) ++close;
+  if (close == prolog.size()) return {};
   return prolog.substr(quote + 1, close - quote - 1);
 }
 
@@ -168,8 +176,10 @@ const Token& Tokenizer::scan_start_of_document() {
   const std::string_view rest = in.substr(pos_);
   if (is_prefix_of(rest, "<?xml") && !finished_) return emit_need_more(start);
   if (rest.substr(0, 5) == "<?xml") {
-    const std::size_t end = in.find("?>", pos_);
-    if (end == std::string_view::npos) {
+    // A byte loop to the "?>": find() would call memchr at every '?'.
+    std::size_t end = pos_ + 5;
+    while (end + 1 < in.size() && (in[end] != '?' || in[end + 1] != '>')) ++end;
+    if (end + 1 >= in.size()) {
       if (!finished_) return emit_need_more(start);
       // Malformed prolog: leave it for the misc scanner, which consumes it
       // as an unterminated PI and reports "no root element" (the DOM
@@ -267,16 +277,23 @@ const Token& Tokenizer::scan_content() {
                       "missing end tag for '" + std::string(stack_.back()) + "'", pos_);
   }
   if (in[pos_] != '<') {
-    // Character data up to the next markup.
-    const std::size_t lt = in.find('<', pos_);
-    if (lt == std::string_view::npos && !finished_) return emit_need_more(start);
-    const std::size_t run_end = lt == std::string_view::npos ? in.size() : lt;
-    std::string_view decoded;
-    if (!decode(in.substr(pos_, run_end - pos_), run_end, decoded)) return token_;
+    // Character data up to the next markup, noting whether it holds an
+    // entity. The runs are short (indentation, values), where one byte loop
+    // costs less than a memchr for '<' plus the decoder's memchr for '&'.
+    std::size_t run_end = pos_;
+    bool has_entity = false;
+    for (; run_end < in.size(); ++run_end) {
+      const char c = in[run_end];
+      if (c == '<') break;
+      has_entity |= c == '&';
+    }
+    if (run_end == in.size() && !finished_) return emit_need_more(start);
+    std::string_view text = in.substr(pos_, run_end - pos_);
+    if (has_entity && !decode(text, run_end, text)) return token_;
     pos_ = run_end;
     token_ = Token{};
     token_.kind = TokenKind::kText;
-    token_.value = decoded;
+    token_.value = text;
     return token_;
   }
   // Markup: dispatch on the character after '<'.
@@ -441,8 +458,17 @@ bool Tokenizer::scan_attribute() {
   const char quote = in[pos_];
   ++pos_;
   const std::size_t value_start = pos_;
-  const std::size_t stop = in.find_first_of(quote == '"' ? "\"<" : "'<", pos_);
-  if (stop == std::string_view::npos) {
+  // The value ends at its quote; a '<' before it is an error. One loop
+  // stops at either and notes whether an entity needs decoding
+  // (find_first_of would call memchr once per byte).
+  std::size_t stop = pos_;
+  bool has_entity = false;
+  for (; stop < in.size(); ++stop) {
+    const char c = in[stop];
+    if (c == quote || c == '<') break;
+    has_entity |= c == '&';
+  }
+  if (stop == in.size()) {
     if (!finished_) {
       token_ = Token{};
       token_.kind = TokenKind::kNeedMore;
@@ -457,8 +483,8 @@ bool Tokenizer::scan_attribute() {
     emit_error("xml.lt-in-attr", "'<' not allowed in attribute value", pos_);
     return false;
   }
-  std::string_view value;
-  if (!decode(in.substr(value_start, stop - value_start), stop, value)) return false;
+  std::string_view value = in.substr(value_start, stop - value_start);
+  if (has_entity && !decode(value, stop, value)) return false;
   ++pos_;  // closing quote
   for (const AttrView& existing : attrs_) {
     if (existing.name == name) {

@@ -36,7 +36,12 @@ std::string escape_attribute(std::string_view text);
 /// add its attributes before any content, and close it with end().
 class Emitter {
  public:
-  explicit Emitter(const WriteOptions& options = {}) : options_(options) { open_.reserve(16); }
+  explicit Emitter(const WriteOptions& options = {}) : options_(options) {
+    // One allocation holds a whole SOAP envelope; larger documents grow
+    // from there instead of from empty.
+    out_.reserve(512);
+    open_.reserve(16);
+  }
 
   /// `<?xml version="…" encoding="…"?>` on a line of its own.
   void declaration(std::string_view version = "1.0", std::string_view encoding = "UTF-8");

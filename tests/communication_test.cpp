@@ -4,6 +4,7 @@
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
+#include "frameworks/invocation.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/communication.hpp"
 #include "soap/http.hpp"
@@ -63,6 +64,19 @@ TEST_F(HttpEndpoint, EchoOverHttpSucceeds) {
   Result<soap::Envelope> envelope = soap::parse(response.body);
   ASSERT_TRUE(envelope.ok());
   EXPECT_EQ(soap::response_value(*envelope).value(), "ping");
+}
+
+TEST_F(HttpEndpoint, BlankPayloadEchoesUnchanged) {
+  // A single space is a value, not indentation: the server must read it,
+  // echo it back, and the client must see it unchanged.
+  const auto server = frameworks::make_server("Metro 2.3");
+  const soap::HttpResponse response = server->handle_http(service(), echo_request(" "));
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(frameworks::classify_echo_response(response, " ").outcome,
+            frameworks::EchoOutcome::kOk);
+  Result<soap::Envelope> envelope = soap::parse(response.body);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(soap::response_value(*envelope).value(), " ");
 }
 
 TEST_F(HttpEndpoint, RejectsNonPost) {

@@ -137,12 +137,14 @@ TEST(Message, ResponseValueRejectsNonResponsePayloads) {
 }
 
 TEST(Message, WireRoundTripPreservesValues) {
-  Result<Envelope> request =
-      build_request(echo_defs(), "echo", {{"arg0", "<xml> & entities"}});
-  ASSERT_TRUE(request.ok());
-  Result<Envelope> reparsed = parse(write(*request));
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(request_arguments(*reparsed).front().value, "<xml> & entities");
+  // Blank values are xs:string content like any other, not indentation.
+  for (const std::string value : {"<xml> & entities", " ", "\t", "\n "}) {
+    Result<Envelope> request = build_request(echo_defs(), "echo", {{"arg0", value}});
+    ASSERT_TRUE(request.ok());
+    Result<Envelope> reparsed = parse(write(*request));
+    ASSERT_TRUE(reparsed.ok());
+    EXPECT_EQ(request_arguments(*reparsed).front().value, value);
+  }
 }
 
 // Duplicate-header semantics are pinned (http.hpp): first-wins lookup,

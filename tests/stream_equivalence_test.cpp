@@ -433,5 +433,119 @@ TEST(StreamEquivalence, VersionRoundTrafficIsEquivalentOnBothReaders) {
   EXPECT_GT(calls, 500u);
 }
 
+TEST(StreamEquivalence, RootNamesResolveAsNamespaceScopeDoes) {
+  // soap::parse resolves the root off its start tag; the oracle resolves it
+  // with xml::NamespaceScope. Each root below probes one rule of the scope.
+  const std::string soap11 = kSoap11;
+  const std::string soap12 = kSoap12;
+  const auto root = [](const std::string& name, const std::string& declarations) {
+    return "<" + name + declarations + "><Body><op/></Body></" + name + ">";
+  };
+  struct Case {
+    std::string text;
+    std::string code;  // empty: a well-formed envelope
+    std::string message;
+  };
+  const std::string not_envelope = "root element is not a SOAP Envelope";
+  const std::vector<Case> cases = {
+      // The empty prefix of ":Envelope" is bound only by a default namespace.
+      {root(":Envelope", ""), "soap.not-an-envelope", not_envelope},
+      {root(":Envelope", " xmlns=\"" + soap11 + "\""), "", ""},
+      {root(":Envelope", " xmlns:=\"" + soap12 + "\""), "", ""},
+      // "xml" is always bound, unless the root rebinds it.
+      {root("xml:Envelope", ""), "soap.version-mismatch",
+       "unknown envelope namespace 'http://www.w3.org/XML/1998/namespace'"},
+      {root("xml:Envelope", " xmlns:xml=\"" + soap11 + "\""), "", ""},
+      {root("u:Envelope", ""), "soap.not-an-envelope", not_envelope},
+      {root("u:Envelope", " xmlns:v=\"" + soap11 + "\""), "soap.not-an-envelope", not_envelope},
+      {root("Envelope", " xmlns=\"" + soap12 + "\""), "", ""},
+      {root("Envelope", " xmlns=\"\""), "soap.version-mismatch",
+       "unknown envelope namespace ''"},
+      {root("s:Envelope", " xmlns:s=\"" + soap12 + "\""), "", ""},
+      {root("s:Envelope", " xmlns:s=\"urn:foreign\""), "soap.version-mismatch",
+       "unknown envelope namespace 'urn:foreign'"},
+      {root("s:Envelpe", " xmlns:s=\"" + soap11 + "\""), "soap.not-an-envelope", not_envelope},
+      // The first declaration of a prefix wins.
+      {root("Envelope", " xmlns:=\"urn:first\" xmlns=\"" + soap11 + "\""),
+       "soap.version-mismatch", "unknown envelope namespace 'urn:first'"},
+      // A decoded URI still interns to its version.
+      {root("s:Envelope", " xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope&#x2F;\""), "", ""},
+  };
+  for (const Case& c : cases) {
+    const Snapshot snap = expect_equivalent(c.text);
+    EXPECT_EQ(snap.error_code, c.code) << c.text;
+    EXPECT_EQ(snap.error_message, c.message) << c.text;
+  }
+}
+
+TEST(StreamEquivalence, WriterMatchesTheTreeWriter) {
+  // soap::write emits straight from the model; testing::write_envelope_dom
+  // builds the whole envelope as a tree first. Same bytes, on the fault
+  // shapes of both versions and on the version rounds' traffic.
+  const auto expect_same_bytes = [](const soap::Envelope& envelope) {
+    EXPECT_EQ(soap::write(envelope), wsx::testing::write_envelope_dom(envelope));
+  };
+  for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
+    for (const soap::Fault& fault :
+         {soap::Fault{"soap:Client", "bad things & worse", "detail <text>"},
+          soap::Fault{"soap:Server", "boom", ""},
+          soap::Fault{"soap:MustUnderstand", "header not understood", ""}}) {
+      soap::Envelope envelope = soap::Envelope::make_fault(fault, version);
+      expect_same_bytes(envelope);
+      soap::apply_hybrid_profile(envelope, soap::HybridProfile::kSecured, "echo");
+      expect_same_bytes(envelope);
+    }
+  }
+
+  const std::vector<frameworks::VersionPolicy> versions = {frameworks::VersionPolicy::kStrict,
+                                                           frameworks::VersionPolicy::kShadedCxf};
+  const catalog::TypeCatalog java = catalog::make_java_catalog(wsx::testing::small_java_spec());
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(wsx::testing::small_dotnet_spec());
+  const std::vector<frameworks::ServiceSpec> java_services = frameworks::make_services(java);
+  const std::vector<frameworks::ServiceSpec> dotnet_services = frameworks::make_services(dotnet);
+  const auto servers = frameworks::make_servers();
+  const auto clients = frameworks::make_clients();
+  const std::vector<soap::HybridProfile> profiles = frameworks::client_profiles(clients, versions);
+  std::size_t envelopes = 0;
+  for (const frameworks::Round& round :
+       frameworks::make_rounds(servers, java_services, dotnet_services, versions)) {
+    for (const frameworks::ServiceSpec& spec : *round.services) {
+      Result<frameworks::DeployedService> service = round.server->deploy(spec);
+      if (!service.ok()) continue;
+      const frameworks::SharedDescription description =
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
+      for (std::size_t i = 0; i < clients.size(); ++i) {
+        const frameworks::PreparedCall call = frameworks::prepare_echo_call(
+            *service, description, *clients[i], /*compiler=*/nullptr, profiles[i]);
+        if (call.status != frameworks::PreparedCall::Status::kReady) continue;
+        // The envelopes the call was made of, built again from the model...
+        Result<soap::Envelope> request =
+            soap::build_request(service->wsdl, call.operation, {{"arg0", call.payload}});
+        ASSERT_TRUE(request.ok());
+        expect_same_bytes(*request);
+        soap::apply_hybrid_profile(*request, profiles[i], call.operation);
+        expect_same_bytes(*request);
+        for (const std::string& value : {call.payload, std::string()}) {
+          Result<soap::Envelope> response =
+              soap::build_response(service->wsdl, call.operation, value);
+          ASSERT_TRUE(response.ok());
+          expect_same_bytes(*response);
+        }
+        // ...and the traffic itself, read back.
+        for (const std::string& text :
+             {call.request.body, call.downgrade_request.body,
+              round.server->handle_http(*service, call.request, *round.policy).body}) {
+          Result<soap::Envelope> envelope = soap::parse(text);
+          ASSERT_TRUE(envelope.ok()) << text;
+          expect_same_bytes(*envelope);
+          ++envelopes;
+        }
+      }
+    }
+  }
+  EXPECT_GT(envelopes, 1500u);
+}
+
 }  // namespace
 }  // namespace wsx

@@ -16,6 +16,8 @@
 #include "soap/stream_frame.hpp"
 #include "wsdl/model.hpp"
 #include "xml/parser.hpp"
+#include "xml/query.hpp"
+#include "xml/writer.hpp"
 
 namespace wsx::testing {
 
@@ -112,15 +114,24 @@ inline std::vector<SeededService> seeded_corpus(const frameworks::ServerFramewor
 
 /// The DOM envelope reader that soap::parse replaced, kept as the oracle the
 /// stream packs hold the streaming reader to: materialise the whole
-/// document, then inspect it. It shares the frame checks and the model build
+/// document, then inspect it. It resolves the root's name with
+/// xml::NamespaceScope, the rule the streaming reader re-implements on the
+/// start tag, and shares the frame checks and the model build
 /// (soap/stream_frame.hpp) with the streaming reader.
 inline Result<soap::Envelope> parse_envelope_dom(std::string_view text) {
   Result<xml::Element> root = xml::parse_element(text);
   if (!root.ok()) return root.error();
 
   soap::detail::EnvelopeFrame frame;
-  frame.root_probe = xml::Element{root.value().name()};
-  frame.root_probe.attributes() = root.value().attributes();
+  xml::NamespaceScope scope;
+  scope.push(root.value());
+  const std::optional<xml::QName> root_name = scope.resolve(root.value().name());
+  frame.root_resolved = root_name.has_value();
+  if (root_name) {
+    frame.root_local = root_name->local_name();
+    frame.root_namespace = root_name->namespace_id();
+    frame.root_uri = root_name->namespace_uri();
+  }
 
   std::vector<xml::Element> headers;
   if (const xml::Element* header = root.value().child("Header")) {
@@ -140,6 +151,21 @@ inline Result<soap::Envelope> parse_envelope_dom(std::string_view text) {
   if (!version.ok()) return version.error();
   return soap::detail::assemble_envelope(version.value(), std::move(headers),
                                          std::move(*payload));
+}
+
+/// The tree-building envelope writer that soap::write replaced, kept as the
+/// oracle its bytes are held to: assemble the whole envelope as one DOM
+/// (deep copies of every header entry and the payload), then serialise it.
+inline std::string write_envelope_dom(const soap::Envelope& envelope) {
+  xml::Element root{"soapenv:Envelope"};
+  root.declare_namespace("soapenv", soap::envelope_namespace(envelope.version()));
+  if (!envelope.header_entries().empty()) {
+    xml::Element& header = root.add_element("soapenv:Header");
+    for (const xml::Element& entry : envelope.header_entries()) header.add_child(entry);
+  }
+  xml::Element& body = root.add_element("soapenv:Body");
+  body.add_child(envelope.body());
+  return xml::write(root);
 }
 
 /// A minimal, fully WS-I-compliant echo description (document/literal

@@ -136,11 +136,29 @@ TEST(PullTokenizer, EmitsExpectedEventSequence) {
 }
 
 TEST(PullTokenizer, ReportsPrologVersionAndEncoding) {
-  Tokenizer tok{"<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?><a/>"};
-  const Token& start = tok.next();
-  ASSERT_EQ(start.kind, TokenKind::kStartDocument);
-  EXPECT_EQ(start.version, "1.1");
-  EXPECT_EQ(start.encoding, "ISO-8859-1");
+  struct Case {
+    std::string input;
+    std::string_view version;
+    std::string_view encoding;
+    bool encoding_present;
+  };
+  // The last two pin the scan's quirks: a pseudo-attribute's value is the
+  // next quoted run after its key, and an unquoted one reads as absent.
+  const std::vector<Case> cases = {
+      {"<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?><a/>", "1.1", "ISO-8859-1", true},
+      {"<?xml version='1.0' encoding=\"UTF-8\"?><a/>", "1.0", "UTF-8", true},
+      {"<?xml version=\"1.1\" encoding='ISO-8859-1'?><a/>", "1.1", "ISO-8859-1", true},
+      {"<?xml version=1.0 encoding=\"x\"?><a/>", "x", "x", true},
+      {"<?xml version=\"1.0\" encoding=UTF-8?><a/>", "1.0", "", false},
+  };
+  for (const Case& c : cases) {
+    Tokenizer tok{c.input};
+    const Token& start = tok.next();
+    ASSERT_EQ(start.kind, TokenKind::kStartDocument) << c.input;
+    EXPECT_EQ(start.version, c.version) << c.input;
+    EXPECT_EQ(start.encoding, c.encoding) << c.input;
+    EXPECT_EQ(start.encoding.data() != nullptr, c.encoding_present) << c.input;
+  }
 }
 
 TEST(PullTokenizer, NoPrologLeavesVersionUnset) {
@@ -317,6 +335,73 @@ TEST(PullTokenizer, ErrorCodesMatchDomParser) {
       EXPECT_EQ(stream.error_message, dom.error().message) << "input: " << text;
     }
   }
+}
+
+// Attribute values and prolog pseudo-attributes are scanned in one pass
+// that stops at the quote or '<'. The codes and messages below are literal
+// (rendered by the find_first_of scan it replaced), so a moved error
+// position fails here even though the DOM parser shares the tokenizer.
+TEST(PullTokenizer, AttributeValueErrorsArePinned) {
+  struct Case {
+    std::string input;
+    std::string code;  // empty: the document is well-formed
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"<a x=\"abc", "xml.unterminated-attr",
+       "unterminated attribute value at line 1, column 10"},
+      {"<a x='abc", "xml.unterminated-attr",
+       "unterminated attribute value at line 1, column 10"},
+      {"<a x=\"a<b\"/>", "xml.lt-in-attr",
+       "'<' not allowed in attribute value at line 1, column 8"},
+      {"<a x='a<b'/>", "xml.lt-in-attr",
+       "'<' not allowed in attribute value at line 1, column 8"},
+      {"<a x=\"it's\"/>", "", ""},
+      {"<a x='say \"hi\"'/>", "", ""},
+      {"<a x=\"it's", "xml.unterminated-attr",
+       "unterminated attribute value at line 1, column 11"},
+      {"<a x='say \"hi\"", "xml.unterminated-attr",
+       "unterminated attribute value at line 1, column 15"},
+      {"<a x=\"&amp;&lt;\"/>", "", ""},
+      {"<a x=\"&bogus;\"/>", "xml.unknown-entity",
+       "unknown entity '&bogus;' at line 1, column 14"},
+      {"<a x='&#xZZ;'/>", "xml.bad-entity",
+       "malformed character reference at line 1, column 13"},
+      {"<a x=\"&unterminated\"/>", "xml.bad-entity",
+       "unterminated entity at line 1, column 20"},
+      {"<r>\n  <a\n     x=\"1\"\n     y=\"a<b\"/>\n</r>", "xml.lt-in-attr",
+       "'<' not allowed in attribute value at line 4, column 10"},
+      {"<r>\n  <a x='1'\n     y='open\n</r>", "xml.lt-in-attr",
+       "'<' not allowed in attribute value at line 4, column 1"},
+      {"<r>\n  <a x=\"1\"\n     y=\"&nope;\"/>\n</r>", "xml.unknown-entity",
+       "unknown entity '&nope;' at line 3, column 15"},
+  };
+  for (const Case& c : cases) {
+    const PullRun whole = run_one_shot(c.input);
+    EXPECT_EQ(whole.error_code, c.code) << "input: " << c.input;
+    EXPECT_EQ(whole.error_message, c.message) << "input: " << c.input;
+    const PullRun fed = run_incremental(c.input, 1);
+    EXPECT_EQ(fed.error_code, c.code) << "byte by byte: " << c.input;
+    EXPECT_EQ(fed.error_message, c.message) << "byte by byte: " << c.input;
+    EXPECT_EQ(fed.events, whole.events) << "byte by byte: " << c.input;
+  }
+
+  // The other quote kind is plain content, and the start tag keeps the
+  // position of its '<' when its attributes span lines.
+  const PullRun quoted = run_one_shot("<a x=\"it's\" y='say \"hi\"'/>");
+  ASSERT_FALSE(quoted.events.empty());
+  EXPECT_EQ(quoted.events[1].attrs,
+            (std::vector<std::pair<std::string, std::string>>{{"x", "it's"},
+                                                              {"y", "say \"hi\""}}));
+  Tokenizer tok{"<r>\n  <a\n     x=\"1\"\n     y='2'/>\n</r>"};
+  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
+  ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);
+  ASSERT_EQ(tok.next().kind, TokenKind::kText);
+  const Token& spanning = tok.next();
+  ASSERT_EQ(spanning.kind, TokenKind::kStartElement);
+  EXPECT_EQ(spanning.line, 2u);
+  EXPECT_EQ(spanning.column, 3u);
+  EXPECT_EQ(spanning.attribute("y"), "2");
 }
 
 TEST(PullTokenizer, IncrementalFeedMatchesOneShot) {
