@@ -23,6 +23,7 @@
 #include "xml/node.hpp"
 #include "xml/pull.hpp"
 #include "xml/qname.hpp"
+#include "xml/query.hpp"
 
 namespace wsx::soap::detail {
 
@@ -45,33 +46,14 @@ struct EnvelopeFrame {
   std::string payload_local;  ///< local name of the first Body payload
 };
 
-/// The URI `prefix` is bound to on `tag` alone: the first xmlns / xmlns:p
-/// declaration of that prefix on the tag, else the always-bound `xml`
-/// prefix; nullopt when neither binds it.
-inline std::optional<std::string_view> declared_namespace(const xml::pull::Token& tag,
-                                                          std::string_view prefix) {
-  for (std::size_t i = 0; i < tag.attr_count; ++i) {
-    const std::string_view name = tag.attrs[i].name;
-    // NamespaceScope::declare: "xmlns" and "xmlns:" both bind the empty prefix.
-    const bool binds = name == "xmlns" ? prefix.empty()
-                                       : name.size() == 6 + prefix.size() &&
-                                             name.substr(0, 6) == "xmlns:" &&
-                                             name.substr(6) == prefix;
-    if (binds) return tag.attrs[i].value;
-  }
-  if (prefix == "xml") return xml::ns::kXmlNs;
-  return std::nullopt;
-}
-
 /// Resolves the root start tag's name into `frame` as NamespaceScope::resolve
 /// does for an element name: an unprefixed name takes the default namespace
 /// or none; a prefixed one (also ":local", whose prefix is empty) resolves
 /// only when its prefix is bound.
 inline void resolve_root(const xml::pull::Token& root, EnvelopeFrame& frame) {
   const std::size_t colon = root.name.find(':');
-  const std::optional<std::string_view> uri =
-      declared_namespace(root, colon == std::string_view::npos ? std::string_view{}
-                                                               : root.name.substr(0, colon));
+  const std::optional<std::string_view> uri = xml::bound_namespace(
+      root, colon == std::string_view::npos ? std::string_view{} : root.name.substr(0, colon));
   frame.root_resolved = colon == std::string_view::npos || uri.has_value();
   if (!frame.root_resolved) return;
   frame.root_local = colon == std::string_view::npos ? root.name : root.name.substr(colon + 1);

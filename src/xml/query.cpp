@@ -4,6 +4,21 @@
 
 namespace wsx::xml {
 
+std::optional<std::string_view> declared_prefix(std::string_view attr_name) {
+  if (attr_name == "xmlns") return std::string_view{};
+  if (starts_with(attr_name, "xmlns:")) return attr_name.substr(6);
+  return std::nullopt;
+}
+
+std::optional<std::string_view> bound_namespace(const pull::Token& start_tag,
+                                                std::string_view prefix) {
+  for (std::size_t i = 0; i < start_tag.attr_count; ++i) {
+    if (declared_prefix(start_tag.attrs[i].name) == prefix) return start_tag.attrs[i].value;
+  }
+  if (prefix == "xml") return ns::kXmlNs;
+  return std::nullopt;
+}
+
 NamespaceScope::NamespaceScope() {
   // Room for a document root's declarations and a schema's nesting, so a
   // parse grows neither vector.
@@ -14,10 +29,8 @@ NamespaceScope::NamespaceScope() {
 }
 
 void NamespaceScope::declare(std::string_view attr_name, std::string_view value) {
-  if (attr_name == "xmlns") {
-    bindings_.push_back({"", std::string(value)});
-  } else if (starts_with(attr_name, "xmlns:")) {
-    bindings_.push_back({std::string(attr_name.substr(6)), std::string(value)});
+  if (const std::optional<std::string_view> prefix = declared_prefix(attr_name)) {
+    bindings_.push_back({std::string(*prefix), std::string(value)});
   }
 }
 

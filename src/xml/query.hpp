@@ -13,6 +13,16 @@
 
 namespace wsx::xml {
 
+/// The prefix an attribute declares: "" for `xmlns` (and `xmlns:`), "p"
+/// for `xmlns:p`; nullopt when the attribute declares none.
+std::optional<std::string_view> declared_prefix(std::string_view attr_name);
+
+/// The URI `prefix` is bound to when `start_tag` alone is in scope: its
+/// first declaration of that prefix, else the always-bound `xml`; nullopt
+/// when neither binds it. NamespaceScope's rule, without building a scope.
+std::optional<std::string_view> bound_namespace(const pull::Token& start_tag,
+                                                std::string_view prefix);
+
 /// Lexically-scoped namespace environment. Push a frame per element while
 /// walking the tree; lookups see the innermost binding of a prefix.
 class NamespaceScope {
