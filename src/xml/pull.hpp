@@ -158,14 +158,15 @@ class Tokenizer {
   /// Storage for the first 16 open names and 8 attributes of a start tag,
   /// inside the tokenizer, so a typical document allocates for neither; a
   /// deeper or wider one grows past it onto the heap.
-  alignas(std::max_align_t) std::byte scratch_[16 * sizeof(std::string_view) +
-                                               8 * sizeof(AttrView)];
-  std::pmr::monotonic_buffer_resource scratch_resource_{scratch_, sizeof scratch_};
+  alignas(std::max_align_t) std::byte inline_storage_[16 * sizeof(std::string_view) +
+                                                      8 * sizeof(AttrView)];
+  std::pmr::monotonic_buffer_resource inline_resource_{inline_storage_,
+                                                       sizeof inline_storage_};
   /// Open element names. One-shot mode: views into the caller's buffer.
   /// Incremental mode: arena copies — feed() may reallocate pending_, but
   /// arena allocations never move.
-  std::pmr::vector<std::string_view> stack_{&scratch_resource_};
-  std::pmr::vector<AttrView> attrs_{&scratch_resource_};  ///< reused per start tag
+  std::pmr::vector<std::string_view> stack_{&inline_resource_};
+  std::pmr::vector<AttrView> attrs_{&inline_resource_};  ///< reused per start tag
   Token token_;
   Error error_;
   common::Arena arena_;
