@@ -171,7 +171,7 @@ soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
   // the shaded runtime also accepts the SOAP 1.2 "application/soap+xml".
   // A skewed Content-Type on a strict/relaxed stack dies here with a 415,
   // before any envelope is ever parsed.
-  const std::optional<std::string_view> content_type = request.header("Content-Type");
+  const std::optional<std::string> content_type = request.header("Content-Type");
   const bool media_type_ok =
       content_type.has_value() &&
       (soap::content_type_matches(*content_type, soap::SoapVersion::k11) ||

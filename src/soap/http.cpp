@@ -5,8 +5,8 @@
 namespace wsx::soap {
 namespace {
 
-std::optional<std::string_view> find_header(const std::vector<HttpHeader>& headers,
-                                            std::string_view name) {
+std::optional<std::string> find_header(const std::vector<HttpHeader>& headers,
+                                       std::string_view name) {
   for (const HttpHeader& header : headers) {
     if (iequals(header.name, name)) return header.value;
   }
@@ -33,7 +33,7 @@ std::size_t erase_headers(std::vector<HttpHeader>& headers, std::string_view nam
 
 }  // namespace
 
-std::optional<std::string_view> HttpRequest::header(std::string_view name) const {
+std::optional<std::string> HttpRequest::header(std::string_view name) const {
   return find_header(headers, name);
 }
 
@@ -49,7 +49,7 @@ std::size_t HttpRequest::remove_header(std::string_view name) {
   return erase_headers(headers, name);
 }
 
-std::optional<std::string_view> HttpResponse::header(std::string_view name) const {
+std::optional<std::string> HttpResponse::header(std::string_view name) const {
   return find_header(headers, name);
 }
 

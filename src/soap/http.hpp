@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace wsx::soap {
@@ -35,8 +34,7 @@ struct HttpRequest {
   std::vector<HttpHeader> headers;
   std::string body;
 
-  /// First-wins; the view aliases the stored value until the headers change.
-  std::optional<std::string_view> header(std::string_view name) const;
+  std::optional<std::string> header(std::string_view name) const;  ///< first-wins
   void set_header(std::string name, std::string value);  ///< upserts first match
   void add_header(std::string name, std::string value);  ///< appends (may duplicate)
   std::size_t remove_header(std::string_view name);      ///< removes all matches
@@ -47,8 +45,7 @@ struct HttpResponse {
   std::vector<HttpHeader> headers;
   std::string body;
 
-  /// First-wins; the view aliases the stored value until the headers change.
-  std::optional<std::string_view> header(std::string_view name) const;
+  std::optional<std::string> header(std::string_view name) const;  ///< first-wins
   void set_header(std::string name, std::string value);  ///< upserts first match
   void add_header(std::string name, std::string value);  ///< appends (may duplicate)
   std::size_t remove_header(std::string_view name);      ///< removes all matches

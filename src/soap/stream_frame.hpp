@@ -12,7 +12,6 @@
 // test suite keeps as the streaming reader's oracle.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,9 +28,9 @@ namespace wsx::soap::detail {
 
 /// What one streaming pass over an envelope learns about its frame.
 ///
-/// The root's name is resolved off its start tag with NamespaceScope's rule
-/// for a scope that holds only the root's own declarations (see
-/// resolve_root), and kept as four facts: whether it resolved, its local
+/// The root's name is resolved off its start tag (xml::resolve_start_tag,
+/// NamespaceScope's rule for a scope that holds only the root's own
+/// declarations) and kept as four facts: whether it resolved, its local
 /// name, its interned namespace and the namespace URI, which only the
 /// soap.version-mismatch message reads. The two views alias the
 /// tokenizer's input or arena (or a well-known URI constant), so the frame
@@ -45,21 +44,6 @@ struct EnvelopeFrame {
   bool have_payload = false;
   std::string payload_local;  ///< local name of the first Body payload
 };
-
-/// Resolves the root start tag's name into `frame` as NamespaceScope::resolve
-/// does for an element name: an unprefixed name takes the default namespace
-/// or none; a prefixed one (also ":local", whose prefix is empty) resolves
-/// only when its prefix is bound.
-inline void resolve_root(const xml::pull::Token& root, EnvelopeFrame& frame) {
-  const std::size_t colon = root.name.find(':');
-  const std::optional<std::string_view> uri = xml::bound_namespace(
-      root, colon == std::string_view::npos ? std::string_view{} : root.name.substr(0, colon));
-  frame.root_resolved = colon == std::string_view::npos || uri.has_value();
-  if (!frame.root_resolved) return;
-  frame.root_local = colon == std::string_view::npos ? root.name : root.name.substr(colon + 1);
-  frame.root_uri = uri.value_or(std::string_view{});
-  frame.root_namespace = xml::ns::intern(frame.root_uri);
-}
 
 /// Walks a complete envelope document on `tok`. `on_header_entry(tok,
 /// start)` and `on_payload(tok, start)` are invoked with the kStartElement
@@ -82,7 +66,11 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
   // Prolog + misc, then the root start tag.
   const xml::pull::Token* root = xml::pull::next_root(tok);
   if (root == nullptr) return tok.error();
-  resolve_root(*root, frame);
+  const xml::StartTagName root_name = xml::resolve_start_tag(*root);
+  frame.root_resolved = root_name.resolved;
+  frame.root_local = root_name.local;
+  frame.root_uri = root_name.uri;
+  frame.root_namespace = xml::ns::intern(root_name.uri);
 
   bool have_header = false;
   // Direct children of the root.

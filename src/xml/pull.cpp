@@ -277,23 +277,16 @@ const Token& Tokenizer::scan_content() {
                       "missing end tag for '" + std::string(stack_.back()) + "'", pos_);
   }
   if (in[pos_] != '<') {
-    // Character data up to the next markup, noting whether it holds an
-    // entity. The runs are short (indentation, values), where one byte loop
-    // costs less than a memchr for '<' plus the decoder's memchr for '&'.
-    std::size_t run_end = pos_;
-    bool has_entity = false;
-    for (; run_end < in.size(); ++run_end) {
-      const char c = in[run_end];
-      if (c == '<') break;
-      has_entity |= c == '&';
-    }
-    if (run_end == in.size() && !finished_) return emit_need_more(start);
-    std::string_view text = in.substr(pos_, run_end - pos_);
-    if (has_entity && !decode(text, run_end, text)) return token_;
+    // Character data up to the next markup.
+    const std::size_t lt = in.find('<', pos_);
+    if (lt == std::string_view::npos && !finished_) return emit_need_more(start);
+    const std::size_t run_end = lt == std::string_view::npos ? in.size() : lt;
+    std::string_view decoded;
+    if (!decode(in.substr(pos_, run_end - pos_), run_end, decoded)) return token_;
     pos_ = run_end;
     token_ = Token{};
     token_.kind = TokenKind::kText;
-    token_.value = text;
+    token_.value = decoded;
     return token_;
   }
   // Markup: dispatch on the character after '<'.

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory_resource>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -155,18 +154,11 @@ class Tokenizer {
   std::size_t pos_ = 0;
   bool pending_end_element_ = false;  ///< self-closing start emitted, end next
   std::string_view pending_end_name_;  ///< stable name for that synthesized end
-  /// Storage for the first 16 open names and 8 attributes of a start tag,
-  /// inside the tokenizer, so a typical document allocates for neither; a
-  /// deeper or wider one grows past it onto the heap.
-  alignas(std::max_align_t) std::byte inline_storage_[16 * sizeof(std::string_view) +
-                                                      8 * sizeof(AttrView)];
-  std::pmr::monotonic_buffer_resource inline_resource_{inline_storage_,
-                                                       sizeof inline_storage_};
   /// Open element names. One-shot mode: views into the caller's buffer.
   /// Incremental mode: arena copies — feed() may reallocate pending_, but
   /// arena allocations never move.
-  std::pmr::vector<std::string_view> stack_{&inline_resource_};
-  std::pmr::vector<AttrView> attrs_{&inline_resource_};  ///< reused per start tag
+  std::vector<std::string_view> stack_;
+  std::vector<AttrView> attrs_;          ///< reused per start tag
   Token token_;
   Error error_;
   common::Arena arena_;

@@ -4,12 +4,18 @@
 
 namespace wsx::xml {
 
+namespace {
+
+/// The prefix an attribute declares: "" for `xmlns` (and `xmlns:`), "p"
+/// for `xmlns:p`; nullopt when the attribute declares none.
 std::optional<std::string_view> declared_prefix(std::string_view attr_name) {
   if (attr_name == "xmlns") return std::string_view{};
   if (starts_with(attr_name, "xmlns:")) return attr_name.substr(6);
   return std::nullopt;
 }
 
+/// find_prefix for a scope holding only `start_tag`'s declarations: the
+/// tag's first declaration of `prefix`, else the always-bound `xml`.
 std::optional<std::string_view> bound_namespace(const pull::Token& start_tag,
                                                 std::string_view prefix) {
   for (std::size_t i = 0; i < start_tag.attr_count; ++i) {
@@ -18,6 +24,8 @@ std::optional<std::string_view> bound_namespace(const pull::Token& start_tag,
   if (prefix == "xml") return ns::kXmlNs;
   return std::nullopt;
 }
+
+}  // namespace
 
 NamespaceScope::NamespaceScope() {
   // Room for a document root's declarations and a schema's nesting, so a
@@ -85,6 +93,18 @@ std::optional<QName> NamespaceScope::resolve(std::string_view lexical,
   const std::string* uri = find_prefix(prefix);
   if (uri == nullptr) return std::nullopt;  // undeclared prefix — caller decides severity
   return QName{*uri, std::string(local), std::string(prefix)};
+}
+
+StartTagName resolve_start_tag(const pull::Token& start_tag) {
+  // resolve() above, step for step, with bound_namespace as find_prefix.
+  const std::string_view lexical = start_tag.name;
+  const std::size_t colon = lexical.find(':');
+  if (colon == std::string_view::npos) {
+    return {true, lexical, bound_namespace(start_tag, "").value_or(std::string_view{})};
+  }
+  const std::optional<std::string_view> uri = bound_namespace(start_tag, lexical.substr(0, colon));
+  if (!uri) return {};
+  return {true, lexical.substr(colon + 1), *uri};
 }
 
 namespace {

@@ -13,16 +13,6 @@
 
 namespace wsx::xml {
 
-/// The prefix an attribute declares: "" for `xmlns` (and `xmlns:`), "p"
-/// for `xmlns:p`; nullopt when the attribute declares none.
-std::optional<std::string_view> declared_prefix(std::string_view attr_name);
-
-/// The URI `prefix` is bound to when `start_tag` alone is in scope: its
-/// first declaration of that prefix, else the always-bound `xml`; nullopt
-/// when neither binds it. NamespaceScope's rule, without building a scope.
-std::optional<std::string_view> bound_namespace(const pull::Token& start_tag,
-                                                std::string_view prefix);
-
 /// Lexically-scoped namespace environment. Push a frame per element while
 /// walking the tree; lookups see the innermost binding of a prefix.
 class NamespaceScope {
@@ -64,6 +54,19 @@ class NamespaceScope {
   std::vector<Binding> bindings_;
   std::vector<std::size_t> frame_starts_;
 };
+
+/// An element name resolved off its start tag alone.
+struct StartTagName {
+  bool resolved = false;  ///< false: the name's prefix is not bound
+  std::string_view local;
+  std::string_view uri;  ///< "" for an unprefixed name with no default namespace
+};
+
+/// Resolves `start_tag`'s element name as NamespaceScope::resolve does in a
+/// scope that holds only the tag's own declarations, without building the
+/// scope. The views alias the token (or ns::kXmlNs), so they live as long
+/// as the token's text does.
+StartTagName resolve_start_tag(const pull::Token& start_tag);
 
 /// Walks the tree depth-first, maintaining a NamespaceScope, and invokes
 /// `visit(element, scope)` for every element (including the root).

@@ -115,8 +115,8 @@ inline std::vector<SeededService> seeded_corpus(const frameworks::ServerFramewor
 /// The DOM envelope reader that soap::parse replaced, kept as the oracle the
 /// stream packs hold the streaming reader to: materialise the whole
 /// document, then inspect it. It resolves the root's name with
-/// xml::NamespaceScope, the rule the streaming reader re-implements on the
-/// start tag, and shares the frame checks and the model build
+/// xml::NamespaceScope, whose rule the streaming reader applies to the
+/// start tag alone (xml::resolve_start_tag), and shares the frame checks and the model build
 /// (soap/stream_frame.hpp) with the streaming reader.
 inline Result<soap::Envelope> parse_envelope_dom(std::string_view text) {
   Result<xml::Element> root = xml::parse_element(text);

@@ -99,6 +99,40 @@ TEST(ResolvedName, ResolvesTargetInContext) {
   EXPECT_EQ(name->local_name(), "b");
 }
 
+TEST(ResolveStartTag, FollowsNamespaceScopeOnTheTagAlone) {
+  // Each tag probes one rule of NamespaceScope::resolve for a scope that
+  // holds only the tag's own declarations.
+  const std::vector<std::string> tags = {
+      "<a/>",
+      R"(<a xmlns="urn:d"/>)",
+      R"(<a xmlns=""/>)",
+      "<:a/>",
+      R"(<:a xmlns="urn:d"/>)",
+      R"(<:a xmlns:="urn:d"/>)",
+      "<xml:a/>",
+      R"(<xml:a xmlns:xml="urn:rebound"/>)",
+      "<p:a/>",
+      R"(<p:a xmlns:q="urn:q"/>)",
+      R"(<p:a xmlns:p="urn:p" xmlns="urn:d"/>)",
+      R"(<a xmlns:="urn:first" xmlns="urn:second"/>)",
+      R"(<p:a xmlns:p="urn:&#x70;"/>)",
+      "<p:q:a xmlns:p='urn:p'/>",
+  };
+  for (const std::string& text : tags) {
+    pull::Tokenizer tok(text);
+    const pull::Token* start = pull::next_root(tok);
+    ASSERT_NE(start, nullptr) << text;
+    NamespaceScope scope;
+    scope.push(*start);
+    const std::optional<QName> expected = scope.resolve(start->name);
+    const StartTagName got = resolve_start_tag(*start);
+    ASSERT_EQ(got.resolved, expected.has_value()) << text;
+    if (!expected) continue;
+    EXPECT_EQ(got.local, expected->local_name()) << text;
+    EXPECT_EQ(got.uri, expected->namespace_uri()) << text;
+  }
+}
+
 TEST(QNameTest, EqualityIgnoresPrefix) {
   EXPECT_EQ((QName{"urn:x", "a", "p"}), (QName{"urn:x", "a", "q"}));
   EXPECT_NE((QName{"urn:x", "a"}), (QName{"urn:y", "a"}));
