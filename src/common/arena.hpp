@@ -2,10 +2,10 @@
 //
 // The streaming XML tokenizer (xml/pull.*) hands out std::string_view
 // tokens that alias the input buffer; the only bytes it ever has to own
-// are entity-decoded text and attribute values, and the odd consumer that
-// still needs a materialised tree. Both want many small allocations with
-// one common lifetime (the parse), which is exactly the arena shape: bump
-// a pointer inside geometrically growing blocks, free everything at once.
+// are entity-decoded text and attribute values. Those are many small
+// allocations with one common lifetime (the parse), which is exactly the
+// arena shape: bump a pointer inside geometrically growing blocks, free
+// everything at once.
 //
 // Not thread-safe by design — every tokenizer owns its own arena, so the
 // campaign worker pools get per-thread arenas for free.
@@ -13,10 +13,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <memory>
-#include <new>
-#include <string_view>
 #include <vector>
 
 namespace wsx::common {
@@ -30,65 +27,17 @@ class Arena {
   Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  Arena(Arena&&) = default;
-  Arena& operator=(Arena&&) = default;
 
-  /// Uninitialised storage for `bytes` bytes at `align` alignment. The
-  /// pointer stays valid until reset()/destruction — growing the arena
+  /// Uninitialised character scratch of `bytes` capacity (entity decoding
+  /// writes into this, then shrinks the view to what it produced). The
+  /// pointer stays valid until the arena is destroyed — growing the arena
   /// never moves earlier allocations (new blocks are chained, not
   /// reallocated).
-  void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t)) {
-    std::size_t offset = (used_ + align - 1) & ~(align - 1);
-    if (blocks_.empty() || offset + bytes > blocks_.back().size) {
-      grow(bytes + align);
-      offset = (used_ + align - 1) & ~(align - 1);
-    }
-    void* out = blocks_.back().data.get() + offset;
-    used_ = offset + bytes;
-    total_used_ += bytes;
-    return out;
-  }
-
-  /// Copies `text` into the arena and returns a stable view of the copy.
-  std::string_view copy(std::string_view text) {
-    if (text.empty()) return {};
-    char* out = static_cast<char*>(allocate(text.size(), 1));
-    std::memcpy(out, text.data(), text.size());
-    return {out, text.size()};
-  }
-
-  /// Mutable character scratch of `bytes` capacity (entity decoding writes
-  /// into this, then shrinks the view to what it produced).
   char* char_buffer(std::size_t bytes) {
-    return static_cast<char*>(allocate(bytes, 1));
-  }
-
-  /// Constructs a T in the arena. No destructor runs — arena types must be
-  /// trivially destructible or leak-free by construction.
-  template <typename T, typename... Args>
-  T* create(Args&&... args) {
-    return ::new (allocate(sizeof(T), alignof(T))) T(static_cast<Args&&>(args)...);
-  }
-
-  /// Bytes handed out since construction or the last reset().
-  std::size_t used() const { return total_used_; }
-  /// Bytes reserved from the system allocator.
-  std::size_t reserved() const {
-    std::size_t total = 0;
-    for (const Block& block : blocks_) total += block.size;
-    return total;
-  }
-
-  /// Frees every allocation at once. The first block is kept so a reused
-  /// arena (one tokenizer parsing many envelopes) stops hitting malloc.
-  void reset() {
-    if (blocks_.size() > 1) {
-      Block first = std::move(blocks_.front());
-      blocks_.clear();
-      blocks_.push_back(std::move(first));
-    }
-    used_ = 0;
-    total_used_ = 0;
+    if (blocks_.empty() || used_ + bytes > blocks_.back().size) grow(bytes);
+    char* out = blocks_.back().data.get() + used_;
+    used_ += bytes;
+    return out;
   }
 
  private:
@@ -106,8 +55,7 @@ class Arena {
   }
 
   std::vector<Block> blocks_;
-  std::size_t used_ = 0;        ///< bump offset inside the current block
-  std::size_t total_used_ = 0;  ///< lifetime bytes for stats
+  std::size_t used_ = 0;  ///< bump offset inside the current block
 };
 
 }  // namespace wsx::common

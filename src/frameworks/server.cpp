@@ -63,15 +63,20 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
   // Unmarshal by element name, as a real binder does: arguments under an
   // unexpected element are silently dropped (they are "lax" content), so a
   // client that marshals into the wrong element gets an empty echo back.
+  // The echo is the last arg0's text; the field check below reads the first.
   std::string value;
-  for (const soap::Argument& argument : soap::request_arguments(request)) {
-    if (argument.name == "arg0") value = argument.value;
+  const xml::Element* argument = nullptr;
+  for (const xml::Node& node : request.body().children()) {
+    const xml::Element* child = node.as_element();
+    if (child == nullptr || xml::local_part(child->name()) != "arg0") continue;
+    if (argument == nullptr) argument = child;
+    value = child->text();
   }
 
   // Structured payloads (typed proxies marshal bean fields as child
   // elements of arg0): validate every field against the parameter type's
   // schema before echoing — the typed-unmarshalling path of real binders.
-  if (const xml::Element* argument = request.body().child("arg0")) {
+  if (argument != nullptr) {
     const std::vector<const xml::Element*> field_elements = argument->child_elements();
     if (!field_elements.empty()) {
       // Resolve the parameter complexType through the operation wrapper.
@@ -89,7 +94,7 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
         for (const xml::Element* field : field_elements) {
           const xsd::ElementDecl* declared = nullptr;
           for (const xsd::ElementDecl* candidate : parameter_type->elements()) {
-            if (candidate->name == field->local_name()) declared = candidate;
+            if (candidate->name == xml::local_part(field->name())) declared = candidate;
           }
           if (declared == nullptr) {
             return fault(

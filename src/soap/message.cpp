@@ -82,14 +82,6 @@ Result<std::string> request_operation(const Envelope& envelope) {
   return envelope.body().local_name();
 }
 
-std::vector<Argument> request_arguments(const Envelope& envelope) {
-  std::vector<Argument> arguments;
-  for (const xml::Element* child : envelope.body().child_elements()) {
-    arguments.push_back({child->local_name(), child->text()});
-  }
-  return arguments;
-}
-
 Result<std::string> response_value(const Envelope& envelope) {
   if (envelope.is_fault()) {
     return Error{"soap.fault",

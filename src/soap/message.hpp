@@ -45,9 +45,6 @@ Result<Envelope> build_response(const wsdl::Definitions& defs, const std::string
 /// name of the body payload). Returns an error for fault bodies.
 Result<std::string> request_operation(const Envelope& envelope);
 
-/// Extracts the arguments of a request envelope payload.
-std::vector<Argument> request_arguments(const Envelope& envelope);
-
 /// Extracts the return value from a response envelope; errors on faults.
 Result<std::string> response_value(const Envelope& envelope);
 

@@ -88,8 +88,7 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
                   if (entry.kind == xml::pull::TokenKind::kStartElement) {
                     Result<bool> consumed = on_header_entry(tok, entry);
                     if (!consumed.ok()) return consumed.error();
-                  } else if (entry.kind == xml::pull::TokenKind::kError ||
-                             entry.kind == xml::pull::TokenKind::kNeedMore) {
+                  } else if (entry.kind == xml::pull::TokenKind::kError) {
                     return tok.error();
                   }
                 }
@@ -116,7 +115,6 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
                 body_open = false;
                 break;
               case xml::pull::TokenKind::kError:
-              case xml::pull::TokenKind::kNeedMore:
                 return tok.error();
               default:
                 break;  // text/CDATA/comments/PIs inside Body
@@ -132,7 +130,6 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
         root_open = false;
         break;
       case xml::pull::TokenKind::kError:
-      case xml::pull::TokenKind::kNeedMore:
         return tok.error();
       default:
         break;  // text/CDATA/comments/PIs directly under the root
@@ -140,14 +137,8 @@ Result<EnvelopeFrame> walk_envelope_frame(xml::pull::Tokenizer& tok,
   }
 
   // Epilog: drain so trailing xml.* errors keep priority over soap.* ones.
-  for (;;) {
-    const xml::pull::Token& token = tok.next();
-    if (token.kind == xml::pull::TokenKind::kEndDocument) return frame;
-    if (token.kind == xml::pull::TokenKind::kError ||
-        token.kind == xml::pull::TokenKind::kNeedMore) {
-      return tok.error();
-    }
-  }
+  if (Result<bool> rest = xml::pull::drain(tok); !rest.ok()) return rest.error();
+  return frame;
 }
 
 /// The semantic checks, in order: root QName resolution → version → Body

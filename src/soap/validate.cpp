@@ -127,7 +127,6 @@ Result<std::vector<ValidationIssue>> validate_request_text(const wsdl::Definitio
               if (--depth == 0) return true;
               break;
             case xml::pull::TokenKind::kError:
-            case xml::pull::TokenKind::kNeedMore:
               return t.error();
             default:
               break;

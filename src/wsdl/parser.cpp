@@ -142,7 +142,6 @@ class WsdlReader {
           text += token.value;
           break;
         case TokenKind::kError:
-        case TokenKind::kNeedMore:
           return false;
         default:
           break;

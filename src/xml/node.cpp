@@ -129,12 +129,6 @@ Element& Element::declare_namespace(std::string_view prefix, std::string_view ur
   return set_attribute(attr_name, std::string(uri));
 }
 
-std::optional<std::string> Element::local_namespace_for_prefix(std::string_view prefix) const {
-  const std::string attr_name =
-      prefix.empty() ? std::string{"xmlns"} : "xmlns:" + std::string(prefix);
-  return attribute(attr_name);
-}
-
 bool operator==(const Element& a, const Element& b) {
   return a.name_ == b.name_ && a.attributes_ == b.attributes_ && a.children_ == b.children_;
 }

@@ -47,7 +47,6 @@ class Element {
   explicit Element(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Local part of a possibly-prefixed lexical name.
   std::string local_name() const;
@@ -95,8 +94,6 @@ class Element {
   /// Declares a namespace: xmlns:prefix="uri" (or default xmlns when prefix
   /// is empty).
   Element& declare_namespace(std::string_view prefix, std::string_view uri);
-  /// Looks up a prefix declared on *this element only* (no ancestor walk).
-  std::optional<std::string> local_namespace_for_prefix(std::string_view prefix) const;
 
   /// 1-based position of the start tag in the parsed source; 0 when the
   /// element was built programmatically. Excluded from operator== so a
@@ -127,12 +124,5 @@ struct Node : std::variant<Element, Text, CData, Comment> {
 };
 
 bool operator==(const Element& a, const Element& b);
-
-/// A parsed document: prolog info plus the root element.
-struct Document {
-  std::string version = "1.0";
-  std::string encoding = "UTF-8";
-  Element root;
-};
 
 }  // namespace wsx::xml

@@ -30,13 +30,13 @@ Element element_from(const pull::Token& token) {
 /// Reads the content of `element`, whose start tag was just consumed,
 /// through its end tag; false when the tokenizer fails (see
 /// Tokenizer::error()). Recursion replaces an ancestor stack: the
-/// tokenizer's max_depth bounds it, and `element` stays put because only
-/// the innermost element's children grow.
+/// tokenizer's pull::kMaxDepth bounds it, and `element` stays put because
+/// only the innermost element's children grow.
 ///
 /// Whitespace-only character data is indentation between child nodes and
 /// is dropped there; when it is the element's only content it is the value
 /// itself (an xs:string of blanks) and is kept.
-bool collect_content(pull::Tokenizer& tok, Element& element, const ParseOptions& options) {
+bool collect_content(pull::Tokenizer& tok, Element& element) {
   bool only_blank = false;  // every child so far is whitespace-only text
   const auto drop_blank = [&] {
     if (only_blank) element.children().clear();
@@ -49,7 +49,7 @@ bool collect_content(pull::Tokenizer& tok, Element& element, const ParseOptions&
         drop_blank();
         if (element.children().empty()) element.children().reserve(4);
         Element& child = element.add_child(element_from(token));
-        if (!collect_content(tok, child, options)) return false;
+        if (!collect_content(tok, child)) return false;
         break;
       }
       case pull::TokenKind::kEndElement:
@@ -68,15 +68,13 @@ bool collect_content(pull::Tokenizer& tok, Element& element, const ParseOptions&
         element.add_cdata(std::string(token.value));
         break;
       case pull::TokenKind::kComment:
-        if (options.keep_comments) {
-          drop_blank();
-          element.add_comment(std::string(token.value));
-        }
+        drop_blank();
+        element.add_comment(std::string(token.value));
         break;
       case pull::TokenKind::kPi:
         break;  // skipped, as before
       default:
-        // kError / kNeedMore (and, defensively, anything else mid-subtree).
+        // kError (and, defensively, anything else mid-subtree).
         return false;
     }
   }
@@ -84,55 +82,21 @@ bool collect_content(pull::Tokenizer& tok, Element& element, const ParseOptions&
 
 }  // namespace
 
-Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
-                                const ParseOptions& options) {
+Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start) {
   Element root = element_from(start);
-  if (!collect_content(tok, root, options)) return tok.error();
+  if (!collect_content(tok, root)) return tok.error();
   return root;
 }
 
-Result<Document> parse(std::string_view input, const ParseOptions& options) {
-  pull::Tokenizer tok{input, pull::TokenizerOptions{options.max_depth}};
-  Document doc;
-  for (;;) {
-    const pull::Token& token = tok.next();
-    switch (token.kind) {
-      case pull::TokenKind::kStartDocument:
-        // Empty view = pseudo-attribute absent (keep the defaults); a
-        // present-but-empty value has a non-null data pointer.
-        if (token.version.data() != nullptr) doc.version = std::string(token.version);
-        if (token.encoding.data() != nullptr) doc.encoding = std::string(token.encoding);
-        break;
-      case pull::TokenKind::kComment:
-      case pull::TokenKind::kPi:
-        break;  // misc before the root has nowhere to live in the Document
-      case pull::TokenKind::kStartElement: {
-        Result<Element> root = collect_element(tok, token, options);
-        if (!root.ok()) return root.error();
-        doc.root = std::move(root.value());
-        // Trailing misc after the root; the tokenizer rejects real content.
-        for (;;) {
-          const pull::Token& trailing = tok.next();
-          if (trailing.kind == pull::TokenKind::kEndDocument) return doc;
-          if (trailing.kind == pull::TokenKind::kError ||
-              trailing.kind == pull::TokenKind::kNeedMore) {
-            return tok.error();
-          }
-        }
-      }
-      case pull::TokenKind::kEndDocument:
-        // Unreachable: the tokenizer reports xml.no-root itself.
-        return Error{"xml.no-root", "document has no root element"};
-      default:
-        return tok.error();
-    }
-  }
-}
-
-Result<Element> parse_element(std::string_view input, const ParseOptions& options) {
-  Result<Document> doc = parse(input, options);
-  if (!doc.ok()) return doc.error();
-  return std::move(doc.value().root);
+Result<Element> parse_element(std::string_view input) {
+  pull::Tokenizer tok{input};
+  const pull::Token* start = pull::next_root(tok);
+  if (start == nullptr) return tok.error();
+  Result<Element> root = collect_element(tok, *start);
+  if (!root.ok()) return root;
+  // Trailing misc after the root; the tokenizer rejects real content.
+  if (Result<bool> rest = pull::drain(tok); !rest.ok()) return rest.error();
+  return root;
 }
 
 }  // namespace wsx::xml

@@ -1,11 +1,11 @@
-// parser.hpp — namespace-aware, hand-written XML 1.0 parser.
+// parser.hpp — the DOM front-end over the pull tokenizer.
 //
-// Supports the subset of XML used by WSDL/XSD/SOAP documents: prolog,
-// elements, attributes, character data, CDATA sections, comments,
-// processing instructions (skipped), DOCTYPE (skipped), the five built-in
-// entities, and decimal/hex character references. DTDs with internal
-// subsets, and external entities, are rejected (as real WS stacks do for
-// security reasons).
+// Supports the subset of XML used by WSDL/XSD/SOAP documents: elements,
+// attributes, character data, CDATA sections, comments, processing
+// instructions (skipped), an XML declaration and DOCTYPE (both skipped),
+// the five built-in entities, and decimal/hex character references.
+// Entities a DTD would declare are unknown entities (real WS stacks refuse
+// DTD processing for security reasons).
 #pragma once
 
 #include <string_view>
@@ -16,27 +16,17 @@
 
 namespace wsx::xml {
 
-struct ParseOptions {
-  /// Keep comment nodes in the tree (WSDL tooling typically discards them).
-  bool keep_comments = true;
-  /// Reject documents whose total nesting depth exceeds this bound.
-  std::size_t max_depth = 256;
-};
-
-/// Parses a complete XML document. Error codes use the "xml." prefix and
-/// include 1-based line/column positions in the message.
-Result<Document> parse(std::string_view input, const ParseOptions& options = {});
-
-/// Parses a document and returns just the root element.
-Result<Element> parse_element(std::string_view input, const ParseOptions& options = {});
+/// Parses a complete document and returns its root element. Error codes
+/// use the "xml." prefix and include 1-based line/column positions in the
+/// message.
+Result<Element> parse_element(std::string_view input);
 
 /// Materialises the element whose kStartElement token was just returned by
 /// `tok` into a DOM subtree, consuming the stream through its matching end
-/// tag. Construction rules are identical to parse() — whitespace-only text
-/// dropped unless it is an element's only content, comments per `options` —
-/// so streaming consumers that need a tree for one subtree (a SOAP body
-/// payload, a header entry) get exactly what the DOM path would have built.
-Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
-                                const ParseOptions& options = {});
+/// tag. Construction rules are the same wherever a tree is built — comments
+/// kept, whitespace-only text dropped unless it is an element's only
+/// content — so streaming consumers that need a tree for one subtree (a
+/// SOAP body payload, a header entry) get exactly what parse_element builds.
+Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start);
 
 }  // namespace wsx::xml

@@ -35,12 +35,6 @@ bool is_name_char(char c) {
 
 bool is_space(char c) { return (kCharClass[static_cast<unsigned char>(c)] & kSpace) != 0; }
 
-/// True when `text` could still grow into `token` (it is a proper prefix);
-/// the incremental mode's "don't decide yet" test.
-bool is_prefix_of(std::string_view text, std::string_view token) {
-  return text.size() < token.size() && token.substr(0, text.size()) == text;
-}
-
 void append_utf8(char*& out, unsigned long cp) {
   if (cp < 0x80) {
     *out++ = static_cast<char>(cp);
@@ -59,47 +53,31 @@ void append_utf8(char*& out, unsigned long cp) {
   }
 }
 
-/// Extracts version="..."/encoding="..." views from the prolog text: the
-/// first quoted run after the key's first occurrence. The scans are plain
-/// byte loops; string_view's find/find_first_of call memchr per candidate
-/// byte, which costs more than the short prolog itself.
-std::string_view pseudo_attribute(std::string_view prolog, std::string_view key) {
-  std::size_t key_pos = 0;
-  while (key_pos + key.size() <= prolog.size() &&
-         (prolog[key_pos] != key[0] || prolog.compare(key_pos, key.size(), key) != 0)) {
-    ++key_pos;
-  }
-  if (key_pos + key.size() > prolog.size()) return {};
-  std::size_t quote = key_pos;
-  while (quote < prolog.size() && prolog[quote] != '"' && prolog[quote] != '\'') ++quote;
-  if (quote == prolog.size()) return {};
-  std::size_t close = quote + 1;
-  while (close < prolog.size() && prolog[close] != prolog[quote]) ++close;
-  if (close == prolog.size()) return {};
-  return prolog.substr(quote + 1, close - quote - 1);
-}
-
 }  // namespace
 
-Tokenizer::Tokenizer(std::string_view input, TokenizerOptions options)
-    : input_(input), options_(options) {
-  finished_ = true;
+Tokenizer::Tokenizer(std::string_view input) : input_(input) {
   stack_.reserve(16);
   attrs_.reserve(8);
+  if (input_.substr(0, 3) == "\xEF\xBB\xBF") {
+    // The BOM is not part of column accounting: column 1 stays the first
+    // real character.
+    pos_ = line_start_ = loc_scanned_ = 3;
+  }
+  // The XML declaration, after optional whitespace. A byte loop to the
+  // "?>": find() would call memchr at every '?'. An unterminated one is
+  // left to scan_misc(), which reads it as an unterminated PI and reports
+  // "no root element" (the DOM parser's historical behaviour).
+  std::size_t p = pos_;
+  while (p < input_.size() && is_space(input_[p])) ++p;
+  if (input_.substr(p, 5) == "<?xml") {
+    std::size_t end = p + 5;
+    while (end + 1 < input_.size() && (input_[end] != '?' || input_[end + 1] != '>')) ++end;
+    if (end + 1 < input_.size()) pos_ = end + 2;
+  }
 }
-
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
-  incremental_ = true;
-  stack_.reserve(16);
-  attrs_.reserve(8);
-}
-
-void Tokenizer::feed(std::string_view chunk) { pending_.append(chunk); }
-
-void Tokenizer::finish() { finished_ = true; }
 
 Tokenizer::Location Tokenizer::location_at(std::size_t pos) {
-  const char* base = buffer().data();
+  const char* base = input_.data();
   while (loc_scanned_ < pos) {
     const void* nl = std::memchr(base + loc_scanned_, '\n', pos - loc_scanned_);
     if (nl == nullptr) break;
@@ -112,149 +90,89 @@ Tokenizer::Location Tokenizer::location_at(std::size_t pos) {
   return Location{line_, pos - line_start_ + 1};
 }
 
+Token& Tokenizer::emit(TokenKind kind) {
+  token_ = Token{};
+  token_.kind = kind;
+  return token_;
+}
+
 const Token& Tokenizer::emit_error(std::string code, std::string what, std::size_t pos) {
   const Location loc = location_at(pos);
   error_ = Error{std::move(code), what + " at line " + std::to_string(loc.line) +
                                       ", column " + std::to_string(loc.column)};
   state_ = State::kFailed;
-  token_ = Token{};
-  token_.kind = TokenKind::kError;
-  return token_;
+  return emit(TokenKind::kError);
 }
 
-const Token& Tokenizer::emit_need_more(std::size_t rewind_to) {
-  pos_ = rewind_to;
-  token_ = Token{};
-  token_.kind = TokenKind::kNeedMore;
-  return token_;
+const Token& Tokenizer::emit_markup(TokenKind kind, std::size_t open_size, std::size_t close,
+                                    std::size_t close_size) {
+  Token& token = emit(kind);
+  token.value = input_.substr(pos_ + open_size, close - pos_ - open_size);
+  pos_ = close + close_size;
+  return token;
 }
 
 const Token& Tokenizer::next() {
   switch (state_) {
-    case State::kStartOfDocument:
-      return scan_start_of_document();
     case State::kBeforeRoot:
-      return scan_before_root();
+    case State::kEpilog:
+      return scan_misc();
     case State::kContent:
       return scan_content();
-    case State::kEpilog:
-      return scan_epilog();
     case State::kDone:
-      token_ = Token{};
-      token_.kind = TokenKind::kEndDocument;
-      return token_;
+      return emit(TokenKind::kEndDocument);
     case State::kFailed:
-      token_ = Token{};
-      token_.kind = TokenKind::kError;
-      return token_;
+      return emit(TokenKind::kError);
   }
   return token_;  // unreachable
 }
 
-const Token& Tokenizer::scan_start_of_document() {
-  const std::string_view in = buffer();
-  const std::size_t start = pos_;
-
-  // BOM. With fewer than 3 bytes buffered we cannot yet tell.
-  if (pos_ == 0) {
-    if (is_prefix_of(in, "\xEF\xBB\xBF") && !finished_) return emit_need_more(start);
-    if (in.substr(0, 3) == "\xEF\xBB\xBF") {
-      pos_ = 3;
-      // The BOM is not part of column accounting: column 1 stays the first
-      // real character.
-      line_start_ = 3;
-      loc_scanned_ = 3;
-    }
-  }
-
-  while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
-  if (pos_ >= in.size() && !finished_) return emit_need_more(start);
-
-  token_ = Token{};
-  token_.kind = TokenKind::kStartDocument;
-
-  const std::string_view rest = in.substr(pos_);
-  if (is_prefix_of(rest, "<?xml") && !finished_) return emit_need_more(start);
-  if (rest.substr(0, 5) == "<?xml") {
-    // A byte loop to the "?>": find() would call memchr at every '?'.
-    std::size_t end = pos_ + 5;
-    while (end + 1 < in.size() && (in[end] != '?' || in[end + 1] != '>')) ++end;
-    if (end + 1 >= in.size()) {
-      if (!finished_) return emit_need_more(start);
-      // Malformed prolog: leave it for the misc scanner, which consumes it
-      // as an unterminated PI and reports "no root element" (the DOM
-      // parser's historical behaviour).
-    } else {
-      const std::string_view prolog = in.substr(pos_, end - pos_);
-      token_.version = pseudo_attribute(prolog, "version");
-      token_.encoding = pseudo_attribute(prolog, "encoding");
-      pos_ = end + 2;
-    }
-  }
-  state_ = State::kBeforeRoot;
-  return token_;
-}
-
-const Token& Tokenizer::scan_before_root() {
-  const std::string_view in = buffer();
+const Token& Tokenizer::scan_misc() {
+  const std::string_view in = input_;
   for (;;) {
-    const std::size_t start = pos_;
     while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
     if (pos_ >= in.size()) {
-      if (!finished_) return emit_need_more(start);
-      return emit_error("xml.no-root", "document has no root element", pos_);
+      if (state_ == State::kBeforeRoot) {
+        return emit_error("xml.no-root", "document has no root element", pos_);
+      }
+      state_ = State::kDone;
+      return emit(TokenKind::kEndDocument);
     }
+    // An unterminated comment or PI swallows the rest of the input. Before
+    // the root the next pass then reports the missing root; after it the
+    // document ends there (the DOM parser's historical behaviour, for both).
     const std::string_view rest = in.substr(pos_);
-    if (is_prefix_of(rest, "<!--") || is_prefix_of(rest, "<!DOCTYPE")) {
-      if (!finished_) return emit_need_more(start);
-    }
     if (rest.substr(0, 4) == "<!--") {
       const std::size_t end = in.find("-->", pos_);
       if (end == std::string_view::npos) {
-        if (!finished_) return emit_need_more(start);
-        // Unterminated misc before the root swallows the rest of the
-        // input; the next scan reports the missing root.
         pos_ = in.size();
         continue;
       }
-      token_ = Token{};
-      token_.kind = TokenKind::kComment;
-      token_.value = in.substr(pos_ + 4, end - pos_ - 4);
-      pos_ = end + 3;
-      return token_;
+      return emit_markup(TokenKind::kComment, 4, end, 3);
+    }
+    if (rest.substr(0, 2) == "<?") {
+      const std::size_t end = in.find("?>", pos_);
+      if (end == std::string_view::npos) {
+        pos_ = in.size();
+        continue;
+      }
+      return emit_markup(TokenKind::kPi, 2, end, 2);
     }
     if (rest.substr(0, 9) == "<!DOCTYPE") {
       // Skip doctype, tracking an optional internal subset's brackets.
-      std::size_t scan = pos_;
       int depth = 0;
-      for (; scan < in.size(); ++scan) {
-        if (in[scan] == '[') ++depth;
-        if (in[scan] == ']') --depth;
-        if (in[scan] == '>' && depth == 0) break;
+      for (; pos_ < in.size(); ++pos_) {
+        if (in[pos_] == '[') ++depth;
+        if (in[pos_] == ']') --depth;
+        if (in[pos_] == '>' && depth == 0) break;
       }
-      if (scan >= in.size() && !finished_) return emit_need_more(start);
-      pos_ = scan < in.size() ? scan + 1 : in.size();
+      if (pos_ < in.size()) ++pos_;
       continue;
     }
-    if (rest.substr(0, 2) == "<?" || (rest == "<" && !finished_)) {
-      if (rest.size() < 2 && !finished_) return emit_need_more(start);
-      if (rest.substr(0, 2) == "<?") {
-        const std::size_t end = in.find("?>", pos_);
-        if (end == std::string_view::npos) {
-          if (!finished_) return emit_need_more(start);
-          pos_ = in.size();
-          continue;
-        }
-        token_ = Token{};
-        token_.kind = TokenKind::kPi;
-        token_.value = in.substr(pos_ + 2, end - pos_ - 2);
-        pos_ = end + 2;
-        return token_;
-      }
+    if (state_ == State::kEpilog) {
+      return emit_error("xml.trailing-content", "content after root element", pos_);
     }
-    if (in[pos_] != '<') {
-      return emit_error("xml.expected-element", "expected '<'", pos_);
-    }
+    if (in[pos_] != '<') return emit_error("xml.expected-element", "expected '<'", pos_);
     return scan_element_start();
   }
 }
@@ -262,102 +180,69 @@ const Token& Tokenizer::scan_before_root() {
 const Token& Tokenizer::scan_content() {
   if (pending_end_element_) {
     pending_end_element_ = false;
-    token_ = Token{};
-    token_.kind = TokenKind::kEndElement;
-    token_.name = pending_end_name_;
-    pending_end_name_ = {};
+    Token& token = emit(TokenKind::kEndElement);
+    token.name = pending_end_name_;
     if (stack_.empty()) state_ = State::kEpilog;
-    return token_;
+    return token;
   }
-  const std::string_view in = buffer();
-  const std::size_t start = pos_;
+  const std::string_view in = input_;
   if (pos_ >= in.size()) {
-    if (!finished_) return emit_need_more(start);
     return emit_error("xml.unterminated-element",
                       "missing end tag for '" + std::string(stack_.back()) + "'", pos_);
   }
   if (in[pos_] != '<') {
     // Character data up to the next markup.
     const std::size_t lt = in.find('<', pos_);
-    if (lt == std::string_view::npos && !finished_) return emit_need_more(start);
     const std::size_t run_end = lt == std::string_view::npos ? in.size() : lt;
     std::string_view decoded;
     if (!decode(in.substr(pos_, run_end - pos_), run_end, decoded)) return token_;
     pos_ = run_end;
-    token_ = Token{};
-    token_.kind = TokenKind::kText;
-    token_.value = decoded;
-    return token_;
+    Token& token = emit(TokenKind::kText);
+    token.value = decoded;
+    return token;
   }
-  // Markup: dispatch on the character after '<'.
+  // Markup: dispatch on what follows '<'.
   const std::string_view rest = in.substr(pos_);
-  if (rest.size() < 2 && !finished_) return emit_need_more(start);
-  const char next_char = rest.size() > 1 ? rest[1] : '\0';
-  if (next_char == '/') return scan_element_end();
-  if (next_char == '!') {
-    if ((is_prefix_of(rest, "<!--") || is_prefix_of(rest, "<![CDATA[")) && !finished_) {
-      return emit_need_more(start);
+  if (rest.substr(0, 2) == "</") return scan_element_end();
+  if (rest.substr(0, 4) == "<!--") {
+    const std::size_t end = in.find("-->", pos_);
+    if (end == std::string_view::npos) {
+      return emit_error("xml.unterminated-comment", "unterminated comment", pos_);
     }
-    if (rest.substr(0, 4) == "<!--") {
-      const std::size_t end = in.find("-->", pos_);
-      if (end == std::string_view::npos) {
-        if (!finished_) return emit_need_more(start);
-        return emit_error("xml.unterminated-comment", "unterminated comment", pos_);
-      }
-      token_ = Token{};
-      token_.kind = TokenKind::kComment;
-      token_.value = in.substr(pos_ + 4, end - pos_ - 4);
-      pos_ = end + 3;
-      return token_;
-    }
-    if (rest.substr(0, 9) == "<![CDATA[") {
-      const std::size_t end = in.find("]]>", pos_);
-      if (end == std::string_view::npos) {
-        if (!finished_) return emit_need_more(start);
-        return emit_error("xml.unterminated-cdata", "unterminated CDATA section", pos_);
-      }
-      token_ = Token{};
-      token_.kind = TokenKind::kCData;
-      token_.value = in.substr(pos_ + 9, end - pos_ - 9);
-      pos_ = end + 3;
-      return token_;
-    }
-    // "<!" that is neither comment nor CDATA: falls through to the element
-    // scanner, which rejects '!' as a name start (DOM parser parity).
-    return scan_element_start();
+    return emit_markup(TokenKind::kComment, 4, end, 3);
   }
-  if (next_char == '?') {
+  if (rest.substr(0, 9) == "<![CDATA[") {
+    const std::size_t end = in.find("]]>", pos_);
+    if (end == std::string_view::npos) {
+      return emit_error("xml.unterminated-cdata", "unterminated CDATA section", pos_);
+    }
+    return emit_markup(TokenKind::kCData, 9, end, 3);
+  }
+  if (rest.substr(0, 2) == "<?") {
     const std::size_t end = in.find("?>", pos_);
     if (end == std::string_view::npos) {
-      if (!finished_) return emit_need_more(start);
       return emit_error("xml.unterminated-pi", "unterminated processing instruction", pos_);
     }
-    token_ = Token{};
-    token_.kind = TokenKind::kPi;
-    token_.value = in.substr(pos_ + 2, end - pos_ - 2);
-    pos_ = end + 2;
-    return token_;
+    return emit_markup(TokenKind::kPi, 2, end, 2);
   }
+  // Anything else is a start tag; "<!" that is neither comment nor CDATA
+  // fails there, '!' not being a name start (DOM parser parity).
   return scan_element_start();
 }
 
 const Token& Tokenizer::scan_element_start() {
-  const std::string_view in = buffer();
-  const std::size_t tag_start = pos_;
-  if (stack_.size() > options_.max_depth) {
+  const std::string_view in = input_;
+  if (stack_.size() >= kMaxDepth) {
     return emit_error("xml.too-deep", "maximum nesting depth exceeded", pos_);
   }
   const Location tag_loc = location_at(pos_);
   std::size_t p = pos_ + 1;  // past '<'
-  if (p >= in.size()) {
-    if (!finished_) return emit_need_more(tag_start);
+  if (p >= in.size() || !is_name_start(in[p])) {
     return emit_error("xml.bad-name", "expected a name", p);
   }
-  if (!is_name_start(in[p])) return emit_error("xml.bad-name", "expected a name", p);
   const std::size_t name_start = p;
   ++p;
   while (p < in.size() && is_name_char(in[p])) ++p;
-  if (p >= in.size() && !finished_) return emit_need_more(tag_start);
   const std::string_view name = in.substr(name_start, p - name_start);
   pos_ = p;
 
@@ -365,85 +250,51 @@ const Token& Tokenizer::scan_element_start() {
   for (;;) {
     while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
     if (pos_ >= in.size()) {
-      if (!finished_) return emit_need_more(tag_start);
       return emit_error("xml.unterminated-tag", "unterminated start tag", pos_);
     }
-    if (in[pos_] == '>') {
-      ++pos_;
-      // Incremental mode: feed() may reallocate the pending buffer, so the
-      // name kept across tokens must live in the arena (which never moves).
-      stack_.push_back(incremental_ ? arena_.copy(name) : name);
-      token_ = Token{};
-      token_.kind = TokenKind::kStartElement;
-      token_.name = name;
-      token_.attrs = attrs_.data();
-      token_.attr_count = attrs_.size();
-      token_.line = tag_loc.line;
-      token_.column = tag_loc.column;
+    const bool self_closing = in.substr(pos_, 2) == "/>";
+    if (self_closing || in[pos_] == '>') {
+      pos_ += self_closing ? 2 : 1;
+      Token& token = emit(TokenKind::kStartElement);
+      token.name = name;
+      token.attrs = attrs_.data();
+      token.attr_count = attrs_.size();
+      token.self_closing = self_closing;
+      token.line = tag_loc.line;
+      token.column = tag_loc.column;
+      if (self_closing) {
+        // The matching kEndElement is synthesized by the next call; the
+        // element is never pushed, so depth() excludes it.
+        pending_end_element_ = true;
+        pending_end_name_ = name;
+      } else {
+        stack_.push_back(name);
+      }
       state_ = State::kContent;
-      return token_;
+      return token;
     }
-    if (in.substr(pos_, 2) == "/>") {
-      pos_ += 2;
-      token_ = Token{};
-      token_.kind = TokenKind::kStartElement;
-      token_.name = name;
-      token_.attrs = attrs_.data();
-      token_.attr_count = attrs_.size();
-      token_.self_closing = true;
-      token_.line = tag_loc.line;
-      token_.column = tag_loc.column;
-      // The matching kEndElement is synthesized by the next call; the
-      // element is never pushed, so depth() excludes it. The name must
-      // survive a feed() in between, hence the arena copy.
-      pending_end_element_ = true;
-      pending_end_name_ = incremental_ ? arena_.copy(name) : name;
-      state_ = State::kContent;
-      return token_;
-    }
-    if (in[pos_] == '/' && pos_ + 1 >= in.size() && !finished_) {
-      return emit_need_more(tag_start);
-    }
-    if (!scan_attribute()) {
-      if (token_.kind == TokenKind::kNeedMore) return emit_need_more(tag_start);
-      return token_;  // error already emitted
-    }
+    if (!scan_attribute()) return token_;  // error already emitted
   }
 }
 
 bool Tokenizer::scan_attribute() {
-  const std::string_view in = buffer();
-  if (pos_ >= in.size() || !is_name_start(in[pos_])) {
+  const std::string_view in = input_;
+  if (!is_name_start(in[pos_])) {
     emit_error("xml.bad-name", "expected a name", pos_);
     return false;
   }
   const std::size_t name_start = pos_;
   std::size_t p = pos_ + 1;
   while (p < in.size() && is_name_char(in[p])) ++p;
-  if (p >= in.size() && !finished_) {
-    token_ = Token{};
-    token_.kind = TokenKind::kNeedMore;
-    return false;
-  }
   const std::string_view name = in.substr(name_start, p - name_start);
   pos_ = p;
   while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
-  if (pos_ >= in.size() && !finished_) {
-    token_ = Token{};
-    token_.kind = TokenKind::kNeedMore;
-    return false;
-  }
   if (pos_ >= in.size() || in[pos_] != '=') {
     emit_error("xml.expected-eq", "expected '=' after attribute", pos_);
     return false;
   }
   ++pos_;
   while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
-  if (pos_ >= in.size() && !finished_) {
-    token_ = Token{};
-    token_.kind = TokenKind::kNeedMore;
-    return false;
-  }
   if (pos_ >= in.size() || (in[pos_] != '"' && in[pos_] != '\'')) {
     emit_error("xml.expected-quote", "expected quoted attribute value", pos_);
     return false;
@@ -461,17 +312,11 @@ bool Tokenizer::scan_attribute() {
     if (c == quote || c == '<') break;
     has_entity |= c == '&';
   }
+  pos_ = stop;
   if (stop == in.size()) {
-    if (!finished_) {
-      token_ = Token{};
-      token_.kind = TokenKind::kNeedMore;
-      return false;
-    }
-    pos_ = in.size();
     emit_error("xml.unterminated-attr", "unterminated attribute value", pos_);
     return false;
   }
-  pos_ = stop;
   if (in[stop] == '<') {
     emit_error("xml.lt-in-attr", "'<' not allowed in attribute value", pos_);
     return false;
@@ -491,17 +336,14 @@ bool Tokenizer::scan_attribute() {
 }
 
 const Token& Tokenizer::scan_element_end() {
-  const std::string_view in = buffer();
-  const std::size_t tag_start = pos_;
+  const std::string_view in = input_;
   pos_ += 2;  // past "</"
-  if (pos_ >= in.size() && !finished_) return emit_need_more(tag_start);
   if (pos_ >= in.size() || !is_name_start(in[pos_])) {
     return emit_error("xml.bad-name", "expected a name", pos_);
   }
   const std::size_t name_start = pos_;
   std::size_t p = pos_ + 1;
   while (p < in.size() && is_name_char(in[p])) ++p;
-  if (p >= in.size() && !finished_) return emit_need_more(tag_start);
   const std::string_view name = in.substr(name_start, p - name_start);
   pos_ = p;
   if (name != stack_.back()) {
@@ -511,79 +353,15 @@ const Token& Tokenizer::scan_element_end() {
                       pos_);
   }
   while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
-  if (pos_ >= in.size() && !finished_) return emit_need_more(tag_start);
   if (pos_ >= in.size() || in[pos_] != '>') {
     return emit_error("xml.bad-end-tag", "malformed end tag", pos_);
   }
   ++pos_;
   stack_.pop_back();
-  token_ = Token{};
-  token_.kind = TokenKind::kEndElement;
-  token_.name = name;
+  Token& token = emit(TokenKind::kEndElement);
+  token.name = name;
   if (stack_.empty()) state_ = State::kEpilog;
-  return token_;
-}
-
-const Token& Tokenizer::scan_epilog() {
-  const std::string_view in = buffer();
-  for (;;) {
-    const std::size_t start = pos_;
-    while (pos_ < in.size() && is_space(in[pos_])) ++pos_;
-    if (pos_ >= in.size()) {
-      if (!finished_) return emit_need_more(start);
-      state_ = State::kDone;
-      token_ = Token{};
-      token_.kind = TokenKind::kEndDocument;
-      return token_;
-    }
-    const std::string_view rest = in.substr(pos_);
-    if ((is_prefix_of(rest, "<!--") || is_prefix_of(rest, "<!DOCTYPE") ||
-         is_prefix_of(rest, "<?")) &&
-        !finished_) {
-      return emit_need_more(start);
-    }
-    if (rest.substr(0, 4) == "<!--") {
-      const std::size_t end = in.find("-->", pos_);
-      if (end == std::string_view::npos) {
-        // The DOM parser accepted unterminated trailing misc (skip_misc
-        // consumed to end-of-input); preserved for parity.
-        if (!finished_) return emit_need_more(start);
-        pos_ = in.size();
-        continue;
-      }
-      token_ = Token{};
-      token_.kind = TokenKind::kComment;
-      token_.value = in.substr(pos_ + 4, end - pos_ - 4);
-      pos_ = end + 3;
-      return token_;
-    }
-    if (rest.substr(0, 2) == "<?") {
-      const std::size_t end = in.find("?>", pos_);
-      if (end == std::string_view::npos) {
-        if (!finished_) return emit_need_more(start);
-        pos_ = in.size();
-        continue;
-      }
-      token_ = Token{};
-      token_.kind = TokenKind::kPi;
-      token_.value = in.substr(pos_ + 2, end - pos_ - 2);
-      pos_ = end + 2;
-      return token_;
-    }
-    if (rest.substr(0, 9) == "<!DOCTYPE") {
-      std::size_t scan = pos_;
-      int depth = 0;
-      for (; scan < in.size(); ++scan) {
-        if (in[scan] == '[') ++depth;
-        if (in[scan] == ']') --depth;
-        if (in[scan] == '>' && depth == 0) break;
-      }
-      if (scan >= in.size() && !finished_) return emit_need_more(start);
-      pos_ = scan < in.size() ? scan + 1 : in.size();
-      continue;
-    }
-    return emit_error("xml.trailing-content", "content after root element", pos_);
-  }
+  return token;
 }
 
 bool Tokenizer::decode(std::string_view raw, std::size_t err_pos, std::string_view& out) {
@@ -650,9 +428,6 @@ Result<bool> drain(Tokenizer& tok) {
     const Token& token = tok.next();
     if (token.kind == TokenKind::kEndDocument) return true;
     if (token.kind == TokenKind::kError) return tok.error();
-    if (token.kind == TokenKind::kNeedMore) {
-      return Error{"xml.incomplete", "input ended before the document was complete"};
-    }
   }
 }
 
@@ -662,11 +437,10 @@ const Token* next_root(Tokenizer& tok) {
     switch (token.kind) {
       case TokenKind::kStartElement:
         return &token;
-      case TokenKind::kStartDocument:
       case TokenKind::kComment:
       case TokenKind::kPi:
         break;
-      default:  // kError, kNeedMore; kEndDocument cannot precede a root
+      default:  // kError; kEndDocument cannot precede a root
         return nullptr;
     }
   }
@@ -687,8 +461,6 @@ Result<bool> skip_element(Tokenizer& tok, const Token& start) {
         break;
       case TokenKind::kError:
         return tok.error();
-      case TokenKind::kNeedMore:
-        return Error{"xml.incomplete", "input ended inside an element"};
       default:
         break;
     }

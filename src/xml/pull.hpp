@@ -6,16 +6,17 @@
 // see the same token stream, the same error codes and the same
 // well-formedness decisions on every input.
 //
+// One-shot: a tokenizer reads one complete document that the caller holds.
+// Every reader in the tree has the whole text before it parses (a served
+// description, a lint body, an envelope on the wire).
+//
 // Zero-copy: token names, attribute names and values, and character data
 // are std::string_view slices of the input buffer whenever possible. The
 // only bytes the tokenizer copies are entity-decoded values, which land in
 // an owned common::Arena and stay valid until the tokenizer is destroyed.
 //
-// Incremental feed: a tokenizer constructed without input accepts bytes
-// via feed() and returns kNeedMore when the next token is not yet complete
-// (the partial token is rescanned once more bytes arrive — cheap, since
-// tokens are small). finish() marks end-of-input, after which incomplete
-// constructs become the same errors the one-shot parse reports.
+// The BOM, the XML declaration and DOCTYPE are read past without a token;
+// the declaration's version and encoding are not read at all.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,6 @@
 namespace wsx::xml::pull {
 
 enum class TokenKind : unsigned char {
-  kStartDocument,  ///< prolog seen (or absent); carries version/encoding
   kStartElement,   ///< name + attributes; self_closing when <.../>
   kEndElement,     ///< also synthesized after a self-closing start
   kText,           ///< character data, entity-decoded
@@ -38,7 +38,6 @@ enum class TokenKind : unsigned char {
   kComment,        ///< comment body (content between <!-- and -->)
   kPi,             ///< processing instruction, skipped content
   kEndDocument,    ///< the document is complete and well-formed
-  kNeedMore,       ///< incremental mode: feed more bytes (or finish())
   kError,          ///< see Tokenizer::error()
 };
 
@@ -47,9 +46,8 @@ struct AttrView {
   std::string_view value;  ///< decoded; aliases input unless entities forced a copy
 };
 
-/// One token. Views alias the tokenizer's buffer: in one-shot mode they
-/// stay valid for the tokenizer's lifetime; in incremental mode until the
-/// next feed() (which may reallocate the pending buffer).
+/// One token. Views alias the input or the tokenizer's arena, so they stay
+/// valid for the tokenizer's lifetime.
 struct Token {
   TokenKind kind = TokenKind::kError;
   std::string_view name;     ///< element name (start/end), PI target
@@ -59,8 +57,6 @@ struct Token {
   bool self_closing = false;   ///< kStartElement of an empty-element tag
   std::size_t line = 0;        ///< 1-based, start elements only
   std::size_t column = 0;
-  std::string_view version;    ///< kStartDocument; empty = no prolog value
-  std::string_view encoding;
 
   /// Value of the start tag's attribute with this lexical name, if present.
   std::optional<std::string_view> attribute(std::string_view attr_name) const {
@@ -71,28 +67,18 @@ struct Token {
   }
 };
 
-struct TokenizerOptions {
-  /// Reject documents whose nesting depth exceeds this bound (same meaning
-  /// as ParseOptions::max_depth).
-  std::size_t max_depth = 256;
-};
+/// Most elements a document may have open at once: the start tag of a
+/// 257th nested element is xml.too-deep.
+inline constexpr std::size_t kMaxDepth = 256;
 
 class Tokenizer {
  public:
-  /// One-shot: tokenize a complete document held by the caller. Views
-  /// alias `input`, which must outlive the tokenizer.
-  explicit Tokenizer(std::string_view input, TokenizerOptions options = {});
-
-  /// Incremental: start empty, feed() chunks, finish() at end-of-input.
-  explicit Tokenizer(TokenizerOptions options);
+  /// Tokenizes a complete document held by the caller. Views alias
+  /// `input`, which must outlive the tokenizer.
+  explicit Tokenizer(std::string_view input);
 
   Tokenizer(const Tokenizer&) = delete;
   Tokenizer& operator=(const Tokenizer&) = delete;
-
-  /// Appends bytes (incremental mode only). Invalidates outstanding views.
-  void feed(std::string_view chunk);
-  /// Marks end-of-input: pending incomplete constructs become errors.
-  void finish();
 
   /// Scans and returns the next token. After kError / kEndDocument every
   /// further call returns the same token.
@@ -105,34 +91,29 @@ class Tokenizer {
   /// Elements currently open (depth of the cursor).
   std::size_t depth() const { return stack_.size(); }
 
-  /// Scratch arena holding decoded values; reset() only when every
-  /// outstanding token view has been consumed.
-  common::Arena& arena() { return arena_; }
-
  private:
   enum class State : unsigned char {
-    kStartOfDocument,  ///< BOM + prolog not yet emitted
-    kBeforeRoot,       ///< prolog emitted, root start tag pending
-    kContent,          ///< inside the root element
-    kEpilog,           ///< root closed, trailing misc allowed
+    kBeforeRoot,  ///< root start tag pending
+    kContent,     ///< inside the root element
+    kEpilog,      ///< root closed, trailing misc allowed
     kDone,
     kFailed,
   };
 
-  std::string_view buffer() const {
-    return incremental_ ? std::string_view(pending_) : input_;
-  }
-  bool at_end(std::size_t pos) const { return pos >= buffer().size(); }
-
+  /// Resets token_ to an empty token of `kind`.
+  Token& emit(TokenKind kind);
   const Token& emit_error(std::string code, std::string what, std::size_t pos);
-  const Token& emit_need_more(std::size_t rewind_to);
-  const Token& scan_start_of_document();
-  const Token& scan_before_root();
+  /// The comment, CDATA section or PI at pos_: its body starts `open_size`
+  /// bytes in and ends at `close`, where a `close_size`-byte delimiter
+  /// follows it.
+  const Token& emit_markup(TokenKind kind, std::size_t open_size, std::size_t close,
+                           std::size_t close_size);
+  /// Before the root and after it: comments, PIs and DOCTYPE.
+  const Token& scan_misc();
   const Token& scan_content();
-  const Token& scan_epilog();
   const Token& scan_element_start();
   const Token& scan_element_end();
-  bool scan_attribute();  ///< false on error/need-more (token_ already set)
+  bool scan_attribute();  ///< false on error (token_ already set)
 
   /// Decodes entities in raw (no-op view when `&` is absent); false on a
   /// malformed reference (token_ set to the error, positioned at `err_pos`).
@@ -144,20 +125,12 @@ class Tokenizer {
   };
   Location location_at(std::size_t pos);
 
-  std::string_view input_;   ///< one-shot buffer
-  std::string pending_;      ///< incremental buffer (grows on feed)
-  bool incremental_ = false;
-  bool finished_ = false;
-  TokenizerOptions options_;
-
-  State state_ = State::kStartOfDocument;
+  std::string_view input_;
+  State state_ = State::kBeforeRoot;
   std::size_t pos_ = 0;
   bool pending_end_element_ = false;  ///< self-closing start emitted, end next
-  std::string_view pending_end_name_;  ///< stable name for that synthesized end
-  /// Open element names. One-shot mode: views into the caller's buffer.
-  /// Incremental mode: arena copies — feed() may reallocate pending_, but
-  /// arena allocations never move.
-  std::vector<std::string_view> stack_;
+  std::string_view pending_end_name_;  ///< name for that synthesized end
+  std::vector<std::string_view> stack_;  ///< open element names, views into input_
   std::vector<AttrView> attrs_;          ///< reused per start tag
   Token token_;
   Error error_;
@@ -176,9 +149,9 @@ class Tokenizer {
 /// end-of-document to preserve error parity with the DOM path).
 Result<bool> drain(Tokenizer& tok);
 
-/// Reads past the prolog (declaration, comments, PIs) to the root element:
-/// returns its kStartElement token, or nullptr when the document is
-/// malformed before it or has none (see Tokenizer::error()).
+/// Reads past the comments and PIs before the root element: returns its
+/// kStartElement token, or nullptr when the document is malformed before it
+/// or has none (see Tokenizer::error()).
 const Token* next_root(Tokenizer& tok);
 
 /// Consumes the element whose kStartElement token was just returned,
@@ -203,7 +176,6 @@ bool for_each_child(Tokenizer& tok, OnChild&& on_child) {
       case TokenKind::kEndElement:
         return true;
       case TokenKind::kError:
-      case TokenKind::kNeedMore:
         return false;
       default:
         break;

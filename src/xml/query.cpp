@@ -61,11 +61,6 @@ void NamespaceScope::pop() {
   frame_starts_.pop_back();
 }
 
-std::optional<std::string> NamespaceScope::resolve_prefix(std::string_view prefix) const {
-  if (const std::string* uri = find_prefix(prefix)) return *uri;
-  return std::nullopt;
-}
-
 const std::string* NamespaceScope::find_prefix(std::string_view prefix) const {
   // Innermost frame first; within a frame, the first declaration wins.
   std::size_t end = bindings_.size();
@@ -156,14 +151,6 @@ Element* find_descendant(Element& root,
 const Element* find_descendant(const Element& root,
                                const std::function<bool(const Element&)>& predicate) {
   return find_descendant(const_cast<Element&>(root), predicate);
-}
-
-std::optional<QName> resolved_name(const Element& root, const Element& target) {
-  std::optional<QName> result;
-  walk(root, [&](const Element& element, const NamespaceScope& scope) {
-    if (&element == &target) result = scope.resolve(element.name());
-  });
-  return result;
 }
 
 }  // namespace wsx::xml

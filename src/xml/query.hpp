@@ -25,14 +25,9 @@ class NamespaceScope {
   void push(const pull::Token& start_tag);
   void pop();
 
-  /// URI bound to `prefix`, or nullopt. The empty prefix looks up the
+  /// The URI bound to `prefix` (valid until the scope is mutated), or
+  /// nullptr when the prefix is undeclared. The empty prefix looks up the
   /// default namespace; "xml" is always bound per the XML spec.
-  std::optional<std::string> resolve_prefix(std::string_view prefix) const;
-
-  /// Zero-copy variant: pointer to the bound URI (valid until the scope is
-  /// mutated), or nullptr when the prefix is undeclared. Hot paths that only
-  /// compare the URI use this to skip the std::string copy resolve_prefix
-  /// makes.
   const std::string* find_prefix(std::string_view prefix) const;
 
   /// Resolves a lexical QName ("p:local" or "local"). Unprefixed names take
@@ -78,10 +73,6 @@ std::vector<const Element*> find_all(const Element& root, const QName& name);
 
 /// First descendant element with the given resolved QName, or nullptr.
 const Element* find_first(const Element& root, const QName& name);
-
-/// Resolves the element's own name against declarations in scope starting
-/// from `root` (the element must be a descendant-or-self of root).
-std::optional<QName> resolved_name(const Element& root, const Element& target);
 
 /// Depth-first search (self included) for the first element satisfying
 /// `predicate`; mutable variant for tree editing.

@@ -54,24 +54,8 @@ bool is_text_only(const Element& element) {
 
 }  // namespace
 
-std::string escape_text(std::string_view text) {
-  std::string out;
-  append_escaped(out, text, /*in_attribute=*/false);
-  return out;
-}
-
-std::string escape_attribute(std::string_view text) {
-  std::string out;
-  append_escaped(out, text, /*in_attribute=*/true);
-  return out;
-}
-
-void Emitter::declaration(std::string_view version, std::string_view encoding) {
-  out_ += "<?xml version=\"";
-  out_ += version;
-  out_ += "\" encoding=\"";
-  out_ += encoding;
-  out_ += "\"?>";
+void Emitter::declaration() {
+  out_ += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
   newline();
 }
 
@@ -181,7 +165,7 @@ void Emitter::element(const Element& element) {
 }
 
 void Emitter::indent(std::size_t depth) {
-  if (options_.pretty) out_.append(depth * options_.indent_width, ' ');
+  if (options_.pretty) out_.append(depth * 2, ' ');
 }
 
 void Emitter::newline() {
@@ -208,15 +192,8 @@ void AttributeList::write(Emitter& out) const {
 
 std::string write(const Element& root, const WriteOptions& options) {
   Emitter out{options};
-  if (options.xml_declaration) out.declaration();
+  out.declaration();
   out.element(root);
-  return out.take();
-}
-
-std::string write(const Document& document, const WriteOptions& options) {
-  Emitter out{options};
-  if (options.xml_declaration) out.declaration(document.version, document.encoding);
-  out.element(document.root);
   return out.take();
 }
 

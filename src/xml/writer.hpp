@@ -16,15 +16,8 @@
 namespace wsx::xml {
 
 struct WriteOptions {
-  bool pretty = true;          ///< indent nested elements
-  std::size_t indent_width = 2;
-  bool xml_declaration = true; ///< emit <?xml version="1.0" encoding="UTF-8"?>
+  bool pretty = true;  ///< indent nested elements two spaces a level
 };
-
-/// Escapes the five XML special characters for element content.
-std::string escape_text(std::string_view text);
-/// Escapes text for use inside a double-quoted attribute value.
-std::string escape_attribute(std::string_view text);
 
 /// Writes XML onto one string, one call per construct.
 ///
@@ -43,8 +36,8 @@ class Emitter {
     open_.reserve(16);
   }
 
-  /// `<?xml version="…" encoding="…"?>` on a line of its own.
-  void declaration(std::string_view version = "1.0", std::string_view encoding = "UTF-8");
+  /// `<?xml version="1.0" encoding="UTF-8"?>` on a line of its own.
+  void declaration();
 
   /// Opens `<name`.
   void start(std::string_view name);
@@ -113,7 +106,7 @@ class AttributeList {
   std::vector<std::pair<std::string, std::string_view>> items_;
 };
 
+/// The XML declaration, then `root`.
 std::string write(const Element& root, const WriteOptions& options = {});
-std::string write(const Document& document, const WriteOptions& options = {});
 
 }  // namespace wsx::xml

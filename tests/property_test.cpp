@@ -57,7 +57,7 @@ TEST_P(XmlRoundTripProperty, WriteParseIsIdentity) {
   const xml::Element original = random_tree(rng, 4);
   // Compact form: pretty-printing inserts indentation that is part of the
   // text content in mixed-content elements, so identity holds for the
-  // compact serialization (which is also the wire form).
+  // compact serialization (soap::write emits the pretty layout).
   xml::WriteOptions options;
   options.pretty = false;
   const std::string text = xml::write(original, options);

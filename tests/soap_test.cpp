@@ -4,6 +4,7 @@
 #include "soap/http.hpp"
 #include "soap/message.hpp"
 #include "wsdl/model.hpp"
+#include "xml/pull.hpp"
 
 namespace wsx::soap {
 namespace {
@@ -75,14 +76,31 @@ TEST(Envelope, RejectsEmptyBody) {
   EXPECT_EQ(parsed.error().code, "soap.empty-body");
 }
 
+TEST(Envelope, PayloadNestedToTheDepthLimit) {
+  // Envelope and Body are two of the document's open elements.
+  const auto nested = [](std::size_t depth) {
+    std::string text =
+        R"(<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/">)"
+        "<soapenv:Body>";
+    for (std::size_t i = 2; i < depth; ++i) text += "<p>";
+    text += "x";
+    for (std::size_t i = 2; i < depth; ++i) text += "</p>";
+    return text + "</soapenv:Body></soapenv:Envelope>";
+  };
+  EXPECT_TRUE(parse(nested(xml::pull::kMaxDepth)).ok());
+  Result<Envelope> deeper = parse(nested(xml::pull::kMaxDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.error().code, "xml.too-deep");
+}
+
 TEST(Message, BuildsRequestForKnownOperation) {
   Result<Envelope> request = build_request(echo_defs(), "echo", {{"arg0", "hi"}});
   ASSERT_TRUE(request.ok());
   EXPECT_EQ(request->body().local_name(), "echo");
-  const std::vector<Argument> arguments = request_arguments(*request);
+  const std::vector<xml::Element*> arguments = request->body().child_elements();
   ASSERT_EQ(arguments.size(), 1u);
-  EXPECT_EQ(arguments.front().name, "arg0");
-  EXPECT_EQ(arguments.front().value, "hi");
+  EXPECT_EQ(arguments.front()->local_name(), "arg0");
+  EXPECT_EQ(arguments.front()->text(), "hi");
 }
 
 TEST(Message, RejectsUnknownOperation) {
@@ -143,7 +161,8 @@ TEST(Message, WireRoundTripPreservesValues) {
     ASSERT_TRUE(request.ok());
     Result<Envelope> reparsed = parse(write(*request));
     ASSERT_TRUE(reparsed.ok());
-    EXPECT_EQ(request_arguments(*reparsed).front().value, value);
+    ASSERT_NE(reparsed->body().child("arg0"), nullptr);
+    EXPECT_EQ(reparsed->body().child("arg0")->text(), value);
   }
 }
 

@@ -49,35 +49,6 @@ void expect_same_verdict(const std::string& text, const std::string& label) {
   }
 }
 
-/// Same document fed one byte at a time: the incremental scanner must
-/// reach the same verdict as the one-shot scan.
-void expect_same_verdict_incremental(const std::string& text, const std::string& label) {
-  xml::pull::Tokenizer one_shot{text};
-  const Result<bool> whole = xml::pull::drain(one_shot);
-
-  xml::pull::Tokenizer tok{xml::pull::TokenizerOptions{}};
-  std::size_t fed = 0;
-  std::string code = "ok";
-  for (;;) {
-    const xml::pull::Token& token = tok.next();
-    if (token.kind == xml::pull::TokenKind::kNeedMore) {
-      if (fed < text.size()) {
-        tok.feed(text.substr(fed, 1));
-        ++fed;
-      } else {
-        tok.finish();
-      }
-      continue;
-    }
-    if (token.kind == xml::pull::TokenKind::kEndDocument) break;
-    if (token.kind == xml::pull::TokenKind::kError) {
-      code = tok.error().code;
-      break;
-    }
-  }
-  EXPECT_EQ(code, whole.ok() ? "ok" : whole.error().code) << label;
-}
-
 const std::string& clean_body() {
   static const std::string body = [] {
     const frameworks::DeployedService service = wsx::testing::deploy_one(
@@ -131,7 +102,6 @@ TEST(StreamFuzzBridge, MixedVersionEnvelopesAgree) {
   ASSERT_EQ(corpus.size(), 4u);
   for (const auto& [label, body] : corpus) {
     expect_same_verdict(body, label);
-    expect_same_verdict_incremental(body, label);
     EXPECT_EQ(verdict_of(soap::parse(body)), "ok") << label;
   }
 }
@@ -179,7 +149,6 @@ TEST(StreamFuzzBridge, EveryFuzzMutantAgrees) {
   ASSERT_FALSE(mutants.empty());
   for (const fuzz::Mutant& mutant : mutants) {
     expect_same_verdict(mutant.wsdl_text, "mutant " + mutant.description);
-    expect_same_verdict_incremental(mutant.wsdl_text, "mutant " + mutant.description);
   }
 }
 
@@ -191,16 +160,6 @@ TEST(StreamFuzzBridge, TruncationAtEveryByteAgrees) {
   const std::string& body = clean_body();
   for (std::size_t cut = 0; cut <= body.size(); ++cut) {
     expect_same_verdict(body.substr(0, cut), "cut at " + std::to_string(cut));
-  }
-}
-
-TEST(StreamFuzzBridge, TruncationSweepIncremental) {
-  const std::string& body = clean_body();
-  // Byte-at-a-time feeding across the sweep is quadratic; stride keeps the
-  // test fast while still crossing every construct boundary in the text.
-  for (std::size_t cut = 0; cut <= body.size(); cut += 7) {
-    expect_same_verdict_incremental(body.substr(0, cut),
-                                    "cut at " + std::to_string(cut));
   }
 }
 
@@ -235,7 +194,6 @@ TEST(StreamFuzzBridge, PathologicalHandWrittenInputs) {
   };
   for (const std::string& text : inputs) {
     expect_same_verdict(text, "pathological");
-    expect_same_verdict_incremental(text, "pathological");
   }
 }
 

@@ -130,5 +130,39 @@ TEST(StructuredPayload, FlatStringPayloadStillWorks) {
   EXPECT_EQ(soap::response_value(response).value(), "plain");
 }
 
+// A payload may repeat arg0: the echo is the last arg0's text, and the
+// field check reads only the first arg0.
+TEST(StructuredPayload, RepeatedArg0EchoesTheLastAndChecksTheFirst) {
+  const Fixture fixture = make_fixture();
+  const auto respond = [&](const soap::Envelope& request) {
+    return fixture.server->handle_request(fixture.service, request);
+  };
+
+  Result<soap::Envelope> plain = soap::build_request(fixture.service.wsdl, "echo",
+                                                     {{"arg0", "first"}, {"arg0", "second"}});
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(soap::response_value(respond(*plain)).value(), "second");
+
+  std::vector<soap::Argument> bad_fields = valid_fields(*fixture.type);
+  bad_fields.push_back({"notAField", "x"});
+
+  Result<soap::Envelope> bad_first =
+      soap::build_structured_request(fixture.service.wsdl, "echo", bad_fields);
+  ASSERT_TRUE(bad_first.ok());
+  bad_first->body().add_element("m:arg0").add_text("plain");
+  const soap::Envelope checked = respond(*bad_first);
+  ASSERT_TRUE(checked.is_fault());
+  EXPECT_NE(checked.fault().fault_string.find("unexpected element"), std::string::npos);
+
+  Result<soap::Envelope> bad_second =
+      soap::build_structured_request(fixture.service.wsdl, "echo", bad_fields);
+  ASSERT_TRUE(bad_second.ok());
+  xml::Element plain_first{"m:arg0"};
+  plain_first.add_text("plain");
+  bad_second->body().prepend_child(std::move(plain_first));
+  // The bean arg0 holds only elements, so its text, the echo, is empty.
+  EXPECT_EQ(soap::response_value(respond(*bad_second)).value(), "");
+}
+
 }  // namespace
 }  // namespace wsx::frameworks

@@ -201,6 +201,21 @@ TEST(Parser, RejectsMalformedXml) {
   ASSERT_FALSE(defs.ok());
 }
 
+TEST(Parser, DepthLimitAdmitsExactlyMaxDepthOpenElements) {
+  // The root is one of the open elements; a vendor extension holds the rest.
+  const auto nested = [](std::size_t depth) {
+    std::string text =
+        R"(<wsdl:definitions xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/">)";
+    for (std::size_t i = 1; i < depth; ++i) text += "<x>";
+    for (std::size_t i = 1; i < depth; ++i) text += "</x>";
+    return text + "</wsdl:definitions>";
+  };
+  EXPECT_TRUE(parse(nested(xml::pull::kMaxDepth)).ok());
+  Result<Definitions> deeper = parse(nested(xml::pull::kMaxDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.error().code, "xml.too-deep");
+}
+
 TEST(Parser, RejectsUnknownBindingStyle) {
   const char* text =
       R"(<wsdl:definitions xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"

@@ -8,17 +8,10 @@ namespace wsx::xml {
 namespace {
 
 TEST(XmlParser, ParsesMinimalDocument) {
-  Result<Document> doc = parse("<root/>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->root.name(), "root");
-  EXPECT_TRUE(doc->root.children().empty());
-}
-
-TEST(XmlParser, ParsesPrologVersionAndEncoding) {
-  Result<Document> doc = parse("<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?><a/>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->version, "1.1");
-  EXPECT_EQ(doc->encoding, "ISO-8859-1");
+  Result<Element> root = parse_element("<root/>");
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root->name(), "root");
+  EXPECT_TRUE(root->children().empty());
 }
 
 TEST(XmlParser, ParsesAttributes) {
@@ -73,14 +66,6 @@ TEST(XmlParser, KeepsCommentsWhenRequested) {
   EXPECT_EQ(root->children().size(), 2u);
 }
 
-TEST(XmlParser, DropsCommentsWhenConfigured) {
-  ParseOptions options;
-  options.keep_comments = false;
-  Result<Element> root = parse_element("<a><!--note--><b/></a>", options);
-  ASSERT_TRUE(root.ok());
-  EXPECT_EQ(root->children().size(), 1u);
-}
-
 TEST(XmlParser, RejectsMismatchedTags) {
   Result<Element> root = parse_element("<a><b></a></b>");
   ASSERT_FALSE(root.ok());
@@ -93,16 +78,16 @@ TEST(XmlParser, RejectsUnterminatedElement) {
 }
 
 TEST(XmlParser, RejectsTrailingContent) {
-  Result<Document> doc = parse("<a/><b/>");
-  ASSERT_FALSE(doc.ok());
-  EXPECT_EQ(doc.error().code, "xml.trailing-content");
+  Result<Element> root = parse_element("<a/><b/>");
+  ASSERT_FALSE(root.ok());
+  EXPECT_EQ(root.error().code, "xml.trailing-content");
 }
 
 TEST(XmlParser, SkipsDoctypeAndProcessingInstructions) {
-  Result<Document> doc =
-      parse("<?xml version=\"1.0\"?><!DOCTYPE a><?pi data?><a><?inner?></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->root.name(), "a");
+  Result<Element> root =
+      parse_element("<?xml version=\"1.0\"?><!DOCTYPE a><?pi data?><a><?inner?></a>");
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root->name(), "a");
 }
 
 TEST(XmlParser, EnforcesDepthLimit) {
@@ -113,6 +98,20 @@ TEST(XmlParser, EnforcesDepthLimit) {
   Result<Element> root = parse_element(deep);
   ASSERT_FALSE(root.ok());
   EXPECT_EQ(root.error().code, "xml.too-deep");
+}
+
+TEST(XmlParser, DepthLimitAdmitsExactlyMaxDepthOpenElements) {
+  const auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+    text += "x";
+    for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+    return text;
+  };
+  EXPECT_TRUE(parse_element(nested(pull::kMaxDepth)).ok());
+  Result<Element> deeper = parse_element(nested(pull::kMaxDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.error().code, "xml.too-deep");
 }
 
 TEST(XmlParser, ReportsLineAndColumn) {
@@ -189,23 +188,6 @@ TEST(XmlWriter, LayoutOfMixedContentCdataAndComments) {
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?><r a=\"1&lt;2\">lead &amp; text"
             "<c><![CDATA[raw <cdata>]]> tail</c><!-- note --><empty/><oc><!--x--></oc>"
             "<t>one<![CDATA[two]]></t>trailing</r>");
-
-  WriteOptions wide;
-  wide.indent_width = 4;
-  wide.xml_declaration = false;
-  std::string wide_body;
-  for (std::size_t at = 0, next; at < body.size(); at = next) {
-    next = body.find('\n', at) + 1;
-    const std::size_t spaces = body.find_first_not_of(' ', at) - at;
-    wide_body += std::string(spaces * 2, ' ') + body.substr(at + spaces, next - at - spaces);
-  }
-  EXPECT_EQ(write(root, wide), wide_body);
-
-  Document document;
-  document.version = "1.1";
-  document.encoding = "ISO-8859-1";
-  document.root = root;
-  EXPECT_EQ(write(document), "<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?>\n" + body);
 }
 
 }  // namespace

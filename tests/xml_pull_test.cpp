@@ -2,7 +2,7 @@
 // arena allocator backing its decoded values (src/common/arena.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -13,7 +13,7 @@
 namespace wsx::xml::pull {
 namespace {
 
-// An owning snapshot of a token, safe to keep across next()/feed() calls.
+// An owning snapshot of a token, safe to keep across next() calls.
 struct Event {
   TokenKind kind;
   std::string name;
@@ -58,32 +58,11 @@ PullRun run_one_shot(std::string_view text) {
   }
 }
 
-// Feeds the input `chunk_size` bytes at a time; every token must be
-// identical to the one-shot scan of the same text.
-PullRun run_incremental(std::string_view text, std::size_t chunk_size) {
-  Tokenizer tok{TokenizerOptions{}};
-  std::size_t fed = 0;
-  PullRun run;
-  for (;;) {
-    const Token& token = tok.next();
-    if (token.kind == TokenKind::kNeedMore) {
-      if (fed < text.size()) {
-        const std::size_t take = std::min(chunk_size, text.size() - fed);
-        tok.feed(text.substr(fed, take));
-        fed += take;
-      } else {
-        tok.finish();
-      }
-      continue;
-    }
-    if (token.kind == TokenKind::kEndDocument) return run;
-    if (token.kind == TokenKind::kError) {
-      run.error_code = tok.error().code;
-      run.error_message = tok.error().message;
-      return run;
-    }
-    run.events.push_back(snapshot(token));
-  }
+/// Copies `text` into the arena and returns a view of the copy.
+std::string_view copy_into(common::Arena& arena, std::string_view text) {
+  char* out = arena.char_buffer(text.size());
+  std::memcpy(out, text.data(), text.size());
+  return {out, text.size()};
 }
 
 TEST(Arena, AllocationsAreStableAcrossGrowth) {
@@ -93,27 +72,20 @@ TEST(Arena, AllocationsAreStableAcrossGrowth) {
   for (int i = 0; i < 500; ++i) {
     originals.push_back("value-" + std::to_string(i) + std::string(i % 37, 'x'));
   }
-  for (const std::string& text : originals) views.push_back(arena.copy(text));
-  // Growth allocated several blocks; earlier views must still read back.
-  EXPECT_GT(arena.reserved(), common::Arena::kFirstBlockBytes);
+  std::size_t total = 0;
+  for (const std::string& text : originals) {
+    views.push_back(copy_into(arena, text));
+    total += text.size();
+  }
+  // Growth chained several blocks; earlier views must still read back.
+  EXPECT_GT(total, common::Arena::kFirstBlockBytes);
   for (std::size_t i = 0; i < views.size(); ++i) EXPECT_EQ(views[i], originals[i]);
-}
-
-TEST(Arena, ResetKeepsFirstBlock) {
-  common::Arena arena;
-  arena.copy("hello world");
-  const std::size_t reserved = arena.reserved();
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_LE(arena.reserved(), reserved);
-  EXPECT_GT(arena.reserved(), 0u);
-  EXPECT_EQ(arena.copy("again"), "again");
 }
 
 TEST(Arena, LargeAllocationGetsDedicatedBlock) {
   common::Arena arena;
   const std::string big(common::Arena::kMaxBlockBytes + 17, 'b');
-  EXPECT_EQ(arena.copy(big), big);
+  EXPECT_EQ(copy_into(arena, big), big);
 }
 
 TEST(PullTokenizer, EmitsExpectedEventSequence) {
@@ -122,51 +94,36 @@ TEST(PullTokenizer, EmitsExpectedEventSequence) {
   std::vector<TokenKind> kinds;
   for (const Event& event : run.events) kinds.push_back(event.kind);
   EXPECT_EQ(kinds, (std::vector<TokenKind>{
-                       TokenKind::kStartDocument, TokenKind::kStartElement,
-                       TokenKind::kStartElement, TokenKind::kText,
-                       TokenKind::kEndElement, TokenKind::kStartElement,
-                       TokenKind::kEndElement, TokenKind::kEndElement}));
-  EXPECT_EQ(run.events[1].name, "a");
-  EXPECT_EQ(run.events[1].attrs,
+                       TokenKind::kStartElement, TokenKind::kStartElement,
+                       TokenKind::kText, TokenKind::kEndElement,
+                       TokenKind::kStartElement, TokenKind::kEndElement,
+                       TokenKind::kEndElement}));
+  EXPECT_EQ(run.events[0].name, "a");
+  EXPECT_EQ(run.events[0].attrs,
             (std::vector<std::pair<std::string, std::string>>{{"x", "1"}}));
-  EXPECT_EQ(run.events[3].value, "hi");
-  EXPECT_TRUE(run.events[5].self_closing);
-  EXPECT_FALSE(run.events[6].self_closing);
-  EXPECT_EQ(run.events[6].name, "c");
+  EXPECT_EQ(run.events[2].value, "hi");
+  EXPECT_TRUE(run.events[4].self_closing);
+  EXPECT_FALSE(run.events[5].self_closing);
+  EXPECT_EQ(run.events[5].name, "c");
 }
 
-TEST(PullTokenizer, ReportsPrologVersionAndEncoding) {
-  struct Case {
-    std::string input;
-    std::string_view version;
-    std::string_view encoding;
-    bool encoding_present;
+TEST(PullTokenizer, SkipsPrologPseudoAttributes) {
+  // The declaration is read past whatever its pseudo-attributes hold:
+  // double- or single-quoted, or unquoted.
+  const std::vector<std::string> inputs = {
+      "<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?><a/>",
+      "<?xml version='1.0' encoding=\"UTF-8\"?><a/>",
+      "<?xml version=\"1.1\" encoding='ISO-8859-1'?><a/>",
+      "<?xml version=1.0 encoding=\"x\"?><a/>",
+      "<?xml version=\"1.0\" encoding=UTF-8?><a/>",
   };
-  // The last two pin the scan's quirks: a pseudo-attribute's value is the
-  // next quoted run after its key, and an unquoted one reads as absent.
-  const std::vector<Case> cases = {
-      {"<?xml version=\"1.1\" encoding=\"ISO-8859-1\"?><a/>", "1.1", "ISO-8859-1", true},
-      {"<?xml version='1.0' encoding=\"UTF-8\"?><a/>", "1.0", "UTF-8", true},
-      {"<?xml version=\"1.1\" encoding='ISO-8859-1'?><a/>", "1.1", "ISO-8859-1", true},
-      {"<?xml version=1.0 encoding=\"x\"?><a/>", "x", "x", true},
-      {"<?xml version=\"1.0\" encoding=UTF-8?><a/>", "1.0", "", false},
-  };
-  for (const Case& c : cases) {
-    Tokenizer tok{c.input};
-    const Token& start = tok.next();
-    ASSERT_EQ(start.kind, TokenKind::kStartDocument) << c.input;
-    EXPECT_EQ(start.version, c.version) << c.input;
-    EXPECT_EQ(start.encoding, c.encoding) << c.input;
-    EXPECT_EQ(start.encoding.data() != nullptr, c.encoding_present) << c.input;
+  const PullRun bare = run_one_shot("<a/>");
+  for (const std::string& text : inputs) {
+    const PullRun run = run_one_shot(text);
+    EXPECT_EQ(run.error_code, "") << text << ": " << run.error_message;
+    EXPECT_EQ(run.events, bare.events) << text;
+    EXPECT_TRUE(parse_element(text).ok()) << text;
   }
-}
-
-TEST(PullTokenizer, NoPrologLeavesVersionUnset) {
-  Tokenizer tok{"<a/>"};
-  const Token& start = tok.next();
-  ASSERT_EQ(start.kind, TokenKind::kStartDocument);
-  EXPECT_EQ(start.version.data(), nullptr);
-  EXPECT_EQ(start.encoding.data(), nullptr);
 }
 
 TEST(PullTokenizer, TokensAliasTheInputBuffer) {
@@ -192,7 +149,6 @@ TEST(PullTokenizer, TokensAliasTheInputBuffer) {
       EXPECT_LT(token.value.data(), end);
     }
   }
-  EXPECT_EQ(tok.arena().used(), 0u);
 }
 
 TEST(PullTokenizer, EntityDecodeCopiesIntoArena) {
@@ -200,7 +156,6 @@ TEST(PullTokenizer, EntityDecodeCopiesIntoArena) {
   Tokenizer tok{text};
   const char* begin = text.data();
   const char* end = text.data() + text.size();
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   const Token& start = tok.next();
   ASSERT_EQ(start.kind, TokenKind::kStartElement);
   ASSERT_EQ(start.attr_count, 1u);
@@ -210,12 +165,10 @@ TEST(PullTokenizer, EntityDecodeCopiesIntoArena) {
   ASSERT_EQ(body.kind, TokenKind::kText);
   EXPECT_EQ(body.value, "A<b>");
   EXPECT_TRUE(body.value.data() < begin || body.value.data() >= end);
-  EXPECT_GT(tok.arena().used(), 0u);
 }
 
 TEST(PullTokenizer, SynthesizesEndElementAfterSelfClosing) {
   Tokenizer tok{"<a><b/></a>"};
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);
   EXPECT_EQ(tok.depth(), 1u);
   const Token& b = tok.next();
@@ -233,31 +186,34 @@ TEST(PullTokenizer, SynthesizesEndElementAfterSelfClosing) {
 TEST(PullTokenizer, ReportsCommentsCdataAndPis) {
   PullRun run = run_one_shot("<!--pre--><a><!--in--><![CDATA[<raw>]]><?pi data?></a>");
   ASSERT_TRUE(run.error_code.empty()) << run.error_message;
-  EXPECT_EQ(run.events[1].kind, TokenKind::kComment);
-  EXPECT_EQ(run.events[1].value, "pre");
-  EXPECT_EQ(run.events[3].kind, TokenKind::kComment);
-  EXPECT_EQ(run.events[3].value, "in");
-  EXPECT_EQ(run.events[4].kind, TokenKind::kCData);
-  EXPECT_EQ(run.events[4].value, "<raw>");
-  EXPECT_EQ(run.events[5].kind, TokenKind::kPi);
+  EXPECT_EQ(run.events[0].kind, TokenKind::kComment);
+  EXPECT_EQ(run.events[0].value, "pre");
+  EXPECT_EQ(run.events[2].kind, TokenKind::kComment);
+  EXPECT_EQ(run.events[2].value, "in");
+  EXPECT_EQ(run.events[3].kind, TokenKind::kCData);
+  EXPECT_EQ(run.events[3].value, "<raw>");
+  EXPECT_EQ(run.events[4].kind, TokenKind::kPi);
 }
 
 TEST(PullTokenizer, EnforcesDepthLimit) {
-  TokenizerOptions options;
-  options.max_depth = 4;
-  std::string deep = "<a><a><a><a><a><a/></a></a></a></a></a>";
-  Tokenizer tok{deep, options};
+  // kMaxDepth open elements, and a self-closing one inside the innermost.
+  std::string deep;
+  for (std::size_t i = 0; i < kMaxDepth; ++i) deep += "<a>";
+  deep += "<a/>";
+  for (std::size_t i = 0; i < kMaxDepth; ++i) deep += "</a>";
+  Tokenizer tok{deep};
   for (;;) {
     const Token& token = tok.next();
     if (token.kind == TokenKind::kError) break;
     ASSERT_NE(token.kind, TokenKind::kEndDocument) << "depth limit not enforced";
   }
   EXPECT_EQ(tok.error().code, "xml.too-deep");
+  EXPECT_EQ(tok.error().message, "maximum nesting depth exceeded at line 1, column " +
+                                     std::to_string(3 * kMaxDepth + 1));
 }
 
 TEST(PullTokenizer, ReportsLineAndColumnOnStartElements) {
   Tokenizer tok{"<a>\n  <b/>\n</a>"};
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   const Token& a = tok.next();
   EXPECT_EQ(a.line, 1u);
   EXPECT_EQ(a.column, 1u);
@@ -279,7 +235,6 @@ TEST(PullTokenizer, DrainReportsWellFormedness) {
 
 TEST(PullTokenizer, SkipElementConsumesExactlyTheSubtree) {
   Tokenizer tok{"<r><skip><x><y/>deep</x></skip><keep/></r>"};
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);  // r
   const Token& skip = tok.next();
   ASSERT_EQ(skip.kind, TokenKind::kStartElement);
@@ -326,7 +281,7 @@ TEST(PullTokenizer, ErrorCodesMatchDomParser) {
       "<a><!bogus></a>",
   };
   for (const std::string& text : inputs) {
-    Result<Document> dom = parse(text);
+    Result<Element> dom = parse_element(text);
     PullRun stream = run_one_shot(text);
     if (dom.ok()) {
       EXPECT_EQ(stream.error_code, "") << "input: " << text;
@@ -337,10 +292,10 @@ TEST(PullTokenizer, ErrorCodesMatchDomParser) {
   }
 }
 
-// Attribute values and prolog pseudo-attributes are scanned in one pass
-// that stops at the quote or '<'. The codes and messages below are literal
-// (rendered by the find_first_of scan it replaced), so a moved error
-// position fails here even though the DOM parser shares the tokenizer.
+// Attribute values are scanned in one pass that stops at the quote or '<'.
+// The codes and messages below are literal (rendered by the find_first_of
+// scan it replaced), so a moved error position fails here even though the
+// DOM parser shares the tokenizer.
 TEST(PullTokenizer, AttributeValueErrorsArePinned) {
   struct Case {
     std::string input;
@@ -380,21 +335,16 @@ TEST(PullTokenizer, AttributeValueErrorsArePinned) {
     const PullRun whole = run_one_shot(c.input);
     EXPECT_EQ(whole.error_code, c.code) << "input: " << c.input;
     EXPECT_EQ(whole.error_message, c.message) << "input: " << c.input;
-    const PullRun fed = run_incremental(c.input, 1);
-    EXPECT_EQ(fed.error_code, c.code) << "byte by byte: " << c.input;
-    EXPECT_EQ(fed.error_message, c.message) << "byte by byte: " << c.input;
-    EXPECT_EQ(fed.events, whole.events) << "byte by byte: " << c.input;
   }
 
   // The other quote kind is plain content, and the start tag keeps the
   // position of its '<' when its attributes span lines.
   const PullRun quoted = run_one_shot("<a x=\"it's\" y='say \"hi\"'/>");
   ASSERT_FALSE(quoted.events.empty());
-  EXPECT_EQ(quoted.events[1].attrs,
+  EXPECT_EQ(quoted.events[0].attrs,
             (std::vector<std::pair<std::string, std::string>>{{"x", "it's"},
                                                               {"y", "say \"hi\""}}));
   Tokenizer tok{"<r>\n  <a\n     x=\"1\"\n     y='2'/>\n</r>"};
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);
   ASSERT_EQ(tok.next().kind, TokenKind::kText);
   const Token& spanning = tok.next();
@@ -402,71 +352,6 @@ TEST(PullTokenizer, AttributeValueErrorsArePinned) {
   EXPECT_EQ(spanning.line, 2u);
   EXPECT_EQ(spanning.column, 3u);
   EXPECT_EQ(spanning.attribute("y"), "2");
-}
-
-TEST(PullTokenizer, IncrementalFeedMatchesOneShot) {
-  const std::vector<std::string> documents = {
-      "<a/>",
-      "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a b=\"1\" c=\"x &amp; y\">"
-      "text &lt;here&gt;<child/><!--note--><![CDATA[raw]]></a>",
-      "\xEF\xBB\xBF<?xml version=\"1.0\"?><!DOCTYPE a [<!ENTITY x \"y\">]>"
-      "<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\">"
-      "<soap:Body><echo><arg0>&#65;&#x42;</arg0></echo></soap:Body>"
-      "</soap:Envelope><!--tail-->",
-      "<r>a<b/>c<b x=\"y\">d</b>e</r>",
-  };
-  for (const std::string& text : documents) {
-    const PullRun whole = run_one_shot(text);
-    ASSERT_TRUE(whole.error_code.empty()) << text << ": " << whole.error_message;
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
-      const PullRun fed = run_incremental(text, chunk);
-      EXPECT_EQ(fed.error_code, whole.error_code) << text << " chunk=" << chunk;
-      EXPECT_EQ(fed.events, whole.events) << text << " chunk=" << chunk;
-    }
-  }
-}
-
-TEST(PullTokenizer, IncrementalFeedMatchesOneShotOnErrors) {
-  const std::vector<std::string> inputs = {
-      "<a><b></a></b>", "<a x=\"1\" x=\"2\"/>", "<a>&nope;</a>",
-      "<a/>trailing",   "<a><b>",               "junk",
-  };
-  for (const std::string& text : inputs) {
-    const PullRun whole = run_one_shot(text);
-    const PullRun fed = run_incremental(text, 1);
-    EXPECT_EQ(fed.error_code, whole.error_code) << text;
-    EXPECT_EQ(fed.error_message, whole.error_message) << text;
-  }
-}
-
-TEST(PullTokenizer, IncrementalSurvivesBufferReallocation) {
-  // Long element names + many attributes force pending-buffer growth while
-  // names are held on the open-element stack; the arena copies must keep
-  // the end-tag matching correct.
-  std::string name(200, 'n');
-  std::string text = "<" + name + "><" + name + " a=\"" + std::string(300, 'v') +
-                     "\"/>middle</" + name + ">";
-  const PullRun whole = run_one_shot(text);
-  ASSERT_TRUE(whole.error_code.empty()) << whole.error_message;
-  const PullRun fed = run_incremental(text, 1);
-  EXPECT_TRUE(fed.error_code.empty()) << fed.error_message;
-  EXPECT_EQ(fed.events, whole.events);
-}
-
-TEST(PullTokenizer, NeedMoreWithoutFinishThenFinishReportsIncomplete) {
-  Tokenizer tok{TokenizerOptions{}};
-  tok.feed("<a><b>");
-  std::size_t guard = 0;
-  for (;;) {
-    const Token& token = tok.next();
-    if (token.kind == TokenKind::kNeedMore) {
-      tok.finish();
-      continue;
-    }
-    if (token.kind == TokenKind::kError) break;
-    ASSERT_LT(++guard, 16u) << "tokenizer failed to terminate";
-  }
-  EXPECT_EQ(tok.error().code, "xml.unterminated-element");
 }
 
 TEST(PullTokenizer, ErrorTokenIsSticky) {
@@ -480,7 +365,6 @@ TEST(PullTokenizer, ErrorTokenIsSticky) {
 
 TEST(CollectElement, BuildsSubtreeFromTokenizer) {
   Tokenizer tok{"<r><sub x=\"1\"><in>text</in></sub><after/></r>"};
-  ASSERT_EQ(tok.next().kind, TokenKind::kStartDocument);
   ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);  // r
   const Token& sub = tok.next();
   ASSERT_EQ(sub.kind, TokenKind::kStartElement);

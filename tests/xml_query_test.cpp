@@ -15,15 +15,17 @@ Element parsed(std::string_view text) {
 
 TEST(NamespaceScope, XmlPrefixIsPredeclared) {
   NamespaceScope scope;
-  EXPECT_EQ(scope.resolve_prefix("xml"), std::string(ns::kXmlNs));
+  ASSERT_NE(scope.find_prefix("xml"), nullptr);
+  EXPECT_EQ(*scope.find_prefix("xml"), ns::kXmlNs);
 }
 
 TEST(NamespaceScope, ResolvesDeclaredPrefix) {
   Element root = parsed(R"(<a xmlns:p="urn:x"/>)");
   NamespaceScope scope;
   scope.push(root);
-  EXPECT_EQ(scope.resolve_prefix("p"), "urn:x");
-  EXPECT_FALSE(scope.resolve_prefix("q").has_value());
+  ASSERT_NE(scope.find_prefix("p"), nullptr);
+  EXPECT_EQ(*scope.find_prefix("p"), "urn:x");
+  EXPECT_EQ(scope.find_prefix("q"), nullptr);
 }
 
 TEST(NamespaceScope, InnerDeclarationShadowsOuter) {
@@ -32,9 +34,11 @@ TEST(NamespaceScope, InnerDeclarationShadowsOuter) {
   Element inner = parsed(R"(<b xmlns:p="urn:inner"/>)");
   scope.push(outer);
   scope.push(inner);
-  EXPECT_EQ(scope.resolve_prefix("p"), "urn:inner");
+  ASSERT_NE(scope.find_prefix("p"), nullptr);
+  EXPECT_EQ(*scope.find_prefix("p"), "urn:inner");
   scope.pop();
-  EXPECT_EQ(scope.resolve_prefix("p"), "urn:outer");
+  ASSERT_NE(scope.find_prefix("p"), nullptr);
+  EXPECT_EQ(*scope.find_prefix("p"), "urn:outer");
 }
 
 TEST(NamespaceScope, DefaultNamespaceAppliesToElementsOnly) {
@@ -87,16 +91,6 @@ TEST(FindAll, RespectsRedeclaredPrefixes) {
 TEST(FindFirst, ReturnsNullWhenAbsent) {
   Element root = parsed("<a/>");
   EXPECT_EQ(find_first(root, QName{"urn:x", "y"}), nullptr);
-}
-
-TEST(ResolvedName, ResolvesTargetInContext) {
-  Element root = parsed(R"(<a xmlns="urn:d"><b/></a>)");
-  const Element* b = root.child("b");
-  ASSERT_NE(b, nullptr);
-  std::optional<QName> name = resolved_name(root, *b);
-  ASSERT_TRUE(name.has_value());
-  EXPECT_EQ(name->namespace_uri(), "urn:d");
-  EXPECT_EQ(name->local_name(), "b");
 }
 
 TEST(ResolveStartTag, FollowsNamespaceScopeOnTheTagAlone) {
