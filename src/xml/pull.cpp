@@ -279,7 +279,7 @@ const Token& Tokenizer::scan_element_start() {
 
 bool Tokenizer::scan_attribute() {
   const std::string_view in = input_;
-  if (!is_name_start(in[pos_])) {
+  if (pos_ >= in.size() || !is_name_start(in[pos_])) {
     emit_error("xml.bad-name", "expected a name", pos_);
     return false;
   }
