@@ -1,36 +1,14 @@
 #include "analysis/baseline.hpp"
 
 #include <algorithm>
-#include <cstdint>
+
+#include "common/hash.hpp"
 
 namespace wsx::analysis {
-namespace {
-
-/// FNV-1a 64-bit — stable across platforms, no dependency, and collisions
-/// across the handful of findings per document are vanishingly unlikely.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string to_hex(std::uint64_t value) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Baseline::fingerprint(const Finding& finding) {
-  return to_hex(fnv1a(finding.rule_id + "|" + finding.subject + "|" + finding.message));
+  return hex16(
+      fnv1a(finding.rule_id + "|" + finding.subject + "|" + finding.message, kFnvShortBasis));
 }
 
 std::string Baseline::entry_key(const Finding& finding) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/hash.hpp"
+
 namespace wsx::analysis {
 namespace {
 
@@ -104,25 +106,7 @@ std::string canon_schema(const xsd::Schema& schema) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string Fingerprint::hex() const {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  std::uint64_t value = digest;
-  for (std::size_t i = 16; i-- > 0;) {
-    out[i] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
+std::string Fingerprint::hex() const { return hex16(digest); }
 
 Fingerprint fingerprint(const wsdl::Definitions& defs) {
   std::string out = "wsx-fingerprint v1\n";
@@ -235,7 +219,7 @@ Fingerprint fingerprint(const wsdl::Definitions& defs) {
 
   Fingerprint result;
   result.canonical = std::move(out);
-  result.digest = fnv1a64(result.canonical);
+  result.digest = fnv1a(result.canonical, kFnvOffsetBasis);
   return result;
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "wsdl/model.hpp"
 
@@ -38,9 +37,5 @@ struct Fingerprint {
 
 /// Computes the canonical shape fingerprint of `defs`.
 Fingerprint fingerprint(const wsdl::Definitions& defs);
-
-/// FNV-1a 64-bit over arbitrary bytes (exposed for fingerprinting inputs
-/// that never parsed — the raw served bytes are the only shape they have).
-std::uint64_t fnv1a64(std::string_view bytes);
 
 }  // namespace wsx::analysis

@@ -76,21 +76,6 @@ class ContentTypeVersionSkew : public MessageRule {
   }
 };
 
-/// Mirrors the receive side's mustUnderstand sniff (soap/version.cpp):
-/// match the attribute by local name, accept "1" and "true".
-bool marked_must_understand(const xml::Element& entry) {
-  for (const xml::Attribute& attribute : entry.attributes()) {
-    const std::size_t colon = attribute.name.find(':');
-    const std::string_view local = colon == std::string::npos
-                                       ? std::string_view(attribute.name)
-                                       : std::string_view(attribute.name).substr(colon + 1);
-    if (local == "mustUnderstand" && (attribute.value == "1" || attribute.value == "true")) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// WSX1103 — a mustUnderstand extension header on a SOAP 1.1 message. Only
 /// shaded-CXF-style receivers process the wsse/wsa modules; everyone else
 /// is *required* by the processing model to fault, so this is a hard error
@@ -107,7 +92,7 @@ class MustUnderstandExtension : public MessageRule {
     if (envelope.version() != soap::SoapVersion::k11) return;
     if (!coherence.has_12_era_mu_headers && !coherence.has_unknown_mu_headers) return;
     for (const xml::Element& entry : envelope.header_entries()) {
-      if (!marked_must_understand(entry)) continue;
+      if (!soap::marked_must_understand(entry)) continue;
       if (soap::is_12_era_header(entry)) {
         out.report("mustUnderstand header <" + entry.name() +
                        "> is only processed by shaded receivers; relaxed and strict "

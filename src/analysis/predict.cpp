@@ -6,22 +6,14 @@
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/supervised_predict.hpp"
+#include "catalog/type_info.hpp"
 #include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "interop/study.hpp"
 
 namespace wsx::analysis::predict {
 namespace {
-
-std::string hex64(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 16; i-- > 0;) {
-    out[i] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
 
 /// Mirrors build_type_class: the field list one complexType compiles to
 /// (defect-free shape — defects are modelled as their own signals).
@@ -159,8 +151,8 @@ ShapeSignals collect_signals(const wsdl::Definitions& defs) {
       }
       if (type.any_count() >= 2) signals.double_wildcard = true;
       const std::size_t depth = type.nesting_depth();
-      if (depth >= 3) signals.deep_nesting = true;
-      if (depth >= 5) signals.very_deep_nesting = true;
+      if (depth >= catalog::kDeepNestingDepth) signals.deep_nesting = true;
+      if (depth >= catalog::kPathologicalNestingDepth) signals.very_deep_nesting = true;
 
       // anyType arrays anywhere in the model blank every generated
       // accessor body under the JScript backend.
@@ -421,7 +413,7 @@ ServicePrediction predict_service(const frameworks::SharedDescription& descripti
     facts.signals = collect_signals(description.definitions());
   } else {
     // The raw served bytes are the only shape an unparseable description has.
-    out.fingerprint = hex64(fnv1a64(description.wsdl_text()));
+    out.fingerprint = hex16(fnv1a(description.wsdl_text(), kFnvOffsetBasis));
   }
 
   for (const ClientModel& model : client_models()) {

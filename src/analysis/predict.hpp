@@ -47,8 +47,8 @@ struct ShapeSignals {
   bool double_wildcard = false;     ///< >= 2 xs:any wildcards in one type
   bool has_enum = false;            ///< enumeration simpleType declared
   bool has_named_types = false;     ///< at least one class will be generated
-  bool deep_nesting = false;        ///< nesting depth >= 3 (JScript missing-body)
-  bool very_deep_nesting = false;   ///< nesting depth >= 5 (JScript compiler crash)
+  bool deep_nesting = false;        ///< depth >= kDeepNestingDepth (JScript missing-body)
+  bool very_deep_nesting = false;   ///< depth >= kPathologicalNestingDepth (jsc crash)
   bool anytype_unbounded = false;   ///< unbounded anyType element (JScript missing-body)
 };
 

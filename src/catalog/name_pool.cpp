@@ -2,15 +2,14 @@
 
 #include <array>
 
+#include "common/hash.hpp"
+
 namespace wsx::catalog {
 
 std::uint64_t Rng::next() {
-  // splitmix64 — stable across platforms.
-  state_ += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  const std::uint64_t draw = splitmix64(state_);
+  state_ += kGoldenGamma;
+  return draw;
 }
 
 std::size_t Rng::below(std::size_t bound) {

@@ -9,6 +9,7 @@
 // never on a type's position in the catalog.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,10 +54,20 @@ enum class Trait : std::uint64_t {
   kWildcardContent = 1ull << 19,   ///< content model is xs:any only (DataTable family)
   kDoubleWildcard = 1ull << 20,    ///< two xs:any particles
   kEnumType = 1ull << 21,          ///< maps to an xsd enumeration simpleType
-  kDeepNesting = 1ull << 22,       ///< >= 3 levels of inline anonymous types
-  kCompilerPathological = 1ull << 23,  ///< generated unit crashes jsc
+  kDeepNesting = 1ull << 22,       ///< kDeepNestingDepth levels of inline anonymous types
+  kCompilerPathological = 1ull << 23,  ///< kPathologicalNestingDepth levels: crashes jsc
   kGeneratorCrash = 1ull << 24,        ///< jsc *generator* crashes on the WSDL
 };
+
+/// Inline-nesting depths behind the JScript compile-step failures (paper
+/// §IV.B.3). Servers publish kDeepNesting types this many levels deep; from
+/// this depth the JScript generator emits accessors without bodies, and the
+/// predictor's deep-nesting signal fires.
+inline constexpr std::size_t kDeepNestingDepth = 3;
+/// The depth kCompilerPathological types are published at; from this depth
+/// the JScript unit is pathological and jsc crashes ("131 INTERNAL COMPILER
+/// CRASH").
+inline constexpr std::size_t kPathologicalNestingDepth = 5;
 
 /// One field of a native type, as the server binder will expose it in the
 /// service's schema.

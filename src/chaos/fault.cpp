@@ -1,5 +1,7 @@
 #include "chaos/fault.hpp"
 
+#include "common/hash.hpp"
+
 namespace wsx::chaos {
 
 const char* to_string(FaultKind kind) {
@@ -55,23 +57,8 @@ std::optional<FaultKind> parse_fault_kind(std::string_view name) {
   return std::nullopt;
 }
 
-std::uint64_t chaos_mix(std::uint64_t value) {
-  // splitmix64 finalizer — cheap, well-distributed, and stable across
-  // platforms (no std:: hashing, whose result is implementation-defined).
-  value += 0x9e3779b97f4a7c15ULL;
-  value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  value = (value ^ (value >> 27)) * 0x94d049bb133111ebULL;
-  return value ^ (value >> 31);
-}
-
 std::uint64_t chaos_hash(std::uint64_t seed, std::string_view text) {
-  // FNV-1a over the id, then mixed with the seed through splitmix64.
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return chaos_mix(hash ^ chaos_mix(seed));
+  return splitmix64(fnv1a(text, kFnvShortBasis) ^ splitmix64(seed));
 }
 
 CallSchedule plan_call(const FaultPlan& plan, std::string_view call_id) {
@@ -81,8 +68,8 @@ CallSchedule plan_call(const FaultPlan& plan, std::string_view call_id) {
   }
   const std::vector<FaultKind> kinds =
       plan.kinds.empty() ? all_fault_kinds() : plan.kinds;
-  const std::uint64_t kind_draw = chaos_mix(hash);
-  const std::uint64_t burst_draw = chaos_mix(kind_draw);
+  const std::uint64_t kind_draw = splitmix64(hash);
+  const std::uint64_t burst_draw = splitmix64(kind_draw);
   const unsigned max_burst = plan.max_burst == 0 ? 1 : plan.max_burst;
   return CallSchedule(kinds[kind_draw % kinds.size()],
                       1 + static_cast<unsigned>(burst_draw % max_burst), hash);

@@ -57,10 +57,6 @@ inline bool from_string(std::string_view name, FaultKind& out) {
 /// of the chaos subsystem (schedules, corruption offsets, backoff jitter).
 std::uint64_t chaos_hash(std::uint64_t seed, std::string_view text);
 
-/// One further deterministic scramble; used to derive independent decision
-/// streams from one call hash.
-std::uint64_t chaos_mix(std::uint64_t value);
-
 /// The campaign-wide injection policy.
 struct FaultPlan {
   std::uint64_t seed = 7;

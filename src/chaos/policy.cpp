@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "chaos/fault.hpp"
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace wsx::chaos {
@@ -21,7 +21,7 @@ std::uint64_t ResiliencePolicy::backoff_before(unsigned retry_number,
   if (max_backoff_ms != 0) delay = std::min(delay, max_backoff_ms);
   if (jitter_ms != 0) {
     // Deterministic jitter: same call, same retry, same delay — always.
-    delay += chaos_mix(salt + retry_number) % (jitter_ms + 1);
+    delay += splitmix64(salt + retry_number) % (jitter_ms + 1);
   }
   return delay;
 }

@@ -1,30 +1,45 @@
 #include "compilers/compiler.hpp"
 
-#include "compilers/cpp_compiler.hpp"
-#include "compilers/csharp_compiler.hpp"
-#include "compilers/java_compiler.hpp"
-#include "compilers/jscript_compiler.hpp"
-#include "compilers/vb_compiler.hpp"
+#include "compilers/semantic_checks.hpp"
 
 namespace wsx::compilers {
 
-std::unique_ptr<Compiler> make_compiler(code::Language language) {
-  switch (language) {
-    case code::Language::kJava:
-      return std::make_unique<JavaCompiler>();
-    case code::Language::kCSharp:
-      return std::make_unique<CSharpCompiler>();
-    case code::Language::kVisualBasic:
-      return std::make_unique<VbCompiler>();
-    case code::Language::kJScript:
-      return std::make_unique<JScriptCompiler>();
-    case code::Language::kCpp:
-      return std::make_unique<CppCompiler>();
-    case code::Language::kPhp:
-    case code::Language::kPython:
-      return nullptr;  // dynamic languages: use check_instantiation
+DiagnosticSink Compiler::compile(const code::Artifacts& artifacts) const {
+  DiagnosticSink sink;
+  for (const code::CompilationUnit& unit : artifacts.units) {
+    if (language_ == code::Language::kJScript && unit.pathological) {
+      // jsc aborts the whole compilation with an internal error on the
+      // pathological units the JScript generator emits.
+      sink.crash("jsc.internal-crash", "131 INTERNAL COMPILER CRASH", unit.name);
+      return sink;
+    }
+    check_unit(unit, *policy_, sink);
   }
-  return nullptr;
+  return sink;
+}
+
+std::unique_ptr<Compiler> make_compiler(code::Language language) {
+  struct Row {
+    code::Language language;
+    CheckPolicy policy;
+  };
+  // One row per compiled language. The tool name prefixes every diagnostic
+  // code; a flag marks where that compiler differs from the rest.
+  static const Row kPolicies[] = {
+      // javac: one "unchecked or unsafe operations" note per raw collection.
+      {code::Language::kJava, {.tool = "javac", .warn_on_raw_collections = true}},
+      {code::Language::kCSharp, {.tool = "csc"}},
+      // vbc: members differing only in case collide.
+      {code::Language::kVisualBasic, {.tool = "vbc", .case_insensitive_members = true}},
+      {code::Language::kJScript, {.tool = "jsc"}},
+      {code::Language::kCpp, {.tool = "g++"}},
+  };
+  for (const Row& row : kPolicies) {
+    if (row.language == language) {
+      return std::unique_ptr<Compiler>(new Compiler(language, row.policy));
+    }
+  }
+  return nullptr;  // PHP, Python: dynamic languages use check_instantiation
 }
 
 }  // namespace wsx::compilers

@@ -1,11 +1,12 @@
-// compiler.hpp — compiler simulators for the artifact languages.
+// compiler.hpp — the compiler simulator for the artifact languages.
 //
-// Each simulator runs the semantic checks its real counterpart performs on
+// One simulator runs the semantic checks a real compiler performs on
 // generated proxy code: member collision detection (case-sensitive or not),
 // identifier resolution, body presence, and the javac raw-types warning.
-// They differ exactly where the real compilers differ — e.g. Visual Basic
-// compares identifiers case-insensitively, which is why artifacts that C#
-// accepts fail under VB (paper §IV.B.3).
+// Each compiled language is one row of the policy table in compiler.cpp,
+// and the rows differ exactly where the real compilers differ — e.g. Visual
+// Basic compares identifiers case-insensitively, which is why artifacts
+// that C# accepts fail under VB (paper §IV.B.3).
 #pragma once
 
 #include <memory>
@@ -15,20 +16,28 @@
 
 namespace wsx::compilers {
 
+struct CheckPolicy;
+
 class Compiler {
  public:
-  virtual ~Compiler() = default;
-
   /// The language this compiler accepts.
-  virtual code::Language language() const = 0;
+  code::Language language() const { return language_; }
 
   /// Compiles `artifacts`, returning all diagnostics. An empty sink means a
   /// clean compile.
-  virtual DiagnosticSink compile(const code::Artifacts& artifacts) const = 0;
+  DiagnosticSink compile(const code::Artifacts& artifacts) const;
+
+ private:
+  friend std::unique_ptr<Compiler> make_compiler(code::Language language);
+  Compiler(code::Language language, const CheckPolicy& policy)
+      : language_(language), policy_(&policy) {}
+
+  code::Language language_;
+  const CheckPolicy* policy_;  ///< a row of the static policy table
 };
 
 /// Returns the compiler simulator for `language`; nullptr for dynamic
-/// languages (use DynamicChecker instead).
+/// languages (use check_instantiation instead).
 std::unique_ptr<Compiler> make_compiler(code::Language language);
 
 /// Instantiation check for dynamic-language clients (PHP Zend, Python

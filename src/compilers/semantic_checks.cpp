@@ -62,7 +62,7 @@ void check_class(const code::CompilationUnit& unit, const code::Class& cls,
       param_names.push_back(param.name);
     }
 
-    if (!method.has_body && policy.error_on_missing_body) {
+    if (!method.has_body) {
       sink.error(policy.tool + ".missing-body",
                  "method '" + cls.name + "." + method.name + "' has no implementation",
                  unit.name);

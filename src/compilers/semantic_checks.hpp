@@ -1,4 +1,5 @@
-// semantic_checks.hpp — shared semantic analyses used by the simulators.
+// semantic_checks.hpp — the semantic analyses the compiler simulator runs,
+// parameterized by one language's row of its policy table.
 #pragma once
 
 #include "codemodel/model.hpp"
@@ -7,15 +8,13 @@
 namespace wsx::compilers {
 
 struct CheckPolicy {
+  /// Diagnostic code prefix, e.g. "javac", "csc", "vbc", "jsc".
+  std::string tool;
   /// VB.NET compares identifiers without case; everything else with case.
   bool case_insensitive_members = false;
   /// javac: emit one "unchecked or unsafe operations" note per unit that
   /// declares a raw collection.
   bool warn_on_raw_collections = false;
-  /// Report methods whose body the generator failed to emit.
-  bool error_on_missing_body = true;
-  /// Diagnostic code prefix, e.g. "javac", "csc", "vbc", "jsc".
-  std::string tool;
 };
 
 /// Runs duplicate-member, duplicate-parameter, identifier-resolution,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "catalog/type_info.hpp"
 #include "common/strings.hpp"
 
 namespace wsx::frameworks {
@@ -70,7 +71,7 @@ code::Class build_type_class(const xsd::ComplexType& type, const ArtifactBuildOp
   }
 
   if (options.missing_body_on_complex_shapes &&
-      (type.nesting_depth() >= options.complex_shape_threshold ||
+      (type.nesting_depth() >= catalog::kDeepNestingDepth ||
        features.anytype_unbounded_element)) {
     describe.has_body = false;
   }
@@ -92,7 +93,7 @@ code::Artifacts build_artifacts(const wsdl::Definitions& defs, const WsdlFeature
     for (const xsd::ComplexType& type : schema.complex_types) {
       types_unit.classes.push_back(build_type_class(type, options, features));
       if (options.pathological_marker_on_very_deep &&
-          type.nesting_depth() >= options.very_deep_threshold) {
+          type.nesting_depth() >= catalog::kPathologicalNestingDepth) {
         types_unit.pathological = true;
       }
     }

@@ -38,15 +38,15 @@ struct ArtifactBuildOptions {
   /// Axis2: enumeration wrappers declare the backing "value" member twice.
   bool enum_wrapper_defect = false;
 
-  /// JScript: accessors for deeply nested or anyType-array content are
-  /// emitted without bodies ("did not produce the necessary functions").
+  /// JScript: accessors for content nested catalog::kDeepNestingDepth
+  /// levels or more, or for anyType-array content, are emitted without
+  /// bodies ("did not produce the necessary functions").
   bool missing_body_on_complex_shapes = false;
 
-  /// JScript: the generated unit for very deep content models drives the
-  /// compiler into its internal crash.
+  /// JScript: the generated unit for content nested
+  /// catalog::kPathologicalNestingDepth levels or more drives the compiler
+  /// into its internal crash.
   bool pathological_marker_on_very_deep = false;
-  std::size_t very_deep_threshold = 5;
-  std::size_t complex_shape_threshold = 3;
 };
 
 /// Builds artifacts for `defs` (already parsed from served text).

@@ -51,13 +51,7 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
   if (!operation.ok()) {
     return fault("soap:Client", "malformed request", operation.error().message);
   }
-  bool described = false;
-  for (const wsdl::PortType& port_type : service.wsdl.port_types) {
-    for (const wsdl::Operation& candidate : port_type.operations) {
-      if (candidate.name == *operation) described = true;
-    }
-  }
-  if (!described) {
+  if (service.wsdl.find_operation(*operation) == nullptr) {
     return fault("soap:Client", "unknown operation '" + *operation + "'", "");
   }
   // Unmarshal by element name, as a real binder does: arguments under an

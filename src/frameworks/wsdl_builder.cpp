@@ -72,8 +72,8 @@ xsd::ComplexType build_parameter_type(const catalog::TypeInfo& type,
 
   if (type.has(Trait::kDeepNesting)) {
     const std::size_t depth = type.has(Trait::kCompilerPathological)
-                                  ? options.pathological_nesting_depth
-                                  : options.deep_nesting_depth;
+                                  ? catalog::kPathologicalNestingDepth
+                                  : catalog::kDeepNestingDepth;
     // element row { element row { ... { element cell : string } } }
     xsd::ComplexType leaf;
     xsd::ElementDecl cell;

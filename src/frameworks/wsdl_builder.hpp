@@ -51,11 +51,6 @@ struct WsdlBuilderOptions {
   /// Exception/Error-derived (the JAX-WS mapping of checked exceptions).
   bool declare_faults_for_throwables = false;
 
-  /// Inline-nesting depth used for types with Trait::kDeepNesting (the
-  /// pathological subset gets kPathologicalNestingDepth).
-  std::size_t deep_nesting_depth = 3;
-  std::size_t pathological_nesting_depth = 5;
-
   /// Binding style. All studied stacks emit document/literal wrapped; the
   /// rpc/literal variant (type= parts, no wrapper elements) exists for
   /// substrate completeness and the custom-framework extension path.

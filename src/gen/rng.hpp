@@ -11,26 +11,21 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/hash.hpp"
+
 namespace wsx::gen {
 
 class Rng {
  public:
-  Rng(std::uint64_t seed, std::string_view stream) {
-    std::uint64_t h = 1469598103934665603ull ^ (seed * 0x9E3779B97F4A7C15ull);
-    for (const char c : stream) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    state_ = h;
-  }
+  Rng(std::uint64_t seed, std::string_view stream)
+      : state_(fnv1a(stream, kFnvShortBasis ^ (seed * kGoldenGamma))) {}
 
-  /// splitmix64: one additive step plus a finalizing scramble.
+  /// splitmix64: the draw scrambles the state, which then advances by the
+  /// same additive step.
   std::uint64_t next() {
-    state_ += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    const std::uint64_t draw = splitmix64(state_);
+    state_ += kGoldenGamma;
+    return draw;
   }
 
   /// Uniform draw in [0, bound); 0 when bound is 0.

@@ -43,13 +43,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  /// Raises the gauge to `value` if it is higher (high-water marks).
-  void set_max(std::int64_t value) {
-    std::int64_t current = value_.load(std::memory_order_relaxed);
-    while (value > current &&
-           !value_.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-    }
-  }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -1,27 +1,13 @@
 #include "serve/daemon.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "analysis/registry.hpp"
+#include "common/hash.hpp"
 #include "resilience/supervisor.hpp"
 #include "wsdl/parser.hpp"
 
 namespace wsx::serve {
-
-namespace {
-
-/// FNV-1a body identity — quarantine keys on content, not connection.
-std::uint64_t body_hash(std::string_view body) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : body) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 Daemon::Daemon(Oracle oracle, DaemonSettings settings)
     : oracle_(std::move(oracle)),
@@ -92,7 +78,8 @@ Response Daemon::lint(const Request& request, const Admission& admission,
   Response response;
   response.latency_ms = admission.latency_ms;
 
-  const std::uint64_t hash = body_hash(request.body);
+  // Quarantine keys on the body's content, not on the connection.
+  const std::uint64_t hash = fnv1a(request.body, kFnvShortBasis);
   const ClassSpec& cls = admission_.spec(QueryKind::kLint);
 
   // One lock across the whole execution: quarantine lookups, the breaker
@@ -211,13 +198,10 @@ std::string Daemon::stats_body(std::uint64_t now_ms) {
     }
   }
 
-  char fingerprint[17];
-  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
-                static_cast<unsigned long long>(oracle_.fingerprint()));
   return json::ObjectWriter{}
       .field("services", oracle_.services())
       .field("clients", oracle_.clients().size())
-      .field("cache_fingerprint", static_cast<const char*>(fingerprint))
+      .field("cache_fingerprint", hex16(oracle_.fingerprint()))
       .raw_field("admission", json::ObjectWriter{}
                                   .field("admitted", static_cast<std::size_t>(admission.admitted))
                                   .field("shed", static_cast<std::size_t>(admission.shed))

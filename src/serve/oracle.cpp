@@ -4,6 +4,7 @@
 #include <cctype>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/json.hpp"
 
 namespace wsx::serve {
@@ -56,15 +57,9 @@ Result<Oracle> Oracle::load(const OracleOptions& options) {
 
   // FNV-1a over the canonical record JSON, corpus order. Identical between
   // a cold recompute and a journal-resumed warm start, or something broke.
-  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t hash = kFnvShortBasis;
   for (const predict::ServicePredictionRecord& record : oracle.report_.services) {
-    const std::string text = predict::record_json(record);
-    for (const char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-    hash ^= static_cast<unsigned char>('\n');
-    hash *= 1099511628211ull;
+    hash = fnv1a("\n", fnv1a(predict::record_json(record), hash));
   }
   oracle.fingerprint_ = hash;
   return oracle;

@@ -119,10 +119,12 @@ Result<Request> decode_request(std::string_view payload) {
     request.service = service->as_string();
   }
   if (const json::Value* top = object.find("top"); top != nullptr) {
-    if (!top->is_number() || top->as_number() < 1) {
-      return fail("bad-request", "'top' must be a positive number");
+    // Exact integers only: a double outside size_t's range has no
+    // conversion, and a fraction is not a count.
+    if (!top->is_integer() || top->is_negative() || top->magnitude() == 0) {
+      return fail("bad-request", "'top' must be a positive integer");
     }
-    request.top = static_cast<std::size_t>(top->as_number());
+    request.top = static_cast<std::size_t>(top->magnitude());
   }
   if (const json::Value* body = object.find("body"); body != nullptr) {
     if (!body->is_string()) return fail("bad-request", "'body' must be a string");
@@ -162,10 +164,10 @@ Result<Response> decode_response(std::string_view payload) {
     response.reason = reason->as_string();
   }
   if (const json::Value* latency = object.find("latency_ms"); latency != nullptr) {
-    if (!latency->is_number() || latency->as_number() < 0) {
-      return fail("bad-response", "'latency_ms' must be a non-negative number");
+    if (!latency->is_integer() || latency->is_negative()) {
+      return fail("bad-response", "'latency_ms' must be a non-negative integer");
     }
-    response.latency_ms = static_cast<std::uint64_t>(latency->as_number());
+    response.latency_ms = latency->magnitude();
   }
   return response;
 }

@@ -1,5 +1,7 @@
 #include "soap/envelope.hpp"
 
+#include <algorithm>
+
 #include "soap/stream_frame.hpp"
 #include "xml/parser.hpp"
 #include "xml/pull.hpp"
@@ -61,21 +63,16 @@ void Envelope::add_must_understand_header(xml::Element entry) {
   headers_.push_back(std::move(entry));
 }
 
+bool marked_must_understand(const xml::Element& entry) {
+  const std::vector<xml::Attribute>& attributes = entry.attributes();
+  return std::any_of(attributes.begin(), attributes.end(), [](const xml::Attribute& attribute) {
+    return xml::local_part(attribute.name) == "mustUnderstand" &&
+           (attribute.value == "1" || attribute.value == "true");
+  });
+}
+
 bool Envelope::has_must_understand_headers() const {
-  for (const xml::Element& entry : headers_) {
-    for (const xml::Attribute& attribute : entry.attributes()) {
-      // The attribute is namespace-qualified; match on the local name as
-      // real stacks do after resolution.
-      const std::size_t colon = attribute.name.find(':');
-      const std::string_view local = colon == std::string::npos
-                                         ? std::string_view(attribute.name)
-                                         : std::string_view(attribute.name).substr(colon + 1);
-      if (local == "mustUnderstand" && (attribute.value == "1" || attribute.value == "true")) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return std::any_of(headers_.begin(), headers_.end(), marked_must_understand);
 }
 
 /// Emitted straight from the model: the frame's tags around each header

@@ -42,6 +42,12 @@ struct Fault {
 /// prefix; codes already in 1.2 form pass through unchanged.
 std::string fault_code_for_12(std::string_view fault_code);
 
+/// True when a header entry demands mustUnderstand processing: it carries
+/// an attribute whose local name is mustUnderstand, valued "1" or "true".
+/// The prefix is matched by local name alone, as real stacks do after
+/// resolution.
+bool marked_must_understand(const xml::Element& entry);
+
 /// A SOAP 1.1 envelope: optional header entries plus exactly one body
 /// payload (an application element or a fault).
 class Envelope {

@@ -56,8 +56,6 @@ struct HttpResponse {
   /// (the class real stacks consider retryable for idempotent calls).
   bool is_client_error() const { return status >= 400 && status < 500; }
   bool is_server_error() const { return status >= 500 && status < 600; }
-  /// 2 for 2xx, 4 for 4xx, 5 for 5xx, ...
-  int status_class() const { return status / 100; }
 };
 
 /// Builds the canonical SOAP 1.1 POST for `envelope_text`.

@@ -3,23 +3,10 @@
 #include "common/strings.hpp"
 
 namespace wsx::soap {
-namespace {
-
-/// Finds the portType operation by name across all portTypes.
-const wsdl::Operation* find_operation(const wsdl::Definitions& defs, const std::string& name) {
-  for (const wsdl::PortType& port_type : defs.port_types) {
-    for (const wsdl::Operation& operation : port_type.operations) {
-      if (operation.name == name) return &operation;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 Result<Envelope> build_request(const wsdl::Definitions& defs, const std::string& operation,
                                const std::vector<Argument>& arguments) {
-  const wsdl::Operation* op = find_operation(defs, operation);
+  const wsdl::Operation* op = defs.find_operation(operation);
   if (op == nullptr) {
     return Error{"soap.unknown-operation",
                  "operation '" + operation + "' is not described by the WSDL"};
@@ -35,7 +22,7 @@ Result<Envelope> build_request(const wsdl::Definitions& defs, const std::string&
 Result<Envelope> build_structured_request(const wsdl::Definitions& defs,
                                           const std::string& operation,
                                           const std::vector<Argument>& fields) {
-  const wsdl::Operation* op = find_operation(defs, operation);
+  const wsdl::Operation* op = defs.find_operation(operation);
   if (op == nullptr) {
     return Error{"soap.unknown-operation",
                  "operation '" + operation + "' is not described by the WSDL"};
@@ -49,19 +36,9 @@ Result<Envelope> build_structured_request(const wsdl::Definitions& defs,
   return Envelope{std::move(payload)};
 }
 
-std::vector<Argument> structured_fields(const Envelope& envelope) {
-  std::vector<Argument> fields;
-  const xml::Element* argument = envelope.body().child("arg0");
-  if (argument == nullptr) return fields;
-  for (const xml::Element* field : argument->child_elements()) {
-    fields.push_back({field->local_name(), field->text()});
-  }
-  return fields;
-}
-
 Result<Envelope> build_response(const wsdl::Definitions& defs, const std::string& operation,
                                 const std::string& return_value) {
-  const wsdl::Operation* op = find_operation(defs, operation);
+  const wsdl::Operation* op = defs.find_operation(operation);
   if (op == nullptr) {
     return Error{"soap.unknown-operation",
                  "operation '" + operation + "' is not described by the WSDL"};

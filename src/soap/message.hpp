@@ -33,9 +33,6 @@ Result<Envelope> build_structured_request(const wsdl::Definitions& defs,
                                           const std::string& operation,
                                           const std::vector<Argument>& fields);
 
-/// Extracts the field elements of a structured request's arg0 payload.
-std::vector<Argument> structured_fields(const Envelope& envelope);
-
 /// Builds the matching response envelope carrying `return_value` in the
 /// conventional "<op>Response/return" shape.
 Result<Envelope> build_response(const wsdl::Definitions& defs, const std::string& operation,

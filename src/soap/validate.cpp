@@ -68,13 +68,7 @@ std::vector<ValidationIssue> validate_request_parts(const wsdl::Definitions& def
                                                     const std::string& operation,
                                                     const std::vector<std::string>& child_names) {
   std::vector<ValidationIssue> issues;
-  bool described = false;
-  for (const wsdl::PortType& port_type : defs.port_types) {
-    for (const wsdl::Operation& candidate : port_type.operations) {
-      if (candidate.name == operation) described = true;
-    }
-  }
-  if (!described) {
+  if (defs.find_operation(operation) == nullptr) {
     issues.push_back({"msg.unknown-operation",
                       "payload '" + operation + "' matches no described operation"});
     return issues;

@@ -82,23 +82,6 @@ bool is_12_era_header(const xml::Element& entry) {
   return prefix == "wsa" || prefix == "wsse" || prefix == "xop";
 }
 
-namespace {
-
-bool marked_must_understand(const xml::Element& entry) {
-  for (const xml::Attribute& attribute : entry.attributes()) {
-    const std::size_t colon = attribute.name.find(':');
-    const std::string_view local = colon == std::string::npos
-                                       ? std::string_view(attribute.name)
-                                       : std::string_view(attribute.name).substr(colon + 1);
-    if (local == "mustUnderstand" && (attribute.value == "1" || attribute.value == "true")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 VersionCoherence inspect_coherence(const Envelope& envelope) {
   VersionCoherence coherence;
   for (const xml::Element& entry : envelope.header_entries()) {
@@ -109,11 +92,6 @@ VersionCoherence inspect_coherence(const Envelope& envelope) {
     coherence.has_unknown_mu_headers |= !era12 && mu;
   }
   return coherence;
-}
-
-Envelope make_version_mismatch_fault(SoapVersion responding_version, std::string reason) {
-  return Envelope::make_fault({"soap:VersionMismatch", std::move(reason), ""},
-                              responding_version);
 }
 
 }  // namespace wsx::soap

@@ -78,9 +78,4 @@ struct VersionCoherence {
 
 VersionCoherence inspect_coherence(const Envelope& envelope);
 
-/// The standard version-mismatch fault a `version` endpoint answers with
-/// (1.1 "soap:VersionMismatch" / 1.2 "soapenv:VersionMismatch" shape).
-Envelope make_version_mismatch_fault(SoapVersion responding_version,
-                                     std::string reason);
-
 }  // namespace wsx::soap

@@ -29,6 +29,15 @@ const Binding* Definitions::find_binding(std::string_view name) const {
   return nullptr;
 }
 
+const Operation* Definitions::find_operation(std::string_view name) const {
+  for (const PortType& port_type : port_types) {
+    for (const Operation& operation : port_type.operations) {
+      if (operation.name == name) return &operation;
+    }
+  }
+  return nullptr;
+}
+
 SourceLocation Definitions::locate(std::string_view key) const {
   if (const auto it = source_locations.find(key); it != source_locations.end()) {
     return it->second;

@@ -131,6 +131,8 @@ struct Definitions {
   const Message* find_message(std::string_view name) const;
   const PortType* find_port_type(std::string_view name) const;
   const Binding* find_binding(std::string_view name) const;
+  /// The first operation named `name`, searching the portTypes in order.
+  const Operation* find_operation(std::string_view name) const;
 
   /// Location recorded for `key` ("kind:name"), falling back to the
   /// wsdl:definitions element, else an unknown location.

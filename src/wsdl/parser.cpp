@@ -88,12 +88,9 @@ class WsdlReader {
     const std::optional<std::string_view> raw = start.attribute(attr);
     if (!raw) return {};
     scope_.push(start);
-    std::optional<xml::QName> resolved = scope_.resolve(*raw, /*use_default_ns=*/true);
+    xml::QName resolved = scope_.resolve_or_unbound(*raw);
     scope_.pop();
-    if (resolved) return *std::move(resolved);
-    const std::size_t colon = raw->find(':');
-    if (colon == std::string_view::npos) return xml::QName{"", std::string(*raw)};
-    return xml::QName{"", std::string(raw->substr(colon + 1)), std::string(raw->substr(0, colon))};
+    return resolved;
   }
 
   bool read_root_child(const Token& child) {

@@ -90,6 +90,11 @@ std::optional<QName> NamespaceScope::resolve(std::string_view lexical,
   return QName{*uri, std::string(local), std::string(prefix)};
 }
 
+QName NamespaceScope::resolve_or_unbound(std::string_view lexical) const {
+  if (std::optional<QName> resolved = resolve(lexical)) return *std::move(resolved);
+  return QName{"", std::string(local_part(lexical)), std::string(prefix_part(lexical))};
+}
+
 StartTagName resolve_start_tag(const pull::Token& start_tag) {
   // resolve() above, step for step, with bound_namespace as find_prefix.
   const std::string_view lexical = start_tag.name;

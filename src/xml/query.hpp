@@ -35,6 +35,11 @@ class NamespaceScope {
   /// attribute names and many WSDL attribute values do not).
   std::optional<QName> resolve(std::string_view lexical, bool use_default_ns = true) const;
 
+  /// resolve(), except that a name whose prefix is unbound comes back
+  /// unqualified as QName{"", local, prefix}, so a later resolution step
+  /// can report the prefix.
+  QName resolve_or_unbound(std::string_view lexical) const;
+
  private:
   struct Binding {
     std::string prefix;

@@ -79,19 +79,6 @@ class SchemaReader {
     if (!errors_->has_value()) *errors_ = std::move(error);
   }
 
-  /// Resolves a lexical QName attribute value. Undeclared prefixes are
-  /// preserved as QName{"", local, prefix} so downstream resolution can
-  /// report them.
-  xml::QName resolve_qname(std::string_view lexical) const {
-    if (std::optional<xml::QName> resolved = scope_.resolve(lexical, /*use_default_ns=*/true)) {
-      return *std::move(resolved);
-    }
-    const std::size_t colon = lexical.find(':');
-    if (colon == std::string_view::npos) return xml::QName{"", std::string(lexical)};
-    return xml::QName{"", std::string(lexical.substr(colon + 1)),
-                      std::string(lexical.substr(0, colon))};
-  }
-
   std::optional<int> read_occurs(const Token& start, std::string_view attr) {
     const std::optional<std::string_view> raw = start.attribute(attr);
     if (!raw) return 1;
@@ -107,10 +94,10 @@ class SchemaReader {
     scope_.push(start);
     element.name = std::string(start.attribute("name").value_or(""));
     if (std::optional<std::string_view> type = start.attribute("type")) {
-      element.type = resolve_qname(*type);
+      element.type = scope_.resolve_or_unbound(*type);
     }
     if (std::optional<std::string_view> ref = start.attribute("ref")) {
-      element.ref = resolve_qname(*ref);
+      element.ref = scope_.resolve_or_unbound(*ref);
     }
     if (std::optional<int> min_occurs = read_occurs(start, "minOccurs")) {
       element.min_occurs = *min_occurs;
@@ -177,7 +164,7 @@ class SchemaReader {
       has_extension = true;
       scope_.push(child);
       if (std::optional<std::string_view> base = child.attribute("base")) {
-        extended.base = resolve_qname(*base);
+        extended.base = scope_.resolve_or_unbound(*base);
       }
       bool seen_sequence = false;
       const bool read = children([&](const Token& content) {
@@ -203,15 +190,15 @@ class SchemaReader {
       AttributeDecl& attribute = type.attributes.emplace_back();
       attribute.name = std::string(child.attribute("name").value_or(""));
       if (std::optional<std::string_view> attr_type = child.attribute("type")) {
-        attribute.type = resolve_qname(*attr_type);
+        attribute.type = scope_.resolve_or_unbound(*attr_type);
       }
       if (std::optional<std::string_view> ref = child.attribute("ref")) {
-        attribute.ref = resolve_qname(*ref);
+        attribute.ref = scope_.resolve_or_unbound(*ref);
       }
       attribute.required = child.attribute("use").value_or("") == "required";
     } else if (local == "attributeGroup") {
       if (std::optional<std::string_view> ref = child.attribute("ref")) {
-        type.attribute_groups.push_back(AttributeGroupRef{resolve_qname(*ref)});
+        type.attribute_groups.push_back(AttributeGroupRef{scope_.resolve_or_unbound(*ref)});
       }
     }
     return skip(child);
@@ -264,7 +251,7 @@ class SchemaReader {
   bool read_restriction(const Token& start, SimpleTypeDecl& type) {
     scope_.push(start);
     if (std::optional<std::string_view> base = start.attribute("base")) {
-      type.base = resolve_qname(*base);
+      type.base = scope_.resolve_or_unbound(*base);
     }
     bool seen_min_length = false;
     bool seen_max_length = false;

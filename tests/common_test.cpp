@@ -1,9 +1,14 @@
-// Unit tests for Result/Status, Box and DiagnosticSink (src/common/).
+// Unit tests for Result/Status, Box, DiagnosticSink and the stable hashes
+// (src/common/).
 #include <gtest/gtest.h>
 
+#include "catalog/name_pool.hpp"
+#include "chaos/fault.hpp"
 #include "common/box.hpp"
 #include "common/diagnostics.hpp"
+#include "common/hash.hpp"
 #include "common/result.hpp"
+#include "gen/rng.hpp"
 
 namespace wsx {
 namespace {
@@ -155,6 +160,54 @@ TEST(DiagnosticSink, PreservesSubject) {
   DiagnosticSink sink;
   sink.error("code", "message", "types.java");
   EXPECT_EQ(sink.diagnostics().front().subject, "types.java");
+}
+
+// The values below were taken from the hand-written hash copies that
+// common/hash.hpp replaced. They key seeded campaigns and files users keep,
+// so a slip of basis, byte order or char signedness must fail here.
+
+std::string every_byte_four_times() {
+  std::string bytes;
+  for (int i = 0; i < 1024; ++i) bytes.push_back(static_cast<char>(i & 0xFF));
+  return bytes;
+}
+
+TEST(StableHash, FnvUnderBothBases) {
+  const std::string kib = every_byte_four_times();
+  EXPECT_EQ(fnv1a("", kFnvOffsetBasis), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a", kFnvOffsetBasis), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(kib, kFnvOffsetBasis), 0x1e5698f9d66e6f25ULL);
+  EXPECT_EQ(fnv1a("", kFnvShortBasis), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(fnv1a("a", kFnvShortBasis), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(fnv1a(kib, kFnvShortBasis), 0x88cf7baad1c48b83ULL);
+  // A running hash folds piece by piece, as the serve cache fingerprint does.
+  EXPECT_EQ(fnv1a("|", fnv1a("a", kFnvShortBasis)), fnv1a("a|", kFnvShortBasis));
+}
+
+TEST(StableHash, Splitmix64) {
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(1ULL << 63), 0x481ec0a212a9f3dbULL);
+}
+
+TEST(StableHash, Hex16) {
+  EXPECT_EQ(hex16(0), "0000000000000000");
+  EXPECT_EQ(hex16(~0ULL), "ffffffffffffffff");
+  EXPECT_EQ(hex16(0x0123456789abcdefULL), "0123456789abcdef");
+}
+
+TEST(StableHash, SeededStreams) {
+  EXPECT_EQ(chaos::chaos_hash(7, "Metro 2.3|EchoFoo|0"), 0x3c8547936de7cfadULL);
+  EXPECT_EQ(chaos::chaos_hash((1ULL << 63) + 5, ""), 0x5a3c185b10a20659ULL);
+
+  gen::Rng generated(7, "gen|EchoFoo|echo|0");
+  EXPECT_EQ(generated.next(), 0x8156b2ee6600f304ULL);
+  EXPECT_EQ(generated.next(), 0x54aa71390327411eULL);
+  EXPECT_EQ(generated.next(), 0xab6ef4c5b0351f71ULL);
+
+  catalog::Rng catalog(42);
+  EXPECT_EQ(catalog.next(), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(catalog.next(), 0x28efe333b266f103ULL);
+  EXPECT_EQ(catalog.next(), 0x47526757130f9f52ULL);
 }
 
 }  // namespace

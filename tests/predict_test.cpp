@@ -10,6 +10,7 @@
 
 #include "analysis/predict.hpp"
 #include "catalog/java_catalog.hpp"
+#include "frameworks/artifact_builder.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 
@@ -169,6 +170,54 @@ TEST(PredictRecord, JsonRoundTripsByteIdentically) {
   }
   EXPECT_FALSE(record_from_json("{}").ok());
   EXPECT_FALSE(record_from_json("nope").ok());
+}
+
+/// A description whose one complexType nests `depth` levels of inline
+/// anonymous types, in the shape servers publish deep-nesting types.
+wsdl::Definitions nested_description(std::size_t depth) {
+  xsd::ComplexType current;
+  xsd::ElementDecl cell;
+  cell.name = "cell";
+  cell.type = xsd::qname(xsd::Builtin::kString);
+  current.particles.emplace_back(std::move(cell));
+  for (std::size_t level = 1; level < depth; ++level) {
+    xsd::ComplexType outer;
+    xsd::ElementDecl row;
+    row.name = "row" + std::to_string(depth - level);
+    row.inline_type = Box<xsd::ComplexType>{std::move(current)};
+    outer.particles.emplace_back(std::move(row));
+    current = std::move(outer);
+  }
+  current.name = "Nested";
+  xsd::Schema schema;
+  schema.complex_types.push_back(std::move(current));
+  wsdl::Definitions defs;
+  defs.schemas.push_back(std::move(schema));
+  return defs;
+}
+
+TEST(PredictSignals, NestingSignalsFireWhereTheJScriptBuilderFails) {
+  frameworks::ArtifactBuildOptions jscript;  // as the JScript client sets them
+  jscript.language = code::Language::kJScript;
+  jscript.missing_body_on_complex_shapes = true;
+  jscript.pathological_marker_on_very_deep = true;
+  for (std::size_t depth = 2; depth <= 6; ++depth) {
+    const wsdl::Definitions defs = nested_description(depth);
+    ASSERT_EQ(defs.schemas.front().complex_types.front().nesting_depth(), depth);
+    const ShapeSignals signals = collect_signals(defs);
+    const code::Artifacts artifacts =
+        frameworks::build_artifacts(defs, frameworks::analyze(defs), jscript);
+    const code::CompilationUnit& types = artifacts.units.front();
+    const bool dropped_body =
+        std::any_of(types.classes.begin(), types.classes.end(), [](const code::Class& cls) {
+          return std::any_of(cls.methods.begin(), cls.methods.end(),
+                             [](const code::Method& method) { return !method.has_body; });
+        });
+    EXPECT_EQ(signals.deep_nesting, dropped_body) << "depth " << depth;
+    EXPECT_EQ(signals.very_deep_nesting, types.pathological) << "depth " << depth;
+    EXPECT_EQ(dropped_body, depth >= 3) << "depth " << depth;
+    EXPECT_EQ(types.pathological, depth >= 5) << "depth " << depth;
+  }
 }
 
 }  // namespace

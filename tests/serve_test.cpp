@@ -152,6 +152,26 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   EXPECT_EQ(ok_decoded->latency_ms, 12u);
 }
 
+TEST(ServeProtocol, CountsMustBeExactIntegers) {
+  // Each of these used to reach a double-to-integer cast: 1e300 and 2^64
+  // are outside size_t (undefined behaviour, decoded as 0 here) and 2.5
+  // was truncated to 2.
+  for (const char* top : {"1e300", "18446744073709551616", "2.5", "0", "-1"}) {
+    const std::string payload =
+        std::string("{\"query\":\"substitute\",\"service\":\"s\",\"top\":") + top + "}";
+    Result<Request> decoded = decode_request(payload);
+    ASSERT_FALSE(decoded.ok()) << "top " << top << " decoded as " << decoded->top;
+    EXPECT_EQ(decoded.error().code, "serve.bad-request") << top;
+  }
+  Result<Request> seven = decode_request("{\"query\":\"substitute\",\"service\":\"s\",\"top\":7}");
+  ASSERT_TRUE(seven.ok()) << seven.error().message;
+  EXPECT_EQ(seven->top, 7u);
+
+  Result<Response> latency = decode_response("{\"status\":\"ok\",\"latency_ms\":1e30}");
+  ASSERT_FALSE(latency.ok());
+  EXPECT_EQ(latency.error().code, "serve.bad-response");
+}
+
 TEST(ServeProtocol, FrameReaderReassemblesByteWiseFeeds) {
   const std::string stream = frame("{\"a\":1}") + frame("{\"b\":\"two\"}");
   FrameReader reader;
