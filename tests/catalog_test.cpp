@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
@@ -150,6 +152,66 @@ TEST(Catalogs, GenerationIsDeterministic) {
     EXPECT_EQ(again.types()[i].traits, java().types()[i].traits);
     EXPECT_EQ(again.types()[i].fields, java().types()[i].fields);
   }
+}
+
+// The catalogs promise bit-identical names on every compiler: each random
+// draw is its own statement, so no argument-evaluation order can reorder
+// the stream. Rendered from the default specs; every later name, service
+// and golden hangs off these.
+TEST(Catalogs, FirstNamesArePinned) {
+  const std::vector<std::string> want_java = {
+      "javax.xml.ws.wsaddressing.W3CEndpointReference",
+      "java.text.SimpleDateFormat",
+      "javax.xml.datatype.XMLGregorianCalendar",
+      "org.omg.CORBA.NameValuePair",
+      "java.util.concurrent.Future",
+      "javax.xml.ws.Response",
+      "java.util.zip.VirtualTrackerOptions",
+      "java.nio.channels.ConcurrentWizardDescriptor",
+      "java.io.NestedQuotaHelper",
+      "java.util.DelegatingMonitorBuilder",
+      "java.text.SyncedResourceBuilder",
+      "java.util.concurrent.CompositeLexerState",
+      "java.util.concurrent.SharedDocumentRequest",
+      "java.security.PooledLedgerInfo",
+      "javax.imageio.InlineDialogDescriptor",
+      "java.beans.ThreadedTrackerHandler",
+      "javax.xml.parsers.PooledConfigState",
+      "javax.sound.midi.PooledSplineReader",
+      "java.util.SyncedPolygonResponse",
+      "java.awt.geom.IndexedDocumentSupport",
+  };
+  const std::vector<std::string> want_dotnet = {
+      "System.Data.DataTable",
+      "System.Data.DataTableCollection",
+      "System.Data.DataView",
+      "System.Net.Sockets.SocketError",
+      "System.Web.UI.WebControls.Label",
+      "System.Web.UI.WebControls.ListItem",
+      "System.Web.UI.WebControls.Button",
+      "System.Web.UI.WebControls.HyperLink",
+      "System.Drawing.VersionedCacheSupport",
+      "System.Xml.Schema.DeferredSamplerHelper",
+      "System.StreamingSessionProvider",
+      "System.Xml.Schema.VersionedConfigReader",
+      "System.Linq.CompositeConfigResult",
+      "System.Drawing.RemoteProfilerHandler",
+      "System.Globalization.ScopedConfigResult",
+      "System.Linq.CompositeLexerOptions",
+      "System.Net.PooledLayoutInfo",
+      "System.Globalization.ThreadedDecoderSupport",
+      "System.Runtime.ManagedConfigHelper",
+      "System.Configuration.SortedChannelSpec",
+  };
+  const auto first_names = [](const TypeCatalog& catalog) {
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < 20 && i < catalog.size(); ++i) {
+      names.push_back(catalog.types()[i].qualified_name());
+    }
+    return names;
+  };
+  EXPECT_EQ(first_names(java()), want_java);
+  EXPECT_EQ(first_names(dotnet()), want_dotnet);
 }
 
 TEST(Catalogs, SeedChangesNamesButNotQuotas) {

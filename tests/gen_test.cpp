@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/request_gen.hpp"
@@ -86,6 +87,51 @@ TEST(ValueGen, GeneratorAndValidatorAgreeOnEveryBuiltin) {
       EXPECT_TRUE(xsd::is_valid_value(type, value))
           << xsd::local_name(type) << " seed " << seed << " value '" << value << "'";
     }
+  }
+}
+
+// The builtins whose values take several draws (date, time, dateTime,
+// duration, float, double) draw them in one fixed order on every compiler.
+// Rendered at seed 7, one stream per builtin.
+TEST(ValueGen, MultiDrawValuesArePinned) {
+  using B = xsd::Builtin;
+  const std::vector<std::pair<B, std::vector<std::string>>> pinned = {
+      {B::kDate,
+       {"1597-07-28", "3192-11-14", "3254-10-09", "1175-12-17", "3999-12-31",
+        "1042-11-11", "3701-02-27", "1351-04-19", "2320-07-07", "3999-12-31",
+        "2696-03-14", "1000-01-01", "2024-02-29", "2024-02-29", "2024-02-29",
+        "3999-12-31", "2024-02-29", "1282-04-02", "1000-01-01", "1000-01-01"}},
+      {B::kTime,
+       {"00:28:41.17", "12:30:45.123", "21:37:05", "00:00:00", "12:30:45.123",
+        "02:54:02", "09:39:06", "00:00:00", "00:00:00", "00:00:00",
+        "06:17:02", "16:58:11", "04:51:20.4", "10:15:04.8", "12:30:45.123",
+        "12:30:45.123", "02:27:04", "12:30:45.123", "14:56:42.9", "06:43:53.90"}},
+      {B::kDateTime,
+       {"2116-05-24T01:14:30.91Z", "2572-08-02T00:16:14Z", "1218-01-01T13:48:40",
+        "3818-03-23T20:10:09.2", "1000-01-01T00:00:00", "3999-12-31T23:59:59Z",
+        "3999-12-31T23:59:59Z", "2992-05-10T21:44:07", "1811-11-10T17:10:08.814",
+        "2333-08-28T19:59:22.056", "1000-01-01T00:00:00", "2514-01-12T14:58:00",
+        "2761-01-05T23:38:08Z", "1343-08-20T04:43:30", "3958-01-18T06:48:39.574",
+        "3999-12-31T23:59:59Z", "1000-01-01T00:00:00", "1522-09-04T09:34:05",
+        "3999-12-31T23:59:59Z", "1000-01-01T00:00:00"}},
+      {B::kDuration,
+       {"P655D", "P674D", "P187M", "P117D", "PT0S", "P658D", "P31M", "P1Y", "P634M",
+        "P172M", "P448M", "-P1D", "PT0S", "PT0S", "PT0S", "P469D", "P401D", "P879M",
+        "P643M", "P422M"}},
+      {B::kFloat,
+       {"1E-5", "INF", "055538.6724", "7", "9", "3.402823e38", "475014.359", "-700942",
+        "-0.0", "NaN", "INF", "1.5", "628291e-9", "3.402823e38", "-760824.2", "-INF",
+        "NaN", "INF", "-67643.8637", "762.2355"}},
+      {B::kDouble,
+       {"-0.0", "65391", "-846916.68", "-0.0", "1E-5", "8607", "INF", "-117758.5",
+        "-0.0", "728310", "1850e-03", "-INF", "INF", "7", "1E-5", "-INF", "INF",
+        "1E-5", "-INF", "-0.0"}},
+  };
+  for (const auto& [type, want] : pinned) {
+    Rng rng(7, "pinned|" + std::string(xsd::local_name(type)));
+    std::vector<std::string> values;
+    for (std::size_t i = 0; i < want.size(); ++i) values.push_back(generate_value(type, rng));
+    EXPECT_EQ(values, want) << xsd::local_name(type);
   }
 }
 

@@ -1,6 +1,11 @@
 // Unit tests for the WS-I Basic Profile checker (src/wsi/).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "wsi/profile.hpp"
 
@@ -201,6 +206,60 @@ TEST(Wsi, OutcomeNames) {
   EXPECT_STREQ(to_string(Outcome::kWarning), "warning");
   EXPECT_STREQ(to_string(Outcome::kFail), "fail");
   EXPECT_STREQ(to_string(Outcome::kNotApplicable), "n/a");
+}
+
+// Every deployed service of the 2% corpus (the populations `--scale 2`
+// deploys). The golden opens with a legend, the assertion ids and titles
+// in report order; every report must carry exactly those, and a result
+// that does not is rendered on a line of its own. Per service it then
+// lists each result that is not a plain pass with its outcome and detail,
+// and the summary under the default profile and under require_operations.
+TEST(Wsi, CorpusReportsMatchTheGolden) {
+  const catalog::TypeCatalog java =
+      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, 2));
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(catalog::scaled(catalog::DotNetCatalogSpec{}, 2));
+  std::vector<std::string> legend;
+  std::string rendered;
+  for (const auto& server : frameworks::make_servers()) {
+    const catalog::TypeCatalog& types = server->language() == "C#" ? dotnet : java;
+    for (const frameworks::ServiceSpec& spec : frameworks::make_services(types)) {
+      const Result<frameworks::DeployedService> service = server->deploy(spec);
+      if (!service.ok()) continue;
+      const ComplianceReport report = check(service->wsdl);
+      std::string services;
+      services += "== " + server->name() + "/" + spec.service_name() + "\n";
+      for (std::size_t i = 0; i < report.results().size(); ++i) {
+        const AssertionResult& result = report.results()[i];
+        std::string entry = result.id;
+        entry += " | ";
+        entry += result.title;
+        if (legend.size() == i) {
+          legend.push_back(entry);
+          rendered += entry + "\n";
+        } else if (legend[i] != entry) {
+          services += "result " + std::to_string(i) + ": " + entry + "\n";
+        }
+        if (result.outcome == Outcome::kPass && result.detail.empty()) continue;
+        services += result.id + " " + to_string(result.outcome) + " | " + result.detail + "\n";
+      }
+      if (report.results().size() != legend.size()) {
+        services += "results: " + std::to_string(report.results().size()) + "\n";
+      }
+      services += "summary: " + report.summary() + "\n";
+      services += "strict: " + check(service->wsdl, Profile{true}).summary() + "\n";
+      rendered += services;
+    }
+  }
+
+  const std::string name = "wsi_corpus_scale2.golden";
+  std::ifstream in(std::string(WSX_TEST_DATA_DIR) + "/" + name);
+  std::ostringstream want;
+  want << in.rdbuf();
+  if (rendered == want.str()) return;
+  const std::string path = ::testing::TempDir() + name + ".actual";
+  std::ofstream(path) << rendered;
+  ADD_FAILURE() << "reports differ from tests/data/" << name << "; rendered: " << path;
 }
 
 }  // namespace

@@ -236,6 +236,100 @@ TEST(Resolver, CrossSchemaReferencesResolve) {
   EXPECT_TRUE(resolve({a, b}).clean());
 }
 
+/// An element of `type`, or of an inline anonymous type when `type` is empty.
+ElementDecl element_of(std::string name, xml::QName type, ComplexType inline_type = {}) {
+  ElementDecl element;
+  element.name = std::move(name);
+  element.type = std::move(type);
+  if (element.type.empty()) element.inline_type = Box<ComplexType>{std::move(inline_type)};
+  return element;
+}
+
+// R2102 and R2800 details and lint messages quote the context text, so
+// every shape is spelled out here, nested two levels below its root.
+TEST(Resolver, ContextTextSpellsEveryShape) {
+  const xml::QName ghost{"urn:ghost", "Ghost"};
+
+  ComplexType leaf;  // complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf'
+  leaf.base = ghost;
+  leaf.particles.emplace_back(element_of("deep", ghost));
+  ElementDecl schema_ref;
+  schema_ref.ref = xml::QName{std::string(xml::ns::kXsd), "schema", "s"};
+  leaf.particles.emplace_back(std::move(schema_ref));
+  AttributeDecl typed;
+  typed.name = "unit";
+  typed.type = ghost;
+  leaf.attributes.push_back(std::move(typed));
+  AttributeDecl lang;
+  lang.ref = xml::QName{std::string(xml::ns::kXsd), "lang", "s"};
+  leaf.attributes.push_back(std::move(lang));
+  leaf.attribute_groups.push_back({xml::QName{"urn:ghost", "specialAttrs"}});
+
+  ComplexType inner;
+  inner.particles.emplace_back(element_of("leaf", {}, std::move(leaf)));
+  ElementDecl dual = element_of("dual", qname(Builtin::kString));
+  dual.inline_type = Box<ComplexType>{ComplexType{}};
+  inner.particles.emplace_back(std::move(dual));
+
+  ComplexType outer;
+  outer.name = "Outer";
+  outer.particles.emplace_back(element_of("inner", {}, std::move(inner)));
+
+  ComplexType body;  // top-level element 'request' (anonymous type) / element 'body'
+  body.particles.emplace_back(element_of("stamp", ghost));
+  ComplexType request;
+  request.particles.emplace_back(element_of("body", {}, std::move(body)));
+
+  SimpleTypeDecl code;
+  code.name = "Code";
+  code.base = ghost;
+
+  Schema schema;
+  schema.target_namespace = "urn:svc";
+  schema.elements.push_back(element_of("plain", ghost));
+  schema.elements.push_back(element_of("request", {}, std::move(request)));
+  schema.elements.push_back(ElementDecl{});
+  schema.complex_types.push_back(std::move(outer));
+  schema.simple_types.push_back(std::move(code));
+
+  const ResolutionReport report = resolve({schema});
+  const std::vector<std::pair<RefKind, std::string>> want_unresolved = {
+      {RefKind::kTypeRef, "top-level element 'plain'"},
+      {RefKind::kTypeRef,
+       "top-level element 'request' (anonymous type) / element 'body' (anonymous type) / "
+       "element 'stamp'"},
+      {RefKind::kTypeRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / extension base"},
+      {RefKind::kTypeRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / element 'deep'"},
+      {RefKind::kElementRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / element ''"},
+      {RefKind::kTypeRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / attribute 'unit'"},
+      {RefKind::kAttributeRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / attribute ref"},
+      {RefKind::kAttributeGroupRef,
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'leaf' (anonymous "
+       "type) / attributeGroup"},
+      {RefKind::kTypeRef, "simpleType 'Code'"},
+  };
+  std::vector<std::pair<RefKind, std::string>> unresolved;
+  for (const UnresolvedRef& ref : report.unresolved) unresolved.emplace_back(ref.kind, ref.context);
+  EXPECT_EQ(unresolved, want_unresolved);
+
+  const std::vector<ValidityIssue> want_issues = {
+      {"xsd.unnamed-top-level-element", "schema urn:svc"},
+      {"xsd.dual-type-declaration",
+       "complexType 'Outer' / element 'inner' (anonymous type) / element 'dual'"},
+  };
+  EXPECT_EQ(report.issues, want_issues);
+}
+
 TEST(Resolver, RefKindNames) {
   EXPECT_STREQ(to_string(RefKind::kTypeRef), "type reference");
   EXPECT_STREQ(to_string(RefKind::kElementRef), "element reference");
