@@ -45,19 +45,19 @@ std::string SourceLocation::str() const {
 }
 
 void DiagnosticSink::note(std::string code, std::string message, std::string subject) {
-  add({Severity::kNote, std::move(code), std::move(message), std::move(subject)});
+  add({Severity::kNote, std::move(code), std::move(message), std::move(subject), {}, {}});
 }
 
 void DiagnosticSink::warn(std::string code, std::string message, std::string subject) {
-  add({Severity::kWarning, std::move(code), std::move(message), std::move(subject)});
+  add({Severity::kWarning, std::move(code), std::move(message), std::move(subject), {}, {}});
 }
 
 void DiagnosticSink::error(std::string code, std::string message, std::string subject) {
-  add({Severity::kError, std::move(code), std::move(message), std::move(subject)});
+  add({Severity::kError, std::move(code), std::move(message), std::move(subject), {}, {}});
 }
 
 void DiagnosticSink::crash(std::string code, std::string message, std::string subject) {
-  add({Severity::kCrash, std::move(code), std::move(message), std::move(subject)});
+  add({Severity::kCrash, std::move(code), std::move(message), std::move(subject), {}, {}});
 }
 
 std::size_t DiagnosticSink::count(Severity severity) const {

@@ -135,7 +135,9 @@ TEST(MessageLint, RuleConfigDisablesAndRetunes) {
   analysis::RuleConfig retuned;
   retuned.severity_overrides["WSX1101"] = Severity::kError;
   for (const Finding& finding : lint(body_with(soap::HybridProfile::kAddressing), "", retuned)) {
-    if (finding.rule_id == "WSX1101") EXPECT_EQ(finding.severity, Severity::kError);
+    if (finding.rule_id == "WSX1101") {
+      EXPECT_EQ(finding.severity, Severity::kError);
+    }
   }
 
   analysis::RuleConfig only;
