@@ -22,6 +22,8 @@ std::string pick_package(Rng& rng) { return kPackages[rng.below(kPackages.size()
 
 void add_plain_fields(NamePool& pool, TypeInfo& type) {
   const std::size_t count = 1 + pool.rng().below(4);
+  // The catalog lives for the whole run: no spare capacity.
+  type.fields.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     FieldSpec field;
     field.name = pool.next_field_name() + (i == 0 ? "" : std::to_string(i));
@@ -64,9 +66,15 @@ DotNetCatalogSpec scaled(DotNetCatalogSpec spec, std::size_t percent) {
 }
 
 TypeCatalog make_dotnet_catalog(const DotNetCatalogSpec& spec) {
-  NamePool pool{spec.seed};
+  const std::size_t total = 8 + spec.plain_types + spec.dataset_plain + spec.dataset_duplicated +
+                            spec.dataset_nested + spec.dataset_array + spec.encoded_binding +
+                            spec.missing_soap_action + spec.deep_nesting_clean +
+                            spec.deep_nesting_pathological + spec.generator_crash +
+                            spec.non_serializable + spec.no_default_ctor + spec.generic_types +
+                            spec.abstract_classes + spec.interfaces;
+  NamePool pool{spec.seed, total};
   std::vector<TypeInfo> types;
-  types.reserve(14200);
+  types.reserve(total);
 
   // --- Named special types. ---
   {

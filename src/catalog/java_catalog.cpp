@@ -20,9 +20,12 @@ constexpr std::array kPackages = {
 
 std::string pick_package(Rng& rng) { return kPackages[rng.below(kPackages.size())]; }
 
-/// 1–4 plain serializable fields.
-void add_plain_fields(NamePool& pool, TypeInfo& type) {
+/// 1–4 plain serializable fields, with room for `more_fields` the caller
+/// adds.
+void add_plain_fields(NamePool& pool, TypeInfo& type, std::size_t more_fields) {
   const std::size_t count = 1 + pool.rng().below(4);
+  // The catalog lives for the whole run: no spare capacity.
+  type.fields.reserve(count + more_fields);
   for (std::size_t i = 0; i < count; ++i) {
     FieldSpec field;
     field.name = pool.next_field_name() + (i == 0 ? "" : std::to_string(i));
@@ -31,14 +34,14 @@ void add_plain_fields(NamePool& pool, TypeInfo& type) {
   }
 }
 
-TypeInfo make_bean(NamePool& pool, const std::string& suffix = "") {
+TypeInfo make_bean(NamePool& pool, const std::string& suffix = "", std::size_t more_fields = 0) {
   TypeInfo type;
   type.language = SourceLanguage::kJava;
   type.package = pick_package(pool.rng());
   type.name = pool.next_class_name(suffix);
   type.set(Trait::kDefaultCtor);
   type.set(Trait::kSerializable);
-  add_plain_fields(pool, type);
+  add_plain_fields(pool, type, more_fields);
   return type;
 }
 
@@ -68,9 +71,14 @@ JavaCatalogSpec scaled(JavaCatalogSpec spec, std::size_t percent) {
 }
 
 TypeCatalog make_java_catalog(const JavaCatalogSpec& spec) {
-  NamePool pool{spec.seed};
+  const std::size_t total = 4 + std::max<std::size_t>(spec.async_interfaces, 2) +
+                            spec.plain_beans + spec.throwable_clean + spec.throwable_raw +
+                            spec.raw_generic_beans + spec.anytype_array_beans +
+                            spec.no_default_ctor + spec.abstract_classes + spec.interfaces +
+                            spec.generic_types;
+  NamePool pool{spec.seed, total};
   std::vector<TypeInfo> types;
-  types.reserve(4000);
+  types.reserve(total);
 
   // --- Named special classes (traits match the paper's findings). ---
   {
@@ -154,25 +162,25 @@ TypeCatalog make_java_catalog(const JavaCatalogSpec& spec) {
     types.push_back(make_bean(pool));
   }
   for (std::size_t i = 0; i < spec.throwable_clean; ++i) {
-    TypeInfo type = make_bean(pool, i % 7 == 0 ? "Error" : "Exception");
+    TypeInfo type = make_bean(pool, i % 7 == 0 ? "Error" : "Exception", 1);
     type.set(Trait::kThrowableDerived);
     type.fields.insert(type.fields.begin(), {"message", xsd::Builtin::kString, false, false});
     types.push_back(std::move(type));
   }
   for (std::size_t i = 0; i < spec.throwable_raw; ++i) {
-    TypeInfo type = make_bean(pool, "Exception");
+    TypeInfo type = make_bean(pool, "Exception", 2);
     type.set(Trait::kThrowableDerived);
     type.fields.insert(type.fields.begin(), {"message", xsd::Builtin::kString, false, false});
     add_raw_collection_field(type);
     types.push_back(std::move(type));
   }
   for (std::size_t i = 0; i < spec.raw_generic_beans; ++i) {
-    TypeInfo type = make_bean(pool);
+    TypeInfo type = make_bean(pool, "", 1);
     add_raw_collection_field(type);
     types.push_back(std::move(type));
   }
   for (std::size_t i = 0; i < spec.anytype_array_beans; ++i) {
-    TypeInfo type = make_bean(pool);
+    TypeInfo type = make_bean(pool, "", 1);
     FieldSpec field;
     field.name = "elements";
     field.type = xsd::Builtin::kAnyType;

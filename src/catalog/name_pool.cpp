@@ -1,21 +1,9 @@
 #include "catalog/name_pool.hpp"
 
 #include <array>
-
-#include "common/hash.hpp"
+#include <string_view>
 
 namespace wsx::catalog {
-
-std::uint64_t Rng::next() {
-  const std::uint64_t draw = splitmix64(state_);
-  state_ += kGoldenGamma;
-  return draw;
-}
-
-std::size_t Rng::below(std::size_t bound) {
-  return bound == 0 ? 0 : static_cast<std::size_t>(next() % bound);
-}
-
 namespace {
 
 constexpr std::array kRoots = {
@@ -60,14 +48,15 @@ constexpr std::array kFieldTypes = {
 
 std::string NamePool::next_class_name(const std::string& suffix) {
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    std::string name = std::string(kQualifiers[rng_.below(kQualifiers.size())]) +
-                       std::string(kRoots[rng_.below(kRoots.size())]);
-    if (suffix.empty()) {
-      name += kSuffixes[rng_.below(kSuffixes.size())];
-    } else {
-      name += suffix;
-    }
-    if (used_.insert(name)) return name;
+    // Root before qualifier, one draw per statement: the catalogs were
+    // rendered when both draws sat in one `+` expression, whose operands
+    // GCC 12 evaluates right to left.
+    const std::string_view root = kRoots[rng_.below(kRoots.size())];
+    const std::string_view qualifier = kQualifiers[rng_.below(kQualifiers.size())];
+    const std::string_view tail =
+        suffix.empty() ? std::string_view(kSuffixes[rng_.below(kSuffixes.size())]) : suffix;
+    candidate_.assign(qualifier).append(root).append(tail);
+    if (used_.insert(candidate_)) return std::string(candidate_);
   }
   // Pool exhausted for this shape: fall back to an indexed name, still
   // unique and deterministic.

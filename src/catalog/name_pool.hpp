@@ -6,31 +6,24 @@
 #include <vector>
 
 #include "common/intern.hpp"
+#include "common/rng.hpp"
 #include "xsd/builtin.hpp"
 
 namespace wsx::catalog {
 
-/// Deterministic pseudo-random stream (splitmix64). The catalogs must be
-/// bit-identical across runs and platforms, so we avoid std::mt19937's
-/// distribution portability caveats.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next();
-  /// Uniform in [0, bound).
-  std::size_t below(std::size_t bound);
-
- private:
-  std::uint64_t state_;
-};
+/// The catalogs' PRNG: the common splitmix64 stream (common/rng.hpp),
+/// seeded with the catalog spec's raw seed.
+using Rng = wsx::Rng;
 
 /// Synthesizes unique class names that look like platform API types
 /// ("BufferedChannelWriter", "DataGridViewCell", ...). Names are unique per
 /// pool instance; deterministic for a given seed and call sequence.
 class NamePool {
  public:
-  explicit NamePool(std::uint64_t seed) : rng_(seed) {}
+  /// `expected_names`, when known, sizes the used-name set up front.
+  explicit NamePool(std::uint64_t seed, std::size_t expected_names = 0) : rng_(seed) {
+    used_.reserve(expected_names);
+  }
 
   /// A fresh class name, optionally forced to end with `suffix`
   /// (e.g. "Exception").
@@ -47,6 +40,7 @@ class NamePool {
  private:
   Rng rng_;
   StringInterner used_;
+  std::string candidate_;  ///< next_class_name's buffer, reused across calls
 };
 
 }  // namespace wsx::catalog

@@ -28,6 +28,8 @@ class StringInterner {
 
   bool contains(std::string_view text) const;
   std::size_t size() const { return entries_.size(); }
+  /// Room for `count` strings without rehashing.
+  void reserve(std::size_t count) { entries_.reserve(count); }
 
  private:
   struct Hash {

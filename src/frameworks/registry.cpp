@@ -82,7 +82,11 @@ RoundTasks bindable_services(const std::vector<Round>& rounds) {
         continue;
       }
       out.tasks.push_back({r, &spec});
-      out.ids.push_back(rounds[r].label + "|" + spec.service_name());
+      const std::string& label = rounds[r].label;
+      const std::string service = spec.service_name();
+      std::string& id = out.ids.emplace_back();
+      id.reserve(label.size() + 1 + service.size());
+      id.append(label).append("|").append(service);
     }
   }
   return out;

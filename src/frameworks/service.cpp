@@ -17,8 +17,13 @@ bool from_string(std::string_view text, ServiceShape& out) {
 }
 
 std::string ServiceSpec::service_name() const {
-  const std::string type_name = type != nullptr ? type->name : std::string{"Unknown"};
-  return (shape == ServiceShape::kSimpleEcho ? "Echo" : "Crud") + type_name;
+  const std::string_view prefix = shape == ServiceShape::kSimpleEcho ? "Echo" : "Crud";
+  const std::string_view type_name =
+      type != nullptr ? std::string_view(type->name) : std::string_view("Unknown");
+  std::string name;
+  name.reserve(prefix.size() + type_name.size());
+  name.append(prefix).append(type_name);
+  return name;
 }
 
 std::vector<ServiceSpec> make_services(const catalog::TypeCatalog& catalog,
