@@ -87,14 +87,37 @@ bool AnalysisResult::has_errors() const {
   });
 }
 
+namespace {
+
+void run_rule(const Rule& rule, Severity severity, const AnalysisInput& input,
+              std::vector<Finding>& findings) {
+  Reporter reporter{rule.info(), severity, input.uri, findings};
+  rule.run(input, reporter);
+}
+
+}  // namespace
+
 AnalysisResult analyze(const AnalysisInput& input, const RuleConfig& config,
                        const RuleRegistry& registry) {
   AnalysisResult result;
   for (const auto& rule : registry.rules()) {
     const RuleInfo& info = rule->info();
-    if (!config.enabled(info)) continue;
-    Reporter reporter{info, config.severity_for(info), input.uri, result.findings};
-    rule->run(input, reporter);
+    if (config.enabled(info)) run_rule(*rule, config.severity_for(info), input, result.findings);
+  }
+  return result;
+}
+
+RuleSelection::RuleSelection(const RuleConfig& config, const RuleRegistry& registry) {
+  for (const auto& rule : registry.rules()) {
+    const RuleInfo& info = rule->info();
+    if (config.enabled(info)) rules_.push_back({rule.get(), config.severity_for(info)});
+  }
+}
+
+AnalysisResult RuleSelection::analyze(const AnalysisInput& input) const {
+  AnalysisResult result;
+  for (const Selected& selected : rules_) {
+    run_rule(*selected.rule, selected.severity, input, result.findings);
   }
   return result;
 }

@@ -60,6 +60,27 @@ struct AnalysisResult {
 AnalysisResult analyze(const AnalysisInput& input, const RuleConfig& config = {},
                        const RuleRegistry& registry = RuleRegistry::builtin());
 
+/// The rules a config enables, resolved once: registration order, each at
+/// its configured severity. A caller that analyzes many documents under one
+/// config (the WS-I check runs once per deployed service) runs the
+/// selection instead of testing every registered rule against the config's
+/// sets per document. Borrows the registry's rules.
+class RuleSelection {
+ public:
+  explicit RuleSelection(const RuleConfig& config,
+                         const RuleRegistry& registry = RuleRegistry::builtin());
+
+  /// Same findings, in the same order, as analyze(input, config, registry).
+  AnalysisResult analyze(const AnalysisInput& input) const;
+
+ private:
+  struct Selected {
+    const Rule* rule = nullptr;
+    Severity severity = Severity::kError;
+  };
+  std::vector<Selected> rules_;
+};
+
 /// Pretty text: one "uri:line:col: severity: [ID] message" line per finding
 /// (plus an indented "fix:" line when the rule has a hint).
 std::string format_findings(const std::vector<Finding>& findings);

@@ -87,10 +87,10 @@ void check_document_parts(const AnalysisInput& input, Reporter& out) {
     const wsdl::PortType* port_type = defs.find_port_type(binding.port_type.local_name());
     if (port_type == nullptr) continue;
     for (const wsdl::Operation& operation : port_type->operations) {
-      for (const std::string& message_name :
-           {operation.input_message, operation.output_message}) {
-        if (message_name.empty()) continue;
-        const wsdl::Message* message = defs.find_message(message_name);
+      for (const std::string* message_name :
+           {&operation.input_message, &operation.output_message}) {
+        if (message_name->empty()) continue;
+        const wsdl::Message* message = defs.find_message(*message_name);
         if (message == nullptr) continue;
         for (const wsdl::Part& part : message->parts) {
           if (part.element.empty()) {
@@ -118,10 +118,10 @@ void check_rpc_parts(const AnalysisInput& input, Reporter& out) {
     const wsdl::PortType* port_type = defs.find_port_type(binding.port_type.local_name());
     if (port_type == nullptr) continue;
     for (const wsdl::Operation& operation : port_type->operations) {
-      for (const std::string& message_name :
-           {operation.input_message, operation.output_message}) {
-        if (message_name.empty()) continue;
-        const wsdl::Message* message = defs.find_message(message_name);
+      for (const std::string* message_name :
+           {&operation.input_message, &operation.output_message}) {
+        if (message_name->empty()) continue;
+        const wsdl::Message* message = defs.find_message(*message_name);
         if (message == nullptr) continue;
         for (const wsdl::Part& part : message->parts) {
           if (part.type.empty()) {
@@ -213,17 +213,17 @@ void check_message_references(const AnalysisInput& input, Reporter& out) {
   const wsdl::Definitions& defs = *input.definitions;
   for (const wsdl::PortType& port_type : defs.port_types) {
     for (const wsdl::Operation& operation : port_type.operations) {
-      std::vector<std::string> referenced = {operation.input_message,
-                                             operation.output_message};
-      for (const wsdl::FaultRef& fault : operation.faults) referenced.push_back(fault.message);
-      for (const std::string& message_name : referenced) {
-        if (message_name.empty()) continue;
-        if (defs.find_message(message_name) != nullptr) continue;
+      const auto check_reference = [&](const std::string& message_name) {
+        if (message_name.empty()) return;
+        if (defs.find_message(message_name) != nullptr) return;
         out.report("operation '" + operation.name + "' references unknown message '" +
                        message_name + "'",
                    port_type.name + "/" + operation.name,
                    defs.locate("operation:" + port_type.name + "/" + operation.name));
-      }
+      };
+      check_reference(operation.input_message);
+      check_reference(operation.output_message);
+      for (const wsdl::FaultRef& fault : operation.faults) check_reference(fault.message);
     }
   }
 }

@@ -14,9 +14,8 @@ void scan_complex_type(const xsd::ComplexType& type, const std::string& target_n
                        const std::string& declared_name, std::size_t depth,
                        WsdlFeatures& features) {
   std::size_t schema_refs_here = 0;
-  std::vector<std::string> sibling_names;
-  for (const xsd::Particle& particle : type.particles) {
-    const auto* element = std::get_if<xsd::ElementDecl>(&particle);
+  for (auto it = type.particles.begin(); it != type.particles.end(); ++it) {
+    const auto* element = std::get_if<xsd::ElementDecl>(&*it);
     if (element == nullptr) continue;
     if (element->is_ref() && is_xsd_ns(element->ref) &&
         element->ref.local_name() == "schema") {
@@ -36,12 +35,13 @@ void scan_complex_type(const xsd::ComplexType& type, const std::string& target_n
         element->type.local_name() == "anyType" && element->max_occurs == xsd::kUnbounded) {
       features.anytype_unbounded_element = true;
     }
-    for (const std::string& sibling : sibling_names) {
-      if (sibling != element->name && iequals(sibling, element->name)) {
+    for (auto sibling = type.particles.begin(); sibling != it; ++sibling) {
+      const auto* earlier = std::get_if<xsd::ElementDecl>(&*sibling);
+      if (earlier != nullptr && earlier->name != element->name &&
+          iequals(earlier->name, element->name)) {
         features.case_colliding_elements = true;
       }
     }
-    sibling_names.push_back(element->name);
     if (element->inline_type.has_value()) {
       scan_complex_type(*element->inline_type, target_namespace, declared_name, depth + 1,
                         features);
@@ -49,9 +49,11 @@ void scan_complex_type(const xsd::ComplexType& type, const std::string& target_n
   }
   if (schema_refs_here >= 2) features.schema_element_ref_duplicated = true;
 
+  // A particle is an element or a wildcard, so all-wildcard content is
+  // content without elements.
   const std::size_t wildcards = type.any_count();
   features.max_wildcards_per_type = std::max(features.max_wildcards_per_type, wildcards);
-  if (wildcards > 0 && type.elements().empty()) features.wildcard_only_content = true;
+  if (wildcards > 0 && wildcards == type.particles.size()) features.wildcard_only_content = true;
 }
 
 }  // namespace
@@ -123,14 +125,14 @@ WsdlFeatures analyze(const wsdl::Definitions& defs) {
   for (const wsdl::PortType& port_type : defs.port_types) {
     for (std::size_t i = 0; i < port_type.operations.size(); ++i) {
       const wsdl::Operation& operation = port_type.operations[i];
-      std::vector<std::string> referenced = {operation.input_message,
-                                             operation.output_message};
-      for (const wsdl::FaultRef& fault : operation.faults) referenced.push_back(fault.message);
-      for (const std::string& message_name : referenced) {
+      const auto check_reference = [&](const std::string& message_name) {
         if (!message_name.empty() && defs.find_message(message_name) == nullptr) {
           features.dangling_message_reference = true;
         }
-      }
+      };
+      check_reference(operation.input_message);
+      check_reference(operation.output_message);
+      for (const wsdl::FaultRef& fault : operation.faults) check_reference(fault.message);
       for (std::size_t j = i + 1; j < port_type.operations.size(); ++j) {
         if (operation.name == port_type.operations[j].name) {
           features.duplicate_operations = true;

@@ -4,6 +4,8 @@
 // the paper's §IV.A recommendation, surfaced here under its legacy id
 // WSX-OP1); this file only maps findings back onto AssertionResults so
 // existing callers compile and behave unchanged.
+#include <array>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,17 +31,6 @@ std::string_view rule_id_for(std::string_view assertion_id) {
   return assertion_id == kOperationsAssertion ? kOperationsRule : assertion_id;
 }
 
-Outcome outcome_for(const std::vector<const analysis::Finding*>& findings) {
-  if (findings.empty()) return Outcome::kPass;
-  Outcome outcome = Outcome::kWarning;
-  for (const analysis::Finding* finding : findings) {
-    if (finding->severity == Severity::kError || finding->severity == Severity::kCrash) {
-      outcome = Outcome::kFail;
-    }
-  }
-  return outcome;
-}
-
 analysis::RuleConfig make_config(bool require_operations) {
   analysis::RuleConfig config;
   for (const std::string_view assertion_id : kAssertionIds) {
@@ -51,40 +42,64 @@ analysis::RuleConfig make_config(bool require_operations) {
   return config;
 }
 
-/// The rule selection for a profile, built once per require_operations
-/// value: every deployed service is checked, so per-call setup adds up.
-const analysis::RuleConfig& config_for(const Profile& profile) {
-  static const analysis::RuleConfig kConfigs[] = {make_config(false), make_config(true)};
-  return kConfigs[profile.require_operations ? 1 : 0];
+/// One row of the report: the assertion, the rule that implements it and
+/// its title (the rule's, which lives in the built-in registry).
+struct Assertion {
+  std::string_view id;
+  std::string_view rule_id;
+  std::string_view title;
+};
+
+/// The assertion table and the rule selection of each require_operations
+/// value, resolved once against the built-in registry: every deployed
+/// service is checked, so per-call setup adds up.
+struct Table {
+  Table() : selections{analysis::RuleSelection{make_config(false)},
+                       analysis::RuleSelection{make_config(true)}} {
+    const analysis::RuleRegistry& registry = analysis::RuleRegistry::builtin();
+    for (std::size_t i = 0; i < assertions.size(); ++i) {
+      const std::string_view id = kAssertionIds[i];
+      const analysis::Rule* rule = registry.find(rule_id_for(id));
+      assertions[i] = {id, rule_id_for(id),
+                       rule != nullptr ? std::string_view(rule->info().title) : id};
+    }
+  }
+
+  analysis::RuleSelection selections[2];
+  std::array<Assertion, std::size(kAssertionIds)> assertions;
+};
+
+const Table& table() {
+  static const Table kTable;
+  return kTable;
 }
 
 }  // namespace
 
 ComplianceReport check(const wsdl::Definitions& definitions, const Profile& profile) {
-  const analysis::RuleRegistry& registry = analysis::RuleRegistry::builtin();
-
+  const Table& rows = table();
   analysis::AnalysisInput input;
   input.definitions = &definitions;
   const analysis::AnalysisResult analyzed =
-      analysis::analyze(input, config_for(profile), registry);
+      rows.selections[profile.require_operations ? 1 : 0].analyze(input);
 
   std::vector<AssertionResult> results;
-  for (const std::string_view assertion_id : kAssertionIds) {
-    const std::string_view rule_id = rule_id_for(assertion_id);
-    std::vector<const analysis::Finding*> findings;
+  results.reserve(rows.assertions.size());
+  for (const Assertion& assertion : rows.assertions) {
+    AssertionResult& result = results.emplace_back();
+    result.id = std::string(assertion.id);
+    result.title = assertion.title;
+    // Any finding makes the assertion a warning, an error or crash a
+    // failure; the detail joins the findings' messages in emission order.
     for (const analysis::Finding& finding : analyzed.findings) {
-      if (finding.rule_id == rule_id) findings.push_back(&finding);
-    }
-    AssertionResult result;
-    result.id = std::string(assertion_id);
-    const analysis::Rule* rule = registry.find(rule_id);
-    result.title = rule != nullptr ? rule->info().title : std::string(assertion_id);
-    result.outcome = outcome_for(findings);
-    for (const analysis::Finding* finding : findings) {
+      if (finding.rule_id != assertion.rule_id) continue;
+      if (result.outcome == Outcome::kPass) result.outcome = Outcome::kWarning;
+      if (finding.severity == Severity::kError || finding.severity == Severity::kCrash) {
+        result.outcome = Outcome::kFail;
+      }
       if (!result.detail.empty()) result.detail += "; ";
-      result.detail += finding->message;
+      result.detail += finding.message;
     }
-    results.push_back(std::move(result));
   }
   return ComplianceReport{std::move(results)};
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wsdl/model.hpp"
@@ -20,7 +21,9 @@ const char* to_string(Outcome outcome);
 
 struct AssertionResult {
   std::string id;      ///< BP assertion id, e.g. "R2102"
-  std::string title;   ///< short statement of the requirement
+  /// Short statement of the requirement: a view into the built-in rule
+  /// registry, which lives for the whole program.
+  std::string_view title;
   Outcome outcome = Outcome::kPass;
   std::string detail;  ///< populated for warnings/failures
 };

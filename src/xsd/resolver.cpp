@@ -1,6 +1,7 @@
 #include "xsd/resolver.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 namespace wsx::xsd {
 
@@ -25,6 +26,32 @@ bool ResolutionReport::has_unresolved(RefKind kind) const {
 
 namespace {
 
+/// Where a component sits, as the parts its reported text is built from:
+/// the enclosing context's text, then `literal`, then `name` in quotes when
+/// set. The parts view the schemas being walked; the text is rendered only
+/// when something there is reported, e.g. "complexType 'X' / element 'y'".
+struct Context {
+  const Context* parent = nullptr;
+  std::string_view literal;
+  const std::string* name = nullptr;
+
+  void render_into(std::string& out) const {
+    if (parent != nullptr) parent->render_into(out);
+    out += literal;
+    if (name != nullptr) {
+      out += " '";
+      out += *name;
+      out += '\'';
+    }
+  }
+
+  std::string render() const {
+    std::string out;
+    render_into(out);
+    return out;
+  }
+};
+
 class Resolver {
  public:
   Resolver(const std::vector<Schema>& schemas,
@@ -38,14 +65,14 @@ class Resolver {
           report_.issues.push_back(
               {"xsd.unnamed-top-level-element", "schema " + schema.target_namespace});
         }
-        check_element(element, "top-level element '" + element.name + "'");
+        check_element(element, {nullptr, "top-level element", &element.name});
       }
       for (const ComplexType& type : schema.complex_types) {
-        check_complex_type(type, "complexType '" + type.name + "'");
+        check_complex_type(type, {nullptr, "complexType", &type.name});
       }
       for (const SimpleTypeDecl& type : schema.simple_types) {
         if (!type.base.empty()) {
-          check_type_ref(type.base, "simpleType '" + type.name + "'");
+          check_type_ref(type.base, {nullptr, "simpleType", &type.name});
         }
       }
     }
@@ -87,12 +114,12 @@ class Resolver {
     return false;
   }
 
-  void add_unresolved(RefKind kind, const xml::QName& target, std::string context) {
+  void add_unresolved(RefKind kind, const xml::QName& target, const Context& context) {
     report_.unresolved.push_back(
-        {kind, target, std::move(context), /*undeclared_prefix=*/target.namespace_uri().empty()});
+        {kind, target, context.render(), /*undeclared_prefix=*/target.namespace_uri().empty()});
   }
 
-  void check_type_ref(const xml::QName& type, const std::string& context) {
+  void check_type_ref(const xml::QName& type, const Context& context) {
     if (type.empty()) return;
     if (type.namespace_uri().empty()) {
       add_unresolved(RefKind::kTypeRef, type, context);
@@ -114,9 +141,9 @@ class Resolver {
                        [&uri](const Schema& s) { return s.target_namespace == uri; });
   }
 
-  void check_element(const ElementDecl& element, const std::string& context) {
+  void check_element(const ElementDecl& element, const Context& context) {
     if (!element.type.empty() && element.inline_type.has_value()) {
-      report_.issues.push_back({"xsd.dual-type-declaration", context});
+      report_.issues.push_back({"xsd.dual-type-declaration", context.render()});
     }
     if (element.is_ref()) {
       // xs:schema itself is not a declarable element; a ref to it (the WCF
@@ -128,17 +155,17 @@ class Resolver {
     }
     check_type_ref(element.type, context);
     if (element.inline_type.has_value()) {
-      check_complex_type(*element.inline_type, context + " (anonymous type)");
+      check_complex_type(*element.inline_type, {&context, " (anonymous type)"});
     }
   }
 
-  void check_complex_type(const ComplexType& type, const std::string& context) {
+  void check_complex_type(const ComplexType& type, const Context& context) {
     if (type.is_derived()) {
-      check_type_ref(type.base, context + " / extension base");
+      check_type_ref(type.base, {&context, " / extension base"});
     }
     for (const Particle& particle : type.particles) {
       if (const ElementDecl* element = std::get_if<ElementDecl>(&particle)) {
-        check_element(*element, context + " / element '" + element->name + "'");
+        check_element(*element, {&context, " / element", &element->name});
       }
     }
     for (const AttributeDecl& attribute : type.attributes) {
@@ -148,11 +175,10 @@ class Resolver {
         // xml:lang is predeclared by the XML namespace; lang in any other
         // namespace (the paper's "s:lang") is not a declarable attribute.
         if (!known_xml_attr) {
-          add_unresolved(RefKind::kAttributeRef, attribute.ref,
-                         context + " / attribute ref");
+          add_unresolved(RefKind::kAttributeRef, attribute.ref, {&context, " / attribute ref"});
         }
       } else if (!attribute.type.empty()) {
-        check_type_ref(attribute.type, context + " / attribute '" + attribute.name + "'");
+        check_type_ref(attribute.type, {&context, " / attribute", &attribute.name});
       }
     }
     for (const AttributeGroupRef& group : type.attribute_groups) {
@@ -172,7 +198,7 @@ class Resolver {
         }
       }
       if (!promised) {
-        add_unresolved(RefKind::kAttributeGroupRef, group.ref, context + " / attributeGroup");
+        add_unresolved(RefKind::kAttributeGroupRef, group.ref, {&context, " / attributeGroup"});
       }
     }
   }
