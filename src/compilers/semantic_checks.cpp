@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/strings.hpp"
 
@@ -13,10 +13,16 @@ bool names_equal(const CheckPolicy& policy, std::string_view a, std::string_view
   return policy.case_insensitive_members ? iequals(a, b) : a == b;
 }
 
-bool contains(const CheckPolicy& policy, const std::vector<std::string>& haystack,
-              std::string_view needle) {
-  return std::any_of(haystack.begin(), haystack.end(), [&](const std::string& candidate) {
-    return names_equal(policy, candidate, needle);
+std::string_view name_of(const code::Field& field) { return field.name; }
+std::string_view name_of(const code::Param& param) { return param.name; }
+std::string_view name_of(const std::string& local) { return local; }
+
+/// True when a declaration in [first, last) is named `needle` under the
+/// policy's comparison; compares in place, copying no name.
+template <typename It>
+bool declares(const CheckPolicy& policy, It first, It last, std::string_view needle) {
+  return std::any_of(first, last, [&](const auto& declaration) {
+    return names_equal(policy, name_of(declaration), needle);
   });
 }
 
@@ -24,17 +30,15 @@ void check_class(const code::CompilationUnit& unit, const code::Class& cls,
                  const CheckPolicy& policy, DiagnosticSink& sink) {
   // Member collision: two fields, or a field and a method, with the same
   // (possibly case-folded) name.
-  std::vector<std::string> member_names;
-  for (const code::Field& field : cls.fields) {
-    if (contains(policy, member_names, field.name)) {
+  for (auto field = cls.fields.begin(); field != cls.fields.end(); ++field) {
+    if (declares(policy, cls.fields.begin(), field, field->name)) {
       sink.error(policy.tool + ".duplicate-member",
-                 "member '" + field.name + "' is already declared in '" + cls.name + "'",
+                 "member '" + field->name + "' is already declared in '" + cls.name + "'",
                  unit.name);
     }
-    member_names.push_back(field.name);
   }
   for (const code::Method& method : cls.methods) {
-    if (contains(policy, member_names, method.name)) {
+    if (declares(policy, cls.fields.begin(), cls.fields.end(), method.name)) {
       sink.error(policy.tool + ".duplicate-member",
                  "'" + method.name + "' collides with a member of the same name in '" +
                      cls.name + "'",
@@ -44,22 +48,20 @@ void check_class(const code::CompilationUnit& unit, const code::Class& cls,
 
   for (const code::Method& method : cls.methods) {
     // Duplicate parameters.
-    std::vector<std::string> param_names;
-    for (const code::Param& param : method.params) {
-      if (contains(policy, param_names, param.name)) {
+    for (auto param = method.params.begin(); param != method.params.end(); ++param) {
+      if (declares(policy, method.params.begin(), param, param->name)) {
         sink.error(policy.tool + ".duplicate-parameter",
-                   "parameter '" + param.name + "' is declared twice in '" + cls.name + "." +
+                   "parameter '" + param->name + "' is declared twice in '" + cls.name + "." +
                        method.name + "'",
                    unit.name);
       }
       // A parameter colliding with the method itself (the VB.NET failure:
       // "a parameter and a method share the same name").
-      if (names_equal(policy, param.name, method.name)) {
+      if (names_equal(policy, param->name, method.name)) {
         sink.error(policy.tool + ".duplicate-member",
-                   "parameter '" + param.name + "' collides with method '" + method.name + "'",
+                   "parameter '" + param->name + "' collides with method '" + method.name + "'",
                    unit.name);
       }
-      param_names.push_back(param.name);
     }
 
     if (!method.has_body) {
@@ -72,10 +74,9 @@ void check_class(const code::CompilationUnit& unit, const code::Class& cls,
     // declared local, or a field of the class.
     for (const std::string& symbol : method.referenced_symbols) {
       const bool resolved =
-          contains(policy, param_names, symbol) || contains(policy, method.local_decls, symbol) ||
-          std::any_of(cls.fields.begin(), cls.fields.end(), [&](const code::Field& field) {
-            return names_equal(policy, field.name, symbol);
-          });
+          declares(policy, method.params.begin(), method.params.end(), symbol) ||
+          declares(policy, method.local_decls.begin(), method.local_decls.end(), symbol) ||
+          declares(policy, cls.fields.begin(), cls.fields.end(), symbol);
       if (!resolved) {
         sink.error(policy.tool + ".unresolved-identifier",
                    "cannot find symbol '" + symbol + "' in '" + cls.name + "." + method.name +
