@@ -87,24 +87,9 @@ bool AnalysisResult::has_errors() const {
   });
 }
 
-namespace {
-
-void run_rule(const Rule& rule, Severity severity, const AnalysisInput& input,
-              std::vector<Finding>& findings) {
-  Reporter reporter{rule.info(), severity, input.uri, findings};
-  rule.run(input, reporter);
-}
-
-}  // namespace
-
 AnalysisResult analyze(const AnalysisInput& input, const RuleConfig& config,
                        const RuleRegistry& registry) {
-  AnalysisResult result;
-  for (const auto& rule : registry.rules()) {
-    const RuleInfo& info = rule->info();
-    if (config.enabled(info)) run_rule(*rule, config.severity_for(info), input, result.findings);
-  }
-  return result;
+  return RuleSelection{config, registry}.analyze(input);
 }
 
 RuleSelection::RuleSelection(const RuleConfig& config, const RuleRegistry& registry) {
@@ -117,7 +102,8 @@ RuleSelection::RuleSelection(const RuleConfig& config, const RuleRegistry& regis
 AnalysisResult RuleSelection::analyze(const AnalysisInput& input) const {
   AnalysisResult result;
   for (const Selected& selected : rules_) {
-    run_rule(*selected.rule, selected.severity, input, result.findings);
+    Reporter reporter{selected.rule->info(), selected.severity, input.uri, result.findings};
+    selected.rule->run(input, reporter);
   }
   return result;
 }

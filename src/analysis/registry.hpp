@@ -56,13 +56,14 @@ struct AnalysisResult {
   bool has_errors() const;
 };
 
-/// Runs every enabled rule of `registry` against `input`.
+/// Runs every enabled rule of `registry` against `input`: a one-off
+/// RuleSelection.
 AnalysisResult analyze(const AnalysisInput& input, const RuleConfig& config = {},
                        const RuleRegistry& registry = RuleRegistry::builtin());
 
 /// The rules a config enables, resolved once: registration order, each at
 /// its configured severity. A caller that analyzes many documents under one
-/// config (the WS-I check runs once per deployed service) runs the
+/// config (the WS-I check runs once per deployed service) keeps one
 /// selection instead of testing every registered rule against the config's
 /// sets per document. Borrows the registry's rules.
 class RuleSelection {
@@ -70,7 +71,7 @@ class RuleSelection {
   explicit RuleSelection(const RuleConfig& config,
                          const RuleRegistry& registry = RuleRegistry::builtin());
 
-  /// Same findings, in the same order, as analyze(input, config, registry).
+  /// Runs the selected rules against `input`.
   AnalysisResult analyze(const AnalysisInput& input) const;
 
  private:
