@@ -4,12 +4,16 @@
 // with the communication study, and emergent per-client profiles.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "chaos/campaign.hpp"
 #include "chaos/fault.hpp"
 #include "chaos/policy.hpp"
 #include "chaos/wire.hpp"
+#include "common/hash.hpp"
 #include "interop/communication.hpp"
 #include "test_helpers.hpp"
 
@@ -84,6 +88,111 @@ TEST(FaultPlan, BurstEndsAndLaterAttemptsAreClean) {
   ASSERT_LE(schedule.burst(), 2u);
   EXPECT_TRUE(schedule.fault_for_attempt(schedule.burst() - 1).has_value());
   EXPECT_FALSE(schedule.fault_for_attempt(schedule.burst()).has_value());
+}
+
+TEST(FaultPlan, SchedulesArePinned) {
+  // Seeded campaigns replay from these values: the kind, burst and salt of
+  // chain-shaped call ids ("scope|service|client|N") under three plans.
+  const std::string a = "Metro 2.3|EchoDataSource|Apache CXF 2.7.6|";
+  const std::string b =
+      "JBossWS CXF 4.2.3 [strict]|EchoXMLGregorianCalendar|gSOAP Toolkit 2.8.16|";
+  const std::string c = "WCF .NET 4.0.30319.17929 [shaded]|EchoDataTable|suds Python 0.4|";
+  const std::string d = "Metro 2.3 [relaxed]|EchoTypedTrackerBuilder|Oracle Metro 2.3|";
+  const std::string e = "JBossWS CXF 4.2.3|EchoSortedJournalView|Zend Framework 1.9|";
+  struct Pinned {
+    const std::string& chain;
+    int call_no;
+    const char* schedule;  // "<kind or clean> <burst> <salt>"
+  };
+  const auto expect_pinned = [](const FaultPlan& plan, const std::vector<Pinned>& table) {
+    for (const Pinned& pinned : table) {
+      const std::string call_id = pinned.chain + std::to_string(pinned.call_no);
+      const CallSchedule schedule = plan_call(plan, call_id);
+      const std::optional<FaultKind> kind = schedule.fault_for_attempt(0);
+      EXPECT_EQ(std::string(kind.has_value() ? to_string(*kind) : "clean") + " " +
+                    std::to_string(schedule.burst()) + " " + hex16(schedule.salt()),
+                pinned.schedule)
+          << call_id;
+    }
+  };
+
+  const FaultPlan defaults;  // seed 7, 30%, every kind, bursts up to 3
+  expect_pinned(defaults, {
+      {a, 0, "http-503 1 3b261c501302a079"},
+      {a, 1, "clean 0 e7de642f8f817d51"},
+      {a, 2, "clean 0 adfbe2e65ab3c1fd"},
+      {a, 3, "clean 0 ca4c7c8e1cdae87d"},
+      {b, 4, "clean 0 2db0bdda5fca3fc6"},
+      {b, 5, "soap12-rewrite 3 61f9ab52d5ab91e4"},
+      {b, 6, "clean 0 1d34cc9dd13e91e6"},
+      {b, 7, "clean 0 b36fd7949d500cce"},
+      {c, 8, "drop-content-type 2 aa318a74faf2dcc8"},
+      {c, 9, "read-timeout 1 0dd375dd1fdde27f"},
+      {c, 10, "clean 0 9e46ba95460eb6d4"},
+      {c, 11, "clean 0 aece89ac89070772"},
+      {d, 0, "clean 0 cc3b9598eeae60eb"},
+      {d, 5, "clean 0 160d416f395b989e"},
+      {d, 10, "slow-response 2 f8dd61c792975ad9"},
+      {d, 11, "slow-response 2 77d33246c95b8d60"},
+      {e, 1, "http-503 2 0514a03099401521"},
+      {e, 2, "clean 0 7ecd14a06b3efc6f"},
+      {e, 7, "clean 0 69eaf4e08f27ace3"},
+      {e, 9, "clean 0 10056ed77b22db7d"},
+  });
+
+  FaultPlan every_call;
+  every_call.seed = 1;
+  every_call.rate_percent = 100;
+  expect_pinned(every_call, {
+      {a, 0, "reset 2 2f73bd0e35785273"},
+      {a, 1, "drop-soap-action 1 5e18517eadcb964f"},
+      {a, 2, "corrupted-byte 2 e8e45bad8d49658d"},
+      {a, 3, "read-timeout 2 f461c2322edac2b4"},
+      {b, 4, "corrupted-byte 1 8ed857522b1e35f0"},
+      {b, 5, "read-timeout 3 088265471c4c7968"},
+      {b, 6, "corrupted-byte 2 e846fa8eb39d871d"},
+      {b, 7, "http-502 2 106049d333dbef1e"},
+      {c, 8, "http-502 1 976f5defd027de63"},
+      {c, 9, "slow-response 3 7519d5c859fedee9"},
+      {c, 10, "soap12-rewrite 3 1e22695f896f3127"},
+      {c, 11, "mu-inject 3 6bb019e6bd1fe00f"},
+      {d, 0, "drop-content-type 2 ddf1d656b7ab82e2"},
+      {d, 5, "http-503 1 58a15f20b6676b02"},
+      {d, 10, "http-502 3 23bcbc6afbcc0d7f"},
+      {d, 11, "http-503 3 d5f6984ee086e4ce"},
+      {e, 1, "corrupted-byte 2 106de91712f477af"},
+      {e, 2, "read-timeout 2 b66eae40c9b13c18"},
+      {e, 7, "soap12-rewrite 1 9d52b85610070d1c"},
+      {e, 9, "content-type-skew 1 ea6561853ea5759a"},
+  });
+
+  FaultPlan listed;
+  listed.seed = 42;
+  listed.rate_percent = 100;
+  listed.max_burst = 5;
+  listed.kinds = {FaultKind::kHttp503, FaultKind::kTruncatedBody, FaultKind::kSoap12Rewrite};
+  expect_pinned(listed, {
+      {a, 0, "http-503 4 b03ba8af3b0f00a8"},
+      {a, 1, "http-503 4 5e19e7ec0f7c9f2f"},
+      {a, 2, "truncated-body 5 4ba7298f2d9a594e"},
+      {a, 3, "http-503 2 32265b8aca8cb6c2"},
+      {b, 4, "http-503 1 f9b15f861658152e"},
+      {b, 5, "soap12-rewrite 2 204fa6d1d6fd7135"},
+      {b, 6, "http-503 1 2e1659bc97e7c2b9"},
+      {b, 7, "truncated-body 3 0a507ee5668fe3cb"},
+      {c, 8, "http-503 3 c1178ce08b8fed91"},
+      {c, 9, "truncated-body 3 003d2cbf46435a09"},
+      {c, 10, "http-503 4 4e9df0212db84c78"},
+      {c, 11, "http-503 2 b4d734ff027dcd91"},
+      {d, 0, "truncated-body 4 160b14b870425aa8"},
+      {d, 5, "http-503 1 77182282ad7d32d1"},
+      {d, 10, "soap12-rewrite 2 2e4d3260f2084036"},
+      {d, 11, "soap12-rewrite 5 73aed356068f08aa"},
+      {e, 1, "http-503 4 5b99edbeceb11769"},
+      {e, 2, "truncated-body 3 0a77898e515d5a35"},
+      {e, 7, "soap12-rewrite 4 6337bba27ccf4511"},
+      {e, 9, "soap12-rewrite 2 cc6491eccab08ced"},
+  });
 }
 
 TEST(FaultKindMeta, NamesRoundTripThroughTheParser) {

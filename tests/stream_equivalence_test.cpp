@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
+#include "chaos/fault.hpp"
+#include "chaos/wire.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
 #include "frameworks/registry.hpp"
@@ -431,6 +434,107 @@ TEST(StreamEquivalence, VersionRoundTrafficIsEquivalentOnBothReaders) {
     }
   }
   EXPECT_GT(calls, 500u);
+}
+
+// --- classify_echo_response: the client's reading of a reply -------------
+
+/// The outcome a delivered reply has under the tree reader: the DOM
+/// envelope, then response_value on it.
+frameworks::EchoOutcome tree_outcome(const soap::HttpResponse& response,
+                                     const std::string& payload) {
+  if (response.status == 405 || response.status == 415) {
+    return frameworks::EchoOutcome::kTransportError;
+  }
+  Result<soap::Envelope> envelope = wsx::testing::parse_envelope_dom(response.body);
+  if (!envelope.ok()) return frameworks::EchoOutcome::kTransportError;
+  if (envelope->is_fault()) {
+    const std::string& code = envelope->fault().fault_code;
+    const std::string local = code.substr(code.find(':') + 1);
+    if (local == "VersionMismatch" || local == "MustUnderstand") {
+      return frameworks::EchoOutcome::kVersionMismatch;
+    }
+    return envelope->fault().fault_string.find("SOAPAction") != std::string::npos
+               ? frameworks::EchoOutcome::kTransportError
+               : frameworks::EchoOutcome::kServerFault;
+  }
+  Result<std::string> echoed = soap::response_value(*envelope);
+  if (!echoed.ok()) return frameworks::EchoOutcome::kServerFault;
+  return *echoed == payload ? frameworks::EchoOutcome::kOk
+                            : frameworks::EchoOutcome::kEchoMismatch;
+}
+
+void expect_classified_as_tree(const soap::HttpResponse& response, const std::string& payload) {
+  const frameworks::EchoClassification classified =
+      frameworks::classify_echo_response(response, payload);
+  EXPECT_EQ(classified.outcome, tree_outcome(response, payload))
+      << "status " << response.status << ", payload '" << payload << "', body:\n"
+      << response.body;
+  EXPECT_EQ(classified.http_status, response.status);
+}
+
+TEST(StreamEquivalence, ReplyClassificationMatchesTheTreeReader) {
+  // Every reply of the strict, relaxed and shaded rounds' traffic, clean and
+  // behind each chaos wire fault, classified against the payload sent and a
+  // changed one; and each distinct clean reply truncated and corrupted at
+  // every byte.
+  const std::vector<frameworks::VersionPolicy> versions = {
+      frameworks::VersionPolicy::kStrict, frameworks::VersionPolicy::kRelaxed,
+      frameworks::VersionPolicy::kShadedCxf};
+  const catalog::TypeCatalog java = catalog::make_java_catalog(wsx::testing::small_java_spec());
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(wsx::testing::small_dotnet_spec());
+  const std::vector<frameworks::ServiceSpec> java_services = frameworks::make_services(java);
+  const std::vector<frameworks::ServiceSpec> dotnet_services = frameworks::make_services(dotnet);
+  const auto servers = frameworks::make_servers();
+  const auto clients = frameworks::make_clients();
+  const std::vector<soap::HybridProfile> profiles = frameworks::client_profiles(clients, versions);
+  std::set<std::string> damaged;  // clean reply bodies already cut at every byte
+  std::size_t replies = 0;
+  for (const frameworks::Round& round :
+       frameworks::make_rounds(servers, java_services, dotnet_services, versions)) {
+    chaos::FaultyWire wire(*round.server, chaos::FaultPlan{});
+    wire.set_server_policy(*round.policy);
+    for (const frameworks::ServiceSpec& spec : *round.services) {
+      Result<frameworks::DeployedService> service = round.server->deploy(spec);
+      if (!service.ok()) continue;
+      const frameworks::SharedDescription description =
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
+      for (std::size_t i = 0; i < clients.size(); ++i) {
+        const frameworks::PreparedCall call = frameworks::prepare_echo_call(
+            *service, description, *clients[i], /*compiler=*/nullptr, profiles[i]);
+        if (call.status != frameworks::PreparedCall::Status::kReady) continue;
+        for (const soap::HttpRequest* request : {&call.request, &call.downgrade_request}) {
+          const soap::HttpResponse clean =
+              round.server->handle_http(*service, *request, *round.policy);
+          std::vector<soap::HttpResponse> delivered = {clean};
+          for (const chaos::FaultKind kind : chaos::all_fault_kinds()) {
+            const chaos::WireAttempt attempt = wire.attempt(
+                *service, *request, chaos::CallSchedule(kind, 1, replies + delivered.size()), 0);
+            if (attempt.status == chaos::WireAttempt::Status::kDelivered) {
+              delivered.push_back(attempt.response);
+            }
+          }
+          for (const soap::HttpResponse& response : delivered) {
+            expect_classified_as_tree(response, call.payload);
+            expect_classified_as_tree(response, call.payload + "x");
+            ++replies;
+          }
+          if (!damaged.insert(clean.body).second) continue;
+          for (std::size_t at = 0; at < clean.body.size(); ++at) {
+            soap::HttpResponse cut = clean;
+            cut.body.resize(at);
+            expect_classified_as_tree(cut, call.payload);
+            soap::HttpResponse corrupted = clean;
+            corrupted.body =
+                chaos::apply_body_fault(chaos::FaultKind::kCorruptedByte, clean.body, at);
+            expect_classified_as_tree(corrupted, call.payload);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(replies, 50000u);
+  EXPECT_GT(damaged.size(), 100u);
 }
 
 TEST(StreamEquivalence, RootNamesResolveAsNamespaceScopeDoes) {

@@ -1,8 +1,10 @@
 // Unit tests for the shared string utilities (src/common/strings.*).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstddef>
 #include <limits>
+#include <string_view>
 
 #include "common/strings.hpp"
 
@@ -68,6 +70,20 @@ TEST(Strings, IequalsMatchesVbIdentifierRules) {
   EXPECT_FALSE(iequals("value", "values"));
   EXPECT_FALSE(iequals("", "x"));
   EXPECT_TRUE(iequals("", ""));
+}
+
+TEST(Strings, IequalsFoldsAsciiOnly) {
+  // iequals folds the way std::tolower does in the "C" locale, which the
+  // library never leaves: A-Z onto a-z and no other byte.
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      const char x = static_cast<char>(a);
+      const char y = static_cast<char>(b);
+      ASSERT_EQ(iequals(std::string_view(&x, 1), std::string_view(&y, 1)),
+                std::tolower(a) == std::tolower(b))
+          << a << " " << b;
+    }
+  }
 }
 
 TEST(Strings, Capitalize) {
