@@ -280,19 +280,17 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
   // pair's calls, so bursts on an early call can fail-fast later ones.
   VirtualClock clock;
   CircuitBreaker breaker(config.breaker);
-  // "scope|service|client|" is the same for every call of the chain; each
-  // call appends only its number.
-  std::string call_id = round_label.empty() ? server.name() : std::string(round_label);
-  call_id += '|';
-  call_id += service.spec.service_name();
-  call_id += '|';
-  call_id += client.name();
-  call_id += '|';
-  const std::size_t prefix_size = call_id.size();
+  // Call ids are "scope|service|client|N": the chain hashes the prefix
+  // once, and each call folds in only its number.
+  std::string prefix = round_label.empty() ? server.name() : std::string(round_label);
+  prefix += '|';
+  prefix += service.spec.service_name();
+  prefix += '|';
+  prefix += client.name();
+  prefix += '|';
+  const std::uint64_t prefix_state = call_id_prefix(prefix);
   for (std::size_t call_no = 0; call_no < config.calls_per_pair; ++call_no) {
-    call_id.resize(prefix_size);
-    call_id += std::to_string(call_no);
-    const CallSchedule schedule = wire.schedule(call_id);
+    const CallSchedule schedule = wire.schedule(prefix_state, call_no);
     const CallRecord record =
         execute_call(wire, service, call, policy, schedule, clock, breaker);
     ++delta.outcomes[static_cast<std::size_t>(record.outcome)];

@@ -7,6 +7,7 @@
 // chaos study's determinism guarantee rests on this module.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -57,6 +58,10 @@ inline bool from_string(std::string_view name, FaultKind& out) {
 /// of the chaos subsystem (schedules, corruption offsets, backoff jitter).
 std::uint64_t chaos_hash(std::uint64_t seed, std::string_view text);
 
+/// The hash state of a prefix that call ids share ("scope|service|client|"),
+/// for plan_call(plan, prefix_state, call_no).
+std::uint64_t call_id_prefix(std::string_view prefix);
+
 /// The campaign-wide injection policy.
 struct FaultPlan {
   std::uint64_t seed = 7;
@@ -102,5 +107,9 @@ class CallSchedule {
 /// Draws the schedule for the call identified by `call_id` (a stable
 /// "server|service|client|call#" string). Pure and deterministic.
 CallSchedule plan_call(const FaultPlan& plan, std::string_view call_id);
+/// The schedule of the id `prefix` + `call_no` in decimal, given
+/// call_id_prefix(prefix): a chain hashes its shared prefix once and each
+/// call folds in only its number. Same hash, same schedule.
+CallSchedule plan_call(const FaultPlan& plan, std::uint64_t prefix_state, std::size_t call_no);
 
 }  // namespace wsx::chaos

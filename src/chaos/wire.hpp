@@ -69,6 +69,11 @@ class FaultyWire {
   CallSchedule schedule(std::string_view call_id) const {
     return plan_call(plan_, call_id);
   }
+  /// The same for call `call_no` of a chain whose ids share a prefix
+  /// (call_id_prefix state).
+  CallSchedule schedule(std::uint64_t prefix_state, std::size_t call_no) const {
+    return plan_call(plan_, prefix_state, call_no);
+  }
 
   /// Performs delivery attempt `attempt_no` of a call, injecting whatever
   /// the schedule dictates for that attempt. With `downgraded` set (the

@@ -53,10 +53,16 @@ std::string to_lower(std::string_view text) {
 }
 
 bool iequals(std::string_view a, std::string_view b) {
-  return a.size() == b.size() &&
-         std::equal(a.begin(), a.end(), b.begin(), [](unsigned char x, unsigned char y) {
-           return std::tolower(x) == std::tolower(y);
-         });
+  // std::tolower in the "C" locale, which the library never leaves, folds
+  // A-Z and nothing else; folding here saves a library call per byte.
+  const auto fold = [](unsigned char c) { return c >= 'A' && c <= 'Z' ? c | 0x20 : c; };
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (fold(static_cast<unsigned char>(a[i])) != fold(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string capitalize(std::string_view text) {

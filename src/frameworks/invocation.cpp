@@ -115,17 +115,17 @@ EchoClassification classify_echo_response(const soap::HttpResponse& response,
     result.outcome = EchoOutcome::kTransportError;
     return result;
   }
-  Result<soap::Envelope> envelope = soap::parse(response.body);
-  if (!envelope.ok()) {
+  const Result<soap::Reply> reply = soap::read_reply(response.body);
+  if (!reply.ok()) {
     result.outcome = EchoOutcome::kTransportError;
     return result;
   }
-  if (envelope->is_fault()) {
+  if (reply->fault.has_value()) {
     // Distinguish header-level rejections from execution faults, and the
     // version-policy rejections of the mixed-version axis from both: a
     // VersionMismatch or MustUnderstand code (either version's spelling)
     // marks the call recoverable by downgrading to the 1.1-coherent form.
-    const std::string& code = envelope->fault().fault_code;
+    const std::string& code = reply->fault->fault_code;
     const std::size_t colon = code.find(':');
     const std::string_view local = colon == std::string::npos
                                        ? std::string_view(code)
@@ -135,17 +135,16 @@ EchoClassification classify_echo_response(const soap::HttpResponse& response,
       return result;
     }
     result.outcome =
-        envelope->fault().fault_string.find("SOAPAction") != std::string::npos
+        reply->fault->fault_string.find("SOAPAction") != std::string::npos
             ? EchoOutcome::kTransportError
             : EchoOutcome::kServerFault;
     return result;
   }
-  Result<std::string> echoed = soap::response_value(*envelope);
-  if (!echoed.ok()) {
+  if (!reply->value.ok()) {
     result.outcome = EchoOutcome::kServerFault;
     return result;
   }
-  result.outcome = *echoed == payload ? EchoOutcome::kOk : EchoOutcome::kEchoMismatch;
+  result.outcome = *reply->value == payload ? EchoOutcome::kOk : EchoOutcome::kEchoMismatch;
   return result;
 }
 

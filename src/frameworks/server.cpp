@@ -1,29 +1,76 @@
 #include "frameworks/server.hpp"
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
+
 #include "common/strings.hpp"
 #include "soap/message.hpp"
 #include "soap/version.hpp"
 #include "xsd/values.hpp"
 
 namespace wsx::frameworks {
+namespace {
 
-soap::Envelope ServerFramework::handle_request(const DeployedService& service,
-                                               const soap::Envelope& request) const {
-  return handle_request(service, request, version_policy());
+/// What a service answers one request with: a fault, or an echo of `value`
+/// from `operation`. Either way it travels in `version`.
+struct Answer {
+  std::optional<soap::Fault> fault;
+  std::string operation;
+  std::string value;
+  soap::SoapVersion version = soap::SoapVersion::k11;
+};
+
+/// The fault a service answers with when its echo reply cannot be built.
+soap::Fault unbuildable_reply(const Error& error) {
+  return {"soap:Server", "failed to build response", error.message};
 }
 
-soap::Envelope ServerFramework::handle_request(const DeployedService& service,
-                                               const soap::Envelope& request,
-                                               VersionPolicy policy) const {
+/// The complexType of the first arg0 declaration of `operation`'s wrapper
+/// that resolves to one, across the description's schemas: the rule
+/// gen::resolve_parameter builds structured requests by.
+const xsd::ComplexType* parameter_type(const wsdl::Definitions& wsdl,
+                                       std::string_view operation) {
+  for (const xsd::Schema& schema : wsdl.schemas) {
+    const xsd::ElementDecl* wrapper = schema.find_element(operation);
+    if (wrapper == nullptr || !wrapper->inline_type.has_value()) continue;
+    for (const xsd::Particle& particle : wrapper->inline_type->particles) {
+      const xsd::ElementDecl* arg_decl = std::get_if<xsd::ElementDecl>(&particle);
+      if (arg_decl == nullptr || arg_decl->name != "arg0" || arg_decl->type.empty()) continue;
+      if (const xsd::ComplexType* type = schema.find_complex_type(arg_decl->type.local_name())) {
+        return type;
+      }
+    }
+  }
+  return nullptr;
+}
+
+/// The last declared element of `type` named `local`, or nullptr.
+const xsd::ElementDecl* declared_field(const xsd::ComplexType& type, std::string_view local) {
+  const xsd::ElementDecl* declared = nullptr;
+  for (const xsd::Particle& particle : type.particles) {
+    const xsd::ElementDecl* candidate = std::get_if<xsd::ElementDecl>(&particle);
+    if (candidate != nullptr && candidate->name == local) declared = candidate;
+  }
+  return declared;
+}
+
+/// The execution step's decision for one request, shared by handle_request
+/// (which builds the reply) and handle_http (which writes it).
+Answer answer(const DeployedService& service, const soap::Envelope& request,
+              VersionPolicy policy) {
+  Answer result;
   // A shaded-CXF deployment answers a genuine SOAP 1.2 envelope in kind;
   // everything else on this endpoint speaks 1.1 — faults included.
-  const soap::SoapVersion respond =
+  result.version =
       policy == VersionPolicy::kShadedCxf && request.version() == soap::SoapVersion::k12
           ? soap::SoapVersion::k12
           : soap::SoapVersion::k11;
-  const auto fault = [respond](std::string code, std::string reason, std::string detail) {
-    return soap::Envelope::make_fault(
-        {std::move(code), std::move(reason), std::move(detail)}, respond);
+  const auto fault = [&result](std::string code, std::string reason, std::string detail) {
+    result.fault = soap::Fault{std::move(code), std::move(reason), std::move(detail)};
+    return std::move(result);
   };
 
   // The studied stacks bind services to SOAP 1.1 endpoints; a 1.2 envelope
@@ -51,14 +98,15 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
   if (!operation.ok()) {
     return fault("soap:Client", "malformed request", operation.error().message);
   }
-  if (service.wsdl.find_operation(*operation) == nullptr) {
-    return fault("soap:Client", "unknown operation '" + *operation + "'", "");
+  result.operation = std::move(operation.value());
+  if (service.wsdl.find_operation(result.operation) == nullptr) {
+    return fault("soap:Client", "unknown operation '" + result.operation + "'", "");
   }
   // Unmarshal by element name, as a real binder does: arguments under an
   // unexpected element are silently dropped (they are "lax" content), so a
   // client that marshals into the wrong element gets an empty echo back.
   // The echo is the last arg0's text; the field check below reads the first.
-  std::string value;
+  std::string& value = result.value;
   const xml::Element* argument = nullptr;
   for (const xml::Node& node : request.body().children()) {
     const xml::Element* child = node.as_element();
@@ -70,46 +118,37 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
   // Structured payloads (typed proxies marshal bean fields as child
   // elements of arg0): validate every field against the parameter type's
   // schema before echoing — the typed-unmarshalling path of real binders.
+  const xml::Element* first_field = nullptr;
   if (argument != nullptr) {
-    const std::vector<const xml::Element*> field_elements = argument->child_elements();
-    if (!field_elements.empty()) {
-      // Resolve the parameter complexType through the operation wrapper.
-      const xsd::ComplexType* parameter_type = nullptr;
-      for (const xsd::Schema& schema : service.wsdl.schemas) {
-        const xsd::ElementDecl* wrapper = schema.find_element(*operation);
-        if (wrapper == nullptr || !wrapper->inline_type.has_value()) continue;
-        for (const xsd::ElementDecl* arg_decl : wrapper->inline_type->elements()) {
-          if (arg_decl->name == "arg0" && !arg_decl->type.empty()) {
-            parameter_type = schema.find_complex_type(arg_decl->type.local_name());
-          }
+    for (const xml::Node& node : argument->children()) {
+      if ((first_field = node.as_element()) != nullptr) break;
+    }
+  }
+  if (first_field != nullptr) {
+    if (const xsd::ComplexType* type = parameter_type(service.wsdl, result.operation)) {
+      for (const xml::Node& node : argument->children()) {
+        const xml::Element* field = node.as_element();
+        if (field == nullptr) continue;
+        const xsd::ElementDecl* declared = declared_field(*type, xml::local_part(field->name()));
+        if (declared == nullptr) {
+          return fault(
+              "soap:Client",
+              "unmarshalling error: unexpected element '" + field->local_name() + "'", "");
+        }
+        const std::optional<xsd::Builtin> builtin =
+            declared->type.namespace_uri() == xml::ns::kXsd
+                ? xsd::builtin_from_local_name(declared->type.local_name())
+                : std::nullopt;
+        if (builtin && !xsd::is_valid_value(*builtin, field->text())) {
+          return fault("soap:Client",
+                       "unmarshalling error: '" + field->text() + "' is not a valid xsd:" +
+                           declared->type.local_name() + " for element '" +
+                           field->local_name() + "'",
+                       "");
         }
       }
-      if (parameter_type != nullptr) {
-        for (const xml::Element* field : field_elements) {
-          const xsd::ElementDecl* declared = nullptr;
-          for (const xsd::ElementDecl* candidate : parameter_type->elements()) {
-            if (candidate->name == xml::local_part(field->name())) declared = candidate;
-          }
-          if (declared == nullptr) {
-            return fault(
-                "soap:Client",
-                "unmarshalling error: unexpected element '" + field->local_name() + "'", "");
-          }
-          const std::optional<xsd::Builtin> builtin =
-              declared->type.namespace_uri() == xml::ns::kXsd
-                  ? xsd::builtin_from_local_name(declared->type.local_name())
-                  : std::nullopt;
-          if (builtin && !xsd::is_valid_value(*builtin, field->text())) {
-            return fault("soap:Client",
-                         "unmarshalling error: '" + field->text() + "' is not a valid xsd:" +
-                             declared->type.local_name() + " for element '" +
-                             field->local_name() + "'",
-                         "");
-          }
-        }
-        // Echo the first field's value (the bean round-trips).
-        value = field_elements.front()->text();
-      }
+      // Echo the first field's value (the bean round-trips).
+      value = first_field->text();
     }
   }
   // Typed unmarshalling: when the parameter type is an enumeration, the
@@ -137,13 +176,31 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
     }
     return fault("soap:Server", "simulated service exception", detail);
   }
-  Result<soap::Envelope> response = soap::build_response(service.wsdl, *operation, value);
-  if (!response.ok()) {
-    return fault("soap:Server", "failed to build response", response.error().message);
+  return result;
+}
+
+}  // namespace
+
+soap::Envelope ServerFramework::handle_request(const DeployedService& service,
+                                               const soap::Envelope& request) const {
+  return handle_request(service, request, version_policy());
+}
+
+soap::Envelope ServerFramework::handle_request(const DeployedService& service,
+                                               const soap::Envelope& request,
+                                               VersionPolicy policy) const {
+  Answer reply = answer(service, request, policy);
+  if (!reply.fault.has_value()) {
+    Result<soap::Envelope> response =
+        soap::build_response(service.wsdl, reply.operation, reply.value);
+    if (response.ok()) {
+      // A 1.2 conversation gets its echo back in 1.2 as well.
+      response.value().set_version(reply.version);
+      return std::move(response.value());
+    }
+    reply.fault = unbuildable_reply(response.error());
   }
-  // A 1.2 conversation gets its echo back in 1.2 as well.
-  response.value().set_version(respond);
-  return std::move(response.value());
+  return soap::Envelope::make_fault(*std::move(reply.fault), reply.version);
 }
 
 soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
@@ -170,7 +227,7 @@ soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
   // the shaded runtime also accepts the SOAP 1.2 "application/soap+xml".
   // A skewed Content-Type on a strict/relaxed stack dies here with a 415,
   // before any envelope is ever parsed.
-  const std::optional<std::string> content_type = request.header("Content-Type");
+  const std::optional<std::string_view> content_type = request.header("Content-Type");
   const bool media_type_ok =
       content_type.has_value() &&
       (soap::content_type_matches(*content_type, soap::SoapVersion::k11) ||
@@ -192,10 +249,25 @@ soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
   if (!envelope.ok()) {
     return fault("soap:Client", "malformed envelope: " + envelope.error().message);
   }
-  const soap::Envelope response_envelope = handle_request(service, *envelope, policy);
-  soap::HttpResponse response = soap::make_soap_response(soap::write(response_envelope),
-                                                         response_envelope.is_fault());
-  if (response_envelope.version() == soap::SoapVersion::k12) {
+  // An echo is written straight to text; a fault is built and written as
+  // handle_request would return it.
+  Answer reply = answer(service, *envelope, policy);
+  soap::HttpResponse response;
+  if (!reply.fault.has_value()) {
+    Result<std::string> text =
+        soap::write_response(service.wsdl, reply.operation, reply.value, reply.version);
+    if (text.ok()) {
+      response = soap::make_soap_response(std::move(text.value()), /*is_fault=*/false);
+    } else {
+      reply.fault = unbuildable_reply(text.error());
+    }
+  }
+  if (reply.fault.has_value()) {
+    response = soap::make_soap_response(
+        soap::write(soap::Envelope::make_fault(*std::move(reply.fault), reply.version)),
+        /*is_fault=*/true);
+  }
+  if (reply.version == soap::SoapVersion::k12) {
     // A 1.2 reply travels under its own media type.
     response.set_header("Content-Type", "application/soap+xml; charset=utf-8");
   }

@@ -79,20 +79,9 @@ bool Envelope::has_must_understand_headers() const {
 /// entry and the payload, which are written in place. The bytes equal
 /// xml::write over the whole envelope assembled as one tree.
 std::string write(const Envelope& envelope) {
-  xml::Emitter out;
-  out.declaration();
-  out.start("soapenv:Envelope");
-  out.attr("xmlns:soapenv", envelope_namespace(envelope.version()));
-  if (!envelope.header_entries().empty()) {
-    out.start("soapenv:Header");
-    for (const xml::Element& entry : envelope.header_entries()) out.element(entry);
-    out.end();
-  }
-  out.start("soapenv:Body");
-  out.element(envelope.body());
-  out.end();
-  out.end();
-  return out.take();
+  return detail::write_envelope_frame(
+      envelope.version(), envelope.header_entries(),
+      [&](xml::Emitter& out) { out.element(envelope.body()); });
 }
 
 Envelope detail::assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,
@@ -137,13 +126,13 @@ Result<Envelope> parse(std::string_view text) {
   Result<detail::EnvelopeFrame> frame = detail::walk_envelope_frame(
       tok,
       [&](xml::pull::Tokenizer& t, const xml::pull::Token& start) -> Result<bool> {
-        Result<xml::Element> entry = xml::collect_element(t, start);
+        Result<xml::Element> entry = xml::collect_element(t, start, xml::Positions::kOmit);
         if (!entry.ok()) return entry.error();
         headers.push_back(std::move(entry.value()));
         return true;
       },
       [&](xml::pull::Tokenizer& t, const xml::pull::Token& start) -> Result<bool> {
-        Result<xml::Element> element = xml::collect_element(t, start);
+        Result<xml::Element> element = xml::collect_element(t, start, xml::Positions::kOmit);
         if (!element.ok()) return element.error();
         payload = std::move(element.value());
         return true;

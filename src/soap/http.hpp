@@ -8,7 +8,9 @@
 // Header semantics (pinned — the chaos wire's header-drop/duplicate faults
 // depend on them):
 //   * lookup is case-insensitive and FIRST-WINS: `header(name)` returns the
-//     value of the first matching entry, later duplicates are ignored;
+//     value of the first matching entry, later duplicates are ignored. The
+//     value is a view into the message: valid while the message lives and
+//     its headers are unchanged;
 //   * `set_header` upserts the first matching entry and leaves any later
 //     duplicates in place;
 //   * `add_header` always appends, so it can create duplicates;
@@ -18,6 +20,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wsx::soap {
@@ -34,7 +37,9 @@ struct HttpRequest {
   std::vector<HttpHeader> headers;
   std::string body;
 
-  std::optional<std::string> header(std::string_view name) const;  ///< first-wins
+  /// First-wins; a view valid while the message lives and its headers are
+  /// unchanged.
+  std::optional<std::string_view> header(std::string_view name) const;
   void set_header(std::string name, std::string value);  ///< upserts first match
   void add_header(std::string name, std::string value);  ///< appends (may duplicate)
   std::size_t remove_header(std::string_view name);      ///< removes all matches
@@ -45,7 +50,9 @@ struct HttpResponse {
   std::vector<HttpHeader> headers;
   std::string body;
 
-  std::optional<std::string> header(std::string_view name) const;  ///< first-wins
+  /// First-wins; a view valid while the message lives and its headers are
+  /// unchanged.
+  std::optional<std::string_view> header(std::string_view name) const;
   void set_header(std::string name, std::string value);  ///< upserts first match
   void add_header(std::string name, std::string value);  ///< appends (may duplicate)
   std::size_t remove_header(std::string_view name);      ///< removes all matches

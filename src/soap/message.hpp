@@ -1,8 +1,12 @@
 // message.hpp — building SOAP request/response payloads from a WSDL
-// operation description (document/literal wrapped convention).
+// operation description (document/literal wrapped convention), and the two
+// per-call shortcuts of the echo exchange: writing a reply straight to
+// text and reading one back without its payload tree.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
@@ -38,11 +42,30 @@ Result<Envelope> build_structured_request(const wsdl::Definitions& defs,
 Result<Envelope> build_response(const wsdl::Definitions& defs, const std::string& operation,
                                 const std::string& return_value);
 
+/// soap::write of build_response's envelope in `version`, emitted without
+/// building it: the same bytes, or the same two errors (unknown operation,
+/// one-way operation).
+Result<std::string> write_response(const wsdl::Definitions& defs, std::string_view operation,
+                                   std::string_view return_value, SoapVersion version);
+
 /// Extracts the operation name implied by a request envelope (the local
 /// name of the body payload). Returns an error for fault bodies.
 Result<std::string> request_operation(const Envelope& envelope);
 
 /// Extracts the return value from a response envelope; errors on faults.
 Result<std::string> response_value(const Envelope& envelope);
+
+/// What a client reads from a reply envelope.
+struct Reply {
+  std::optional<Fault> fault;  ///< set when the payload is a Fault
+  /// response_value's answer: the return element's text, or soap.fault,
+  /// soap.not-a-response or soap.missing-return.
+  Result<std::string> value = std::string();
+};
+
+/// Reads a reply as soap::parse and then response_value do (the same
+/// errors, fault and value) in one pass that builds only a Fault payload
+/// or the payload's first return element.
+Result<Reply> read_reply(std::string_view text);
 
 }  // namespace wsx::soap

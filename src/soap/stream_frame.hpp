@@ -9,7 +9,8 @@
 // with header entries and the payload subtree (materialise a tree vs.
 // record local names), which is what the two callbacks are for. The
 // frame checks and the model build are shared with the DOM reader the
-// test suite keeps as the streaming reader's oracle.
+// test suite keeps as the streaming reader's oracle. The frame's writer is
+// here too, for soap::write and soap::write_response.
 #pragma once
 
 #include <string>
@@ -23,6 +24,7 @@
 #include "xml/pull.hpp"
 #include "xml/qname.hpp"
 #include "xml/query.hpp"
+#include "xml/writer.hpp"
 
 namespace wsx::soap::detail {
 
@@ -169,5 +171,27 @@ inline Result<SoapVersion> check_envelope_frame(const EnvelopeFrame& frame) {
 /// recognition cannot diverge between them.
 Envelope assemble_envelope(SoapVersion version, std::vector<xml::Element> headers,
                            xml::Element payload);
+
+/// An envelope document in `version`: the declaration, the Envelope, a
+/// Header with `headers` when there are any, and a Body around whatever
+/// `write_payload(emitter)` emits.
+template <typename WritePayload>
+std::string write_envelope_frame(SoapVersion version, const std::vector<xml::Element>& headers,
+                                 WritePayload&& write_payload) {
+  xml::Emitter out;
+  out.declaration();
+  out.start("soapenv:Envelope");
+  out.attr("xmlns:soapenv", envelope_namespace(version));
+  if (!headers.empty()) {
+    out.start("soapenv:Header");
+    for (const xml::Element& entry : headers) out.element(entry);
+    out.end();
+  }
+  out.start("soapenv:Body");
+  write_payload(out);
+  out.end();
+  out.end();
+  return out.take();
+}
 
 }  // namespace wsx::soap::detail

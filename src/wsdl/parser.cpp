@@ -78,7 +78,8 @@ class WsdlReader {
     std::string key;
     key.reserve(size);
     for (const std::string_view piece : key_pieces) key += piece;
-    defs_.source_locations[std::move(key)] = SourceLocation{"", start.line, start.column};
+    const xml::pull::Tokenizer::Location location = tok_.location(start.offset);
+    defs_.source_locations[std::move(key)] = SourceLocation{"", location.line, location.column};
   }
 
   /// Resolves a QName-valued attribute with the declarations in force plus
@@ -113,7 +114,7 @@ class WsdlReader {
     if (is_wsdl_ns && local == "binding") return read_binding(child);
     if (is_wsdl_ns && local == "service") return read_service(child);
     // Vendor extension element — preserve verbatim.
-    Result<xml::Element> extension = xml::collect_element(tok_, child);
+    Result<xml::Element> extension = xml::collect_element(tok_, child, xml::Positions::kRecord);
     if (!extension.ok()) return false;
     defs_.extension_elements.push_back(std::move(extension.value()));
     return true;

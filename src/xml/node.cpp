@@ -1,6 +1,7 @@
 #include "xml/node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace wsx::xml {
 
@@ -43,13 +44,21 @@ void Element::add_text(std::string text) { children_.emplace_back(Text{std::move
 void Element::add_cdata(std::string text) { children_.emplace_back(CData{std::move(text)}); }
 void Element::add_comment(std::string text) { children_.emplace_back(Comment{std::move(text)}); }
 
-std::string Element::text() const {
+std::string Element::text() const& {
   std::string out;
   for (const Node& node : children_) {
     if (const Text* t = std::get_if<Text>(&node)) out += t->value;
     if (const CData* c = std::get_if<CData>(&node)) out += c->value;
   }
   return out;
+}
+
+std::string Element::text() && {
+  if (children_.size() == 1) {
+    if (Text* t = std::get_if<Text>(&children_.front())) return std::move(t->value);
+    if (CData* c = std::get_if<CData>(&children_.front())) return std::move(c->value);
+  }
+  return std::as_const(*this).text();
 }
 
 std::vector<const Element*> Element::child_elements() const {

@@ -72,7 +72,9 @@ class Element {
   void add_comment(std::string text);
 
   /// Concatenation of all direct Text/CData children.
-  std::string text() const;
+  std::string text() const&;
+  /// The same, moved out of a lone Text/CData child instead of copied.
+  std::string text() &&;
 
   /// Direct child elements (filtering out text/comments).
   std::vector<const Element*> child_elements() const;

@@ -14,9 +14,12 @@
 namespace wsx::xml {
 namespace {
 
-Element element_from(const pull::Token& token) {
+Element element_from(pull::Tokenizer& tok, const pull::Token& token, Positions positions) {
   Element element{std::string(token.name)};
-  element.set_source_location(token.line, token.column);
+  if (positions == Positions::kRecord) {
+    const pull::Tokenizer::Location location = tok.location(token.offset);
+    element.set_source_location(location.line, location.column);
+  }
   if (token.attr_count > 0) {
     element.attributes().reserve(token.attr_count < 4 ? 4 : token.attr_count);
     for (std::size_t i = 0; i < token.attr_count; ++i) {
@@ -36,7 +39,7 @@ Element element_from(const pull::Token& token) {
 /// Whitespace-only character data is indentation between child nodes and
 /// is dropped there; when it is the element's only content it is the value
 /// itself (an xs:string of blanks) and is kept.
-bool collect_content(pull::Tokenizer& tok, Element& element) {
+bool collect_content(pull::Tokenizer& tok, Element& element, Positions positions) {
   bool only_blank = false;  // every child so far is whitespace-only text
   const auto drop_blank = [&] {
     if (only_blank) element.children().clear();
@@ -48,8 +51,8 @@ bool collect_content(pull::Tokenizer& tok, Element& element) {
       case pull::TokenKind::kStartElement: {
         drop_blank();
         if (element.children().empty()) element.children().reserve(4);
-        Element& child = element.add_child(element_from(token));
-        if (!collect_content(tok, child)) return false;
+        Element& child = element.add_child(element_from(tok, token, positions));
+        if (!collect_content(tok, child, positions)) return false;
         break;
       }
       case pull::TokenKind::kEndElement:
@@ -82,9 +85,10 @@ bool collect_content(pull::Tokenizer& tok, Element& element) {
 
 }  // namespace
 
-Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start) {
-  Element root = element_from(start);
-  if (!collect_content(tok, root)) return tok.error();
+Result<Element> collect_element(pull::Tokenizer& tok, const pull::Token& start,
+                                Positions positions) {
+  Element root = element_from(tok, start, positions);
+  if (!collect_content(tok, root, positions)) return tok.error();
   return root;
 }
 
@@ -92,7 +96,7 @@ Result<Element> parse_element(std::string_view input) {
   pull::Tokenizer tok{input};
   const pull::Token* start = pull::next_root(tok);
   if (start == nullptr) return tok.error();
-  Result<Element> root = collect_element(tok, *start);
+  Result<Element> root = collect_element(tok, *start, Positions::kRecord);
   if (!root.ok()) return root;
   // Trailing misc after the root; the tokenizer rejects real content.
   if (Result<bool> rest = pull::drain(tok); !rest.ok()) return rest.error();

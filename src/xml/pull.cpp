@@ -35,6 +35,8 @@ bool is_name_char(char c) {
 
 bool is_space(char c) { return (kCharClass[static_cast<unsigned char>(c)] & kSpace) != 0; }
 
+constexpr std::string_view kBom = "\xEF\xBB\xBF";
+
 void append_utf8(char*& out, unsigned long cp) {
   if (cp < 0x80) {
     *out++ = static_cast<char>(cp);
@@ -56,12 +58,10 @@ void append_utf8(char*& out, unsigned long cp) {
 }  // namespace
 
 Tokenizer::Tokenizer(std::string_view input) : input_(input) {
-  stack_.reserve(16);
-  attrs_.reserve(8);
-  if (input_.substr(0, 3) == "\xEF\xBB\xBF") {
+  if (input_.substr(0, kBom.size()) == kBom) {
     // The BOM is not part of column accounting: column 1 stays the first
     // real character.
-    pos_ = line_start_ = loc_scanned_ = 3;
+    pos_ = line_start_ = loc_scanned_ = kBom.size();
   }
   // The XML declaration, after optional whitespace. A byte loop to the
   // "?>": find() would call memchr at every '?'. An unterminated one is
@@ -76,7 +76,12 @@ Tokenizer::Tokenizer(std::string_view input) : input_(input) {
   }
 }
 
-Tokenizer::Location Tokenizer::location_at(std::size_t pos) {
+Tokenizer::Location Tokenizer::location(std::size_t pos) {
+  if (pos < line_start_) {
+    // An earlier line: count again from the first character.
+    line_ = 1;
+    line_start_ = loc_scanned_ = input_.substr(0, kBom.size()) == kBom ? kBom.size() : 0;
+  }
   const char* base = input_.data();
   while (loc_scanned_ < pos) {
     const void* nl = std::memchr(base + loc_scanned_, '\n', pos - loc_scanned_);
@@ -97,7 +102,7 @@ Token& Tokenizer::emit(TokenKind kind) {
 }
 
 const Token& Tokenizer::emit_error(std::string code, std::string what, std::size_t pos) {
-  const Location loc = location_at(pos);
+  const Location loc = location(pos);
   error_ = Error{std::move(code), what + " at line " + std::to_string(loc.line) +
                                       ", column " + std::to_string(loc.column)};
   state_ = State::kFailed;
@@ -235,7 +240,7 @@ const Token& Tokenizer::scan_element_start() {
   if (stack_.size() >= kMaxDepth) {
     return emit_error("xml.too-deep", "maximum nesting depth exceeded", pos_);
   }
-  const Location tag_loc = location_at(pos_);
+  const std::size_t tag_start = pos_;
   std::size_t p = pos_ + 1;  // past '<'
   if (p >= in.size() || !is_name_start(in[p])) {
     return emit_error("xml.bad-name", "expected a name", p);
@@ -260,8 +265,7 @@ const Token& Tokenizer::scan_element_start() {
       token.attrs = attrs_.data();
       token.attr_count = attrs_.size();
       token.self_closing = self_closing;
-      token.line = tag_loc.line;
-      token.column = tag_loc.column;
+      token.offset = tag_start;
       if (self_closing) {
         // The matching kEndElement is synthesized by the next call; the
         // element is never pushed, so depth() excludes it.

@@ -14,6 +14,12 @@
 // are std::string_view slices of the input buffer whenever possible. The
 // only bytes the tokenizer copies are entity-decoded values, which land in
 // an owned common::Arena and stay valid until the tokenizer is destroyed.
+// The open-element and attribute stacks live inside the tokenizer up to 16
+// and 8 entries, so reading a shallow document allocates nothing.
+//
+// Positions on request: a start tag carries the byte offset of its '<',
+// and location() turns an offset into line and column. Only readers that
+// report or record a position pay for the newline scan.
 //
 // The BOM, the XML declaration and DOCTYPE are read past without a token;
 // the declaration's version and encoding are not read at all.
@@ -23,10 +29,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/arena.hpp"
 #include "common/result.hpp"
+#include "common/small_vector.hpp"
 
 namespace wsx::xml::pull {
 
@@ -55,8 +61,7 @@ struct Token {
   const AttrView* attrs = nullptr;
   std::size_t attr_count = 0;
   bool self_closing = false;   ///< kStartElement of an empty-element tag
-  std::size_t line = 0;        ///< 1-based, start elements only
-  std::size_t column = 0;
+  std::size_t offset = 0;      ///< of the start tag's '<'; Tokenizer::location()
 
   /// Value of the start tag's attribute with this lexical name, if present.
   std::optional<std::string_view> attribute(std::string_view attr_name) const {
@@ -91,6 +96,15 @@ class Tokenizer {
   /// Elements currently open (depth of the cursor).
   std::size_t depth() const { return stack_.size(); }
 
+  struct Location {
+    std::size_t line;    ///< 1-based
+    std::size_t column;  ///< 1-based, in bytes; a leading BOM is not counted
+  };
+  /// The line and column of input byte `offset` (a start tag's
+  /// Token::offset). Offsets may come in any order; each one after the last
+  /// costs only the newline scan between the two.
+  Location location(std::size_t offset);
+
  private:
   enum class State : unsigned char {
     kBeforeRoot,  ///< root start tag pending
@@ -119,26 +133,21 @@ class Tokenizer {
   /// malformed reference (token_ set to the error, positioned at `err_pos`).
   bool decode(std::string_view raw, std::size_t err_pos, std::string_view& out);
 
-  struct Location {
-    std::size_t line;
-    std::size_t column;
-  };
-  Location location_at(std::size_t pos);
-
   std::string_view input_;
   State state_ = State::kBeforeRoot;
   std::size_t pos_ = 0;
   bool pending_end_element_ = false;  ///< self-closing start emitted, end next
   std::string_view pending_end_name_;  ///< name for that synthesized end
-  std::vector<std::string_view> stack_;  ///< open element names, views into input_
-  std::vector<AttrView> attrs_;          ///< reused per start tag
+  /// Open element names, views into input_.
+  common::SmallVector<std::string_view, 16> stack_;
+  common::SmallVector<AttrView, 8> attrs_;  ///< reused per start tag
   Token token_;
   Error error_;
   common::Arena arena_;
 
   // Lazy line/column accounting (same scheme as the old DOM parser): the
-  // newline scan advances monotonically, so tokens and errors pay only for
-  // the bytes between consecutive location requests.
+  // newline scan advances monotonically, so positions and errors pay only
+  // for the bytes between consecutive location requests.
   std::size_t loc_scanned_ = 0;
   std::size_t line_ = 1;
   std::size_t line_start_ = 0;

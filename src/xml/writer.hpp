@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/small_vector.hpp"
 #include "xml/node.hpp"
 
 namespace wsx::xml {
@@ -33,7 +34,6 @@ class Emitter {
     // One allocation holds a whole SOAP envelope; larger documents grow
     // from there instead of from empty.
     out_.reserve(512);
-    open_.reserve(16);
   }
 
   /// `<?xml version="1.0" encoding="UTF-8"?>` on a line of its own.
@@ -86,7 +86,7 @@ class Emitter {
 
   WriteOptions options_;
   std::string out_;
-  std::vector<Open> open_;
+  common::SmallVector<Open, 16> open_;  ///< open elements, innermost last
 };
 
 /// Start-tag attributes collected with Element::set_attribute's rule: a

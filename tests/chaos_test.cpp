@@ -4,6 +4,9 @@
 // with the communication study, and emergent per-client profiles.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -193,6 +196,33 @@ TEST(FaultPlan, SchedulesArePinned) {
       {e, 7, "soap12-rewrite 4 6337bba27ccf4511"},
       {e, 9, "soap12-rewrite 2 cc6491eccab08ced"},
   });
+}
+
+TEST(FaultPlan, ChainPrefixStateDrawsTheWholeIdsSchedule) {
+  // A chain hashes "scope|service|client|" once and folds in each call's
+  // number: the schedule, and its salt (the call's hash), are the whole id's.
+  FaultPlan listed;
+  listed.seed = 42;
+  listed.rate_percent = 100;
+  listed.max_burst = 5;
+  listed.kinds = {FaultKind::kHttp503, FaultKind::kTruncatedBody};
+  for (const std::string& prefix :
+       {std::string(), std::string("Metro 2.3|EchoDataSource|Apache CXF 2.7.6|"),
+        std::string("WCF .NET 4.0.30319.17929 [shaded]|EchoDataTable|suds Python 0.4|")}) {
+    const std::uint64_t state = call_id_prefix(prefix);
+    for (const std::size_t call_no :
+         {std::size_t{0}, std::size_t{7}, std::size_t{11}, std::size_t{12345},
+          std::numeric_limits<std::size_t>::max()}) {
+      const std::string call_id = prefix + std::to_string(call_no);
+      for (const FaultPlan& plan : {FaultPlan{}, listed}) {
+        const CallSchedule whole = plan_call(plan, call_id);
+        const CallSchedule folded = plan_call(plan, state, call_no);
+        EXPECT_EQ(folded.fault_for_attempt(0), whole.fault_for_attempt(0)) << call_id;
+        EXPECT_EQ(folded.burst(), whole.burst()) << call_id;
+        EXPECT_EQ(folded.salt(), whole.salt()) << call_id;
+      }
+    }
+  }
 }
 
 TEST(FaultKindMeta, NamesRoundTripThroughTheParser) {

@@ -537,6 +537,79 @@ TEST(StreamEquivalence, ReplyClassificationMatchesTheTreeReader) {
   EXPECT_GT(damaged.size(), 100u);
 }
 
+/// read_reply against soap::parse then response_value: the same error, the
+/// same fault, the same value or the same reason there is none.
+void expect_reply_read_as_parsed(const std::string& text) {
+  const Result<soap::Reply> reply = soap::read_reply(text);
+  const Result<soap::Envelope> envelope = soap::parse(text);
+  ASSERT_EQ(reply.ok(), envelope.ok()) << text;
+  if (!envelope.ok()) {
+    EXPECT_EQ(reply.error(), envelope.error()) << text;
+    return;
+  }
+  ASSERT_EQ(reply->fault.has_value(), envelope->is_fault()) << text;
+  if (envelope->is_fault()) {
+    EXPECT_EQ(*reply->fault, envelope->fault()) << text;
+  }
+  const Result<std::string> value = soap::response_value(*envelope);
+  ASSERT_EQ(reply->value.ok(), value.ok()) << text;
+  if (value.ok()) {
+    EXPECT_EQ(*reply->value, *value) << text;
+  } else {
+    EXPECT_EQ(reply->value.error(), value.error()) << text;
+  }
+}
+
+TEST(StreamEquivalence, ReplyReaderMatchesParseThenResponseValue) {
+  const auto reply = [](const std::string& body_inner) {
+    return envelope_text(kSoap11, "<soapenv:Header><h:x xmlns:h=\"urn:h\"><y/></h:x>"
+                                  "</soapenv:Header><soapenv:Body>" +
+                                      body_inner + "</soapenv:Body>");
+  };
+  const std::vector<std::string> payloads = {
+      "<m:echoResponse xmlns:m=\"urn:e\"><m:return>v</m:return></m:echoResponse>",
+      "<echoResponse a=\"1\"> lead <return>a<![CDATA[<b>]]>c</return> tail </echoResponse>",
+      "<echoResponse><return>a<!--x-->b<?pi?>c</return></echoResponse>",
+      "<echoResponse><return>   </return></echoResponse>",
+      "<echoResponse><return>\n  <x>in</x>\n  </return></echoResponse>",
+      "<echoResponse><return> t <x/> u </return></echoResponse>",
+      "<echoResponse><return/></echoResponse>",
+      "<echoResponse><return>&lt;&amp;&#x41;</return></echoResponse>",
+      "<echoResponse><other>o</other><x:return xmlns:x=\"urn:x\">1</x:return>"
+      "<return>2</return></echoResponse>",
+      "<echoResponse><wrap><return>deep</return></wrap></echoResponse>",
+      "<echoResponse><other/></echoResponse>",
+      "<echoResponse/>",
+      "<Response><return>bare</return></Response>",
+      "<echo><return>v</return></echo>",
+      "<echoResponse><return>first</return></echoResponse><second><return/></second>",
+      "<echoResponse><return>v</return><return>w</return></echoResponse>",
+      "<echoResponse><return>v</return></echoResponse><bad>",
+      "<echoResponse><return>v</retur></echoResponse>",
+      "text only",
+  };
+  for (const std::string& payload : payloads) expect_reply_read_as_parsed(reply(payload));
+  for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
+    soap::Envelope fault = soap::Envelope::make_fault(
+        soap::Fault{"soap:Client", "bad & worse", "detail <text>"}, version);
+    soap::apply_hybrid_profile(fault, soap::HybridProfile::kSecured, "echo");
+    const std::string text = soap::write(fault);
+    expect_reply_read_as_parsed(text);
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      expect_reply_read_as_parsed(text.substr(0, at));
+    }
+  }
+  for (const std::string& text :
+       {std::string("<root/>"), envelope_text(kSoap11, "<soapenv:Header/>"),
+        envelope_text("urn:not-soap", "<soapenv:Body><op/></soapenv:Body>"),
+        envelope_text(kSoap12, "<soapenv:Body><opResponse><return>12</return>"
+                               "</opResponse></soapenv:Body>")}) {
+    expect_reply_read_as_parsed(text);
+  }
+  const std::string full = reply(payloads.front());
+  for (std::size_t at = 0; at < full.size(); ++at) expect_reply_read_as_parsed(full.substr(0, at));
+}
+
 TEST(StreamEquivalence, RootNamesResolveAsNamespaceScopeDoes) {
   // soap::parse resolves the root off its start tag; the oracle resolves it
   // with xml::NamespaceScope. Each root below probes one rule of the scope.
@@ -589,6 +662,21 @@ TEST(StreamEquivalence, WriterMatchesTheTreeWriter) {
   const auto expect_same_bytes = [](const soap::Envelope& envelope) {
     EXPECT_EQ(soap::write(envelope), wsx::testing::write_envelope_dom(envelope));
   };
+  // write_response emits build_response's envelope in a version without
+  // building it: the same bytes, or the same error.
+  const auto expect_response_bytes = [](const wsdl::Definitions& defs,
+                                        const std::string& operation, const std::string& value,
+                                        soap::SoapVersion version) {
+    Result<soap::Envelope> built = soap::build_response(defs, operation, value);
+    const Result<std::string> written = soap::write_response(defs, operation, value, version);
+    ASSERT_EQ(written.ok(), built.ok()) << operation;
+    if (!built.ok()) {
+      EXPECT_EQ(written.error(), built.error());
+      return;
+    }
+    built->set_version(version);
+    EXPECT_EQ(*written, soap::write(*built)) << "value '" << value << "'";
+  };
   for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
     for (const soap::Fault& fault :
          {soap::Fault{"soap:Client", "bad things & worse", "detail <text>"},
@@ -635,6 +723,9 @@ TEST(StreamEquivalence, WriterMatchesTheTreeWriter) {
               soap::build_response(service->wsdl, call.operation, value);
           ASSERT_TRUE(response.ok());
           expect_same_bytes(*response);
+          for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
+            expect_response_bytes(service->wsdl, call.operation, value, version);
+          }
         }
         // ...and the traffic itself, read back.
         for (const std::string& text :
@@ -649,6 +740,23 @@ TEST(StreamEquivalence, WriterMatchesTheTreeWriter) {
     }
   }
   EXPECT_GT(envelopes, 1500u);
+
+  // Values the traffic does not carry, in both versions, and both errors.
+  wsdl::Definitions defs = wsx::testing::compliant_echo_definitions();
+  std::string long_value;
+  while (long_value.size() <= 512) {
+    long_value += "long value <" + std::to_string(long_value.size()) + "> & ";
+  }
+  for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
+    for (const std::string& value :
+         {std::string(), std::string(" "), std::string("a<b&c>\"'"),
+          std::string("gr\xC3\xBC\xC3\x9F \xE2\x82\xAC \xF0\x9F\x98\x80"), long_value}) {
+      expect_response_bytes(defs, "echo", value, version);
+    }
+    expect_response_bytes(defs, "nope", "v", version);
+  }
+  defs.port_types.front().operations.front().output_message.clear();
+  expect_response_bytes(defs, "echo", "v", soap::SoapVersion::k11);
 }
 
 }  // namespace

@@ -165,5 +165,49 @@ TEST(StructuredPayload, RepeatedArg0EchoesTheLastAndChecksTheFirst) {
   EXPECT_EQ(soap::response_value(respond(*bad_second)).value(), "");
 }
 
+// The field check reads the first arg0 type that resolves, as the request
+// generator does: a later schema's wrapper whose arg0 type does not
+// resolve must not switch the check off.
+TEST(StructuredPayload, UnresolvedLaterArg0KeepsTheResolvedType) {
+  const Fixture fixture = make_fixture();
+  DeployedService service = fixture.service;
+  xsd::Schema other;
+  other.target_namespace = "urn:other";
+  xsd::ElementDecl wrapper;
+  wrapper.name = "echo";
+  xsd::ComplexType wrapper_type;
+  xsd::ElementDecl arg0;
+  arg0.name = "arg0";
+  arg0.type = xml::QName{"urn:other", "Missing"};
+  wrapper_type.particles.emplace_back(std::move(arg0));
+  wrapper.inline_type = Box<xsd::ComplexType>{std::move(wrapper_type)};
+  other.elements.push_back(std::move(wrapper));
+  service.wsdl.schemas.push_back(std::move(other));
+
+  const catalog::FieldSpec* typed = nullptr;
+  for (const catalog::FieldSpec& field : fixture.type->fields) {
+    if (field.type == xsd::Builtin::kInt || field.type == xsd::Builtin::kBoolean) {
+      typed = &field;
+      break;
+    }
+  }
+  ASSERT_NE(typed, nullptr);
+  const std::string valid = typed->type == xsd::Builtin::kInt ? "42" : "true";
+
+  Result<soap::Envelope> good =
+      soap::build_structured_request(service.wsdl, "echo", {{typed->name, valid}});
+  ASSERT_TRUE(good.ok());
+  const soap::Envelope echoed = fixture.server->handle_request(service, *good);
+  ASSERT_FALSE(echoed.is_fault()) << echoed.fault().fault_string;
+  EXPECT_EQ(soap::response_value(echoed).value(), valid);
+
+  Result<soap::Envelope> bad = soap::build_structured_request(
+      service.wsdl, "echo", {{typed->name, "certainly-not-a-number"}});
+  ASSERT_TRUE(bad.ok());
+  const soap::Envelope refused = fixture.server->handle_request(service, *bad);
+  ASSERT_TRUE(refused.is_fault());
+  EXPECT_NE(refused.fault().fault_string.find("unmarshalling error"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace wsx::frameworks

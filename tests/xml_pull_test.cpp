@@ -4,6 +4,8 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -210,18 +212,107 @@ TEST(PullTokenizer, EnforcesDepthLimit) {
   EXPECT_EQ(tok.error().code, "xml.too-deep");
   EXPECT_EQ(tok.error().message, "maximum nesting depth exceeded at line 1, column " +
                                      std::to_string(3 * kMaxDepth + 1));
+
+  // Either side of the open-element stack's 16 inline entries and of the
+  // limit: each element is opened and closed by its own name, and the
+  // 257th start tag fails where it starts.
+  const auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "<e" + std::to_string(i) + ">";
+    for (std::size_t i = depth; i-- > 0;) text += "</e" + std::to_string(i) + ">";
+    return text;
+  };
+  for (const std::size_t depth : {std::size_t{16}, std::size_t{17}, kMaxDepth}) {
+    const std::string text = nested(depth);
+    const PullRun run = run_one_shot(text);
+    EXPECT_EQ(run.error_code, "") << depth;
+    ASSERT_EQ(run.events.size(), 2 * depth) << depth;
+    for (std::size_t i = 0; i < depth; ++i) {
+      const std::string name = "e" + std::to_string(i);
+      EXPECT_EQ(run.events[i], (Event{TokenKind::kStartElement, name, "", {}, false}));
+      EXPECT_EQ(run.events[2 * depth - 1 - i],
+                (Event{TokenKind::kEndElement, name, "", {}, false}));
+    }
+    Tokenizer at_depth{text};
+    for (std::size_t i = 0; i < depth; ++i) {
+      ASSERT_EQ(at_depth.next().kind, TokenKind::kStartElement);
+    }
+    EXPECT_EQ(at_depth.depth(), depth);
+  }
+  const std::string too_deep = nested(kMaxDepth + 1);
+  const PullRun refused = run_one_shot(too_deep);
+  EXPECT_EQ(refused.error_code, "xml.too-deep");
+  EXPECT_EQ(refused.error_message, "maximum nesting depth exceeded at line 1, column " +
+                                       std::to_string(too_deep.find("<e256>") + 1));
+  EXPECT_EQ(refused.events.size(), kMaxDepth);
+}
+
+TEST(PullTokenizer, AttributesEitherSideOfTheInlineList) {
+  // Eight attributes fit the inline list; a ninth spills. Every attribute
+  // survives in order, the next tag starts an empty list, and a duplicate
+  // is still found among the spilled ones.
+  const auto tag = [](std::size_t count, std::string_view last_name) {
+    std::string text = "<r";
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string name = i + 1 == count ? std::string(last_name) : "a" + std::to_string(i);
+      text += " " + name + "=\"" + std::to_string(i) + "\"";
+    }
+    return text + "><c x=\"y\"/></r>";
+  };
+  for (const std::size_t count : {std::size_t{8}, std::size_t{9}}) {
+    const PullRun run = run_one_shot(tag(count, "a" + std::to_string(count - 1)));
+    EXPECT_EQ(run.error_code, "") << count;
+    ASSERT_EQ(run.events.size(), 4u) << count;
+    ASSERT_EQ(run.events[0].attrs.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(run.events[0].attrs[i],
+                std::make_pair("a" + std::to_string(i), std::to_string(i)));
+    }
+    EXPECT_EQ(run.events[1].attrs,
+              (std::vector<std::pair<std::string, std::string>>{{"x", "y"}}));
+
+    const std::string duplicated = tag(count, "a0");
+    const PullRun refused = run_one_shot(duplicated);
+    EXPECT_EQ(refused.error_code, "xml.duplicate-attr") << count;
+    EXPECT_EQ(refused.error_message,
+              "duplicate attribute 'a0' at line 1, column " +
+                  std::to_string(duplicated.find("><c") + 1));
+  }
 }
 
 TEST(PullTokenizer, ReportsLineAndColumnOnStartElements) {
   Tokenizer tok{"<a>\n  <b/>\n</a>"};
   const Token& a = tok.next();
-  EXPECT_EQ(a.line, 1u);
-  EXPECT_EQ(a.column, 1u);
+  EXPECT_EQ(tok.location(a.offset).line, 1u);
+  EXPECT_EQ(tok.location(a.offset).column, 1u);
   Token b = tok.next();
   if (b.kind == TokenKind::kText) b = tok.next();  // the "\n  " whitespace run
   ASSERT_EQ(b.kind, TokenKind::kStartElement);
-  EXPECT_EQ(b.line, 2u);
-  EXPECT_EQ(b.column, 3u);
+  EXPECT_EQ(tok.location(b.offset).line, 2u);
+  EXPECT_EQ(tok.location(b.offset).column, 3u);
+}
+
+TEST(PullTokenizer, LocationResolvesOffsetsInAnyOrder) {
+  // Later, earlier and repeated offsets, past a BOM and CRLF line ends.
+  const std::string text = "\xEF\xBB\xBF<a>\r\n <b>\n\n   <c/></b>\n</a>";
+  Tokenizer tok{text};
+  const std::size_t a = text.find("<a>");
+  const std::size_t b = text.find("<b>");
+  const std::size_t c = text.find("<c/>");
+  const auto at = [&](std::size_t offset) {
+    const Tokenizer::Location location = tok.location(offset);
+    return std::make_pair(location.line, location.column);
+  };
+  EXPECT_EQ(at(c), std::make_pair(std::size_t{4}, std::size_t{4}));
+  EXPECT_EQ(at(a), std::make_pair(std::size_t{1}, std::size_t{1}));
+  EXPECT_EQ(at(b), std::make_pair(std::size_t{2}, std::size_t{2}));
+  EXPECT_EQ(at(b), std::make_pair(std::size_t{2}, std::size_t{2}));
+  EXPECT_EQ(at(c), std::make_pair(std::size_t{4}, std::size_t{4}));
+  EXPECT_EQ(at(a + 1), std::make_pair(std::size_t{1}, std::size_t{2}));
+  // Token offsets are where the start tags begin.
+  EXPECT_EQ(tok.next().offset, a);
+  ASSERT_EQ(tok.next().kind, TokenKind::kText);
+  EXPECT_EQ(tok.next().offset, b);
 }
 
 TEST(PullTokenizer, DrainReportsWellFormedness) {
@@ -349,8 +440,8 @@ TEST(PullTokenizer, AttributeValueErrorsArePinned) {
   ASSERT_EQ(tok.next().kind, TokenKind::kText);
   const Token& spanning = tok.next();
   ASSERT_EQ(spanning.kind, TokenKind::kStartElement);
-  EXPECT_EQ(spanning.line, 2u);
-  EXPECT_EQ(spanning.column, 3u);
+  EXPECT_EQ(tok.location(spanning.offset).line, 2u);
+  EXPECT_EQ(tok.location(spanning.offset).column, 3u);
   EXPECT_EQ(spanning.attribute("y"), "2");
 }
 
@@ -368,9 +459,12 @@ TEST(CollectElement, BuildsSubtreeFromTokenizer) {
   ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);  // r
   const Token& sub = tok.next();
   ASSERT_EQ(sub.kind, TokenKind::kStartElement);
-  Result<Element> tree = collect_element(tok, sub);
+  Result<Element> tree = collect_element(tok, sub, Positions::kRecord);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->name(), "sub");
+  EXPECT_EQ(tree->source_line(), 1u);
+  EXPECT_EQ(tree->source_column(), 4u);
+  EXPECT_EQ(tree->child("in")->source_column(), 15u);
   EXPECT_EQ(tree->attribute("x"), "1");
   ASSERT_NE(tree->child("in"), nullptr);
   EXPECT_EQ(tree->child("in")->text(), "text");
@@ -378,6 +472,22 @@ TEST(CollectElement, BuildsSubtreeFromTokenizer) {
   const Token& after = tok.next();
   ASSERT_EQ(after.kind, TokenKind::kStartElement);
   EXPECT_EQ(after.name, "after");
+}
+
+TEST(CollectElement, OmitsPositionsWhenAskedTo) {
+  Tokenizer tok{"<r>\n <sub><in>text</in></sub></r>"};
+  ASSERT_EQ(tok.next().kind, TokenKind::kStartElement);  // r
+  Token sub = tok.next();
+  if (sub.kind == TokenKind::kText) sub = tok.next();
+  ASSERT_EQ(sub.kind, TokenKind::kStartElement);
+  Result<Element> tree = collect_element(tok, sub, Positions::kOmit);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->source_line(), 0u);
+  EXPECT_EQ(tree->child("in")->source_line(), 0u);
+  EXPECT_EQ(tree->child("in")->text(), "text");
+  // The offset still resolves on request.
+  EXPECT_EQ(tok.location(sub.offset).line, 2u);
+  EXPECT_EQ(tok.location(sub.offset).column, 2u);
 }
 
 }  // namespace
