@@ -28,9 +28,6 @@ class SmallVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   T* data() { return data_; }
-  const T* data() const { return data_; }
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
   const T* begin() const { return data_; }
   const T* end() const { return data_ + size_; }
   T& back() { return data_[size_ - 1]; }
