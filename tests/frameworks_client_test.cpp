@@ -6,6 +6,7 @@
 #include "catalog/java_catalog.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/registry.hpp"
+#include "frameworks/shared_description.hpp"
 
 namespace wsx::frameworks {
 namespace {
@@ -426,6 +427,41 @@ TEST_F(ClientFixture, TableIIMetadataIsCorrect) {
   EXPECT_FALSE(client(kSuds).requires_compilation());
   EXPECT_TRUE(client(kGsoap).requires_compilation());
   EXPECT_EQ(client(kVb).language(), code::Language::kVisualBasic);
+}
+
+TEST(UncommonStructure, ServerModelAndServedTextAgreeOverTheCorpus) {
+  // Zend's "uncommon data structure" rule reads three flags. Generation
+  // reads them on the served text's parse and the marshaller on the same
+  // description, so the server model a service was built from must set
+  // them exactly when its served text does.
+  const catalog::TypeCatalog java =
+      catalog::make_java_catalog(catalog::scaled(catalog::JavaCatalogSpec{}, 2));
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(catalog::scaled(catalog::DotNetCatalogSpec{}, 2));
+  std::size_t services = 0;
+  std::size_t flagged = 0;
+  for (const auto& server : make_servers()) {
+    const catalog::TypeCatalog& types = server->language() == "C#" ? dotnet : java;
+    for (const ServiceSpec& spec : make_services(types)) {
+      const Result<DeployedService> service = server->deploy(spec);
+      if (!service.ok()) continue;
+      ++services;
+      const WsdlFeatures model = analyze(service->wsdl);
+      const SharedDescription description = SharedDescription::from_deployed(*service);
+      ASSERT_TRUE(description.parsed_ok()) << spec.service_name();
+      const WsdlFeatures& served = description.features();
+      const std::string where = server->name() + "/" + spec.service_name();
+      EXPECT_EQ(model.unresolved_foreign_type_ref, served.unresolved_foreign_type_ref) << where;
+      EXPECT_EQ(model.unresolved_foreign_attr_ref, served.unresolved_foreign_attr_ref) << where;
+      EXPECT_EQ(model.schema_element_ref, served.schema_element_ref) << where;
+      if (served.unresolved_foreign_type_ref || served.unresolved_foreign_attr_ref ||
+          served.schema_element_ref) {
+        ++flagged;
+      }
+    }
+  }
+  EXPECT_EQ(services, 182u);
+  EXPECT_GT(flagged, 0u);
 }
 
 }  // namespace

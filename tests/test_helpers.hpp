@@ -1,6 +1,7 @@
 // test_helpers.hpp — shared fixtures for the wsinterop test suite.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,6 +10,11 @@
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
+#include "frameworks/axis1_client.hpp"
+#include "frameworks/cxf_client.hpp"
+#include "frameworks/jbossws_client.hpp"
+#include "frameworks/jbossws_server.hpp"
+#include "frameworks/metro_client.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "gen/request_gen.hpp"
@@ -61,6 +67,25 @@ inline frameworks::DeployedService deploy_one(std::string_view server_name,
   const auto server = frameworks::make_server(server_name);
   const catalog::TypeInfo* type = catalog.find(std::string(type_name));
   return std::move(server->deploy(frameworks::ServiceSpec{type}).value());
+}
+
+/// The client tools the paper gives a remedy for, with the remedy applied,
+/// in Table II order: Metro with a manual bindings customization, Axis1 with
+/// the wrapper-naming fix (§IV.B.3), CXF and JBossWS with a bindings
+/// customization (§IV.B.2).
+inline std::vector<std::unique_ptr<frameworks::ClientFramework>> remedied_clients() {
+  std::vector<std::unique_ptr<frameworks::ClientFramework>> clients;
+  clients.push_back(std::make_unique<frameworks::MetroClient>(true));
+  clients.push_back(std::make_unique<frameworks::Axis1Client>(true));
+  clients.push_back(std::make_unique<frameworks::CxfClient>(true));
+  clients.push_back(std::make_unique<frameworks::JBossWsClient>(true));
+  return clients;
+}
+
+/// JBossWS refusing operation-less descriptions as Metro does: the strict
+/// server of ablation A2.
+inline std::unique_ptr<frameworks::ServerFramework> strict_jbossws() {
+  return std::make_unique<frameworks::JBossWsServer>(true);
 }
 
 /// Every description the three servers publish for the paper's
