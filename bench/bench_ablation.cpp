@@ -7,8 +7,6 @@
 // reports the delta against the paper-faithful baseline.
 #include <iostream>
 
-#include "frameworks/dotnet_client.hpp"
-#include "frameworks/jbossws_server.hpp"
 #include "frameworks/shared_description.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/study.hpp"
@@ -17,22 +15,22 @@ using namespace wsx;
 
 namespace {
 
+constexpr const char* kVb = ".NET Framework 4.0.30319.17929 (Visual Basic .NET)";
+
 /// A3's client: wsdl.exe targeting VB, but compiled with case-sensitive
 /// member rules (i.e. csc semantics) — isolates the identifier-case rule.
 class CaseSensitiveVbClient final : public frameworks::ClientFramework {
  public:
-  std::string name() const override {
-    return ".NET Framework 4.0.30319.17929 (Visual Basic .NET)";
-  }
-  std::string tool() const override { return "wsdl.exe"; }
+  std::string name() const override { return inner_->name(); }
+  std::string tool() const override { return inner_->tool(); }
   code::Language language() const override { return code::Language::kCSharp; }
   frameworks::GenerationResult generate(
       const frameworks::SharedDescription& description) const override {
-    return inner_.generate(description);
+    return inner_->generate(description);
   }
 
  private:
-  frameworks::DotNetClient inner_{code::Language::kVisualBasic};
+  std::unique_ptr<frameworks::ClientFramework> inner_ = frameworks::make_client(kVb);
 };
 
 std::size_t java_generation_errors(const interop::ServerResult& server) {
@@ -72,12 +70,12 @@ int main() {
     const auto clients = frameworks::make_clients();
     const interop::StudyConfig config;
 
-    const frameworks::JBossWsServer lenient;  // paper behaviour
-    const frameworks::JBossWsServer strict{true};
+    const auto lenient = frameworks::make_server("JBossWS CXF 4.2.3");  // paper behaviour
+    const auto strict = frameworks::make_server("JBossWS CXF 4.2.3", /*remedied=*/true);
     const interop::ServerResult before =
-        interop::run_server_campaign(lenient, services, clients, config);
+        interop::run_server_campaign(*lenient, services, clients, config);
     const interop::ServerResult after =
-        interop::run_server_campaign(strict, services, clients, config);
+        interop::run_server_campaign(*strict, services, clients, config);
     std::cout << "A2 — JBossWS refuses zero-operation deployments (Metro's behaviour):\n";
     std::cout << "  deployed services: " << before.services_deployed << " -> "
               << after.services_deployed << "\n";
@@ -96,8 +94,7 @@ int main() {
     const interop::StudyConfig config;
 
     std::vector<std::unique_ptr<frameworks::ClientFramework>> vb_baseline;
-    vb_baseline.push_back(
-        std::make_unique<frameworks::DotNetClient>(code::Language::kVisualBasic));
+    vb_baseline.push_back(frameworks::make_client(kVb));
     std::vector<std::unique_ptr<frameworks::ClientFramework>> vb_fixed;
     vb_fixed.push_back(std::make_unique<CaseSensitiveVbClient>());
 

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "catalog/java_catalog.hpp"
-#include "frameworks/axis1_client.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/persistence.hpp"
 
@@ -18,7 +17,7 @@ interop::StudyResult run_with_axis1(bool patched) {
   const catalog::TypeCatalog java = catalog::make_java_catalog();
   const std::vector<frameworks::ServiceSpec> services = frameworks::make_services(java);
   std::vector<std::unique_ptr<frameworks::ClientFramework>> clients;
-  clients.push_back(std::make_unique<frameworks::Axis1Client>(patched));
+  clients.push_back(frameworks::make_client("Apache Axis1 1.4", /*remedied=*/patched));
 
   interop::StudyResult result;
   for (const auto& server : frameworks::make_servers()) {

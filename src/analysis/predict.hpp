@@ -4,7 +4,7 @@
 // testing-phase verdict (ok / warning-class / error-class, plus the
 // responsible footnote mechanism) *without executing* the generation or
 // compilation pipeline. The per-client rules are distilled from the
-// framework models (src/frameworks/*_client.cpp), the shared artifact
+// client tool table (src/frameworks/roster.cpp), the shared artifact
 // builder and the compiler simulators: each rule is a pure predicate over
 // the WsdlFeatures vector plus a small set of shape signals computed once
 // per description. predict_corpus() applies the predictor to the whole

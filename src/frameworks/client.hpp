@@ -3,8 +3,11 @@
 // A client model performs testing-phase step (b): consume the served WSDL
 // *text*, run the tool's own parsing/translation pipeline, and either fail
 // (with the tool's diagnostics) or hand generated artifacts to step (c).
+// The studied tools are rows of one policy table (roster.cpp): each reacts
+// to description features through an ordered list of FeatureRules.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +16,7 @@
 
 #include "codemodel/model.hpp"
 #include "common/diagnostics.hpp"
+#include "frameworks/features.hpp"
 #include "frameworks/version_policy.hpp"
 
 namespace wsx::frameworks {
@@ -28,6 +32,39 @@ struct GenerationResult {
   std::optional<code::Artifacts> artifacts;
 
   bool produced_artifacts() const { return artifacts.has_value(); }
+};
+
+/// One feature → diagnostic rule of a client tool (paper §IV.B): when any
+/// of the named WsdlFeatures flags is set, the tool reports `code: message`.
+/// The code is relative to the tool's code prefix ("wsimport" +
+/// ".unresolved-type"), or to `stage` for a later stage of a multi-stage
+/// generator.
+struct FeatureRule {
+  /// What the rule does besides reporting.
+  enum class Effect {
+    kReport,  ///< report and carry on with the next rule
+    /// A manual bindings customization maps the construct (§IV.B.2): with
+    /// the paper's remedy applied, the rule reports "<code>.customized" as
+    /// a warning instead.
+    kCurable,
+    /// Generation ends here: no later rule runs and no artifacts are built
+    /// (each of gSOAP's two stages aborts on its error).
+    kStop,
+  };
+
+  std::array<bool WsdlFeatures::*, 3> any_of{};  ///< fires on any; unused slots null
+  Severity severity = Severity::kError;
+  std::string_view code = {};
+  std::string_view message = {};
+  Effect effect = Effect::kReport;
+  std::string_view stage = {};  ///< code prefix when not the tool's own ("soapcpp2")
+
+  bool fires(const WsdlFeatures& features) const {
+    for (bool WsdlFeatures::*flag : any_of) {
+      if (flag != nullptr && features.*flag) return true;
+    }
+    return false;
+  }
 };
 
 class ClientFramework {
@@ -60,11 +97,11 @@ class ClientFramework {
     /// Omit the SOAPAction HTTP header when the binding declares none
     /// (gSOAP's stub behaviour) instead of sending an empty quoted value.
     bool omit_soap_action_when_unspecified = false;
-    /// When the description carried unresolved references the tool mapped
-    /// to an "uncommon data structure" (Zend), the proxy marshals the
-    /// argument under the wrong element — the payload parses but the
-    /// service echoes nothing.
-    bool marshals_uncommon_structure = false;
+    /// The tool's rule for mapping unresolved references to an "uncommon
+    /// data structure" (Zend). When it fires on the description, the proxy
+    /// marshals the argument under the wrong element — the payload parses
+    /// but the service echoes nothing. nullptr: the proxy never does.
+    const FeatureRule* uncommon_structure = nullptr;
   };
   virtual InvocationPolicy invocation_policy() const { return {}; }
 

@@ -1,7 +1,6 @@
 #include "frameworks/invocation.hpp"
 
 #include "compilers/compiler.hpp"
-#include "frameworks/features.hpp"
 #include "frameworks/shared_description.hpp"
 #include "soap/message.hpp"
 #include "soap/version.hpp"
@@ -52,15 +51,12 @@ PreparedCall prepare_call(const DeployedService& service,
     call.payload = payload->expected_echo();
   }
 
-  // Marshalling — the client runtime builds the request envelope. The
-  // server-model feature vector is precomputed by the shared description.
+  // Marshalling — the client runtime builds the request envelope, under
+  // the wrong element when the tool's uncommon-structure rule fires on the
+  // description it generated from.
   const ClientFramework::InvocationPolicy policy = client.invocation_policy();
-  const WsdlFeatures features =
-      description.server_features() != nullptr ? *description.server_features()
-                                               : analyze(service.wsdl);
-  const bool uncommon = policy.marshals_uncommon_structure &&
-                        (features.unresolved_foreign_type_ref ||
-                         features.unresolved_foreign_attr_ref || features.schema_element_ref);
+  const bool uncommon = policy.uncommon_structure != nullptr &&
+                        policy.uncommon_structure->fires(description.features());
   call.uncommon_marshalling = uncommon;
   const std::string argument_name = uncommon ? "arg0Struct" : "arg0";
   Result<soap::Envelope> request =

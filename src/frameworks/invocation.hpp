@@ -62,8 +62,8 @@ struct PreparedCall {
 /// Runs generation + compilation gates and marshals the request envelope
 /// exactly as the communication study does. `compiler` may be null for
 /// tools checked by instantiation. `description` must have been built from
-/// `service` (SharedDescription::from_deployed), so generation consumes the
-/// shared parse and marshalling reuses the cached server-model features.
+/// `service` (SharedDescription::from_deployed): generation and marshalling
+/// both read its one parse of the served text.
 /// A hybrid `profile` dresses the request envelope in its 1.2-era extension
 /// headers (soap/version.hpp) before serialization, and `downgrade_request`
 /// keeps the pure-1.1 form for downgrade retries.

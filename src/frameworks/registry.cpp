@@ -1,57 +1,6 @@
 #include "frameworks/registry.hpp"
 
-#include "frameworks/axis1_client.hpp"
-#include "frameworks/axis2_client.hpp"
-#include "frameworks/cxf_client.hpp"
-#include "frameworks/dotnet_client.hpp"
-#include "frameworks/gsoap_client.hpp"
-#include "frameworks/jbossws_client.hpp"
-#include "frameworks/jbossws_server.hpp"
-#include "frameworks/metro_client.hpp"
-#include "frameworks/metro_server.hpp"
-#include "frameworks/suds_client.hpp"
-#include "frameworks/wcf_server.hpp"
-#include "frameworks/zend_client.hpp"
-
 namespace wsx::frameworks {
-
-std::vector<std::unique_ptr<ServerFramework>> make_servers() {
-  std::vector<std::unique_ptr<ServerFramework>> servers;
-  servers.push_back(std::make_unique<MetroServer>());
-  servers.push_back(std::make_unique<JBossWsServer>());
-  servers.push_back(std::make_unique<WcfServer>());
-  return servers;
-}
-
-std::vector<std::unique_ptr<ClientFramework>> make_clients() {
-  std::vector<std::unique_ptr<ClientFramework>> clients;
-  clients.push_back(std::make_unique<MetroClient>());
-  clients.push_back(std::make_unique<Axis1Client>());
-  clients.push_back(std::make_unique<Axis2Client>());
-  clients.push_back(std::make_unique<CxfClient>());
-  clients.push_back(std::make_unique<JBossWsClient>());
-  clients.push_back(std::make_unique<DotNetClient>(code::Language::kCSharp));
-  clients.push_back(std::make_unique<DotNetClient>(code::Language::kVisualBasic));
-  clients.push_back(std::make_unique<DotNetClient>(code::Language::kJScript));
-  clients.push_back(std::make_unique<GsoapClient>());
-  clients.push_back(std::make_unique<ZendClient>());
-  clients.push_back(std::make_unique<SudsClient>());
-  return clients;
-}
-
-std::unique_ptr<ServerFramework> make_server(std::string_view name) {
-  for (auto& server : make_servers()) {
-    if (server->name() == name) return std::move(server);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<ClientFramework> make_client(std::string_view name) {
-  for (auto& client : make_clients()) {
-    if (client->name() == name) return std::move(client);
-  }
-  return nullptr;
-}
 
 std::vector<Round> make_rounds(const std::vector<std::unique_ptr<ServerFramework>>& servers,
                                const std::vector<ServiceSpec>& java,

@@ -24,9 +24,15 @@ std::vector<std::unique_ptr<ServerFramework>> make_servers();
 /// Axis1, Axis2, CXF, JBossWS, .NET (C#, VB, JScript), gSOAP, Zend, suds.
 std::vector<std::unique_ptr<ClientFramework>> make_clients();
 
-/// Individual factories (used by examples and focused tests).
-std::unique_ptr<ServerFramework> make_server(std::string_view name);
-std::unique_ptr<ClientFramework> make_client(std::string_view name);
+/// One server or client by name, or nullptr for an unknown name. With
+/// `remedied`, the paper's remedy applies where it names one: JBossWS
+/// refuses operation-less descriptions as Metro does (ablation A2); Metro,
+/// CXF and JBossWS map the binding constructs through a manual bindings
+/// customization, their errors becoming ".customized" warnings (§IV.B.2);
+/// Axis1 generates its Exception/Error wrapper with consistent naming
+/// (§IV.B.3). Any other framework is the same either way.
+std::unique_ptr<ServerFramework> make_server(std::string_view name, bool remedied = false);
+std::unique_ptr<ClientFramework> make_client(std::string_view name, bool remedied = false);
 
 /// One round of a per-service campaign: a server and the services it is
 /// asked to deploy, under an overridden version policy on the --versions

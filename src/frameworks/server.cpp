@@ -181,6 +181,26 @@ Answer answer(const DeployedService& service, const soap::Envelope& request,
 
 }  // namespace
 
+Result<DeployedService> ServerFramework::deploy(const ServiceSpec& spec) const {
+  if (spec.type == nullptr) return Error{"deploy.no-type", "service has no parameter type"};
+  if (!can_deploy(*spec.type)) {
+    return Error{"deploy.unbindable", std::string(policy_.unbindable_lead) + "'" +
+                                          spec.type->qualified_name() + "'" +
+                                          std::string(policy_.unbindable_tail)};
+  }
+
+  DeployedService service;
+  service.spec = spec;
+  service.wsdl = build_echo_wsdl(spec, policy_.builder);
+  if (!policy_.zero_operation_refuser.empty() && service.wsdl.operation_count() == 0) {
+    return Error{"deploy.no-operations",
+                 std::string(policy_.zero_operation_refuser) + " refused to deploy '" +
+                     spec.service_name() + "': the description would expose no operations"};
+  }
+  service.wsdl_text = wsdl::to_string(service.wsdl, policy_.writer);
+  return service;
+}
+
 soap::Envelope ServerFramework::handle_request(const DeployedService& service,
                                                const soap::Envelope& request) const {
   return handle_request(service, request, version_policy());

@@ -28,10 +28,9 @@ SharedDescription SharedDescription::from_deployed(const DeployedService& servic
   auto state = std::make_shared<State>();
   state->wsdl_text = service.wsdl_text;
   fill_from_text(state->wsdl_text, state->defs, state->features, state->parse_error);
-  // Marshalling and WS-I run over the server *model*, not the re-parsed
-  // text: that is what the deployment side of the study always did, and the
-  // distinction matters for descriptions whose served text is unparsable.
-  state->server_features = analyze(service.wsdl);
+  // WS-I runs over the server *model*, not the re-parsed text: that is what
+  // the deployment side of the study always did, and the distinction
+  // matters for descriptions whose served text is unparsable.
   if (with_wsi) state->wsi = wsi::check(service.wsdl);
   return SharedDescription{std::move(state)};
 }

@@ -5,16 +5,16 @@
 // service, and the WS-I check, every client tool and every echo invocation
 // read that one parse of the served bytes. It hands out immutable views
 // behind a shared_ptr: the client-view Definitions + feature vector (parsed
-// from the *served text*, preserving the wire serialize/parse boundary), the
-// server-model feature vector the runtime marshaller keys on, and the WS-I
+// from the *served text*, preserving the wire serialize/parse boundary; the
+// client tools and their runtime marshallers both read it), and the WS-I
 // Basic Profile verdict (computed over the server model, as the study's
 // description step always has). Copies are cheap handle copies; all state
 // is const after construction, so one description may be read from any
 // number of campaign worker threads.
 //
 // Fuzz/chaos paths that mutate raw WSDL bytes still enter through
-// from_text(), which parses the mutated text and skips the server-side
-// extras — there is no server model for a byte-level mutant.
+// from_text(), which parses the mutated text and skips the WS-I verdict —
+// there is no server model for a byte-level mutant.
 #pragma once
 
 #include <memory>
@@ -34,12 +34,12 @@ struct DeployedService;
 class SharedDescription {
  public:
   /// Parses `wsdl_text` and computes the client-view feature vector. No
-  /// WS-I verdict and no server-model features (there is no server model).
+  /// WS-I verdict (there is no server model).
   static SharedDescription from_text(std::string_view wsdl_text);
 
   /// Full pipeline for a deployed service: parses the served text for the
-  /// client view, analyzes the server model for marshalling, and (when
-  /// `with_wsi`) runs the WS-I Basic Profile check over the server model.
+  /// client view and (when `with_wsi`) runs the WS-I Basic Profile check
+  /// over the server model.
   static SharedDescription from_deployed(const DeployedService& service, bool with_wsi = true);
 
   /// True when the served text parsed as a WSDL description.
@@ -55,12 +55,6 @@ class SharedDescription {
   /// Client-view feature vector. Precondition: parsed_ok().
   const WsdlFeatures& features() const { return state_->features; }
 
-  /// Server-model feature vector (marshalling view), or nullptr when the
-  /// description was built from bare text.
-  const WsdlFeatures* server_features() const {
-    return state_->server_features ? &*state_->server_features : nullptr;
-  }
-
   /// WS-I verdict over the server model, or nullptr when not computed.
   const wsi::ComplianceReport* wsi_report() const {
     return state_->wsi ? &*state_->wsi : nullptr;
@@ -75,7 +69,6 @@ class SharedDescription {
     std::optional<Error> parse_error;
     wsdl::Definitions defs;      ///< valid iff !parse_error
     WsdlFeatures features{};     ///< valid iff !parse_error
-    std::optional<WsdlFeatures> server_features;
     std::optional<wsi::ComplianceReport> wsi;
   };
 

@@ -6,9 +6,6 @@
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "compilers/compiler.hpp"
-#include "frameworks/cxf_client.hpp"
-#include "frameworks/jbossws_client.hpp"
-#include "frameworks/metro_client.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/study.hpp"
 
@@ -43,10 +40,10 @@ std::string wildcard_wsdl() {
 }
 
 TEST(BindingCustomization, CuresMetroOnTheDataSetIdiom) {
-  const MetroClient plain;
-  const MetroClient customized{true};
-  EXPECT_TRUE(plain.generate(dataset_wsdl()).diagnostics.has_errors());
-  GenerationResult result = customized.generate(dataset_wsdl());
+  const auto plain = make_client("Oracle Metro 2.3");
+  const auto customized = make_client("Oracle Metro 2.3", /*remedied=*/true);
+  EXPECT_TRUE(plain->generate(dataset_wsdl()).diagnostics.has_errors());
+  GenerationResult result = customized->generate(dataset_wsdl());
   EXPECT_FALSE(result.diagnostics.has_errors());
   EXPECT_TRUE(result.diagnostics.has_warnings());  // developer was told
   ASSERT_TRUE(result.produced_artifacts());
@@ -57,15 +54,15 @@ TEST(BindingCustomization, CuresMetroOnTheDataSetIdiom) {
 }
 
 TEST(BindingCustomization, CuresCxfAndJBossOnWildcardContent) {
-  const CxfClient plain_cxf;
-  const CxfClient customized_cxf{true};
-  EXPECT_TRUE(plain_cxf.generate(wildcard_wsdl()).diagnostics.has_errors());
-  EXPECT_FALSE(customized_cxf.generate(wildcard_wsdl()).diagnostics.has_errors());
+  const auto plain_cxf = make_client("Apache CXF 2.7.6");
+  const auto customized_cxf = make_client("Apache CXF 2.7.6", /*remedied=*/true);
+  EXPECT_TRUE(plain_cxf->generate(wildcard_wsdl()).diagnostics.has_errors());
+  EXPECT_FALSE(customized_cxf->generate(wildcard_wsdl()).diagnostics.has_errors());
 
-  const JBossWsClient plain_jboss;
-  const JBossWsClient customized_jboss{true};
-  EXPECT_TRUE(plain_jboss.generate(wildcard_wsdl()).diagnostics.has_errors());
-  EXPECT_FALSE(customized_jboss.generate(wildcard_wsdl()).diagnostics.has_errors());
+  const auto plain_jboss = make_client("JBossWS CXF 4.2.3");
+  const auto customized_jboss = make_client("JBossWS CXF 4.2.3", /*remedied=*/true);
+  EXPECT_TRUE(plain_jboss->generate(wildcard_wsdl()).diagnostics.has_errors());
+  EXPECT_FALSE(customized_jboss->generate(wildcard_wsdl()).diagnostics.has_errors());
 }
 
 TEST(BindingCustomization, CuresW3CEndpointReference) {
@@ -74,8 +71,8 @@ TEST(BindingCustomization, CuresW3CEndpointReference) {
   const catalog::TypeInfo* type = catalog.find(catalog::java_names::kW3CEndpointReference);
   Result<DeployedService> service = server->deploy(ServiceSpec{type});
   ASSERT_TRUE(service.ok());
-  const MetroClient customized{true};
-  EXPECT_FALSE(customized.generate(service->wsdl_text).diagnostics.has_errors());
+  const auto customized = make_client("Oracle Metro 2.3", /*remedied=*/true);
+  EXPECT_FALSE(customized->generate(service->wsdl_text).diagnostics.has_errors());
 }
 
 TEST(BindingCustomization, DoesNotCureNonBindingFailures) {
@@ -86,8 +83,8 @@ TEST(BindingCustomization, DoesNotCureNonBindingFailures) {
   const catalog::TypeInfo* future = catalog.find(catalog::java_names::kFuture);
   Result<DeployedService> service = server->deploy(ServiceSpec{future});
   ASSERT_TRUE(service.ok());
-  const MetroClient customized{true};
-  EXPECT_TRUE(customized.generate(service->wsdl_text).diagnostics.has_errors());
+  const auto customized = make_client("Oracle Metro 2.3", /*remedied=*/true);
+  EXPECT_TRUE(customized->generate(service->wsdl_text).diagnostics.has_errors());
 }
 
 TEST(BindingCustomization, CuredCampaignDropsJavaStackErrorsOnWcf) {
@@ -101,9 +98,9 @@ TEST(BindingCustomization, CuredCampaignDropsJavaStackErrorsOnWcf) {
   const interop::StudyConfig config;
 
   std::vector<std::unique_ptr<ClientFramework>> customized;
-  customized.push_back(std::make_unique<MetroClient>(true));
-  customized.push_back(std::make_unique<CxfClient>(true));
-  customized.push_back(std::make_unique<JBossWsClient>(true));
+  for (const char* name : {"Oracle Metro 2.3", "Apache CXF 2.7.6", "JBossWS CXF 4.2.3"}) {
+    customized.push_back(make_client(name, /*remedied=*/true));
+  }
   const interop::ServerResult cured =
       interop::run_server_campaign(*server, services, customized, config);
   for (const interop::CellResult& cell : cured.cells) {

@@ -34,7 +34,6 @@
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "chaos/campaign.hpp"
-#include "frameworks/jbossws_server.hpp"
 #include "frameworks/registry.hpp"
 #include "gen/campaign.hpp"
 #include "interop/communication.hpp"
@@ -338,12 +337,12 @@ TEST(StudyEngine, RefusalAtDeployFoldsWithoutTests) {
   const catalog::TypeCatalog java = catalog::make_java_catalog(small_java());
   const std::vector<frameworks::ServiceSpec> services = frameworks::make_services(java);
   const auto clients = frameworks::make_clients();
-  const frameworks::JBossWsServer lenient;
-  const frameworks::JBossWsServer strict{true};
+  const auto lenient = frameworks::make_server("JBossWS CXF 4.2.3");
+  const auto strict = frameworks::make_server("JBossWS CXF 4.2.3", /*remedied=*/true);
   const interop::ServerResult paper =
-      interop::run_server_campaign(lenient, services, clients, interop::StudyConfig{});
+      interop::run_server_campaign(*lenient, services, clients, interop::StudyConfig{});
   const interop::ServerResult ablated =
-      interop::run_server_campaign(strict, services, clients, interop::StudyConfig{});
+      interop::run_server_campaign(*strict, services, clients, interop::StudyConfig{});
   ASSERT_GT(paper.zero_operation_services, 0u);
   EXPECT_EQ(ablated.zero_operation_services, 0u);
   EXPECT_EQ(ablated.deployment_refusals,

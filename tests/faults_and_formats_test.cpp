@@ -4,7 +4,6 @@
 
 #include "catalog/java_catalog.hpp"
 #include "compilers/compiler.hpp"
-#include "frameworks/jbossws_server.hpp"
 #include "frameworks/registry.hpp"
 #include "interop/report_formats.hpp"
 #include "interop/study.hpp"
@@ -160,13 +159,13 @@ TEST(Ablation, WsiGateWithdrawsFlaggedDescriptions) {
 
 TEST(Ablation, StrictJBossRefusesZeroOperationDeployments) {
   const catalog::TypeCatalog java = catalog::make_java_catalog(tiny_config().java_spec);
-  const frameworks::JBossWsServer lenient;
-  const frameworks::JBossWsServer strict{true};
+  const auto lenient = frameworks::make_server("JBossWS CXF 4.2.3");
+  const auto strict = frameworks::make_server("JBossWS CXF 4.2.3", /*remedied=*/true);
   const catalog::TypeInfo* future = java.find(catalog::java_names::kFuture);
   ASSERT_NE(future, nullptr);
-  EXPECT_TRUE(lenient.deploy(frameworks::ServiceSpec{future}).ok());
+  EXPECT_TRUE(lenient->deploy(frameworks::ServiceSpec{future}).ok());
   Result<frameworks::DeployedService> refused =
-      strict.deploy(frameworks::ServiceSpec{future});
+      strict->deploy(frameworks::ServiceSpec{future});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error().code, "deploy.no-operations");
 }

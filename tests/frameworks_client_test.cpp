@@ -1,5 +1,6 @@
-// Unit tests for the client framework models (src/frameworks/*_client.*):
-// each tool's tolerance profile, exercised through real served WSDL text.
+// Unit tests for the client framework models (the tool table in
+// src/frameworks/roster.cpp): each tool's tolerance profile, exercised
+// through real served WSDL text.
 #include <gtest/gtest.h>
 
 #include "catalog/dotnet_catalog.hpp"

@@ -1,5 +1,5 @@
-// Unit tests for the server framework models (src/frameworks/*_server.*,
-// wsdl_builder.*).
+// Unit tests for the server framework models (the server table in
+// src/frameworks/roster.cpp, server.*, wsdl_builder.*).
 #include <gtest/gtest.h>
 
 #include "catalog/dotnet_catalog.hpp"

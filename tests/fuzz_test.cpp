@@ -4,7 +4,6 @@
 
 #include "catalog/java_catalog.hpp"
 #include "compilers/compiler.hpp"
-#include "frameworks/axis1_client.hpp"
 #include "frameworks/registry.hpp"
 #include "fuzz/campaign.hpp"
 #include "wsdl/parser.hpp"
@@ -237,13 +236,13 @@ TEST(Mutation, PatchedAxis1CuresThrowableCompilation) {
     Result<frameworks::DeployedService> service =
         server->deploy(frameworks::ServiceSpec{&type});
     ASSERT_TRUE(service.ok());
-    const frameworks::Axis1Client stock;
-    const frameworks::Axis1Client patched{true};
+    const auto stock = frameworks::make_client("Apache Axis1 1.4");
+    const auto patched = frameworks::make_client("Apache Axis1 1.4", /*remedied=*/true);
     const auto compiler = compilers::make_compiler(code::Language::kJava);
     EXPECT_TRUE(
-        compiler->compile(*stock.generate(service->wsdl_text).artifacts).has_errors());
+        compiler->compile(*stock->generate(service->wsdl_text).artifacts).has_errors());
     EXPECT_FALSE(
-        compiler->compile(*patched.generate(service->wsdl_text).artifacts).has_errors());
+        compiler->compile(*patched->generate(service->wsdl_text).artifacts).has_errors());
     break;
   }
 }

@@ -67,7 +67,7 @@ TEST(ServedBytes, PinnedAtFullScale) {
 
 // --- to_string(parse(text)) ---------------------------------------------------
 
-/// The write options each server publishes with (see src/frameworks/*_server.cpp).
+/// The write options each server publishes with (see src/frameworks/roster.cpp).
 wsdl::WsdlWriteOptions options_of(std::string_view server) {
   wsdl::WsdlWriteOptions options;
   if (server == "WCF .NET 4.0.30319.17929") options.schema_prefix = "s";

@@ -10,11 +10,6 @@
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
-#include "frameworks/axis1_client.hpp"
-#include "frameworks/cxf_client.hpp"
-#include "frameworks/jbossws_client.hpp"
-#include "frameworks/jbossws_server.hpp"
-#include "frameworks/metro_client.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
 #include "gen/request_gen.hpp"
@@ -75,17 +70,17 @@ inline frameworks::DeployedService deploy_one(std::string_view server_name,
 /// customization (§IV.B.2).
 inline std::vector<std::unique_ptr<frameworks::ClientFramework>> remedied_clients() {
   std::vector<std::unique_ptr<frameworks::ClientFramework>> clients;
-  clients.push_back(std::make_unique<frameworks::MetroClient>(true));
-  clients.push_back(std::make_unique<frameworks::Axis1Client>(true));
-  clients.push_back(std::make_unique<frameworks::CxfClient>(true));
-  clients.push_back(std::make_unique<frameworks::JBossWsClient>(true));
+  for (const char* name : {"Oracle Metro 2.3", "Apache Axis1 1.4", "Apache CXF 2.7.6",
+                           "JBossWS CXF 4.2.3"}) {
+    clients.push_back(frameworks::make_client(name, /*remedied=*/true));
+  }
   return clients;
 }
 
 /// JBossWS refusing operation-less descriptions as Metro does: the strict
 /// server of ablation A2.
 inline std::unique_ptr<frameworks::ServerFramework> strict_jbossws() {
-  return std::make_unique<frameworks::JBossWsServer>(true);
+  return frameworks::make_server("JBossWS CXF 4.2.3", /*remedied=*/true);
 }
 
 /// Every description the three servers publish for the paper's

@@ -667,21 +667,17 @@ int cmd_test(const std::vector<std::string>& args_in) {
     std::cout << "--- generated artifacts ---\n"
               << code::render(*generation.artifacts) << "---------------------------\n";
   }
-  if (!client->requires_compilation()) {
-    const DiagnosticSink inst = compilers::check_instantiation(*generation.artifacts);
-    std::cout << "step 3 (instantiation): " << (inst.empty() ? "clean" : "") << "\n";
-    for (const Diagnostic& diagnostic : inst.diagnostics()) {
-      std::cout << "step 3 (instantiation): [" << to_string(diagnostic.severity) << "] "
-                << diagnostic.message << "\n";
-    }
-    return 0;
-  }
-  const auto compiler = compilers::make_compiler(client->language());
-  const DiagnosticSink sink = compiler->compile(*generation.artifacts);
-  if (sink.empty()) std::cout << "step 3 (compilation): clean\n";
+  // Step 3 checks compiled languages by compiling, dynamic ones by
+  // instantiating the client object.
+  const bool compiled = client->requires_compilation();
+  const std::string step = compiled ? "step 3 (compilation): " : "step 3 (instantiation): ";
+  const DiagnosticSink sink =
+      compiled ? compilers::make_compiler(client->language())->compile(*generation.artifacts)
+               : compilers::check_instantiation(*generation.artifacts);
+  if (sink.empty()) std::cout << step << "clean\n";
   for (const Diagnostic& diagnostic : sink.diagnostics()) {
-    std::cout << "step 3 (compilation): [" << to_string(diagnostic.severity) << "] "
-              << diagnostic.code << ": " << diagnostic.message << "\n";
+    std::cout << step << "[" << to_string(diagnostic.severity) << "] " << diagnostic.code << ": "
+              << diagnostic.message << "\n";
   }
   return 0;
 }
