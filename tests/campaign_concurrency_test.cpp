@@ -11,6 +11,7 @@
 #include <string>
 
 #include "chaos/campaign.hpp"
+#include "frameworks/version_policy.hpp"
 #include "interop/report_formats.hpp"
 #include "interop/study.hpp"
 #include "obs/clock.hpp"
@@ -93,6 +94,35 @@ TEST(CampaignConcurrency, ChaosWithLiveSinksMatchesJobs1) {
   EXPECT_EQ(chaos_with_sinks(8), serial);
   EXPECT_NE(serial.metrics.find("chaos.calls_total"), std::string::npos);
   EXPECT_NE(serial.shape.find("round:"), std::string::npos);
+}
+
+TEST(CampaignConcurrency, ChaosCountersMatchTheResult) {
+  // chaos.calls_total, chaos.retransmits and chaos.faults_injected count
+  // what the result's cells count, at any worker count.
+  for (const std::size_t jobs : {1u, 8u}) {
+    obs::Registry registry;
+    chaos::ChaosConfig config;
+    tiny_specs(config.java_spec, config.dotnet_spec);
+    config.plan.seed = 7;
+    config.calls_per_pair = 4;
+    config.versions = {frameworks::VersionPolicy::kStrict, frameworks::VersionPolicy::kShadedCxf};
+    config.jobs = jobs;
+    config.metrics = &registry;
+    const chaos::ChaosResult result = chaos::run_chaos_study(config);
+    std::size_t retransmits = 0;
+    std::size_t faulted = 0;
+    for (const chaos::ChaosServerResult& server : result.servers) {
+      for (const chaos::ChaosCell& cell : server.cells) {
+        retransmits += cell.retransmits;
+        faulted += cell.faulted_attempts;
+      }
+    }
+    EXPECT_GT(result.total_attempted(), 0u);
+    EXPECT_GT(faulted, 0u);
+    EXPECT_EQ(registry.counter("chaos.calls_total").value(), result.total_attempted()) << jobs;
+    EXPECT_EQ(registry.counter("chaos.retransmits").value(), retransmits) << jobs;
+    EXPECT_EQ(registry.counter("chaos.faults_injected").value(), faulted) << jobs;
+  }
 }
 
 }  // namespace
