@@ -58,14 +58,14 @@ const xsd::ElementDecl* declared_field(const xsd::ComplexType& type, std::string
 }
 
 /// The execution step's decision for one request, shared by handle_request
-/// (which builds the reply) and handle_http (which writes it).
-Answer answer(const DeployedService& service, const soap::Envelope& request,
-              VersionPolicy policy) {
+/// (which reads `request` off its envelope tree and builds the reply) and
+/// handle_http (which reads it off the text and writes the reply).
+Answer answer(const DeployedService& service, soap::Request request, VersionPolicy policy) {
   Answer result;
   // A shaded-CXF deployment answers a genuine SOAP 1.2 envelope in kind;
   // everything else on this endpoint speaks 1.1 — faults included.
   result.version =
-      policy == VersionPolicy::kShadedCxf && request.version() == soap::SoapVersion::k12
+      policy == VersionPolicy::kShadedCxf && request.version == soap::SoapVersion::k12
           ? soap::SoapVersion::k12
           : soap::SoapVersion::k11;
   const auto fault = [&result](std::string code, std::string reason, std::string detail) {
@@ -76,10 +76,10 @@ Answer answer(const DeployedService& service, const soap::Envelope& request,
   // The studied stacks bind services to SOAP 1.1 endpoints; a 1.2 envelope
   // gets the standard VersionMismatch fault — unless the shaded runtime's
   // bundled 1.2 support engages.
-  if (request.version() != soap::SoapVersion::k11 && policy != VersionPolicy::kShadedCxf) {
+  if (request.version != soap::SoapVersion::k11 && policy != VersionPolicy::kShadedCxf) {
     return fault("soap:VersionMismatch", "endpoint only accepts SOAP 1.1 envelopes", "");
   }
-  const soap::VersionCoherence coherence = soap::inspect_coherence(request);
+  const soap::VersionCoherence& coherence = request.coherence;
   if (policy == VersionPolicy::kStrict && coherence.has_12_era_headers) {
     // Strict version coherence: a 1.1 envelope must not carry the 1.2-era
     // extension stack at all, mustUnderstand or not.
@@ -94,11 +94,10 @@ Answer answer(const DeployedService& service, const soap::Envelope& request,
       (coherence.has_12_era_mu_headers && policy != VersionPolicy::kShadedCxf)) {
     return fault("soap:MustUnderstand", "header not understood by this endpoint", "");
   }
-  Result<std::string> operation = soap::request_operation(request);
-  if (!operation.ok()) {
-    return fault("soap:Client", "malformed request", operation.error().message);
+  if (!request.operation.ok()) {
+    return fault("soap:Client", "malformed request", request.operation.error().message);
   }
-  result.operation = std::move(operation.value());
+  result.operation = std::move(request.operation.value());
   if (service.wsdl.find_operation(result.operation) == nullptr) {
     return fault("soap:Client", "unknown operation '" + result.operation + "'", "");
   }
@@ -107,48 +106,32 @@ Answer answer(const DeployedService& service, const soap::Envelope& request,
   // client that marshals into the wrong element gets an empty echo back.
   // The echo is the last arg0's text; the field check below reads the first.
   std::string& value = result.value;
-  const xml::Element* argument = nullptr;
-  for (const xml::Node& node : request.body().children()) {
-    const xml::Element* child = node.as_element();
-    if (child == nullptr || xml::local_part(child->name()) != "arg0") continue;
-    if (argument == nullptr) argument = child;
-    value = child->text();
-  }
+  value = std::move(request.value);
 
   // Structured payloads (typed proxies marshal bean fields as child
   // elements of arg0): validate every field against the parameter type's
   // schema before echoing — the typed-unmarshalling path of real binders.
-  const xml::Element* first_field = nullptr;
-  if (argument != nullptr) {
-    for (const xml::Node& node : argument->children()) {
-      if ((first_field = node.as_element()) != nullptr) break;
-    }
-  }
-  if (first_field != nullptr) {
+  if (!request.fields.empty()) {
     if (const xsd::ComplexType* type = parameter_type(service.wsdl, result.operation)) {
-      for (const xml::Node& node : argument->children()) {
-        const xml::Element* field = node.as_element();
-        if (field == nullptr) continue;
-        const xsd::ElementDecl* declared = declared_field(*type, xml::local_part(field->name()));
+      for (const soap::Argument& field : request.fields) {
+        const xsd::ElementDecl* declared = declared_field(*type, field.name);
         if (declared == nullptr) {
-          return fault(
-              "soap:Client",
-              "unmarshalling error: unexpected element '" + field->local_name() + "'", "");
+          return fault("soap:Client",
+                       "unmarshalling error: unexpected element '" + field.name + "'", "");
         }
         const std::optional<xsd::Builtin> builtin =
             declared->type.namespace_uri() == xml::ns::kXsd
                 ? xsd::builtin_from_local_name(declared->type.local_name())
                 : std::nullopt;
-        if (builtin && !xsd::is_valid_value(*builtin, field->text())) {
+        if (builtin && !xsd::is_valid_value(*builtin, field.value)) {
           return fault("soap:Client",
-                       "unmarshalling error: '" + field->text() + "' is not a valid xsd:" +
-                           declared->type.local_name() + " for element '" +
-                           field->local_name() + "'",
+                       "unmarshalling error: '" + field.value + "' is not a valid xsd:" +
+                           declared->type.local_name() + " for element '" + field.name + "'",
                        "");
         }
       }
       // Echo the first field's value (the bean round-trips).
-      value = first_field->text();
+      value = std::move(request.fields.front().value);
     }
   }
   // Typed unmarshalling: when the parameter type is an enumeration, the
@@ -209,7 +192,7 @@ soap::Envelope ServerFramework::handle_request(const DeployedService& service,
 soap::Envelope ServerFramework::handle_request(const DeployedService& service,
                                                const soap::Envelope& request,
                                                VersionPolicy policy) const {
-  Answer reply = answer(service, request, policy);
+  Answer reply = answer(service, soap::request_of(request), policy);
   if (!reply.fault.has_value()) {
     Result<soap::Envelope> response =
         soap::build_response(service.wsdl, reply.operation, reply.value);
@@ -265,13 +248,13 @@ soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
     return fault("soap:Client", "missing SOAPAction header");
   }
 
-  Result<soap::Envelope> envelope = soap::parse(request.body);
-  if (!envelope.ok()) {
-    return fault("soap:Client", "malformed envelope: " + envelope.error().message);
+  Result<soap::Request> read = soap::read_request(request.body);
+  if (!read.ok()) {
+    return fault("soap:Client", "malformed envelope: " + read.error().message);
   }
   // An echo is written straight to text; a fault is built and written as
   // handle_request would return it.
-  Answer reply = answer(service, *envelope, policy);
+  Answer reply = answer(service, std::move(read.value()), policy);
   soap::HttpResponse response;
   if (!reply.fault.has_value()) {
     Result<std::string> text =

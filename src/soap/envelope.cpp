@@ -63,14 +63,6 @@ void Envelope::add_must_understand_header(xml::Element entry) {
   headers_.push_back(std::move(entry));
 }
 
-bool marked_must_understand(const xml::Element& entry) {
-  const std::vector<xml::Attribute>& attributes = entry.attributes();
-  return std::any_of(attributes.begin(), attributes.end(), [](const xml::Attribute& attribute) {
-    return xml::local_part(attribute.name) == "mustUnderstand" &&
-           (attribute.value == "1" || attribute.value == "true");
-  });
-}
-
 bool Envelope::has_must_understand_headers() const {
   return std::any_of(headers_.begin(), headers_.end(), marked_must_understand);
 }

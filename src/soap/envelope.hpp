@@ -42,10 +42,8 @@ struct Fault {
 /// prefix; codes already in 1.2 form pass through unchanged.
 std::string fault_code_for_12(std::string_view fault_code);
 
-/// True when a header entry demands mustUnderstand processing: it carries
-/// an attribute whose local name is mustUnderstand, valued "1" or "true".
-/// The prefix is matched by local name alone, as real stacks do after
-/// resolution.
+/// True when a header entry demands mustUnderstand processing:
+/// soap::header_marks(entry).must_understand (soap/version.hpp).
 bool marked_must_understand(const xml::Element& entry);
 
 /// A SOAP 1.1 envelope: optional header entries plus exactly one body

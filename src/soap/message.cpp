@@ -1,5 +1,7 @@
 #include "soap/message.hpp"
 
+#include <span>
+
 #include "common/strings.hpp"
 #include "soap/stream_frame.hpp"
 #include "xml/parser.hpp"
@@ -38,6 +40,9 @@ std::optional<Error> missing_value(const Fault* fault, std::string_view payload_
   if (!has_return) return Error{"soap.missing-return", "response has no return element"};
   return std::nullopt;
 }
+
+/// request_operation's answer for a Fault payload.
+Error fault_body() { return Error{"soap.fault-body", "request envelope carries a fault"}; }
 
 }  // namespace
 
@@ -102,10 +107,78 @@ Result<std::string> write_response(const wsdl::Definitions& defs, std::string_vi
 }
 
 Result<std::string> request_operation(const Envelope& envelope) {
-  if (envelope.is_fault()) {
-    return Error{"soap.fault-body", "request envelope carries a fault"};
-  }
+  if (envelope.is_fault()) return fault_body();
   return envelope.body().local_name();
+}
+
+Request request_of(const Envelope& envelope) {
+  Request request;
+  request.version = envelope.version();
+  request.coherence = inspect_coherence(envelope);
+  request.operation = request_operation(envelope);
+  const xml::Element* argument = nullptr;
+  for (const xml::Node& node : envelope.body().children()) {
+    const xml::Element* child = node.as_element();
+    if (child == nullptr || xml::local_part(child->name()) != "arg0") continue;
+    if (argument == nullptr) argument = child;
+    request.value = child->text();
+  }
+  if (argument != nullptr) {
+    for (const xml::Node& node : argument->children()) {
+      if (const xml::Element* field = node.as_element()) {
+        request.fields.push_back({std::string(xml::local_part(field->name())), field->text()});
+      }
+    }
+  }
+  return request;
+}
+
+/// One pass over the token stream, on the frame walker soap::parse uses:
+/// header entries are judged on their start tags, a Fault payload is
+/// skipped, and of the payload's children only the arg0 elements are read.
+Result<Request> read_request(std::string_view text) {
+  xml::pull::Tokenizer tok{text};
+  Request request;
+  bool have_argument = false;
+  // Reading and skipping fail only when the tokenizer does.
+  const auto read_field = [&](const xml::pull::Token& field) {
+    std::string name(xml::local_part(field.name));
+    Result<std::string> field_text = xml::element_text(tok);
+    if (!field_text.ok()) return false;
+    request.fields.push_back({std::move(name), std::move(field_text.value())});
+    return true;
+  };
+  Result<detail::EnvelopeFrame> frame = detail::walk_envelope_frame(
+      tok,
+      [&](xml::pull::Tokenizer& t, const xml::pull::Token& start) {
+        request.coherence.add(header_marks(
+            start.name, std::span<const xml::pull::AttrView>(start.attrs, start.attr_count)));
+        return xml::pull::skip_element(t, start);
+      },
+      [&](xml::pull::Tokenizer& t, const xml::pull::Token& start) -> Result<bool> {
+        if (xml::local_part(start.name) == "Fault") return xml::pull::skip_element(t, start);
+        const bool walked = xml::pull::for_each_child(t, [&](const xml::pull::Token& child) {
+          if (xml::local_part(child.name) != "arg0") return xml::pull::skip_element(t, child).ok();
+          Result<std::string> value =
+              have_argument ? xml::element_text(t) : xml::element_text(t, read_field);
+          if (!value.ok()) return false;
+          have_argument = true;
+          request.value = std::move(value.value());
+          return true;
+        });
+        if (!walked) return t.error();
+        return true;
+      });
+  if (!frame.ok()) return frame.error();
+  Result<SoapVersion> version = detail::check_envelope_frame(frame.value());
+  if (!version.ok()) return version.error();
+  request.version = version.value();
+  if (frame->payload_local == "Fault") {
+    request.operation = fault_body();
+  } else {
+    request.operation = std::move(frame->payload_local);
+  }
+  return request;
 }
 
 Result<std::string> response_value(const Envelope& envelope) {
@@ -120,11 +193,12 @@ Result<std::string> response_value(const Envelope& envelope) {
 
 /// One pass over the token stream, on the frame walker soap::parse uses.
 /// Header entries and every payload child but the first return element are
-/// skipped; a Fault payload is built and assembled as soap::parse does.
+/// skipped, and that one's text is read off the stream; a Fault payload is
+/// built and assembled as soap::parse does.
 Result<Reply> read_reply(std::string_view text) {
   xml::pull::Tokenizer tok{text};
   std::optional<xml::Element> fault_payload;
-  std::optional<xml::Element> returned;
+  std::optional<std::string> returned;
   Result<detail::EnvelopeFrame> frame = detail::walk_envelope_frame(
       tok,
       [](xml::pull::Tokenizer& t, const xml::pull::Token& start) {
@@ -137,14 +211,14 @@ Result<Reply> read_reply(std::string_view text) {
           fault_payload = std::move(payload.value());
           return true;
         }
-        // Skipping and collecting fail only when the tokenizer does.
+        // Skipping and reading fail only when the tokenizer does.
         const bool walked = xml::pull::for_each_child(t, [&](const xml::pull::Token& child) {
           if (returned.has_value() || xml::local_part(child.name) != "return") {
             return xml::pull::skip_element(t, child).ok();
           }
-          Result<xml::Element> element = xml::collect_element(t, child, xml::Positions::kOmit);
-          if (!element.ok()) return false;
-          returned = std::move(element.value());
+          Result<std::string> value = xml::element_text(t);
+          if (!value.ok()) return false;
+          returned = std::move(value.value());
           return true;
         });
         if (!walked) return t.error();
@@ -163,7 +237,7 @@ Result<Reply> read_reply(std::string_view text) {
                         returned.has_value())) {
     reply.value = *std::move(missing);
   } else {
-    reply.value = std::move(*returned).text();
+    reply.value = *std::move(returned);
   }
   return reply;
 }

@@ -1,7 +1,8 @@
 // message.hpp — building SOAP request/response payloads from a WSDL
-// operation description (document/literal wrapped convention), and the two
-// per-call shortcuts of the echo exchange: writing a reply straight to
-// text and reading one back without its payload tree.
+// operation description (document/literal wrapped convention), and the
+// per-call shortcuts of the echo exchange: reading a request for the
+// server's decision and writing its reply straight to text, and reading
+// the reply back, none of them through an envelope tree.
 #pragma once
 
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "common/result.hpp"
 #include "soap/envelope.hpp"
+#include "soap/version.hpp"
 #include "wsdl/model.hpp"
 
 namespace wsx::soap {
@@ -52,6 +54,27 @@ Result<std::string> write_response(const wsdl::Definitions& defs, std::string_vi
 /// name of the body payload). Returns an error for fault bodies.
 Result<std::string> request_operation(const Envelope& envelope);
 
+/// What the server's decision reads from a request envelope. Strings are
+/// owned: decoded text lives in the reading tokenizer.
+struct Request {
+  SoapVersion version = SoapVersion::k11;
+  VersionCoherence coherence;  ///< inspect_coherence's answer
+  /// request_operation's answer: the payload's local name, or
+  /// soap.fault-body for a Fault payload.
+  Result<std::string> operation = std::string();
+  std::string value;  ///< the text of the payload's last arg0 child, or ""
+  /// The first arg0 child's child elements: each one's local name and text.
+  std::vector<Argument> fields;
+};
+
+/// The Request of a parsed envelope.
+Request request_of(const Envelope& envelope);
+
+/// Reads a request as soap::parse and then request_of do (the same errors,
+/// in the same order, and the same Request) in one pass that builds no
+/// tree.
+Result<Request> read_request(std::string_view text);
+
 /// Extracts the return value from a response envelope; errors on faults.
 Result<std::string> response_value(const Envelope& envelope);
 
@@ -64,8 +87,7 @@ struct Reply {
 };
 
 /// Reads a reply as soap::parse and then response_value do (the same
-/// errors, fault and value) in one pass that builds only a Fault payload
-/// or the payload's first return element.
+/// errors, fault and value) in one pass that builds only a Fault payload.
 Result<Reply> read_reply(std::string_view text);
 
 }  // namespace wsx::soap

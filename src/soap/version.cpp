@@ -1,6 +1,7 @@
 #include "soap/version.hpp"
 
 #include "common/strings.hpp"
+#include "xml/qname.hpp"
 
 namespace wsx::soap {
 
@@ -61,35 +62,52 @@ void apply_hybrid_profile(Envelope& envelope, HybridProfile profile,
   envelope.add_must_understand_header(std::move(security));
 }
 
-bool is_12_era_header(const xml::Element& entry) {
-  // Wire shape: the entry (or the profile builder) declared its namespace
-  // on itself. Resolve the entry's prefix against its own declarations.
-  const std::string& name = entry.name();
-  const std::size_t colon = name.find(':');
-  const std::string_view prefix =
-      colon == std::string::npos ? std::string_view{} : std::string_view(name).substr(0, colon);
-  for (const xml::Attribute& attribute : entry.attributes()) {
-    const bool default_decl = attribute.name == "xmlns" && prefix.empty();
-    const bool prefix_decl = !prefix.empty() &&
-                             starts_with(attribute.name, "xmlns:") &&
-                             std::string_view(attribute.name).substr(6) == prefix;
-    if ((default_decl || prefix_decl) && is_12_era_namespace(attribute.value)) {
-      return true;
-    }
+namespace {
+
+/// The one header-entry rule, over either attribute representation.
+template <typename Attribute>
+HeaderMarks marks_of(std::string_view name, std::span<const Attribute> attributes) {
+  const std::string_view prefix = xml::prefix_part(name);
+  HeaderMarks marks;
+  for (const Attribute& attribute : attributes) {
+    const std::string_view attribute_name = attribute.name;
+    const std::string_view value = attribute.value;
+    const bool declares = prefix.empty() ? attribute_name == "xmlns"
+                                         : starts_with(attribute_name, "xmlns:") &&
+                                               attribute_name.substr(6) == prefix;
+    marks.era12 |= declares && is_12_era_namespace(value);
+    marks.must_understand |= xml::local_part(attribute_name) == "mustUnderstand" &&
+                             (value == "1" || value == "true");
   }
   // In-process envelopes built without a self-declaration: fall back to the
   // conventional prefixes, as real lenient binders do when sniffing.
-  return prefix == "wsa" || prefix == "wsse" || prefix == "xop";
+  marks.era12 |= prefix == "wsa" || prefix == "wsse" || prefix == "xop";
+  return marks;
+}
+
+}  // namespace
+
+HeaderMarks header_marks(std::string_view name, std::span<const xml::Attribute> attributes) {
+  return marks_of(name, attributes);
+}
+
+HeaderMarks header_marks(std::string_view name,
+                         std::span<const xml::pull::AttrView> attributes) {
+  return marks_of(name, attributes);
+}
+
+bool is_12_era_header(const xml::Element& entry) {
+  return header_marks(entry.name(), entry.attributes()).era12;
+}
+
+bool marked_must_understand(const xml::Element& entry) {
+  return header_marks(entry.name(), entry.attributes()).must_understand;
 }
 
 VersionCoherence inspect_coherence(const Envelope& envelope) {
   VersionCoherence coherence;
   for (const xml::Element& entry : envelope.header_entries()) {
-    const bool era12 = is_12_era_header(entry);
-    const bool mu = marked_must_understand(entry);
-    coherence.has_12_era_headers |= era12;
-    coherence.has_12_era_mu_headers |= era12 && mu;
-    coherence.has_unknown_mu_headers |= !era12 && mu;
+    coherence.add(header_marks(entry.name(), entry.attributes()));
   }
   return coherence;
 }

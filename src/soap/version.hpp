@@ -13,11 +13,13 @@
 // the per-version Content-Type values the HTTP layer must agree on.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "soap/envelope.hpp"
 #include "xml/node.hpp"
+#include "xml/pull.hpp"
 
 namespace wsx::soap {
 
@@ -63,10 +65,25 @@ const char* to_string(HybridProfile profile);
 void apply_hybrid_profile(Envelope& envelope, HybridProfile profile,
                           std::string_view operation);
 
-/// True when a header entry lives in a 1.2-era extension namespace. The
-/// check resolves the entry's own xmlns declarations (the wire shape) and
-/// falls back to the conventional prefixes (wsa/wsse/xop) for in-process
-/// envelopes whose declarations live on an ancestor.
+/// What one header entry says about its message's coherence, judged on its
+/// lexical name and attributes alone: a built entry's or, off the token
+/// stream, its start tag's.
+struct HeaderMarks {
+  /// The entry lives in a 1.2-era extension namespace: its prefix (or, when
+  /// unprefixed, the default namespace) is declared so on the entry itself
+  /// (the wire shape), or, for in-process envelopes whose declarations live
+  /// on an ancestor, the prefix is a conventional one (wsa/wsse/xop).
+  bool era12 = false;
+  /// It demands mustUnderstand processing: an attribute whose local name is
+  /// mustUnderstand, valued "1" or "true". The prefix is matched by local
+  /// name alone, as real stacks do after resolution.
+  bool must_understand = false;
+};
+HeaderMarks header_marks(std::string_view name, std::span<const xml::Attribute> attributes);
+HeaderMarks header_marks(std::string_view name,
+                         std::span<const xml::pull::AttrView> attributes);
+
+/// header_marks(entry).era12.
 bool is_12_era_header(const xml::Element& entry);
 
 /// What a receiver can observe about a message's version coherence.
@@ -74,6 +91,14 @@ struct VersionCoherence {
   bool has_12_era_headers = false;     ///< any wsa/wsse/xop header entry
   bool has_12_era_mu_headers = false;  ///< such an entry marked mustUnderstand
   bool has_unknown_mu_headers = false; ///< mustUnderstand outside that set
+
+  /// Folds in one more header entry.
+  void add(HeaderMarks entry) {
+    has_12_era_headers |= entry.era12;
+    has_12_era_mu_headers |= entry.era12 && entry.must_understand;
+    has_unknown_mu_headers |= !entry.era12 && entry.must_understand;
+  }
+  friend bool operator==(const VersionCoherence&, const VersionCoherence&) = default;
 };
 
 VersionCoherence inspect_coherence(const Envelope& envelope);

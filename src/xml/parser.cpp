@@ -9,8 +9,6 @@
 
 #include <string>
 
-#include "common/strings.hpp"
-
 namespace wsx::xml {
 namespace {
 
@@ -34,22 +32,15 @@ Element element_from(pull::Tokenizer& tok, const pull::Token& token, Positions p
 /// through its end tag; false when the tokenizer fails (see
 /// Tokenizer::error()). Recursion replaces an ancestor stack: the
 /// tokenizer's pull::kMaxDepth bounds it, and `element` stays put because
-/// only the innermost element's children grow.
-///
-/// Whitespace-only character data is indentation between child nodes and
-/// is dropped there; when it is the element's only content it is the value
-/// itself (an xs:string of blanks) and is kept.
+/// only the innermost element's children grow. Whitespace-only text
+/// follows the BlankText rule.
 bool collect_content(pull::Tokenizer& tok, Element& element, Positions positions) {
-  bool only_blank = false;  // every child so far is whitespace-only text
-  const auto drop_blank = [&] {
-    if (only_blank) element.children().clear();
-    only_blank = false;
-  };
+  BlankText blanks;
   for (;;) {
     const pull::Token& token = tok.next();
     switch (token.kind) {
       case pull::TokenKind::kStartElement: {
-        drop_blank();
+        if (blanks.drop_blanks()) element.children().clear();
         if (element.children().empty()) element.children().reserve(4);
         Element& child = element.add_child(element_from(tok, token, positions));
         if (!collect_content(tok, child, positions)) return false;
@@ -58,20 +49,19 @@ bool collect_content(pull::Tokenizer& tok, Element& element, Positions positions
       case pull::TokenKind::kEndElement:
         return true;
       case pull::TokenKind::kText:
-        if (trim(token.value).empty()) {
-          if (!element.children().empty() && !only_blank) break;
-          only_blank = true;
-        } else {
-          drop_blank();
+        if (BlankText::is_blank(token.value)) {
+          if (!blanks.keep_blank()) break;
+        } else if (blanks.drop_blanks()) {
+          element.children().clear();
         }
         element.add_text(std::string(token.value));
         break;
       case pull::TokenKind::kCData:
-        drop_blank();
+        if (blanks.drop_blanks()) element.children().clear();
         element.add_cdata(std::string(token.value));
         break;
       case pull::TokenKind::kComment:
-        drop_blank();
+        if (blanks.drop_blanks()) element.children().clear();
         element.add_comment(std::string(token.value));
         break;
       case pull::TokenKind::kPi:

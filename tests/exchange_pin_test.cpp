@@ -10,6 +10,11 @@
 //    handle_http's own 405/415/SOAPAction branches and the 1.2 media type,
 //    on hand-written requests of every shape the server's decision reads;
 //    and read_reply's value held to the return element's tree text.
+// The two streaming readers under them are held to their tree oracles on
+// the same shapes, cut at every byte:
+//  - RequestReader: soap::read_request against soap::parse then
+//    soap::request_of;
+//  - ElementText: xml::element_text against xml::collect_element's text().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +39,8 @@
 #include "soap/message.hpp"
 #include "soap/version.hpp"
 #include "test_helpers.hpp"
+#include "xml/parser.hpp"
+#include "xml/pull.hpp"
 
 namespace wsx {
 namespace {
@@ -514,6 +521,172 @@ TEST(ExchangeOracle, ReplyValuesAreTheReturnElementsTreeText) {
     ++replies;
   }
   EXPECT_EQ(replies, payload_children().size());
+}
+
+// --- the request reader ---------------------------------------------------
+
+/// read_request against soap::parse then request_of: the same error, or
+/// the same Request.
+void expect_request_read_as_parsed(const std::string& text) {
+  const Result<soap::Request> read = soap::read_request(text);
+  const Result<soap::Envelope> envelope = soap::parse(text);
+  ASSERT_EQ(read.ok(), envelope.ok()) << text;
+  if (!envelope.ok()) {
+    EXPECT_EQ(read.error(), envelope.error()) << text;
+    return;
+  }
+  const soap::Request tree = soap::request_of(*envelope);
+  EXPECT_EQ(read->version, tree.version) << text;
+  EXPECT_EQ(read->coherence, tree.coherence) << text;
+  ASSERT_EQ(read->operation.ok(), tree.operation.ok()) << text;
+  if (tree.operation.ok()) {
+    EXPECT_EQ(*read->operation, *tree.operation) << text;
+  } else {
+    EXPECT_EQ(read->operation.error(), tree.operation.error()) << text;
+  }
+  EXPECT_EQ(read->value, tree.value) << text;
+  EXPECT_EQ(read->fields, tree.fields) << text;
+}
+
+TEST(RequestReader, MatchesParseThenRequestOfOnEveryShape) {
+  const Endpoint& endpoint = endpoints().front();
+  for (const char* ns : {kSoap11, kSoap12}) {
+    for (const std::string& payload : payloads(endpoint)) {
+      expect_request_read_as_parsed(envelope(ns, "", payload));
+    }
+    for (const std::string& headers : header_blocks("soapenv")) {
+      expect_request_read_as_parsed(envelope(ns, headers, payloads(endpoint).front()));
+    }
+  }
+  for (const soap::SoapVersion version : {soap::SoapVersion::k11, soap::SoapVersion::k12}) {
+    soap::Envelope fault =
+        soap::Envelope::make_fault(soap::Fault{"soap:Client", "bad", "detail"}, version);
+    soap::apply_hybrid_profile(fault, soap::HybridProfile::kSecured, "echo");
+    expect_request_read_as_parsed(soap::write(fault));
+  }
+  for (const std::string& text :
+       {std::string("<root/>"), std::string("<soapenv:Envelope/>"),
+        envelope("urn:not-soap", "", "<op/>"), envelope(kSoap11, "<h/>", ""),
+        std::string("<?xml version=\"1.0\"?><soapenv:Envelope xmlns:soapenv=\"") + kSoap11 +
+            "\"><soapenv:Header/></soapenv:Envelope>",
+        envelope(kSoap11, "", "<op><arg0>v</arg0></op>") + "<trailing/>",
+        envelope(kSoap11, "", "<op><arg0>v</arg0></op>") + "<!--misc-->",
+        envelope(kSoap11, "", "<op><arg0>a&bogus;</arg0></op>"),
+        envelope(kSoap11, "<h a=\"1\" a=\"2\"/>", "<op/>"), std::string("text only")}) {
+    expect_request_read_as_parsed(text);
+  }
+}
+
+TEST(RequestReader, EveryPrefixMatchesParseThenRequestOf) {
+  const Endpoint& endpoint = endpoints().front();
+  const std::string open = "<m:" + endpoint.operation + " xmlns:m=\"urn:e\">";
+  const std::string close = "</m:" + endpoint.operation + ">";
+  const std::vector<std::string> texts = {
+      envelope(kSoap11, "", open + "<m:arg0>a&lt;b&amp;c</m:arg0>" + close),
+      envelope(kSoap11, header_blocks("soapenv")[9] + header_blocks("soapenv")[6],
+               open + "<m:arg0> <f>1</f> <g><![CDATA[x]]></g> </m:arg0><m:arg0>z</m:arg0>" +
+                   close),
+      envelope(kSoap12, header_blocks("soapenv")[3], open + "<m:arg0>  </m:arg0>" + close),
+  };
+  for (const std::string& text : texts) {
+    for (std::size_t at = 0; at <= text.size(); ++at) {
+      expect_request_read_as_parsed(text.substr(0, at));
+    }
+  }
+}
+
+TEST(RequestReader, CampaignTrafficMatchesParseThenRequestOf) {
+  // Every request of the small corpus's strict and shaded rounds, clean,
+  // cut at 60% and corrupted at each salt.
+  const std::vector<VersionPolicy> versions = {VersionPolicy::kStrict,
+                                               VersionPolicy::kShadedCxf};
+  const catalog::TypeCatalog java = catalog::make_java_catalog(wsx::testing::small_java_spec());
+  const catalog::TypeCatalog dotnet =
+      catalog::make_dotnet_catalog(wsx::testing::small_dotnet_spec());
+  const std::vector<frameworks::ServiceSpec> java_services = frameworks::make_services(java);
+  const std::vector<frameworks::ServiceSpec> dotnet_services = frameworks::make_services(dotnet);
+  const auto servers = frameworks::make_servers();
+  const auto clients = frameworks::make_clients();
+  const std::vector<soap::HybridProfile> profiles = frameworks::client_profiles(clients, versions);
+  std::size_t requests = 0;
+  for (const frameworks::Round& round :
+       frameworks::make_rounds(servers, java_services, dotnet_services, versions)) {
+    for (const frameworks::ServiceSpec& spec : *round.services) {
+      Result<frameworks::DeployedService> service = round.server->deploy(spec);
+      if (!service.ok()) continue;
+      const frameworks::SharedDescription description =
+          frameworks::SharedDescription::from_deployed(*service, /*with_wsi=*/false);
+      for (std::size_t i = 0; i < clients.size(); ++i) {
+        const frameworks::PreparedCall call = frameworks::prepare_echo_call(
+            *service, description, *clients[i], /*compiler=*/nullptr, profiles[i]);
+        if (call.status != frameworks::PreparedCall::Status::kReady) continue;
+        const std::string& body = call.request.body;
+        expect_request_read_as_parsed(body);
+        expect_request_read_as_parsed(
+            chaos::apply_body_fault(chaos::FaultKind::kTruncatedBody, body, 0));
+        for (const std::uint64_t salt : kCorruptionSalts) {
+          expect_request_read_as_parsed(
+              chaos::apply_body_fault(chaos::FaultKind::kCorruptedByte, body, salt));
+        }
+        ++requests;
+      }
+    }
+  }
+  EXPECT_GT(requests, 300u);
+}
+
+// --- the element-text reader ----------------------------------------------
+
+/// element_text on the root of `text`, each child's text read by a nested
+/// element_text, against collect_element's tree: the same text and child
+/// texts, or the same error.
+void expect_text_as_tree(const std::string& text) {
+  xml::pull::Tokenizer stream{text};
+  xml::pull::Tokenizer tree{text};
+  const xml::pull::Token* stream_root = xml::pull::next_root(stream);
+  const xml::pull::Token* tree_root = xml::pull::next_root(tree);
+  ASSERT_EQ(stream_root == nullptr, tree_root == nullptr) << text;
+  if (tree_root == nullptr) return;
+  std::vector<std::string> child_texts;
+  const Result<std::string> read = xml::element_text(stream, [&](const xml::pull::Token&) {
+    Result<std::string> child = xml::element_text(stream);
+    if (!child.ok()) return false;
+    child_texts.push_back(std::move(child.value()));
+    return true;
+  });
+  const Result<xml::Element> built = xml::collect_element(tree, *tree_root, xml::Positions::kOmit);
+  ASSERT_EQ(read.ok(), built.ok()) << text;
+  if (!built.ok()) {
+    EXPECT_EQ(read.error(), built.error()) << text;
+    return;
+  }
+  EXPECT_EQ(*read, built->text()) << text;
+  std::vector<std::string> tree_child_texts;
+  for (const xml::Element* child : built->child_elements()) {
+    tree_child_texts.push_back(child->text());
+  }
+  EXPECT_EQ(child_texts, tree_child_texts) << text;
+}
+
+TEST(ElementText, MatchesCollectElementTextOnEveryShapeAndPrefix) {
+  std::size_t shapes = 0;
+  for (const std::string& children : payload_children()) {
+    for (const std::string& text :
+         {"<r xmlns:m=\"urn:m\">" + children + "</r>",
+          "<r>\n  " + children + "\n  <!--c-->\n</r>", "<r><![CDATA[ ]]>" + children + "</r>"}) {
+      for (std::size_t at = 0; at <= text.size(); ++at) expect_text_as_tree(text.substr(0, at));
+      ++shapes;
+    }
+  }
+  for (const std::string& text :
+       {std::string("<r/>"), std::string("<r>  </r>"), std::string("<r> <?p?> </r>"),
+        std::string("<r> <!--c--> </r>"), std::string("<r>a<x/>  </r>"),
+        std::string("<r>  <x/>a</r>"), std::string("<r>\t<![CDATA[]]>\t</r>"),
+        std::string("<r>&#32;</r>"), std::string("<r>a</r >"), std::string("<r>a</q>")}) {
+    expect_text_as_tree(text);
+    ++shapes;
+  }
+  EXPECT_GT(shapes, 100u);
 }
 
 }  // namespace
