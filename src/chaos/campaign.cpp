@@ -296,9 +296,6 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
     ++delta.outcomes[static_cast<std::size_t>(record.outcome)];
     delta.retransmits += record.retransmits;
     delta.faulted_attempts += record.faulted_attempts;
-    obs::add(config.metrics, "chaos.calls_total");
-    obs::add(config.metrics, "chaos.retransmits", record.retransmits);
-    obs::add(config.metrics, "chaos.faults_injected", record.faulted_attempts);
     if (record.faulted_attempts > 0) {
       ++delta.challenged;
       if (record.outcome == ChaosOutcome::kOk ||
@@ -308,6 +305,12 @@ ChainDelta run_chaos_chain(const FaultyWire& wire,
         ++delta.challenged_ok;
       }
     }
+  }
+  // The chain's totals go to the registry once: each add takes its lock.
+  if (config.calls_per_pair > 0) {
+    obs::add(config.metrics, "chaos.calls_total", config.calls_per_pair);
+    obs::add(config.metrics, "chaos.retransmits", delta.retransmits);
+    obs::add(config.metrics, "chaos.faults_injected", delta.faulted_attempts);
   }
   delta.breaker_trips = breaker.trips();
   delta.virtual_ms = clock.now_ms();
