@@ -61,13 +61,18 @@ std::string format_table1() {
 }
 
 std::string format_table2() {
+  const auto clients = frameworks::make_clients();
+  // The Framework column fits the longest name and two spaces.
+  std::size_t longest = 0;
+  for (const auto& client : clients) longest = std::max(longest, client->name().size());
+  const int framework_width = static_cast<int>(longest + 2);
   std::ostringstream out;
   out << "Table II — client-side frameworks\n";
-  out << "  " << std::left << std::setw(44) << "Framework" << std::setw(30) << "Tool"
+  out << "  " << std::left << std::setw(framework_width) << "Framework" << std::setw(30) << "Tool"
       << std::setw(20) << "Language"
       << "Compilation\n";
-  for (const auto& client : frameworks::make_clients()) {
-    out << "  " << std::left << std::setw(44) << client->name() << std::setw(30)
+  for (const auto& client : clients) {
+    out << "  " << std::left << std::setw(framework_width) << client->name() << std::setw(30)
         << client->tool() << std::setw(20) << code::to_string(client->language())
         << (client->requires_compilation() ? "Yes" : "N/A (instantiation check)") << "\n";
   }

@@ -2,6 +2,10 @@
 // (src/interop/report.*, paper_reference.hpp).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "frameworks/registry.hpp"
 #include "interop/paper_reference.hpp"
 #include "interop/report.hpp"
 
@@ -93,6 +97,24 @@ TEST(StaticTables, TableIIListsAllElevenClients) {
     EXPECT_NE(table.find(tool), std::string::npos) << tool;
   }
   EXPECT_NE(table.find("N/A (instantiation check)"), std::string::npos);
+}
+
+TEST(StaticTables, TableIIToolColumnStartsUnderItsHeader) {
+  std::istringstream lines(format_table2());
+  std::string line;
+  std::getline(lines, line);  // the title
+  std::getline(lines, line);
+  const std::size_t tool_at = line.find("Tool");
+  ASSERT_NE(tool_at, std::string::npos);
+  std::size_t rows = 0;
+  for (const auto& client : frameworks::make_clients()) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.substr(2, client->name().size()), client->name()) << line;
+    EXPECT_EQ(line.find_first_not_of(' ', 2 + client->name().size()), tool_at) << line;
+    EXPECT_EQ(line.substr(tool_at, client->tool().size()), client->tool()) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 11u);
 }
 
 }  // namespace
