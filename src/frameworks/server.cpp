@@ -248,13 +248,13 @@ soap::HttpResponse ServerFramework::handle_http(const DeployedService& service,
     return fault("soap:Client", "missing SOAPAction header");
   }
 
-  Result<soap::Request> read = soap::read_request(request.body);
-  if (!read.ok()) {
-    return fault("soap:Client", "malformed envelope: " + read.error().message);
+  Result<soap::Request> parsed = soap::read_request(request.body);
+  if (!parsed.ok()) {
+    return fault("soap:Client", "malformed envelope: " + parsed.error().message);
   }
   // An echo is written straight to text; a fault is built and written as
   // handle_request would return it.
-  Answer reply = answer(service, std::move(read.value()), policy);
+  Answer reply = answer(service, std::move(parsed.value()), policy);
   soap::HttpResponse response;
   if (!reply.fault.has_value()) {
     Result<std::string> text =
