@@ -1,4 +1,6 @@
-// parser.hpp — the DOM front-end over the pull tokenizer.
+// parser.hpp — the DOM front-end over the pull tokenizer, and the
+// streaming element-text reader that applies the DOM's text rule without
+// building a tree.
 //
 // Supports the subset of XML used by WSDL/XSD/SOAP documents: elements,
 // attributes, character data, CDATA sections, comments, processing
@@ -10,7 +12,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "common/result.hpp"
 #include "common/strings.hpp"

@@ -21,8 +21,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/dotnet_catalog.hpp"
@@ -581,12 +583,16 @@ TEST(RequestReader, EveryPrefixMatchesParseThenRequestOf) {
   const Endpoint& endpoint = endpoints().front();
   const std::string open = "<m:" + endpoint.operation + " xmlns:m=\"urn:e\">";
   const std::string close = "</m:" + endpoint.operation + ">";
+  const std::vector<std::string> headers = header_blocks("soapenv");
+  // A plain request; one behind a self-declared wsse:Security marked
+  // mustUnderstand and a self-declared wsa:Action; a 1.2 one behind an
+  // entry marked mustUnderstand="true".
   const std::vector<std::string> texts = {
       envelope(kSoap11, "", open + "<m:arg0>a&lt;b&amp;c</m:arg0>" + close),
-      envelope(kSoap11, header_blocks("soapenv")[9] + header_blocks("soapenv")[6],
+      envelope(kSoap11, headers[9] + headers[6],
                open + "<m:arg0> <f>1</f> <g><![CDATA[x]]></g> </m:arg0><m:arg0>z</m:arg0>" +
                    close),
-      envelope(kSoap12, header_blocks("soapenv")[3], open + "<m:arg0>  </m:arg0>" + close),
+      envelope(kSoap12, headers[3], open + "<m:arg0>  </m:arg0>" + close),
   };
   for (const std::string& text : texts) {
     for (std::size_t at = 0; at <= text.size(); ++at) {
