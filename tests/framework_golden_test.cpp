@@ -5,11 +5,15 @@
 //    over the policy-matrix descriptions and every pair of their features,
 //    the served 2% corpus and every mutant of the fuzz campaign's base
 //    descriptions;
+//  - the static predictor's verdict for every client over the same inputs,
+//    plus one description extending an undefined base;
 //  - each server's deploy refusals over both 2% catalogs, stock and strict
 //    JBossWS;
 //  - the text of the roster tables (Tables I and II, the version matrix).
-// The goldens were rendered by the per-framework subclasses the policy
-// tables replaced, so never regenerate them from the current code.
+// The tools_*, server and roster goldens were rendered by the per-framework
+// subclasses the policy tables replaced, and the predict_* goldens by the
+// hand-written rule registry the predictor no longer has, so never
+// regenerate them from the current code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/predict.hpp"
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "codemodel/render.hpp"
@@ -176,22 +181,22 @@ std::vector<Input> mutant_inputs() {
   return inputs;
 }
 
-TEST(ToolGolden, PolicyMatrixDescriptions) {
+/// One description per policy-matrix feature.
+std::vector<Input> matrix_inputs() {
   std::vector<Input> inputs;
   for (const testing::FeatureCase& feature : testing::kPolicyMatrixCases) {
     wsdl::Definitions defs = testing::compliant_echo_definitions();
     feature.inject(defs);
     inputs.push_back({feature.name, wsdl::to_string(defs)});
   }
-  ASSERT_EQ(inputs.size(), 16u);
-  expect_golden("tools_policy_matrix.golden", render_all(inputs));
+  return inputs;
 }
 
-TEST(ToolGolden, PolicyMatrixFeaturePairs) {
-  // Every pair of matrix features in one description, so that several rules
-  // of a tool fire together: their order, and whether a rule ends
-  // generation, show. Clearing the operations goes last, since the other
-  // injections edit the first operation, message or element.
+/// Every pair of matrix features in one description, so that several rules
+/// of a tool fire together: their order, and whether a rule ends
+/// generation, show. Clearing the operations goes last, since the other
+/// injections edit the first operation, message or element.
+std::vector<Input> matrix_pair_inputs() {
   std::vector<Input> inputs;
   const auto& cases = testing::kPolicyMatrixCases;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
@@ -205,6 +210,17 @@ TEST(ToolGolden, PolicyMatrixFeaturePairs) {
       inputs.push_back({std::string(first.name) + " + " + second.name, wsdl::to_string(defs)});
     }
   }
+  return inputs;
+}
+
+TEST(ToolGolden, PolicyMatrixDescriptions) {
+  const std::vector<Input> inputs = matrix_inputs();
+  ASSERT_EQ(inputs.size(), 16u);
+  expect_golden("tools_policy_matrix.golden", render_all(inputs));
+}
+
+TEST(ToolGolden, PolicyMatrixFeaturePairs) {
+  const std::vector<Input> inputs = matrix_pair_inputs();
   ASSERT_EQ(inputs.size(), 120u);
   expect_golden("tools_policy_matrix_pairs.golden", render_all(inputs));
 }
@@ -217,6 +233,91 @@ TEST(ToolGolden, ServedCorpusAtTwoPercent) {
 
 TEST(ToolGolden, FuzzCampaignMutants) {
   expect_golden("tools_fuzz_mutants.golden", render_all(mutant_inputs()));
+}
+
+/// A step's flags as two characters: 'w' or '-' for the warning, 'e' or
+/// '-' for the error.
+std::string flag_pair(const analysis::predict::StepPrediction& step) {
+  return std::string(1, step.warning ? 'w' : '-') + (step.error ? 'e' : '-');
+}
+
+std::string joined(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) out += (out.empty() ? "" : ",") + item;
+  return out;
+}
+
+/// Every client's predicted verdict on every input. The clients are
+/// numbered once at the top, and each distinct verdict where it first
+/// appears ("v<n> gen <we> comp <we> ..." with the artifacts flag, whether
+/// the client compiles, and each step's mechanisms). Per input, the
+/// description's fingerprint and a verdicts line listing, client by
+/// client, the number of its verdict.
+std::string render_predictions(const std::vector<Input>& inputs) {
+  const auto clients = make_clients();
+  std::string out;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    out += "client " + std::to_string(i) + ": " + clients[i]->name() + "\n";
+  }
+  std::map<std::string, std::size_t> legend;
+  for (const Input& input : inputs) {
+    const analysis::predict::ServicePrediction prediction =
+        analysis::predict::predict_service(SharedDescription::from_text(input.text));
+    out += "== " + input.label + "\nfingerprint " + prediction.fingerprint + "\n";
+    std::string verdicts = "verdicts:";
+    EXPECT_EQ(prediction.clients.size(), clients.size()) << input.label;
+    for (std::size_t i = 0; i < prediction.clients.size(); ++i) {
+      const analysis::predict::ClientPrediction& client = prediction.clients[i];
+      if (i < clients.size()) {
+        EXPECT_EQ(client.client, clients[i]->name()) << input.label;
+      }
+      const std::string line =
+          "gen " + flag_pair(client.generation) + " comp " + flag_pair(client.compilation) +
+          (client.artifacts ? " artifacts" : " no-artifacts") +
+          (client.compiled ? " compiled" : " dynamic") + " [" +
+          joined(client.generation.mechanisms) + "] [" + joined(client.compilation.mechanisms) +
+          "]";
+      const auto [entry, added] = legend.emplace(line, legend.size() + 1);
+      if (added) out += "v" + std::to_string(entry->second) + " " + line + "\n";
+      verdicts += " " + std::to_string(entry->second);
+    }
+    out += verdicts + "\n";
+  }
+  return out;
+}
+
+TEST(PredictGolden, PolicyMatrixDescriptions) {
+  const std::vector<Input> inputs = matrix_inputs();
+  ASSERT_EQ(inputs.size(), 16u);
+  expect_golden("predict_policy_matrix.golden", render_predictions(inputs));
+}
+
+TEST(PredictGolden, PolicyMatrixFeaturePairs) {
+  const std::vector<Input> inputs = matrix_pair_inputs();
+  ASSERT_EQ(inputs.size(), 120u);
+  expect_golden("predict_policy_matrix_pairs.golden", render_predictions(inputs));
+}
+
+TEST(PredictGolden, ServedCorpusAtTwoPercent) {
+  const std::vector<Input> inputs = corpus_inputs();
+  ASSERT_EQ(inputs.size(), 182u);
+  expect_golden("predict_corpus_scale2.golden", render_predictions(inputs));
+}
+
+TEST(PredictGolden, FuzzCampaignMutants) {
+  const std::vector<Input> inputs = mutant_inputs();
+  ASSERT_EQ(inputs.size(), 144u);
+  expect_golden("predict_fuzz_mutants.golden", render_predictions(inputs));
+}
+
+TEST(PredictGolden, UndefinedExtensionBase) {
+  // No corpus service or mutant derives from a type the description lacks,
+  // so this one pins the unknown-base mechanism: the compliant echo's
+  // Payload extends an undeclared tns:Missing.
+  wsdl::Definitions defs = testing::compliant_echo_definitions();
+  defs.schemas.front().complex_types.front().base = xml::QName{"urn:echo", "Missing", "tns"};
+  expect_golden("predict_unknown_base.golden",
+                render_predictions({{"undefined-extension-base", wsdl::to_string(defs)}}));
 }
 
 /// `text` with every occurrence of `name` replaced by `placeholder`.

@@ -13,13 +13,14 @@
 //   * lint-corpus and predict-corpus, whose reports were rendered by the
 //     plain corpus drivers the task engine replaced.
 //
-// The pack pins four things: a journal written before the change still
+// The pack pins five things: a journal written before the change still
 // resumes, at jobs 1 and 8, to the report the straight run printed; every
 // config fingerprint and every task record decodes and re-encodes to the
-// same bytes; and the lint and predict corpus passes still render their
+// same bytes; the lint and predict corpus passes still render their
 // goldens at any jobs, straight and under a budget (the *_budget_*_tiny
 // goldens, rendered by the engine before corpus tasks deployed their own
-// services).
+// services); and each corpus pass exports the metrics and span tree of the
+// *_obs_tiny goldens, rendered while the two passes had a driver each.
 // On a mismatch the rendering is written to the test temp dir
 // (`<name>.actual`) so it can be inspected with diff.
 #include <gtest/gtest.h>
@@ -47,7 +48,9 @@
 #include "interop/report.hpp"
 #include "interop/report_formats.hpp"
 #include "interop/supervised.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/supervisor.hpp"
 #include "test_helpers.hpp"
@@ -438,6 +441,53 @@ TEST(JournalGolden, PredictCorpusRendersItsGoldenAtJobs1And8) {
     expect_data("predict_corpus_tiny.golden", render(predict::predict_corpus(options)),
                 "at jobs=" + std::to_string(jobs));
   }
+}
+
+// --- The corpus passes' metrics and spans -----------------------------------
+
+/// The deterministic metric export, the span-tree shape and the span
+/// records (names, parents and annotations; every time is zero) of one
+/// corpus pass under a frozen clock, at jobs 1 and 8, compared with
+/// `<stem>_obs_tiny.golden`. `run(jobs, tracer, metrics)` runs the pass.
+template <typename Run>
+void expect_obs_golden(const std::string& stem, Run run) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    const obs::FixedClock frozen;
+    obs::Tracer tracer(&frozen);
+    obs::Registry metrics(&frozen);
+    run(jobs, tracer, metrics);
+    expect_data(stem + "_obs_tiny.golden",
+                "== metrics\n" + metrics.to_json(obs::Export::kDeterministic) +
+                    "\n== spans\n" + tracer.shape() + "\n== span records\n" +
+                    tracer.to_jsonl(),
+                "at jobs=" + std::to_string(jobs));
+  }
+}
+
+TEST(CorpusObsGolden, LintCorpusExportsItsMetricsAndSpans) {
+  expect_obs_golden("lint_corpus", [](std::size_t jobs, obs::Tracer& tracer,
+                                      obs::Registry& metrics) {
+    analysis::CorpusOptions options;
+    options.java_spec = testing::small_java_spec();
+    options.dotnet_spec = testing::small_dotnet_spec();
+    options.jobs = jobs;
+    options.tracer = &tracer;
+    options.metrics = &metrics;
+    (void)analysis::analyze_corpus(options);
+  });
+}
+
+TEST(CorpusObsGolden, PredictCorpusExportsItsMetricsAndSpans) {
+  expect_obs_golden("predict_corpus", [](std::size_t jobs, obs::Tracer& tracer,
+                                         obs::Registry& metrics) {
+    predict::PredictOptions options;
+    options.java_spec = testing::small_java_spec();
+    options.dotnet_spec = testing::small_dotnet_spec();
+    options.jobs = jobs;
+    options.tracer = &tracer;
+    options.metrics = &metrics;
+    (void)predict::predict_corpus(options);
+  });
 }
 
 // --- Budgeted corpus runs ---------------------------------------------------

@@ -1,5 +1,5 @@
 // obs_determinism_test — the cross-worker-count determinism pack. Each
-// campaign (study, chaos, lint-corpus) runs twice with identical inputs at
+// campaign (study, chaos, lint-corpus, predict-corpus) runs twice with identical inputs at
 // --jobs 1 and --jobs 8, under a FixedClock so durations cannot differ,
 // and must produce:
 //   * byte-identical metric exports in Export::kDeterministic mode, and
@@ -11,6 +11,7 @@
 #include <string>
 
 #include "analysis/corpus.hpp"
+#include "analysis/predict.hpp"
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "chaos/campaign.hpp"
@@ -104,6 +105,20 @@ RunSignature run_lint_at(std::size_t jobs) {
   return {registry.to_json(obs::Export::kDeterministic), tracer.shape()};
 }
 
+RunSignature run_predict_at(std::size_t jobs) {
+  const obs::FixedClock frozen;
+  obs::Tracer tracer(&frozen);
+  obs::Registry registry(&frozen);
+  analysis::predict::PredictOptions options;
+  options.java_spec = small_java();
+  options.dotnet_spec = small_dotnet();
+  options.jobs = jobs;
+  options.tracer = &tracer;
+  options.metrics = &registry;
+  (void)analysis::predict::predict_corpus(options);
+  return {registry.to_json(obs::Export::kDeterministic), tracer.shape()};
+}
+
 TEST(ObsDeterminism, StudyExportIsIdenticalAtJobs1And8) {
   const RunSignature serial = run_study_at(1);
   const RunSignature parallel = run_study_at(8);
@@ -134,6 +149,15 @@ TEST(ObsDeterminism, LintCorpusExportIsIdenticalAtJobs1And8) {
   EXPECT_EQ(serial.shape, parallel.shape);
   EXPECT_NE(serial.metrics.find("lint.services_total"), std::string::npos);
   EXPECT_NE(serial.shape.find("pass:lint"), std::string::npos);
+}
+
+TEST(ObsDeterminism, PredictCorpusExportIsIdenticalAtJobs1And8) {
+  const RunSignature serial = run_predict_at(1);
+  const RunSignature parallel = run_predict_at(8);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.shape, parallel.shape);
+  EXPECT_NE(serial.metrics.find("predict.services_total"), std::string::npos);
+  EXPECT_NE(serial.shape.find("pass:predict"), std::string::npos);
 }
 
 TEST(ObsDeterminism, FrozenClockZeroesEveryDuration) {
