@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 
 #include "analysis/fingerprint.hpp"
 #include "analysis/supervised_predict.hpp"
@@ -10,6 +11,8 @@
 #include "common/codec.hpp"
 #include "common/hash.hpp"
 #include "common/strings.hpp"
+#include "compilers/compiler.hpp"
+#include "frameworks/roster.hpp"
 #include "interop/study.hpp"
 
 namespace wsx::analysis::predict {
@@ -47,16 +50,79 @@ bool has_duplicate(const std::vector<std::string>& names, bool fold_case) {
   });
 }
 
-void apply_rules(const ClientModel& model, Step step, const Facts& facts, StepPrediction& out) {
-  for (const Rule& rule : model.rules) {
-    if (rule.step != step || !rule.when(facts)) continue;
-    if (rule.severity == Outcome::kError) {
-      out.error = true;
-    } else {
-      out.warning = true;
+using frameworks::ArtifactBuildOptions;
+using frameworks::FeatureRule;
+using frameworks::WsdlFeatures;
+
+/// Applies a tool's rules in row order, as its generation step does: a note
+/// never classifies, a crash counts as an error, and each fired rule names
+/// the mechanisms of its set flags. Returns true when a kStop rule ended
+/// the step, which then builds no artifacts.
+bool predict_generation(std::span<const FeatureRule> rules, const WsdlFeatures& features,
+                        StepPrediction& out) {
+  for (const FeatureRule& rule : rules) {
+    if (!rule.fires(features)) continue;
+    if (rule.severity != Severity::kNote) {
+      (rule.severity == Severity::kWarning ? out.warning : out.error) = true;
+      for (bool WsdlFeatures::*flag : rule.any_of) {
+        if (flag != nullptr && features.*flag) {
+          out.mechanisms.emplace_back(frameworks::mechanism_id(flag));
+        }
+      }
     }
-    out.mechanisms.emplace_back(rule.mechanism);
+    if (rule.effect == FeatureRule::Effect::kStop) return true;
   }
+  return false;
+}
+
+/// An artifact defect a row may enable, the mechanism it is reported under
+/// and the shape on which the compiler rejects (or, for raw collections,
+/// warns about) the code it produces.
+struct DefectRule {
+  bool ArtifactBuildOptions::*defect;
+  Outcome severity;
+  const char* mechanism;
+  bool (*when)(const ShapeSignals&);
+};
+constexpr DefectRule kDefectRules[] = {
+    {&ArtifactBuildOptions::raw_collection_stubs, Outcome::kWarning, "raw-collections",
+     [](const ShapeSignals&) { return true; }},
+    {&ArtifactBuildOptions::throwable_wrapper_defect, Outcome::kError, "throwable-wrapper-defect",
+     [](const ShapeSignals& s) { return s.throwable_wrapper; }},
+    {&ArtifactBuildOptions::local_suffix_defect, Outcome::kError, "local-suffix-defect",
+     [](const ShapeSignals& s) { return s.gregorian_element; }},
+    {&ArtifactBuildOptions::wildcard_member_per_any, Outcome::kError, "double-wildcard-member",
+     [](const ShapeSignals& s) { return s.double_wildcard; }},
+    {&ArtifactBuildOptions::enum_wrapper_defect, Outcome::kError, "enum-wrapper-defect",
+     [](const ShapeSignals& s) { return s.has_enum; }},
+    {&ArtifactBuildOptions::missing_body_on_complex_shapes, Outcome::kError, "missing-body",
+     [](const ShapeSignals& s) {
+       return s.deep_nesting || (s.anytype_unbounded && s.has_named_types);
+     }},
+};
+
+/// The compilation step of a row whose artifacts reach the compiler.
+void predict_compilation(const frameworks::ClientPolicy& row, const ShapeSignals& signals,
+                         StepPrediction& out) {
+  if (row.artifacts.pathological_marker_on_very_deep && signals.very_deep_nesting) {
+    // The compiler aborts the whole compilation: nothing else surfaces.
+    out = StepPrediction{false, true, {"deep-nesting-crash"}};
+    return;
+  }
+  const auto report = [&out](Outcome severity, const char* mechanism) {
+    (severity == Outcome::kWarning ? out.warning : out.error) = true;
+    out.mechanisms.emplace_back(mechanism);
+  };
+  for (const DefectRule& rule : kDefectRules) {
+    if (row.artifacts.*rule.defect && rule.when(signals)) report(rule.severity, rule.mechanism);
+  }
+  // Every compiler rejects colliding members (without case where its row
+  // folds case) and a class extending an undefined base.
+  if (compilers::folds_member_case(row.language) ? signals.duplicate_members_folded
+                                                 : signals.duplicate_members) {
+    report(Outcome::kError, "duplicate-member");
+  }
+  if (signals.unresolved_base) report(Outcome::kError, "unknown-base");
 }
 
 void finish_step(StepPrediction& step) {
@@ -167,276 +233,35 @@ ShapeSignals collect_signals(const wsdl::Definitions& defs) {
   return signals;
 }
 
-const std::vector<ClientModel>& client_models() {
-  using O = Outcome;
-  static const std::vector<ClientModel> kModels = [] {
-    std::vector<ClientModel> models;
-
-    // Shared javac-compilation rules: artifact shapes every wsdl2java-family
-    // tool produces and javac/csc genuinely reject.
-    const Rule kDuplicateMember{Step::kCompilation, O::kError, "duplicate-member",
-                                [](const Facts& f) { return f.signals.duplicate_members; }};
-    const Rule kUnknownBase{Step::kCompilation, O::kError, "unknown-base",
-                            [](const Facts& f) { return f.signals.unresolved_base; }};
-
-    // --- Oracle Metro 2.3 (wsimport + javac) ---
-    models.push_back(ClientModel{
-        "Oracle Metro 2.3", true, false,
-        {
-            {Step::kGeneration, O::kError, "unresolved-type-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-            {Step::kGeneration, O::kError, "unresolved-attr-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_attr_ref; }},
-            {Step::kGeneration, O::kError, "schema-element-ref",
-             [](const Facts& f) { return f.features.schema_element_ref; }},
-            {Step::kGeneration, O::kError, "xsd-attr-ref",
-             [](const Facts& f) { return f.features.xsd_attr_ref; }},
-            {Step::kGeneration, O::kError, "wildcard-only-content",
-             [](const Facts& f) { return f.features.wildcard_only_content; }},
-            {Step::kGeneration, O::kError, "zero-operations",
-             [](const Facts& f) { return f.features.zero_operations; }},
-            {Step::kGeneration, O::kError, "missing-target-namespace",
-             [](const Facts& f) { return f.features.missing_target_namespace; }},
-            {Step::kGeneration, O::kError, "dangling-message-ref",
-             [](const Facts& f) { return f.features.dangling_message_reference; }},
-            {Step::kGeneration, O::kError, "dangling-part-ref",
-             [](const Facts& f) { return f.features.dangling_part_reference; }},
-            {Step::kGeneration, O::kError, "duplicate-operations",
-             [](const Facts& f) { return f.features.duplicate_operations; }},
-            {Step::kGeneration, O::kError, "unresolvable-import",
-             [](const Facts& f) { return f.features.unresolvable_wsdl_import; }},
-            {Step::kGeneration, O::kWarning, "dual-type-declaration",
-             [](const Facts& f) { return f.features.dual_type_declaration; }},
-            kDuplicateMember,
-            kUnknownBase,
-        }});
-
-    // --- Apache Axis1 1.4 (erratic: artifacts survive generation errors) ---
-    models.push_back(ClientModel{
-        "Apache Axis1 1.4", true, true,
-        {
-            {Step::kGeneration, O::kError, "unresolved-type-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-            {Step::kGeneration, O::kError, "unresolved-attr-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_attr_ref; }},
-            {Step::kGeneration, O::kError, "schema-ref-nested",
-             [](const Facts& f) { return f.features.schema_element_ref_nested; }},
-            {Step::kCompilation, O::kWarning, "raw-collections",
-             [](const Facts&) { return true; }},
-            {Step::kCompilation, O::kError, "throwable-wrapper-defect",
-             [](const Facts& f) { return f.signals.throwable_wrapper; }},
-            kDuplicateMember,
-            kUnknownBase,
-        }});
-
-    // --- Apache Axis2 1.6.2 (erratic) ---
-    models.push_back(ClientModel{
-        "Apache Axis2 1.6.2", true, true,
-        {
-            {Step::kGeneration, O::kError, "unresolved-type-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-            {Step::kGeneration, O::kError, "zero-operations",
-             [](const Facts& f) { return f.features.zero_operations; }},
-            {Step::kGeneration, O::kError, "dangling-part-ref",
-             [](const Facts& f) { return f.features.dangling_part_reference; }},
-            {Step::kGeneration, O::kError, "duplicate-operations",
-             [](const Facts& f) { return f.features.duplicate_operations; }},
-            {Step::kCompilation, O::kWarning, "raw-collections",
-             [](const Facts&) { return true; }},
-            {Step::kCompilation, O::kError, "local-suffix-defect",
-             [](const Facts& f) { return f.signals.gregorian_element; }},
-            {Step::kCompilation, O::kError, "double-wildcard-member",
-             [](const Facts& f) { return f.signals.double_wildcard; }},
-            {Step::kCompilation, O::kError, "enum-wrapper-defect",
-             [](const Facts& f) { return f.signals.has_enum; }},
-            kDuplicateMember,
-            kUnknownBase,
-        }});
-
-    // --- Apache CXF 2.7.6 / JBossWS CXF 4.2.3 (same wsdl2java core; they
-    // tolerate operation-less descriptions, unlike Metro) ---
-    const std::vector<Rule> cxf_rules = {
-        {Step::kGeneration, O::kError, "unresolved-type-ref",
-         [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-        {Step::kGeneration, O::kError, "unresolved-attr-ref",
-         [](const Facts& f) { return f.features.unresolved_foreign_attr_ref; }},
-        {Step::kGeneration, O::kError, "schema-element-ref",
-         [](const Facts& f) { return f.features.schema_element_ref; }},
-        {Step::kGeneration, O::kError, "xsd-attr-ref",
-         [](const Facts& f) { return f.features.xsd_attr_ref; }},
-        {Step::kGeneration, O::kError, "wildcard-only-content",
-         [](const Facts& f) { return f.features.wildcard_only_content; }},
-        {Step::kGeneration, O::kError, "missing-target-namespace",
-         [](const Facts& f) { return f.features.missing_target_namespace; }},
-        {Step::kGeneration, O::kError, "dangling-message-ref",
-         [](const Facts& f) { return f.features.dangling_message_reference; }},
-        {Step::kGeneration, O::kError, "dangling-part-ref",
-         [](const Facts& f) { return f.features.dangling_part_reference; }},
-        {Step::kGeneration, O::kError, "duplicate-operations",
-         [](const Facts& f) { return f.features.duplicate_operations; }},
-        {Step::kGeneration, O::kError, "unresolvable-import",
-         [](const Facts& f) { return f.features.unresolvable_wsdl_import; }},
-        kDuplicateMember,
-        kUnknownBase,
-    };
-    models.push_back(ClientModel{"Apache CXF 2.7.6", true, false, cxf_rules});
-    models.push_back(ClientModel{"JBossWS CXF 4.2.3", true, false, cxf_rules});
-
-    // --- .NET wsdl.exe family (C#, VB.NET, JScript) ---
-    const std::vector<Rule> dotnet_common = {
-        {Step::kGeneration, O::kError, "unresolved-type-ref",
-         [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-        {Step::kGeneration, O::kError, "unresolved-attr-ref",
-         [](const Facts& f) { return f.features.unresolved_foreign_attr_ref; }},
-        {Step::kGeneration, O::kError, "unresolved-attr-group",
-         [](const Facts& f) { return f.features.unresolved_attr_group; }},
-        {Step::kGeneration, O::kError, "dual-type-declaration",
-         [](const Facts& f) { return f.features.dual_type_declaration; }},
-        {Step::kGeneration, O::kError, "zero-operations",
-         [](const Facts& f) { return f.features.zero_operations; }},
-        {Step::kGeneration, O::kError, "missing-target-namespace",
-         [](const Facts& f) { return f.features.missing_target_namespace; }},
-        {Step::kGeneration, O::kError, "dangling-message-ref",
-         [](const Facts& f) { return f.features.dangling_message_reference; }},
-        {Step::kGeneration, O::kError, "dangling-part-ref",
-         [](const Facts& f) { return f.features.dangling_part_reference; }},
-        {Step::kGeneration, O::kError, "duplicate-operations",
-         [](const Facts& f) { return f.features.duplicate_operations; }},
-        {Step::kGeneration, O::kError, "unresolvable-import",
-         [](const Facts& f) { return f.features.unresolvable_wsdl_import; }},
-        {Step::kGeneration, O::kWarning, "encoded-use",
-         [](const Facts& f) { return f.features.encoded_use; }},
-    };
-
-    std::vector<Rule> csharp_rules = dotnet_common;
-    csharp_rules.push_back(kDuplicateMember);
-    csharp_rules.push_back(kUnknownBase);
-    models.push_back(
-        ClientModel{".NET Framework 4.0.30319.17929 (C#)", true, false, csharp_rules});
-
-    std::vector<Rule> vb_rules = dotnet_common;
-    vb_rules.push_back(Rule{Step::kCompilation, O::kError, "duplicate-member",
-                            [](const Facts& f) { return f.signals.duplicate_members_folded; }});
-    vb_rules.push_back(kUnknownBase);
-    models.push_back(ClientModel{".NET Framework 4.0.30319.17929 (Visual Basic .NET)", true,
-                                 false, vb_rules});
-
-    std::vector<Rule> jscript_rules = dotnet_common;
-    jscript_rules.push_back(Rule{Step::kGeneration, O::kWarning, "unknown-extension",
-                                 [](const Facts& f) {
-                                   return f.features.unknown_extension_elements;
-                                 }});
-    jscript_rules.push_back(Rule{Step::kGeneration, O::kError, "recursive-type-crash",
-                                 [](const Facts& f) { return f.features.self_recursive_type; }});
-    // The jsc crash on very deep content models masks every other
-    // compilation diagnostic (handled in predict_service).
-    jscript_rules.push_back(Rule{Step::kCompilation, O::kError, "deep-nesting-crash",
-                                 [](const Facts& f) { return f.signals.very_deep_nesting; }});
-    jscript_rules.push_back(Rule{Step::kCompilation, O::kError, "missing-body",
-                                 [](const Facts& f) {
-                                   return f.signals.deep_nesting ||
-                                          (f.signals.anytype_unbounded &&
-                                           f.signals.has_named_types);
-                                 }});
-    jscript_rules.push_back(kDuplicateMember);
-    jscript_rules.push_back(kUnknownBase);
-    models.push_back(
-        ClientModel{".NET Framework 4.0.30319.17929 (JScript .NET)", true, false, jscript_rules});
-
-    // --- gSOAP Toolkit 2.8.16 (wsdl2h + soapcpp2 + g++). The wsdl2h
-    // attribute-group failure aborts before any warning is emitted. ---
-    models.push_back(ClientModel{
-        "gSOAP Toolkit 2.8.16", true, false,
-        {
-            {Step::kGeneration, O::kError, "unresolved-attr-group",
-             [](const Facts& f) { return f.features.unresolved_attr_group; }},
-            {Step::kGeneration, O::kError, "schema-ref-duplicated",
-             [](const Facts& f) {
-               return f.features.schema_element_ref_duplicated &&
-                      !f.features.unresolved_attr_group;
-             }},
-            {Step::kGeneration, O::kWarning, "zero-operations",
-             [](const Facts& f) {
-               return f.features.zero_operations && !f.features.unresolved_attr_group;
-             }},
-            {Step::kGeneration, O::kWarning, "missing-target-namespace",
-             [](const Facts& f) {
-               return f.features.missing_target_namespace && !f.features.unresolved_attr_group;
-             }},
-            {Step::kGeneration, O::kWarning, "unresolvable-import",
-             [](const Facts& f) {
-               return f.features.unresolvable_wsdl_import && !f.features.unresolved_attr_group;
-             }},
-            kDuplicateMember,
-            kUnknownBase,
-        }});
-
-    // --- Zend Framework 1.9 (dynamic PHP; notes never classify) ---
-    models.push_back(ClientModel{
-        "Zend Framework 1.9", false, false,
-        {
-            {Step::kGeneration, O::kWarning, "zero-operations",
-             [](const Facts& f) { return f.features.zero_operations; }},
-        }});
-
-    // --- suds Python 0.4 (dynamic; warnings are emitted before the error
-    // bail-out, so both flags can be set) ---
-    models.push_back(ClientModel{
-        "suds Python 0.4", false, false,
-        {
-            {Step::kGeneration, O::kError, "unresolved-type-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_type_ref; }},
-            {Step::kGeneration, O::kError, "unresolved-attr-ref",
-             [](const Facts& f) { return f.features.unresolved_foreign_attr_ref; }},
-            {Step::kGeneration, O::kError, "schema-ref-array",
-             [](const Facts& f) { return f.features.schema_element_ref_array; }},
-            {Step::kGeneration, O::kError, "dangling-part-ref",
-             [](const Facts& f) { return f.features.dangling_part_reference; }},
-            {Step::kGeneration, O::kWarning, "zero-operations",
-             [](const Facts& f) { return f.features.zero_operations; }},
-            {Step::kGeneration, O::kWarning, "encoded-use",
-             [](const Facts& f) { return f.features.encoded_use; }},
-        }});
-
-    return models;
-  }();
-  return kModels;
-}
-
 ServicePrediction predict_service(const frameworks::SharedDescription& description) {
   ServicePrediction out;
-  Facts facts;
-  facts.parsed = description.parsed_ok();
-  if (facts.parsed) {
+  const bool parsed = description.parsed_ok();
+  ShapeSignals signals;
+  if (parsed) {
     out.fingerprint = fingerprint(description.definitions()).hex();
-    facts.features = description.features();
-    facts.signals = collect_signals(description.definitions());
+    signals = collect_signals(description.definitions());
   } else {
     // The raw served bytes are the only shape an unparseable description has.
     out.fingerprint = hex16(fnv1a(description.wsdl_text(), kFnvOffsetBasis));
   }
 
-  for (const ClientModel& model : client_models()) {
+  for (const frameworks::ClientPolicy& row : frameworks::client_table()) {
     ClientPrediction prediction;
-    prediction.client = model.client;
-    prediction.compiled = model.compiled;
-    if (!facts.parsed) {
+    prediction.client = row.name;
+    prediction.compiled = code::requires_compilation(row.language);
+    if (!parsed) {
       prediction.generation.error = true;
       prediction.generation.mechanisms = {"parse-failure"};
       prediction.artifacts = false;
       out.clients.push_back(std::move(prediction));
       continue;
     }
-    apply_rules(model, Step::kGeneration, facts, prediction.generation);
-    prediction.artifacts = model.artifacts_on_error || !prediction.generation.error;
+    const bool stopped =
+        predict_generation(row.rules, description.features(), prediction.generation);
+    prediction.artifacts =
+        !stopped && (row.artifacts_survive_errors || !prediction.generation.error);
     if (prediction.compiled && prediction.artifacts) {
-      apply_rules(model, Step::kCompilation, facts, prediction.compilation);
-      const auto& mechanisms = prediction.compilation.mechanisms;
-      if (std::find(mechanisms.begin(), mechanisms.end(), "deep-nesting-crash") !=
-          mechanisms.end()) {
-        // The compiler aborts the whole compilation: nothing else surfaces.
-        prediction.compilation = StepPrediction{false, true, {"deep-nesting-crash"}};
-      }
+      predict_compilation(row, signals, prediction.compilation);
     }
     finish_step(prediction.generation);
     finish_step(prediction.compilation);
@@ -499,13 +324,13 @@ PredictReport predict_corpus(const PredictOptions& options) {
 
 void finalize_predict_report(PredictReport& report, const PredictOptions& options,
                              obs::SpanId parent_span) {
-  const std::vector<ClientModel>& models = client_models();
+  const std::span<const frameworks::ClientPolicy> rows = frameworks::client_table();
   report.clients.clear();
   report.overall = ClientScore{};
   report.overall.client = "overall";
-  for (const ClientModel& model : models) {
+  for (const frameworks::ClientPolicy& row : rows) {
     ClientScore score;
-    score.client = model.client;
+    score.client = row.name;
     report.clients.push_back(std::move(score));
   }
   if (!options.join_study) return;
@@ -527,7 +352,7 @@ void finalize_predict_report(PredictReport& report, const PredictOptions& option
   (void)interop::run_study(study);
 
   for (const ServicePredictionRecord& service : report.services) {
-    for (std::size_t i = 0; i < service.prediction.clients.size() && i < models.size(); ++i) {
+    for (std::size_t i = 0; i < service.prediction.clients.size() && i < rows.size(); ++i) {
       const ClientPrediction& prediction = service.prediction.clients[i];
       const auto it =
           actual.find(service.server + "|" + service.service + "|" + prediction.client);
@@ -556,8 +381,8 @@ std::string format_predict_report(const PredictReport& report) {
   }
   if (!report.joined) {
     // Unjoined: per-client predicted classification counts.
-    const std::vector<ClientModel>& models = client_models();
-    for (std::size_t i = 0; i < models.size(); ++i) {
+    const std::span<const frameworks::ClientPolicy> rows = frameworks::client_table();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       std::size_t errors = 0;
       std::size_t warnings = 0;
       for (const ServicePredictionRecord& service : report.services) {
@@ -569,7 +394,7 @@ std::string format_predict_report(const PredictReport& report) {
           ++warnings;
         }
       }
-      out += "  " + std::string(models[i].client) + ": " + std::to_string(errors) +
+      out += "  " + std::string(rows[i].name) + ": " + std::to_string(errors) +
              " predicted errors, " + std::to_string(warnings) + " predicted warnings\n";
     }
     return out;

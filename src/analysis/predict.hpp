@@ -3,14 +3,17 @@
 // Given a service's SharedDescription, predicts each client tool's
 // testing-phase verdict (ok / warning-class / error-class, plus the
 // responsible footnote mechanism) *without executing* the generation or
-// compilation pipeline. The per-client rules are distilled from the
-// client tool table (src/frameworks/roster.cpp), the shared artifact
-// builder and the compiler simulators: each rule is a pure predicate over
-// the WsdlFeatures vector plus a small set of shape signals computed once
-// per description. predict_corpus() applies the predictor to the whole
-// generated corpus and — by default — joins the predictions against the
-// dynamic study's ground truth to score precision/recall/F1 on the error
-// class (docs/PREDICT.md has the methodology).
+// compilation pipeline. The predictor walks the rows of Table II
+// (frameworks/roster.hpp): the generation step applies each row's
+// FeatureRules to the WsdlFeatures vector, and the compilation step maps
+// each of the row's artifact defects, plus the member collisions and
+// unknown bases every compiler rejects, to a small set of shape signals
+// computed once per description — the one part that mirrors the artifact
+// builder instead of reading the row. predict_corpus() applies the
+// predictor to the whole generated corpus and — by default — joins the
+// predictions against the dynamic study's ground truth to score
+// precision/recall/F1 on the error class (docs/PREDICT.md has the
+// methodology).
 #pragma once
 
 #include <cstddef>
@@ -21,7 +24,6 @@
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
 #include "common/result.hpp"
-#include "frameworks/features.hpp"
 #include "frameworks/server.hpp"
 #include "frameworks/shared_description.hpp"
 #include "obs/metrics.hpp"
@@ -35,9 +37,9 @@ enum class Outcome { kOk, kWarning, kError };
 const char* to_string(Outcome outcome);
 bool from_string(std::string_view text, Outcome& out);  ///< inverse of to_string
 
-/// Shape facts the compilation-step rules key on, beyond WsdlFeatures.
-/// All are computed over *named* complex types only — those are the types
-/// the artifact builder turns into classes.
+/// Shape facts the compilation step keys on, beyond WsdlFeatures. All are
+/// computed over *named* complex types only — those are the types the
+/// artifact builder turns into classes.
 struct ShapeSignals {
   bool throwable_wrapper = false;   ///< *Exception/*Error type with a "message" element
   bool gregorian_element = false;   ///< element the Axis2 local_ defect trips on
@@ -54,13 +56,6 @@ struct ShapeSignals {
 
 /// Computes the shape signals for a parsed description.
 ShapeSignals collect_signals(const wsdl::Definitions& defs);
-
-/// The facts a predictor rule may consult.
-struct Facts {
-  bool parsed = false;
-  frameworks::WsdlFeatures features{};  ///< zeroed when !parsed
-  ShapeSignals signals{};               ///< zeroed when !parsed
-};
 
 /// One predicted testing-phase step. Warning and error flags are
 /// independent, exactly like interop::TestRecord's ground-truth flags —
@@ -97,31 +92,8 @@ struct ServicePrediction {
   friend bool operator==(const ServicePrediction&, const ServicePrediction&) = default;
 };
 
-// --- The predictor rule registry ----------------------------------------
-
-enum class Step { kGeneration, kCompilation };
-
-/// One distilled predictor rule: when `when(facts)` holds, `mechanism` is
-/// predicted to fire at `step` with `severity`.
-struct Rule {
-  Step step;
-  Outcome severity;
-  const char* mechanism;
-  bool (*when)(const Facts&);
-};
-
-/// The predictor's model of one client tool.
-struct ClientModel {
-  const char* client;            ///< exact ClientFramework::name() string
-  bool compiled = true;          ///< has a compilation column
-  bool artifacts_on_error = false;  ///< erratic tool: artifacts despite errors
-  std::vector<Rule> rules;
-};
-
-/// The per-client rule registry, in frameworks::make_clients() order.
-const std::vector<ClientModel>& client_models();
-
-/// Predicts every client's verdict for one description.
+/// Predicts every client's verdict for one description, in
+/// frameworks::make_clients() order.
 ServicePrediction predict_service(const frameworks::SharedDescription& description);
 
 // --- Corpus pass and ground-truth join ----------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
+#include "frameworks/roster.hpp"
 
 namespace wsx::analysis::predict {
 namespace {
@@ -47,7 +48,9 @@ double operations_similarity(const std::vector<std::string>& a, const std::vecto
 
 SubstitutionIndex build_index(const PredictReport& report) {
   SubstitutionIndex index;
-  for (const ClientModel& model : client_models()) index.clients.emplace_back(model.client);
+  for (const frameworks::ClientPolicy& row : frameworks::client_table()) {
+    index.clients.emplace_back(row.name);
+  }
   index.entries.reserve(report.services.size());
   for (const ServicePredictionRecord& record : report.services) {
     IndexEntry entry;

@@ -40,6 +40,10 @@ class Compiler {
 /// languages (use check_instantiation instead).
 std::unique_ptr<Compiler> make_compiler(code::Language language);
 
+/// True when `language`'s compiler compares member names without case
+/// (vbc); false for the others and for dynamic languages.
+bool folds_member_case(code::Language language);
+
 /// Instantiation check for dynamic-language clients (PHP Zend, Python
 /// suds): verifies the client object can be created and reports a warning
 /// when it exposes no invocable operations.

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 #include "wsdl/model.hpp"
 #include "xsd/resolver.hpp"
@@ -45,6 +46,42 @@ struct WsdlFeatures {
   bool duplicate_operations = false;        ///< same operation name twice in a portType
   bool unresolvable_wsdl_import = false;    ///< wsdl:import without a location
 };
+
+/// The mechanism id the static predictor reports a client tool's rule
+/// under, one per flag a FeatureRule names (client.hpp).
+struct FeatureMechanism {
+  bool WsdlFeatures::*flag;
+  std::string_view id;
+};
+inline constexpr FeatureMechanism kFeatureMechanisms[] = {
+    {&WsdlFeatures::unresolved_foreign_type_ref, "unresolved-type-ref"},
+    {&WsdlFeatures::unresolved_foreign_attr_ref, "unresolved-attr-ref"},
+    {&WsdlFeatures::unresolved_attr_group, "unresolved-attr-group"},
+    {&WsdlFeatures::schema_element_ref, "schema-element-ref"},
+    {&WsdlFeatures::schema_element_ref_nested, "schema-ref-nested"},
+    {&WsdlFeatures::schema_element_ref_duplicated, "schema-ref-duplicated"},
+    {&WsdlFeatures::schema_element_ref_array, "schema-ref-array"},
+    {&WsdlFeatures::xsd_attr_ref, "xsd-attr-ref"},
+    {&WsdlFeatures::dual_type_declaration, "dual-type-declaration"},
+    {&WsdlFeatures::wildcard_only_content, "wildcard-only-content"},
+    {&WsdlFeatures::self_recursive_type, "recursive-type-crash"},
+    {&WsdlFeatures::zero_operations, "zero-operations"},
+    {&WsdlFeatures::encoded_use, "encoded-use"},
+    {&WsdlFeatures::unknown_extension_elements, "unknown-extension"},
+    {&WsdlFeatures::missing_target_namespace, "missing-target-namespace"},
+    {&WsdlFeatures::dangling_message_reference, "dangling-message-ref"},
+    {&WsdlFeatures::dangling_part_reference, "dangling-part-ref"},
+    {&WsdlFeatures::duplicate_operations, "duplicate-operations"},
+    {&WsdlFeatures::unresolvable_wsdl_import, "unresolvable-import"},
+};
+
+/// `flag`'s mechanism id; empty for a flag no rule may name.
+constexpr std::string_view mechanism_id(bool WsdlFeatures::*flag) {
+  for (const FeatureMechanism& entry : kFeatureMechanisms) {
+    if (entry.flag == flag) return entry.id;
+  }
+  return {};
+}
 
 /// Computes all features for `defs`.
 WsdlFeatures analyze(const wsdl::Definitions& defs);

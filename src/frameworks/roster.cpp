@@ -1,6 +1,7 @@
 // roster.cpp — the studied frameworks as rows of two policy tables: the
 // three server stacks of Table I and the eleven client tools of Table II.
-// One ServerFramework and one client tool class read the rows; what sets a
+// One ServerFramework and one client tool class read the rows, and the
+// static predictor reads the client rows (roster.hpp); what sets a
 // framework apart is data here, not code.
 #include <algorithm>
 #include <array>
@@ -14,8 +15,8 @@
 #include <utility>
 #include <vector>
 
-#include "frameworks/artifact_builder.hpp"
 #include "frameworks/registry.hpp"
+#include "frameworks/roster.hpp"
 #include "frameworks/shared_description.hpp"
 
 namespace wsx::frameworks {
@@ -221,23 +222,6 @@ constexpr FeatureRule kSudsRules[] = {
      .message = "SOAP-encoded binding; marshaller support limited"},
 };
 
-/// Everything that sets one client tool apart: one row of Table II.
-struct ClientPolicy {
-  std::string_view name = {};  ///< "Apache Axis1 1.4"
-  std::string_view tool = {};  ///< "wsdl2java"
-  code::Language language = code::Language::kJava;
-  /// "wsimport": the prefix of the rules' codes and of "<prefix>.parse".
-  std::string_view code_prefix = {};
-  std::span<const FeatureRule> rules = {};  ///< in report order
-  /// The erratic tools (Axis1, Axis2) leave partial artifacts behind even
-  /// when they report an error — they "might silently reach" compilation
-  /// (§III.B.c). The others build nothing once an error is reported.
-  bool artifacts_survive_errors = false;
-  ArtifactBuildOptions artifacts = {};  ///< the tool's code-generation defects
-  ClientFramework::InvocationPolicy invocation = {};
-  VersionPolicy version_policy = VersionPolicy::kStrict;
-};
-
 /// Table II, in table order. The version policies (version_policy.hpp):
 /// the JAX-WS RI skips unknown non-mustUnderstand headers and adds
 /// ignorable WS-Addressing headers; Axis2 (addressing module and Rampart),
@@ -285,6 +269,15 @@ constexpr ClientPolicy kClientTable[] = {
     {.name = "suds Python 0.4", .tool = "suds Python client",
      .language = code::Language::kPython, .code_prefix = "suds", .rules = kSudsRules},
 };
+
+// The predictor reports each rule under the mechanism ids of its flags.
+static_assert(std::ranges::all_of(kClientTable, [](const ClientPolicy& row) {
+  return std::ranges::all_of(row.rules, [](const FeatureRule& rule) {
+    return std::ranges::all_of(rule.any_of, [](bool WsdlFeatures::*flag) {
+      return flag == nullptr || !mechanism_id(flag).empty();
+    });
+  });
+}), "every flag a FeatureRule names needs a mechanism id (features.hpp)");
 
 /// A client tool read from its row. With the paper's remedy applied, a
 /// manual bindings customization downgrades the curable rules to warnings
@@ -427,6 +420,8 @@ const std::array<ServerPolicy, 3>& server_table() {
 }
 
 }  // namespace
+
+std::span<const ClientPolicy> client_table() { return kClientTable; }
 
 std::vector<std::unique_ptr<ServerFramework>> make_servers() {
   std::vector<std::unique_ptr<ServerFramework>> servers;

@@ -1,5 +1,5 @@
 // Tests for the static compatibility predictor (src/analysis/predict.*):
-// the rule registry covers the client roster, single-service predictions
+// it predicts one verdict per client roster row, single-service predictions
 // reproduce known framework verdicts without running generation, the
 // joined corpus pass scores perfectly against the dynamic study it was
 // distilled from, and prediction records round-trip through JSON.
@@ -13,6 +13,8 @@
 #include "frameworks/artifact_builder.hpp"
 #include "frameworks/registry.hpp"
 #include "frameworks/shared_description.hpp"
+#include "test_helpers.hpp"
+#include "wsdl/writer.hpp"
 
 namespace wsx::analysis::predict {
 namespace {
@@ -49,20 +51,25 @@ PredictOptions tiny_options() {
   return options;
 }
 
-TEST(PredictRules, RegistryMatchesClientRoster) {
-  const std::vector<ClientModel>& models = client_models();
+TEST(PredictRules, EveryRosterRowPredictsOneClient) {
+  // The predictor reads Table II's rows: one verdict per client tool, in
+  // make_clients() order, with a compilation step exactly where the tool
+  // has one.
+  const ServicePrediction prediction = predict_service(frameworks::SharedDescription::from_text(
+      wsdl::to_string(testing::compliant_echo_definitions())));
   const auto clients = frameworks::make_clients();
-  ASSERT_EQ(models.size(), clients.size());
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    EXPECT_EQ(models[i].client, clients[i]->name());
-    EXPECT_EQ(models[i].compiled, clients[i]->requires_compilation()) << models[i].client;
+  ASSERT_EQ(prediction.clients.size(), clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_EQ(prediction.clients[i].client, clients[i]->name());
+    EXPECT_EQ(prediction.clients[i].compiled, clients[i]->requires_compilation())
+        << clients[i]->name();
   }
 }
 
 TEST(PredictService, UnparsableTextPredictsUniversalGenerationError) {
   const ServicePrediction prediction =
       predict_service(frameworks::SharedDescription::from_text("<not-wsdl"));
-  ASSERT_EQ(prediction.clients.size(), client_models().size());
+  ASSERT_EQ(prediction.clients.size(), frameworks::make_clients().size());
   EXPECT_FALSE(prediction.fingerprint.empty());
   for (const ClientPrediction& client : prediction.clients) {
     EXPECT_TRUE(client.generation.error) << client.client;
@@ -119,7 +126,7 @@ TEST(PredictCorpus, JoinedScoresAreExactAgainstTheDynamicStudy) {
   const PredictReport report = predict_corpus(options);
   ASSERT_TRUE(report.joined);
   ASSERT_FALSE(report.services.empty());
-  ASSERT_EQ(report.clients.size(), client_models().size());
+  ASSERT_EQ(report.clients.size(), frameworks::make_clients().size());
 
   // The rules are distilled from the very framework models the study runs,
   // so the predictor must agree with the ground truth on every flag. Any

@@ -8,6 +8,7 @@
 
 #include "analysis/predict.hpp"
 #include "analysis/substitution.hpp"
+#include "frameworks/registry.hpp"
 
 namespace wsx::analysis::predict {
 namespace {
@@ -37,7 +38,11 @@ TEST(SubstitutionIndex, BuildFoldsWorstOutcomePerClient) {
   const PredictReport report = predict_corpus(tiny_options());
   const SubstitutionIndex index = build_index(report);
 
-  ASSERT_EQ(index.clients.size(), client_models().size());
+  const auto clients = frameworks::make_clients();
+  ASSERT_EQ(index.clients.size(), clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_EQ(index.clients[i], clients[i]->name());
+  }
   ASSERT_EQ(index.entries.size(), report.services.size());
   for (std::size_t i = 0; i < index.entries.size(); ++i) {
     const IndexEntry& entry = index.entries[i];
