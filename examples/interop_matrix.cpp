@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "common/strings.hpp"
 #include "interop/report.hpp"
 #include "interop/study.hpp"
 
@@ -44,8 +45,9 @@ int main() {
     std::cout << server.server << " — " << server.services_deployed << "/"
               << server.services_created << " services deployed, "
               << server.description_warnings << " flagged by WS-I\n";
+    const int client_width = name_column_width("", server.cells, &interop::CellResult::client);
     for (const interop::CellResult& cell : server.cells) {
-      std::cout << "  " << std::left << std::setw(44) << cell.client << std::right
+      std::cout << "  " << std::left << std::setw(client_width) << cell.client << std::right
                 << " gen " << std::setw(4) << cell.generation.warnings << "w/" << std::setw(3)
                 << cell.generation.errors << "e";
       if (cell.compiled) {

@@ -7,6 +7,7 @@
 #include "chaos/supervised.hpp"
 #include "chaos/wire.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
 #include "frameworks/shared_description.hpp"
@@ -344,14 +345,16 @@ std::string format_chaos(const ChaosResult& result) {
   out << "Wire-fault resilience study (" << plan_summary(result) << ")\n";
   for (const ChaosServerResult& server : result.servers) {
     out << server.server << " — " << server.services_deployed << " services\n";
-    out << "  " << std::left << std::setw(44) << "client" << std::right << std::setw(6)
+    const int client_width = name_column_width("client", server.cells, &ChaosCell::client);
+    out << "  " << std::left << std::setw(client_width) << "client" << std::right << std::setw(6)
         << "calls" << std::setw(6) << "ok" << std::setw(10) << "recovered" << std::setw(11)
         << "downgraded" << std::setw(9) << "degraded" << std::setw(9) << "app-fail"
         << std::setw(10) << "vmismatch" << std::setw(10) << "exhausted"
         << std::setw(10) << "fail-fast" << std::setw(6) << "hung" << std::setw(10)
         << "timed-out" << std::setw(6) << "retx" << "\n";
     for (const ChaosCell& cell : server.cells) {
-      out << "  " << std::left << std::setw(44) << cell.client << std::right << std::setw(6)
+      out << "  " << std::left << std::setw(client_width) << cell.client << std::right
+          << std::setw(6)
           << cell.attempted() << std::setw(6) << cell.count(ChaosOutcome::kOk)
           << std::setw(10) << cell.count(ChaosOutcome::kRecovered) << std::setw(11)
           << cell.count(ChaosOutcome::kDowngraded) << std::setw(9)

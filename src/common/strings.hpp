@@ -1,7 +1,9 @@
 // strings.hpp — small string utilities used across the library.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +34,18 @@ bool iequals(std::string_view a, std::string_view b);
 /// Uppercases the first character (ASCII); used by artifact generators to
 /// derive bean-style accessor names.
 std::string capitalize(std::string_view text);
+
+/// The width of a text table's name column: the longest of its header and
+/// every row's name, plus a two-space gutter. `name` gives a row's name: a
+/// data member (&Cell::client) or a callable.
+template <typename Rows, typename Name>
+int name_column_width(std::string_view header, const Rows& rows, Name name) {
+  std::size_t longest = header.size();
+  for (const auto& row : rows) {
+    longest = std::max(longest, std::string_view(std::invoke(name, row)).size());
+  }
+  return static_cast<int>(longest + 2);
+}
 
 /// Replaces every occurrence of `from` in `text` with `to`.
 std::string replace_all(std::string text, std::string_view from, std::string_view to);

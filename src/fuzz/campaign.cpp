@@ -5,6 +5,7 @@
 
 #include "catalog/dotnet_catalog.hpp"
 #include "catalog/java_catalog.hpp"
+#include "common/strings.hpp"
 #include "frameworks/registry.hpp"
 #include "wsdl/parser.hpp"
 #include "wsi/profile.hpp"
@@ -143,11 +144,13 @@ std::string format_fuzz(const FuzzReport& report) {
   }
 
   out << "\nPer-tool robustness (all mutants):\n";
-  out << "  " << std::left << std::setw(44) << "client" << std::right << std::setw(10)
+  const int client_width = name_column_width("client", report.tools, &ToolRobustness::client);
+  out << "  " << std::left << std::setw(client_width) << "client" << std::right << std::setw(10)
       << "rejected" << std::setw(9) << "warned" << std::setw(9) << "silent" << std::setw(18)
       << "silent-on-broken" << "\n";
   for (const ToolRobustness& tool : report.tools) {
-    out << "  " << std::left << std::setw(44) << tool.client << std::right << std::setw(10)
+    out << "  " << std::left << std::setw(client_width) << tool.client << std::right
+        << std::setw(10)
         << tool.total(Reaction::kRejected) << std::setw(9) << tool.total(Reaction::kWarned)
         << std::setw(9) << tool.total(Reaction::kSilentSuccess) << std::setw(18)
         << tool.silent_on_broken() << "\n";

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "frameworks/invocation.hpp"
 #include "gen/shrink.hpp"
 #include "gen/supervised.hpp"
@@ -190,12 +191,14 @@ std::string format_propcheck(const PropcheckResult& result, bool with_shrink) {
   for (const PropServerResult& server : result.servers) {
     out << server.server << " — " << server.services_deployed << " services, "
         << server.cases_generated << " generated cases\n";
-    out << "  " << std::left << std::setw(44) << "client" << std::right << std::setw(8)
+    const int client_width = name_column_width("client", server.cells, &PropCell::client);
+    out << "  " << std::left << std::setw(client_width) << "client" << std::right << std::setw(8)
         << "blocked" << std::setw(7) << "pass" << std::setw(9) << "skipped" << std::setw(9)
         << "invalid" << std::setw(10) << "mismatch" << std::setw(10) << "timed-out"
         << "\n";
     for (const PropCell& cell : server.cells) {
-      out << "  " << std::left << std::setw(44) << cell.client << std::right << std::setw(8)
+      out << "  " << std::left << std::setw(client_width) << cell.client << std::right
+          << std::setw(8)
           << cell.count(PropOutcome::kBlocked) << std::setw(7)
           << cell.count(PropOutcome::kPass) << std::setw(9)
           << cell.count(PropOutcome::kSkipped) << std::setw(9)

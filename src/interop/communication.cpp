@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/strings.hpp"
 #include "compilers/compiler.hpp"
 #include "frameworks/invocation.hpp"
 #include "frameworks/shared_description.hpp"
@@ -128,13 +129,15 @@ std::string format_communication(const CommunicationResult& result) {
          "reference values exist)\n";
   for (const CommServerResult& server : result.servers) {
     out << server.server << " — " << server.services_deployed << " services\n";
-    out << "  " << std::left << std::setw(44) << "client" << std::right << std::setw(9)
+    const int client_width = name_column_width("client", server.cells, &CommCell::client);
+    out << "  " << std::left << std::setw(client_width) << "client" << std::right << std::setw(9)
         << "attempted" << std::setw(8) << "ok" << std::setw(10) << "no-proxy" << std::setw(11)
         << "transport" << std::setw(8) << "fault" << std::setw(10) << "mismatch"
         << std::setw(11) << "vmismatch" << "\n";
     for (const CommCell& cell : server.cells) {
-      out << "  " << std::left << std::setw(44) << cell.client << std::right << std::setw(9)
-          << cell.attempted() << std::setw(8) << cell.count(CommOutcome::kOk) << std::setw(10)
+      out << "  " << std::left << std::setw(client_width) << cell.client << std::right
+          << std::setw(9) << cell.attempted() << std::setw(8) << cell.count(CommOutcome::kOk)
+          << std::setw(10)
           << cell.count(CommOutcome::kNoInvocableProxy) << std::setw(11)
           << cell.count(CommOutcome::kTransportError) << std::setw(8)
           << cell.count(CommOutcome::kServerFault) << std::setw(10)

@@ -62,10 +62,8 @@ std::string format_table1() {
 
 std::string format_table2() {
   const auto clients = frameworks::make_clients();
-  // The Framework column fits the longest name and two spaces.
-  std::size_t longest = 0;
-  for (const auto& client : clients) longest = std::max(longest, client->name().size());
-  const int framework_width = static_cast<int>(longest + 2);
+  const int framework_width =
+      name_column_width("Framework", clients, [](const auto& client) { return client->name(); });
   std::ostringstream out;
   out << "Table II — client-side frameworks\n";
   out << "  " << std::left << std::setw(framework_width) << "Framework" << std::setw(30) << "Tool"

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/strings.hpp"
 
@@ -115,6 +117,20 @@ TEST(Strings, ParseCountRejectsOverflowSignsAndJunk) {
     EXPECT_FALSE(parse_count(text, out)) << '"' << text << '"';
     EXPECT_EQ(out, 7u) << '"' << text << '"';
   }
+}
+
+TEST(Strings, NameColumnFitsTheLongestNameAndAGutter) {
+  struct Cell {
+    std::string client;
+  };
+  const std::vector<Cell> cells = {{"Zend Framework 1.9"},
+                                   {".NET Framework 4.0.30319.17929 (Visual Basic .NET)"}};
+  EXPECT_EQ(name_column_width("client", cells, &Cell::client), 52);
+  EXPECT_EQ(name_column_width("client", std::vector<Cell>{}, &Cell::client), 8);
+  const std::vector<std::string> names = {"a", "abc"};
+  EXPECT_EQ(name_column_width("", names, [](const std::string& name) { return name; }), 5);
+  EXPECT_EQ(name_column_width("Framework", names, [](const std::string& name) { return name; }),
+            11);
 }
 
 }  // namespace
