@@ -1,11 +1,7 @@
 #include "analysis/supervised_corpus.hpp"
 
-#include <numeric>
-#include <utility>
-
+#include "analysis/corpus_pass.hpp"
 #include "common/codec.hpp"
-#include "frameworks/registry.hpp"
-#include "resilience/supervisor.hpp"
 
 namespace wsx::analysis {
 
@@ -41,64 +37,17 @@ Result<CorpusOptions> corpus_config_from_json(std::string_view text) {
 
 Result<SupervisedCorpusResult> analyze_corpus_supervised(
     const CorpusOptions& options, const resilience::Supervision& supervision) {
-  SupervisedCorpusResult out;
-  CorpusReport& report = out.report;
-
-  obs::Span run_span(options.tracer, "lint-corpus");
-  // The corpus the study deploys (§III.A), one task per bindable service.
-  frameworks::Corpus corpus(options.java_spec, options.dotnet_spec, options.shape);
-  report.servers = corpus.servers.size();
-
-  obs::Span lint_span(options.tracer, "pass:lint", run_span);
-  obs::ScopedTimer lint_timer = obs::timer(options.metrics, "lint.phase.lint_us");
-  // One slot per task, allocated up front. A task deploys its service and
-  // lints the served text into its slot, charging one virtual ms.
-  std::vector<ServiceAnalysis> slots(corpus.plan.tasks.size());
-  const auto run = [&](std::size_t index, ServiceAnalysis& slot,
-                       resilience::TaskContext& context) {
-    obs::ScopedTimer deploy_timer = obs::timer(options.metrics, "lint.step.deploy_us");
-    const Result<frameworks::DeployedService> deployed = corpus.deploy(index);
-    deploy_timer.stop();
-    if (deployed.ok()) {
-      obs::ScopedTimer lint_one = obs::timer(options.metrics, "lint.step.lint_us");
-      slot = lint_service(corpus.round(index).server->name(), *deployed, options.rules);
-    } else {
-      slot = ServiceAnalysis{};
-    }
-    context.charge(1);
-  };
-  Result<resilience::SupervisorReport> supervised = resilience::supervise_slots(
-      resilience::CampaignTasks{"lint-corpus", corpus_config_json(options),
-                                std::move(corpus.plan.ids), {}},
-      std::span(slots), resilience::SupervisorOptions{supervision, options.jobs, options.metrics},
-      run);
-  if (!supervised.ok()) return supervised.error();
-  out.supervisor = std::move(supervised.value());
-
-  // Fold the completed slots in corpus order. The services no round binds
-  // and those whose task found deploy() refusing them are deploy refusals.
-  std::size_t refused_in_tasks = 0;
-  for (const resilience::TaskOutcome& outcome : out.supervisor.tasks) {
-    if (outcome.state != resilience::TaskState::kCompleted) continue;
-    ServiceAnalysis& service = slots[outcome.task];
-    if (service.server.empty()) {
-      ++refused_in_tasks;
-      continue;
-    }
-    obs::add(options.metrics, "lint.findings_total", service.findings.size());
-    report.services.push_back(std::move(service));
-  }
-  report.deploy_refusals = std::accumulate(corpus.plan.refused.begin(),
-                                           corpus.plan.refused.end(), refused_in_tasks);
-  obs::add(options.metrics, "lint.services_total", corpus.plan.tasks.size() - refused_in_tasks);
-  obs::add(options.metrics, "lint.deploy_refusals", report.deploy_refusals);
-  lint_span.annotate("linted", report.services.size());
-  lint_span.end();
-  lint_timer.stop();
-
-  // The join + tally passes run over exactly the folded services.
-  finalize_corpus_report(report, options, run_span.id());
-  return out;
+  return supervise_corpus_pass<SupervisedCorpusResult>(
+      {"lint", "linted"}, options, corpus_config_json(options), supervision,
+      [&options](std::string_view server, const frameworks::DeployedService& service) {
+        return lint_service(server, service, options.rules);
+      },
+      [](CorpusReport& report, const CorpusOptions& options, obs::SpanId run_span) {
+        std::size_t findings = 0;
+        for (const ServiceAnalysis& service : report.services) findings += service.findings.size();
+        if (!report.services.empty()) obs::add(options.metrics, "lint.findings_total", findings);
+        finalize_corpus_report(report, options, run_span);
+      });
 }
 
 }  // namespace wsx::analysis

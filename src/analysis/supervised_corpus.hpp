@@ -1,12 +1,11 @@
-// supervised_corpus.hpp — the lint-corpus engine, run under the resilience
-// supervisor (src/resilience/supervisor.hpp).
+// supervised_corpus.hpp — the lint-corpus pass of the corpus engine
+// (corpus_pass.hpp), run under the resilience supervisor
+// (src/resilience/supervisor.hpp).
 //
-// One task per bindable service of the corpus plan (frameworks::Corpus)
-// deploys the service and lints the served text into its own slot; the
-// completed slots fold in corpus order, then the join + tally passes run
-// over the folded services. A task's ServiceAnalysis is journaled only when
-// a checkpoint file is written. analyze_corpus is this engine with no
-// journal.
+// Each task lints one deployed service's served text into its slot; the
+// join + tally passes run over the folded services. A task's
+// ServiceAnalysis is journaled only when a checkpoint file is written.
+// analyze_corpus is this pass with no journal.
 #pragma once
 
 #include <string>

@@ -1,12 +1,11 @@
-// supervised_predict.hpp — the predict-corpus engine, run under the
-// resilience supervisor (src/resilience/supervisor.hpp).
+// supervised_predict.hpp — the predict-corpus pass of the corpus engine
+// (corpus_pass.hpp), run under the resilience supervisor
+// (src/resilience/supervisor.hpp).
 //
-// One task per bindable service of the corpus plan (frameworks::Corpus)
-// deploys the service and predicts its served text into its own slot; the
-// completed slots fold in corpus order, then the join + scoring pass runs
-// over the folded services. A task's record (record_json) is journaled only
-// when a checkpoint file is written. predict_corpus is this engine with no
-// journal.
+// Each task predicts one deployed service's served text into its slot; the
+// join + scoring pass runs over the folded services. A task's record
+// (record_json) is journaled only when a checkpoint file is written.
+// predict_corpus is this pass with no journal.
 #pragma once
 
 #include <string>
