@@ -99,7 +99,6 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
   };
 
   for (const GeneratedCase& generated : corpus) {
-    obs::add(config.metrics, "gen.cases_total");
     // Property 1: validity. The corpus must live inside the contract.
     if (const std::optional<std::string> violation = validate_case(service, generated)) {
       PropFailure failure;
@@ -120,7 +119,6 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
       }
       add_outcome(delta, PropOutcome::kInvalidValue);
       delta.failures.push_back(std::move(failure));
-      obs::add(config.metrics, "gen.failures");
       continue;
     }
     // Structured marshalling bypasses the uncommon-structure element these
@@ -165,8 +163,10 @@ PairDelta run_propcheck_pair(const frameworks::ServerFramework& server,
     }
     add_outcome(delta, PropOutcome::kMismatch);
     delta.failures.push_back(std::move(failure));
-    obs::add(config.metrics, "gen.failures");
   }
+  // The pair's totals go to the registry once: each add takes its lock.
+  if (!corpus.empty()) obs::add(config.metrics, "gen.cases_total", corpus.size());
+  if (!delta.failures.empty()) obs::add(config.metrics, "gen.failures", delta.failures.size());
   return delta;
 }
 

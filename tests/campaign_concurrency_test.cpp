@@ -12,6 +12,7 @@
 
 #include "chaos/campaign.hpp"
 #include "frameworks/version_policy.hpp"
+#include "gen/campaign.hpp"
 #include "interop/report_formats.hpp"
 #include "interop/study.hpp"
 #include "obs/clock.hpp"
@@ -122,6 +123,30 @@ TEST(CampaignConcurrency, ChaosCountersMatchTheResult) {
     EXPECT_EQ(registry.counter("chaos.calls_total").value(), result.total_attempted()) << jobs;
     EXPECT_EQ(registry.counter("chaos.retransmits").value(), retransmits) << jobs;
     EXPECT_EQ(registry.counter("chaos.faults_injected").value(), faulted) << jobs;
+  }
+}
+
+TEST(CampaignConcurrency, PropcheckCountersMatchTheResult) {
+  // gen.cases_total counts every case a pair ran past its baseline probe,
+  // and gen.failures every counterexample the result lists, at any worker
+  // count.
+  for (const std::size_t jobs : {1u, 8u}) {
+    obs::Registry registry;
+    gen::GenConfig config;
+    tiny_specs(config.java_spec, config.dotnet_spec);
+    config.corpus.seed = 7;
+    config.corpus.sabotage = true;
+    config.jobs = jobs;
+    config.metrics = &registry;
+    const gen::PropcheckResult result = gen::run_propcheck(config);
+    const std::size_t cases =
+        result.total(gen::PropOutcome::kPass) + result.total(gen::PropOutcome::kSkipped) +
+        result.total(gen::PropOutcome::kInvalidValue) + result.total(gen::PropOutcome::kMismatch);
+    EXPECT_GT(cases, 0u);
+    EXPECT_GT(result.total_failures(), 0u);
+    EXPECT_EQ(result.total(gen::PropOutcome::kTimedOut), 0u);
+    EXPECT_EQ(registry.counter("gen.cases_total").value(), cases) << jobs;
+    EXPECT_EQ(registry.counter("gen.failures").value(), result.total_failures()) << jobs;
   }
 }
 
