@@ -105,7 +105,8 @@ constexpr DefectRule kDefectRules[] = {
 void predict_compilation(const frameworks::ClientPolicy& row, const ShapeSignals& signals,
                          StepPrediction& out) {
   if (row.artifacts.pathological_marker_on_very_deep && signals.very_deep_nesting) {
-    // The compiler aborts the whole compilation: nothing else surfaces.
+    // jsc crashes on the pathological unit and aborts the whole
+    // compilation: nothing else surfaces.
     out = StepPrediction{false, true, {"deep-nesting-crash"}};
     return;
   }

@@ -3,6 +3,21 @@
 #include "compilers/semantic_checks.hpp"
 
 namespace wsx::compilers {
+
+DiagnosticSink Compiler::compile(const code::Artifacts& artifacts) const {
+  DiagnosticSink sink;
+  for (const code::CompilationUnit& unit : artifacts.units) {
+    if (language_ == code::Language::kJScript && unit.pathological) {
+      // jsc aborts the whole compilation with an internal error on the
+      // pathological units the JScript generator emits.
+      sink.crash("jsc.internal-crash", "131 INTERNAL COMPILER CRASH", unit.name);
+      return sink;
+    }
+    check_unit(unit, *policy_, sink);
+  }
+  return sink;
+}
+
 namespace {
 
 struct Row {
@@ -30,20 +45,6 @@ const Row* find_row(code::Language language) {
 }
 
 }  // namespace
-
-DiagnosticSink Compiler::compile(const code::Artifacts& artifacts) const {
-  DiagnosticSink sink;
-  for (const code::CompilationUnit& unit : artifacts.units) {
-    if (language_ == code::Language::kJScript && unit.pathological) {
-      // jsc aborts the whole compilation with an internal error on the
-      // pathological units the JScript generator emits.
-      sink.crash("jsc.internal-crash", "131 INTERNAL COMPILER CRASH", unit.name);
-      return sink;
-    }
-    check_unit(unit, *policy_, sink);
-  }
-  return sink;
-}
 
 std::unique_ptr<Compiler> make_compiler(code::Language language) {
   const Row* row = find_row(language);
