@@ -1,12 +1,6 @@
 // corpus_pass.hpp — the one engine of the two corpus passes, lint-corpus
 // and predict-corpus, run under the resilience supervisor
 // (src/resilience/supervisor.hpp).
-//
-// One task per bindable service of the corpus plan (frameworks::Corpus)
-// deploys the service and runs the pass's per-service step on the served
-// text into its own slot; the completed slots fold in corpus order, then
-// the pass's join and scoring run over the folded services. A task's slot
-// is journaled only when a checkpoint file is written.
 #pragma once
 
 #include <cstddef>
@@ -40,11 +34,13 @@ struct CorpusPass {
 
 /// Runs `pass` over the corpus `options` names (java_spec, dotnet_spec,
 /// shape, jobs, tracer, metrics) under `supervision`, journaling under the
-/// fingerprint `config`. `step(server, deployed)` gives a deployed
-/// service's slot; `finalize(report, options, run_span)` runs the join and
-/// scoring over exactly the folded services. Quarantined or not-admitted
-/// services are absent from the report (the supervisor section carries the
-/// coverage counters). A service is deployed only by a task that runs.
+/// fingerprint `config`. One task per bindable service of the corpus plan
+/// deploys the service and stores `step(server, deployed)` in its slot; a
+/// slot is journaled only when a checkpoint file is written. The completed
+/// slots fold in corpus order, then `finalize(report, options, run_span)`
+/// runs the join and scoring over exactly the folded services. Quarantined
+/// or not-admitted services are absent from the report (the supervisor
+/// section carries the coverage counters).
 template <typename Supervised, typename Options, typename Step, typename Finalize>
 Result<Supervised> supervise_corpus_pass(const CorpusPass& pass, const Options& options,
                                          std::string config,
