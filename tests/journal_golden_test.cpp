@@ -20,7 +20,7 @@
 // goldens at any jobs, straight and under a budget (the *_budget_*_tiny
 // goldens, rendered by the engine before corpus tasks deployed their own
 // services); and each corpus pass exports the metrics and span tree of the
-// *_obs_tiny goldens, rendered while the two passes had a driver each.
+// *_obs_tiny goldens, rendered while each pass had a function of its own.
 // On a mismatch the rendering is written to the test temp dir
 // (`<name>.actual`) so it can be inspected with diff.
 #include <gtest/gtest.h>
